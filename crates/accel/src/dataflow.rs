@@ -131,97 +131,214 @@ pub fn count_accesses_with(
 /// Counts the storage-hierarchy actions for `layer` on `config` under an
 /// arbitrary point of the mapping space — the generalization of
 /// [`count_accesses_with`] the per-layer search sweeps.
+///
+/// Assembled from the factored cost model below — `ShapeTerms` →
+/// `DramTraffic` / `EngineTerms` → `Tiling` — the same pieces the sweep
+/// computes once per axis and reuses across candidates.
 #[must_use]
 pub fn count_accesses_mapped(
     config: AcceleratorConfig,
     layer: &Layer,
     mapping: Mapping,
 ) -> AccessCounts {
-    let macs = layer.macs() as f64;
-    let k = f64::from(layer.kernel).max(1.0);
-    let out_w = f64::from(layer.output_w()).max(1.0);
-    let out_h = f64::from(layer.output_h()).max(1.0);
-    let out_c = f64::from(layer.out_channels).max(1.0);
-
-    // Spatial projection: the engine decides how layer parallelism lands
-    // on the grid. Dimension quantization matters: a 28-wide axis running
-    // a 64-filter layer needs ceil(64/28) = 3 passes, so the *effective*
-    // parallelism is 64/3 = 21.3 — mismatched shapes waste cycles (and
-    // therefore leakage), which is what per-layer specialization recovers.
-    let (m_par, row_par) = mapping.engine.spatial.parallelism(config, out_c, out_h);
-    let utilization = (m_par * row_par) / f64::from(config.pes());
-
-    // RF traffic: two operand reads plus one accumulator update per MAC.
-    let rf_accesses = 3.0 * macs;
-
-    // Output-row tiling: processing each output row in `t` segments
-    // shrinks the psum working set by `t` but forfeits cross-segment
-    // array-level reuse — weights re-fetch per segment under RS, ifmap
-    // halo columns re-read under WS.
-    let t_eff = f64::from(mapping.schedule.ow_tile).min(out_w);
-    let tile_w = out_w / t_eff;
-
-    // Global-buffer traffic with RF- and array-level reuse, per dataflow.
-    let (glb_ifmap, glb_weight) = match mapping.engine.dataflow {
-        // RS: ifmaps reused across k kernel rows in the RF and multicast to
-        // m_par filters; weights reused along a tile of an output row and
-        // across the row_par output rows mapped on the array.
-        Dataflow::RowStationary => (macs / (m_par * k), macs / (row_par * tile_w)),
-        // WS: weights pinned in PEs stream from the buffer exactly once —
-        // multi-pass re-fetch happens at the DRAM level, where the loop
-        // order charges it (formerly an always-1.0 pass factor here).
-        // Ifmap activations stream once per kernel window, with k-1
-        // overlap columns re-read at every tile seam.
-        Dataflow::WeightStationary => {
-            let weights = layer.weights() as f64;
-            let halo = 1.0 + (t_eff - 1.0) * (k - 1.0) / out_w;
-            ((macs / m_par) * halo, weights)
-        }
-    };
-    // Partial sums leave the RF once per kernel-row accumulation; if the
-    // psum buffer cannot hold one output-row tile for every mapped filter
-    // the spill factor grows.
-    let psum_working_set = tile_w * m_par * PSUM_BYTES;
-    let psum_capacity = f64::from(config.psum_kib) * 1024.0;
-    let psum_spill = (psum_working_set / psum_capacity).max(1.0);
-    let glb_psum = 2.0 * macs / (k * k) * psum_spill;
-    let glb_accesses = glb_ifmap + glb_weight + glb_psum;
-
-    // NoC transfers mirror buffer-to-array traffic.
-    let noc_transfers = glb_ifmap + glb_weight;
-
-    // DRAM: every tensor at least once; the outer loop's resident tensor
-    // forces re-fetching of the streaming one once per resident tile
-    // beyond the first.
-    let ifmap_bytes = layer.input_activations() as f64 * WORD_BYTES;
-    let weight_bytes = layer.weights() as f64 * WORD_BYTES;
-    let output_bytes = layer.output_activations() as f64 * WORD_BYTES;
-    let ifmap_passes = (ifmap_bytes / (f64::from(config.ifmap_kib) * 1024.0))
-        .ceil()
-        .max(1.0);
-    let weight_passes = (weight_bytes / (f64::from(config.weight_kib) * 1024.0))
-        .ceil()
-        .max(1.0);
-    let refetch = match mapping.schedule.order {
-        LoopOrder::WeightsOuter => ifmap_bytes * (weight_passes - 1.0),
-        LoopOrder::IfmapOuter => weight_bytes * (ifmap_passes - 1.0),
-    };
-    let dram_bytes = ifmap_bytes + weight_bytes + output_bytes + refetch;
-    let dram_words = dram_bytes / WORD_BYTES;
-    let dram_refetch_words = refetch / WORD_BYTES;
-
-    // Cycles: utilization-limited MAC issue.
-    let cycles = macs / (m_par * row_par);
-
+    let shape = ShapeTerms::of(layer);
+    let engine = EngineTerms::new(config, &shape, mapping.engine);
+    let tiling = Tiling::new(&shape, mapping.schedule);
+    let dram = shape.dram(config);
+    let (noc_transfers, glb_accesses) = engine.traffic(&tiling, engine.tile_glb(&tiling));
+    let o = mapping.schedule.order.index();
     AccessCounts {
-        macs,
-        rf_accesses,
+        macs: shape.macs,
+        rf_accesses: shape.rf_accesses(),
         noc_transfers,
         glb_accesses,
-        dram_words,
-        dram_refetch_words,
-        cycles,
-        utilization,
+        dram_words: dram.words[o],
+        dram_refetch_words: dram.refetch_words[o],
+        cycles: engine.cycles,
+        utilization: (engine.m_par * engine.row_par) / f64::from(config.pes()),
+    }
+}
+
+/// The per-shape level of the cost model: every term that depends on the
+/// layer alone, computed once per distinct shape (held by
+/// [`crate::memo::LayerMemo`]) instead of once per schedule candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShapeTerms {
+    pub(crate) macs: f64,
+    k: f64,
+    out_w: f64,
+    out_h: f64,
+    out_c: f64,
+    weights: f64,
+    ifmap_bytes: f64,
+    weight_bytes: f64,
+    /// Every tensor once: `ifmap + weight + output` bytes.
+    compulsory_bytes: f64,
+    /// GLB psum accesses before spill: partial sums leave the RF once per
+    /// kernel-row accumulation, `2·macs/k²`.
+    psum_unspilled: f64,
+}
+
+impl ShapeTerms {
+    pub(crate) fn of(layer: &Layer) -> Self {
+        let macs = layer.macs() as f64;
+        let k = f64::from(layer.kernel).max(1.0);
+        let ifmap_bytes = layer.input_activations() as f64 * WORD_BYTES;
+        let weight_bytes = layer.weights() as f64 * WORD_BYTES;
+        let output_bytes = layer.output_activations() as f64 * WORD_BYTES;
+        Self {
+            macs,
+            k,
+            out_w: f64::from(layer.output_w()).max(1.0),
+            out_h: f64::from(layer.output_h()).max(1.0),
+            out_c: f64::from(layer.out_channels).max(1.0),
+            weights: layer.weights() as f64,
+            ifmap_bytes,
+            weight_bytes,
+            compulsory_bytes: ifmap_bytes + weight_bytes + output_bytes,
+            psum_unspilled: 2.0 * macs / (k * k),
+        }
+    }
+
+    /// RF traffic: two operand reads plus one accumulator update per MAC.
+    pub(crate) fn rf_accesses(&self) -> f64 {
+        3.0 * self.macs
+    }
+
+    /// DRAM traffic on `config`, per loop order: every tensor at least
+    /// once; the outer loop's resident tensor forces re-fetching of the
+    /// streaming one once per resident tile beyond the first.
+    pub(crate) fn dram(&self, config: AcceleratorConfig) -> DramTraffic {
+        let ifmap_passes = (self.ifmap_bytes / (f64::from(config.ifmap_kib) * 1024.0))
+            .ceil()
+            .max(1.0);
+        let weight_passes = (self.weight_bytes / (f64::from(config.weight_kib) * 1024.0))
+            .ceil()
+            .max(1.0);
+        // Indexed by `LoopOrder::index`.
+        let refetch = [
+            self.ifmap_bytes * (weight_passes - 1.0),
+            self.weight_bytes * (ifmap_passes - 1.0),
+        ];
+        DramTraffic {
+            words: refetch.map(|r| (self.compulsory_bytes + r) / WORD_BYTES),
+            refetch_words: refetch.map(|r| r / WORD_BYTES),
+        }
+    }
+}
+
+/// The per-`(config, shape)` level: DRAM words per loop order (indexed by
+/// `LoopOrder::index`). Engine- and tile-independent — the loop order
+/// alone decides which tensor re-streams.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DramTraffic {
+    words: [f64; 2],
+    /// The multi-pass re-fetch portion of `words`.
+    refetch_words: [f64; 2],
+}
+
+impl DramTraffic {
+    /// Effective words per loop order (re-fetch at the row-buffer premium).
+    pub(crate) fn effective_words(&self, table: &EnergyTable) -> [f64; 2] {
+        [0, 1].map(|o| table.dram_effective_words(self.words[o], self.refetch_words[o]))
+    }
+}
+
+/// The per-`(config, shape, engine)` level: spatial parallelism, cycles
+/// and the engine's tile-independent buffer stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct EngineTerms {
+    dataflow: Dataflow,
+    m_par: f64,
+    row_par: f64,
+    /// Utilization-limited MAC issue cycles.
+    pub(crate) cycles: f64,
+    /// The GLB stream no tiling changes: RS ifmap, WS weights.
+    fixed_glb: f64,
+    /// RS: `macs`; WS: `macs / m_par` — the numerator of the tile term.
+    tile_numerator: f64,
+    psum_unspilled: f64,
+    psum_capacity: f64,
+}
+
+impl EngineTerms {
+    pub(crate) fn new(config: AcceleratorConfig, shape: &ShapeTerms, engine: Engine) -> Self {
+        // Spatial projection: the engine decides how layer parallelism
+        // lands on the grid. Dimension quantization matters: a 28-wide axis
+        // running a 64-filter layer needs ceil(64/28) = 3 passes, so the
+        // *effective* parallelism is 64/3 = 21.3 — mismatched shapes waste
+        // cycles (and therefore leakage), which is what per-layer
+        // specialization recovers.
+        let (m_par, row_par) = engine.spatial.parallelism(config, shape.out_c, shape.out_h);
+        let (fixed_glb, tile_numerator) = match engine.dataflow {
+            // RS: ifmaps reused across k kernel rows in the RF and
+            // multicast to m_par filters.
+            Dataflow::RowStationary => (shape.macs / (m_par * shape.k), shape.macs),
+            // WS: weights pinned in PEs stream from the buffer exactly
+            // once — multi-pass re-fetch happens at the DRAM level, where
+            // the loop order charges it.
+            Dataflow::WeightStationary => (shape.weights, shape.macs / m_par),
+        };
+        Self {
+            dataflow: engine.dataflow,
+            m_par,
+            row_par,
+            cycles: shape.macs / (m_par * row_par),
+            fixed_glb,
+            tile_numerator,
+            psum_unspilled: shape.psum_unspilled,
+            psum_capacity: f64::from(config.psum_kib) * 1024.0,
+        }
+    }
+
+    /// The GLB stream the tiling grows — RS weights, WS ifmap — which is
+    /// also the tiling-dependent term of the search's energy floor.
+    pub(crate) fn tile_glb(&self, tiling: &Tiling) -> f64 {
+        match self.dataflow {
+            // RS: weights reused along a tile of an output row and across
+            // the row_par output rows mapped on the array.
+            Dataflow::RowStationary => self.tile_numerator / (self.row_par * tiling.tile_w),
+            // WS: ifmap activations stream once per kernel window, with
+            // k-1 overlap columns re-read at every tile seam.
+            Dataflow::WeightStationary => self.tile_numerator * tiling.halo,
+        }
+    }
+
+    /// `(noc_transfers, glb_accesses)` for a tiling whose [`Self::tile_glb`]
+    /// is `tile_glb`.
+    pub(crate) fn traffic(&self, tiling: &Tiling, tile_glb: f64) -> (f64, f64) {
+        // NoC transfers mirror buffer-to-array traffic: ifmap + weight
+        // streams, in either order (f64 addition is commutative).
+        let noc = self.fixed_glb + tile_glb;
+        // If the psum buffer cannot hold one output-row tile for every
+        // mapped filter the spill factor grows.
+        let psum_working_set = tiling.tile_w * self.m_par * PSUM_BYTES;
+        let psum_spill = (psum_working_set / self.psum_capacity).max(1.0);
+        (noc, noc + self.psum_unspilled * psum_spill)
+    }
+}
+
+/// The per-`(shape, schedule)` level: output-row tiling geometry.
+/// Processing each output row in `t` segments shrinks the psum working set
+/// by `t` but forfeits cross-segment array-level reuse — weights re-fetch
+/// per segment under RS, ifmap halo columns re-read under WS.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Tiling {
+    pub(crate) schedule: Schedule,
+    /// Output-row tile width, `out_w / t`.
+    tile_w: f64,
+    /// WS ifmap re-read factor, `1 + (t-1)(k-1)/out_w`.
+    halo: f64,
+}
+
+impl Tiling {
+    pub(crate) fn new(shape: &ShapeTerms, schedule: Schedule) -> Self {
+        let t_eff = f64::from(schedule.ow_tile).min(shape.out_w);
+        Self {
+            schedule,
+            tile_w: shape.out_w / t_eff,
+            halo: 1.0 + (t_eff - 1.0) * (shape.k - 1.0) / shape.out_w,
+        }
     }
 }
 
@@ -270,25 +387,113 @@ pub fn picojoules_of(
     glb_pj: f64,
     c: &AccessCounts,
 ) -> f64 {
-    // NoC hop energy grows with array extent (wire length).
-    let wire_scale = f64::from(config.pe_x.max(config.pe_y)) / 16.0;
-    // Re-fetch words cost a row-buffer-locality premium in both energy
-    // and effective bandwidth.
+    energy_terms(config, table, glb_pj, c).total()
+}
+
+/// The six terms [`picojoules_of`] sums, picojoules.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyTerms {
+    /// Arithmetic.
+    pub mac: f64,
+    /// PE register files.
+    pub rf: f64,
+    /// On-chip network.
+    pub noc: f64,
+    /// Global buffers.
+    pub glb: f64,
+    /// DRAM, re-fetch at its premium.
+    pub dram: f64,
+    /// Static energy over the roofline wall-clock.
+    pub leak: f64,
+}
+
+impl EnergyTerms {
+    /// The layer energy: the terms summed left to right in field order.
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.mac + self.rf + self.noc + self.glb + self.dram + self.leak
+    }
+}
+
+/// Breaks the energy of a set of access counts on a design into its six
+/// terms; `glb_pj` as for [`picojoules_of`].
+#[must_use]
+pub fn energy_terms(
+    config: AcceleratorConfig,
+    table: &EnergyTable,
+    glb_pj: f64,
+    c: &AccessCounts,
+) -> EnergyTerms {
+    let rates = DesignRates::new(config, table, glb_pj);
     let dram_eff = table.dram_effective_words(c.dram_words, c.dram_refetch_words);
-    // Roofline: a memory-bound layer stalls the array for the full DRAM
-    // transfer, and the whole design leaks for that long — re-fetch from
-    // an undersized buffer costs access energy *and* stall time.
-    let wall_cycles = c.cycles.max(dram_eff / table.dram_words_per_cycle);
-    c.macs * table.mac_pj
-        + c.rf_accesses * table.rf_pj
-        + c.noc_transfers * table.noc_pj * wire_scale
-        + c.glb_accesses * glb_pj
-        + dram_eff * table.dram_pj
-        + wall_cycles
-            * table.leakage_pj_per_cycle(
+    EnergyTerms {
+        mac: rates.mac_energy(c.macs),
+        rf: rates.rf_energy(c.rf_accesses),
+        noc: rates.noc_energy(c.noc_transfers),
+        glb: rates.glb_energy(c.glb_accesses),
+        dram: rates.dram_energy(dram_eff),
+        leak: rates.leak_energy(c.cycles, rates.stall_cycles(dram_eff)),
+    }
+}
+
+/// The per-config level of the energy formula: per-action energies with
+/// the design's buffer size, wire length and leakage folded in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DesignRates<'a> {
+    pub(crate) table: &'a EnergyTable,
+    glb_pj: f64,
+    wire_scale: f64,
+    pub(crate) leak_pj_per_cycle: f64,
+}
+
+impl<'a> DesignRates<'a> {
+    pub(crate) fn new(config: AcceleratorConfig, table: &'a EnergyTable, glb_pj: f64) -> Self {
+        Self {
+            table,
+            glb_pj,
+            // NoC hop energy grows with array extent (wire length).
+            wire_scale: f64::from(config.pe_x.max(config.pe_y)) / 16.0,
+            leak_pj_per_cycle: table.leakage_pj_per_cycle(
                 f64::from(config.pes()),
                 f64::from(config.total_buffer_kib()),
-            )
+            ),
+        }
+    }
+
+    pub(crate) fn mac_energy(&self, macs: f64) -> f64 {
+        macs * self.table.mac_pj
+    }
+
+    pub(crate) fn rf_energy(&self, rf_accesses: f64) -> f64 {
+        rf_accesses * self.table.rf_pj
+    }
+
+    pub(crate) fn noc_energy(&self, noc_transfers: f64) -> f64 {
+        noc_transfers * self.table.noc_pj * self.wire_scale
+    }
+
+    pub(crate) fn glb_energy(&self, glb_accesses: f64) -> f64 {
+        glb_accesses * self.glb_pj
+    }
+
+    /// `effective_words` is [`EnergyTable::dram_effective_words`]: re-fetch
+    /// words cost a row-buffer-locality premium in both energy and
+    /// effective bandwidth.
+    pub(crate) fn dram_energy(&self, effective_words: f64) -> f64 {
+        effective_words * self.table.dram_pj
+    }
+
+    /// Cycles the DRAM interface needs for `effective_words`.
+    pub(crate) fn stall_cycles(&self, effective_words: f64) -> f64 {
+        effective_words / self.table.dram_words_per_cycle
+    }
+
+    /// Roofline: a memory-bound layer stalls the array for the full DRAM
+    /// transfer, and the whole design leaks for that long — re-fetch from
+    /// an undersized buffer costs access energy *and* stall time.
+    pub(crate) fn leak_energy(&self, cycles: f64, stall_cycles: f64) -> f64 {
+        cycles.max(stall_cycles) * self.leak_pj_per_cycle
+    }
 }
 
 /// Energy for one inference of a whole network on `config` (the pipelined

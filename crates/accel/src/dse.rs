@@ -33,9 +33,10 @@ use sudc_compute::workloads::{self, Workload};
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_units::Joules;
 
+use crate::dataflow::DesignRates;
 use crate::design::{design_space, AcceleratorConfig};
 use crate::energy::EnergyTable;
-use crate::mapping::{self, Engine, SearchCounters, ENGINE_COUNT};
+use crate::mapping::{self, DramCost, Engine, SearchCounters, ENGINE_COUNT};
 use crate::memo::LayerMemo;
 
 /// Framework overhead on the GPU baseline: measured wall-power × time
@@ -288,27 +289,29 @@ fn sweep_config(
     table: &EnergyTable,
 ) {
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
+    let rates = DesignRates::new(config, table, glb_pj);
     let engines = Engine::all();
 
     // Phase 1: best-schedule search per (shape, engine); ln-efficiencies
-    // land in the scratch table keyed on (shape, engine).
-    for (si, layer) in memo.unique_layers().iter().enumerate() {
-        let candidates = memo.candidates(si);
-        let dram = mapping::dram_pj_by_order(config, table, layer);
-        let macs = layer.macs() as f64;
+    // land in the scratch table keyed on (shape, engine). Each cost term is
+    // computed at the level of the axis it depends on: per config (rates),
+    // per (config, shape) (DRAM), per engine and per candidate inside the
+    // search.
+    for si in 0..memo.unique_layers().len() {
+        let shape = memo.terms(si);
+        let dram = DramCost::new(&rates, &shape.dram(config));
         for (ei, &engine) in engines.iter().enumerate() {
             let choice = mapping::search(
                 config,
-                table,
-                glb_pj,
-                layer,
+                &rates,
+                shape,
+                &dram,
                 engine,
-                candidates,
-                dram,
+                memo.candidates(si),
                 true,
                 &mut best.counters,
             );
-            best.scratch[si * ENGINE_COUNT + ei] = (macs / (choice.picojoules * 1e-12)).ln();
+            best.scratch[si * ENGINE_COUNT + ei] = (shape.macs / (choice.picojoules * 1e-12)).ln();
         }
     }
 

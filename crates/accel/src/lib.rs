@@ -20,7 +20,8 @@
 //! - [`dse`] — sweep, selection (global / per-network / per-layer), and
 //!   efficiency-improvement reporting (Fig. 17); the sweep runs chunked
 //!   across the [`sudc_par`] executor, bit-identical to its serial oracle;
-//! - [`memo`] — per-`(config, layer-shape)` efficiency memoization;
+//! - [`memo`] — layer-shape deduplication, holding each distinct shape's
+//!   cost-model terms and schedule candidates for the sweep;
 //! - [`pipeline`] — per-layer pipeline timing and double-buffer sizing
 //!   (Fig. 18).
 

@@ -27,7 +27,9 @@
 use sudc_compute::networks::Layer;
 use sudc_units::Joules;
 
-use crate::dataflow::{count_accesses_mapped, picojoules_of, Dataflow};
+use crate::dataflow::{
+    Dataflow, DesignRates, DramTraffic, EnergyTerms, EngineTerms, ShapeTerms, Tiling,
+};
 use crate::design::AcceleratorConfig;
 use crate::energy::EnergyTable;
 
@@ -102,6 +104,14 @@ impl LoopOrder {
     #[must_use]
     pub fn all() -> [Self; 2] {
         [Self::WeightsOuter, Self::IfmapOuter]
+    }
+
+    /// Index of this order in [`LoopOrder::all`].
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Self::WeightsOuter => 0,
+            Self::IfmapOuter => 1,
+        }
     }
 }
 
@@ -310,19 +320,7 @@ pub fn best_schedule(
     engine: Engine,
     counters: &mut SearchCounters,
 ) -> ScheduleChoice {
-    let candidates = schedule_candidates(layer);
-    let dram = dram_pj_by_order(config, table, layer);
-    search(
-        config,
-        table,
-        glb_pj,
-        layer,
-        engine,
-        &candidates,
-        dram,
-        true,
-        counters,
-    )
+    standalone_search(config, table, glb_pj, layer, engine, true, counters)
 }
 
 /// The unpruned reference search — evaluates every candidate. Must return
@@ -337,117 +335,126 @@ pub fn best_schedule_unpruned(
     engine: Engine,
 ) -> ScheduleChoice {
     let mut counters = SearchCounters::default();
-    let candidates = schedule_candidates(layer);
-    let dram = dram_pj_by_order(config, table, layer);
-    search(
-        config,
-        table,
-        glb_pj,
-        layer,
-        engine,
-        &candidates,
-        dram,
-        false,
-        &mut counters,
-    )
+    standalone_search(config, table, glb_pj, layer, engine, false, &mut counters)
 }
 
-/// DRAM energy per loop order (engine-independent: the loop order alone
-/// decides which tensor re-streams) — hoisted out of the engine loop by
-/// the sweep, recomputed here for standalone calls.
-#[must_use]
-pub fn dram_pj_by_order(config: AcceleratorConfig, table: &EnergyTable, layer: &Layer) -> [f64; 2] {
-    let engine = Engine::canonical(Dataflow::RowStationary);
-    let words = |order| {
-        let c = count_accesses_mapped(
-            config,
-            layer,
-            Mapping {
-                engine,
-                schedule: Schedule { order, ow_tile: 1 },
-            },
-        );
-        table.dram_effective_words(c.dram_words, c.dram_refetch_words)
-    };
-    [
-        words(LoopOrder::WeightsOuter) * table.dram_pj,
-        words(LoopOrder::IfmapOuter) * table.dram_pj,
-    ]
-}
-
-/// The sweep's hot entry: candidates and per-order DRAM energy hoisted to
-/// per-shape precomputation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search(
+/// Builds the per-shape and per-config pieces the sweep hoists, then
+/// searches.
+fn standalone_search(
     config: AcceleratorConfig,
     table: &EnergyTable,
     glb_pj: f64,
     layer: &Layer,
     engine: Engine,
-    candidates: &[Schedule],
-    dram_by_order: [f64; 2],
     prune: bool,
     counters: &mut SearchCounters,
 ) -> ScheduleChoice {
-    let macs = layer.macs() as f64;
-    let out_w = f64::from(layer.output_w()).max(1.0);
-    let out_c = f64::from(layer.out_channels).max(1.0);
-    let out_h = f64::from(layer.output_h()).max(1.0);
-    let k = f64::from(layer.kernel).max(1.0);
-    let (m_par, row_par) = engine.spatial.parallelism(config, out_c, out_h);
-    let cycles = macs / (m_par * row_par);
+    let shape = ShapeTerms::of(layer);
+    let candidates = tilings(layer, &shape);
+    let rates = DesignRates::new(config, table, glb_pj);
+    let dram = DramCost::new(&rates, &shape.dram(config));
+    search(
+        config,
+        &rates,
+        &shape,
+        &dram,
+        engine,
+        &candidates,
+        prune,
+        counters,
+    )
+}
 
-    // Schedule-independent part of the floor: arithmetic and RF traffic
-    // are identical for every schedule of this engine. Leakage is added
-    // per loop order below (the roofline stall depends on DRAM words,
-    // which the order decides).
-    let base_floor = macs * table.mac_pj + 3.0 * macs * table.rf_pj;
-    let leak_pj_per_cycle = table.leakage_pj_per_cycle(
-        f64::from(config.pes()),
-        f64::from(config.total_buffer_kib()),
-    );
-    // Wall-clock cycles per order: compute- or memory-bound, whichever
-    // binds. DRAM traffic is tile-independent, so this is exact.
-    let wall_cycles_by_order = dram_by_order.map(|dram_pj_total| {
-        cycles.max(dram_pj_total / table.dram_pj / table.dram_words_per_cycle)
+/// [`schedule_candidates`] with each schedule's tiling geometry.
+pub(crate) fn tilings(layer: &Layer, shape: &ShapeTerms) -> Vec<Tiling> {
+    schedule_candidates(layer)
+        .into_iter()
+        .map(|schedule| Tiling::new(shape, schedule))
+        .collect()
+}
+
+/// DRAM energy and stall time of one shape on one design, per loop order
+/// (indexed by [`LoopOrder::index`]) — engine- and tile-independent, so
+/// the sweep computes it once per `(config, shape)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DramCost {
+    pj: [f64; 2],
+    stall_cycles: [f64; 2],
+    /// The prune floor's stall: DRAM energy converted back to cycles.
+    floor_stall_cycles: [f64; 2],
+}
+
+impl DramCost {
+    pub(crate) fn new(rates: &DesignRates<'_>, traffic: &DramTraffic) -> Self {
+        let table = rates.table;
+        let words = traffic.effective_words(table);
+        let pj = words.map(|w| rates.dram_energy(w));
+        Self {
+            pj,
+            stall_cycles: words.map(|w| rates.stall_cycles(w)),
+            floor_stall_cycles: pj.map(|p| p / table.dram_pj / table.dram_words_per_cycle),
+        }
+    }
+}
+
+/// The best-schedule search over hoisted pieces: everything that does not
+/// depend on the tiling is computed once here, so a candidate costs only
+/// its tile terms.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search(
+    config: AcceleratorConfig,
+    rates: &DesignRates<'_>,
+    shape: &ShapeTerms,
+    dram: &DramCost,
+    engine: Engine,
+    candidates: &[Tiling],
+    prune: bool,
+    counters: &mut SearchCounters,
+) -> ScheduleChoice {
+    let terms = EngineTerms::new(config, shape, engine);
+    let mac = rates.mac_energy(shape.macs);
+    let rf = rates.rf_energy(shape.rf_accesses());
+    let leak = [0, 1].map(|o| rates.leak_energy(terms.cycles, dram.stall_cycles[o]));
+    // Schedule-independent part of the floor per loop order: arithmetic,
+    // RF traffic, DRAM and leakage are identical for every tiling.
+    let floor_base = [0, 1].map(|o| {
+        mac + rf
+            + dram.pj[o]
+            + terms.cycles.max(dram.floor_stall_cycles[o]) * rates.leak_pj_per_cycle
     });
 
     let mut best: Option<ScheduleChoice> = None;
-    for &schedule in candidates {
+    for tiling in candidates {
+        let o = tiling.schedule.order.index();
+        // The term that *grows* with the tile factor (weight re-fetch
+        // under RS, ifmap halo under WS): the floor's tiling-dependent
+        // part, and one of the evaluation's buffer streams.
+        let tile_glb = terms.tile_glb(tiling);
         if prune {
             if let Some(incumbent) = best {
-                // Tiling-dependent traffic floor: the term that *grows*
-                // with the tile factor (weight re-fetch under RS, ifmap
-                // halo under WS), at buffer access energy.
-                let t_eff = f64::from(schedule.ow_tile).min(out_w);
-                let tile_term = match engine.dataflow {
-                    Dataflow::RowStationary => macs / (row_par * (out_w / t_eff)),
-                    Dataflow::WeightStationary => {
-                        (macs / m_par) * (1.0 + (t_eff - 1.0) * (k - 1.0) / out_w)
-                    }
-                };
-                let oi = match schedule.order {
-                    LoopOrder::WeightsOuter => 0,
-                    LoopOrder::IfmapOuter => 1,
-                };
-                let floor = base_floor
-                    + dram_by_order[oi]
-                    + wall_cycles_by_order[oi] * leak_pj_per_cycle
-                    + tile_term * glb_pj;
+                let floor = floor_base[o] + rates.glb_energy(tile_glb);
                 if floor >= incumbent.picojoules * PRUNE_MARGIN {
                     counters.pruned += 1;
                     continue;
                 }
             }
         }
-        let counts = count_accesses_mapped(config, layer, Mapping { engine, schedule });
-        let picojoules = picojoules_of(config, table, glb_pj, &counts);
+        let (noc, glb) = terms.traffic(tiling, tile_glb);
+        let picojoules = EnergyTerms {
+            mac,
+            rf,
+            noc: rates.noc_energy(noc),
+            glb: rates.glb_energy(glb),
+            dram: dram.pj[o],
+            leak: leak[o],
+        }
+        .total();
         counters.evaluated += 1;
         // Strictly-less keeps the earliest candidate on ties, matching the
         // unpruned reference.
         if best.is_none_or(|b| picojoules < b.picojoules) {
             best = Some(ScheduleChoice {
-                schedule,
+                schedule: tiling.schedule,
                 picojoules,
             });
         }

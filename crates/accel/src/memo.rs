@@ -8,18 +8,17 @@
 //! sweep reads through — which cuts the hot loop by the suite's
 //! duplication factor (~2.3× for the Table III networks) in serial *and*
 //! parallel runs. The memo also precomputes, per shape, everything the
-//! mapping search re-reads on every config: the deduplicated schedule
-//! candidate list and the per-network multiplicity matrix that turns
-//! per-shape log-efficiencies into geomean scores.
+//! mapping search re-reads on every config: the cost model's per-shape
+//! terms, the deduplicated schedule candidates with their tiling geometry,
+//! and the per-network multiplicity matrix that turns per-shape
+//! log-efficiencies into geomean scores.
 
 use std::collections::HashMap;
 
 use sudc_compute::networks::{Layer, Network};
 
-use crate::dataflow::layer_efficiency;
-use crate::design::AcceleratorConfig;
-use crate::energy::EnergyTable;
-use crate::mapping::{schedule_candidates, Schedule};
+use crate::dataflow::{ShapeTerms, Tiling};
+use crate::mapping::tilings;
 
 /// Shape-deduplicated view of a network suite.
 #[derive(Debug, Clone)]
@@ -31,8 +30,10 @@ pub struct LayerMemo {
     /// `mult[network][shape]` → how many layers of the network have the
     /// shape (as f64: it weights log-efficiency sums).
     mult: Vec<Vec<f64>>,
+    /// Per-shape terms of the cost model.
+    terms: Vec<ShapeTerms>,
     /// Deduplicated schedule candidates per shape.
-    candidates: Vec<Vec<Schedule>>,
+    candidates: Vec<Vec<Tiling>>,
     /// Total (non-deduplicated) layer count across the suite.
     total_layers: usize,
 }
@@ -69,11 +70,17 @@ impl LayerMemo {
                 row
             })
             .collect();
-        let candidates = unique.iter().map(schedule_candidates).collect();
+        let terms: Vec<ShapeTerms> = unique.iter().map(ShapeTerms::of).collect();
+        let candidates = unique
+            .iter()
+            .zip(&terms)
+            .map(|(layer, shape)| tilings(layer, shape))
+            .collect();
         Self {
             unique,
             slot,
             mult,
+            terms,
             candidates,
             total_layers,
         }
@@ -103,10 +110,14 @@ impl LayerMemo {
         self.mult[ni][si]
     }
 
+    /// Cost-model terms of shape `si`.
+    pub(crate) fn terms(&self, si: usize) -> &ShapeTerms {
+        &self.terms[si]
+    }
+
     /// Deduplicated schedule candidates for shape `si` (precomputed once
     /// per sweep instead of once per `(config, shape, engine)` search).
-    #[must_use]
-    pub fn candidates(&self, si: usize) -> &[Schedule] {
+    pub(crate) fn candidates(&self, si: usize) -> &[Tiling] {
         &self.candidates[si]
     }
 
@@ -117,21 +128,12 @@ impl LayerMemo {
     pub fn dedup_hits(&self, configs: usize, engines: usize) -> u64 {
         (self.total_layers - self.unique.len()) as u64 * configs as u64 * engines as u64
     }
-
-    /// Evaluates `layer_efficiency` once per distinct shape for one
-    /// configuration; read results back through [`Self::slot`].
-    #[must_use]
-    pub fn efficiencies(&self, config: AcceleratorConfig, table: &EnergyTable) -> Vec<f64> {
-        self.unique
-            .iter()
-            .map(|layer| layer_efficiency(config, table, layer))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::schedule_candidates;
     use sudc_compute::networks::NetworkId;
 
     fn suite() -> Vec<Network> {
@@ -177,26 +179,8 @@ mod tests {
     fn candidates_match_direct_enumeration() {
         let memo = LayerMemo::for_networks(&suite());
         for (si, layer) in memo.unique_layers().iter().enumerate() {
-            assert_eq!(memo.candidates(si), schedule_candidates(layer));
-        }
-    }
-
-    #[test]
-    fn memoized_efficiencies_match_direct_evaluation() {
-        let networks = suite();
-        let memo = LayerMemo::for_networks(&networks);
-        let table = EnergyTable::default();
-        let config = AcceleratorConfig::reference();
-        let effs = memo.efficiencies(config, &table);
-        for (ni, net) in networks.iter().enumerate().take(3) {
-            for (li, layer) in net.layers.iter().enumerate() {
-                let direct = layer_efficiency(config, &table, layer);
-                let memoized = effs[memo.slot(ni, li)];
-                assert!(
-                    (direct - memoized).abs() == 0.0,
-                    "net {ni} layer {li}: {direct} vs {memoized}"
-                );
-            }
+            let schedules: Vec<_> = memo.candidates(si).iter().map(|t| t.schedule).collect();
+            assert_eq!(schedules, schedule_candidates(layer));
         }
     }
 }

@@ -1,7 +1,7 @@
 #[test]
 #[ignore]
 fn calibration_breakdown() {
-    use sudc_accel::dataflow::count_accesses_mapped;
+    use sudc_accel::dataflow::{count_accesses_mapped, energy_terms};
     use sudc_accel::mapping::{best_schedule, SearchCounters};
     use sudc_accel::{AcceleratorConfig, Mapping};
 
@@ -11,20 +11,8 @@ fn calibration_breakdown() {
     let terms = |config: AcceleratorConfig, mapping: Mapping, layer: &_| -> [f64; 6] {
         let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
         let c = count_accesses_mapped(config, layer, mapping);
-        let wire = f64::from(config.pe_x.max(config.pe_y)) / 16.0;
-        let dram_eff = table.dram_effective_words(c.dram_words, c.dram_refetch_words);
-        let wall = c.cycles.max(dram_eff / table.dram_words_per_cycle);
-        [
-            c.macs * table.mac_pj,
-            c.rf_accesses * table.rf_pj,
-            c.noc_transfers * table.noc_pj * wire,
-            c.glb_accesses * glb_pj,
-            dram_eff * table.dram_pj,
-            wall * table.leakage_pj_per_cycle(
-                f64::from(config.pes()),
-                f64::from(config.total_buffer_kib()),
-            ),
-        ]
+        let t = energy_terms(config, &table, glb_pj, &c);
+        [t.mac, t.rf, t.noc, t.glb, t.dram, t.leak]
     };
 
     let names = ["mac", "rf", "noc", "glb", "dram", "leak"];

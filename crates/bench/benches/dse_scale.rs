@@ -9,9 +9,12 @@
 //! fire — so the mappings/sec figure describes a correct, working search.
 //!
 //! Results land in `BENCH_dse.json` at the repository root (override with
-//! `BENCH_DSE_OUT`): search-space accounting, prune/memo rates, the three
-//! mean improvements, serial/parallel wall time and schedules-evaluated/sec,
-//! and the cache-replay cost.
+//! `BENCH_DSE_OUT`): the host's `nproc` and the worker count, search-space
+//! accounting, prune/memo rates, the three mean improvements,
+//! serial/parallel wall time and schedules-evaluated/sec, and the
+//! cache-replay cost. The parallel speedup is `null` ("not measured") when
+//! the run has one worker or the host one CPU: serial over serial on one
+//! core measures noise, not scaling.
 //!
 //! Knobs:
 //! - `SUDC_DSE_SCALE_WORKERS`: comma-separated worker counts to verify
@@ -64,6 +67,7 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 
 fn main() {
     let threads = sudc_par::threads();
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = workers_from_env();
     let step: usize = env_or("SUDC_DSE_SCALE_STEP", 1);
     let reps: usize = env_or("SUDC_DSE_SCALE_REPS", 3);
@@ -71,7 +75,8 @@ fn main() {
     let table = EnergyTable::default();
     let space: Vec<_> = design_space().into_iter().step_by(step.max(1)).collect();
     println!(
-        "mapping-search DSE benchmark ({} designs x {ENGINE_COUNT} engines, {threads} threads)\n",
+        "mapping-search DSE benchmark ({} designs x {ENGINE_COUNT} engines, \
+         {threads} threads, nproc {nproc})\n",
         space.len()
     );
 
@@ -118,7 +123,8 @@ fn main() {
 
     let evaluated = s.schedules_evaluated as f64;
     let mappings_per_sec = evaluated / (parallel_ms / 1e3);
-    let speedup = serial_ms / parallel_ms;
+    let speedup = (threads > 1 && nproc > 1).then(|| serial_ms / parallel_ms);
+    let speedup_text = speedup.map_or_else(|| "not measured".to_string(), |x| format!("{x:.2}x"));
     println!(
         "schedules: {} evaluated, {} pruned (prune rate {:.1}%)",
         s.schedules_evaluated,
@@ -138,10 +144,11 @@ fn main() {
     );
     println!(
         "serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms ({threads} threads, \
-         speedup {speedup:.2}x, {mappings_per_sec:.0} mappings/s), warm replay {replay_ms:.3} ms"
+         speedup {speedup_text}, {mappings_per_sec:.0} mappings/s), warm replay {replay_ms:.3} ms"
     );
 
     let report = Json::object()
+        .with("nproc", nproc)
         .with("threads", threads)
         .with("workers_verified", workers.clone())
         .with("space_step", step)
@@ -186,7 +193,7 @@ fn main() {
             Json::object()
                 .with("serial_ms", serial_ms)
                 .with("parallel_ms", parallel_ms)
-                .with("speedup", speedup)
+                .with("speedup", speedup.map_or(Json::Null, Json::from))
                 .with("mappings_per_sec", mappings_per_sec)
                 .with("cache_replay_ms", replay_ms),
         );
