@@ -29,10 +29,10 @@ use crate::mapping::{Engine, LoopOrder, Mapping, Schedule};
 /// The temporal reuse pattern wired into the PE control.
 ///
 /// Together with a spatial projection this forms a hardwired
-/// [`Engine`](crate::mapping::Engine); the full mapping space (engine ×
-/// software [`Schedule`](crate::mapping::Schedule)) lives in
-/// [`crate::mapping`]. [`count_accesses_with`] evaluates the canonical
-/// engine of a dataflow — the two points the pre-search model hardwired.
+/// [`Engine`]; the full mapping space (engine × software [`Schedule`])
+/// lives in [`crate::mapping`]. [`count_accesses_with`] evaluates the
+/// canonical engine of a dataflow — the two points the pre-search model
+/// hardwired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Eyeriss-style row stationary: kernel rows held in PE register files,

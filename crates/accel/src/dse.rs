@@ -10,7 +10,7 @@
 //!
 //! A *design point* here is an [`AcceleratorConfig`] × a hardwired mapping
 //! [`Engine`] (dataflow × spatial projection): 7 168 configurations × 6
-//! engines. Software [`Schedule`]s (loop order × output-row tiling) are
+//! engines. Software [`Schedule`](crate::mapping::Schedule)s (loop order × output-row tiling) are
 //! searched per layer on every design point — see [`crate::mapping`] —
 //! through the shape-deduplicated [`LayerMemo`], with energy lower-bound
 //! pruning inside each schedule search. The sweep runs chunked across the

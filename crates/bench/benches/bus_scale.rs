@@ -3,7 +3,7 @@
 //! The sim kernel now publishes its whole pipeline — captures, insights,
 //! telemetry, fault events — through the `sudc-bus` topic endpoints.
 //! That passthrough is contractually free: this benchmark weak-scales
-//! the fleet (1k → 10k → 100k publishers via `SimConfig::scaled_fleet`)
+//! the fleet (1k → 10k → 100k publishers via `SimConfig::try_scaled_fleet`)
 //! and, at every size, times the bus-wired kernel against the frozen
 //! pre-bus kernel (`sudc_sim::baseline`) on the same configuration and
 //! seed, asserting the traces equal before any timing. The run **fails**
@@ -29,50 +29,15 @@
 //! - `SUDC_BUS_SCALE_REPS`: timing repetitions (default 5, minimum kept);
 //! - `SUDC_BUS_MAX_OVERHEAD`: passthrough overhead gate (default 0.10).
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use sudc_bench::harness::{env_list, env_or, time_ms, write_report};
 use sudc_par::json::Json;
 use sudc_par::rng::Rng64;
 use sudc_sim::{baseline, kernel, replay, run_on_bus, run_recorded, SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn fleets_from_env() -> Vec<u32> {
-    let raw =
-        std::env::var("SUDC_BUS_SCALE_FLEETS").unwrap_or_else(|_| "1000,10000,100000".to_string());
-    let fleets: Vec<u32> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(
-        !fleets.is_empty(),
-        "SUDC_BUS_SCALE_FLEETS parsed to nothing"
-    );
-    fleets
-}
-
-/// Minimum wall-clock milliseconds over `reps` runs (least-biased
-/// estimator on a shared machine — interference only adds time).
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn main() {
     let threads = sudc_par::threads();
-    let fleets = fleets_from_env();
+    let fleets = env_list::<u32>("SUDC_BUS_SCALE_FLEETS", "1000,10000,100000");
     let sat_seconds: f64 = env_or("SUDC_BUS_SCALE_SAT_SECONDS", 6_000_000.0);
     let reps: usize = env_or("SUDC_BUS_SCALE_REPS", 5);
     let max_overhead: f64 = env_or("SUDC_BUS_MAX_OVERHEAD", 0.10);
@@ -82,7 +47,8 @@ fn main() {
     let mut worst_overhead = f64::NEG_INFINITY;
     for &fleet in &fleets {
         let duration_s = (sat_seconds / f64::from(fleet)).max(60.0);
-        let cfg = SimConfig::scaled_fleet(fleet, Seconds::new(duration_s));
+        let cfg = SimConfig::try_scaled_fleet(fleet, Seconds::new(duration_s))
+            .expect("fleet sizes are positive");
         let seed = Rng64::stream(DEFAULT_SEED, 0).next_u64();
 
         // Equivalence before timing: the bus-wired kernel must reproduce
@@ -154,12 +120,7 @@ fn main() {
         .with("max_overhead_gate", max_overhead)
         .with("worst_overhead", worst_overhead)
         .with("fleets", points);
-    let out = std::env::var("BENCH_BUS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bus.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    write_report("BENCH_BUS_OUT", "BENCH_bus.json", &report);
 
     assert!(
         worst_overhead <= max_overhead,

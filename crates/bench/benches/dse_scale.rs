@@ -24,51 +24,19 @@
 //! - `SUDC_DSE_SCALE_REPS`: timing repetitions (default 3; the minimum is
 //!   reported).
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use sudc_accel::design::design_space;
 use sudc_accel::dse::{run_dse_serial, run_dse_threads, DseCache, SystemArchitecture};
 use sudc_accel::energy::EnergyTable;
 use sudc_accel::mapping::ENGINE_COUNT;
+use sudc_bench::harness::{
+    env_list, env_or, nproc, speedup, speedup_json, speedup_text, time_ms, write_report,
+};
 use sudc_par::json::Json;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn workers_from_env() -> Vec<usize> {
-    let raw = std::env::var("SUDC_DSE_SCALE_WORKERS").unwrap_or_else(|_| "1,2,8".to_string());
-    let workers: Vec<usize> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(
-        !workers.is_empty(),
-        "SUDC_DSE_SCALE_WORKERS parsed to nothing"
-    );
-    workers
-}
-
-/// Minimum wall-clock milliseconds over `reps` runs — the standard
-/// low-interference estimator on a shared machine.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let threads = sudc_par::threads();
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = workers_from_env();
+    let nproc = nproc();
+    let workers = env_list::<usize>("SUDC_DSE_SCALE_WORKERS", "1,2,8");
     let step: usize = env_or("SUDC_DSE_SCALE_STEP", 1);
     let reps: usize = env_or("SUDC_DSE_SCALE_REPS", 3);
 
@@ -123,8 +91,8 @@ fn main() {
 
     let evaluated = s.schedules_evaluated as f64;
     let mappings_per_sec = evaluated / (parallel_ms / 1e3);
-    let speedup = (threads > 1 && nproc > 1).then(|| serial_ms / parallel_ms);
-    let speedup_text = speedup.map_or_else(|| "not measured".to_string(), |x| format!("{x:.2}x"));
+    let speedup = speedup(serial_ms, parallel_ms, threads, nproc);
+    let speedup_text = speedup_text(speedup);
     println!(
         "schedules: {} evaluated, {} pruned (prune rate {:.1}%)",
         s.schedules_evaluated,
@@ -193,14 +161,9 @@ fn main() {
             Json::object()
                 .with("serial_ms", serial_ms)
                 .with("parallel_ms", parallel_ms)
-                .with("speedup", speedup.map_or(Json::Null, Json::from))
+                .with("speedup", speedup_json(speedup))
                 .with("mappings_per_sec", mappings_per_sec)
                 .with("cache_replay_ms", replay_ms),
         );
-    let out = std::env::var("BENCH_DSE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("\nwrote {out}");
+    write_report("BENCH_DSE_OUT", "BENCH_dse.json", &report);
 }

@@ -6,7 +6,9 @@
 //! `BENCH_sweeps.json` at the repository root (override the path with the
 //! `BENCH_OUT` environment variable). Every parallel/serial pair is also
 //! checked for bit-identical results, so the bench doubles as an
-//! end-to-end equivalence test at the ambient thread count.
+//! end-to-end equivalence test at the ambient thread count. The report
+//! records the host's `nproc`; a pair's speedup is `null` ("not
+//! measured") when the run has one worker or the host one CPU.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -15,14 +17,17 @@ use sudc_accel::design::design_space;
 use sudc_accel::dse::{run_dse_serial, run_dse_threads};
 use sudc_accel::energy::EnergyTable;
 use sudc_bench::experiments;
+use sudc_bench::harness::{nproc, speedup, speedup_json, speedup_text, write_report};
 use sudc_par::json::Json;
 use sudc_reliability::availability::{NodePool, DEFAULT_MC_SEED};
-use sudc_reliability::mission::{simulate, MissionConfig, SparingPolicy};
+use sudc_reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
 
 /// Monte-Carlo trial count for the availability benchmarks.
 const MC_TRIALS: u32 = 200_000;
 
-/// Median wall-clock milliseconds over `reps` runs.
+/// Median wall-clock milliseconds over `reps` runs. Unlike the scaling
+/// benches' minimum (the interference-free kernel cost), this reports
+/// what a typical figure regeneration costs, interference included.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))
         .map(|_| {
@@ -35,17 +40,18 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One serial-vs-parallel pair.
-fn pair(name: &str, serial_ms: f64, parallel_ms: f64) -> Json {
-    let speedup = serial_ms / parallel_ms;
+/// One serial-vs-parallel pair run at `threads` workers on `nproc` CPUs.
+fn pair(name: &str, serial_ms: f64, parallel_ms: f64, threads: usize, nproc: usize) -> Json {
+    let speedup = speedup(serial_ms, parallel_ms, threads, nproc);
     println!(
-        "{name:<28} serial {serial_ms:>9.1} ms   parallel {parallel_ms:>9.1} ms   speedup {speedup:>5.2}x"
+        "{name:<28} serial {serial_ms:>9.1} ms   parallel {parallel_ms:>9.1} ms   speedup {}",
+        speedup_text(speedup)
     );
     Json::object()
         .with("name", name)
         .with("serial_ms", serial_ms)
         .with("parallel_ms", parallel_ms)
-        .with("speedup", speedup)
+        .with("speedup", speedup_json(speedup))
 }
 
 /// One single-timing entry.
@@ -56,7 +62,8 @@ fn single(name: &str, ms: f64) -> Json {
 
 fn main() {
     let threads = sudc_par::threads();
-    println!("sweep-engine benchmarks ({threads} threads)\n");
+    let nproc = nproc();
+    println!("sweep-engine benchmarks ({threads} threads, nproc {nproc})\n");
 
     let mut pairs: Vec<Json> = Vec::new();
     let mut singles: Vec<Json> = Vec::new();
@@ -73,14 +80,24 @@ fn main() {
     );
     let dse_serial = time_ms(3, || run_dse_serial(&space, &table));
     let dse_parallel = time_ms(3, || run_dse_threads(threads, &space, &table));
-    pairs.push(pair("dse_full_7168", dse_serial, dse_parallel));
+    pairs.push(pair(
+        "dse_full_7168",
+        dse_serial,
+        dse_parallel,
+        threads,
+        nproc,
+    ));
 
     // Availability Monte-Carlo (binomial node pool).
-    let pool = NodePool::new(30, 10);
-    let avail_ref = pool.simulate_availability(1.0, MC_TRIALS, DEFAULT_MC_SEED);
+    let pool = NodePool::try_new(30, 10).expect("30 nodes cover the 10 required");
+    let simulate_availability = || {
+        pool.try_simulate_availability(1.0, MC_TRIALS, DEFAULT_MC_SEED)
+            .expect("a positive trial count at a valid time")
+    };
+    let avail_ref = simulate_availability();
     let avail_serial = time_ms(3, || {
         sudc_par::set_threads(1);
-        let a = pool.simulate_availability(1.0, MC_TRIALS, DEFAULT_MC_SEED);
+        let a = simulate_availability();
         sudc_par::set_threads(0);
         assert!(
             (a - avail_ref).abs() == 0.0,
@@ -88,13 +105,13 @@ fn main() {
         );
         a
     });
-    let avail_parallel = time_ms(3, || {
-        pool.simulate_availability(1.0, MC_TRIALS, DEFAULT_MC_SEED)
-    });
+    let avail_parallel = time_ms(3, simulate_availability);
     pairs.push(pair(
         "monte_carlo_availability",
         avail_serial,
         avail_parallel,
+        threads,
+        nproc,
     ));
 
     // Mission Monte-Carlo with cold sparing.
@@ -104,19 +121,24 @@ fn main() {
         duration: 1.0,
         policy: SparingPolicy::Cold { dormant_aging: 0.1 },
     };
-    let mission_ref = simulate(mission, MC_TRIALS, DEFAULT_MC_SEED);
+    let simulate = || {
+        try_simulate(mission, MC_TRIALS, DEFAULT_MC_SEED).expect("a valid mission configuration")
+    };
+    let mission_ref = simulate();
     let mission_serial = time_ms(3, || {
         sudc_par::set_threads(1);
-        let m = simulate(mission, MC_TRIALS, DEFAULT_MC_SEED);
+        let m = simulate();
         sudc_par::set_threads(0);
         assert_eq!(m, mission_ref, "mission MC diverged across thread counts");
         m
     });
-    let mission_parallel = time_ms(3, || simulate(mission, MC_TRIALS, DEFAULT_MC_SEED));
+    let mission_parallel = time_ms(3, simulate);
     pairs.push(pair(
         "monte_carlo_mission",
         mission_serial,
         mission_parallel,
+        threads,
+        nproc,
     ));
 
     // The heavyweight experiment generators (each regenerates one figure).
@@ -133,14 +155,10 @@ fn main() {
     singles.push(single("extC_tornado", time_ms(3, experiments::ext_tornado)));
 
     let report = Json::object()
+        .with("nproc", nproc)
         .with("threads", threads)
         .with("mc_trials", MC_TRIALS)
         .with("sweeps", pairs)
         .with("experiments", singles);
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweeps.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("\nwrote {out}");
+    write_report("BENCH_OUT", "BENCH_sweeps.json", &report);
 }

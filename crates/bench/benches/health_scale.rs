@@ -28,51 +28,16 @@
 //!   minimum is reported);
 //! - `SUDC_HEALTH_SCALE_GATE`: overhead gate as a fraction (default 0.10).
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use sudc_bench::harness::{env_list, env_or, time_ms, write_report};
 use sudc_health::HealthConfig;
 use sudc_par::json::Json;
 use sudc_par::rng::Rng64;
 use sudc_sim::{kernel, SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn fleets_from_env() -> Vec<u32> {
-    let raw = std::env::var("SUDC_HEALTH_SCALE_FLEETS")
-        .unwrap_or_else(|_| "1000,10000,100000".to_string());
-    let fleets: Vec<u32> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(
-        !fleets.is_empty(),
-        "SUDC_HEALTH_SCALE_FLEETS parsed to nothing"
-    );
-    fleets
-}
-
-/// Minimum wall-clock milliseconds over `reps` runs (the standard
-/// low-interference estimator; see `sim_scale`).
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn main() {
     let threads = sudc_par::threads();
-    let fleets = fleets_from_env();
+    let fleets = env_list::<u32>("SUDC_HEALTH_SCALE_FLEETS", "1000,10000,100000");
     let sat_seconds: f64 = env_or("SUDC_HEALTH_SCALE_SAT_SECONDS", 9_000_000.0);
     let reps: usize = env_or("SUDC_HEALTH_SCALE_REPS", 5);
     let gate: f64 = env_or("SUDC_HEALTH_SCALE_GATE", 0.10);
@@ -82,7 +47,8 @@ fn main() {
     let mut overheads: Vec<f64> = Vec::new();
     for &fleet in &fleets {
         let duration_s = (sat_seconds / f64::from(fleet)).max(60.0);
-        let passthrough = SimConfig::scaled_fleet(fleet, Seconds::new(duration_s));
+        let passthrough = SimConfig::try_scaled_fleet(fleet, Seconds::new(duration_s))
+            .expect("fleet sizes are positive");
         let monitored = passthrough.with_health(HealthConfig::standard());
         let seed = Rng64::stream(DEFAULT_SEED, 0).next_u64();
 
@@ -148,12 +114,7 @@ fn main() {
         .with("gate", gate)
         .with("mean_overhead_fraction", mean_overhead)
         .with("fleets", points);
-    let out = std::env::var("BENCH_HEALTH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_health.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("\nwrote {out}");
+    write_report("BENCH_HEALTH_OUT", "BENCH_health.json", &report);
 
     assert!(
         mean_overhead <= gate,

@@ -18,47 +18,16 @@
 //! - `SUDC_ROUTER_SCALE_JOBS`: comma-separated thread counts
 //!   (default `1,2,8`).
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use sudc_bench::harness::{env_list, env_or, time_ms, write_report};
 use sudc_par::json::Json;
 use sudc_par::set_threads;
 use sudc_router::{Router, StreamConfig, Tier};
 use sudc_sim::DEFAULT_SEED;
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn jobs_from_env() -> Vec<usize> {
-    let raw = std::env::var("SUDC_ROUTER_SCALE_JOBS").unwrap_or_else(|_| "1,2,8".to_string());
-    let jobs: Vec<usize> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(!jobs.is_empty(), "SUDC_ROUTER_SCALE_JOBS parsed to nothing");
-    jobs
-}
-
-/// Minimum wall-clock milliseconds over `reps` runs (scheduler noise
-/// only ever adds time, so the minimum is the least-biased sample).
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn main() {
     let requests: u64 = env_or("SUDC_ROUTER_SCALE_REQUESTS", 4_000_000);
     let reps: usize = env_or("SUDC_ROUTER_SCALE_REPS", 5);
-    let jobs = jobs_from_env();
+    let jobs = env_list::<usize>("SUDC_ROUTER_SCALE_JOBS", "1,2,8");
     println!("request router throughput benchmark ({requests} requests)\n");
 
     let router = Router::reference();
@@ -152,10 +121,5 @@ fn main() {
         .with("deferred", Json::try_from(stats.deferred).expect("fits"))
         .with("rejected", Json::try_from(stats.rejected).expect("fits"))
         .with("threads_points", points);
-    let out = std::env::var("BENCH_ROUTER_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_router.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("\nwrote {out}");
+    write_report("BENCH_ROUTER_OUT", "BENCH_router.json", &report);
 }

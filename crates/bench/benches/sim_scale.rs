@@ -2,14 +2,14 @@
 //!
 //! Weak-scales the operations simulator along the fleet axis
 //! (64 → 1k → 10k → 100k → 300k → 1M satellites via
-//! `SimConfig::scaled_fleet`) and,
+//! `SimConfig::try_scaled_fleet`) and,
 //! at every size, times the rebuilt kernel (timing-wheel scheduler,
 //! slab/SoA hot path) against the frozen pre-rebuild kernel
 //! (`sudc_sim::baseline`: `BinaryHeap` scheduler, per-batch allocation,
 //! `retain` shedding). Both kernels are run on the *same* configuration
 //! and seed and asserted trace-equal before any timing, so the speedup is
 //! measured against a correct baseline, not a strawman. A sharded
-//! [`scale_study`] pass exercises the `(fleet, rep)` grid across the
+//! [`try_scale_study`] pass exercises the `(fleet, rep)` grid across the
 //! `sudc-par` executor with common random numbers.
 //!
 //! Results land in `BENCH_sim.json` at the repository root (override with
@@ -26,52 +26,18 @@
 //! - `SUDC_SIM_SCALE_REPS`: timing repetitions per kernel (default 5;
 //!   the minimum is reported).
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use sudc_bench::harness::{env_list, env_or, time_ms, write_report};
 use sudc_par::json::Json;
 use sudc_par::rng::Rng64;
-use sudc_sim::{baseline, kernel, scale_study, SimConfig, DEFAULT_SEED};
+use sudc_sim::{baseline, kernel, try_scale_study, SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn fleets_from_env() -> Vec<u32> {
-    let raw = std::env::var("SUDC_SIM_SCALE_FLEETS")
-        .unwrap_or_else(|_| "64,1000,10000,100000,300000,1000000".to_string());
-    let fleets: Vec<u32> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    assert!(
-        !fleets.is_empty(),
-        "SUDC_SIM_SCALE_FLEETS parsed to nothing"
-    );
-    fleets
-}
-
-/// Minimum wall-clock milliseconds over `reps` runs — the standard
-/// low-interference estimator: scheduler preemption and frequency
-/// throttling only ever add time, so the minimum is the least-biased
-/// sample of the true cost on a shared machine.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let threads = sudc_par::threads();
-    let fleets = fleets_from_env();
+    let fleets = env_list::<u32>(
+        "SUDC_SIM_SCALE_FLEETS",
+        "64,1000,10000,100000,300000,1000000",
+    );
     let sat_seconds: f64 = env_or("SUDC_SIM_SCALE_SAT_SECONDS", 18_000_000.0);
     let reps: usize = env_or("SUDC_SIM_SCALE_REPS", 5);
     println!("sim kernel scaling benchmark ({threads} threads)\n");
@@ -79,7 +45,8 @@ fn main() {
     let mut points: Vec<Json> = Vec::new();
     for &fleet in &fleets {
         let duration_s = (sat_seconds / f64::from(fleet)).max(60.0);
-        let cfg = SimConfig::scaled_fleet(fleet, Seconds::new(duration_s));
+        let cfg = SimConfig::try_scaled_fleet(fleet, Seconds::new(duration_s))
+            .expect("fleet sizes are positive");
         let seed = Rng64::stream(DEFAULT_SEED, 0).next_u64();
 
         // Equivalence before timing: the rebuilt kernel must reproduce
@@ -136,10 +103,11 @@ fn main() {
     let study_fleets = [64u32, 128, 256];
     let study_reps = 2u32;
     let study_duration = Seconds::new(900.0);
-    let study = scale_study(study_duration, &study_fleets, study_reps, DEFAULT_SEED);
+    let study = try_scale_study(study_duration, &study_fleets, study_reps, DEFAULT_SEED)
+        .expect("the study grid is non-empty with positive fleets and reps");
     let study_events: u64 = study.iter().map(|p| p.events).sum();
     let study_ms = time_ms(1, || {
-        scale_study(study_duration, &study_fleets, study_reps, DEFAULT_SEED)
+        try_scale_study(study_duration, &study_fleets, study_reps, DEFAULT_SEED)
     });
     println!(
         "sharded scale study ({} jobs, {study_events} events): {study_ms:.1} ms",
@@ -162,10 +130,5 @@ fn main() {
                 )
                 .with("ms", study_ms),
         );
-    let out = std::env::var("BENCH_SIM_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json").to_string()
-    });
-    std::fs::write(&out, report.to_string_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("\nwrote {out}");
+    write_report("BENCH_SIM_OUT", "BENCH_sim.json", &report);
 }

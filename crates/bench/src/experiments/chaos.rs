@@ -43,7 +43,8 @@ fn reps() -> u32 {
 pub fn ext_chaos() -> String {
     let duration = duration();
     let reps = reps();
-    let summary = ChaosSummary::run(duration, &SPARE_COUNTS, reps, sudc_sim::DEFAULT_SEED);
+    let summary = ChaosSummary::try_run(duration, &SPARE_COUNTS, reps, sudc_sim::DEFAULT_SEED)
+        .expect("a positive duration and rep count form a valid grid");
 
     let rows: Vec<Vec<String>> = summary
         .cells

@@ -124,7 +124,7 @@ pub fn ext_dse() -> String {
         *slot = n.improvement(SystemArchitecture::PerNetworkAccelerator);
     }
     let premium = 3.0;
-    let reference = RouterConfig::reference();
+    let reference = RouterConfig::try_reference().expect("reference scenario must price");
     let repriced = reference
         .clone()
         .try_with_accelerator_repricing(&improvement, premium)

@@ -8,8 +8,8 @@ use sudc_compute::precision::Precision;
 use sudc_core::analysis::{ablation, latency};
 use sudc_core::scenario::Scenario;
 use sudc_reliability::availability::DEFAULT_MC_SEED;
-use sudc_reliability::mission::{simulate, MissionConfig, SparingPolicy};
-use sudc_sscm::sensitivity::tornado;
+use sudc_reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
+use sudc_sscm::sensitivity::try_tornado;
 use sudc_sscm::subsystems::SubsystemCers;
 use sudc_units::{Kelvin, Watts};
 
@@ -50,7 +50,7 @@ pub fn ext_sparing() -> String {
                 SparingPolicy::Cold { dormant_aging: 0.1 },
             ),
         ] {
-            let outcome = simulate(
+            let outcome = try_simulate(
                 MissionConfig {
                     nodes: n,
                     required: 10,
@@ -59,7 +59,8 @@ pub fn ext_sparing() -> String {
                 },
                 20_000,
                 DEFAULT_MC_SEED,
-            );
+            )
+            .expect("every mission installs the 10 required nodes");
             rows.push(vec![
                 format!("{n}"),
                 name.to_string(),
@@ -86,11 +87,12 @@ pub fn ext_sparing() -> String {
 #[must_use]
 pub fn ext_tornado() -> String {
     let sized = Scenario::Reference
-        .design()
+        .try_design()
         .expect("reference scenario is valid")
         .size()
         .expect("reference scenario sizes");
-    let bars = tornado(&SubsystemCers::sudc_default(), &sized.sscm_inputs(), 0.3);
+    let bars = try_tornado(&SubsystemCers::sudc_default(), &sized.sscm_inputs(), 0.3)
+        .expect("every ±30% perturbation of the reference inputs is valid");
     let rows: Vec<Vec<String>> = bars
         .iter()
         .map(|b| {

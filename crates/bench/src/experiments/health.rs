@@ -78,7 +78,8 @@ pub fn ext_health() -> String {
     );
 
     // --- part 2: controller-on vs controller-off grid ----------------
-    let report = HealthReport::run(duration, SPARES, reps, DEFAULT_SEED);
+    let report = HealthReport::try_run(duration, SPARES, reps, DEFAULT_SEED)
+        .expect("a positive duration and rep count form a valid grid");
     let rows: Vec<Vec<String>> = report
         .cells
         .iter()
@@ -120,12 +121,11 @@ pub fn ext_health() -> String {
         .try_fractions(stream.blocks() as usize)
         .expect("at least one block");
     let full = Router::reference().route_stream(&stream);
-    let degraded = Router::new(
-        RouterConfig::reference()
-            .try_with_degraded_pools(&fractions)
-            .expect("observed fractions are valid"),
-    )
-    .route_stream(&stream);
+    let degraded = RouterConfig::try_reference()
+        .and_then(|cfg| cfg.try_with_degraded_pools(&fractions))
+        .and_then(Router::try_new)
+        .expect("observed fractions are valid")
+        .route_stream(&stream);
     let sudc = Tier::OrbitalSudc.index();
     let degraded_lines = format!(
         "  detections {}  promotions {}  min alive {}/{} nodes  mean pool {}\n  \

@@ -35,6 +35,11 @@ pub fn fig12() -> String {
     )
 }
 
+/// A pool of `n` installed servers of which the paper's 10 are required.
+fn pool(n: u32) -> NodePool {
+    NodePool::try_new(n, 10).expect("every pool installs at least the 10 required servers")
+}
+
 /// Fig. 24: probability that at least 10 servers work vs. time, for
 /// overprovisioning levels n = 10/15/20/30.
 #[must_use]
@@ -46,7 +51,11 @@ pub fn fig24() -> String {
         .map(|&t| {
             let mut row = vec![format!("{t}")];
             for &n in &pools {
-                row.push(ratio(NodePool::new(n, 10).availability(t)));
+                row.push(ratio(
+                    pool(n)
+                        .try_availability(t)
+                        .expect("sample times are non-negative"),
+                ));
             }
             row
         })
@@ -59,7 +68,9 @@ pub fn fig24() -> String {
     for &n in &pools {
         report.push_str(&format!(
             "n={n}: {:.2}T  ",
-            NodePool::new(n, 10).time_to_availability(0.01)
+            pool(n)
+                .try_time_to_availability(0.01)
+                .expect("0.01 lies inside (0, 1)")
         ));
     }
     report.push('\n');
@@ -76,7 +87,10 @@ pub fn fig25() -> String {
         .map(|&t| {
             let mut row = vec![format!("{t}")];
             for &n in &pools {
-                row.push(format!("{:.2}", NodePool::new(n, 10).expected_capacity(t)));
+                let capacity = pool(n)
+                    .try_expected_capacity(t)
+                    .expect("sample times are non-negative");
+                row.push(format!("{capacity:.2}"));
             }
             row
         })
@@ -131,7 +145,11 @@ pub fn fig27() -> String {
         .map(|&eps| {
             let mut row = vec![format!("{eps:.0e}")];
             for m in &suite {
-                row.push(format!("{:.3}", m.accuracy_under_faults(eps)));
+                row.push(format!(
+                    "{:.3}",
+                    m.try_accuracy_under_faults(eps)
+                        .expect("fault rates are probabilities")
+                ));
             }
             row
         })

@@ -114,9 +114,13 @@ pub fn ext_router() -> String {
     let duration = duration();
     let reps = reps();
     let load = RoutedLoad::from_outcome(&outcomes[0]);
-    let nominal = load.replay(duration, reps, DEFAULT_SEED, None);
+    let nominal = load
+        .try_replay(duration, reps, DEFAULT_SEED, None)
+        .expect("the routed load induces a valid scenario");
     let storm_campaign = sudc_chaos::Campaign::solar_storm(duration);
-    let storm = load.replay(duration, reps, DEFAULT_SEED, Some(&storm_campaign));
+    let storm = load
+        .try_replay(duration, reps, DEFAULT_SEED, Some(&storm_campaign))
+        .expect("the routed load induces a valid scenario");
     let replay_rows: Vec<Vec<String>> = [&nominal, &storm]
         .iter()
         .map(|r| {

@@ -42,16 +42,18 @@ pub fn ext_sim() -> String {
     let duration = duration();
     let reps = reps();
 
-    let baseline = SimSummary::study(
+    let baseline = SimSummary::try_study(
         &SimConfig::reference_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
-    let collab = SimSummary::study(
+    )
+    .expect("the reference preset is valid");
+    let collab = SimSummary::try_study(
         &SimConfig::collaborative_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
+    )
+    .expect("the collaborative preset is valid");
 
     let ops_rows: Vec<Vec<String>> = [("baseline", &baseline), ("collaborative", &collab)]
         .iter()
@@ -71,12 +73,12 @@ pub fn ext_sim() -> String {
     // Mission-scale sparing: simulated end-state capability vs the
     // analytic hot-pool bound at one MTTF.
     let mission_reps = reps * 20;
-    let mission = SimSummary::study(
-        &SimConfig::cold_spare_mission(20, 10, 0.1, 1.0),
-        mission_reps,
-        DEFAULT_SEED,
-    );
-    let analytic_hot = NodePool::new(20, 10).availability(1.0);
+    let mission = SimConfig::try_cold_spare_mission(20, 10, 0.1, 1.0)
+        .and_then(|cfg| SimSummary::try_study(&cfg, mission_reps, DEFAULT_SEED))
+        .expect("20 nodes cover the 10 required");
+    let analytic_hot = NodePool::try_new(20, 10)
+        .and_then(|pool| pool.try_availability(1.0))
+        .expect("20 nodes cover the 10 required");
 
     format!(
         "Ext. F: dynamic operations simulation ({} s simulated, {} reps)\n{}\n\n\

@@ -13,7 +13,7 @@ use crate::format::{self, table};
 pub fn table1() -> String {
     let sized = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
-        .build()
+        .try_build()
         .expect("4 kW design is valid")
         .size()
         .expect("4 kW design sizes");

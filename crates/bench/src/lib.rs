@@ -2,8 +2,8 @@
 //! evaluation as text rows.
 //!
 //! Each experiment is a pure function returning a formatted report, so the
-//! `figures` binary, the Criterion benches, and the integration tests all
-//! exercise exactly the same code:
+//! `figures` binary, the benches, and the integration tests all exercise
+//! exactly the same code:
 //!
 //! ```
 //! let table = sudc_bench::experiments::table2();
@@ -15,5 +15,6 @@
 
 pub mod experiments;
 pub mod format;
+pub mod harness;
 
 pub use experiments::{all_experiments, run_experiment};

@@ -82,16 +82,6 @@ impl LivelinessQos {
 
     /// Automatic liveliness with the given lease duration.
     ///
-    /// # Panics
-    /// Panics if `lease_s` is not a positive finite number; see
-    /// [`LivelinessQos::try_automatic`].
-    #[must_use]
-    pub fn automatic(lease_s: f64) -> Self {
-        Self::try_automatic(lease_s).expect("lease_s must be positive and finite")
-    }
-
-    /// Fallible [`LivelinessQos::automatic`].
-    ///
     /// # Errors
     /// Returns a [`SudcError`] unless `lease_s` is positive and finite
     /// (use [`LivelinessQos::disabled`] to opt out instead of a zero
@@ -360,7 +350,7 @@ mod tests {
     #[test]
     fn liveliness_lease_lowers_with_the_deadline_rounding() {
         let c = QosContract {
-            liveliness: LivelinessQos::automatic(60.0),
+            liveliness: LivelinessQos::try_automatic(60.0).unwrap(),
             ..QosContract::standard_telemetry()
         };
         let low = c.try_lower(0.1).unwrap();

@@ -163,7 +163,7 @@ impl Campaign {
     }
 
     /// Correlated solar-storm campaign: the *same* expected kills per node
-    /// as [`Campaign::independent`], delivered as [`STORMS_PER_RUN`]
+    /// as [`Campaign::independent`], delivered as `STORMS_PER_RUN`
     /// cross-node-correlated latch-up shocks (mostly-mild windows with an
     /// occasional major event), plus an in-window SEU burst.
     #[must_use]

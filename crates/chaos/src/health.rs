@@ -88,19 +88,6 @@ impl HealthReport {
     /// Runs the standard campaign suite with the
     /// [`HealthConfig::standard`] contract.
     ///
-    /// # Panics
-    ///
-    /// Panics on invalid grid parameters (see [`HealthReport::try_run`]).
-    #[must_use]
-    pub fn run(duration: Seconds, spares: u32, reps: u32, base_seed: u64) -> Self {
-        match Self::try_run(duration, spares, reps, base_seed) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`HealthReport::run`].
-    ///
     /// # Errors
     ///
     /// Same contract as [`HealthReport::try_run_campaigns`] over
@@ -329,7 +316,7 @@ mod tests {
 
     #[test]
     fn detector_columns_are_sane_across_the_suite() {
-        let report = HealthReport::run(Seconds::new(1800.0), 2, 3, 42);
+        let report = HealthReport::try_run(Seconds::new(1800.0), 2, 3, 42).unwrap();
         assert_eq!(report.cells.len(), 6 * 2);
         for cell in &report.cells {
             assert!(cell.heartbeats > 0, "{}", cell.campaign);

@@ -33,16 +33,17 @@
 //! use sudc_par::json::ToJson;
 //! use sudc_units::Seconds;
 //!
-//! let summary = ChaosSummary::run(Seconds::new(900.0), &[0, 4], 2, 7);
+//! let summary = ChaosSummary::try_run(Seconds::new(900.0), &[0, 4], 2, 7)?;
 //! let quiet = summary.cell("independent", 4).unwrap();
 //! assert!(quiet.availability <= 1.0);
 //! // Same grid, same seed -> byte-identical report at any thread count.
 //! assert_eq!(
 //!     summary.to_json().to_string_pretty(),
-//!     ChaosSummary::run(Seconds::new(900.0), &[0, 4], 2, 7)
+//!     ChaosSummary::try_run(Seconds::new(900.0), &[0, 4], 2, 7)?
 //!         .to_json()
 //!         .to_string_pretty(),
 //! );
+//! # Ok::<(), sudc_errors::SudcError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -90,21 +90,8 @@ pub struct ChaosSummary {
 
 impl ChaosSummary {
     /// Runs the standard campaign suite over `spare_counts` with `reps`
-    /// replications per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid grid parameters (see [`ChaosSummary::try_run`]).
-    #[must_use]
-    pub fn run(duration: Seconds, spare_counts: &[u32], reps: u32, base_seed: u64) -> Self {
-        match Self::try_run(duration, spare_counts, reps, base_seed) {
-            Ok(summary) => summary,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`ChaosSummary::run`]: validates the grid and
-    /// every campaign-applied configuration before launching any work.
+    /// replications per cell, validating the grid and every
+    /// campaign-applied configuration before launching any work.
     ///
     /// # Errors
     ///
@@ -271,7 +258,7 @@ impl ToJson for ChaosSummary {
 /// or thermal cost — the heart of the near-zero-cost claim). Returns
 /// `(per-spare USD, reference TCO USD, design lifetime in hours)`.
 fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
-    let design = Scenario::Reference.design()?;
+    let design = Scenario::Reference.try_design()?;
     let tco = design.try_tco()?;
     let compute_usd = tco
         .lines()
@@ -338,7 +325,7 @@ mod tests {
     /// A small but non-trivial grid shared by the tests (each run of it is
     /// ~a second of work, so tests reuse one instance where possible).
     fn small_grid() -> ChaosSummary {
-        ChaosSummary::run(Seconds::new(1800.0), &[0, 2, 16], 3, 42)
+        ChaosSummary::try_run(Seconds::new(1800.0), &[0, 2, 16], 3, 42).unwrap()
     }
 
     #[test]
@@ -358,7 +345,8 @@ mod tests {
     fn report_bytes_are_identical_at_every_thread_count() {
         let render = |threads: usize| {
             sudc_par::set_threads(threads);
-            let json = ChaosSummary::run(Seconds::new(900.0), &[0, 4], 2, 11)
+            let json = ChaosSummary::try_run(Seconds::new(900.0), &[0, 4], 2, 11)
+                .unwrap()
                 .to_json()
                 .to_string_pretty();
             sudc_par::set_threads(0);

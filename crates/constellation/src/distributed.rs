@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn no_learning_fleet_is_linear_in_re() {
-        let curve = LearningCurve::new(1.0);
+        let curve = LearningCurve::try_new(1.0).unwrap();
         let three = fleet_cost(
             3,
             Usd::from_millions(8.0),

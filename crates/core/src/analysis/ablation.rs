@@ -9,12 +9,13 @@
 //! - solar-cell technology.
 
 use sudc_comms::cdh::CdhDesign;
+use sudc_errors::SudcError;
 use sudc_orbital::launch::LaunchPricing;
 use sudc_power::{PowerDesign, SolarCellTech};
 use sudc_thermal::{HeatPump, ThermalDesign};
 use sudc_units::{Kelvin, Usd, Watts};
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// One radiator-setpoint ablation point.
 #[derive(Debug, Clone)]
@@ -56,10 +57,10 @@ pub fn radiator_setpoint_sweep(heat_load: Watts, setpoints: &[Kelvin]) -> Vec<Se
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn launch_pricing_ablation(
     compute_power: Watts,
-) -> Result<Vec<(&'static str, Usd)>, DesignError> {
+) -> Result<Vec<(&'static str, Usd)>, SudcError> {
     let eras = [
         ("Falcon-9 rideshare", LaunchPricing::falcon9_rideshare()),
         ("next-gen heavy lift", LaunchPricing::next_gen_heavy()),
@@ -69,8 +70,8 @@ pub fn launch_pricing_ablation(
             let tco = SuDcDesign::builder()
                 .compute_power(compute_power)
                 .launch(pricing)
-                .build()?
-                .tco()?
+                .try_build()?
+                .try_tco()?
                 .total();
             Ok((name, tco))
         })
@@ -82,15 +83,15 @@ pub fn launch_pricing_ablation(
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn fso_efficiency_ablation(
     compute_power: Watts,
     scalars: &[f64],
-) -> Result<Vec<(f64, f64)>, DesignError> {
+) -> Result<Vec<(f64, f64)>, SudcError> {
     let baseline = SuDcDesign::builder()
         .compute_power(compute_power)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     scalars
         .iter()
@@ -98,8 +99,8 @@ pub fn fso_efficiency_ablation(
             let tco = SuDcDesign::builder()
                 .compute_power(compute_power)
                 .fso_efficiency_scalar(s)
-                .build()?
-                .tco()?
+                .try_build()?
+                .try_tco()?
                 .total();
             Ok((s, tco / baseline))
         })

@@ -2,23 +2,24 @@
 //! hardware choice (Fig. 9), and energy-efficiency scaling (Figs. 15, 16).
 
 use sudc_compute::hardware::{a100, h100, rtx_3090, HardwareSpec};
+use sudc_errors::SudcError;
 use sudc_sscm::subsystems::Subsystem;
 use sudc_terrestrial::{PriceScaling, TerrestrialModel};
 use sudc_units::Watts;
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 use crate::tco::TcoLine;
 
 /// Fig. 3: per-line share of a SµDC's first-unit TCO.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
-pub fn cost_breakdown(compute_power: Watts) -> Result<Vec<(TcoLine, f64)>, DesignError> {
+/// Propagates [`SudcError`].
+pub fn cost_breakdown(compute_power: Watts) -> Result<Vec<(TcoLine, f64)>, SudcError> {
     let report = SuDcDesign::builder()
         .compute_power(compute_power)
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     Ok(report
         .lines()
         .into_iter()
@@ -34,13 +35,13 @@ pub fn cost_breakdown(compute_power: Watts) -> Result<Vec<(TcoLine, f64)>, Desig
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
-pub fn seer_style_breakdown(compute_power: Watts) -> Result<Vec<(TcoLine, f64)>, DesignError> {
+/// Propagates [`SudcError`].
+pub fn seer_style_breakdown(compute_power: Watts) -> Result<Vec<(TcoLine, f64)>, SudcError> {
     let sized = SuDcDesign::builder()
         .compute_power(compute_power)
-        .build()?
+        .try_build()?
         .size()?;
-    let report = sized.tco();
+    let report = sized.try_tco()?;
     let pump_fraction = sized.thermal.pump_power.value() / sized.power.eol_load.value();
     Ok(report
         .lines()
@@ -77,12 +78,12 @@ pub struct ArchitectureRow {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 ///
 /// # Panics
 ///
 /// Panics if a compared part lacks TDP (the Fig. 9 set never does).
-pub fn tco_vs_architecture(compute_power: Watts) -> Result<Vec<ArchitectureRow>, DesignError> {
+pub fn tco_vs_architecture(compute_power: Watts) -> Result<Vec<ArchitectureRow>, SudcError> {
     let parts = [rtx_3090(), a100(), h100()];
     let mut rows = Vec::new();
     let mut baseline: Option<(f64, f64)> = None;
@@ -90,8 +91,8 @@ pub fn tco_vs_architecture(compute_power: Watts) -> Result<Vec<ArchitectureRow>,
         let tco = SuDcDesign::builder()
             .compute_power(compute_power)
             .hardware(part.clone())
-            .build()?
-            .tco()?
+            .try_build()?
+            .try_tco()?
             .total();
         let tdp = part.tdp.expect("Fig. 9 hardware has TDP").value();
         let payload_tflops = part.peak_flops().value() * (compute_power.value() / tdp);
@@ -123,12 +124,12 @@ pub struct EfficiencySeries {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn efficiency_scaling(
     baseline_power: Watts,
     scalars: &[f64],
     pricing: PriceScaling,
-) -> Result<Vec<EfficiencySeries>, DesignError> {
+) -> Result<Vec<EfficiencySeries>, SudcError> {
     let raw_isl = crate::analysis::comms::typical_isl(baseline_power);
     let baseline = in_space_tco(baseline_power, 1.0, raw_isl, pricing)?;
     let mut series = vec![EfficiencySeries {
@@ -141,7 +142,7 @@ pub fn efficiency_scaling(
                     in_space_tco(baseline_power, s, raw_isl, pricing)? / baseline,
                 ))
             })
-            .collect::<Result<Vec<_>, DesignError>>()?,
+            .collect::<Result<Vec<_>, SudcError>>()?,
     }];
     for model in TerrestrialModel::scaling_variants() {
         series.push(EfficiencySeries {
@@ -160,14 +161,14 @@ fn in_space_tco(
     scalar: f64,
     raw_isl: sudc_units::GigabitsPerSecond,
     pricing: PriceScaling,
-) -> Result<f64, DesignError> {
+) -> Result<f64, SudcError> {
     let tco = SuDcDesign::builder()
         .compute_power(baseline_power)
         .efficiency_factor(scalar)
         .hardware_price_factor(pricing.price_factor(scalar))
         .isl_rate(raw_isl)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     Ok(tco.value())
 }
@@ -189,12 +190,12 @@ pub struct BreakdownColumn {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
-pub fn breakdown_comparison(compute_power: Watts) -> Result<Vec<BreakdownColumn>, DesignError> {
+/// Propagates [`SudcError`].
+pub fn breakdown_comparison(compute_power: Watts) -> Result<Vec<BreakdownColumn>, SudcError> {
     let report = SuDcDesign::builder()
         .compute_power(compute_power)
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     let sat = |subsystems: &[Subsystem]| -> f64 {
         subsystems
             .iter()

@@ -4,25 +4,26 @@
 use sudc_comms::compression::Compression;
 use sudc_comms::requirements::{saturation_rate, DEFAULT_BITS_PER_PIXEL};
 use sudc_compute::workloads::{self, Workload};
+use sudc_errors::SudcError;
 use sudc_units::{GigabitsPerSecond, Watts};
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// Fig. 7: TCO vs. provisioned ISL capacity, relative to a no-ISL design
 /// of the same compute power.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn tco_vs_isl(
     compute_power: Watts,
     rates: &[GigabitsPerSecond],
-) -> Result<Vec<(GigabitsPerSecond, f64)>, DesignError> {
+) -> Result<Vec<(GigabitsPerSecond, f64)>, SudcError> {
     let baseline = SuDcDesign::builder()
         .compute_power(compute_power)
         .isl_rate(GigabitsPerSecond::ZERO)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     rates
         .iter()
@@ -30,8 +31,8 @@ pub fn tco_vs_isl(
             let tco = SuDcDesign::builder()
                 .compute_power(compute_power)
                 .isl_rate(rate)
-                .build()?
-                .tco()?
+                .try_build()?
+                .try_tco()?
                 .total();
             Ok((rate, tco / baseline))
         })
@@ -102,11 +103,11 @@ pub struct CompressionSeries {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn compression_impact(
     baseline_power: Watts,
     scalars: &[f64],
-) -> Result<Vec<CompressionSeries>, DesignError> {
+) -> Result<Vec<CompressionSeries>, SudcError> {
     let raw_isl = worst_case_isl(baseline_power);
     let baseline = tco_at(baseline_power, 1.0, raw_isl)?;
     Compression::all()
@@ -118,7 +119,7 @@ pub fn compression_impact(
                     let tco = tco_at(baseline_power, s, algo.compressed_rate(raw_isl))?;
                     Ok((s, tco / baseline))
                 })
-                .collect::<Result<Vec<_>, DesignError>>()?;
+                .collect::<Result<Vec<_>, SudcError>>()?;
             Ok(CompressionSeries {
                 compression: algo,
                 points,
@@ -131,13 +132,13 @@ fn tco_at(
     baseline_power: Watts,
     scalar: f64,
     isl: GigabitsPerSecond,
-) -> Result<sudc_units::Usd, DesignError> {
+) -> Result<sudc_units::Usd, SudcError> {
     Ok(SuDcDesign::builder()
         .compute_power(baseline_power)
         .efficiency_factor(scalar)
         .isl_rate(isl)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total())
 }
 

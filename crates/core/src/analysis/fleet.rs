@@ -3,25 +3,26 @@
 
 use sudc_constellation::distributed::{fleet_cost, optimal_fleet, FleetPoint};
 use sudc_constellation::EdgeFiltering;
+use sudc_errors::SudcError;
 use sudc_sscm::LearningCurve;
 use sudc_units::Watts;
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// Fig. 19: relative SµDC TCO vs. edge filtering rate. Baseline is the
 /// unfiltered design at `baseline_power`.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn collaborative_tco(
     baseline_power: Watts,
     filtering_rates: &[f64],
-) -> Result<Vec<(f64, f64)>, DesignError> {
+) -> Result<Vec<(f64, f64)>, SudcError> {
     let baseline = SuDcDesign::builder()
         .compute_power(baseline_power)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     filtering_rates
         .iter()
@@ -29,8 +30,8 @@ pub fn collaborative_tco(
             let filtering = EdgeFiltering::new(rate);
             let tco = SuDcDesign::builder()
                 .compute_power(filtering.reduced_compute(baseline_power))
-                .build()?
-                .tco()?
+                .try_build()?
+                .try_tco()?
                 .total();
             Ok((rate, tco / baseline))
         })
@@ -67,26 +68,26 @@ impl CollaborativeRow {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn collaborative_sensitivity(
     baseline_power: Watts,
     architectures: &[(&str, f64)],
-) -> Result<Vec<CollaborativeRow>, DesignError> {
+) -> Result<Vec<CollaborativeRow>, SudcError> {
     let filtering = EdgeFiltering::cloud_filtering();
     let gpu_baseline = SuDcDesign::builder()
         .compute_power(baseline_power)
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     architectures
         .iter()
         .map(|&(label, factor)| {
-            let tco_at = |power: Watts| -> Result<f64, DesignError> {
+            let tco_at = |power: Watts| -> Result<f64, SudcError> {
                 Ok(SuDcDesign::builder()
                     .compute_power(power)
                     .efficiency_factor(factor)
-                    .build()?
-                    .tco()?
+                    .try_build()?
+                    .try_tco()?
                     .total()
                     / gpu_baseline)
             };
@@ -113,16 +114,19 @@ pub struct MarginalCostSeries {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn marginal_cost_curve(
     powers: &[Watts],
     units: &[u32],
     curve: LearningCurve,
-) -> Result<Vec<MarginalCostSeries>, DesignError> {
+) -> Result<Vec<MarginalCostSeries>, SudcError> {
     powers
         .iter()
         .map(|&p| {
-            let report = SuDcDesign::builder().compute_power(p).build()?.tco()?;
+            let report = SuDcDesign::builder()
+                .compute_power(p)
+                .try_build()?
+                .try_tco()?;
             let first_re = report.marginal_unit();
             let points = units
                 .iter()
@@ -130,11 +134,11 @@ pub fn marginal_cost_curve(
                     let cost = if n == 1 {
                         report.total()
                     } else {
-                        curve.unit_cost(first_re, n)
+                        curve.try_unit_cost(first_re, n)?
                     };
-                    (n, cost.as_millions())
+                    Ok((n, cost.as_millions()))
                 })
-                .collect();
+                .collect::<Result<_, SudcError>>()?;
             Ok(MarginalCostSeries { power: p, points })
         })
         .collect()
@@ -157,7 +161,7 @@ pub struct DistributedSeries {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 ///
 /// # Panics
 ///
@@ -166,12 +170,12 @@ pub fn distributed_tco(
     target_power: Watts,
     fleet_sizes: &[u32],
     progress_ratios: &[f64],
-) -> Result<Vec<DistributedSeries>, DesignError> {
+) -> Result<Vec<DistributedSeries>, SudcError> {
     assert!(!fleet_sizes.is_empty(), "no fleet sizes supplied");
     progress_ratios
         .iter()
         .map(|&b| {
-            let learning = LearningCurve::new(b);
+            let learning = LearningCurve::try_new(b)?;
             let mut points = Vec::new();
             let mut fleet_points = Vec::new();
             let mut monolith = None;
@@ -180,8 +184,8 @@ pub fn distributed_tco(
                 let per_sat = target_power / f64::from(k);
                 let report = SuDcDesign::builder()
                     .compute_power(per_sat)
-                    .build()?
-                    .tco()?;
+                    .try_build()?
+                    .try_tco()?;
                 let launch_and_ops = report.launch_cost() + report.operations_cost();
                 let total = fleet_cost(
                     k,

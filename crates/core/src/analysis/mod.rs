@@ -25,26 +25,30 @@ pub mod reliability_cost;
 pub mod sweeps;
 pub mod tradespace;
 
-use crate::design::{DesignError, SuDcDesign};
-use crate::tco::TcoReport;
+use sudc_errors::SudcError;
 use sudc_units::Watts;
+
+use crate::design::SuDcDesign;
+use crate::tco::TcoReport;
 
 /// Builds the default (RTX 3090, 5-year, worst-case ISL) design at a power.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`] from the builder.
-pub fn default_design(compute_power: Watts) -> Result<SuDcDesign, DesignError> {
-    SuDcDesign::builder().compute_power(compute_power).build()
+/// Propagates [`SudcError`] from the builder.
+pub fn default_design(compute_power: Watts) -> Result<SuDcDesign, SudcError> {
+    SuDcDesign::builder()
+        .compute_power(compute_power)
+        .try_build()
 }
 
 /// TCO of the default design at a power.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
-pub fn default_tco(compute_power: Watts) -> Result<TcoReport, DesignError> {
-    default_design(compute_power)?.tco()
+/// Propagates [`SudcError`].
+pub fn default_tco(compute_power: Watts) -> Result<TcoReport, SudcError> {
+    default_design(compute_power)?.try_tco()
 }
 
 /// The paper's three reference SµDC sizes: 0.5, 4, and 10 kW.

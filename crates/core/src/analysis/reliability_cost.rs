@@ -1,9 +1,10 @@
 //! Redundancy-scheme TCO comparison (paper §VIII, Fig. 28).
 
+use sudc_errors::SudcError;
 use sudc_reliability::RedundancyScheme;
 use sudc_units::Watts;
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// One Fig. 28 group: relative TCO of each scheme at one equivalent power.
 #[derive(Debug, Clone)]
@@ -19,15 +20,15 @@ pub struct RedundancyGroup {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
-pub fn redundancy_tco(equivalents: &[Watts]) -> Result<Vec<RedundancyGroup>, DesignError> {
+/// Propagates [`SudcError`].
+pub fn redundancy_tco(equivalents: &[Watts]) -> Result<Vec<RedundancyGroup>, SudcError> {
     equivalents
         .iter()
         .map(|&power| {
             let baseline = SuDcDesign::builder()
                 .compute_power(power)
-                .build()?
-                .tco()?
+                .try_build()?
+                .try_tco()?
                 .total();
             let rows = RedundancyScheme::all()
                 .into_iter()
@@ -35,12 +36,12 @@ pub fn redundancy_tco(equivalents: &[Watts]) -> Result<Vec<RedundancyGroup>, Des
                     let tco = SuDcDesign::builder()
                         .compute_power(power)
                         .redundancy(scheme)
-                        .build()?
-                        .tco()?
+                        .try_build()?
+                        .try_tco()?
                         .total();
                     Ok((scheme, tco / baseline))
                 })
-                .collect::<Result<Vec<_>, DesignError>>()?;
+                .collect::<Result<Vec<_>, SudcError>>()?;
             Ok(RedundancyGroup {
                 equivalent_power: power,
                 rows,

@@ -4,10 +4,11 @@
 //! the workspace executor ([`sudc_par`]); results keep input order and are
 //! identical at every thread count.
 
+use sudc_errors::SudcError;
 use sudc_units::{Watts, Years};
 
 use crate::analysis::default_tco;
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 use crate::tco::TcoLine;
 
 /// One lifetime series (Fig. 4): a SµDC size swept over lifetimes, with
@@ -25,7 +26,7 @@ pub struct LifetimeSeries {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 ///
 /// # Panics
 ///
@@ -33,13 +34,13 @@ pub struct LifetimeSeries {
 pub fn tco_vs_lifetime(
     powers: &[Watts],
     lifetimes: &[Years],
-) -> Result<Vec<LifetimeSeries>, DesignError> {
+) -> Result<Vec<LifetimeSeries>, SudcError> {
     assert!(!powers.is_empty() && !lifetimes.is_empty(), "empty sweep");
     let baseline = SuDcDesign::builder()
         .compute_power(powers[0])
         .lifetime(lifetimes[0])
-        .build()?
-        .tco()?
+        .try_build()?
+        .try_tco()?
         .total();
     // Flatten the (power × lifetime) grid, size every design in parallel,
     // then regroup into one series per power.
@@ -51,10 +52,10 @@ pub fn tco_vs_lifetime(
         let tco = SuDcDesign::builder()
             .compute_power(p)
             .lifetime(l)
-            .build()?
-            .tco()?
+            .try_build()?
+            .try_tco()?
             .total();
-        Ok::<f64, DesignError>(tco / baseline)
+        Ok::<f64, SudcError>(tco / baseline)
     })?;
     Ok(powers
         .iter()
@@ -86,12 +87,12 @@ pub struct PowerPoint {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 ///
 /// # Panics
 ///
 /// Panics if `powers` is empty.
-pub fn tco_vs_power(powers: &[Watts]) -> Result<Vec<PowerPoint>, DesignError> {
+pub fn tco_vs_power(powers: &[Watts]) -> Result<Vec<PowerPoint>, SudcError> {
     assert!(!powers.is_empty(), "empty sweep");
     let baseline = default_tco(powers[0])?.total();
     sudc_par::par_try_map(powers, |_, &p| {
@@ -124,20 +125,20 @@ pub struct MassPoint {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 ///
 /// # Panics
 ///
 /// Panics if `powers` is empty.
-pub fn mass_vs_power(powers: &[Watts]) -> Result<Vec<MassPoint>, DesignError> {
+pub fn mass_vs_power(powers: &[Watts]) -> Result<Vec<MassPoint>, SudcError> {
     assert!(!powers.is_empty(), "empty sweep");
     let baseline = SuDcDesign::builder()
         .compute_power(powers[0])
-        .build()?
+        .try_build()?
         .size()?
         .wet_mass();
     sudc_par::par_try_map(powers, |_, &p| {
-        let sized = SuDcDesign::builder().compute_power(p).build()?.size()?;
+        let sized = SuDcDesign::builder().compute_power(p).try_build()?.size()?;
         Ok(MassPoint {
             power: p,
             relative_mass: sized.wet_mass() / baseline,

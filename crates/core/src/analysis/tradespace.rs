@@ -6,9 +6,10 @@
 //! the Pareto-efficient designs, making "extreme heterogeneity wins"
 //! checkable rather than narrative.
 
+use sudc_errors::SudcError;
 use sudc_units::{Usd, Watts};
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// One evaluated design point.
 #[derive(Debug, Clone)]
@@ -33,11 +34,11 @@ pub struct TradePoint {
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`].
+/// Propagates [`SudcError`].
 pub fn sweep(
     powers: &[Watts],
     architectures: &[(&str, f64, f64)],
-) -> Result<Vec<TradePoint>, DesignError> {
+) -> Result<Vec<TradePoint>, SudcError> {
     // Every grid point is an independent sizing: flatten and fan out on the
     // workspace executor, preserving (architecture, power) iteration order.
     let grid: Vec<(&str, f64, f64, Watts)> = architectures
@@ -50,8 +51,8 @@ pub fn sweep(
             .efficiency_factor(eff)
             .hardware_price_factor(price)
             .isl_typical()
-            .build()?
-            .tco()?
+            .try_build()?
+            .try_tco()?
             .total();
         Ok(TradePoint {
             architecture: label.to_string(),

@@ -57,56 +57,6 @@ pub fn typical_efficiency() -> sudc_units::KilopixelsPerJoule {
     sudc_units::KilopixelsPerJoule::new(log_mean.exp())
 }
 
-/// Errors from building or sizing a SµDC design.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DesignError {
-    /// A parameter was negative, NaN, or otherwise unusable.
-    InvalidParameter {
-        /// The offending parameter.
-        name: &'static str,
-        /// Human-readable explanation.
-        reason: String,
-    },
-    /// The selected hardware is missing data needed for sizing.
-    IncompleteHardware {
-        /// Hardware name.
-        hardware: &'static str,
-        /// What is missing (price or TDP).
-        missing: &'static str,
-    },
-}
-
-impl core::fmt::Display for DesignError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::InvalidParameter { name, reason } => {
-                write!(f, "invalid design parameter {name}: {reason}")
-            }
-            Self::IncompleteHardware { hardware, missing } => {
-                write!(f, "hardware {hardware} has no {missing} data")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DesignError {}
-
-impl From<DesignError> for SudcError {
-    fn from(e: DesignError) -> Self {
-        match e {
-            DesignError::InvalidParameter { name, reason } => {
-                SudcError::single("SuDcDesign", name, reason, "a usable design parameter")
-            }
-            DesignError::IncompleteHardware { hardware, missing } => SudcError::single(
-                "SuDcDesign",
-                format!("hardware.{missing}"),
-                hardware,
-                format!("hardware with {missing} data"),
-            ),
-        }
-    }
-}
-
 /// How the ISL is provisioned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IslSizing {
@@ -124,7 +74,7 @@ pub enum IslSizing {
 /// A validated SµDC design specification.
 ///
 /// Construct with [`SuDcDesign::builder`]; obtain costs with
-/// [`SuDcDesign::tco`] and physical sizing with [`SuDcDesign::size`].
+/// [`SuDcDesign::try_tco`] and physical sizing with [`SuDcDesign::size`].
 #[derive(Debug, Clone)]
 pub struct SuDcDesign {
     /// Compute power available to applications (equivalent power for
@@ -171,17 +121,19 @@ impl SuDcDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`DesignError::IncompleteHardware`] if the hardware lacks a
-    /// TDP or price.
-    pub fn size(&self) -> Result<SizedSuDc, DesignError> {
-        let tdp = self.hardware.tdp.ok_or(DesignError::IncompleteHardware {
-            hardware: self.hardware.name,
-            missing: "TDP",
-        })?;
-        let unit_price = self.hardware.price.ok_or(DesignError::IncompleteHardware {
-            hardware: self.hardware.name,
-            missing: "price",
-        })?;
+    /// Returns a [`SudcError`] naming `hardware.TDP` or `hardware.price` if
+    /// the hardware lacks that datum.
+    pub fn size(&self) -> Result<SizedSuDc, SudcError> {
+        let incomplete = |missing: &str| {
+            SudcError::single(
+                "SuDcDesign",
+                format!("hardware.{missing}"),
+                self.hardware.name,
+                format!("hardware with {missing} data"),
+            )
+        };
+        let tdp = self.hardware.tdp.ok_or_else(|| incomplete("TDP"))?;
+        let unit_price = self.hardware.price.ok_or_else(|| incomplete("price"))?;
 
         // Physical payload power: redundancy overhead divided by the
         // architecture's energy-efficiency factor.
@@ -262,30 +214,14 @@ impl SuDcDesign {
         })
     }
 
-    /// Sizes the design and produces its TCO report.
+    /// Sizes the design and produces its TCO report. Sizing failures and
+    /// SSCM validation failures (e.g. a design whose payload price
+    /// overflows to infinity) both surface as structured errors.
     ///
     /// # Errors
     ///
-    /// Propagates [`DesignError`] from sizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sized satellite fails SSCM validation — possible only
-    /// for extreme (e.g. overflowing) parameters; see
-    /// [`SuDcDesign::try_tco`] for the fully fallible path.
-    pub fn tco(&self) -> Result<TcoReport, DesignError> {
-        Ok(self.size()?.tco())
-    }
-
-    /// Fully fallible sizing-and-costing pipeline over the shared
-    /// workspace error type: sizing failures and SSCM validation failures
-    /// (e.g. a design whose payload price overflows to infinity) both
-    /// surface as structured errors instead of panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the converted [`DesignError`] from sizing, or the
-    /// [`SudcError`] from [`SizedSuDc::try_tco`].
+    /// Returns the [`SudcError`] from [`SuDcDesign::size`] or
+    /// [`SizedSuDc::try_tco`].
     pub fn try_tco(&self) -> Result<TcoReport, SudcError> {
         self.size()?.try_tco()
     }
@@ -307,9 +243,15 @@ impl SuDcDesign {
     /// Assesses whether the selected hardware survives the mission's total
     /// ionizing dose behind `shield_mils` of aluminum (§VIII's COTS
     /// suitability check).
-    #[must_use]
-    pub fn radiation_assessment(&self, shield_mils: f64) -> sudc_orbital::radiation::TidAssessment {
-        sudc_orbital::radiation::TidAssessment::assess(
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SudcError`] if `shield_mils` is negative or non-finite.
+    pub fn radiation_assessment(
+        &self,
+        shield_mils: f64,
+    ) -> Result<sudc_orbital::radiation::TidAssessment, SudcError> {
+        sudc_orbital::radiation::TidAssessment::try_assess(
             self.radiation_regime(),
             shield_mils,
             self.lifetime,
@@ -371,22 +313,8 @@ impl SizedSuDc {
         }
     }
 
-    /// Costs the sized satellite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sizing produced SSCM inputs that fail validation —
-    /// possible only for extreme parameters (see [`SizedSuDc::try_tco`]).
-    #[must_use]
-    pub fn tco(&self) -> TcoReport {
-        match self.try_tco() {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SizedSuDc::tco`]: SSCM input validation and the
-    /// cost rollup both report structured errors instead of panicking.
+    /// Costs the sized satellite. SSCM input validation and the cost rollup
+    /// both report structured errors.
     ///
     /// # Errors
     ///
@@ -557,27 +485,8 @@ impl SuDcDesignBuilder {
         self
     }
 
-    /// Validates and produces the design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::InvalidParameter`] when a parameter is
-    /// missing, negative, NaN, or out of range. Reports the *first*
-    /// violation for the stable `&'static str` name; use
-    /// [`SuDcDesignBuilder::try_build`] to see all of them at once.
-    pub fn build(self) -> Result<SuDcDesign, DesignError> {
-        self.try_build().map_err(|e| {
-            let v = &e.violations()[0];
-            DesignError::InvalidParameter {
-                name: Self::static_name(&v.path),
-                reason: format!("must be {}, got {}", v.allowed, v.value),
-            }
-        })
-    }
-
-    /// Fallible form of [`SuDcDesignBuilder::build`] over the shared
-    /// workspace error type, reporting *every* invalid parameter in one
-    /// pass.
+    /// Validates and produces the design, reporting *every* invalid
+    /// parameter in one pass.
     ///
     /// # Errors
     ///
@@ -624,21 +533,6 @@ impl SuDcDesignBuilder {
             launch: self.launch,
         })
     }
-
-    /// Maps a violation path back to the stable parameter name that
-    /// [`DesignError::InvalidParameter`] has always reported.
-    fn static_name(path: &str) -> &'static str {
-        match path {
-            "compute_power" => "compute_power",
-            "efficiency_factor" => "efficiency_factor",
-            "hardware_price_factor" => "hardware_price_factor",
-            "pointing_arcsec" => "pointing_arcsec",
-            "fso_efficiency_scalar" => "fso_efficiency_scalar",
-            "lifetime" => "lifetime",
-            "isl_rate" => "isl_rate",
-            _ => "design parameter",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -649,16 +543,14 @@ mod tests {
     fn four_kw() -> SuDcDesign {
         SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
-            .build()
+            .try_build()
             .unwrap()
     }
 
     #[test]
     fn builder_requires_compute_power() {
-        let err = SuDcDesign::builder().build().unwrap_err();
-        assert!(
-            matches!(err, DesignError::InvalidParameter { name, .. } if name == "compute_power")
-        );
+        let err = SuDcDesign::builder().try_build().unwrap_err();
+        assert_eq!(err.violations()[0].path, "compute_power");
     }
 
     #[test]
@@ -693,7 +585,7 @@ mod tests {
         let compressed = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .compression(Compression::NeuralQuasiLossless)
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -706,7 +598,7 @@ mod tests {
         let tmr = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(1.0))
             .redundancy(RedundancyScheme::Tmr)
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -718,7 +610,7 @@ mod tests {
         let accel = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .efficiency_factor(57.8)
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -733,7 +625,7 @@ mod tests {
         let spared = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .spares(12)
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -747,7 +639,7 @@ mod tests {
         let sized = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .hardware(a100())
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -759,10 +651,10 @@ mod tests {
         let design = SuDcDesign::builder()
             .compute_power(Watts::new(100.0))
             .hardware(kintex_ultrascale_xqr())
-            .build()
+            .try_build()
             .unwrap();
         let err = design.size().unwrap_err();
-        assert!(matches!(err, DesignError::IncompleteHardware { .. }));
+        assert_eq!(err.violations()[0].path, "hardware.TDP");
     }
 
     #[test]
@@ -770,24 +662,22 @@ mod tests {
         let err = SuDcDesign::builder()
             .compute_power(Watts::new(500.0))
             .fso_efficiency_scalar(0.2)
-            .build()
+            .try_build()
             .unwrap_err();
-        assert!(
-            matches!(err, DesignError::InvalidParameter { name, .. } if name == "fso_efficiency_scalar")
-        );
+        assert_eq!(err.violations()[0].path, "fso_efficiency_scalar");
     }
 
     #[test]
     fn cots_gpus_survive_leo_behind_heavy_shielding() {
         // Paper §VIII: LEO + 400 mil shielding keeps COTS within tolerance.
         let design = four_kw();
-        let shielded = design.radiation_assessment(400.0);
+        let shielded = design.radiation_assessment(400.0).unwrap();
         assert!(
             shielded.survives_with_margin(1.5),
             "margin {}",
             shielded.margin
         );
-        let thin = design.radiation_assessment(100.0);
+        let thin = design.radiation_assessment(100.0).unwrap();
         assert!(thin.margin < shielded.margin);
     }
 
@@ -798,18 +688,21 @@ mod tests {
         let geo = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .orbit(CircularOrbit::from_altitude(Meters::new(35_786e3)))
-            .build()
+            .try_build()
             .unwrap();
         assert_eq!(
             geo.radiation_regime(),
             sudc_orbital::radiation::RadiationRegime::Geo
         );
-        assert!(!geo.radiation_assessment(200.0).survives_with_margin(1.0));
+        assert!(!geo
+            .radiation_assessment(200.0)
+            .unwrap()
+            .survives_with_margin(1.0));
     }
 
     #[test]
     fn error_display_is_informative() {
-        let err = SuDcDesign::builder().build().unwrap_err();
+        let err = SuDcDesign::builder().try_build().unwrap_err();
         assert!(err.to_string().contains("compute_power"));
     }
 
@@ -831,15 +724,6 @@ mod tests {
                 "fso_efficiency_scalar",
                 "lifetime"
             ]
-        );
-        // The legacy error keeps reporting the first offender's static name.
-        let legacy = SuDcDesign::builder()
-            .compute_power(Watts::new(f64::NAN))
-            .efficiency_factor(-1.0)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(legacy, DesignError::InvalidParameter { name, .. } if name == "compute_power")
         );
     }
 }

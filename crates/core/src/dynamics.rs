@@ -20,10 +20,10 @@ use sudc_compute::gpu::GpuEnergyModel;
 use sudc_compute::workloads;
 use sudc_constellation::eo::{EoConstellation, DEFAULT_IMAGING_DUTY_CYCLE};
 use sudc_constellation::EdgeFiltering;
+use sudc_errors::SudcError;
 use sudc_orbital::contact::{GroundNetwork, PassGeometry};
 use sudc_units::{Gigabits, GigabitsPerSecond, Seconds, Years};
 
-use crate::design::DesignError;
 use crate::scenario::Scenario;
 
 /// The paper's power-limited active node count (`k = 10`, §VII).
@@ -86,14 +86,14 @@ impl DynamicScenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`DesignError`] from the sizing pipeline.
+    /// Propagates [`SudcError`] from the sizing pipeline.
     ///
     /// # Panics
     ///
     /// Panics if `satellites` is zero.
-    pub fn from_scenario(scenario: Scenario, satellites: u32) -> Result<Self, DesignError> {
+    pub fn from_scenario(scenario: Scenario, satellites: u32) -> Result<Self, SudcError> {
         let constellation = EoConstellation::reference(satellites);
-        let sized = scenario.design()?.size()?;
+        let sized = scenario.try_design()?.size()?;
         let orbit = constellation.orbit;
         let imager = constellation.imager;
 

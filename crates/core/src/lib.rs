@@ -25,10 +25,10 @@
 //!
 //! let design = SuDcDesign::builder()
 //!     .compute_power(Watts::from_kilowatts(4.0))
-//!     .build()?;
-//! let report = design.tco()?;
+//!     .try_build()?;
+//! let report = design.try_tco()?;
 //! assert!(report.total().as_millions() > 1.0);
-//! # Ok::<(), sudc_core::design::DesignError>(())
+//! # Ok::<(), sudc_core::SudcError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,7 @@ pub mod report;
 pub mod scenario;
 pub mod tco;
 
-pub use design::{DesignError, SuDcDesign, SuDcDesignBuilder};
+pub use design::{SuDcDesign, SuDcDesignBuilder};
 pub use scenario::Scenario;
 pub use sudc_errors::{Diagnostics, SudcError, Violation};
 pub use tco::TcoReport;

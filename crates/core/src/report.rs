@@ -6,24 +6,25 @@
 
 use std::fmt::Write as _;
 
-use sudc_sscm::sensitivity::tornado;
+use sudc_errors::SudcError;
+use sudc_sscm::sensitivity::try_tornado;
 use sudc_sscm::subsystems::SubsystemCers;
 
-use crate::design::{DesignError, SuDcDesign};
+use crate::design::SuDcDesign;
 
 /// Renders a full design-review document for a design.
 ///
 /// # Errors
 ///
-/// Propagates [`DesignError`] from sizing.
+/// Propagates [`SudcError`] from sizing.
 ///
 /// # Panics
 ///
 /// Never panics for designs that size successfully (string formatting is
 /// infallible).
-pub fn design_review(design: &SuDcDesign) -> Result<String, DesignError> {
+pub fn design_review(design: &SuDcDesign) -> Result<String, SudcError> {
     let sized = design.size()?;
-    let report = sized.tco();
+    let report = sized.try_tco()?;
     let mut out = String::new();
 
     writeln!(out, "# SµDC design review").expect("write to string");
@@ -112,7 +113,7 @@ pub fn design_review(design: &SuDcDesign) -> Result<String, DesignError> {
     }
 
     writeln!(out, "\n## Cost-driver sensitivity (±30%)").expect("write to string");
-    let bars = tornado(&SubsystemCers::sudc_default(), &sized.sscm_inputs(), 0.3);
+    let bars = try_tornado(&SubsystemCers::sudc_default(), &sized.sscm_inputs(), 0.3)?;
     for bar in bars.iter().take(4) {
         writeln!(
             out,
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn review_covers_every_section() {
-        let design = Scenario::Reference.design().unwrap();
+        let design = Scenario::Reference.try_design().unwrap();
         let doc = design_review(&design).unwrap();
         for section in [
             "# SµDC design review",
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn review_reports_the_tco_table() {
-        let design = Scenario::Small.design().unwrap();
+        let design = Scenario::Small.try_design().unwrap();
         let doc = design_review(&design).unwrap();
         assert!(doc.contains("| Power |"));
         assert!(doc.contains("| Launch |"));
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn every_scenario_produces_a_review() {
         for scenario in Scenario::all() {
-            let doc = design_review(&scenario.design().unwrap()).unwrap();
+            let doc = design_review(&scenario.try_design().unwrap()).unwrap();
             assert!(doc.len() > 500, "{scenario}: short review");
         }
     }

@@ -6,9 +6,10 @@
 
 use sudc_comms::compression::Compression;
 use sudc_compute::hardware;
+use sudc_errors::SudcError;
 use sudc_units::Watts;
 
-use crate::design::{DesignError, SuDcDesign, SuDcDesignBuilder};
+use crate::design::{SuDcDesign, SuDcDesignBuilder};
 
 /// The named configurations used across the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,24 +72,15 @@ impl Scenario {
         }
     }
 
-    /// Builds the scenario's design.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DesignError`] (never expected for the built-in set).
-    pub fn design(self) -> Result<SuDcDesign, DesignError> {
-        self.builder().build()
-    }
-
-    /// Builds the scenario's design over the shared workspace error type,
-    /// reporting every invalid parameter (relevant when callers customize
-    /// the [`Scenario::builder`] before building).
+    /// Builds the scenario's design, reporting every invalid parameter
+    /// (relevant when callers customize the [`Scenario::builder`] before
+    /// building).
     ///
     /// # Errors
     ///
     /// Propagates the structured error from
     /// [`crate::design::SuDcDesignBuilder::try_build`].
-    pub fn try_design(self) -> Result<SuDcDesign, sudc_errors::SudcError> {
+    pub fn try_design(self) -> Result<SuDcDesign, SudcError> {
         self.builder().try_build()
     }
 }
@@ -116,28 +108,50 @@ mod tests {
     fn every_scenario_designs_and_costs() {
         for scenario in Scenario::all() {
             let design = scenario
-                .design()
+                .try_design()
                 .unwrap_or_else(|e| panic!("{scenario}: {e}"));
-            let tco = design.tco().unwrap_or_else(|e| panic!("{scenario}: {e}"));
+            let tco = design
+                .try_tco()
+                .unwrap_or_else(|e| panic!("{scenario}: {e}"));
             assert!(tco.total().as_millions() > 5.0, "{scenario}");
         }
     }
 
     #[test]
     fn scenario_ordering_by_size() {
-        let small = Scenario::Small.design().unwrap().tco().unwrap().total();
-        let reference = Scenario::Reference.design().unwrap().tco().unwrap().total();
-        let large = Scenario::Large.design().unwrap().tco().unwrap().total();
+        let small = Scenario::Small
+            .try_design()
+            .unwrap()
+            .try_tco()
+            .unwrap()
+            .total();
+        let reference = Scenario::Reference
+            .try_design()
+            .unwrap()
+            .try_tco()
+            .unwrap()
+            .total();
+        let large = Scenario::Large
+            .try_design()
+            .unwrap()
+            .try_tco()
+            .unwrap()
+            .total();
         assert!(small < reference && reference < large);
     }
 
     #[test]
     fn accelerated_scenario_is_cheapest_4kw_class() {
-        let reference = Scenario::Reference.design().unwrap().tco().unwrap().total();
-        let accel = Scenario::ReferenceAccelerated
-            .design()
+        let reference = Scenario::Reference
+            .try_design()
             .unwrap()
-            .tco()
+            .try_tco()
+            .unwrap()
+            .total();
+        let accel = Scenario::ReferenceAccelerated
+            .try_design()
+            .unwrap()
+            .try_tco()
             .unwrap()
             .total();
         assert!(accel < reference * 0.6);
@@ -145,9 +159,9 @@ mod tests {
 
     #[test]
     fn compression_scenario_trims_the_isl() {
-        let plain = Scenario::Reference.design().unwrap().size().unwrap();
+        let plain = Scenario::Reference.try_design().unwrap().size().unwrap();
         let compressed = Scenario::ReferenceCompressed
-            .design()
+            .try_design()
             .unwrap()
             .size()
             .unwrap();

@@ -165,7 +165,9 @@ mod tests {
     use sudc_sscm::SscmInputs;
 
     fn report() -> TcoReport {
-        let estimate = SubsystemCers::sudc_default().estimate(&SscmInputs::reference());
+        let estimate = SubsystemCers::sudc_default()
+            .try_estimate(&SscmInputs::reference())
+            .unwrap();
         TcoReport::new(estimate, Usd::from_millions(2.5), Usd::from_millions(3.5))
     }
 

@@ -7,10 +7,10 @@ fn calibration_print() {
     for kw in [0.5, 4.0, 10.0] {
         let d = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(kw))
-            .build()
+            .try_build()
             .unwrap();
         let s = d.size().unwrap();
-        let r = s.tco();
+        let r = s.try_tco().unwrap();
         println!("--- {kw} kW ---");
         println!("isl {:.1}, eol {:.0} W, bol {:.0} W, dry {:.0} kg, fuel {:.1} kg, payload {:.0} kg / {:.2} $M",
             s.isl_rate.value(), s.power.eol_load.value(), s.power.bol_array_power().value(),
@@ -35,9 +35,9 @@ fn calibration_print() {
         let r = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .lifetime(Years::new(yr))
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap();
         println!("lifetime {yr}: {:.1} $M", r.total().as_millions());
     }
@@ -88,21 +88,22 @@ fn calibration_print2() {
 fn calibration_print3() {
     let base = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
-        .build()
+        .try_build()
         .unwrap();
     let spared = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
         .spares(20)
-        .build()
+        .try_build()
         .unwrap();
     let (b, s) = (base.size().unwrap(), spared.size().unwrap());
+    let (b_tco, s_tco) = (b.try_tco().unwrap().total(), s.try_tco().unwrap().total());
     println!("payload mass {} -> {}", b.payload_mass, s.payload_mass);
     println!("payload price {} -> {}", b.payload_price, s.payload_price);
     println!("dry {} -> {}", b.dry_mass, s.dry_mass);
     println!(
         "tco {} -> {} (ratio {})",
-        b.tco().total().as_millions(),
-        s.tco().total().as_millions(),
-        s.tco().total() / b.tco().total()
+        b_tco.as_millions(),
+        s_tco.as_millions(),
+        s_tco / b_tco
     );
 }

@@ -10,7 +10,7 @@ use sudc_errors::{Diagnostics, SudcError};
 /// the detector has not yet declared do **not** move the timeline;
 /// that blindness window is exactly the detection latency.
 ///
-/// [`PoolTimeline::fractions`] resamples the step function into
+/// [`PoolTimeline::try_fractions`] resamples the step function into
 /// per-block capacity fractions for the router
 /// (`RouterConfig::try_with_degraded_pools`), closing the loop:
 /// recorded telemetry → detector verdicts → re-priced orbit-vs-ground

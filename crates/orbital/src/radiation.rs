@@ -44,34 +44,21 @@ const REFERENCE_SHIELD_MILS: f64 = 200.0;
 
 /// Annual TID rate behind `shield_mils` of aluminum in the given regime.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `shield_mils` is negative or non-finite (see
-/// [`try_dose_rate`]).
+/// Returns a structured error if `shield_mils` is negative or non-finite.
 ///
 /// # Examples
 ///
 /// ```
-/// use sudc_orbital::radiation::{dose_rate, RadiationRegime};
+/// use sudc_orbital::radiation::{try_dose_rate, RadiationRegime};
 ///
-/// let leo_200 = dose_rate(RadiationRegime::LeoNonPolar, 200.0);
+/// let leo_200 = try_dose_rate(RadiationRegime::LeoNonPolar, 200.0)?;
 /// assert!((leo_200.value() - 0.5).abs() < 1e-9);
-/// let leo_400 = dose_rate(RadiationRegime::LeoNonPolar, 400.0);
+/// let leo_400 = try_dose_rate(RadiationRegime::LeoNonPolar, 400.0)?;
 /// assert!((leo_400.value() - 0.2).abs() < 0.01);
+/// # Ok::<(), sudc_errors::SudcError>(())
 /// ```
-#[must_use]
-pub fn dose_rate(regime: RadiationRegime, shield_mils: f64) -> KradSiPerYear {
-    match try_dose_rate(regime, shield_mils) {
-        Ok(rate) => rate,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`dose_rate`].
-///
-/// # Errors
-///
-/// Returns a structured error if `shield_mils` is negative or non-finite.
 pub fn try_dose_rate(
     regime: RadiationRegime,
     shield_mils: f64,
@@ -89,20 +76,6 @@ pub fn try_dose_rate(
 }
 
 /// Mission-accumulated dose over a lifetime.
-///
-/// # Panics
-///
-/// Panics if `shield_mils` is negative or non-finite (see
-/// [`try_mission_dose`]).
-#[must_use]
-pub fn mission_dose(regime: RadiationRegime, shield_mils: f64, lifetime: Years) -> KradSi {
-    match try_mission_dose(regime, shield_mils, lifetime) {
-        Ok(dose) => dose,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`mission_dose`].
 ///
 /// # Errors
 ///
@@ -132,25 +105,6 @@ pub struct TidAssessment {
 
 impl TidAssessment {
     /// Assesses whether a part with `part_tolerance` survives the mission.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid shielding, lifetime, or tolerance (see
-    /// [`TidAssessment::try_assess`]).
-    #[must_use]
-    pub fn assess(
-        regime: RadiationRegime,
-        shield_mils: f64,
-        lifetime: Years,
-        part_tolerance: KradSi,
-    ) -> Self {
-        match Self::try_assess(regime, shield_mils, lifetime, part_tolerance) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`TidAssessment::assess`].
     ///
     /// # Errors
     ///
@@ -188,17 +142,31 @@ mod tests {
 
     #[test]
     fn leo_anchor_points_match_paper() {
-        assert!((dose_rate(RadiationRegime::LeoNonPolar, 200.0).value() - 0.5).abs() < 1e-12);
-        assert!((dose_rate(RadiationRegime::LeoNonPolar, 400.0).value() - 0.2).abs() < 1e-3);
-        assert!((dose_rate(RadiationRegime::Geo, 200.0).value() - 4.0).abs() < 1e-12);
+        assert!(
+            (try_dose_rate(RadiationRegime::LeoNonPolar, 200.0)
+                .unwrap()
+                .value()
+                - 0.5)
+                .abs()
+                < 1e-12
+        );
+        assert!(
+            (try_dose_rate(RadiationRegime::LeoNonPolar, 400.0)
+                .unwrap()
+                .value()
+                - 0.2)
+                .abs()
+                < 1e-3
+        );
+        assert!((try_dose_rate(RadiationRegime::Geo, 200.0).unwrap().value() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn geo_is_harsher_than_leo() {
         for mils in [100.0, 200.0, 400.0] {
             assert!(
-                dose_rate(RadiationRegime::Geo, mils)
-                    > dose_rate(RadiationRegime::LeoNonPolar, mils)
+                try_dose_rate(RadiationRegime::Geo, mils).unwrap()
+                    > try_dose_rate(RadiationRegime::LeoNonPolar, mils).unwrap()
             );
         }
     }
@@ -207,50 +175,52 @@ mod tests {
     fn five_year_leo_mission_dose_is_small() {
         // Paper: a 5-year LEO mission behind 200 mil sees ~2.5 krad, an order
         // of magnitude below what 14 nm COTS parts tolerate.
-        let dose = mission_dose(RadiationRegime::LeoNonPolar, 200.0, Years::new(5.0));
+        let dose = try_mission_dose(RadiationRegime::LeoNonPolar, 200.0, Years::new(5.0)).unwrap();
         assert!((dose.value() - 2.5).abs() < 1e-9);
     }
 
     #[test]
     fn cots_part_survives_leo_with_margin() {
         // A 14-nm class part tolerating ~50 krad vs 2.5 krad mission dose.
-        let a = TidAssessment::assess(
+        let a = TidAssessment::try_assess(
             RadiationRegime::LeoNonPolar,
             200.0,
             Years::new(5.0),
             KradSi::new(50.0),
-        );
+        )
+        .unwrap();
         assert!(a.survives_with_margin(10.0));
         assert!(!a.survives_with_margin(30.0));
     }
 
     #[test]
     fn rad750_survives_geo() {
-        let a = TidAssessment::assess(
+        let a = TidAssessment::try_assess(
             RadiationRegime::Geo,
             200.0,
             Years::new(15.0),
             KradSi::new(200.0),
-        );
+        )
+        .unwrap();
         assert!(a.survives_with_margin(3.0));
     }
 
     #[test]
-    #[should_panic(expected = "shield thickness")]
-    fn negative_shield_panics() {
-        let _ = dose_rate(RadiationRegime::LeoNonPolar, -1.0);
+    fn negative_shield_is_rejected() {
+        let err = try_dose_rate(RadiationRegime::LeoNonPolar, -1.0).unwrap_err();
+        assert!(err.to_string().contains("shield thickness"), "{err}");
     }
 
     #[test]
     fn zero_shielding_exposes_the_bare_spacecraft() {
         // No shielding: exp(200 / tau) = 2.5x the 200-mil reference.
-        let bare = dose_rate(RadiationRegime::LeoNonPolar, 0.0);
+        let bare = try_dose_rate(RadiationRegime::LeoNonPolar, 0.0).unwrap();
         assert!((bare.value() - 0.5 * 2.5).abs() < 1e-3, "{}", bare.value());
     }
 
     #[test]
     fn extreme_shielding_drives_dose_toward_zero() {
-        let heavy = dose_rate(RadiationRegime::Geo, 5_000.0);
+        let heavy = try_dose_rate(RadiationRegime::Geo, 5_000.0).unwrap();
         assert!(heavy.value() > 0.0);
         assert!(heavy.value() < 1e-8, "{}", heavy.value());
     }
@@ -277,24 +247,6 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn try_assess_matches_the_panicking_form() {
-        let a = TidAssessment::try_assess(
-            RadiationRegime::LeoNonPolar,
-            200.0,
-            Years::new(5.0),
-            KradSi::new(50.0),
-        )
-        .unwrap();
-        let b = TidAssessment::assess(
-            RadiationRegime::LeoNonPolar,
-            200.0,
-            Years::new(5.0),
-            KradSi::new(50.0),
-        );
-        assert_eq!(a, b);
-    }
-
     proptest! {
         #[test]
         fn more_shielding_never_increases_dose(
@@ -303,15 +255,15 @@ mod tests {
         ) {
             let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
             prop_assert!(
-                dose_rate(RadiationRegime::LeoNonPolar, hi)
-                    <= dose_rate(RadiationRegime::LeoNonPolar, lo)
+                try_dose_rate(RadiationRegime::LeoNonPolar, hi).unwrap()
+                    <= try_dose_rate(RadiationRegime::LeoNonPolar, lo).unwrap()
             );
         }
 
         #[test]
         fn dose_linear_in_lifetime(years in 0.1..20.0f64, mils in 50.0..800.0f64) {
-            let d1 = mission_dose(RadiationRegime::LeoNonPolar, mils, Years::new(years));
-            let d2 = mission_dose(RadiationRegime::LeoNonPolar, mils, Years::new(2.0 * years));
+            let d1 = try_mission_dose(RadiationRegime::LeoNonPolar, mils, Years::new(years)).unwrap();
+            let d2 = try_mission_dose(RadiationRegime::LeoNonPolar, mils, Years::new(2.0 * years)).unwrap();
             prop_assert!((d2.value() / d1.value() - 2.0).abs() < 1e-9);
         }
     }

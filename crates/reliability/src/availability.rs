@@ -40,20 +40,6 @@ pub struct NodePool {
 impl NodePool {
     /// Creates a pool.
     ///
-    /// # Panics
-    ///
-    /// Panics if `required` is zero or exceeds `nodes` (see
-    /// [`NodePool::try_new`]).
-    #[must_use]
-    pub fn new(nodes: u32, required: u32) -> Self {
-        match Self::try_new(nodes, required) {
-            Ok(pool) => pool,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`NodePool::new`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `required` is zero or exceeds
@@ -80,20 +66,6 @@ impl NodePool {
 
     /// Per-node survival probability at time `t` (in units of the MTTF `T`).
     ///
-    /// # Panics
-    ///
-    /// Panics if `t` is negative or non-finite (see
-    /// [`NodePool::try_node_survival`]).
-    #[must_use]
-    pub fn node_survival(t_over_mttf: f64) -> f64 {
-        match Self::try_node_survival(t_over_mttf) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`NodePool::node_survival`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `t_over_mttf` is negative or
@@ -112,13 +84,6 @@ impl NodePool {
 
     /// Probability that at least `required` nodes are alive at time `t`
     /// (the paper's `P[Z_n(t) = 1]`, Fig. 24).
-    #[must_use]
-    pub fn availability(self, t_over_mttf: f64) -> f64 {
-        let p = Self::node_survival(t_over_mttf);
-        binomial_tail_at_least(self.nodes, self.required, p)
-    }
-
-    /// Fallible form of [`NodePool::availability`].
     ///
     /// # Errors
     ///
@@ -130,31 +95,21 @@ impl NodePool {
     }
 
     /// Expected usable capacity `E[min(required, alive)]` (Fig. 25).
-    #[must_use]
-    pub fn expected_capacity(self, t_over_mttf: f64) -> f64 {
-        let p = Self::node_survival(t_over_mttf);
+    ///
+    /// # Errors
+    ///
+    /// Returns a structured error if `t_over_mttf` is negative or
+    /// non-finite.
+    pub fn try_expected_capacity(self, t_over_mttf: f64) -> Result<f64, SudcError> {
+        let p = Self::try_node_survival(t_over_mttf)?;
         let n = self.nodes;
-        (0..=n)
+        Ok((0..=n)
             .map(|j| f64::from(j.min(self.required)) * binomial_pmf(n, j, p))
-            .sum()
+            .sum())
     }
 
     /// Time (in MTTF units) at which availability first drops to
     /// `threshold`, found by bisection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not in (0, 1) (see
-    /// [`NodePool::try_time_to_availability`]).
-    #[must_use]
-    pub fn time_to_availability(self, threshold: f64) -> f64 {
-        match self.try_time_to_availability(threshold) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`NodePool::time_to_availability`].
     ///
     /// # Errors
     ///
@@ -172,7 +127,7 @@ impl NodePool {
         let (mut lo, mut hi) = (0.0, 50.0);
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
-            if self.availability(mid) > threshold {
+            if self.try_availability(mid)? > threshold {
                 lo = mid;
             } else {
                 hi = mid;
@@ -184,7 +139,8 @@ impl NodePool {
     /// Median time to system degradation (availability = 0.5).
     #[must_use]
     pub fn median_degradation_time(self) -> f64 {
-        self.time_to_availability(0.5)
+        self.try_time_to_availability(0.5)
+            .expect("0.5 lies inside (0, 1)")
     }
 
     /// Monte-Carlo estimate of availability at `t` (cross-validates the
@@ -193,22 +149,8 @@ impl NodePool {
     /// Trials run in parallel on the workspace executor, partitioned into
     /// fixed-size blocks whose RNG streams derive only from `(seed, block
     /// index)` — the estimate is bit-identical at every thread count, and
-    /// identical seeds give identical estimates across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero or `t_over_mttf` is invalid (see
-    /// [`NodePool::try_simulate_availability`]).
-    #[must_use]
-    pub fn simulate_availability(self, t_over_mttf: f64, trials: u32, seed: u64) -> f64 {
-        match self.try_simulate_availability(t_over_mttf, trials, seed) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`NodePool::simulate_availability`], reporting a
-    /// zero trial count and an invalid time in one combined error.
+    /// identical seeds give identical estimates across runs. A zero trial
+    /// count and an invalid time are reported in one combined error.
     ///
     /// # Errors
     ///
@@ -302,9 +244,18 @@ mod tests {
     fn paper_99_percent_degradation_times() {
         // Paper: "the time at which probability of system degradation
         // exceeds 99% ... 0.46, 1.43, and 1.89 for n = 10, 20, and 30".
-        let t10 = NodePool::new(10, 10).time_to_availability(0.01);
-        let t20 = NodePool::new(20, 10).time_to_availability(0.01);
-        let t30 = NodePool::new(30, 10).time_to_availability(0.01);
+        let t10 = NodePool::try_new(10, 10)
+            .unwrap()
+            .try_time_to_availability(0.01)
+            .unwrap();
+        let t20 = NodePool::try_new(20, 10)
+            .unwrap()
+            .try_time_to_availability(0.01)
+            .unwrap();
+        let t30 = NodePool::try_new(30, 10)
+            .unwrap()
+            .try_time_to_availability(0.01)
+            .unwrap();
         assert!((t10 - 0.46).abs() < 0.02, "n=10: {t10}");
         assert!((t20 - 1.43).abs() < 0.05, "n=20: {t20}");
         assert!((t30 - 1.89).abs() < 0.06, "n=30: {t30}");
@@ -314,9 +265,9 @@ mod tests {
     fn median_degradation_grows_superlinearly_with_overprovisioning() {
         // Doubling the pool (10 -> 20) must far more than double the median
         // time to degradation; tripling extends it further.
-        let m10 = NodePool::new(10, 10).median_degradation_time();
-        let m20 = NodePool::new(20, 10).median_degradation_time();
-        let m30 = NodePool::new(30, 10).median_degradation_time();
+        let m10 = NodePool::try_new(10, 10).unwrap().median_degradation_time();
+        let m20 = NodePool::try_new(20, 10).unwrap().median_degradation_time();
+        let m30 = NodePool::try_new(30, 10).unwrap().median_degradation_time();
         assert!(m20 > 5.0 * m10, "m10={m10}, m20={m20}");
         assert!(m30 > m20);
         // Analytic anchors: ~0.069 T for n=10 (first of 10 failures),
@@ -329,16 +280,24 @@ mod tests {
     #[test]
     fn availability_at_time_zero_is_one() {
         for n in [10, 20, 30] {
-            assert!((NodePool::new(n, 10).availability(0.0) - 1.0).abs() < 1e-12);
+            assert!(
+                (NodePool::try_new(n, 10)
+                    .unwrap()
+                    .try_availability(0.0)
+                    .unwrap()
+                    - 1.0)
+                    .abs()
+                    < 1e-12
+            );
         }
     }
 
     #[test]
     fn expected_capacity_starts_full_and_decays() {
-        let pool = NodePool::new(20, 10);
-        assert!((pool.expected_capacity(0.0) - 10.0).abs() < 1e-9);
-        let early = pool.expected_capacity(0.5);
-        let late = pool.expected_capacity(2.0);
+        let pool = NodePool::try_new(20, 10).unwrap();
+        assert!((pool.try_expected_capacity(0.0).unwrap() - 10.0).abs() < 1e-9);
+        let early = pool.try_expected_capacity(0.5).unwrap();
+        let late = pool.try_expected_capacity(2.0).unwrap();
         assert!(early > late);
         assert!(late > 0.0);
     }
@@ -347,11 +306,11 @@ mod tests {
     fn overprovisioning_raises_expected_capacity_at_all_times() {
         // Fig. 25: "at all times, overprovisioning provides significant
         // improvement in the expected computational power".
-        let base = NodePool::new(10, 10);
-        let over = NodePool::new(30, 10);
+        let base = NodePool::try_new(10, 10).unwrap();
+        let over = NodePool::try_new(30, 10).unwrap();
         for t in [0.1, 0.5, 1.0, 1.5, 2.0] {
             assert!(
-                over.expected_capacity(t) > base.expected_capacity(t),
+                over.try_expected_capacity(t).unwrap() > base.try_expected_capacity(t).unwrap(),
                 "t={t}"
             );
         }
@@ -359,10 +318,12 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_analytic() {
-        let pool = NodePool::new(20, 10);
+        let pool = NodePool::try_new(20, 10).unwrap();
         for t in [0.3, 0.8, 1.3] {
-            let analytic = pool.availability(t);
-            let mc = pool.simulate_availability(t, 20_000, DEFAULT_MC_SEED);
+            let analytic = pool.try_availability(t).unwrap();
+            let mc = pool
+                .try_simulate_availability(t, 20_000, DEFAULT_MC_SEED)
+                .unwrap();
             assert!(
                 (analytic - mc).abs() < 0.02,
                 "t={t}: analytic {analytic} vs MC {mc}"
@@ -374,11 +335,11 @@ mod tests {
     fn monte_carlo_is_bit_identical_at_every_thread_count() {
         // The Fig. 24 cross-validation must not depend on the machine: the
         // per-block RNG streams derive only from (seed, block index).
-        let pool = NodePool::new(20, 10);
-        let reference = pool.simulate_availability(0.8, 10_000, 7);
+        let pool = NodePool::try_new(20, 10).unwrap();
+        let reference = pool.try_simulate_availability(0.8, 10_000, 7).unwrap();
         for workers in [1usize, 2, 3, 8] {
             sudc_par::set_threads(workers);
-            let got = pool.simulate_availability(0.8, 10_000, 7);
+            let got = pool.try_simulate_availability(0.8, 10_000, 7).unwrap();
             sudc_par::set_threads(0);
             assert!(
                 (got - reference).abs() == 0.0,
@@ -389,10 +350,10 @@ mod tests {
 
     #[test]
     fn monte_carlo_is_reproducible_per_seed_and_sensitive_to_it() {
-        let pool = NodePool::new(30, 10);
-        let a = pool.simulate_availability(1.0, 5_000, 1);
-        let b = pool.simulate_availability(1.0, 5_000, 1);
-        let c = pool.simulate_availability(1.0, 5_000, 2);
+        let pool = NodePool::try_new(30, 10).unwrap();
+        let a = pool.try_simulate_availability(1.0, 5_000, 1).unwrap();
+        let b = pool.try_simulate_availability(1.0, 5_000, 1).unwrap();
+        let c = pool.try_simulate_availability(1.0, 5_000, 2).unwrap();
         assert_eq!(a, b, "same seed must reproduce exactly");
         assert_ne!(a, c, "different seeds must explore different trials");
     }
@@ -420,9 +381,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot require")]
-    fn impossible_pool_panics() {
-        let _ = NodePool::new(5, 10);
+    fn impossible_pool_is_rejected() {
+        let err = NodePool::try_new(5, 10).unwrap_err();
+        assert!(err.to_string().contains("cannot require"), "{err}");
     }
 
     proptest! {
@@ -432,21 +393,21 @@ mod tests {
             t2 in 0.0..5.0f64,
             n in 10u32..40,
         ) {
-            let pool = NodePool::new(n, 10);
+            let pool = NodePool::try_new(n, 10).unwrap();
             let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-            prop_assert!(pool.availability(hi) <= pool.availability(lo) + 1e-12);
+            prop_assert!(pool.try_availability(hi).unwrap() <= pool.try_availability(lo).unwrap() + 1e-12);
         }
 
         #[test]
         fn more_spares_never_hurt(t in 0.0..3.0f64, n in 10u32..40) {
-            let a = NodePool::new(n, 10).availability(t);
-            let b = NodePool::new(n + 1, 10).availability(t);
+            let a = NodePool::try_new(n, 10).unwrap().try_availability(t).unwrap();
+            let b = NodePool::try_new(n + 1, 10).unwrap().try_availability(t).unwrap();
             prop_assert!(b >= a - 1e-12);
         }
 
         #[test]
         fn capacity_bounded_by_required(t in 0.0..5.0f64, n in 10u32..40) {
-            let c = NodePool::new(n, 10).expected_capacity(t);
+            let c = NodePool::try_new(n, 10).unwrap().try_expected_capacity(t).unwrap();
             prop_assert!((0.0..=10.0 + 1e-12).contains(&c));
         }
     }

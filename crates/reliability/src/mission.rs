@@ -61,20 +61,8 @@ pub struct MissionOutcome {
 /// only from `(seed, block index)` and run in parallel on the workspace
 /// executor — the outcome is bit-identical at every thread count.
 ///
-/// # Panics
-///
-/// Panics if `required` is zero or exceeds `nodes`, `duration` is not
-/// positive, or `trials` is zero (see [`try_simulate`]).
-#[must_use]
-pub fn simulate(config: MissionConfig, trials: u32, seed: u64) -> MissionOutcome {
-    match try_simulate(config, trials, seed) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`simulate`], reporting every invalid parameter in one
-/// combined error before running any trial.
+/// Every invalid parameter is reported in one combined error before any
+/// trial runs.
 ///
 /// # Errors
 ///
@@ -218,8 +206,12 @@ mod tests {
 
     #[test]
     fn hot_sparing_matches_the_analytic_binomial_model() {
-        let outcome = simulate(config(20, SparingPolicy::Hot), 40_000, DEFAULT_MC_SEED);
-        let analytic = NodePool::new(20, 10).availability(0.5);
+        let outcome =
+            try_simulate(config(20, SparingPolicy::Hot), 40_000, DEFAULT_MC_SEED).unwrap();
+        let analytic = NodePool::try_new(20, 10)
+            .unwrap()
+            .try_availability(0.5)
+            .unwrap();
         assert!(
             (outcome.full_capability_probability - analytic).abs() < 0.02,
             "MC {} vs analytic {analytic}",
@@ -230,12 +222,13 @@ mod tests {
     #[test]
     fn cold_sparing_beats_hot_sparing() {
         // The paper's powered-off spares age less -> higher availability.
-        let hot = simulate(config(20, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED);
-        let cold = simulate(
+        let hot = try_simulate(config(20, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED).unwrap();
+        let cold = try_simulate(
             config(20, SparingPolicy::Cold { dormant_aging: 0.1 }),
             30_000,
             DEFAULT_MC_SEED,
-        );
+        )
+        .unwrap();
         assert!(
             cold.full_capability_probability > hot.full_capability_probability + 0.02,
             "cold {} vs hot {}",
@@ -246,16 +239,18 @@ mod tests {
 
     #[test]
     fn no_aging_spares_are_an_upper_bound() {
-        let some_aging = simulate(
+        let some_aging = try_simulate(
             config(20, SparingPolicy::Cold { dormant_aging: 0.3 }),
             30_000,
             DEFAULT_MC_SEED,
-        );
-        let no_aging = simulate(
+        )
+        .unwrap();
+        let no_aging = try_simulate(
             config(20, SparingPolicy::Cold { dormant_aging: 0.0 }),
             30_000,
             DEFAULT_MC_SEED,
-        );
+        )
+        .unwrap();
         assert!(
             no_aging.full_capability_probability >= some_aging.full_capability_probability - 0.01
         );
@@ -263,15 +258,15 @@ mod tests {
 
     #[test]
     fn more_spares_always_help() {
-        let small = simulate(config(12, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED);
-        let large = simulate(config(30, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED);
+        let small = try_simulate(config(12, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED).unwrap();
+        let large = try_simulate(config(30, SparingPolicy::Hot), 30_000, DEFAULT_MC_SEED).unwrap();
         assert!(large.full_capability_probability > small.full_capability_probability);
         assert!(large.mean_final_capacity >= small.mean_final_capacity);
     }
 
     #[test]
     fn outcomes_are_probabilities() {
-        let o = simulate(config(15, SparingPolicy::Hot), 5_000, DEFAULT_MC_SEED);
+        let o = try_simulate(config(15, SparingPolicy::Hot), 5_000, DEFAULT_MC_SEED).unwrap();
         assert!((0.0..=1.0).contains(&o.full_capability_probability));
         assert!((0.0..=1.0).contains(&o.mean_full_capability_time));
         assert!(o.mean_final_capacity <= 10.0);
@@ -279,22 +274,23 @@ mod tests {
 
     #[test]
     fn outcome_is_bit_identical_at_every_thread_count() {
-        let reference = simulate(config(20, SparingPolicy::Hot), 8_000, 3);
+        let reference = try_simulate(config(20, SparingPolicy::Hot), 8_000, 3).unwrap();
         for workers in [1usize, 2, 5, 8] {
             sudc_par::set_threads(workers);
-            let got = simulate(config(20, SparingPolicy::Hot), 8_000, 3);
+            let got = try_simulate(config(20, SparingPolicy::Hot), 8_000, 3).unwrap();
             sudc_par::set_threads(0);
             assert_eq!(got, reference, "workers={workers}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "dormant aging")]
-    fn invalid_dormant_aging_panics() {
-        let _ = simulate(
+    fn invalid_dormant_aging_is_rejected() {
+        let err = try_simulate(
             config(15, SparingPolicy::Cold { dormant_aging: 2.0 }),
             10,
             DEFAULT_MC_SEED,
-        );
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("dormant aging"), "{err}");
     }
 }

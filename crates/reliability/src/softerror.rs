@@ -62,20 +62,6 @@ impl ImageNetModel {
     /// Probability that an inference sees at least one corrupted bit at
     /// per-bit-per-inference fault probability `epsilon`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is not a probability (see
-    /// [`ImageNetModel::try_corruption_probability`]).
-    #[must_use]
-    pub fn corruption_probability(&self, epsilon: f64) -> f64 {
-        match self.try_corruption_probability(epsilon) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`ImageNetModel::corruption_probability`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `epsilon` is not a probability in
@@ -97,20 +83,6 @@ impl ImageNetModel {
 
     /// Pessimistic accuracy under faults: every corrupted inference is
     /// wrong.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is not a probability (see
-    /// [`ImageNetModel::try_accuracy_under_faults`]).
-    #[must_use]
-    pub fn accuracy_under_faults(&self, epsilon: f64) -> f64 {
-        match self.try_accuracy_under_faults(epsilon) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`ImageNetModel::accuracy_under_faults`].
     ///
     /// # Errors
     ///
@@ -147,7 +119,7 @@ mod tests {
     #[test]
     fn zero_fault_rate_preserves_accuracy() {
         for m in imagenet_suite() {
-            assert!((m.accuracy_under_faults(0.0) - m.base_accuracy).abs() < 1e-12);
+            assert!((m.try_accuracy_under_faults(0.0).unwrap() - m.base_accuracy).abs() < 1e-12);
         }
     }
 
@@ -170,7 +142,7 @@ mod tests {
     #[test]
     fn accuracy_collapses_at_high_fault_rates() {
         for m in imagenet_suite() {
-            assert!(m.accuracy_under_faults(1e-6) < 0.01 * m.base_accuracy);
+            assert!(m.try_accuracy_under_faults(1e-6).unwrap() < 0.01 * m.base_accuracy);
         }
     }
 
@@ -178,7 +150,7 @@ mod tests {
     fn half_accuracy_rate_is_consistent() {
         for m in imagenet_suite() {
             let eps = m.half_accuracy_fault_rate();
-            let acc = m.accuracy_under_faults(eps);
+            let acc = m.try_accuracy_under_faults(eps).unwrap();
             assert!((acc - 0.5 * m.base_accuracy).abs() < 1e-5, "{}", m.network);
         }
     }
@@ -186,16 +158,16 @@ mod tests {
     #[test]
     fn epsilon_zero_means_no_corruption() {
         for m in imagenet_suite() {
-            assert_eq!(m.corruption_probability(0.0), 0.0);
-            assert_eq!(m.accuracy_under_faults(0.0), m.base_accuracy);
+            assert_eq!(m.try_corruption_probability(0.0).unwrap(), 0.0);
+            assert_eq!(m.try_accuracy_under_faults(0.0).unwrap(), m.base_accuracy);
         }
     }
 
     #[test]
     fn epsilon_one_corrupts_everything() {
         for m in imagenet_suite() {
-            assert_eq!(m.corruption_probability(1.0), 1.0);
-            assert_eq!(m.accuracy_under_faults(1.0), 0.0);
+            assert_eq!(m.try_corruption_probability(1.0).unwrap(), 1.0);
+            assert_eq!(m.try_accuracy_under_faults(1.0).unwrap(), 0.0);
         }
     }
 
@@ -204,7 +176,7 @@ mod tests {
         // Including values where (1 - eps)^bits underflows or rounds.
         let m = &imagenet_suite()[0];
         for eps in [0.0, 1e-300, 1e-12, 1e-9, 1e-6, 0.1, 0.5, 1.0 - 1e-16, 1.0] {
-            let p = m.corruption_probability(eps);
+            let p = m.try_corruption_probability(eps).unwrap();
             assert!((0.0..=1.0).contains(&p), "eps {eps} -> p {p}");
         }
     }
@@ -221,9 +193,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "epsilon")]
-    fn out_of_range_epsilon_panics() {
-        let _ = imagenet_suite()[0].corruption_probability(1.5);
+    fn out_of_range_epsilon_is_rejected() {
+        let err = imagenet_suite()[0]
+            .try_corruption_probability(1.5)
+            .unwrap_err();
+        assert!(err.to_string().contains("epsilon"), "{err}");
     }
 
     #[test]
@@ -261,7 +235,7 @@ mod tests {
         ) {
             let m = &imagenet_suite()[0];
             let (lo, hi) = if e1 <= e2 { (e1, e2) } else { (e2, e1) };
-            prop_assert!(m.accuracy_under_faults(hi) <= m.accuracy_under_faults(lo) + 1e-12);
+            prop_assert!(m.try_accuracy_under_faults(hi).unwrap() <= m.try_accuracy_under_faults(lo).unwrap() + 1e-12);
         }
     }
 }

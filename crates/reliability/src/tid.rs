@@ -85,7 +85,7 @@ pub fn modern_cots_tolerance() -> KradSi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sudc_orbital::radiation::{mission_dose, RadiationRegime};
+    use sudc_orbital::radiation::{try_mission_dose, RadiationRegime};
     use sudc_units::Years;
 
     #[test]
@@ -109,7 +109,8 @@ mod tests {
         // Paper: "At 14 nm tech node, processors can tolerate an order of
         // magnitude more radiation than would be experienced during an LEO
         // satellite's lifetime."
-        let lifetime_dose = mission_dose(RadiationRegime::LeoNonPolar, 200.0, Years::new(5.0));
+        let lifetime_dose =
+            try_mission_dose(RadiationRegime::LeoNonPolar, 200.0, Years::new(5.0)).unwrap();
         let tolerance = modern_cots_tolerance();
         assert!(
             tolerance.value() >= 10.0 * lifetime_dose.value(),

@@ -25,20 +25,6 @@ impl WeibullLifetime {
     /// Creates a distribution with the given shape and unit mean
     /// (`η = 1 / Γ(1 + 1/k)`).
     ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is not positive and finite (see
-    /// [`WeibullLifetime::try_with_unit_mean`]).
-    #[must_use]
-    pub fn with_unit_mean(shape: f64) -> Self {
-        match Self::try_with_unit_mean(shape) {
-            Ok(w) => w,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`WeibullLifetime::with_unit_mean`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `shape` is not positive and finite.
@@ -58,24 +44,10 @@ impl WeibullLifetime {
     /// The exponential special case.
     #[must_use]
     pub fn exponential() -> Self {
-        Self::with_unit_mean(1.0)
+        Self::try_with_unit_mean(1.0).expect("shape 1 is positive and finite")
     }
 
     /// Per-node survival probability at `t` (in MTTF units).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is negative or non-finite (see
-    /// [`WeibullLifetime::try_survival`]).
-    #[must_use]
-    pub fn survival(&self, t: f64) -> f64 {
-        match self.try_survival(t) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`WeibullLifetime::survival`].
     ///
     /// # Errors
     ///
@@ -93,12 +65,6 @@ impl WeibullLifetime {
     }
 
     /// Probability that at least `required` of `nodes` survive to `t`.
-    #[must_use]
-    pub fn availability(&self, nodes: u32, required: u32, t: f64) -> f64 {
-        binomial_tail_at_least(nodes, required, self.survival(t))
-    }
-
-    /// Fallible form of [`WeibullLifetime::availability`].
     ///
     /// # Errors
     ///
@@ -112,12 +78,20 @@ impl WeibullLifetime {
     }
 
     /// Expected usable capacity `E[min(required, alive)]` at `t`.
-    #[must_use]
-    pub fn expected_capacity(&self, nodes: u32, required: u32, t: f64) -> f64 {
-        let p = self.survival(t);
-        (0..=nodes)
+    ///
+    /// # Errors
+    ///
+    /// Returns a structured error if `t` is negative or non-finite.
+    pub fn try_expected_capacity(
+        &self,
+        nodes: u32,
+        required: u32,
+        t: f64,
+    ) -> Result<f64, SudcError> {
+        let p = self.try_survival(t)?;
+        Ok((0..=nodes)
             .map(|j| f64::from(j.min(required)) * binomial_pmf(nodes, j, p))
-            .sum()
+            .sum())
     }
 }
 
@@ -167,10 +141,13 @@ mod tests {
     #[test]
     fn shape_one_reduces_to_the_exponential_model() {
         let w = WeibullLifetime::exponential();
-        let pool = NodePool::new(20, 10);
+        let pool = NodePool::try_new(20, 10).unwrap();
         for t in [0.1, 0.5, 1.0, 2.0] {
-            assert!((w.survival(t) - (-t).exp()).abs() < 1e-12);
-            assert!((w.availability(20, 10, t) - pool.availability(t)).abs() < 1e-12);
+            assert!((w.try_survival(t).unwrap() - (-t).exp()).abs() < 1e-12);
+            assert!(
+                (w.try_availability(20, 10, t).unwrap() - pool.try_availability(t).unwrap()).abs()
+                    < 1e-12
+            );
         }
     }
 
@@ -178,33 +155,41 @@ mod tests {
     fn wear_out_shapes_survive_longer_early_then_collapse() {
         // k > 1: flat early hazard, then wear-out. Early survival beats the
         // exponential; late survival falls below it.
-        let wearout = WeibullLifetime::with_unit_mean(3.0);
+        let wearout = WeibullLifetime::try_with_unit_mean(3.0).unwrap();
         let exp = WeibullLifetime::exponential();
-        assert!(wearout.survival(0.2) > exp.survival(0.2));
-        assert!(wearout.survival(2.0) < exp.survival(2.0));
+        assert!(wearout.try_survival(0.2).unwrap() > exp.try_survival(0.2).unwrap());
+        assert!(wearout.try_survival(2.0).unwrap() < exp.try_survival(2.0).unwrap());
     }
 
     #[test]
     fn infant_mortality_hurts_early_availability() {
-        let infant = WeibullLifetime::with_unit_mean(0.5);
+        let infant = WeibullLifetime::try_with_unit_mean(0.5).unwrap();
         let exp = WeibullLifetime::exponential();
-        assert!(infant.availability(20, 10, 0.1) < exp.availability(20, 10, 0.1));
+        assert!(
+            infant.try_availability(20, 10, 0.1).unwrap()
+                < exp.try_availability(20, 10, 0.1).unwrap()
+        );
     }
 
     #[test]
     fn overprovisioning_still_pays_off_under_wear_out() {
         // The paper's §VII conclusion is robust to the lifetime model.
-        let w = WeibullLifetime::with_unit_mean(2.5);
+        let w = WeibullLifetime::try_with_unit_mean(2.5).unwrap();
         for t in [0.3, 0.6, 0.9] {
-            assert!(w.availability(30, 10, t) > w.availability(10, 10, t));
-            assert!(w.expected_capacity(30, 10, t) > w.expected_capacity(10, 10, t));
+            assert!(
+                w.try_availability(30, 10, t).unwrap() > w.try_availability(10, 10, t).unwrap()
+            );
+            assert!(
+                w.try_expected_capacity(30, 10, t).unwrap()
+                    > w.try_expected_capacity(10, 10, t).unwrap()
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "shape must be positive")]
-    fn zero_shape_panics() {
-        let _ = WeibullLifetime::with_unit_mean(0.0);
+    fn zero_shape_is_rejected() {
+        let err = WeibullLifetime::try_with_unit_mean(0.0).unwrap_err();
+        assert!(err.to_string().contains("shape must be positive"), "{err}");
     }
 
     proptest! {
@@ -213,12 +198,12 @@ mod tests {
             // Numerically integrate the survival function: mean = ∫S(t)dt.
             // (Shapes below ~0.6 have heavy tails that need impractically
             // long integration horizons; the analytic identity still holds.)
-            let w = WeibullLifetime::with_unit_mean(shape);
+            let w = WeibullLifetime::try_with_unit_mean(shape).unwrap();
             let dt = 0.001;
             let mut mean = 0.0;
             let mut t = 0.0;
             while t < 120.0 {
-                mean += w.survival(t) * dt;
+                mean += w.try_survival(t).unwrap() * dt;
                 t += dt;
             }
             prop_assert!((mean - 1.0).abs() < 0.01, "shape {shape}: mean {mean}");
@@ -226,9 +211,9 @@ mod tests {
 
         #[test]
         fn survival_is_monotone(shape in 0.3..6.0f64, t1 in 0.0..4.0f64, t2 in 0.0..4.0f64) {
-            let w = WeibullLifetime::with_unit_mean(shape);
+            let w = WeibullLifetime::try_with_unit_mean(shape).unwrap();
             let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-            prop_assert!(w.survival(hi) <= w.survival(lo));
+            prop_assert!(w.try_survival(hi).unwrap() <= w.try_survival(lo).unwrap());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Tier pricing derived from the workspace's physical and cost models.
 //!
-//! Everything in [`RouterConfig::reference`] is computed once, up front,
+//! Everything in [`RouterConfig::try_reference`] is computed once, up front,
 //! from the same models the rest of the workspace uses — Table III
 //! service times (`sudc-compute`), pass geometry and ground-network
 //! capacity (`sudc-orbital`), the reference `DynamicScenario`
@@ -147,39 +147,13 @@ pub struct RouterConfig {
 impl RouterConfig {
     /// Prices the four tiers from the paper's reference scenario.
     ///
-    /// # Panics
-    ///
-    /// Panics if the underlying design pipeline fails (never expected for
-    /// the built-in scenario); see [`RouterConfig::try_reference`].
-    #[must_use]
-    pub fn reference() -> Self {
-        Self::try_reference().expect("reference scenario must price")
-    }
-
-    /// Fallible [`RouterConfig::reference`].
-    ///
     /// # Errors
     ///
     /// Returns the design-pipeline error if the reference scenario fails
     /// to size or cost (never expected for the built-in scenario).
     pub fn try_reference() -> Result<Self, SudcError> {
-        let d =
-            DynamicScenario::from_scenario(Scenario::Reference, REFERENCE_FLEET).map_err(|e| {
-                SudcError::single(
-                    "RouterConfig::try_reference",
-                    "scenario",
-                    format!("{e:?}"),
-                    "a sizable reference scenario",
-                )
-            })?;
-        let design = Scenario::Reference.design().map_err(|e| {
-            SudcError::single(
-                "RouterConfig::try_reference",
-                "design",
-                format!("{e:?}"),
-                "a costable reference design",
-            )
-        })?;
+        let d = DynamicScenario::from_scenario(Scenario::Reference, REFERENCE_FLEET)?;
+        let design = Scenario::Reference.try_design()?;
         let tco = design.try_tco()?;
 
         let image_gbit = d.image_size.value();
@@ -349,7 +323,7 @@ impl RouterConfig {
     /// share that dominates the orbital TCO, while the premium covers the
     /// custom parts. Onboard and ground tiers keep their reference
     /// hardware, so only the `OrbitalSudc` column moves — the default
-    /// [`RouterConfig::reference`] pricing is untouched.
+    /// [`RouterConfig::try_reference`] pricing is untouched.
     ///
     /// # Errors
     ///
@@ -421,8 +395,8 @@ impl RouterConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`SudcError::Invalid`] naming each non-finite or
-    /// out-of-range coefficient.
+    /// Returns a [`SudcError`] naming each non-finite or out-of-range
+    /// coefficient.
     pub fn try_validate(&self) -> Result<(), SudcError> {
         let mut d = Diagnostics::new("RouterConfig");
         d.positive("deadline_slo_s", self.deadline_slo_s);
@@ -454,19 +428,6 @@ impl RouterConfig {
         d.finish()
     }
 
-    /// Validates and panics on the first problem (the fallible form is
-    /// [`RouterConfig::try_validate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the collected diagnostics if any coefficient is
-    /// invalid.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// Latitude-bin index for a capture latitude in degrees (clamped to
     /// the poles).
     #[must_use]
@@ -482,13 +443,13 @@ mod tests {
 
     #[test]
     fn reference_config_validates() {
-        let cfg = RouterConfig::reference();
+        let cfg = RouterConfig::try_reference().unwrap();
         cfg.try_validate().expect("reference config must validate");
     }
 
     #[test]
     fn orbital_tiers_skip_the_pass_wait_and_ground_tiers_pay_it() {
-        let cfg = RouterConfig::reference();
+        let cfg = RouterConfig::try_reference().unwrap();
         for row in &cfg.terms {
             assert_eq!(row[Tier::Onboard.index()].wait_scale, 0.0);
             assert_eq!(row[Tier::OrbitalSudc.index()].wait_scale, 0.0);
@@ -499,7 +460,7 @@ mod tests {
 
     #[test]
     fn polar_captures_wait_less_than_equatorial() {
-        let cfg = RouterConfig::reference();
+        let cfg = RouterConfig::try_reference().unwrap();
         let equator = cfg.lat_wait_s[RouterConfig::lat_bin(0.0)];
         let polar = cfg.lat_wait_s[RouterConfig::lat_bin(85.0)];
         assert!(polar < equator, "polar {polar} vs equator {equator}");
@@ -507,7 +468,7 @@ mod tests {
 
     #[test]
     fn accelerator_repricing_moves_only_the_orbital_column() {
-        let reference = RouterConfig::reference();
+        let reference = RouterConfig::try_reference().unwrap();
         let improvement = [50.0; APPS];
         let repriced = reference
             .clone()
@@ -529,7 +490,7 @@ mod tests {
             }
         }
         // The reference config itself is untouched by the builder.
-        assert_eq!(reference, RouterConfig::reference());
+        assert_eq!(reference, RouterConfig::try_reference().unwrap());
     }
 
     #[test]
@@ -537,20 +498,22 @@ mod tests {
         let mut improvement = [50.0; APPS];
         improvement[3] = 0.0;
         improvement[7] = f64::NAN;
-        let err = RouterConfig::reference()
+        let err = RouterConfig::try_reference()
+            .unwrap()
             .try_with_accelerator_repricing(&improvement, 3.0)
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("per_app_improvement[3]"), "{msg}");
         assert!(msg.contains("per_app_improvement[7]"), "{msg}");
-        assert!(RouterConfig::reference()
+        assert!(RouterConfig::try_reference()
+            .unwrap()
             .try_with_accelerator_repricing(&[50.0; APPS], f64::INFINITY)
             .is_err());
     }
 
     #[test]
     fn tier_cost_ordering_matches_the_derivation() {
-        let cfg = RouterConfig::reference();
+        let cfg = RouterConfig::try_reference().unwrap();
         let row = &cfg.terms[0];
         let sudc = row[Tier::OrbitalSudc.index()].per_gbit_usd;
         let onboard = row[Tier::Onboard.index()].per_gbit_usd;
@@ -571,7 +534,8 @@ mod tests {
 
     #[test]
     fn degraded_pools_validate_and_clamp_past_the_horizon() {
-        let cfg = RouterConfig::reference()
+        let cfg = RouterConfig::try_reference()
+            .unwrap()
             .try_with_degraded_pools(&[1.0, 0.5, 0.75])
             .expect("valid fractions");
         assert_eq!(cfg.pool_fraction(0), 1.0);
@@ -581,7 +545,7 @@ mod tests {
         assert_eq!(cfg.pool_fraction(2), 0.75);
         assert_eq!(cfg.pool_fraction(99), 0.75);
         // No table installed means a full pool everywhere.
-        assert_eq!(RouterConfig::reference().pool_fraction(7), 1.0);
+        assert_eq!(RouterConfig::try_reference().unwrap().pool_fraction(7), 1.0);
     }
 
     #[test]
@@ -592,7 +556,8 @@ mod tests {
             [f64::NAN, 0.5],
             [0.5, f64::INFINITY],
         ] {
-            let err = RouterConfig::reference()
+            let err = RouterConfig::try_reference()
+                .unwrap()
                 .try_with_degraded_pools(&bad)
                 .unwrap_err();
             assert!(
@@ -601,7 +566,8 @@ mod tests {
                 "{err}"
             );
         }
-        assert!(RouterConfig::reference()
+        assert!(RouterConfig::try_reference()
+            .unwrap()
             .try_with_degraded_pools(&[])
             .is_err());
     }

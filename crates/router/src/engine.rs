@@ -6,7 +6,7 @@
 //! right, so the decision vector is byte-identical at any thread count.
 //!
 //! Inside a block the hot path is allocation-free: requests drain from
-//! the preallocated [`AdmissionQueue`] into structure-of-arrays columns,
+//! the preallocated [`AdmissionQueue`](crate::request::AdmissionQueue) into structure-of-arrays columns,
 //! and each decision is four table lookups (one per tier) plus a
 //! handful of multiply-adds against the memoized
 //! [`TierTerms`](crate::config::TierTerms).
@@ -217,19 +217,7 @@ pub struct Router {
 }
 
 impl Router {
-    /// Wraps a configuration, validating it first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`RouterConfig::try_validate`]; see
-    /// [`Router::try_new`].
-    #[must_use]
-    pub fn new(cfg: RouterConfig) -> Self {
-        cfg.validate();
-        Self { cfg }
-    }
-
-    /// Fallible [`Router::new`].
+    /// Builds an engine over a validated configuration.
     ///
     /// # Errors
     ///
@@ -246,7 +234,9 @@ impl Router {
     /// Panics if the reference design pipeline fails (never expected).
     #[must_use]
     pub fn reference() -> Self {
-        Self::new(RouterConfig::reference())
+        RouterConfig::try_reference()
+            .and_then(Self::try_new)
+            .expect("the reference scenario prices to a valid router configuration")
     }
 
     /// The configuration the engine scores against.
@@ -600,9 +590,9 @@ mod tests {
         // the next block's window instead of bouncing straight back to
         // the requester.
         let baseline = Router::reference();
-        let mut cfg = RouterConfig::reference();
+        let mut cfg = RouterConfig::try_reference().unwrap();
         cfg.readmit_deferred = true;
-        let readmitting = Router::new(cfg);
+        let readmitting = Router::try_new(cfg).unwrap();
 
         let mut stream = small_stream();
         // Overloaded enough that the SµDC budget dries up mid-block and
@@ -639,9 +629,9 @@ mod tests {
     #[test]
     fn reentry_is_a_noop_when_nothing_defers() {
         let baseline = Router::reference();
-        let mut cfg = RouterConfig::reference();
+        let mut cfg = RouterConfig::try_reference().unwrap();
         cfg.readmit_deferred = true;
-        let readmitting = Router::new(cfg);
+        let readmitting = Router::try_new(cfg).unwrap();
         let stream = small_stream();
         let before = baseline.route_stream(&stream);
         if before.stats.deferred == 0 {
@@ -662,11 +652,13 @@ mod tests {
         // must lose placements and the rest of the accounting must stay
         // exact.
         let full = Router::reference();
-        let degraded = Router::new(
-            RouterConfig::reference()
+        let degraded = Router::try_new(
+            RouterConfig::try_reference()
+                .unwrap()
                 .try_with_degraded_pools(&[0.25])
                 .expect("valid fractions"),
-        );
+        )
+        .unwrap();
         let mut stream = small_stream();
         stream.arrival_per_s = 1.4 * 30.0; // budgets bind
         let before = full.route_stream(&stream);
@@ -689,11 +681,12 @@ mod tests {
         // Degradation composes with deferral re-entry: the sequential
         // readmitting path over the same shrunken pool still accounts
         // exactly and can only improve the accepted mix.
-        let mut cfg = RouterConfig::reference()
+        let mut cfg = RouterConfig::try_reference()
+            .unwrap()
             .try_with_degraded_pools(&[0.25])
             .unwrap();
         cfg.readmit_deferred = true;
-        let readmitted = Router::new(cfg).route_stream(&stream);
+        let readmitted = Router::try_new(cfg).unwrap().route_stream(&stream);
         let s = &readmitted.stats;
         assert_eq!(s.placed + s.deferred + s.rejected + s.shed, s.requests);
         assert!(readmitted.stats.placed >= after.stats.placed);
@@ -722,11 +715,13 @@ mod tests {
         stream.arrival_per_s = 1.4 * 30.0;
         let fractions = timeline.try_fractions(stream.blocks() as usize).unwrap();
         assert!(fractions.iter().any(|f| *f < 1.0));
-        let degraded = Router::new(
-            RouterConfig::reference()
+        let degraded = Router::try_new(
+            RouterConfig::try_reference()
+                .unwrap()
                 .try_with_degraded_pools(&fractions)
                 .expect("observed fractions are valid"),
-        );
+        )
+        .unwrap();
         let before = Router::reference().route_stream(&stream);
         let after = degraded.route_stream(&stream);
         let sudc = Tier::OrbitalSudc.index();
@@ -740,7 +735,7 @@ mod tests {
 
     #[test]
     fn try_route_stream_reports_bad_config_and_stream_together() {
-        let mut cfg = RouterConfig::reference();
+        let mut cfg = RouterConfig::try_reference().unwrap();
         cfg.deadline_slo_s = f64::NAN;
         let router = Router { cfg };
         let mut stream = small_stream();

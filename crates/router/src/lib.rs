@@ -13,7 +13,7 @@
 //! 4. a terrestrial cloud region behind the ground segment
 //!    ([`Tier::Cloud`]).
 //!
-//! [`RouterConfig::reference`] prices all four from the workspace's own
+//! [`RouterConfig::try_reference`] prices all four from the workspace's own
 //! models — Table III service times, pass geometry and ground-network
 //! capacity, the SSCM-based TCO amortized per insight — and memoizes
 //! them into per-`(app, tier)` coefficient tables. The engine

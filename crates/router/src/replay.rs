@@ -3,7 +3,7 @@
 //! Routing is a steady-state pricing decision; whether the accepted
 //! placements actually *survive contact* with queueing, downlink windows,
 //! and injected faults is a dynamics question. [`RoutedLoad`] closes the
-//! loop: it turns a [`RoutingOutcome`](crate::engine::RoutingOutcome)
+//! loop: it turns a [`RoutingOutcome`]
 //! into a `sudc-sim` scenario — the share of the stream the router sent
 //! to the orbital SµDC becomes the fraction of captures entering the
 //! orbital pipeline — runs seeded replications (optionally under a
@@ -137,25 +137,6 @@ impl RoutedLoad {
         };
         cfg.try_validate()?;
         Ok(sudc_sim::run_recorded(&cfg, seed))
-    }
-
-    /// Panicking [`RoutedLoad::try_replay`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the induced sim scenario fails validation.
-    #[must_use]
-    pub fn replay(
-        &self,
-        duration: Seconds,
-        reps: u32,
-        seed: u64,
-        campaign: Option<&Campaign>,
-    ) -> ReplayReport {
-        match self.try_replay(duration, reps, seed, campaign) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 

@@ -47,10 +47,12 @@ struct QueuedImage {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`].
+/// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run(cfg: &SimConfig, seed: u64) -> RunTrace {
-    cfg.validate();
+    if let Err(e) = cfg.try_validate() {
+        panic!("{e}");
+    }
     Kernel::new(cfg, seed).run()
 }
 
@@ -160,9 +162,13 @@ impl<'a> Kernel<'a> {
             self.queue.push(dt, Event::Capture { sat });
         }
 
-        let lifetime = WeibullLifetime::with_unit_mean(self.cfg.weibull_shape);
+        let lifetime = WeibullLifetime::try_with_unit_mean(self.cfg.weibull_shape)
+            .expect("validated config: weibull_shape is positive and finite");
         let infant = self.cfg.faults.and_then(|f| f.infant);
-        let weak_lifetime = infant.map(|i| WeibullLifetime::with_unit_mean(i.weak_shape));
+        let weak_lifetime = infant.map(|i| {
+            WeibullLifetime::try_with_unit_mean(i.weak_shape)
+                .expect("validated config: infant weak_shape is positive and finite")
+        });
         for node in 0..self.cfg.nodes {
             let life = if self.cfg.mttf_ticks.is_finite() {
                 let mut rng = Rng64::stream(seed, NODE_STREAM_BASE + u64::from(node));

@@ -3,10 +3,10 @@
 //!
 //! A [`SimConfig`] is a pure description — building one does no work and
 //! draws no randomness. Configurations come from three places: the
-//! [`SimConfig::from_dynamic`] bridge (a [`DynamicScenario`] distilled by
-//! `sudc-core` from a named paper scenario), the
+//! [`SimConfig::try_from_dynamic`] bridge (a [`DynamicScenario`]
+//! distilled by `sudc-core` from a named paper scenario), the
 //! [`SimConfig::reference_operations`] preset family used by the `sim`
-//! experiment and tests, and [`SimConfig::cold_spare_mission`] for
+//! experiment and tests, and [`SimConfig::try_cold_spare_mission`] for
 //! mission-scale failure studies where the image pipeline is irrelevant.
 
 use sudc_constellation::EdgeFiltering;
@@ -90,25 +90,9 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Quantizes a [`DynamicScenario`] onto a `tick_seconds` clock for a
-    /// run of `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick_seconds` or `duration` is not positive, or the
-    /// quantized configuration fails validation (see
-    /// [`SimConfig::try_from_dynamic`]).
-    #[must_use]
-    pub fn from_dynamic(d: &DynamicScenario, tick_seconds: f64, duration: Seconds) -> Self {
-        match Self::try_from_dynamic(d, tick_seconds, duration) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::from_dynamic`]: checks the clock
-    /// parameters, quantizes, then runs the full
-    /// [`SimConfig::try_validate`] — an `Ok` configuration is guaranteed
-    /// runnable.
+    /// run of `duration`: checks the clock parameters, quantizes, then
+    /// runs the full [`SimConfig::try_validate`] — an `Ok` configuration is
+    /// guaranteed runnable.
     ///
     /// # Errors
     ///
@@ -167,7 +151,8 @@ impl SimConfig {
     pub fn reference_operations(duration: Seconds) -> Self {
         let d = DynamicScenario::from_scenario(Scenario::Reference, 64)
             .expect("reference scenario must size");
-        let mut cfg = Self::from_dynamic(&d, 0.1, duration);
+        let mut cfg = Self::try_from_dynamic(&d, 0.1, duration)
+            .expect("the reference scenario quantizes to a valid configuration");
         cfg.mttf_ticks = f64::INFINITY;
         cfg
     }
@@ -184,28 +169,8 @@ impl SimConfig {
     /// A mission-scale failure study: `nodes` installed of which
     /// `required` must be powered, cold spares aging at `dormant_aging`,
     /// run for `duration_mttf` lifetimes. The image pipeline is off; ticks
-    /// are scaled so one MTTF is 100 000 ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `required` is zero or exceeds `nodes`, or
-    /// `duration_mttf` is not positive (see
-    /// [`SimConfig::try_cold_spare_mission`]).
-    #[must_use]
-    pub fn cold_spare_mission(
-        nodes: u32,
-        required: u32,
-        dormant_aging: f64,
-        duration_mttf: f64,
-    ) -> Self {
-        match Self::try_cold_spare_mission(nodes, required, dormant_aging, duration_mttf) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::cold_spare_mission`], reporting every
-    /// invalid parameter in one pass.
+    /// are scaled so one MTTF is 100 000 ticks. Every invalid parameter
+    /// is reported in one pass.
     ///
     /// # Errors
     ///
@@ -271,22 +236,8 @@ impl SimConfig {
     /// pool scales by the same ratio. Utilization therefore stays near
     /// the reference working point at any fleet size, which is exactly
     /// what a scaling study needs: event count grows linearly while the
-    /// queueing regime stays comparable. `scaled_fleet(64, d)` is
+    /// queueing regime stays comparable. `try_scaled_fleet(64, d)` is
     /// identical to `reference_operations(d)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `satellites` is zero (see
-    /// [`SimConfig::try_scaled_fleet`]).
-    #[must_use]
-    pub fn scaled_fleet(satellites: u32, duration: Seconds) -> Self {
-        match Self::try_scaled_fleet(satellites, duration) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimConfig::scaled_fleet`].
     ///
     /// # Errors
     ///
@@ -323,20 +274,8 @@ impl SimConfig {
         self
     }
 
-    /// Checks internal consistency; the kernel calls this before running.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any invalid field combination, naming the field (see
-    /// [`SimConfig::try_validate`]).
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Structured form of [`SimConfig::validate`], reporting *every*
-    /// invalid field combination in one pass.
+    /// Checks internal consistency, reporting *every* invalid field
+    /// combination in one pass; the kernel calls this before running.
     ///
     /// # Errors
     ///
@@ -418,7 +357,7 @@ mod tests {
     #[test]
     fn reference_operations_quantizes_sanely() {
         let cfg = SimConfig::reference_operations(Seconds::new(3600.0));
-        cfg.validate();
+        cfg.try_validate().unwrap();
         assert_eq!(cfg.duration_ticks, 36_000);
         assert_eq!(cfg.satellites, 64);
         // ~6 frames/min at 0.1 s ticks -> ~100 ticks between frames.
@@ -441,24 +380,24 @@ mod tests {
 
     #[test]
     fn cold_spare_mission_scales_one_mttf_to_1e5_ticks() {
-        let cfg = SimConfig::cold_spare_mission(20, 10, 0.1, 1.5);
-        cfg.validate();
+        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 1.5).unwrap();
+        cfg.try_validate().unwrap();
         assert_eq!(cfg.duration_ticks, 150_000);
         assert_eq!(cfg.satellites, 0);
         assert!((cfg.mttf_ticks - 100_000.0).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "cannot require")]
     fn impossible_pool_is_rejected() {
-        let _ = SimConfig::cold_spare_mission(5, 10, 0.1, 1.0);
+        let err = SimConfig::try_cold_spare_mission(5, 10, 0.1, 1.0).unwrap_err();
+        assert!(err.to_string().contains("cannot require"), "{err}");
     }
 
     #[test]
     fn scaled_fleet_at_64_is_the_reference_preset() {
         let d = Seconds::new(1800.0);
         assert_eq!(
-            SimConfig::scaled_fleet(64, d),
+            SimConfig::try_scaled_fleet(64, d).unwrap(),
             SimConfig::reference_operations(d)
         );
     }
@@ -467,8 +406,8 @@ mod tests {
     fn scaled_fleet_grows_shared_resources_with_the_fleet() {
         let d = Seconds::new(1800.0);
         let base = SimConfig::reference_operations(d);
-        let big = SimConfig::scaled_fleet(1000, d);
-        big.validate();
+        let big = SimConfig::try_scaled_fleet(1000, d).unwrap();
+        big.try_validate().unwrap();
         assert_eq!(big.satellites, 1000);
         // Per-satellite arrival process is untouched (weak scaling).
         assert!((big.frame_interval_ticks - base.frame_interval_ticks).abs() < 1e-12);
@@ -485,10 +424,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "contact window")]
     fn oversized_contact_window_is_rejected() {
         let mut cfg = SimConfig::reference_operations(Seconds::new(600.0));
         cfg.contact_window_ticks = cfg.contact_gap_ticks + 1;
-        cfg.validate();
+        let err = cfg.try_validate().unwrap_err();
+        assert!(err.to_string().contains("contact window"), "{err}");
     }
 }

@@ -146,7 +146,7 @@ impl BatchSlab {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`].
+/// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run(cfg: &SimConfig, seed: u64) -> RunTrace {
     run_on_bus(cfg, seed, false).trace
@@ -158,10 +158,12 @@ pub fn run(cfg: &SimConfig, seed: u64) -> RunTrace {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`].
+/// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run_on_bus(cfg: &SimConfig, seed: u64, record: bool) -> BusRun {
-    cfg.validate();
+    if let Err(e) = cfg.try_validate() {
+        panic!("{e}");
+    }
     Kernel::new(cfg, seed, record).run()
 }
 
@@ -171,7 +173,7 @@ pub fn run_on_bus(cfg: &SimConfig, seed: u64, record: bool) -> BusRun {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`SimConfig::validate`].
+/// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run_recorded(cfg: &SimConfig, seed: u64) -> (RunTrace, BusLog) {
     let run = run_on_bus(cfg, seed, true);
@@ -341,9 +343,13 @@ impl<'a> Kernel<'a> {
         // weak/healthy draw; weak nodes reuse the *same* per-node uniform
         // through the weak distribution, so the per-node stream consumes
         // identical draw counts either way.
-        let lifetime = WeibullLifetime::with_unit_mean(self.cfg.weibull_shape);
+        let lifetime = WeibullLifetime::try_with_unit_mean(self.cfg.weibull_shape)
+            .expect("validated config: weibull_shape is positive and finite");
         let infant = self.cfg.faults.and_then(|f| f.infant);
-        let weak_lifetime = infant.map(|i| WeibullLifetime::with_unit_mean(i.weak_shape));
+        let weak_lifetime = infant.map(|i| {
+            WeibullLifetime::try_with_unit_mean(i.weak_shape)
+                .expect("validated config: infant weak_shape is positive and finite")
+        });
         for node in 0..self.cfg.nodes {
             let life = if self.cfg.mttf_ticks.is_finite() {
                 let mut rng = Rng64::stream(seed, NODE_STREAM_BASE + u64::from(node));
@@ -1181,7 +1187,7 @@ mod tests {
 
     #[test]
     fn failures_and_promotions_are_counted() {
-        let cfg = SimConfig::cold_spare_mission(20, 10, 0.1, 2.0);
+        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
         let t = run(&cfg, 11);
         assert!(t.failures > 0, "two MTTFs with exponential nodes must fail");
         assert!(t.promotions > 0, "spares should be promoted");
@@ -1244,7 +1250,7 @@ mod tests {
 
     #[test]
     fn rebuilt_kernel_matches_the_baseline_on_cold_spare_missions() {
-        let cfg = SimConfig::cold_spare_mission(20, 10, 0.1, 2.0);
+        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
         for seed in [11, 29] {
             assert_eq!(run(&cfg, seed), baseline::run(&cfg, seed));
         }
@@ -1383,7 +1389,7 @@ mod tests {
     /// A cold-spare mission with a lease the detector can resolve on the
     /// mission's coarse (one MTTF = 100k ticks) clock.
     fn health_mission(closed_loop: bool) -> SimConfig {
-        let cfg = SimConfig::cold_spare_mission(20, 10, 0.1, 2.0);
+        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
         let mut h = sudc_health::HealthConfig::standard();
         h.lease_s = cfg.tick_seconds * 50.0;
         h.closed_loop = closed_loop;

@@ -33,9 +33,10 @@
 //! use sudc_units::Seconds;
 //!
 //! let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
-//! let study = SimSummary::study(&cfg, 2, DEFAULT_SEED);
+//! let study = SimSummary::try_study(&cfg, 2, DEFAULT_SEED)?;
 //! assert!(study.mean_utilization > 0.0);
 //! assert!((study.mean_availability - 1.0).abs() < 1e-12);
+//! # Ok::<(), sudc_sim::SudcError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,7 +60,5 @@ pub use fault::{
 pub use kernel::{run, run_on_bus, run_recorded};
 pub use metrics::{try_percentile, BacklogSample, LatencyHist, LatencySummary, RunTrace};
 pub use plane::{replay, BusRun, TraceBuilder};
-pub use replicate::{
-    replicate, scale_study, try_replicate, try_scale_study, ScalePoint, SimSummary, DEFAULT_SEED,
-};
+pub use replicate::{try_replicate, try_scale_study, ScalePoint, SimSummary, DEFAULT_SEED};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};

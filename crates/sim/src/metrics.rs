@@ -132,13 +132,13 @@ const DENSE_LIMIT: usize = 1 << 16;
 /// Exact streaming histogram of integer tick samples.
 ///
 /// Semantically a multiset of `Tick`s: recording is O(1), and
-/// [`LatencyHist::summary`] reproduces [`LatencySummary::from_ticks`] over
+/// [`LatencyHist::summary`] reproduces `LatencySummary::from_ticks` over
 /// the equivalent sample vector bit for bit (same nearest-rank
 /// percentiles, same `sum / count` mean).
 ///
 /// Equality is multiset equality: the dense array's length is a pure
 /// function of the largest small sample seen (geometric growth, capped at
-/// [`DENSE_LIMIT`]), so two histograms of the same samples compare equal
+/// `DENSE_LIMIT`), so two histograms of the same samples compare equal
 /// regardless of recording order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyHist {
@@ -823,7 +823,7 @@ mod tests {
 
     #[test]
     fn integrals_are_time_weighted() {
-        let cfg = crate::config::SimConfig::cold_spare_mission(2, 1, 0.0, 1.0);
+        let cfg = crate::config::SimConfig::try_cold_spare_mission(2, 1, 0.0, 1.0).unwrap();
         let mut t = RunTrace::new(&cfg);
         let d = cfg.duration_ticks;
         // Busy for the first half, idle for the second.

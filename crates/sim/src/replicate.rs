@@ -8,7 +8,7 @@
 //! order, the resulting `Vec<RunTrace>` (and everything derived from it)
 //! is byte-identical whether the executor uses 1 thread or 64.
 //!
-//! [`scale_study`] extends the same discipline along a fleet-size axis:
+//! [`try_scale_study`] extends the same discipline along a fleet-size axis:
 //! every `(fleet, rep)` pair becomes one flat job sharded across the
 //! executor, and replication `r` uses the *same* derived seed at every
 //! fleet size — common random numbers, the variance-reduction discipline
@@ -29,21 +29,8 @@ pub const DEFAULT_SEED: u64 = 0x5bdc_2026;
 
 /// Runs `reps` seeded replications of `cfg` in parallel (thread count from
 /// the ambient `sudc_par` configuration) and returns the traces in
-/// replication order.
-///
-/// # Panics
-///
-/// Panics if `reps` is zero or `cfg` is invalid (see [`try_replicate`]).
-#[must_use]
-pub fn replicate(cfg: &SimConfig, reps: u32, base_seed: u64) -> Vec<RunTrace> {
-    match try_replicate(cfg, reps, base_seed) {
-        Ok(traces) => traces,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`replicate`]: reports a zero `reps` and every invalid
-/// configuration field in one combined error before running anything.
+/// replication order. A zero `reps` and every invalid configuration field
+/// are reported in one combined error before anything runs.
 ///
 /// # Errors
 ///
@@ -78,11 +65,11 @@ pub fn try_replicate(
     }))
 }
 
-/// One fleet size of a [`scale_study`]: the aggregated replications plus
+/// One fleet size of a [`try_scale_study`]: the aggregated replications plus
 /// the kernel-side throughput diagnostics the scaling benchmark reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalePoint {
-    /// Fleet size of this point (see [`SimConfig::scaled_fleet`]).
+    /// Fleet size of this point (see [`SimConfig::try_scaled_fleet`]).
     pub satellites: u32,
     /// Total kernel events handled across all replications.
     pub events: u64,
@@ -93,29 +80,10 @@ pub struct ScalePoint {
 }
 
 /// Runs a fleet-scaling study: `reps` replications of
-/// [`SimConfig::scaled_fleet`] at each size in `fleets`, every
+/// [`SimConfig::try_scaled_fleet`] at each size in `fleets`, every
 /// `(fleet, rep)` pair sharded as one flat parallel job, with common
 /// random numbers across fleet sizes (replication `r` draws the same
 /// seed at every size). Points are returned in `fleets` order.
-///
-/// # Panics
-///
-/// Panics if `fleets` is empty, any fleet size is zero, or `reps` is
-/// zero (see [`try_scale_study`]).
-#[must_use]
-pub fn scale_study(
-    duration: Seconds,
-    fleets: &[u32],
-    reps: u32,
-    base_seed: u64,
-) -> Vec<ScalePoint> {
-    match try_scale_study(duration, fleets, reps, base_seed) {
-        Ok(points) => points,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`scale_study`].
 ///
 /// # Errors
 ///
@@ -225,19 +193,6 @@ pub struct SimSummary {
 impl SimSummary {
     /// Aggregates replication traces.
     ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty (see [`SimSummary::try_from_traces`]).
-    #[must_use]
-    pub fn from_traces(traces: Vec<RunTrace>) -> Self {
-        match Self::try_from_traces(traces) {
-            Ok(summary) => summary,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimSummary::from_traces`].
-    ///
     /// The p99 aggregates average only over replications whose latency
     /// population is non-empty: a short run that never completed a batch
     /// used to contribute a silent `p99 = 0` and bias the mean downward.
@@ -295,20 +250,6 @@ impl SimSummary {
 
     /// Runs a full study: `reps` replications of `cfg`, aggregated.
     ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is zero or `cfg` is invalid (see
-    /// [`SimSummary::try_study`]).
-    #[must_use]
-    pub fn study(cfg: &SimConfig, reps: u32, base_seed: u64) -> Self {
-        match Self::try_study(cfg, reps, base_seed) {
-            Ok(summary) => summary,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`SimSummary::study`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `reps` is zero or `cfg` fails
@@ -349,12 +290,12 @@ mod tests {
     #[test]
     fn replications_are_order_stable_and_distinct() {
         let cfg = SimConfig::reference_operations(Seconds::new(900.0));
-        let traces = replicate(&cfg, 4, DEFAULT_SEED);
+        let traces = try_replicate(&cfg, 4, DEFAULT_SEED).unwrap();
         assert_eq!(traces.len(), 4);
         // Distinct seeds -> distinct sample paths.
         assert!(traces.windows(2).any(|w| w[0] != w[1]));
         // Re-running reproduces the exact traces.
-        assert_eq!(traces, replicate(&cfg, 4, DEFAULT_SEED));
+        assert_eq!(traces, try_replicate(&cfg, 4, DEFAULT_SEED).unwrap());
     }
 
     #[test]
@@ -362,7 +303,8 @@ mod tests {
         let cfg = SimConfig::reference_operations(Seconds::new(900.0));
         let render = |threads: usize| {
             sudc_par::set_threads(threads);
-            let json = SimSummary::study(&cfg, 3, DEFAULT_SEED)
+            let json = SimSummary::try_study(&cfg, 3, DEFAULT_SEED)
+                .unwrap()
                 .to_json()
                 .to_string_pretty();
             sudc_par::set_threads(0);
@@ -376,13 +318,13 @@ mod tests {
     #[test]
     fn summary_aggregates_are_means_of_traces() {
         let cfg = SimConfig::reference_operations(Seconds::new(900.0));
-        let traces = replicate(&cfg, 3, 42);
+        let traces = try_replicate(&cfg, 3, 42).unwrap();
         let expected: f64 = traces
             .iter()
             .map(RunTrace::compute_utilization)
             .sum::<f64>()
             / 3.0;
-        let summary = SimSummary::from_traces(traces);
+        let summary = SimSummary::try_from_traces(traces).unwrap();
         assert!((summary.mean_utilization - expected).abs() < 1e-12);
         assert_eq!(summary.reps, 3);
     }
@@ -393,10 +335,10 @@ mod tests {
         // contribute p99 = 0 to the mean. Mix long and short runs and
         // check the mean only averages the populated replications.
         let long = SimConfig::reference_operations(Seconds::new(900.0));
-        let mut traces = replicate(&long, 2, DEFAULT_SEED);
+        let mut traces = try_replicate(&long, 2, DEFAULT_SEED).unwrap();
         // 10 s is far below the first contact window: nothing delivers.
         let short = SimConfig::reference_operations(Seconds::new(10.0));
-        traces.extend(replicate(&short, 1, DEFAULT_SEED));
+        traces.extend(try_replicate(&short, 1, DEFAULT_SEED).unwrap());
         let empties = traces
             .iter()
             .filter(|t| t.delivery_latency().count == 0)
@@ -410,7 +352,7 @@ mod tests {
             .map(|s| s.p99)
             .sum::<f64>()
             / 2.0;
-        let summary = SimSummary::from_traces(traces);
+        let summary = SimSummary::try_from_traces(traces).unwrap();
         assert_eq!(summary.reps, 3);
         assert_eq!(summary.delivery_p99_reps, 2);
         assert!((summary.mean_delivery_p99 - populated_mean).abs() < 1e-12);
@@ -421,13 +363,14 @@ mod tests {
     #[test]
     fn scale_study_shares_seeds_across_fleet_sizes() {
         let d = Seconds::new(900.0);
-        let points = scale_study(d, &[64, 128], 3, DEFAULT_SEED);
+        let points = try_scale_study(d, &[64, 128], 3, DEFAULT_SEED).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].satellites, 64);
         assert_eq!(points[1].satellites, 128);
         // 64 satellites IS the reference preset: the point must equal a
         // plain replication study rep for rep (common random numbers).
-        let reference = replicate(&SimConfig::reference_operations(d), 3, DEFAULT_SEED);
+        let reference =
+            try_replicate(&SimConfig::reference_operations(d), 3, DEFAULT_SEED).unwrap();
         assert_eq!(points[0].summary.traces(), &reference[..]);
         // Larger fleets handle more events.
         assert!(points[1].events > points[0].events);
@@ -439,7 +382,7 @@ mod tests {
         let d = Seconds::new(900.0);
         let render = |threads: usize| {
             sudc_par::set_threads(threads);
-            let points = scale_study(d, &[64, 128], 2, DEFAULT_SEED);
+            let points = try_scale_study(d, &[64, 128], 2, DEFAULT_SEED).unwrap();
             sudc_par::set_threads(0);
             points
         };

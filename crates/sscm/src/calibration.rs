@@ -32,23 +32,9 @@ pub struct CerFit {
     pub observations: usize,
 }
 
-/// Fits a power-law CER to observations by log-space least squares.
-///
-/// # Panics
-///
-/// Panics if fewer than two observations are supplied, if any observation
-/// has a non-positive driver or cost, or if all drivers are identical
-/// (the exponent would be unidentifiable). See [`try_fit_cer`].
-#[must_use]
-pub fn fit_cer(observations: &[Observation]) -> CerFit {
-    match try_fit_cer(observations) {
-        Ok(fit) => fit,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`fit_cer`], reporting every invalid observation in
-/// one pass before attempting the regression.
+/// Fits a power-law CER to observations by log-space least squares,
+/// reporting every invalid observation in one pass before attempting the
+/// regression.
 ///
 /// # Errors
 ///
@@ -135,9 +121,9 @@ mod tests {
 
     #[test]
     fn exact_power_law_is_recovered() {
-        let truth = Cer::new(Usd::from_millions(3.0), 100.0, 0.65);
+        let truth = Cer::try_new(Usd::from_millions(3.0), 100.0, 0.65).unwrap();
         let obs = sample_cer(&truth, &[10.0, 30.0, 100.0, 300.0, 1000.0]);
-        let fit = fit_cer(&obs);
+        let fit = try_fit_cer(&obs).unwrap();
         assert!((fit.cer.exponent - 0.65).abs() < 1e-9);
         assert!(fit.r_squared > 0.999_999);
         // Same predictions at arbitrary drivers.
@@ -150,14 +136,14 @@ mod tests {
 
     #[test]
     fn noisy_data_still_fits_reasonably() {
-        let truth = Cer::new(Usd::from_millions(2.0), 50.0, 0.5);
+        let truth = Cer::try_new(Usd::from_millions(2.0), 50.0, 0.5).unwrap();
         let mut obs = sample_cer(&truth, &[5.0, 20.0, 50.0, 150.0, 400.0]);
         // Multiplicative noise (deterministic pattern).
         for (i, o) in obs.iter_mut().enumerate() {
             let noise = if i % 2 == 0 { 1.15 } else { 0.87 };
             o.cost = o.cost * noise;
         }
-        let fit = fit_cer(&obs);
+        let fit = try_fit_cer(&obs).unwrap();
         assert!(
             (fit.cer.exponent - 0.5).abs() < 0.1,
             "exp {}",
@@ -168,7 +154,7 @@ mod tests {
 
     #[test]
     fn two_points_fit_exactly() {
-        let fit = fit_cer(&[
+        let fit = try_fit_cer(&[
             Observation {
                 driver: 10.0,
                 cost: Usd::new(100.0),
@@ -177,29 +163,34 @@ mod tests {
                 driver: 40.0,
                 cost: Usd::new(200.0),
             },
-        ]);
+        ])
+        .unwrap();
         // Doubling over 4x driver: exponent = ln2/ln4 = 0.5.
         assert!((fit.cer.exponent - 0.5).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "at least two observations")]
-    fn single_point_panics() {
-        let _ = fit_cer(&[Observation {
+    fn single_point_is_rejected() {
+        let err = try_fit_cer(&[Observation {
             driver: 1.0,
             cost: Usd::new(1.0),
-        }]);
+        }])
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("at least two observations"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "unidentifiable")]
-    fn identical_drivers_panic() {
+    fn identical_drivers_are_rejected() {
         let o = Observation {
             driver: 5.0,
             cost: Usd::new(1.0),
         };
-        let _ = fit_cer(&[o, o]);
+        let err = try_fit_cer(&[o, o]).unwrap_err();
+        assert!(err.to_string().contains("unidentifiable"), "{err}");
     }
 
     proptest! {
@@ -209,10 +200,10 @@ mod tests {
             reference in 1.0..5000.0f64,
             exponent in 0.05..1.5f64,
         ) {
-            let truth = Cer::new(Usd::from_millions(base_m), reference, exponent);
+            let truth = Cer::try_new(Usd::from_millions(base_m), reference, exponent).unwrap();
             let drivers: Vec<f64> =
                 (1..=6).map(|i| reference * f64::from(i) / 3.0).collect();
-            let fit = fit_cer(&sample_cer(&truth, &drivers));
+            let fit = try_fit_cer(&sample_cer(&truth, &drivers)).unwrap();
             prop_assert!((fit.cer.exponent - exponent).abs() < 1e-6);
         }
     }

@@ -21,22 +21,7 @@ pub struct Cer {
 }
 
 impl Cer {
-    /// Creates a CER.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is not positive or `exponent` is outside
-    /// `[0, 2]` (see [`Cer::try_new`]).
-    #[must_use]
-    pub fn new(base: Usd, reference: f64, exponent: f64) -> Self {
-        match Self::try_new(base, reference, exponent) {
-            Ok(cer) => cer,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Cer::new`], reporting every invalid coefficient
-    /// in one pass.
+    /// Creates a CER, reporting every invalid coefficient in one pass.
     ///
     /// # Errors
     ///
@@ -73,9 +58,10 @@ impl Cer {
     /// use sudc_sscm::cer::Cer;
     /// use sudc_units::Usd;
     ///
-    /// let cer = Cer::new(Usd::from_millions(2.0), 100.0, 0.5);
+    /// let cer = Cer::try_new(Usd::from_millions(2.0), 100.0, 0.5)?;
     /// assert_eq!(cer.evaluate(100.0), Usd::from_millions(2.0));
     /// assert_eq!(cer.evaluate(400.0), Usd::from_millions(4.0));
+    /// # Ok::<(), sudc_errors::SudcError>(())
     /// ```
     #[must_use]
     pub fn evaluate(&self, driver: f64) -> Usd {
@@ -95,13 +81,13 @@ mod tests {
 
     #[test]
     fn reference_point_returns_base() {
-        let cer = Cer::new(Usd::from_millions(3.0), 50.0, 0.7);
+        let cer = Cer::try_new(Usd::from_millions(3.0), 50.0, 0.7).unwrap();
         assert!((cer.evaluate(50.0) - Usd::from_millions(3.0)).abs() < Usd::new(1.0));
     }
 
     #[test]
     fn sublinear_scaling() {
-        let cer = Cer::new(Usd::from_millions(1.0), 1.0, 0.6);
+        let cer = Cer::try_new(Usd::from_millions(1.0), 1.0, 0.6).unwrap();
         let c10 = cer.evaluate(10.0);
         assert!(c10.value() < 10e6, "10x driver must cost < 10x");
         assert!(c10.value() > 1e6, "but more than 1x");
@@ -109,16 +95,16 @@ mod tests {
 
     #[test]
     fn zero_driver_clamps_to_floor() {
-        let cer = Cer::new(Usd::from_millions(1.0), 100.0, 0.5);
+        let cer = Cer::try_new(Usd::from_millions(1.0), 100.0, 0.5).unwrap();
         let at_zero = cer.evaluate(0.0);
         assert!(at_zero.value() > 0.0);
         assert_eq!(at_zero, cer.evaluate(1.0));
     }
 
     #[test]
-    #[should_panic(expected = "exponent")]
-    fn wild_exponent_panics() {
-        let _ = Cer::new(Usd::new(1.0), 1.0, 3.0);
+    fn wild_exponent_is_rejected() {
+        let err = Cer::try_new(Usd::new(1.0), 1.0, 3.0).unwrap_err();
+        assert!(err.to_string().contains("exponent"), "{err}");
     }
 
     proptest! {
@@ -128,7 +114,7 @@ mod tests {
             d2 in 0.01..1e6f64,
             exp in 0.0..1.5f64,
         ) {
-            let cer = Cer::new(Usd::from_millions(1.0), 100.0, exp);
+            let cer = Cer::try_new(Usd::from_millions(1.0), 100.0, exp).unwrap();
             let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
             prop_assert!(cer.evaluate(lo) <= cer.evaluate(hi));
         }
@@ -138,7 +124,7 @@ mod tests {
             d in 1.0..1e5f64,
             exp in 0.1..1.2f64,
         ) {
-            let cer = Cer::new(Usd::from_millions(1.0), 100.0, exp);
+            let cer = Cer::try_new(Usd::from_millions(1.0), 100.0, exp).unwrap();
             let ratio = cer.evaluate(2.0 * d) / cer.evaluate(d);
             prop_assert!((ratio - 2f64.powf(exp)).abs() < 1e-9);
         }

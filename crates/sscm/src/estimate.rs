@@ -36,22 +36,8 @@ pub struct CostEstimate {
 }
 
 impl CostEstimate {
-    /// Builds an estimate from per-subsystem items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a subsystem appears twice (see
-    /// [`CostEstimate::try_new`]).
-    #[must_use]
-    pub fn new(items: Vec<SubsystemCost>) -> Self {
-        match Self::try_new(items) {
-            Ok(est) => est,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`CostEstimate::new`], reporting *every* duplicated
-    /// subsystem and non-finite cost line in one pass.
+    /// Builds an estimate from per-subsystem items, reporting *every*
+    /// duplicated subsystem and non-finite cost line in one pass.
     ///
     /// # Errors
     ///
@@ -108,19 +94,6 @@ impl CostEstimate {
     /// Cost of building `n` identical satellites with no learning effects
     /// (`NRE + n × RE`); see [`crate::wright`] for experience curves.
     ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero (see [`CostEstimate::try_fleet_cost`]).
-    #[must_use]
-    pub fn fleet_cost(&self, n: u32) -> Usd {
-        match self.try_fleet_cost(n) {
-            Ok(cost) => cost,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`CostEstimate::fleet_cost`].
-    ///
     /// # Errors
     ///
     /// Returns a structured error if `n` is zero.
@@ -158,7 +131,7 @@ mod tests {
     use sudc_units::Usd;
 
     fn sample() -> CostEstimate {
-        CostEstimate::new(vec![
+        CostEstimate::try_new(vec![
             SubsystemCost {
                 subsystem: Subsystem::Structure,
                 nre: Usd::from_millions(2.0),
@@ -170,6 +143,7 @@ mod tests {
                 re: Usd::from_millions(3.0),
             },
         ])
+        .unwrap()
     }
 
     #[test]
@@ -183,8 +157,11 @@ mod tests {
     #[test]
     fn fleet_cost_amortizes_nre() {
         let est = sample();
-        assert_eq!(est.fleet_cost(1), est.first_unit());
-        assert_eq!(est.fleet_cost(3), Usd::from_millions(6.0 + 12.0));
+        assert_eq!(est.try_fleet_cost(1).unwrap(), est.first_unit());
+        assert_eq!(
+            est.try_fleet_cost(3).unwrap(),
+            Usd::from_millions(6.0 + 12.0)
+        );
     }
 
     #[test]
@@ -204,27 +181,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate subsystem")]
-    fn duplicate_subsystem_panics() {
+    fn duplicate_subsystem_is_rejected() {
         let item = SubsystemCost {
             subsystem: Subsystem::Cdh,
             nre: Usd::ZERO,
             re: Usd::ZERO,
         };
-        let _ = CostEstimate::new(vec![item, item]);
+        let err = CostEstimate::try_new(vec![item, item]).unwrap_err();
+        assert!(err.to_string().contains("duplicate subsystem"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "at least one satellite")]
-    fn zero_fleet_panics() {
-        let _ = sample().fleet_cost(0);
+    fn zero_fleet_is_rejected() {
+        let err = sample().try_fleet_cost(0).unwrap_err();
+        assert!(err.to_string().contains("at least one satellite"), "{err}");
     }
 
     #[test]
     fn all_zero_estimate_has_zero_shares_not_nan() {
         // Regression: `share_of` used to divide by a zero first-unit cost
         // and return NaN, which poisoned downstream JSON as `null`.
-        let est = CostEstimate::new(vec![
+        let est = CostEstimate::try_new(vec![
             SubsystemCost {
                 subsystem: Subsystem::Structure,
                 nre: Usd::ZERO,
@@ -235,7 +212,8 @@ mod tests {
                 nre: Usd::ZERO,
                 re: Usd::ZERO,
             },
-        ]);
+        ])
+        .unwrap();
         for s in [Subsystem::Structure, Subsystem::Power, Subsystem::Ttc] {
             let share = est.share_of(s);
             assert_eq!(share, 0.0, "{s}: {share}");
@@ -264,7 +242,10 @@ mod tests {
     #[test]
     fn try_fleet_cost_matches_fleet_cost() {
         let est = sample();
-        assert_eq!(est.try_fleet_cost(3).unwrap(), est.fleet_cost(3));
+        assert_eq!(
+            est.try_fleet_cost(3).unwrap(),
+            est.try_fleet_cost(3).unwrap()
+        );
         let err = est.try_fleet_cost(0).unwrap_err();
         assert!(err.to_string().contains("at least one satellite"));
     }

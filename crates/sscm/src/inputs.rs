@@ -58,20 +58,8 @@ impl SscmInputs {
         self.dry_mass + self.fuel_mass
     }
 
-    /// Validates physical consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field if any mass or power is
-    /// negative/non-finite, or if component masses exceed the dry mass.
-    /// Thin wrapper over [`SscmInputs::try_validate`], kept for call sites
-    /// that only want a displayable message.
-    pub fn validate(&self) -> Result<(), String> {
-        self.try_validate().map_err(|e| e.to_string())
-    }
-
-    /// Structured form of [`SscmInputs::validate`], reporting *every*
-    /// offending field in one pass.
+    /// Validates physical consistency, reporting *every* offending field in
+    /// one pass.
     ///
     /// # Errors
     ///
@@ -130,7 +118,7 @@ mod tests {
 
     #[test]
     fn reference_is_valid() {
-        assert!(SscmInputs::reference().validate().is_ok());
+        assert!(SscmInputs::reference().try_validate().is_ok());
     }
 
     #[test]
@@ -143,14 +131,14 @@ mod tests {
     fn negative_field_is_rejected() {
         let mut i = SscmInputs::reference();
         i.fuel_mass = Kilograms::new(-1.0);
-        let err = i.validate().unwrap_err();
-        assert!(err.contains("fuel_mass"));
+        let err = i.try_validate().unwrap_err();
+        assert!(err.to_string().contains("fuel_mass"));
     }
 
     #[test]
     fn component_masses_must_fit_in_dry_mass() {
         let mut i = SscmInputs::reference();
         i.structure_mass = Kilograms::new(1e6);
-        assert!(i.validate().is_err());
+        assert!(i.try_validate().is_err());
     }
 }

@@ -102,24 +102,8 @@ pub struct SensitivityBar {
 /// `±perturbation` (e.g. 0.3 for ±30 %), and returns bars sorted by swing
 /// (largest first).
 ///
-/// # Panics
-///
-/// Panics if `perturbation` is not in (0, 1) or the inputs are invalid
-/// (see [`try_tornado`]).
-#[must_use]
-pub fn tornado(
-    cers: &SubsystemCers,
-    inputs: &SscmInputs,
-    perturbation: f64,
-) -> Vec<SensitivityBar> {
-    match try_tornado(cers, inputs, perturbation) {
-        Ok(bars) => bars,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`tornado`]: validates the perturbation and the
-/// nominal inputs before fanning out the per-driver re-estimates.
+/// The perturbation and the nominal inputs are validated before the
+/// per-driver re-estimates fan out.
 ///
 /// # Errors
 ///
@@ -172,11 +156,12 @@ mod tests {
     use super::*;
 
     fn bars() -> Vec<SensitivityBar> {
-        tornado(
+        try_tornado(
             &SubsystemCers::sudc_default(),
             &SscmInputs::reference(),
             0.3,
         )
+        .unwrap()
     }
 
     #[test]
@@ -220,7 +205,8 @@ mod tests {
     fn finer_pointing_raises_cost() {
         let cers = SubsystemCers::sudc_default();
         let inputs = SscmInputs::reference();
-        let bar = tornado(&cers, &inputs, 0.5)
+        let bar = try_tornado(&cers, &inputs, 0.5)
+            .unwrap()
             .into_iter()
             .find(|b| b.driver == Driver::Pointing)
             .unwrap();
@@ -228,12 +214,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "perturbation")]
-    fn wild_perturbation_panics() {
-        let _ = tornado(
+    fn wild_perturbation_is_rejected() {
+        let err = try_tornado(
             &SubsystemCers::sudc_default(),
             &SscmInputs::reference(),
             1.5,
-        );
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("perturbation"), "{err}");
     }
 }

@@ -89,7 +89,8 @@ pub struct CerPair {
 impl CerPair {
     /// NRE and RE scale differently: design/qualification cost is only
     /// weakly size-dependent, while unit manufacturing tracks hardware
-    /// size — so each side of the pair carries its own exponent.
+    /// size — so each side of the pair carries its own exponent. Only
+    /// called with the calibrated constants of [`SubsystemCers::sudc_default`].
     fn new(
         nre_millions: f64,
         nre_exponent: f64,
@@ -97,9 +98,13 @@ impl CerPair {
         re_exponent: f64,
         reference: f64,
     ) -> Self {
+        let cer = |millions, exponent| {
+            Cer::try_new(Usd::from_millions(millions), reference, exponent)
+                .expect("calibrated CER coefficients are finite and in range")
+        };
         Self {
-            nre: Cer::new(Usd::from_millions(nre_millions), reference, nre_exponent),
-            re: Cer::new(Usd::from_millions(re_millions), reference, re_exponent),
+            nre: cer(nre_millions, nre_exponent),
+            re: cer(re_millions, re_exponent),
         }
     }
 }
@@ -169,22 +174,9 @@ impl SubsystemCers {
         0.8 + 0.2 * normalized.powf(1.6)
     }
 
-    /// Produces the per-subsystem cost estimate for a design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs fail [`SscmInputs::validate`] (see
-    /// [`SubsystemCers::try_estimate`]).
-    #[must_use]
-    pub fn estimate(&self, inputs: &SscmInputs) -> CostEstimate {
-        match self.try_estimate(inputs) {
-            Ok(est) => est,
-            Err(e) => panic!("invalid SSCM inputs: {e}"),
-        }
-    }
-
-    /// Fallible form of [`SubsystemCers::estimate`]: validates the inputs
-    /// (reporting every offending field) before evaluating any CER.
+    /// Produces the per-subsystem cost estimate for a design, validating
+    /// the inputs (reporting every offending field) before evaluating any
+    /// CER.
     ///
     /// # Errors
     ///
@@ -282,7 +274,9 @@ mod tests {
     use sudc_units::{GigabitsPerSecond, Kilograms, Watts};
 
     fn reference_estimate() -> CostEstimate {
-        SubsystemCers::sudc_default().estimate(&SscmInputs::reference())
+        SubsystemCers::sudc_default()
+            .try_estimate(&SscmInputs::reference())
+            .unwrap()
     }
 
     #[test]
@@ -307,8 +301,8 @@ mod tests {
         let cers = SubsystemCers::sudc_default();
         let mut hi = SscmInputs::reference();
         hi.bol_power = Watts::new(9000.0);
-        let base = cers.estimate(&SscmInputs::reference());
-        let scaled = cers.estimate(&hi);
+        let base = cers.try_estimate(&SscmInputs::reference()).unwrap();
+        let scaled = cers.try_estimate(&hi).unwrap();
         assert!(scaled.first_unit() > base.first_unit());
         let power_ratio = scaled.cost_of(Subsystem::Power).unwrap().total()
             / base.cost_of(Subsystem::Power).unwrap().total();
@@ -324,8 +318,8 @@ mod tests {
         let cers = SubsystemCers::sudc_default();
         let mut fine = SscmInputs::reference();
         fine.pointing_arcsec = 3.0; // 50 micro-minutes-of-angle class
-        let base = cers.estimate(&SscmInputs::reference());
-        let precise = cers.estimate(&fine);
+        let base = cers.try_estimate(&SscmInputs::reference()).unwrap();
+        let precise = cers.try_estimate(&fine).unwrap();
         assert!(
             precise.cost_of(Subsystem::Adcs).unwrap().total()
                 > base.cost_of(Subsystem::Adcs).unwrap().total()
@@ -349,7 +343,7 @@ mod tests {
         let cers = SubsystemCers::sudc_default();
         let mut rich = SscmInputs::reference();
         rich.compute_hardware_cost = Usd::from_millions(1.0);
-        let est = cers.estimate(&rich);
+        let est = cers.try_estimate(&rich).unwrap();
         let payload = est.cost_of(Subsystem::ComputePayload).unwrap();
         assert_eq!(payload.re, Usd::from_millions(1.0));
     }
@@ -372,18 +366,21 @@ mod tests {
         let cers = SubsystemCers::sudc_default();
         let mut fast = SscmInputs::reference();
         fast.rf_equivalent_rate = GigabitsPerSecond::new(1.0);
-        let base = cers.estimate(&SscmInputs::reference());
-        let faster = cers.estimate(&fast);
+        let base = cers.try_estimate(&SscmInputs::reference()).unwrap();
+        let faster = cers.try_estimate(&fast).unwrap();
         let ratio = faster.cost_of(Subsystem::Cdh).unwrap().total()
             / base.cost_of(Subsystem::Cdh).unwrap().total();
         assert!(ratio > 1.5 && ratio < 3.0, "10x rate -> {ratio}x cost");
     }
 
     #[test]
-    #[should_panic(expected = "invalid SSCM inputs")]
-    fn invalid_inputs_panic() {
+    fn invalid_inputs_are_rejected() {
         let mut bad = SscmInputs::reference();
         bad.dry_mass = Kilograms::new(-5.0);
-        let _ = SubsystemCers::sudc_default().estimate(&bad);
+        let err = SubsystemCers::sudc_default()
+            .try_estimate(&bad)
+            .unwrap_err();
+        assert!(err.to_string().contains("invalid SscmInputs"), "{err}");
+        assert!(err.to_string().contains("dry_mass"), "{err}");
     }
 }

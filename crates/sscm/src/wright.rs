@@ -16,22 +16,8 @@ pub struct LearningCurve {
 }
 
 impl LearningCurve {
-    /// Creates a curve with the given progress ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `progress_ratio` is outside `(0, 1]` — a ratio above 1
-    /// would mean costs *grow* with experience (see
-    /// [`LearningCurve::try_new`]).
-    #[must_use]
-    pub fn new(progress_ratio: f64) -> Self {
-        match Self::try_new(progress_ratio) {
-            Ok(curve) => curve,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LearningCurve::new`].
+    /// Creates a curve with the given progress ratio. A ratio above 1
+    /// would mean costs *grow* with experience.
     ///
     /// # Errors
     ///
@@ -53,14 +39,14 @@ impl LearningCurve {
     /// The paper's Fig. 22 assumption (`b = 0.75`).
     #[must_use]
     pub fn aerospace_default() -> Self {
-        Self::new(0.75)
+        Self::try_new(0.75).expect("0.75 lies in (0, 1]")
     }
 
     /// Cost of the `n`-th unit: `C_1 · n^(log2 b)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `n` is zero.
+    /// Returns a structured error if `n` is zero.
     ///
     /// # Examples
     ///
@@ -68,24 +54,12 @@ impl LearningCurve {
     /// use sudc_sscm::wright::LearningCurve;
     /// use sudc_units::Usd;
     ///
-    /// let curve = LearningCurve::new(0.9);
+    /// let curve = LearningCurve::try_new(0.9)?;
     /// let c1 = Usd::new(1.0);
-    /// assert!((curve.unit_cost(c1, 2).value() - 0.90).abs() < 1e-12);
-    /// assert!((curve.unit_cost(c1, 4).value() - 0.81).abs() < 1e-12);
+    /// assert!((curve.try_unit_cost(c1, 2)?.value() - 0.90).abs() < 1e-12);
+    /// assert!((curve.try_unit_cost(c1, 4)?.value() - 0.81).abs() < 1e-12);
+    /// # Ok::<(), sudc_errors::SudcError>(())
     /// ```
-    #[must_use]
-    pub fn unit_cost(&self, first_unit: Usd, n: u32) -> Usd {
-        match self.try_unit_cost(first_unit, n) {
-            Ok(cost) => cost,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LearningCurve::unit_cost`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured error if `n` is zero.
     pub fn try_unit_cost(&self, first_unit: Usd, n: u32) -> Result<Usd, SudcError> {
         if n == 0 {
             return Err(SudcError::single(
@@ -102,23 +76,15 @@ impl LearningCurve {
     /// continuous approximation).
     #[must_use]
     pub fn cumulative_cost(&self, first_unit: Usd, n: u32) -> Usd {
-        (1..=n).map(|i| self.unit_cost(first_unit, i)).sum()
+        (1..=n)
+            .map(|i| {
+                self.try_unit_cost(first_unit, i)
+                    .expect("unit indices start at 1")
+            })
+            .sum()
     }
 
     /// Average unit cost across a run of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero (see [`LearningCurve::try_average_cost`]).
-    #[must_use]
-    pub fn average_cost(&self, first_unit: Usd, n: u32) -> Usd {
-        match self.try_average_cost(first_unit, n) {
-            Ok(cost) => cost,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LearningCurve::average_cost`].
     ///
     /// # Errors
     ///
@@ -151,10 +117,10 @@ mod tests {
     #[test]
     fn paper_example_b_090() {
         // Paper: "if C1 = $1, and b = 0.9, then C2 = $0.90, and C4 = $0.81".
-        let curve = LearningCurve::new(0.9);
+        let curve = LearningCurve::try_new(0.9).unwrap();
         let c1 = Usd::new(1.0);
-        assert!((curve.unit_cost(c1, 2).value() - 0.9).abs() < 1e-12);
-        assert!((curve.unit_cost(c1, 4).value() - 0.81).abs() < 1e-12);
+        assert!((curve.try_unit_cost(c1, 2).unwrap().value() - 0.9).abs() < 1e-12);
+        assert!((curve.try_unit_cost(c1, 4).unwrap().value() - 0.81).abs() < 1e-12);
     }
 
     #[test]
@@ -162,15 +128,18 @@ mod tests {
         // Paper Fig. 22: "By the time the 100th satellite is manufactured,
         // cost has decreased by over 50%."
         let curve = LearningCurve::aerospace_default();
-        let c100 = curve.unit_cost(Usd::new(1.0), 100);
+        let c100 = curve.try_unit_cost(Usd::new(1.0), 100).unwrap();
         assert!(c100.value() < 0.5, "100th unit at {c100}");
         assert!(c100.value() > 0.1);
     }
 
     #[test]
     fn no_learning_at_b_one() {
-        let curve = LearningCurve::new(1.0);
-        assert_eq!(curve.unit_cost(Usd::new(7.0), 50), Usd::new(7.0));
+        let curve = LearningCurve::try_new(1.0).unwrap();
+        assert_eq!(
+            curve.try_unit_cost(Usd::new(7.0), 50).unwrap(),
+            Usd::new(7.0)
+        );
         assert_eq!(curve.cumulative_cost(Usd::new(1.0), 10), Usd::new(10.0));
     }
 
@@ -184,15 +153,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "progress ratio")]
-    fn ratio_above_one_panics() {
-        let _ = LearningCurve::new(1.1);
+    fn ratio_above_one_is_rejected() {
+        let err = LearningCurve::try_new(1.1).unwrap_err();
+        assert!(err.to_string().contains("progress ratio"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "unit index")]
-    fn zeroth_unit_panics() {
-        let _ = LearningCurve::aerospace_default().unit_cost(Usd::new(1.0), 0);
+    fn zeroth_unit_is_rejected() {
+        let err = LearningCurve::aerospace_default()
+            .try_unit_cost(Usd::new(1.0), 0)
+            .unwrap_err();
+        assert!(err.to_string().contains("unit index"), "{err}");
     }
 
     proptest! {
@@ -201,9 +172,9 @@ mod tests {
             b in 0.6..0.99f64,
             n in 1u32..500,
         ) {
-            let curve = LearningCurve::new(b);
-            let c_n = curve.unit_cost(Usd::new(1.0), n);
-            let c_n1 = curve.unit_cost(Usd::new(1.0), n + 1);
+            let curve = LearningCurve::try_new(b).unwrap();
+            let c_n = curve.try_unit_cost(Usd::new(1.0), n).unwrap();
+            let c_n1 = curve.try_unit_cost(Usd::new(1.0), n + 1).unwrap();
             prop_assert!(c_n1 <= c_n);
         }
 
@@ -211,8 +182,8 @@ mod tests {
         fn stronger_learning_is_cheaper(
             n in 2u32..300,
         ) {
-            let strong = LearningCurve::new(0.65);
-            let weak = LearningCurve::new(0.85);
+            let strong = LearningCurve::try_new(0.65).unwrap();
+            let weak = LearningCurve::try_new(0.85).unwrap();
             prop_assert!(
                 strong.cumulative_cost(Usd::new(1.0), n) < weak.cumulative_cost(Usd::new(1.0), n)
             );
@@ -223,10 +194,10 @@ mod tests {
             b in 0.6..0.95f64,
             n in 2u32..200,
         ) {
-            let curve = LearningCurve::new(b);
-            let avg = curve.average_cost(Usd::new(1.0), n);
+            let curve = LearningCurve::try_new(b).unwrap();
+            let avg = curve.try_average_cost(Usd::new(1.0), n).unwrap();
             prop_assert!(avg < Usd::new(1.0));
-            prop_assert!(avg > curve.unit_cost(Usd::new(1.0), n));
+            prop_assert!(avg > curve.try_unit_cost(Usd::new(1.0), n).unwrap());
         }
     }
 }

@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu_tco = SuDcDesign::builder()
         .compute_power(four_kw)
         .isl_typical()
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     println!(
         "  Commodity GPU            : {:.1} $M",
         gpu_tco.total().as_millions()
@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .efficiency_factor(factor)
             .hardware_price_factor(3.0)
             .isl_typical()
-            .build()?
-            .tco()?;
+            .try_build()?
+            .try_tco()?;
         println!(
             "  {:25}: {:.1} $M  ({:.0}% reduction)",
             arch.to_string(),

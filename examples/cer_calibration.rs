@@ -6,17 +6,17 @@
 //! cargo run --example cer_calibration
 //! ```
 
-use space_udc::sscm::calibration::{fit_cer, sample_cer, Observation};
-use space_udc::sscm::sensitivity::tornado;
+use space_udc::sscm::calibration::{sample_cer, try_fit_cer, Observation};
+use space_udc::sscm::sensitivity::try_tornado;
 use space_udc::sscm::subsystems::SubsystemCers;
 use space_udc::sscm::SscmInputs;
 use space_udc::units::Usd;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Round-trip sanity: the fitter recovers a shipped CER exactly.
     let cers = SubsystemCers::sudc_default();
     let obs = sample_cer(&cers.power.re, &[600.0, 1300.0, 3000.0, 9000.0, 27_000.0]);
-    let fit = fit_cer(&obs);
+    let fit = try_fit_cer(&obs)?;
     println!("== Round-trip on the shipped power-subsystem RE CER ==");
     println!(
         "  true exponent {:.3}  fitted {:.3}  (R² = {:.6})",
@@ -40,7 +40,7 @@ fn main() {
             cost: Usd::new(cost),
         })
         .collect();
-    let fit = fit_cer(&observations);
+    let fit = try_fit_cer(&observations)?;
     println!(
         "  fitted: {:.2} $M at {:.0} kg reference, exponent {:.3}, R² = {:.3}",
         fit.cer.base.as_millions(),
@@ -59,11 +59,15 @@ fn main() {
     // 3. Which coefficients matter? The tornado tells a calibrator where to
     //    spend their data-collection effort.
     println!("\n== Where calibration effort pays off (±30% tornado) ==");
-    for bar in tornado(&cers, &SscmInputs::reference(), 0.3).iter().take(5) {
+    for bar in try_tornado(&cers, &SscmInputs::reference(), 0.3)?
+        .iter()
+        .take(5)
+    {
         println!(
             "  {:18} swing {:>5.1}% of first-unit cost",
             bar.driver.to_string(),
             100.0 * bar.relative_swing
         );
     }
+    Ok(())
 }

@@ -37,12 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let filtering = EdgeFiltering::cloud_filtering();
     let baseline = SuDcDesign::builder()
         .compute_power(four_kw)
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     let reduced = SuDcDesign::builder()
         .compute_power(filtering.reduced_compute(four_kw))
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     println!("\n== Collaborative compute constellation (cloud filtering) ==");
     println!(
         "  baseline SµDC TCO : {:.1} $M",

@@ -43,21 +43,21 @@ fn print_ops(name: &str, study: &SimSummary) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let duration = Seconds::new(4.0 * 3600.0);
     let reps = 3;
 
     println!("Simulating 4 h of 64-satellite EO operations ({reps} replications)...\n");
-    let baseline = SimSummary::study(
+    let baseline = SimSummary::try_study(
         &SimConfig::reference_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
-    let collab = SimSummary::study(
+    )?;
+    let collab = SimSummary::try_study(
         &SimConfig::collaborative_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
+    )?;
     print_ops("Baseline (no edge filtering)", &baseline);
     print_ops("Collaborative constellation (cloud filtering)", &collab);
     println!(
@@ -67,12 +67,12 @@ fn main() {
     );
 
     println!("== Cold-spare mission availability (20 nodes / 10 required, 1 MTTF) ==");
-    let mission = SimSummary::study(
-        &SimConfig::cold_spare_mission(20, 10, 0.1, 1.0),
+    let mission = SimSummary::try_study(
+        &SimConfig::try_cold_spare_mission(20, 10, 0.1, 1.0)?,
         100,
         DEFAULT_SEED,
-    );
-    let analytic_hot = NodePool::new(20, 10).availability(1.0);
+    )?;
+    let analytic_hot = NodePool::try_new(20, 10)?.try_availability(1.0)?;
     println!(
         "  end-state full capability: {:.1}% simulated (cold spares, 10% dormant aging)",
         100.0 * mission.end_full_fraction
@@ -96,4 +96,5 @@ fn main() {
             .sum::<f64>()
             / mission.traces().len() as f64,
     );
+    Ok(())
 }

@@ -11,10 +11,10 @@ use space_udc::compute::workloads;
 use space_udc::constellation::packing::pack_fleet;
 use space_udc::constellation::EoConstellation;
 use space_udc::reliability::availability::DEFAULT_MC_SEED;
-use space_udc::reliability::mission::{simulate, MissionConfig, SparingPolicy};
+use space_udc::reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
 use space_udc::units::Watts;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let constellation = EoConstellation::reference(64);
     let suite = workloads::suite();
 
@@ -57,7 +57,7 @@ fn main() {
 
     println!("\n== Fleet availability over a 5-year mission (cold spares) ==");
     for spares in [0u32, 5, 10, 20] {
-        let outcome = simulate(
+        let outcome = try_simulate(
             MissionConfig {
                 nodes: 10 + spares,
                 required: 10,
@@ -66,10 +66,11 @@ fn main() {
             },
             20_000,
             DEFAULT_MC_SEED,
-        );
+        )?;
         println!(
             "  {spares:>2} cold spares: P(full capability at EOL) = {:.3}, mean capacity {:.2}/10",
             outcome.full_capability_probability, outcome.mean_final_capacity
         );
     }
+    Ok(())
 }

@@ -17,11 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "n", "median degr.", "99% degradation", "MC check @1T"
     );
     for n in [10u32, 15, 20, 30] {
-        let pool = NodePool::new(n, 10);
+        let pool = NodePool::try_new(n, 10)?;
         let median = pool.median_degradation_time();
-        let p99 = pool.time_to_availability(0.01);
-        let mc = pool.simulate_availability(1.0, 50_000, DEFAULT_MC_SEED);
-        let analytic = pool.availability(1.0);
+        let p99 = pool.try_time_to_availability(0.01)?;
+        let mc = pool.try_simulate_availability(1.0, 50_000, DEFAULT_MC_SEED)?;
+        let analytic = pool.try_availability(1.0)?;
         println!("{n:>6} {median:>12.2} T {p99:>16.2} T {mc:>7.3}~{analytic:<.3}");
     }
 
@@ -30,13 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== TCO impact of carrying 20 cold spares (4 kW SµDC) ==");
     let base = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     let spared = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
         .spares(20)
-        .build()?
-        .tco()?;
+        .try_build()?
+        .try_tco()?;
     println!("  without spares : {:.2} $M", base.total().as_millions());
     println!("  with 20 spares : {:.2} $M", spared.total().as_millions());
     println!(

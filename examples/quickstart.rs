@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // lifetime, 550 km LEO, ISL sized to saturate the lightest workload.
     let design = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
-        .build()?;
+        .try_build()?;
 
     let sized = design.size()?;
     println!("== 4 kW SµDC physical design ==");
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sized.wet_mass().value()
     );
 
-    let report = sized.tco();
+    let report = sized.try_tco()?;
     println!("\n== Total cost of ownership ==");
     println!(
         "  first unit        : {:.1} $M",

@@ -18,12 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2 krad lower qualification bound above the 5-year mission dose.
     println!("== TID survival, 5-year non-polar LEO, 400 mil Al shielding ==");
     for part in hardware::catalog() {
-        let a = TidAssessment::assess(
+        let a = TidAssessment::try_assess(
             RadiationRegime::LeoNonPolar,
             400.0,
             lifetime,
             part.tid_tolerance,
-        );
+        )?;
         println!(
             "  {:24} tolerance {:>7.2} krad  mission {:>5.2} krad  margin {:>6.1}x  {}",
             part.name,

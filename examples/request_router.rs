@@ -43,7 +43,7 @@ fn print_mix(label: &str, out: &RoutingOutcome) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let router = Router::reference();
 
     // What each tier charges per Gbit for the first workload: the SµDC's
@@ -81,8 +81,8 @@ fn main() {
     );
     let storm = Campaign::solar_storm(duration);
     for report in [
-        load.replay(duration, 2, DEFAULT_SEED, None),
-        load.replay(duration, 2, DEFAULT_SEED, Some(&storm)),
+        load.try_replay(duration, 2, DEFAULT_SEED, None)?,
+        load.try_replay(duration, 2, DEFAULT_SEED, Some(&storm))?,
     ] {
         println!(
             "  {:>12}: {:.1}% of insights inside the {:.0} s SLO, \
@@ -94,4 +94,5 @@ fn main() {
             report.mean_delivery_p99_s
         );
     }
+    Ok(())
 }

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== Design review of the accelerated reference scenario ==\n");
-    let design = Scenario::ReferenceAccelerated.design()?;
+    let design = Scenario::ReferenceAccelerated.try_design()?;
     println!("{}", design_review(&design)?);
     Ok(())
 }

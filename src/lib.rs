@@ -18,10 +18,10 @@
 //!
 //! let design = SuDcDesign::builder()
 //!     .compute_power(Watts::from_kilowatts(4.0))
-//!     .build()?;
-//! let report = design.tco()?;
+//!     .try_build()?;
+//! let report = design.try_tco()?;
 //! assert!(report.total().value() > 0.0);
-//! # Ok::<(), space_udc::core::design::DesignError>(())
+//! # Ok::<(), space_udc::core::SudcError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,10 +8,10 @@ use space_udc::constellation::EoConstellation;
 use space_udc::core::design::SuDcDesign;
 use space_udc::orbital::geometry::RingConstellation;
 use space_udc::orbital::CircularOrbit;
-use space_udc::reliability::mission::{simulate, MissionConfig, SparingPolicy};
+use space_udc::reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
 use space_udc::reliability::weibull::WeibullLifetime;
 use space_udc::reliability::NodePool;
-use space_udc::sscm::calibration::{fit_cer, sample_cer};
+use space_udc::sscm::calibration::{sample_cer, try_fit_cer};
 use space_udc::sscm::subsystems::SubsystemCers;
 use space_udc::units::{Meters, Watts};
 
@@ -62,7 +62,7 @@ fn constellation_feed_fits_the_provisioned_isl() {
     let constellation = EoConstellation::reference(64);
     let sized = SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(4.0))
-        .build()
+        .try_build()
         .unwrap()
         .size()
         .unwrap();
@@ -81,9 +81,14 @@ fn constellation_feed_fits_the_provisioned_isl() {
 fn three_availability_models_agree_at_the_exponential_point() {
     use space_udc::reliability::availability::DEFAULT_MC_SEED;
     let t = 0.7;
-    let analytic = NodePool::new(20, 10).availability(t);
-    let weibull = WeibullLifetime::exponential().availability(20, 10, t);
-    let mc = simulate(
+    let analytic = NodePool::try_new(20, 10)
+        .unwrap()
+        .try_availability(t)
+        .unwrap();
+    let weibull = WeibullLifetime::exponential()
+        .try_availability(20, 10, t)
+        .unwrap();
+    let mc = try_simulate(
         MissionConfig {
             nodes: 20,
             required: 10,
@@ -93,6 +98,7 @@ fn three_availability_models_agree_at_the_exponential_point() {
         40_000,
         DEFAULT_MC_SEED,
     )
+    .unwrap()
     .full_capability_probability;
     assert!((analytic - weibull).abs() < 1e-12);
     assert!(
@@ -107,7 +113,7 @@ fn three_availability_models_agree_at_the_exponential_point() {
 fn shipped_cers_roundtrip_through_the_fitter() {
     let cers = SubsystemCers::sudc_default();
     let obs = sample_cer(&cers.power.re, &[500.0, 1300.0, 4000.0, 11_000.0, 27_000.0]);
-    let fit = fit_cer(&obs);
+    let fit = try_fit_cer(&obs).unwrap();
     assert!((fit.cer.exponent - cers.power.re.exponent).abs() < 1e-9);
     assert!(fit.r_squared > 0.999_999);
     for driver in [900.0, 8000.0] {

@@ -9,7 +9,7 @@ use space_udc::constellation::packing::pack_fleet;
 use space_udc::constellation::EoConstellation;
 use space_udc::core::analysis::tradespace::{paper_architectures, pareto_front, sweep};
 use space_udc::reliability::availability::DEFAULT_MC_SEED;
-use space_udc::reliability::mission::{simulate, MissionConfig, SparingPolicy};
+use space_udc::reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
 use space_udc::reliability::weibull::WeibullLifetime;
 use space_udc::units::Watts;
 
@@ -53,7 +53,7 @@ fn dse_gains_grow_as_precision_drops() {
 #[test]
 fn cold_sparing_dominates_hot_sparing() {
     for nodes in [15u32, 20, 30] {
-        let hot = simulate(
+        let hot = try_simulate(
             MissionConfig {
                 nodes,
                 required: 10,
@@ -62,8 +62,9 @@ fn cold_sparing_dominates_hot_sparing() {
             },
             15_000,
             DEFAULT_MC_SEED,
-        );
-        let cold = simulate(
+        )
+        .unwrap();
+        let cold = try_simulate(
             MissionConfig {
                 nodes,
                 required: 10,
@@ -72,7 +73,8 @@ fn cold_sparing_dominates_hot_sparing() {
             },
             15_000,
             DEFAULT_MC_SEED,
-        );
+        )
+        .unwrap();
         assert!(
             cold.full_capability_probability >= hot.full_capability_probability,
             "n={nodes}"
@@ -84,10 +86,10 @@ fn cold_sparing_dominates_hot_sparing() {
 #[test]
 fn overprovisioning_robust_to_lifetime_shape() {
     for shape in [0.7, 1.0, 2.0, 4.0] {
-        let w = WeibullLifetime::with_unit_mean(shape);
+        let w = WeibullLifetime::try_with_unit_mean(shape).unwrap();
         for t in [0.25, 0.5, 1.0] {
             assert!(
-                w.availability(30, 10, t) > w.availability(10, 10, t),
+                w.try_availability(30, 10, t).unwrap() > w.try_availability(10, 10, t).unwrap(),
                 "shape {shape}, t {t}"
             );
         }

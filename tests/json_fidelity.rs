@@ -23,7 +23,7 @@ fn short_run_sim_summary_has_no_nulls() {
     // Short enough that replications can finish with empty latency
     // populations — the case the p99 aggregation must not poison.
     let cfg = SimConfig::reference_operations(Seconds::new(120.0));
-    let summary = SimSummary::study(&cfg, 2, DEFAULT_SEED);
+    let summary = SimSummary::try_study(&cfg, 2, DEFAULT_SEED).unwrap();
     assert_no_null(&summary.to_json().to_string_pretty(), "short sim summary");
 }
 
@@ -31,8 +31,8 @@ fn short_run_sim_summary_has_no_nulls() {
 fn failure_study_sim_summary_has_no_nulls() {
     // Cold-spare missions run with the image pipeline off: every latency
     // population is empty by construction.
-    let cfg = SimConfig::cold_spare_mission(8, 4, 0.1, 0.2);
-    let summary = SimSummary::study(&cfg, 3, DEFAULT_SEED);
+    let cfg = SimConfig::try_cold_spare_mission(8, 4, 0.1, 0.2).unwrap();
+    let summary = SimSummary::try_study(&cfg, 3, DEFAULT_SEED).unwrap();
     let doc = summary.to_json().to_string_pretty();
     assert_no_null(&doc, "cold-spare sim summary");
     assert!((summary.mean_processing_p99 - 0.0).abs() < f64::EPSILON);

@@ -60,16 +60,17 @@ fn hostile(sel: u32, mag: f64) -> f64 {
     }
 }
 
-/// A structured error carries at least one violation, and every violation
-/// names a parameter path and an allowed range.
 /// The reference router pricing tables, derived once — the derivation
 /// walks the scenario design and TCO pipeline, too slow per property
 /// case.
 fn router_config() -> RouterConfig {
     static CFG: std::sync::OnceLock<RouterConfig> = std::sync::OnceLock::new();
-    CFG.get_or_init(RouterConfig::reference).clone()
+    CFG.get_or_init(|| RouterConfig::try_reference().unwrap())
+        .clone()
 }
 
+/// A structured error carries at least one violation, and every violation
+/// names a parameter path and an allowed range.
 fn structured(e: &SudcError) -> bool {
     !e.context().is_empty()
         && !e.violations().is_empty()
@@ -225,7 +226,7 @@ proptest! {
         field in 0u32..9, sel in 0u32..8, mag in 1.0..9.0f64,
     ) {
         let h = hostile(sel, mag);
-        let mut cfg = SimConfig::cold_spare_mission(8, 4, 0.1, 0.5);
+        let mut cfg = SimConfig::try_cold_spare_mission(8, 4, 0.1, 0.5).unwrap();
         match field {
             0 => cfg.tick_seconds = h,
             1 => cfg.frame_interval_ticks = h,
@@ -649,7 +650,7 @@ proptest! {
         sel in 0u32..8, mag in 1.0..9.0f64, requests in 1u64..5000,
     ) {
         let h = hostile(sel, mag);
-        let router = Router::new(router_config());
+        let router = Router::try_new(router_config()).unwrap();
         let stream = StreamConfig::new(requests, DEFAULT_SEED, h);
         let result = router.try_route_stream(&stream);
         let valid = h.is_finite() && h > 0.0;
@@ -688,7 +689,7 @@ fn from_dynamic_rejects_hostile_clock_parameters() {
 
 #[test]
 fn replication_try_forms_reject_degenerate_studies() {
-    let cfg = SimConfig::cold_spare_mission(8, 4, 0.1, 0.01);
+    let cfg = SimConfig::try_cold_spare_mission(8, 4, 0.1, 0.01).unwrap();
     let err = try_replicate(&cfg, 0, DEFAULT_SEED).unwrap_err();
     assert!(structured(&err), "{err}");
     assert!(err.to_string().contains("replication"), "{err}");

@@ -37,14 +37,14 @@ fn claim_compute_cost_and_mass_are_insignificant() {
     for p in [kw(0.5), kw(4.0), kw(10.0)] {
         let report = SuDcDesign::builder()
             .compute_power(p)
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap();
         assert!(report.share(TcoLine::Satellite(Subsystem::ComputePayload)) < 0.01);
         let sized = SuDcDesign::builder()
             .compute_power(p)
-            .build()
+            .try_build()
             .unwrap()
             .size()
             .unwrap();
@@ -108,18 +108,18 @@ fn claim_accelerators_cut_tco_by_more_than_half() {
     let baseline = SuDcDesign::builder()
         .compute_power(kw(4.0))
         .isl_typical()
-        .build()
+        .try_build()
         .unwrap()
-        .tco()
+        .try_tco()
         .unwrap();
     let accel = SuDcDesign::builder()
         .compute_power(kw(4.0))
         .efficiency_factor(57.8)
         .hardware_price_factor(3.0)
         .isl_typical()
-        .build()
+        .try_build()
         .unwrap()
-        .tco()
+        .try_tco()
         .unwrap();
     let reduction = 1.0 - accel.total() / baseline.total();
     assert!(
@@ -162,9 +162,18 @@ fn claim_distributed_vs_monolithic() {
 /// §VII: overprovisioning extends full-capacity operation superlinearly.
 #[test]
 fn claim_overprovisioning_availability() {
-    let t10 = NodePool::new(10, 10).time_to_availability(0.01);
-    let t20 = NodePool::new(20, 10).time_to_availability(0.01);
-    let t30 = NodePool::new(30, 10).time_to_availability(0.01);
+    let t10 = NodePool::try_new(10, 10)
+        .unwrap()
+        .try_time_to_availability(0.01)
+        .unwrap();
+    let t20 = NodePool::try_new(20, 10)
+        .unwrap()
+        .try_time_to_availability(0.01)
+        .unwrap();
+    let t30 = NodePool::try_new(30, 10)
+        .unwrap()
+        .try_time_to_availability(0.01)
+        .unwrap();
     assert!((t10 - 0.46).abs() < 0.02);
     assert!((t20 - 1.43).abs() < 0.05);
     assert!((t30 - 1.89).abs() < 0.06);
@@ -178,16 +187,16 @@ fn claim_overprovisioning_availability() {
 fn claim_near_zero_cost_overprovisioning() {
     let base = SuDcDesign::builder()
         .compute_power(kw(4.0))
-        .build()
+        .try_build()
         .unwrap()
-        .tco()
+        .try_tco()
         .unwrap();
     let spared = SuDcDesign::builder()
         .compute_power(kw(4.0))
         .spares(20)
-        .build()
+        .try_build()
         .unwrap()
-        .tco()
+        .try_tco()
         .unwrap();
     let overhead = spared.total() / base.total() - 1.0;
     assert!(overhead < 0.01, "20 spares cost {overhead} of TCO");
@@ -199,9 +208,9 @@ fn claim_near_zero_cost_overprovisioning() {
 fn claim_power_vs_server_dominance() {
     let report = SuDcDesign::builder()
         .compute_power(kw(4.0))
-        .build()
+        .try_build()
         .unwrap()
-        .tco()
+        .try_tco()
         .unwrap();
     assert!(report.power_and_thermal_share() > 0.30);
     for model in TerrestrialModel::comparison_set() {

@@ -11,9 +11,9 @@ fn tco(kw: f64, years: f64) -> f64 {
     SuDcDesign::builder()
         .compute_power(Watts::from_kilowatts(kw))
         .lifetime(Years::new(years))
-        .build()
+        .try_build()
         .expect("valid design")
-        .tco()
+        .try_tco()
         .expect("valid sizing")
         .total()
         .value()
@@ -56,18 +56,18 @@ proptest! {
         let base = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(p))
             .isl_rate(GigabitsPerSecond::new(20.0))
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap()
             .total();
         let accel = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(p))
             .efficiency_factor(eff)
             .isl_rate(GigabitsPerSecond::new(20.0))
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap()
             .total();
         prop_assert!(accel <= base);
@@ -83,9 +83,9 @@ proptest! {
             SuDcDesign::builder()
                 .compute_power(Watts::from_kilowatts(2.0))
                 .isl_rate(GigabitsPerSecond::new(rate))
-                .build()
+                .try_build()
                 .unwrap()
-                .tco()
+                .try_tco()
                 .unwrap()
                 .total()
         };
@@ -96,17 +96,17 @@ proptest! {
     fn spares_cost_less_than_a_percent_each(spares in 0u32..40) {
         let base = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap()
             .total();
         let spared = SuDcDesign::builder()
             .compute_power(Watts::from_kilowatts(4.0))
             .spares(spares)
-            .build()
+            .try_build()
             .unwrap()
-            .tco()
+            .try_tco()
             .unwrap()
             .total();
         let overhead = spared / base - 1.0;

@@ -10,7 +10,8 @@ use space_udc::units::Seconds;
 fn study_json(threads: usize, cfg: &SimConfig, reps: u32) -> String {
     use space_udc::par::json::ToJson;
     space_udc::par::set_threads(threads);
-    let json = SimSummary::study(cfg, reps, DEFAULT_SEED)
+    let json = SimSummary::try_study(cfg, reps, DEFAULT_SEED)
+        .unwrap()
         .to_json()
         .to_string_pretty();
     space_udc::par::set_threads(0);
@@ -34,16 +35,18 @@ fn fixed_seed_simulation_is_byte_identical_at_1_2_and_8_threads() {
 fn collaborative_filtering_beats_the_baseline_on_p99_latency_and_backlog() {
     let duration = Seconds::new(4.0 * 3600.0);
     let reps = 3;
-    let baseline = SimSummary::study(
+    let baseline = SimSummary::try_study(
         &SimConfig::reference_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
-    let collab = SimSummary::study(
+    )
+    .unwrap();
+    let collab = SimSummary::try_study(
         &SimConfig::collaborative_operations(duration),
         reps,
         DEFAULT_SEED,
-    );
+    )
+    .unwrap();
     assert!(
         collab.mean_processing_p99 < baseline.mean_processing_p99,
         "filtered p99 {:.1} s must be strictly below baseline {:.1} s",
@@ -71,12 +74,16 @@ fn cold_spares_sustain_at_least_the_analytic_hot_pool_availability() {
     // 20 installed / 10 required for one MTTF. The analytic NodePool bound
     // powers all 20 from day one (hot), so every node ages at full rate;
     // cold spares aging at 10% must end fully capable at least as often.
-    let mission = SimSummary::study(
-        &SimConfig::cold_spare_mission(20, 10, 0.1, 1.0),
+    let mission = SimSummary::try_study(
+        &SimConfig::try_cold_spare_mission(20, 10, 0.1, 1.0).unwrap(),
         60,
         DEFAULT_SEED,
-    );
-    let analytic_hot = NodePool::new(20, 10).availability(1.0);
+    )
+    .unwrap();
+    let analytic_hot = NodePool::try_new(20, 10)
+        .unwrap()
+        .try_availability(1.0)
+        .unwrap();
     assert!(
         mission.end_full_fraction >= analytic_hot,
         "cold-spare end-state capability {:.3} fell below the analytic hot bound {:.3}",
