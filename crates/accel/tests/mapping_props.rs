@@ -129,15 +129,8 @@ fn count_bits(c: &AccessCounts) -> [u64; 8] {
     .map(f64::to_bits)
 }
 
-fn cases() -> u32 {
-    std::env::var("SUDC_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(32))]
 
     /// Invariant 1: on every layer of every Table III network, the searched
     /// best mapping is at least as cheap as both canonical dataflows (the

@@ -25,16 +25,12 @@ use sudc_sim::{replay, run_on_bus, SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::table;
+use crate::harness::env_positive;
 
 /// Simulated span, seconds (env `SUDC_BUS_DURATION_S` overrides; CI
 /// uses a small budget).
 fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_BUS_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1800.0);
-    Seconds::new(secs)
+    Seconds::new(env_positive("SUDC_BUS_DURATION_S", 1800.0))
 }
 
 fn reliability(r: Reliability) -> String {

@@ -14,6 +14,7 @@ use sudc_par::json::ToJson;
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
+use crate::harness::env_positive;
 
 /// Spare counts swept by the report.
 const SPARE_COUNTS: [u32; 4] = [0, 2, 4, 8];
@@ -21,21 +22,12 @@ const SPARE_COUNTS: [u32; 4] = [0, 2, 4, 8];
 /// Simulated span of every run, seconds (env `SUDC_CHAOS_DURATION_S`
 /// overrides; CI uses a small budget).
 fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_CHAOS_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(7200.0);
-    Seconds::new(secs)
+    Seconds::new(env_positive("SUDC_CHAOS_DURATION_S", 7200.0))
 }
 
 /// Replications per grid cell (env `SUDC_CHAOS_REPS` overrides).
 fn reps() -> u32 {
-    std::env::var("SUDC_CHAOS_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(3)
+    env_positive("SUDC_CHAOS_REPS", 3)
 }
 
 /// Ext. G: chaos resilience report — fault campaigns vs cold spares.

@@ -16,10 +16,9 @@
 //! aggregation.
 //!
 //! Every number is a pure function of the seeds and model constants, so
-//! the bytes are identical at any worker count; CI diffs `--jobs 1/2/8`
-//! outputs against each other and the committed `results/health.txt`
-//! snapshot, and separately checks that disabling the controller leaves
-//! every other snapshot untouched.
+//! the bytes are identical at any worker count; CI diffs every committed
+//! snapshot — this one and the controller-off ones it must leave
+//! untouched — at `--jobs 1/2/4/8`.
 
 use sudc_chaos::{Campaign, HealthReport};
 use sudc_health::{HealthConfig, PoolTimeline};
@@ -29,6 +28,7 @@ use sudc_sim::{SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
+use crate::harness::env_positive;
 
 /// Cold spares installed in every grid cell (equal across arms).
 const SPARES: u32 = 4;
@@ -36,21 +36,12 @@ const SPARES: u32 = 4;
 /// Simulated span of every run, seconds (env `SUDC_HEALTH_DURATION_S`
 /// overrides; CI uses the default).
 fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_HEALTH_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(3600.0);
-    Seconds::new(secs)
+    Seconds::new(env_positive("SUDC_HEALTH_DURATION_S", 3600.0))
 }
 
 /// Replications per arm (env `SUDC_HEALTH_REPS` overrides).
 fn reps() -> u32 {
-    std::env::var("SUDC_HEALTH_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(4)
+    env_positive("SUDC_HEALTH_REPS", 4)
 }
 
 /// Ext. K: the closed-loop health plane under chaos.

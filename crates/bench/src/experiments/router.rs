@@ -25,34 +25,22 @@ use sudc_sim::DEFAULT_SEED;
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
+use crate::harness::env_positive;
 
 /// Requests routed per sweep point (env `SUDC_ROUTER_REQUESTS`
 /// overrides; CI uses the default).
 fn requests() -> u64 {
-    std::env::var("SUDC_ROUTER_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(200_000)
+    env_positive("SUDC_ROUTER_REQUESTS", 200_000)
 }
 
 /// Replay duration, seconds (env `SUDC_ROUTER_DURATION_S` overrides).
 fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_ROUTER_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1800.0);
-    Seconds::new(secs)
+    Seconds::new(env_positive("SUDC_ROUTER_DURATION_S", 1800.0))
 }
 
 /// Replay replications (env `SUDC_ROUTER_REPS` overrides).
 fn reps() -> u32 {
-    std::env::var("SUDC_ROUTER_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(2)
+    env_positive("SUDC_ROUTER_REPS", 2)
 }
 
 /// Load multipliers applied to the reference capture rate.

@@ -14,25 +14,17 @@ use sudc_sim::{SimConfig, SimSummary, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
+use crate::harness::env_positive;
 
 /// Simulated operations span, seconds (env `SUDC_SIM_DURATION_S`
 /// overrides; CI uses a small budget).
 fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_SIM_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(7200.0);
-    Seconds::new(secs)
+    Seconds::new(env_positive("SUDC_SIM_DURATION_S", 7200.0))
 }
 
 /// Replications per scenario (env `SUDC_SIM_REPS` overrides).
 fn reps() -> u32 {
-    std::env::var("SUDC_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(3)
+    env_positive("SUDC_SIM_REPS", 3)
 }
 
 /// Ext. F: dynamic operations simulation — latency, backlog, and

@@ -1,12 +1,13 @@
-//! Shared plumbing for the `cargo bench -p sudc-bench` binaries: strict
-//! environment knobs, wall-clock timing, the parallel-speedup guard and
-//! the BENCH report writer.
+//! Shared plumbing for the `cargo bench -p sudc-bench` binaries and the
+//! `figures` experiments: strict environment knobs, wall-clock timing,
+//! the parallel-speedup guard and the BENCH report writer.
 //!
 //! Knobs are strict: an unset variable takes its default, but a set
 //! variable that does not parse — `SUDC_SIM_SCALE_REPS=abc`, or a list
 //! element such as the `x` in `SUDC_SIM_SCALE_FLEETS=1000,x` — panics
 //! with a message naming the variable and the bad value instead of
-//! silently benchmarking something else.
+//! silently benchmarking something else. The experiments' durations and
+//! counts ([`env_positive`]) must also be positive.
 
 use std::hint::black_box;
 use std::str::FromStr;
@@ -22,6 +23,18 @@ use sudc_par::json::Json;
 #[must_use]
 pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
     std::env::var(name).map_or(default, |raw| parse_knob(name, &raw))
+}
+
+/// Reads the knob `name` that must be strictly positive (a duration or a
+/// count), or `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics naming the variable and value if `name` is set but does not
+/// parse as a `T` or is not greater than zero (NaN included).
+#[must_use]
+pub fn env_positive<T: FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
+    std::env::var(name).map_or(default, |raw| parse_positive(name, &raw))
 }
 
 /// Reads the comma-separated list knob `name`, or parses `default` when
@@ -51,6 +64,23 @@ pub fn parse_knob<T: FromStr>(name: &str, raw: &str) -> T {
             std::any::type_name::<T>()
         )
     })
+}
+
+/// Parses one strictly positive knob value, naming `name` and `raw` on
+/// failure.
+///
+/// # Panics
+///
+/// Panics if `raw` does not parse as a `T` or is not greater than zero.
+#[must_use]
+pub fn parse_positive<T: FromStr + PartialOrd + Default>(name: &str, raw: &str) -> T {
+    let value: T = parse_knob(name, raw);
+    assert!(
+        value > T::default(),
+        "{name}={raw:?}: {:?} is not positive",
+        raw.trim()
+    );
+    value
 }
 
 /// Parses a comma-separated knob value element by element.
@@ -139,6 +169,7 @@ mod tests {
     #[test]
     fn knobs_parse_trimmed_values() {
         assert_eq!(parse_knob::<usize>("SUDC_SIM_SCALE_REPS", " 7 "), 7);
+        assert_eq!(parse_positive::<f64>("SUDC_SIM_DURATION_S", "600"), 600.0);
         assert_eq!(
             parse_list::<u32>("SUDC_SIM_SCALE_FLEETS", "1000, 10000"),
             [1000, 10000]
@@ -149,6 +180,24 @@ mod tests {
     #[should_panic(expected = "SUDC_SIM_SCALE_REPS=\"abc\"")]
     fn garbage_scalar_knob_names_the_variable_and_value() {
         let _: usize = parse_knob("SUDC_SIM_SCALE_REPS", "abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "SUDC_CHAOS_REPS=\"abc\"")]
+    fn garbage_experiment_knob_names_the_variable_and_value() {
+        let _: u32 = parse_positive("SUDC_CHAOS_REPS", "abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "SUDC_SIM_REPS=\"0\": \"0\" is not positive")]
+    fn zero_experiment_count_is_rejected() {
+        let _: u32 = parse_positive("SUDC_SIM_REPS", "0");
+    }
+
+    #[test]
+    #[should_panic(expected = "SUDC_HEALTH_DURATION_S=\"NaN\"")]
+    fn nan_experiment_duration_is_rejected() {
+        let _: f64 = parse_positive("SUDC_HEALTH_DURATION_S", "NaN");
     }
 
     #[test]

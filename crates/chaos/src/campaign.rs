@@ -10,6 +10,9 @@
 //! cost of *correlation*, not of a higher failure rate.
 
 use sudc_bus::QosContract;
+use sudc_core::dynamics::DynamicScenario;
+use sudc_core::Scenario;
+use sudc_errors::SudcError;
 use sudc_sim::{
     FaultConfig, GroundBlackouts, InfantMortality, IslFlaps, RecoveryPolicy, SimConfig, StormModel,
     STANDARD_FRESHNESS_DEADLINE_S,
@@ -34,6 +37,10 @@ const MAJOR_STORM_PROBABILITY: f64 = 0.09;
 /// probability rate-matched below, a major storm latches up roughly half
 /// the powered pool at once.
 const MAJOR_STORM_MULTIPLIER: f64 = 50.0;
+
+/// Dormant-spare aging rate of every study cell (the paper's cold spares
+/// are powered off; 10% residual aging is the workspace default).
+const DORMANT_AGING: f64 = 0.1;
 
 /// Quiet-weather per-image upset probability used by the upset-bearing
 /// campaigns (storms multiply it inside their windows).
@@ -280,7 +287,7 @@ impl Campaign {
 
     /// Lowers this campaign onto `cfg`'s tick clock, returning the faulted
     /// configuration. The returned config still needs
-    /// [`SimConfig::try_validate`] (the report runs it before the grid).
+    /// [`SimConfig::try_validate`] (the replication grid runs it).
     #[must_use]
     pub fn apply(&self, cfg: &SimConfig) -> SimConfig {
         let ticks = |s: Seconds| s.value() / cfg.tick_seconds;
@@ -318,6 +325,20 @@ impl Campaign {
                 deadline_ticks: ticks(p.deadline).round() as u64,
             },
         })
+    }
+
+    /// The grid cell the chaos and health studies fault with this
+    /// campaign: the 64-satellite reference scenario with `spares` cold
+    /// spares, on a 0.1 s tick, run for `duration`. Not yet validated —
+    /// the replication grid validates every cell before running any.
+    pub(crate) fn reference_cell(
+        &self,
+        spares: u32,
+        duration: Seconds,
+    ) -> Result<SimConfig, SudcError> {
+        let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
+            .with_cold_spares(spares, DORMANT_AGING);
+        Ok(self.apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?))
     }
 }
 

@@ -11,23 +11,19 @@
 //! random numbers, so the availability and freshness-SLO gap between the
 //! two arms is exactly the value of closing the loop, and the detection
 //! latency / false-suspicion columns price what the detector itself
-//! costs. Like the resilience grid, the whole report is one flat
-//! `sudc_par::par_map` batch and byte-identical at any thread count.
+//! costs. Each arm is the resilience grid's cell for its campaign (so the
+//! two studies price the same spares) with the detector contract attached,
+//! and the arms run through the same [`sudc_sim::try_replicate_grid`], so
+//! the whole report is one order-preserving parallel batch and
+//! byte-identical at any thread count.
 
-use sudc_core::dynamics::DynamicScenario;
-use sudc_core::Scenario;
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_health::HealthConfig;
 use sudc_par::json::{Json, ToJson};
-use sudc_par::rng::Rng64;
-use sudc_sim::{RunTrace, SimConfig, STANDARD_FRESHNESS_DEADLINE_S};
+use sudc_sim::{try_replicate_grid, RunTrace, SampledLatency, STANDARD_FRESHNESS_DEADLINE_S};
 use sudc_units::Seconds;
 
 use crate::campaign::Campaign;
-
-/// Dormant-spare aging rate, matching [`crate::report`]'s grid cells so
-/// the two studies price the same spares.
-const DORMANT_AGING: f64 = 0.1;
 
 /// One arm of one campaign: the detector contract ran with the actuator
 /// either connected (`closed_loop`) or disconnected, aggregated over all
@@ -115,9 +111,10 @@ impl HealthReport {
     ///
     /// # Errors
     ///
-    /// Returns a structured error if `duration` is not positive, `reps`
-    /// is zero, `campaigns` is empty, or any arm's configuration fails
-    /// [`SimConfig::try_validate`] (which folds in the health contract).
+    /// Returns a structured error if `duration` is not positive or
+    /// `campaigns` is empty; and otherwise with one error listing a zero
+    /// `reps` and every arm's [`sudc_sim::SimConfig::try_validate`]
+    /// violations (which fold in the health contract).
     pub fn try_run_campaigns(
         campaigns: &[Campaign],
         duration: Seconds,
@@ -128,7 +125,6 @@ impl HealthReport {
     ) -> Result<Self, SudcError> {
         let mut d = Diagnostics::new("health study grid");
         d.positive("duration", duration.value());
-        d.positive_count("reps", u64::from(reps));
         d.ensure(
             !campaigns.is_empty(),
             "campaigns.len()",
@@ -137,46 +133,31 @@ impl HealthReport {
         );
         d.finish()?;
 
-        // Build and validate every arm's configuration up front so the
-        // parallel grid below cannot panic. Arm order within a campaign
-        // is monitor-only first, closed-loop second.
+        // Arm order within a campaign is monitor-only first, closed-loop
+        // second.
         let arms = [false, true];
-        let mut configs: Vec<SimConfig> = Vec::with_capacity(campaigns.len() * arms.len());
+        let mut configs = Vec::with_capacity(campaigns.len() * arms.len());
         for campaign in campaigns {
-            for &closed_loop in &arms {
-                let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
-                    .with_cold_spares(spares, DORMANT_AGING);
-                let cfg = campaign
-                    .apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?)
-                    .with_health(HealthConfig {
-                        closed_loop,
-                        ..contract
-                    });
-                cfg.try_validate()?;
-                configs.push(cfg);
-            }
+            let cell = campaign.reference_cell(spares, duration)?;
+            configs.extend(arms.map(|closed_loop| {
+                cell.with_health(HealthConfig {
+                    closed_loop,
+                    ..contract
+                })
+            }));
         }
-
-        // Common random numbers: replication r uses one seed everywhere,
-        // so the off-vs-on gap is the controller's effect, not sampling
-        // noise.
-        let rep_seeds: Vec<u64> = (0..u64::from(reps))
-            .map(|rep| Rng64::stream(base_seed, rep).next_u64())
+        let grid = try_replicate_grid(&configs, reps, base_seed)?;
+        let cells = grid
+            .iter()
+            .enumerate()
+            .map(|(cell_idx, traces)| {
+                aggregate(
+                    campaigns[cell_idx / arms.len()].name,
+                    arms[cell_idx % arms.len()],
+                    traces,
+                )
+            })
             .collect();
-
-        let jobs: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|cell| (0..reps as usize).map(move |rep| (cell, rep)))
-            .collect();
-        let traces = sudc_par::par_map(&jobs, |_, &(cell, rep)| {
-            sudc_sim::run(&configs[cell], rep_seeds[rep])
-        });
-
-        let mut cells = Vec::with_capacity(configs.len());
-        for (cell_idx, chunk) in traces.chunks(reps as usize).enumerate() {
-            let campaign = campaigns[cell_idx / arms.len()].name;
-            let closed_loop = arms[cell_idx % arms.len()];
-            cells.push(aggregate(campaign, closed_loop, chunk));
-        }
 
         Ok(Self {
             duration_s: duration.value(),
@@ -237,17 +218,15 @@ impl ToJson for HealthReport {
 }
 
 /// Aggregates one arm's replications.
-fn aggregate(campaign: &'static str, closed_loop: bool, traces: &[RunTrace]) -> HealthCell {
+pub(crate) fn aggregate(
+    campaign: &'static str,
+    closed_loop: bool,
+    traces: &[RunTrace],
+) -> HealthCell {
     let n = traces.len() as f64;
     let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
     let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
-    let (lat_mean_sum, lat_p99_sum, lat_reps) = traces
-        .iter()
-        .map(RunTrace::detection_latency)
-        .filter(|s| s.count > 0)
-        .fold((0.0, 0.0, 0u32), |(m, p, n), s| {
-            (m + s.mean, p + s.p99, n + 1)
-        });
+    let detection = SampledLatency::over(traces, RunTrace::detection_latency);
     let suspects = total(&|t| t.suspects);
     let false_suspects = total(&|t| t.false_suspects);
     HealthCell {
@@ -267,16 +246,8 @@ fn aggregate(campaign: &'static str, closed_loop: bool, traces: &[RunTrace]) -> 
         detections: total(&|t| t.detections),
         promotions: total(&|t| t.promotions),
         readmissions: total(&|t| t.readmissions),
-        detection_latency_mean_s: if lat_reps == 0 {
-            0.0
-        } else {
-            lat_mean_sum / f64::from(lat_reps)
-        },
-        detection_latency_p99_s: if lat_reps == 0 {
-            0.0
-        } else {
-            lat_p99_sum / f64::from(lat_reps)
-        },
+        detection_latency_mean_s: detection.mean,
+        detection_latency_p99_s: detection.p99,
     }
 }
 
@@ -403,5 +374,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("lease_s"), "{err}");
+    }
+
+    #[test]
+    fn zero_reps_and_every_invalid_arm_are_one_error() {
+        // Both arms of one campaign carry the hostile contract; with zero
+        // replications the grid reports all three problems together
+        // instead of stopping at the first.
+        let duration = Seconds::new(900.0);
+        let bad = HealthConfig {
+            lease_s: f64::NAN,
+            ..HealthConfig::standard()
+        };
+        let err = HealthReport::try_run_campaigns(
+            &[Campaign::independent(duration)],
+            duration,
+            2,
+            0,
+            bad,
+            1,
+        )
+        .unwrap_err();
+        let paths: Vec<&str> = err.violations().iter().map(|v| v.path.as_str()).collect();
+        assert_eq!(paths, ["reps", "health.lease_s", "health.lease_s"], "{err}");
     }
 }

@@ -18,9 +18,9 @@
 //!   rate-matched set (independent baseline, solar storm, infant
 //!   mortality, ISL flaps, ground blackouts, combined).
 //! - [`report`] — [`report::ChaosSummary`]: the campaign × spare-count ×
-//!   replication grid, run as one flat parallel batch with common random
-//!   numbers so every cell is comparable and the bytes are identical at
-//!   any thread count.
+//!   replication grid, run through `sudc_sim::try_replicate_grid` (one
+//!   flat parallel batch with common random numbers) so every cell is
+//!   comparable and the bytes are identical at any thread count.
 //! - [`health`] — [`health::HealthReport`]: every campaign run twice with
 //!   the `sudc-health` failure detector — monitor-only vs closed-loop —
 //!   at equal spares, pricing what detection latency costs and what
@@ -57,3 +57,50 @@ pub use campaign::{Campaign, IslFlapSpec, PolicySpec, StormSpec};
 pub use health::{HealthCell, HealthReport};
 pub use report::{ChaosCell, ChaosSummary, CLAIM4_AVAILABILITY_TARGET};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sudc_health::HealthConfig;
+    use sudc_sim::try_replicate;
+    use sudc_units::Seconds;
+
+    /// Both studies are common-random-numbers grids: a resilience cell and
+    /// a health arm each aggregate exactly the traces a one-cell
+    /// `try_replicate` of that cell's configuration returns.
+    #[test]
+    fn study_cells_aggregate_exactly_the_one_cell_replications() {
+        let duration = Seconds::new(900.0);
+        let campaign = Campaign::solar_storm(duration);
+        let (spares, reps, seed) = (2, 2, 11);
+        let cell_cfg = campaign.reference_cell(spares, duration).unwrap();
+
+        let chaos =
+            ChaosSummary::try_run_campaigns(&[campaign], duration, &[0, spares], reps, seed)
+                .unwrap();
+        let (per_spare_usd, tco_usd, lifetime_hours) = report::spare_pricing().unwrap();
+        let expected = report::aggregate(
+            campaign.name,
+            spares,
+            &try_replicate(&cell_cfg, reps, seed).unwrap(),
+            tco_usd + per_spare_usd * f64::from(spares),
+            lifetime_hours,
+        );
+        assert_eq!(chaos.cell(campaign.name, spares), Some(&expected));
+
+        let contract = HealthConfig::standard();
+        let report =
+            HealthReport::try_run_campaigns(&[campaign], duration, spares, reps, contract, seed)
+                .unwrap();
+        let arm_cfg = cell_cfg.with_health(HealthConfig {
+            closed_loop: true,
+            ..contract
+        });
+        let expected = health::aggregate(
+            campaign.name,
+            true,
+            &try_replicate(&arm_cfg, reps, seed).unwrap(),
+        );
+        assert_eq!(report.cell(campaign.name, true), Some(&expected));
+    }
+}

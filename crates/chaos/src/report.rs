@@ -5,18 +5,17 @@
 //! spare count. Replication `r` uses one seed across *every* cell (common
 //! random numbers), so a cell-to-cell difference is the effect of the
 //! campaign or the spares, never sampling noise from different draws. The
-//! grid is flattened into a single `sudc_par::par_map` batch: cells and
-//! replications interleave freely across worker threads, and because each
-//! job is a pure function of `(campaign, spares, rep, base_seed)` the
-//! aggregated [`ChaosSummary`] is byte-identical at any thread count.
+//! cells run through [`sudc_sim::try_replicate_grid`], the workspace's one
+//! CRN replication grid: it owns the seeds, validates every cell up front,
+//! and runs the whole `(cell, rep)` grid as one order-preserving parallel
+//! batch, so the aggregated [`ChaosSummary`] is byte-identical at any
+//! thread count.
 
-use sudc_core::dynamics::DynamicScenario;
 use sudc_core::tco::TcoLine;
 use sudc_core::Scenario;
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
-use sudc_par::rng::Rng64;
-use sudc_sim::{RunTrace, SimConfig};
+use sudc_sim::{try_replicate_grid, RunTrace, SampledLatency};
 use sudc_sscm::subsystems::Subsystem;
 use sudc_units::Seconds;
 
@@ -27,10 +26,6 @@ use crate::campaign::Campaign;
 /// the whole mission. The report quantifies the cold spares each campaign
 /// needs to hold SLA availability at or above this target.
 pub const CLAIM4_AVAILABILITY_TARGET: f64 = 0.99;
-
-/// Dormant-spare aging rate used by every grid cell (the paper's cold
-/// spares are powered off; 10% residual aging is the workspace default).
-const DORMANT_AGING: f64 = 0.1;
 
 /// One cell of the grid: one campaign at one spare count, aggregated over
 /// all replications.
@@ -96,9 +91,9 @@ impl ChaosSummary {
     /// # Errors
     ///
     /// Returns a structured error if `duration` is not positive,
-    /// `spare_counts` is empty, `reps` is zero, any faulted configuration
-    /// fails [`SimConfig::try_validate`], or the reference TCO pipeline
-    /// fails.
+    /// `spare_counts` is empty, or the reference TCO pipeline fails; and
+    /// otherwise with one error listing a zero `reps` and every faulted
+    /// configuration's [`sudc_sim::SimConfig::try_validate`] violations.
     pub fn try_run(
         duration: Seconds,
         spare_counts: &[u32],
@@ -131,7 +126,6 @@ impl ChaosSummary {
     ) -> Result<Self, SudcError> {
         let mut d = Diagnostics::new("chaos campaign grid");
         d.positive("duration", duration.value());
-        d.positive_count("reps", u64::from(reps));
         d.ensure(
             !spare_counts.is_empty(),
             "spare_counts.len()",
@@ -146,48 +140,27 @@ impl ChaosSummary {
         );
         d.finish()?;
 
-        // Build and validate every cell's configuration up front so the
-        // parallel grid below cannot panic.
-        let mut configs: Vec<SimConfig> = Vec::with_capacity(campaigns.len() * spare_counts.len());
-        for campaign in campaigns {
-            for &spares in spare_counts {
-                let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
-                    .with_cold_spares(spares, DORMANT_AGING);
-                let cfg = campaign.apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?);
-                cfg.try_validate()?;
-                configs.push(cfg);
-            }
-        }
-
-        // Common random numbers: replication r uses one seed everywhere.
-        let rep_seeds: Vec<u64> = (0..u64::from(reps))
-            .map(|rep| Rng64::stream(base_seed, rep).next_u64())
-            .collect();
-
-        // One flat batch over (cell, rep): a slow cell never serializes
-        // the grid behind a barrier, and `par_map` preserves input order
-        // so aggregation below is thread-count independent.
-        let jobs: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|cell| (0..reps as usize).map(move |rep| (cell, rep)))
-            .collect();
-        let traces = sudc_par::par_map(&jobs, |_, &(cell, rep)| {
-            sudc_sim::run(&configs[cell], rep_seeds[rep])
-        });
+        let configs = campaigns
+            .iter()
+            .flat_map(|c| spare_counts.iter().map(|&s| c.reference_cell(s, duration)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let grid = try_replicate_grid(&configs, reps, base_seed)?;
 
         let (per_spare_usd, tco_total_usd, lifetime_hours) = spare_pricing()?;
-        let mut cells = Vec::with_capacity(configs.len());
-        for (cell_idx, chunk) in traces.chunks(reps as usize).enumerate() {
-            let campaign = campaigns[cell_idx / spare_counts.len()].name;
-            let spares = spare_counts[cell_idx % spare_counts.len()];
-            let adjusted_tco = tco_total_usd + per_spare_usd * f64::from(spares);
-            cells.push(aggregate(
-                campaign,
-                spares,
-                chunk,
-                adjusted_tco,
-                lifetime_hours,
-            ));
-        }
+        let cells = grid
+            .iter()
+            .enumerate()
+            .map(|(cell_idx, traces)| {
+                let spares = spare_counts[cell_idx % spare_counts.len()];
+                aggregate(
+                    campaigns[cell_idx / spare_counts.len()].name,
+                    spares,
+                    traces,
+                    tco_total_usd + per_spare_usd * f64::from(spares),
+                    lifetime_hours,
+                )
+            })
+            .collect();
 
         Ok(Self {
             duration_s: duration.value(),
@@ -257,7 +230,7 @@ impl ToJson for ChaosSummary {
 /// compute payload (spares are powered off, so they carry no extra power
 /// or thermal cost — the heart of the near-zero-cost claim). Returns
 /// `(per-spare USD, reference TCO USD, design lifetime in hours)`.
-fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
+pub(crate) fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
     let design = Scenario::Reference.try_design()?;
     let tco = design.try_tco()?;
     let compute_usd = tco
@@ -273,7 +246,7 @@ fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
 }
 
 /// Aggregates one cell's replications.
-fn aggregate(
+pub(crate) fn aggregate(
     campaign: &'static str,
     spares: u32,
     traces: &[RunTrace],
@@ -283,11 +256,6 @@ fn aggregate(
     let n = traces.len() as f64;
     let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
     let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
-    let (p99_sum, p99_reps) = traces
-        .iter()
-        .map(RunTrace::delivery_latency)
-        .filter(|s| s.count > 0)
-        .fold((0.0, 0u32), |(sum, n), s| (sum + s.p99, n + 1));
     let delivered_per_hour = mean(&RunTrace::delivered_per_hour);
     let lifetime_insights = delivered_per_hour * lifetime_hours;
     ChaosCell {
@@ -296,11 +264,7 @@ fn aggregate(
         delivered_fraction: mean(&RunTrace::delivered_fraction),
         availability: mean(&RunTrace::availability),
         end_full_fraction: mean(&|t| f64::from(u8::from(t.ends_at_full_capability()))),
-        delivery_p99_s: if p99_reps == 0 {
-            0.0
-        } else {
-            p99_sum / f64::from(p99_reps)
-        },
+        delivery_p99_s: SampledLatency::over(traces, RunTrace::delivery_latency).p99,
         mean_downlink_backlog: mean(&RunTrace::mean_downlink_backlog),
         delivered_per_hour,
         corrupted: total(&|t| t.corrupted),

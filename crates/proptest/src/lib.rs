@@ -8,7 +8,9 @@
 //! - the [`proptest!`] macro over test functions whose arguments draw from
 //!   **numeric range strategies** (`lo..hi` on integers and floats);
 //! - `prop_assert!`, `prop_assert_eq!`, and `prop_assume!`;
-//! - `#![proptest_config(ProptestConfig::with_cases(n))]`.
+//! - `#![proptest_config(ProptestConfig::with_cases(n))]`, plus
+//!   [`ProptestConfig::with_env_cases`], the one reader of the
+//!   `SUDC_PROPTEST_CASES` override.
 //!
 //! Differences from real proptest: inputs are sampled from a fixed-seed
 //! deterministic RNG (derived from the test-function name), there is no
@@ -30,6 +32,32 @@ impl ProptestConfig {
     #[must_use]
     pub fn with_cases(cases: u32) -> Self {
         Self { cases }
+    }
+
+    /// Runs `SUDC_PROPTEST_CASES` accepted cases per property, or
+    /// `default` when the variable is unset — the one reader of the
+    /// override, which lets CI run a reduced smoke pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the variable if it is set to anything but a positive
+    /// integer.
+    #[must_use]
+    pub fn with_env_cases(default: u32) -> Self {
+        Self::with_cases(env_cases(std::env::var(CASES_ENV).ok().as_deref(), default))
+    }
+}
+
+/// Environment variable overriding every property's case count.
+const CASES_ENV: &str = "SUDC_PROPTEST_CASES";
+
+/// The case count for a raw `SUDC_PROPTEST_CASES` value (`None` when
+/// unset).
+fn env_cases(raw: Option<&str>, default: u32) -> u32 {
+    let Some(raw) = raw else { return default };
+    match raw.trim().parse() {
+        Ok(cases) if cases > 0 => cases,
+        _ => panic!("{CASES_ENV}={raw:?}: expected a positive case count"),
     }
 }
 
@@ -324,6 +352,24 @@ mod tests {
         fn config_attribute_parses(v in 0.0..1.0f64) {
             prop_assert!(v >= 0.0);
         }
+    }
+
+    #[test]
+    fn case_override_defaults_when_unset_and_parses_when_set() {
+        assert_eq!(crate::env_cases(None, 48), 48);
+        assert_eq!(crate::env_cases(Some(" 8 "), 48), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "SUDC_PROPTEST_CASES=\"lots\"")]
+    fn unparsable_case_override_names_the_variable() {
+        let _ = crate::env_cases(Some("lots"), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "SUDC_PROPTEST_CASES=\"0\"")]
+    fn zero_case_override_is_rejected() {
+        let _ = crate::env_cases(Some("0"), 48);
     }
 
     #[test]

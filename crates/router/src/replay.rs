@@ -14,7 +14,7 @@ use sudc_bus::BusLog;
 use sudc_chaos::Campaign;
 use sudc_errors::SudcError;
 use sudc_par::json::Json;
-use sudc_sim::{try_replicate, RunTrace, SimConfig, SimSummary, STANDARD_FRESHNESS_DEADLINE_S};
+use sudc_sim::{try_replicate, RunTrace, SampledLatency, SimConfig, STANDARD_FRESHNESS_DEADLINE_S};
 use sudc_units::Seconds;
 
 use crate::engine::RoutingOutcome;
@@ -51,6 +51,21 @@ impl RoutedLoad {
         cfg
     }
 
+    /// [`RoutedLoad::sim_config`] under `campaign` (if any), validated.
+    fn try_campaign_config(
+        &self,
+        duration: Seconds,
+        campaign: Option<&Campaign>,
+    ) -> Result<SimConfig, SudcError> {
+        let base = self.sim_config(duration);
+        let cfg = match campaign {
+            Some(c) => c.apply(&base),
+            None => base,
+        };
+        cfg.try_validate()?;
+        Ok(cfg)
+    }
+
     /// Replays the load through `reps` seeded replications, optionally
     /// under a fault campaign, and measures SLO attainment against the
     /// workspace freshness deadline.
@@ -66,12 +81,7 @@ impl RoutedLoad {
         seed: u64,
         campaign: Option<&Campaign>,
     ) -> Result<ReplayReport, SudcError> {
-        let base = self.sim_config(duration);
-        let cfg = match campaign {
-            Some(c) => c.apply(&base),
-            None => base,
-        };
-        cfg.try_validate()?;
+        let cfg = self.try_campaign_config(duration, campaign)?;
         let traces = try_replicate(&cfg, reps, seed)?;
         ReplayReport::try_from_traces(
             campaign.map(|c| c.name).unwrap_or("nominal"),
@@ -98,12 +108,7 @@ impl RoutedLoad {
         campaign: Option<&Campaign>,
         log: &BusLog,
     ) -> Result<ReplayReport, SudcError> {
-        let base = self.sim_config(duration);
-        let cfg = match campaign {
-            Some(c) => c.apply(&base),
-            None => base,
-        };
-        cfg.try_validate()?;
+        let cfg = self.try_campaign_config(duration, campaign)?;
         let trace = sudc_sim::replay(&cfg, log)?;
         ReplayReport::try_from_traces(
             campaign.map(|c| c.name).unwrap_or("nominal"),
@@ -130,12 +135,7 @@ impl RoutedLoad {
         seed: u64,
         campaign: Option<&Campaign>,
     ) -> Result<(RunTrace, BusLog), SudcError> {
-        let base = self.sim_config(duration);
-        let cfg = match campaign {
-            Some(c) => c.apply(&base),
-            None => base,
-        };
-        cfg.try_validate()?;
+        let cfg = self.try_campaign_config(duration, campaign)?;
         Ok(sudc_sim::run_recorded(&cfg, seed))
     }
 }
@@ -169,43 +169,36 @@ impl ReplayReport {
     ///
     /// # Errors
     ///
-    /// Returns a [`SudcError`] if `traces` is empty or fails
-    /// [`SimSummary::try_from_traces`].
+    /// Returns a [`SudcError`] if `traces` is empty or longer than
+    /// `u32::MAX`.
     pub fn try_from_traces(
         campaign: &'static str,
         sudc_share: f64,
         traces: Vec<RunTrace>,
     ) -> Result<Self, SudcError> {
-        let reps = u32::try_from(traces.len()).map_err(|_| {
-            SudcError::single(
-                "ReplayReport::try_from_traces",
-                "traces.len()",
-                traces.len(),
-                "at most u32::MAX traces",
-            )
-        })?;
+        let reps = u32::try_from(traces.len())
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| {
+                SudcError::single(
+                    "ReplayReport::try_from_traces",
+                    "traces.len()",
+                    traces.len(),
+                    "between 1 and u32::MAX traces",
+                )
+            })?;
+        let n = traces.len() as f64;
+        let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
         let slo_deadline = Seconds::new(STANDARD_FRESHNESS_DEADLINE_S);
-        let slo_attainment = traces
-            .iter()
-            .map(|t| t.delivery_within(slo_deadline))
-            .sum::<f64>()
-            / traces.len() as f64;
-        let summary = SimSummary::try_from_traces(traces)?;
-        let delivered_fraction = summary
-            .traces()
-            .iter()
-            .map(sudc_sim::RunTrace::delivered_fraction)
-            .sum::<f64>()
-            / summary.traces().len() as f64;
         Ok(Self {
             campaign,
             sudc_share,
             reps,
             slo_deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
-            slo_attainment,
-            mean_availability: summary.mean_availability,
-            delivered_fraction,
-            mean_delivery_p99_s: summary.mean_delivery_p99,
+            slo_attainment: mean(&|t| t.delivery_within(slo_deadline)),
+            mean_availability: mean(&RunTrace::availability),
+            delivered_fraction: mean(&RunTrace::delivered_fraction),
+            mean_delivery_p99_s: SampledLatency::over(&traces, RunTrace::delivery_latency).p99,
         })
     }
 
@@ -303,6 +296,12 @@ mod tests {
         let live = ReplayReport::try_from_traces("nominal", load.sudc_share, vec![trace]).unwrap();
         let audited = load.try_replay_from_log(duration, None, &log).unwrap();
         assert_eq!(live, audited);
+    }
+
+    #[test]
+    fn an_empty_trace_list_is_a_structured_error() {
+        let err = ReplayReport::try_from_traces("nominal", 0.5, Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("traces.len()"), "{err}");
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //!   [`sudc_bus::BusLog`] to a byte-identical trace;
 //! - [`metrics`] — [`metrics::RunTrace`]: counts, latency percentiles,
 //!   exact time-weighted integrals;
-//! - [`replicate`] — [`replicate::SimSummary`]: N seeded replications in
-//!   parallel via `sudc-par`, bit-identical at any thread count.
+//! - [`replicate`] — [`replicate::try_replicate_grid`]: the one
+//!   common-random-numbers replication grid every seeded study runs
+//!   through (replication `r` draws one seed in every cell, one flat
+//!   `sudc-par` batch, bit-identical at any thread count), and
+//!   [`replicate::SimSummary`], its cross-replication aggregate.
 //!
 //! # Examples
 //!
@@ -60,5 +63,8 @@ pub use fault::{
 pub use kernel::{run, run_on_bus, run_recorded};
 pub use metrics::{try_percentile, BacklogSample, LatencyHist, LatencySummary, RunTrace};
 pub use plane::{replay, BusRun, TraceBuilder};
-pub use replicate::{try_replicate, try_scale_study, ScalePoint, SimSummary, DEFAULT_SEED};
+pub use replicate::{
+    try_replicate, try_replicate_grid, try_scale_study, SampledLatency, ScalePoint, SimSummary,
+    DEFAULT_SEED,
+};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};

@@ -1,19 +1,22 @@
-//! Seeded replication: N independent runs in parallel, bit-identical at
-//! any thread count.
+//! Seeded replication: the common-random-numbers (CRN) grid every seeded
+//! study runs through, bit-identical at any thread count.
 //!
-//! Each replication derives its seed as `Rng64::stream(base_seed, rep)` —
-//! a pure function of the base seed and the replication index — and runs
-//! on whichever worker thread `sudc_par::par_map` assigns it. Because the
-//! kernel is single-threaded-deterministic and `par_map` preserves input
-//! order, the resulting `Vec<RunTrace>` (and everything derived from it)
-//! is byte-identical whether the executor uses 1 thread or 64.
+//! [`try_replicate_grid`] runs `reps` replications of each configuration
+//! in a list of grid cells. Replication `r` draws the *same* seed,
+//! `Rng64::stream(base_seed, r).next_u64()`, in every cell — common random
+//! numbers, so a cell-to-cell contrast is the effect of the configuration,
+//! never fresh sampling noise. The whole `(cell, rep)` grid is one flat
+//! `sudc_par::par_map` batch: a straggler cell never idles workers that
+//! could run another cell's replications, and because the kernel is
+//! single-threaded-deterministic and `par_map` preserves input order, the
+//! traces (and everything derived from them) are byte-identical whether
+//! the executor uses 1 thread or 64.
 //!
-//! [`try_scale_study`] extends the same discipline along a fleet-size axis:
-//! every `(fleet, rep)` pair becomes one flat job sharded across the
-//! executor, and replication `r` uses the *same* derived seed at every
-//! fleet size — common random numbers, the variance-reduction discipline
-//! the chaos engine uses across its fault grids — so cross-fleet
-//! contrasts are not polluted by fresh sampling noise.
+//! Every seeded study is a grid: [`try_replicate`] is one cell,
+//! [`try_scale_study`] one cell per fleet size, and the chaos and health
+//! reports one cell per campaign × spare count or controller arm.
+//! [`SampledLatency`] is the one latency-mean convention their summaries
+//! share.
 
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
@@ -27,10 +30,63 @@ use crate::metrics::{LatencySummary, RunTrace};
 /// Default base seed for simulation studies.
 pub const DEFAULT_SEED: u64 = 0x5bdc_2026;
 
-/// Runs `reps` seeded replications of `cfg` in parallel (thread count from
-/// the ambient `sudc_par` configuration) and returns the traces in
-/// replication order. A zero `reps` and every invalid configuration field
-/// are reported in one combined error before anything runs.
+/// Runs `reps` seeded replications of every configuration in `cfgs` as
+/// one flat parallel batch (thread count from the ambient `sudc_par`
+/// configuration) with common random numbers across cells, returning the
+/// traces grouped per cell in `cfgs` order, each in replication order.
+/// An empty grid, a zero `reps` and every invalid configuration field of
+/// every cell are reported in one combined error before anything runs.
+///
+/// # Errors
+///
+/// Returns a structured error if `cfgs` is empty, `reps` is zero, or any
+/// cell fails [`SimConfig::try_validate`].
+pub fn try_replicate_grid(
+    cfgs: &[SimConfig],
+    reps: u32,
+    base_seed: u64,
+) -> Result<Vec<Vec<RunTrace>>, SudcError> {
+    let mut d = Diagnostics::new("replication grid");
+    d.ensure(
+        !cfgs.is_empty(),
+        "cfgs.len()",
+        cfgs.len(),
+        "at least one configuration",
+    );
+    d.ensure(
+        reps > 0,
+        "reps",
+        reps,
+        "at least one replication is required",
+    );
+    let mut err = d.finish().err();
+    for cfg_err in cfgs.iter().filter_map(|cfg| cfg.try_validate().err()) {
+        err = Some(match err {
+            Some(e) => e.merge(cfg_err),
+            None => cfg_err,
+        });
+    }
+    if let Some(e) = err {
+        return Err(e);
+    }
+    let seeds: Vec<u64> = (0..u64::from(reps))
+        .map(|rep| Rng64::stream(base_seed, rep).next_u64())
+        .collect();
+    let jobs: Vec<(usize, usize)> = (0..cfgs.len())
+        .flat_map(|cell| (0..seeds.len()).map(move |rep| (cell, rep)))
+        .collect();
+    let mut traces = sudc_par::par_map(&jobs, |_, &(cell, rep)| {
+        kernel::run(&cfgs[cell], seeds[rep])
+    })
+    .into_iter();
+    Ok(cfgs
+        .iter()
+        .map(|_| traces.by_ref().take(seeds.len()).collect())
+        .collect())
+}
+
+/// Runs `reps` seeded replications of `cfg` — a one-cell
+/// [`try_replicate_grid`] — and returns the traces in replication order.
 ///
 /// # Errors
 ///
@@ -41,28 +97,8 @@ pub fn try_replicate(
     reps: u32,
     base_seed: u64,
 ) -> Result<Vec<RunTrace>, SudcError> {
-    let mut d = Diagnostics::new("replication study");
-    d.ensure(
-        reps > 0,
-        "reps",
-        reps,
-        "at least one replication is required",
-    );
-    let mut err = d.finish().err();
-    if let Err(cfg_err) = cfg.try_validate() {
-        err = Some(match err {
-            Some(e) => e.merge(cfg_err),
-            None => cfg_err,
-        });
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let rep_ids: Vec<u64> = (0..u64::from(reps)).collect();
-    Ok(sudc_par::par_map(&rep_ids, |_, &rep| {
-        let seed = Rng64::stream(base_seed, rep).next_u64();
-        kernel::run(cfg, seed)
-    }))
+    let grid = try_replicate_grid(std::slice::from_ref(cfg), reps, base_seed)?;
+    Ok(grid.into_iter().flatten().collect())
 }
 
 /// One fleet size of a [`try_scale_study`]: the aggregated replications plus
@@ -80,15 +116,14 @@ pub struct ScalePoint {
 }
 
 /// Runs a fleet-scaling study: `reps` replications of
-/// [`SimConfig::try_scaled_fleet`] at each size in `fleets`, every
-/// `(fleet, rep)` pair sharded as one flat parallel job, with common
-/// random numbers across fleet sizes (replication `r` draws the same
-/// seed at every size). Points are returned in `fleets` order.
+/// [`SimConfig::try_scaled_fleet`] at each size in `fleets`, one
+/// [`try_replicate_grid`] cell per size (so replication `r` draws the
+/// same seed at every size). Points are returned in `fleets` order.
 ///
 /// # Errors
 ///
-/// Returns a structured error if `fleets` is empty, any fleet size is
-/// zero, or `reps` is zero.
+/// Returns a structured error if `fleets` is empty or any fleet size is
+/// zero, and otherwise if `reps` is zero.
 pub fn try_scale_study(
     duration: Seconds,
     fleets: &[u32],
@@ -101,12 +136,6 @@ pub fn try_scale_study(
         "fleets.len()",
         fleets.len(),
         "at least one fleet size",
-    );
-    d.ensure(
-        reps > 0,
-        "reps",
-        reps,
-        "at least one replication is required",
     );
     let mut err = d.finish().err();
     let mut cfgs = Vec::with_capacity(fleets.len());
@@ -124,36 +153,53 @@ pub fn try_scale_study(
     if let Some(e) = err {
         return Err(e);
     }
-    // One flat job list over the whole (fleet, rep) grid: a straggler
-    // fleet size never idles workers that could be running another
-    // size's replications. Seeds depend only on `rep` — common random
-    // numbers across the fleet axis.
-    let jobs: Vec<(usize, u64)> = (0..cfgs.len())
-        .flat_map(|f| (0..u64::from(reps)).map(move |rep| (f, rep)))
-        .collect();
-    let mut traces: Vec<RunTrace> = sudc_par::par_map(&jobs, |_, &(f, rep)| {
-        let seed = Rng64::stream(base_seed, rep).next_u64();
-        kernel::run(&cfgs[f], seed)
-    });
-    let mut points = Vec::with_capacity(cfgs.len());
-    for cfg in &cfgs {
-        let rest = traces.split_off(reps as usize);
-        let fleet_traces = traces;
-        traces = rest;
-        let events = fleet_traces.iter().map(|t| t.events).sum();
-        let peak_event_queue = fleet_traces
-            .iter()
-            .map(|t| t.peak_event_queue)
-            .max()
-            .unwrap_or(0);
-        points.push(ScalePoint {
-            satellites: cfg.satellites,
-            events,
-            peak_event_queue,
-            summary: SimSummary::try_from_traces(fleet_traces)?,
-        });
+    let grid = try_replicate_grid(&cfgs, reps, base_seed)?;
+    cfgs.iter()
+        .zip(grid)
+        .map(|(cfg, traces)| {
+            Ok(ScalePoint {
+                satellites: cfg.satellites,
+                events: traces.iter().map(|t| t.events).sum(),
+                peak_event_queue: traces.iter().map(|t| t.peak_event_queue).max().unwrap_or(0),
+                summary: SimSummary::try_from_traces(traces)?,
+            })
+        })
+        .collect()
+}
+
+/// A latency population's mean and p99, each averaged over only the
+/// replications that sampled it: a short run that never completed a batch
+/// would otherwise contribute a silent 0 and bias the mean downward. The
+/// population's size is surfaced as [`SampledLatency::reps`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampledLatency {
+    /// Mean of the per-replication means, seconds; 0 when no replication
+    /// sampled the population.
+    pub mean: f64,
+    /// Mean of the per-replication p99s, seconds; 0 when none did.
+    pub p99: f64,
+    /// Replications with at least one sample.
+    pub reps: u32,
+}
+
+impl SampledLatency {
+    /// Averages `population` (e.g. [`RunTrace::delivery_latency`]) over
+    /// the replications in `traces` that sampled it, summing in
+    /// replication order.
+    #[must_use]
+    pub fn over(traces: &[RunTrace], population: impl Fn(&RunTrace) -> LatencySummary) -> Self {
+        let (mut mean, mut p99, mut reps) = (0.0, 0.0, 0u32);
+        for s in traces.iter().map(population).filter(|s| s.count > 0) {
+            mean += s.mean;
+            p99 += s.p99;
+            reps += 1;
+        }
+        if reps > 0 {
+            mean /= f64::from(reps);
+            p99 /= f64::from(reps);
+        }
+        Self { mean, p99, reps }
     }
-    Ok(points)
 }
 
 /// Cross-replication aggregate of a simulation study.
@@ -193,10 +239,9 @@ pub struct SimSummary {
 impl SimSummary {
     /// Aggregates replication traces.
     ///
-    /// The p99 aggregates average only over replications whose latency
-    /// population is non-empty: a short run that never completed a batch
-    /// used to contribute a silent `p99 = 0` and bias the mean downward.
-    /// The populations' sizes are surfaced as
+    /// The p99 aggregates are [`SampledLatency`] means: they average only
+    /// over replications whose latency population is non-empty, and the
+    /// populations' sizes are surfaced as
     /// [`SimSummary::processing_p99_reps`] / [`SimSummary::delivery_p99_reps`].
     ///
     /// # Errors
@@ -213,31 +258,14 @@ impl SimSummary {
         }
         let n = traces.len() as f64;
         let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
-        let p99_over_sampled = |f: &dyn Fn(&RunTrace) -> LatencySummary| {
-            let mut sum = 0.0;
-            let mut sampled = 0u32;
-            for t in &traces {
-                let s = f(t);
-                if s.count > 0 {
-                    sum += s.p99;
-                    sampled += 1;
-                }
-            }
-            if sampled == 0 {
-                (0.0, 0)
-            } else {
-                (sum / f64::from(sampled), sampled)
-            }
-        };
-        let (mean_processing_p99, processing_p99_reps) =
-            p99_over_sampled(&RunTrace::processing_latency);
-        let (mean_delivery_p99, delivery_p99_reps) = p99_over_sampled(&RunTrace::delivery_latency);
+        let processing = SampledLatency::over(&traces, RunTrace::processing_latency);
+        let delivery = SampledLatency::over(&traces, RunTrace::delivery_latency);
         Ok(Self {
             reps: traces.len() as u32,
-            mean_processing_p99,
-            processing_p99_reps,
-            mean_delivery_p99,
-            delivery_p99_reps,
+            mean_processing_p99: processing.p99,
+            processing_p99_reps: processing.reps,
+            mean_delivery_p99: delivery.p99,
+            delivery_p99_reps: delivery.reps,
             mean_batch_queue: mean(&RunTrace::mean_batch_queue),
             mean_downlink_backlog: mean(&RunTrace::mean_downlink_backlog),
             mean_utilization: mean(&RunTrace::compute_utilization),
@@ -301,14 +329,19 @@ mod tests {
     #[test]
     fn summary_json_is_identical_at_different_thread_counts() {
         let cfg = SimConfig::reference_operations(Seconds::new(900.0));
+        let cells = [
+            cfg,
+            SimConfig::collaborative_operations(Seconds::new(900.0)),
+        ];
         let render = |threads: usize| {
             sudc_par::set_threads(threads);
             let json = SimSummary::try_study(&cfg, 3, DEFAULT_SEED)
                 .unwrap()
                 .to_json()
                 .to_string_pretty();
+            let grid = try_replicate_grid(&cells, 2, DEFAULT_SEED).unwrap();
             sudc_par::set_threads(0);
-            json
+            (json, grid)
         };
         let one = render(1);
         assert_eq!(one, render(2));
@@ -414,6 +447,11 @@ mod tests {
         let err = try_replicate(&bad, 0, DEFAULT_SEED).unwrap_err();
         // One combined report: zero reps + both config violations.
         assert_eq!(err.violations().len(), 3, "{err}");
+        // ... and across a grid, every cell's violations.
+        let err = try_replicate_grid(&[bad, cfg, bad], 0, DEFAULT_SEED).unwrap_err();
+        assert_eq!(err.violations().len(), 5, "{err}");
+        let err = try_replicate_grid(&[], 1, DEFAULT_SEED).unwrap_err();
+        assert!(err.to_string().contains("cfgs"), "{err}");
 
         let err = SimSummary::try_from_traces(Vec::new()).unwrap_err();
         assert!(err.to_string().contains("zero replications"), "{err}");

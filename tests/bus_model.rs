@@ -15,14 +15,6 @@ use proptest::collection;
 use proptest::prelude::*;
 use space_udc::bus::{ChannelStats, Delivery, LoweredQos, Tick, TopicChannel};
 
-/// Property case count, overridable for CI smoke runs.
-fn cases() -> u32 {
-    std::env::var("SUDC_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-}
-
 /// Flat-scan reference model of one channel: a plain `Vec` of queued
 /// samples; every operation rescans from the front.
 struct Model {
@@ -171,7 +163,7 @@ fn qos_corner(sel: u8) -> LoweredQos {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(64))]
 
     #[test]
     fn channel_matches_the_flat_scan_model(

@@ -19,14 +19,6 @@ use space_udc::core::Scenario;
 use space_udc::sim::{RunTrace, SimConfig};
 use space_udc::units::Seconds;
 
-/// Property case count, overridable for CI smoke runs.
-fn cases() -> u32 {
-    std::env::var("SUDC_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32)
-}
-
 /// One faulted run of the reference operations scenario with `spares`
 /// cold spares. Upsets stay off: corrupted-image retries are the one
 /// fault process whose *count* depends on processing order, so they are
@@ -64,7 +56,7 @@ fn violent_storms(run: Seconds) -> Campaign {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(32))]
 
     #[test]
     fn more_cold_spares_never_deliver_less_work_under_storms(

@@ -19,16 +19,8 @@ use space_udc::chaos::Campaign;
 use space_udc::health::{
     HealthConfig, HealthController, HealthCounters, LoweredHealth, NodeHealth, ScanVerdict,
 };
-use space_udc::sim::{try_replicate, SimConfig, DEFAULT_SEED};
+use space_udc::sim::{try_replicate_grid, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
-
-/// Property case count, overridable for CI smoke runs.
-fn cases() -> u32 {
-    std::env::var("SUDC_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-}
 
 /// Flat-scan reference model of the detector: plain per-node records,
 /// every operation rescans from scratch — no early exits, no skips.
@@ -174,7 +166,7 @@ fn contract(lease_ticks: u64, suspect: u32, dead_gap: u32, probation: u32) -> Lo
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(64))]
 
     /// The main equivalence: random interleavings of heartbeats, scans,
     /// and watches are observationally identical to the flat-scan model
@@ -334,32 +326,40 @@ proptest! {
 }
 
 /// The armed sim meets the workspace determinism bar: the complete
-/// per-replication trace — detector counters included — is identical at
-/// 1, 2, and 8 worker threads.
+/// per-replication trace — detector counters included — of every cell of
+/// a replication grid (both controller arms) is identical at 1, 2, and 8
+/// worker threads.
 #[test]
 fn detector_traces_are_identical_at_1_2_and_8_threads() {
     let duration = Seconds::new(1800.0);
     let cfg = Campaign::independent(duration)
         .apply(&SimConfig::reference_operations(duration))
         .with_health(HealthConfig::standard());
+    let monitor_only = cfg.with_health(HealthConfig {
+        closed_loop: false,
+        ..HealthConfig::standard()
+    });
     let run = |threads: usize| {
         space_udc::par::set_threads(threads);
-        let traces = try_replicate(&cfg, 3, DEFAULT_SEED).expect("replicated study runs");
+        let grid = try_replicate_grid(&[cfg, monitor_only], 3, DEFAULT_SEED)
+            .expect("replicated study runs");
         space_udc::par::set_threads(0);
-        traces
+        grid
     };
     let one = run(1);
     let two = run(2);
     let eight = run(8);
     assert_eq!(one, two, "1-thread and 2-thread traces diverged");
     assert_eq!(one, eight, "1-thread and 8-thread traces diverged");
-    // And the detector actually did something in those traces.
-    assert!(
-        one.iter().any(|t| t.heartbeats > 0),
-        "no heartbeats observed"
-    );
-    assert!(
-        one.iter().any(|t| t.detections > 0),
-        "no detections observed"
-    );
+    // And the detector actually did something in every arm.
+    for traces in &one {
+        assert!(
+            traces.iter().any(|t| t.heartbeats > 0),
+            "no heartbeats observed"
+        );
+        assert!(
+            traces.iter().any(|t| t.detections > 0),
+            "no detections observed"
+        );
+    }
 }

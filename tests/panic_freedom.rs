@@ -37,14 +37,6 @@ use space_udc::sscm::subsystems::SubsystemCers;
 use space_udc::sscm::{CostEstimate, LearningCurve, SscmInputs, Subsystem, SubsystemCost};
 use space_udc::units::{Kilograms, KradSi, Seconds, Usd, Watts, Years};
 
-/// Property case count, overridable for CI smoke runs.
-fn cases() -> u32 {
-    std::env::var("SUDC_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(48)
-}
-
 /// Maps a selector to one of eight hostile floats. `mag` (drawn from
 /// `1.0..9.0`) varies the huge/negative magnitudes across cases.
 fn hostile(sel: u32, mag: f64) -> f64 {
@@ -80,7 +72,7 @@ fn structured(e: &SudcError) -> bool {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_env_cases(48))]
 
     #[test]
     fn units_try_new_accepts_exactly_finite(sel in 0u32..8, mag in 1.0..9.0f64) {
