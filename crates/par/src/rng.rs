@@ -57,10 +57,12 @@ impl Rng64 {
     }
 
     /// Touches the generator state so an upcoming draw from this
-    /// generator finds it in cache: a safe prefetch for hot loops that
-    /// already know which stream they will draw from next. The dead load
-    /// retires out of order, so the miss overlaps useful work instead of
-    /// stalling the draw.
+    /// generator finds it in cache. The load's value is dead, but it
+    /// still has to complete before it retires, so one warm issued just
+    /// ahead of its draw stalls about as long as the draw would. It pays
+    /// off only in a tight pass that warms many independent generators
+    /// back to back: their misses then overlap each other, and the draws
+    /// that follow hit the cache.
     #[inline]
     pub fn warm(&self) {
         std::hint::black_box(self.s[0]);

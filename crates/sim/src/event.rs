@@ -40,15 +40,25 @@
 //!    order when the wheel drains.
 //!
 //! Wheel slots store only `(tick, event)` — no sequence number. The
-//! sequence is implicit in deque order: pushes append in push order,
+//! sequence is implicit in slot order: pushes append in push order,
 //! cascades replay a slot front to back, and an overflow migration drains
 //! its *entire* horizon block in `(tick, seq)` order before any pop
 //! returns, so a later wheel push at a migrated tick always lands behind
 //! it. Only the `due` and `overflow` heaps, which genuinely reorder, carry
 //! explicit sequence numbers.
+//!
+//! # Slot storage
+//!
+//! A slot is a singly linked list of fixed-size chunks (`CHUNK`, 64
+//! entries each) drawn from one pool shared by every slot. Drained
+//! chunks go back on the pool's LIFO free list, so the next push reuses
+//! the chunk that was just read — still in cache — and the pool's size
+//! tracks the peak number of *live* entries, not the sum of every slot's
+//! own high-water mark. Once the pool has grown to that peak the steady
+//! state allocates nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Integer simulation time.
 pub type Tick = u64;
@@ -144,8 +154,129 @@ const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 const SLOT_WORDS: usize = SLOTS / 64;
 
 /// A scheduled entry inside a wheel slot: no sequence number (see the
-/// module docs — deque order is push order).
+/// module docs — slot order is push order).
 type WheelEntry = (Tick, Event);
+
+/// Entries per pooled slot chunk (1.5 KiB): large enough that the dense
+/// slots of a large fleet rarely follow a chunk link, small enough that
+/// a sparsely filled slot wastes little.
+const CHUNK: usize = 64;
+/// End-of-list marker for chunk links.
+const NIL: u32 = u32::MAX;
+/// Filler for never-written chunk entries; never read back.
+const VACANT: WheelEntry = (0, Event::Sample);
+
+/// One wheel slot: a FIFO over a chain of pool chunks. Entries run from
+/// `read` in chunk `head` to `write` (exclusive) in chunk `tail`; an
+/// empty slot holds no chunk at all.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    read: u32,
+    write: u32,
+}
+
+impl Slot {
+    const EMPTY: Self = Self {
+        head: NIL,
+        tail: NIL,
+        read: 0,
+        write: 0,
+    };
+}
+
+/// Fixed-size chunks shared by every wheel slot, recycled through a LIFO
+/// free list threaded through `next`.
+#[derive(Debug)]
+struct ChunkPool {
+    entries: Vec<[WheelEntry; CHUNK]>,
+    /// Link to the next chunk of the same slot (or free list); `NIL` ends
+    /// a chain.
+    next: Vec<u32>,
+    free: u32,
+}
+
+impl ChunkPool {
+    fn alloc(&mut self) -> u32 {
+        if self.free != NIL {
+            let c = self.free;
+            self.free = self.next[c as usize];
+            self.next[c as usize] = NIL;
+            return c;
+        }
+        self.entries.push([VACANT; CHUNK]);
+        self.next.push(NIL);
+        (self.entries.len() - 1) as u32
+    }
+
+    fn release(&mut self, c: u32) {
+        self.next[c as usize] = self.free;
+        self.free = c;
+    }
+
+    /// Appends `entry` to `slot`, linking in a fresh chunk when the tail
+    /// is full.
+    #[inline]
+    fn push_back(&mut self, slot: &mut Slot, entry: WheelEntry) {
+        if slot.head == NIL {
+            let c = self.alloc();
+            *slot = Slot {
+                head: c,
+                tail: c,
+                read: 0,
+                write: 0,
+            };
+        } else if slot.write == CHUNK as u32 {
+            let c = self.alloc();
+            self.next[slot.tail as usize] = c;
+            slot.tail = c;
+            slot.write = 0;
+        }
+        self.entries[slot.tail as usize][slot.write as usize] = entry;
+        slot.write += 1;
+    }
+
+    /// Removes and returns the front entry of a non-empty `slot`,
+    /// releasing its head chunk once that is fully read.
+    #[inline]
+    fn pop_front(&mut self, slot: &mut Slot) -> WheelEntry {
+        let entry = self.entries[slot.head as usize][slot.read as usize];
+        slot.read += 1;
+        if slot.head == slot.tail {
+            if slot.read == slot.write {
+                self.release(slot.head);
+                *slot = Slot::EMPTY;
+            }
+        } else if slot.read == CHUNK as u32 {
+            let next = self.next[slot.head as usize];
+            self.release(slot.head);
+            slot.head = next;
+            slot.read = 0;
+        }
+        entry
+    }
+
+    /// Moves every entry of `slot` onto the end of `out` in FIFO order
+    /// and releases its chunks, leaving the slot empty.
+    fn drain_into(&mut self, slot: &mut Slot, out: &mut Vec<WheelEntry>) {
+        let mut c = slot.head;
+        let mut from = slot.read as usize;
+        while c != NIL {
+            let to = if c == slot.tail {
+                slot.write as usize
+            } else {
+                CHUNK
+            };
+            out.extend_from_slice(&self.entries[c as usize][from..to]);
+            let next = self.next[c as usize];
+            self.release(c);
+            c = next;
+            from = 0;
+        }
+        *slot = Slot::EMPTY;
+    }
+}
 
 /// Index of the first set bit at or after word `from` of a level's
 /// occupancy bitmap, if any. Callers pass the word of the wheel time's
@@ -170,9 +301,11 @@ fn first_set_from(words: &[u64; SLOT_WORDS], from: usize) -> Option<usize> {
 /// many events are pending, instead of O(log n) heap sifts.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `LEVELS * SLOTS` slot deques, indexed `level * SLOTS + slot`. Each
-    /// deque stays in push order (see module docs).
-    slots: Vec<VecDeque<WheelEntry>>,
+    /// `LEVELS * SLOTS` slots, indexed `level * SLOTS + slot`. Each slot
+    /// stays in push order (see module docs).
+    slots: Vec<Slot>,
+    /// Chunk storage behind every slot.
+    pool: ChunkPool,
     /// Per-level occupancy bitmaps; bit `s` set iff slot `s` is non-empty.
     occupied: [[u64; SLOT_WORDS]; LEVELS],
     /// Wheel time `W`: the last tick popped from the wheel (never
@@ -184,9 +317,6 @@ pub struct EventQueue {
     /// Entries beyond the wheel horizon, keyed `(tick, seq)`; migrated a
     /// whole horizon block at a time when the wheel drains.
     overflow: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
-    /// Reusable buffer for cascade redistribution, so the steady state
-    /// never drops or regrows a slot allocation.
-    scratch: VecDeque<WheelEntry>,
     sequence: u64,
     len: usize,
     peak: usize,
@@ -195,12 +325,16 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         Self {
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
+            slots: vec![Slot::EMPTY; LEVELS * SLOTS],
+            pool: ChunkPool {
+                entries: Vec::new(),
+                next: Vec::new(),
+                free: NIL,
+            },
             occupied: [[0; SLOT_WORDS]; LEVELS],
             wheel_time: 0,
             due: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            scratch: VecDeque::new(),
             sequence: 0,
             len: 0,
             peak: 0,
@@ -250,7 +384,8 @@ impl EventQueue {
         };
         let shift = LEVEL_BITS * level as u32;
         let slot = ((tick >> shift) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push_back((tick, event));
+        self.pool
+            .push_back(&mut self.slots[level * SLOTS + slot], (tick, event));
         self.occupied[level][slot >> 6] |= 1 << (slot & 63);
     }
 
@@ -268,9 +403,9 @@ impl EventQueue {
         let slot = self
             .lowest_ready_slot()
             .expect("len > 0 with empty storage");
-        let deque = &mut self.slots[slot];
-        let (tick, event) = deque.pop_front().expect("occupied slot is empty");
-        if deque.is_empty() {
+        let list = &mut self.slots[slot];
+        let (tick, event) = self.pool.pop_front(list);
+        if list.head == NIL {
             self.occupied[0][slot >> 6] &= !(1 << (slot & 63));
         }
         self.wheel_time = tick;
@@ -280,13 +415,15 @@ impl EventQueue {
 
     /// Drains every event at the earliest pending tick into `buf`
     /// (cleared first) in FIFO order, returning that tick. Level-0 slots
-    /// hold exactly one tick each, so the drain is an O(1) buffer swap
-    /// with the slot's own deque — no per-entry copy. (The slot cannot
-    /// receive pushes while its batch is processed: a level-0 placement
-    /// needs `tick - wheel_time < SLOTS` with equal low bits, i.e. a zero
-    /// delay, and capacities circulate through the swaps, so steady state
-    /// stays allocation-free.) Past-tick (`due`) entries are rare and
-    /// surfaced one at a time. Every entry carries the returned tick.
+    /// hold exactly one tick each, so the drain copies the slot's chunks
+    /// out front to back and returns them to the pool's free list, where
+    /// the pushes made while handling the batch pick them up again. A
+    /// push at the drained tick itself (a zero delay) starts a fresh
+    /// chain in the now-empty slot and surfaces on the next call, behind
+    /// the whole batch, as pop order requires. `buf` keeps its capacity,
+    /// so once it and the pool have reached their peaks the drain
+    /// allocates nothing. Past-tick (`due`) entries are rare and surfaced
+    /// one at a time. Every entry carries the returned tick.
     ///
     /// `len` accounting is deferred: the caller must invoke
     /// [`EventQueue::consume_one`] once per drained event *before* any
@@ -295,20 +432,20 @@ impl EventQueue {
     /// to a pop-one-at-a-time loop over the same schedule.
     ///
     /// Returns `None` (with `buf` empty) when no events are pending.
-    pub fn pop_tick(&mut self, buf: &mut VecDeque<(Tick, Event)>) -> Option<Tick> {
+    pub fn pop_tick(&mut self, buf: &mut Vec<(Tick, Event)>) -> Option<Tick> {
         buf.clear();
         if self.len == 0 {
             return None;
         }
         if let Some(Reverse((tick, _, EventEntry(e)))) = self.due.pop() {
-            buf.push_back((tick, e));
+            buf.push((tick, e));
             return Some(tick);
         }
         let slot = self
             .lowest_ready_slot()
             .expect("len > 0 with empty storage");
-        std::mem::swap(buf, &mut self.slots[slot]);
-        let tick = buf.front().expect("occupied slot is empty").0;
+        self.pool.drain_into(&mut self.slots[slot], buf);
+        let tick = buf.first().expect("occupied slot is empty").0;
         self.occupied[0][slot >> 6] &= !(1 << (slot & 63));
         self.wheel_time = tick;
         Some(tick)
@@ -370,12 +507,12 @@ impl EventQueue {
             debug_assert!(base >= self.wheel_time);
             self.wheel_time = base;
             self.occupied[level][slot >> 6] &= !(1 << (slot & 63));
-            // Drain through the reusable scratch buffer: replaying front
-            // to back preserves push order, and no allocation is dropped
-            // or regrown in steady state.
-            debug_assert!(self.scratch.is_empty());
-            std::mem::swap(&mut self.scratch, &mut self.slots[level * SLOTS + slot]);
-            while let Some((tick, event)) = self.scratch.pop_front() {
+            // Replay the detached chain front to back, which preserves
+            // push order. Each chunk is released as soon as it is read,
+            // so the placements below reuse it straight away.
+            let mut list = std::mem::replace(&mut self.slots[level * SLOTS + slot], Slot::EMPTY);
+            while list.head != NIL {
+                let (tick, event) = self.pool.pop_front(&mut list);
                 debug_assert!(tick >= base && (tick ^ base) >> shift == 0);
                 self.place(tick, event);
             }
@@ -600,6 +737,78 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    /// Chunks the pool has ever allocated: its high-water mark.
+    fn pool_chunks(q: &EventQueue) -> usize {
+        q.pool.entries.len()
+    }
+
+    /// Chunks currently linked into a slot (allocated, not on the free
+    /// list).
+    fn chunks_in_use(q: &EventQueue) -> usize {
+        let mut free = 0;
+        let mut c = q.pool.free;
+        while c != NIL {
+            free += 1;
+            c = q.pool.next[c as usize];
+        }
+        pool_chunks(q) - free
+    }
+
+    fn occupied_slots(q: &EventQueue) -> usize {
+        q.occupied
+            .iter()
+            .flatten()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    #[test]
+    fn pool_never_outgrows_the_peak_live_load() {
+        // Drive the kernel's path (`pop_tick`, then `consume_one` and the
+        // handler's pushes per event) through a load that swells to a
+        // peak and drains away again. Per-slot retained capacity would
+        // hold every slot's own high-water mark; the shared pool may hold
+        // only what the peak live load needs: one partly filled chunk
+        // per occupied slot on top of the packed entries.
+        let mut q = EventQueue::new();
+        let mut buf = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut bound = 0;
+        let mut check = |q: &EventQueue| {
+            let live = q.len().div_ceil(CHUNK) + occupied_slots(q);
+            assert!(chunks_in_use(q) <= live, "in use beyond the live load");
+            bound = bound.max(live);
+            assert!(pool_chunks(q) <= bound, "pool outgrew the peak live load");
+        };
+        for sat in 0..2_000 {
+            q.push(1 + draw(3_000), Event::Capture { sat });
+        }
+        check(&q);
+        while let Some(tick) = q.pop_tick(&mut buf) {
+            check(&q);
+            for &(_, event) in &buf {
+                q.consume_one();
+                // Ramp up to tick 20k, then let the load die out.
+                let children = match tick {
+                    0..=19_999 => 1 + draw(2),
+                    _ => draw(2),
+                };
+                for _ in 0..children.min(30_000u64.saturating_sub(q.len() as u64)) {
+                    q.push(tick + 1 + draw(3_000), event);
+                }
+            }
+            check(&q);
+        }
+        assert!(q.peak_len() > 20_000, "the load must actually swell");
+        assert_eq!(chunks_in_use(&q), 0, "drained chunks go back to the pool");
     }
 
     #[test]

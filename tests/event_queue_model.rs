@@ -6,7 +6,9 @@
 //! event)>>`) implement the same contract: pop in tick order, FIFO within
 //! a tick, any push tick accepted — including ticks at or before the last
 //! pop. Random interleavings of pushes and pops must be observationally
-//! indistinguishable between the two, event for event, at every step.
+//! indistinguishable between the two, event for event, at every step —
+//! through the single `pop` and through the kernel's whole-tick drain
+//! (`pop_tick`, then `consume_one` and the handler's pushes per event).
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -22,28 +24,37 @@ use space_udc::sim::{BinaryHeapQueue, Event, EventQueue};
 ///   the calendar overflow level (Weibull lifetimes, contact windows);
 /// - `5`: push at or before the last popped tick (retry backoff of 0,
 ///   zero-duration transfers);
-/// - `6..=7`: pop once from both queues and compare.
+/// - `6..=7`: pop once from both queues and compare;
+/// - `8`: drain one tick the way the kernel does — `pop_tick`, then per
+///   event `consume_one`, a model pop to compare, and the pushes a
+///   handler would make (same tick included);
+/// - `9`: a same-tick burst of 65–200 events, longer than one slot
+///   chunk, up to two wheel levels ahead so it also cascades.
 fn replay(words: &[u64]) -> Result<(), TestCaseError> {
     let mut wheel = EventQueue::new();
     let mut model = BinaryHeapQueue::new();
+    let mut buf = Vec::new();
     let mut last_pop = 0u64;
     let mut last_push = 0u64;
     let mut serial = 0u32;
+    let mut push = |wheel: &mut EventQueue, model: &mut BinaryHeapQueue, tick: u64| {
+        wheel.push(tick, Event::Capture { sat: serial });
+        model.push(tick, Event::Capture { sat: serial });
+        serial += 1;
+    };
     for &w in words {
-        match w % 8 {
+        match w % 10 {
             op @ (0..=5) => {
                 let tick = match op {
-                    0..=2 => last_pop + (w >> 3) % 4096,
+                    0..=2 => last_pop + (w >> 4) % 4096,
                     3 => last_push,
-                    4 => last_pop + (w >> 3) % (1u64 << 34),
-                    _ => last_pop.saturating_sub((w >> 3) % 1024),
+                    4 => last_pop + (w >> 4) % (1u64 << 34),
+                    _ => last_pop.saturating_sub((w >> 4) % 1024),
                 };
                 last_push = tick;
-                wheel.push(tick, Event::Capture { sat: serial });
-                model.push(tick, Event::Capture { sat: serial });
-                serial += 1;
+                push(&mut wheel, &mut model, tick);
             }
-            _ => {
+            6 | 7 => {
                 let got = wheel.pop();
                 let want = model.pop();
                 prop_assert_eq!(&got, &want);
@@ -51,9 +62,37 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
                     last_pop = tick;
                 }
             }
+            8 => {
+                let Some(tick) = wheel.pop_tick(&mut buf) else {
+                    prop_assert!(model.is_empty());
+                    continue;
+                };
+                last_pop = tick;
+                for (k, &entry) in buf.iter().enumerate() {
+                    prop_assert_eq!(entry.0, tick);
+                    wheel.consume_one();
+                    prop_assert_eq!(Some(entry), model.pop());
+                    prop_assert_eq!(wheel.len(), model.len());
+                    // Handler pushes: none, one ahead, or one at the
+                    // tick being drained (it must pop after the batch).
+                    match (w >> 4).wrapping_add(k as u64) % 3 {
+                        0 => {}
+                        1 => push(&mut wheel, &mut model, tick + (w >> 8) % 2048),
+                        _ => push(&mut wheel, &mut model, tick),
+                    }
+                }
+            }
+            _ => {
+                let tick = last_pop + (w >> 12) % (1u64 << 20);
+                for _ in 0..65 + (w >> 4) % 136 {
+                    push(&mut wheel, &mut model, tick);
+                }
+                last_push = tick;
+            }
         }
         prop_assert_eq!(wheel.len(), model.len());
         prop_assert_eq!(wheel.is_empty(), model.is_empty());
+        prop_assert_eq!(wheel.peak_len(), model.peak_len());
     }
     // Drain what survives the interleaving: full global order check.
     while !model.is_empty() {
@@ -77,21 +116,33 @@ proptest! {
 
     #[test]
     fn bursts_at_one_tick_pop_in_push_order(
-        burst in 2u32..64,
+        burst in 2u32..300,
         tick in 0u64..(1u64 << 32),
     ) {
         // Same-tick FIFO in isolation: a pure burst must come back in
-        // exactly the order it went in, on both implementations.
+        // exactly the order it went in, on both implementations, popped
+        // one at a time or drained by one `pop_tick`. Bursts run past
+        // several slot chunks, and far ticks reach the wheel through the
+        // overflow heap and a cascade per level.
         let mut wheel = EventQueue::new();
+        let mut drained = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         for sat in 0..burst {
             wheel.push(tick, Event::Capture { sat });
+            drained.push(tick, Event::Capture { sat });
             model.push(tick, Event::Capture { sat });
         }
+        let mut buf = Vec::new();
+        prop_assert_eq!(drained.pop_tick(&mut buf), Some(tick));
+        prop_assert_eq!(buf.len(), burst as usize);
         for sat in 0..burst {
             let want = Some((tick, Event::Capture { sat }));
             prop_assert_eq!(wheel.pop(), want.clone());
+            prop_assert_eq!(Some(buf[sat as usize]), want.clone());
             prop_assert_eq!(model.pop(), want);
+            drained.consume_one();
         }
+        prop_assert!(drained.is_empty());
+        prop_assert_eq!(drained.pop_tick(&mut buf), None);
     }
 }
