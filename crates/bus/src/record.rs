@@ -15,12 +15,30 @@
 //! Integers are unsigned LEB128 varints; booleans are one byte, `0` or
 //! `1`. Latency-bearing payloads (`Processed`, `Delivered`) encode the
 //! capture tick as an *age* (`tick - capture`), which is tiny compared
-//! to the absolute tick. Decoding validates every tag, boolean, and
-//! varint terminator and reports structured [`SudcError`]s, so a
-//! truncated or corrupted log is rejected rather than misread.
+//! to the absolute tick.
+//!
+//! ## Decoding
+//!
+//! Decoding is one validating pass, and a truncated or corrupted log is
+//! rejected rather than misread. The first malformed field ends the pass
+//! with a structured [`SudcError`] naming its field and byte offset.
+//! Rejected are:
+//!
+//! - a log that ends inside a record;
+//! - an unknown record tag, `FaultKind` or `HealthEvent` byte;
+//! - a boolean byte other than `0` or `1`;
+//! - a varint wider than 64 bits, or above `u32::MAX` in a `u32` field;
+//! - a `dtick` that carries the tick past `u64::MAX`;
+//! - an age larger than its record's tick (a capture before tick zero).
+//!
+//! Reads return `Option`s and a failure is recorded once, out of line,
+//! so the loop carries no error values. A one-byte varint (most fields)
+//! is read inline. The visitor is called from inside each tag's arm, so
+//! a fold inlined into [`BusLog::try_visit`] (the sim's replay) shares
+//! the decoder's one dispatch per record.
 
 use crate::sample::{FaultKind, HealthEvent, Payload, Sample, Tick};
-use sudc_errors::SudcError;
+use sudc_errors::{SudcError, Violation};
 
 const TAG_CAPTURE: u8 = 1;
 const TAG_PROCESSED: u8 = 2;
@@ -33,6 +51,7 @@ const TAG_FAULT: u8 = 8;
 const TAG_FINISH: u8 = 9;
 const TAG_HEARTBEAT: u8 = 10;
 const TAG_HEALTH: u8 = 11;
+const UNKNOWN_TAG: &str = "a known record tag (1..=11)";
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -50,44 +69,120 @@ fn put_bool(out: &mut Vec<u8>, b: bool) {
     out.push(u8::from(b));
 }
 
-/// Streaming decoder state over a log's bytes.
+/// The offending value of a decode failure.
+#[derive(Debug, Clone, Copy)]
+enum Found {
+    EndOfLog,
+    Value(u64),
+}
+
+/// The first decode failure: field, byte offset, value found and what
+/// was allowed. Rendered into a [`SudcError`] only once, when the decode
+/// gives up.
+#[derive(Debug, Clone, Copy)]
+struct Fault {
+    path: &'static str,
+    pos: usize,
+    found: Found,
+    allowed: &'static str,
+}
+
+impl Fault {
+    /// Out of line and cold, so every branch into a failure is laid out
+    /// off the decode loop's hot path.
+    #[cold]
+    #[inline(never)]
+    fn new(path: &'static str, pos: usize, found: Found, allowed: &'static str) -> Self {
+        Self {
+            path,
+            pos,
+            found,
+            allowed,
+        }
+    }
+
+    #[cold]
+    fn violation(self) -> Violation {
+        Violation {
+            path: format!("{} (byte offset {})", self.path, self.pos),
+            value: match self.found {
+                Found::EndOfLog => "end of log".to_string(),
+                Found::Value(v) => v.to_string(),
+            },
+            allowed: self.allowed.to_string(),
+        }
+    }
+}
+
+/// The rest of a multi-byte varint whose first byte was `first`, read
+/// from `bytes[pos..]`: the offset after it, and its value or why it is
+/// not one (the log ends, or it is wider than 64 bits).
+#[inline(never)]
+fn varint_tail(bytes: &[u8], mut pos: usize, first: u8) -> (usize, Result<u64, Found>) {
+    let mut v = u64::from(first & 0x7f);
+    let mut shift = 7u32;
+    loop {
+        let Some(&b) = bytes.get(pos) else {
+            return (pos, Err(Found::EndOfLog));
+        };
+        pos += 1;
+        if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
+            return (pos, Err(Found::Value(b.into())));
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            return (pos, Ok(v));
+        }
+        shift += 7;
+    }
+}
+
+/// Streaming decoder state over a log's bytes. Every read returns an
+/// `Option`; a `None` means [`Cursor::fail`] has recorded why.
+///
+/// No out-of-line function takes the cursor by reference (the varint
+/// tail gets the offset by value, a failure is built by value), so its
+/// offset stays in a register through the decode loop instead of being
+/// stored and reloaded on every byte.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    fault: Option<Fault>,
 }
 
 impl<'a> Cursor<'a> {
-    fn err(&self, path: &str, value: impl std::fmt::Display, allowed: &str) -> SudcError {
-        SudcError::single(
-            "BusLog",
-            format!("{path} (byte offset {})", self.pos),
-            value,
-            allowed,
-        )
+    /// Records a failure at the current offset.
+    #[inline(always)]
+    fn fail<T>(&mut self, path: &'static str, found: Found, allowed: &'static str) -> Option<T> {
+        self.fault = Some(Fault::new(path, self.pos, found, allowed));
+        None
     }
 
-    fn byte(&mut self, path: &str) -> Result<u8, SudcError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err(path, "end of log", "at least one more byte"))?;
-        self.pos += 1;
-        Ok(b)
+    #[inline(always)]
+    fn byte(&mut self, path: &'static str) -> Option<u8> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Some(b)
+            }
+            None => self.fail(path, Found::EndOfLog, "at least one more byte"),
+        }
     }
 
-    fn varint(&mut self, path: &str) -> Result<u64, SudcError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte(path)?;
-            if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
-                return Err(self.err(path, b, "a varint that fits in 64 bits"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+    /// An unsigned LEB128 varint. Most fields fit one byte, so that case
+    /// is inlined and longer encodings take [`varint_tail`].
+    #[inline(always)]
+    fn varint(&mut self, path: &'static str) -> Option<u64> {
+        let b = self.byte(path)?;
+        if b < 0x80 {
+            return Some(u64::from(b));
+        }
+        let (pos, tail) = varint_tail(self.bytes, self.pos, b);
+        self.pos = pos;
+        match tail {
+            Ok(v) => Some(v),
+            Err(Found::EndOfLog) => self.fail(path, Found::EndOfLog, "at least one more byte"),
+            Err(found) => self.fail(path, found, "a varint that fits in 64 bits"),
         }
     }
 
@@ -95,17 +190,150 @@ impl<'a> Cursor<'a> {
     /// format carries u64 varints, so a hostile or corrupt log can
     /// encode values above `u32::MAX`; a plain `as u32` cast would wrap
     /// silently past full-decode validation.
-    fn varint_u32(&mut self, path: &str) -> Result<u32, SudcError> {
+    #[inline(always)]
+    fn varint_u32(&mut self, path: &'static str) -> Option<u32> {
         let v = self.varint(path)?;
-        u32::try_from(v).map_err(|_| self.err(path, v, "a varint that fits in 32 bits"))
+        match u32::try_from(v) {
+            Ok(v) => Some(v),
+            Err(_) => self.fail(path, Found::Value(v), "a varint that fits in 32 bits"),
+        }
     }
 
-    fn boolean(&mut self, path: &str) -> Result<bool, SudcError> {
+    #[inline(always)]
+    fn boolean(&mut self, path: &'static str) -> Option<bool> {
         match self.byte(path)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.err(path, other, "a boolean byte (0 or 1)")),
+            0 => Some(false),
+            1 => Some(true),
+            other => self.fail(path, Found::Value(other.into()), "a boolean byte (0 or 1)"),
         }
+    }
+
+    /// The capture tick of a latency-bearing record at `tick`, encoded
+    /// as an age. An age past the tick would name a capture before tick
+    /// zero, which no encoder writes.
+    #[inline(always)]
+    fn capture(&mut self, tick: Tick) -> Option<Tick> {
+        let age = self.varint("age")?;
+        match tick.checked_sub(age) {
+            Some(capture) => Some(capture),
+            None => self.fail(
+                "age",
+                Found::Value(age),
+                "an age no larger than the record's tick",
+            ),
+        }
+    }
+
+    /// Decodes the record at the cursor, whose predecessor was published
+    /// at `tick`, hands it to `f` and returns its tick. `f` is called
+    /// from each tag's arm, with the payload variant known there, so a
+    /// visitor inlined here (the replay fold) needs no second dispatch
+    /// on the payload: one tag match per record serves both.
+    #[inline(always)]
+    fn record(&mut self, tick: Tick, f: &mut impl FnMut(&Sample)) -> Option<Tick> {
+        let tag = self.byte("tag")?;
+        if !(TAG_CAPTURE..=TAG_HEALTH).contains(&tag) {
+            return self.fail("tag", Found::Value(tag.into()), UNKNOWN_TAG);
+        }
+        let dtick = self.varint("dtick")?;
+        let Some(tick) = tick.checked_add(dtick) else {
+            return self.fail(
+                "dtick",
+                Found::Value(dtick),
+                "a tick delta that keeps the tick within u64",
+            );
+        };
+        // Builds the sample inside the arm and visits it there.
+        macro_rules! emit {
+            ($p:expr) => {{
+                let payload = $p;
+                f(&Sample { tick, payload })
+            }};
+        }
+        match tag {
+            TAG_CAPTURE => emit!(Payload::Capture {
+                sat: self.varint_u32("sat")?,
+                filtered: self.boolean("filtered")?,
+            }),
+            TAG_PROCESSED => emit!(Payload::Processed {
+                capture: self.capture(tick)?,
+            }),
+            TAG_DELIVERED => emit!(Payload::Delivered {
+                capture: self.capture(tick)?,
+            }),
+            TAG_SETTLE => emit!(Payload::Settle {
+                events: self.varint("events")?,
+                busy: self.varint_u32("busy")?,
+                batch_queue: self.varint("batch_queue")?,
+                downlink_queue: self.varint("downlink_queue")?,
+                full: self.boolean("full")?,
+            }),
+            TAG_QUEUE_DEPTH => emit!(Payload::QueueDepth {
+                downlink: self.boolean("downlink")?,
+                len: self.varint("len")?,
+            }),
+            TAG_BACKLOG => {
+                let isl = self.varint("isl")?;
+                let batch = self.varint("batch")?;
+                let downlink = self.varint("downlink")?;
+                let oldest_age = if self.boolean("has_age")? {
+                    Some(self.varint("oldest_age")?)
+                } else {
+                    None
+                };
+                emit!(Payload::Backlog {
+                    isl,
+                    batch,
+                    downlink,
+                    oldest_age,
+                })
+            }
+            TAG_BATCH_DISPATCHED => emit!(Payload::BatchDispatched {
+                size: self.varint("size")?,
+                timeout: self.boolean("timeout")?,
+            }),
+            TAG_FAULT => {
+                let raw = self.byte("fault kind")?;
+                let Some(kind) = FaultKind::from_wire_tag(raw) else {
+                    return self.fail(
+                        "fault kind",
+                        Found::Value(raw.into()),
+                        "a known FaultKind wire tag",
+                    );
+                };
+                emit!(Payload::Fault {
+                    kind,
+                    count: self.varint("count")?,
+                })
+            }
+            TAG_FINISH => emit!(Payload::Finish {
+                busy: self.varint_u32("busy")?,
+                batch_queue: self.varint("batch_queue")?,
+                downlink_queue: self.varint("downlink_queue")?,
+                full: self.boolean("full")?,
+                peak_event_queue: self.varint("peak_event_queue")?,
+            }),
+            TAG_HEARTBEAT => emit!(Payload::Heartbeat {
+                node: self.varint_u32("node")?,
+            }),
+            TAG_HEALTH => {
+                let raw = self.byte("health event")?;
+                let Some(event) = HealthEvent::from_wire_tag(raw) else {
+                    return self.fail(
+                        "health event",
+                        Found::Value(raw.into()),
+                        "a known HealthEvent wire tag",
+                    );
+                };
+                emit!(Payload::Health {
+                    event,
+                    node: self.varint_u32("node")?,
+                    value: self.varint("value")?,
+                })
+            }
+            other => return self.fail("tag", Found::Value(other.into()), UNKNOWN_TAG),
+        }
+        Some(tick)
     }
 }
 
@@ -280,11 +508,14 @@ impl BusLog {
         Ok(log)
     }
 
-    /// Decodes every sample in order, invoking `f` on each.
+    /// Decodes every sample in order, invoking `f` on each. `f` is
+    /// called from the decoder's arm for the record's tag, so a visitor
+    /// that inlines here matches on a payload variant already known.
     ///
     /// # Errors
     /// Returns a [`SudcError`] naming the byte offset and field of the
     /// first malformed record.
+    #[inline]
     pub fn try_visit(&self, f: impl FnMut(&Sample)) -> Result<u64, SudcError> {
         Self::visit_bytes(&self.bytes, f)?;
         Ok(self.records)
@@ -300,90 +531,20 @@ impl BusLog {
         Ok(out)
     }
 
+    #[inline]
     fn visit_bytes(bytes: &[u8], mut f: impl FnMut(&Sample)) -> Result<(), SudcError> {
-        let mut c = Cursor { bytes, pos: 0 };
+        let mut c = Cursor {
+            bytes,
+            pos: 0,
+            fault: None,
+        };
         let mut tick: Tick = 0;
         while c.pos < c.bytes.len() {
-            let tag = c.byte("tag")?;
-            if !(TAG_CAPTURE..=TAG_HEALTH).contains(&tag) {
-                return Err(c.err("tag", tag, "a known record tag (1..=11)"));
-            }
-            tick += c.varint("dtick")?;
-            let payload = match tag {
-                TAG_CAPTURE => Payload::Capture {
-                    sat: c.varint_u32("sat")?,
-                    filtered: c.boolean("filtered")?,
-                },
-                TAG_PROCESSED => Payload::Processed {
-                    capture: tick.saturating_sub(c.varint("age")?),
-                },
-                TAG_DELIVERED => Payload::Delivered {
-                    capture: tick.saturating_sub(c.varint("age")?),
-                },
-                TAG_SETTLE => Payload::Settle {
-                    events: c.varint("events")?,
-                    busy: c.varint_u32("busy")?,
-                    batch_queue: c.varint("batch_queue")?,
-                    downlink_queue: c.varint("downlink_queue")?,
-                    full: c.boolean("full")?,
-                },
-                TAG_QUEUE_DEPTH => Payload::QueueDepth {
-                    downlink: c.boolean("downlink")?,
-                    len: c.varint("len")?,
-                },
-                TAG_BACKLOG => {
-                    let isl = c.varint("isl")?;
-                    let batch = c.varint("batch")?;
-                    let downlink = c.varint("downlink")?;
-                    let oldest_age = if c.boolean("has_age")? {
-                        Some(c.varint("oldest_age")?)
-                    } else {
-                        None
-                    };
-                    Payload::Backlog {
-                        isl,
-                        batch,
-                        downlink,
-                        oldest_age,
-                    }
-                }
-                TAG_BATCH_DISPATCHED => Payload::BatchDispatched {
-                    size: c.varint("size")?,
-                    timeout: c.boolean("timeout")?,
-                },
-                TAG_FAULT => {
-                    let raw = c.byte("fault kind")?;
-                    let kind = FaultKind::from_wire_tag(raw)
-                        .ok_or_else(|| c.err("fault kind", raw, "a known FaultKind wire tag"))?;
-                    Payload::Fault {
-                        kind,
-                        count: c.varint("count")?,
-                    }
-                }
-                TAG_FINISH => Payload::Finish {
-                    busy: c.varint_u32("busy")?,
-                    batch_queue: c.varint("batch_queue")?,
-                    downlink_queue: c.varint("downlink_queue")?,
-                    full: c.boolean("full")?,
-                    peak_event_queue: c.varint("peak_event_queue")?,
-                },
-                TAG_HEARTBEAT => Payload::Heartbeat {
-                    node: c.varint_u32("node")?,
-                },
-                TAG_HEALTH => {
-                    let raw = c.byte("health event")?;
-                    let event = HealthEvent::from_wire_tag(raw).ok_or_else(|| {
-                        c.err("health event", raw, "a known HealthEvent wire tag")
-                    })?;
-                    Payload::Health {
-                        event,
-                        node: c.varint_u32("node")?,
-                        value: c.varint("value")?,
-                    }
-                }
-                other => return Err(c.err("tag", other, "a known record tag (1..=11)")),
+            let Some(next) = c.record(tick, &mut f) else {
+                let violation = c.fault.map(Fault::violation);
+                return Err(SudcError::new("BusLog", violation.into_iter().collect()));
             };
-            f(&Sample { tick, payload });
+            tick = next;
         }
         Ok(())
     }
@@ -591,6 +752,146 @@ mod tests {
         let bad = [TAG_HEALTH, 0, HealthEvent::ALL.len() as u8, 0, 0];
         let err = BusLog::try_from_bytes(&bad).unwrap_err();
         assert!(err.violations()[0].path.contains("health event"));
+    }
+
+    /// The full `Display` text of every decode failure kind, pinned as
+    /// literals so a decoder rewrite cannot drift the diagnostics. A
+    /// record only starts where bytes remain, so a cut straight after
+    /// the tag lands in `dtick`; the `tag` path reports unknown tags.
+    #[test]
+    fn decode_errors_keep_their_exact_text() {
+        let mut two_pow_32 = vec![TAG_CAPTURE, 0];
+        put_varint(&mut two_pow_32, 1 << 32);
+        two_pow_32.push(0);
+        let mut wide = vec![TAG_CAPTURE];
+        wide.extend_from_slice(&[0xFF; 9]);
+        wide.push(0x02);
+        let mut eleven_bytes = vec![TAG_PROCESSED, 0];
+        eleven_bytes.extend_from_slice(&[0x80; 9]);
+        eleven_bytes.extend_from_slice(&[0x81, 0x00]);
+        let cases: [(&[u8], &str); 18] = [
+            (
+                &[TAG_CAPTURE],
+                "`dtick (byte offset 1)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_CAPTURE, 0x80],
+                "`dtick (byte offset 2)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_PROCESSED, 0],
+                "`age (byte offset 2)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_SETTLE, 0, 0x81],
+                "`events (byte offset 3)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_CAPTURE, 0],
+                "`sat (byte offset 2)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_HEARTBEAT, 3, 0x80],
+                "`node (byte offset 3)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_CAPTURE, 0, 0],
+                "`filtered (byte offset 3)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_FAULT, 0],
+                "`fault kind (byte offset 2)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_HEALTH, 0],
+                "`health event (byte offset 2)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[0xEE],
+                "`tag (byte offset 1)` = 238 (allowed: a known record tag (1..=11))",
+            ),
+            (
+                &[TAG_HEARTBEAT, 0, 1, 0],
+                "`tag (byte offset 4)` = 0 (allowed: a known record tag (1..=11))",
+            ),
+            (
+                &[TAG_CAPTURE, 0, 0, 7],
+                "`filtered (byte offset 4)` = 7 (allowed: a boolean byte (0 or 1))",
+            ),
+            (
+                &[TAG_BACKLOG, 0, 0, 0, 0, 2],
+                "`has_age (byte offset 6)` = 2 (allowed: a boolean byte (0 or 1))",
+            ),
+            (
+                &wide,
+                "`dtick (byte offset 11)` = 2 (allowed: a varint that fits in 64 bits)",
+            ),
+            (
+                &eleven_bytes,
+                "`age (byte offset 13)` = 0 (allowed: a varint that fits in 64 bits)",
+            ),
+            (
+                &two_pow_32,
+                "`sat (byte offset 7)` = 4294967296 (allowed: a varint that fits in 32 bits)",
+            ),
+            (
+                &[TAG_FAULT, 0, 12, 0],
+                "`fault kind (byte offset 3)` = 12 (allowed: a known FaultKind wire tag)",
+            ),
+            (
+                &[TAG_HEALTH, 0, 4, 0, 0],
+                "`health event (byte offset 3)` = 4 (allowed: a known HealthEvent wire tag)",
+            ),
+        ];
+        for (bytes, want) in cases {
+            let err = BusLog::try_from_bytes(bytes).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid BusLog: {want}"),
+                "{bytes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dtick_overflowing_the_tick_is_rejected() {
+        // Two deltas summing past u64::MAX: the second record's tick
+        // does not exist, so the log is rejected, not wrapped.
+        let mut bytes = vec![TAG_HEARTBEAT];
+        put_varint(&mut bytes, u64::MAX);
+        bytes.extend_from_slice(&[0, TAG_HEARTBEAT, 1, 0]);
+        let err = BusLog::try_from_bytes(&bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid BusLog: `dtick (byte offset 14)` = 1 \
+             (allowed: a tick delta that keeps the tick within u64)"
+        );
+        // Landing exactly on u64::MAX is still a tick.
+        let mut edge = vec![TAG_HEARTBEAT];
+        put_varint(&mut edge, u64::MAX - 1);
+        edge.extend_from_slice(&[0, TAG_HEARTBEAT, 1, 0]);
+        let log = BusLog::try_from_bytes(&edge).unwrap();
+        assert_eq!(log.try_samples().unwrap()[1].tick, u64::MAX);
+    }
+
+    #[test]
+    fn an_age_older_than_its_tick_is_rejected() {
+        // Processed and Delivered at tick 5 with age 6 would name a
+        // capture before tick zero; they used to decode as capture 0.
+        for tag in [TAG_PROCESSED, TAG_DELIVERED] {
+            let err = BusLog::try_from_bytes(&[tag, 5, 6]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid BusLog: `age (byte offset 3)` = 6 \
+                 (allowed: an age no larger than the record's tick)"
+            );
+        }
+        // age == tick is a capture at tick zero.
+        let log = BusLog::try_from_bytes(&[TAG_DELIVERED, 5, 5]).unwrap();
+        assert_eq!(
+            log.try_samples().unwrap()[0].payload,
+            Payload::Delivered { capture: 0 }
+        );
     }
 
     #[test]

@@ -49,11 +49,13 @@ impl PoolTimeline {
                 Payload::Health {
                     event: HealthEvent::Readmit,
                     ..
-                } => (alive + 1).min(required),
+                } => alive.saturating_add(1).min(required),
                 Payload::Fault {
                     kind: FaultKind::Promotion,
                     count,
-                } => (alive + count as u32).min(required),
+                } => alive
+                    .saturating_add(u32::try_from(count).unwrap_or(u32::MAX))
+                    .min(required),
                 _ => alive,
             };
             if next != alive {
@@ -204,6 +206,35 @@ mod tests {
         // An empty log is a degenerate full pool.
         let empty = PoolTimeline::try_from_log(&BusLog::new(), 4).unwrap();
         assert_eq!(empty.try_fractions(2).unwrap(), vec![1.0; 2]);
+    }
+
+    #[test]
+    fn huge_promotion_counts_and_readmissions_saturate_at_the_pool() {
+        // A count past u32::MAX, or one that overflows the alive count,
+        // fills the pool rather than wrapping or panicking.
+        for (required, count) in [(10, u64::MAX), (10, u64::from(u32::MAX)), (u32::MAX, 1)] {
+            let log = log_of(&[
+                dead(1, 0),
+                Sample {
+                    tick: 2,
+                    payload: Payload::Fault {
+                        kind: FaultKind::Promotion,
+                        count,
+                    },
+                },
+                Sample {
+                    tick: 3,
+                    payload: Payload::Health {
+                        event: HealthEvent::Readmit,
+                        node: 0,
+                        value: 0,
+                    },
+                },
+            ]);
+            let tl = PoolTimeline::try_from_log(&log, required).unwrap();
+            assert_eq!(tl.alive_at(1), required - 1);
+            assert_eq!(tl.alive_at(3), required);
+        }
     }
 
     #[test]

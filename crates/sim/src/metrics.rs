@@ -419,6 +419,11 @@ impl RunTrace {
         }
     }
 
+    /// The tick the time-weighted integrals have reached.
+    pub(crate) fn integrated_to(&self) -> Tick {
+        self.last_tick
+    }
+
     pub(crate) fn finish(
         &mut self,
         duration: Tick,

@@ -50,23 +50,37 @@ impl TraceBuilder {
         self.trace
     }
 
-    fn apply(&mut self, s: &Sample) {
+    /// Folds one sample into the trace. The live kernel's stream is
+    /// well-formed by construction and folds with `CHECKED = false`;
+    /// [`replay`] folds a log from outside with `CHECKED = true`, which
+    /// turns a counter overflow or a backwards integration into an
+    /// error. Inlined so the replay loop's payload match merges with the
+    /// decoder's tag dispatch.
+    #[inline(always)]
+    fn apply<const CHECKED: bool>(&mut self, s: &Sample) -> Result<(), SudcError> {
+        let t = &mut self.trace;
+        // Adds to a trace counter; checked, an overflow is an error.
+        macro_rules! add {
+            ($counter:ident, $count:expr) => {
+                add_count::<CHECKED>(&mut t.$counter, $count, stringify!($counter), s)?
+            };
+        }
         match s.payload {
             Payload::Capture { filtered, .. } => {
-                self.trace.captured += 1;
+                t.captured += 1;
                 if filtered {
-                    self.trace.filtered_out += 1;
+                    t.filtered_out += 1;
                 } else {
-                    self.trace.arrived += 1;
+                    t.arrived += 1;
                 }
             }
             Payload::Processed { capture } => {
-                self.trace.processed += 1;
-                self.trace.record_processing_latency(s.tick - capture);
+                t.processed += 1;
+                t.record_processing_latency(s.tick - capture);
             }
             Payload::Delivered { capture } => {
-                self.trace.delivered += 1;
-                self.trace.record_delivery_latency(s.tick - capture);
+                t.delivered += 1;
+                t.record_delivery_latency(s.tick - capture);
             }
             Payload::Settle {
                 events,
@@ -75,20 +89,23 @@ impl TraceBuilder {
                 downlink_queue,
                 full,
             } => {
-                self.trace.advance_to(
+                if CHECKED && s.tick < t.integrated_to() {
+                    return Err(backwards(s, "Settle tick", s.tick, t.integrated_to()));
+                }
+                t.advance_to(
                     s.tick,
                     busy,
                     batch_queue as usize,
                     downlink_queue as usize,
                     full,
                 );
-                self.trace.events += events;
+                add!(events, events);
             }
             Payload::QueueDepth { downlink, len } => {
                 if downlink {
-                    self.trace.note_downlink_queue_len(len as usize);
+                    t.note_downlink_queue_len(len as usize);
                 } else {
-                    self.trace.note_batch_queue_len(len as usize);
+                    t.note_batch_queue_len(len as usize);
                 }
             }
             Payload::Backlog {
@@ -97,7 +114,7 @@ impl TraceBuilder {
                 downlink,
                 oldest_age,
             } => {
-                self.trace.record_backlog_sample(
+                t.record_backlog_sample(
                     isl as usize,
                     batch as usize,
                     downlink as usize,
@@ -106,9 +123,9 @@ impl TraceBuilder {
             }
             Payload::BatchDispatched { timeout, .. } => {
                 if timeout {
-                    self.trace.timeout_batches += 1;
+                    t.timeout_batches += 1;
                 }
-                self.trace.batches += 1;
+                t.batches += 1;
             }
             Payload::Finish {
                 busy,
@@ -117,8 +134,16 @@ impl TraceBuilder {
                 full,
                 peak_event_queue,
             } => {
-                self.trace.peak_event_queue = peak_event_queue as usize;
-                self.trace.finish(
+                if CHECKED && self.duration_ticks < t.integrated_to() {
+                    return Err(backwards(
+                        s,
+                        "Finish duration_ticks",
+                        self.duration_ticks,
+                        t.integrated_to(),
+                    ));
+                }
+                t.peak_event_queue = peak_event_queue as usize;
+                t.finish(
                     self.duration_ticks,
                     busy,
                     batch_queue as usize,
@@ -127,44 +152,88 @@ impl TraceBuilder {
                 );
             }
             Payload::Fault { kind, count } => match kind {
-                FaultKind::BatchOverflow => self.trace.shed_batch_overflow += count,
-                FaultKind::DownlinkOverflow => self.trace.shed_downlink_overflow += count,
-                FaultKind::DeadlineShed => self.trace.shed_deadline += count,
-                FaultKind::Corrupted => self.trace.corrupted += count,
-                FaultKind::Retry => self.trace.retries += count,
-                FaultKind::RetryExhausted => self.trace.retry_exhausted += count,
-                FaultKind::NodeFailure => self.trace.failures += count,
-                FaultKind::Promotion => self.trace.promotions += count,
-                FaultKind::DormantDeath => self.trace.dormant_deaths += count,
+                FaultKind::BatchOverflow => add!(shed_batch_overflow, count),
+                FaultKind::DownlinkOverflow => add!(shed_downlink_overflow, count),
+                FaultKind::DeadlineShed => add!(shed_deadline, count),
+                FaultKind::Corrupted => add!(corrupted, count),
+                FaultKind::Retry => add!(retries, count),
+                FaultKind::RetryExhausted => add!(retry_exhausted, count),
+                FaultKind::NodeFailure => add!(failures, count),
+                FaultKind::Promotion => add!(promotions, count),
+                FaultKind::DormantDeath => add!(dormant_deaths, count),
                 FaultKind::StormKill => {
                     // A storm latch-up is both a node failure and a storm
                     // statistic — one event, two counters.
-                    self.trace.failures += count;
-                    self.trace.storm_node_kills += count;
+                    add!(failures, count);
+                    add!(storm_node_kills, count);
                 }
-                FaultKind::IslFlap => self.trace.isl_flaps += count,
-                FaultKind::Blackout => self.trace.blackout_windows += count,
+                FaultKind::IslFlap => add!(isl_flaps, count),
+                FaultKind::Blackout => add!(blackout_windows, count),
             },
-            Payload::Heartbeat { .. } => self.trace.heartbeats += 1,
+            Payload::Heartbeat { .. } => t.heartbeats += 1,
             Payload::Health { event, value, .. } => match event {
-                HealthEvent::Suspect => self.trace.suspects += 1,
-                HealthEvent::FalseSuspect => self.trace.false_suspects += 1,
+                HealthEvent::Suspect => t.suspects += 1,
+                HealthEvent::FalseSuspect => t.false_suspects += 1,
                 HealthEvent::Dead => {
-                    self.trace.detections += 1;
+                    t.detections += 1;
                     // `value` carries the ground-truth failure → DEAD
                     // declaration gap, so replay reproduces the latency
                     // population without re-running the detector.
-                    self.trace.record_detection_latency(value);
+                    t.record_detection_latency(value);
                 }
-                HealthEvent::Readmit => self.trace.readmissions += 1,
+                HealthEvent::Readmit => t.readmissions += 1,
             },
         }
+        Ok(())
     }
+}
+
+/// Adds `count` to a trace counter; checked, an overflow is an error
+/// naming the counter and the sample that carried it.
+#[inline(always)]
+fn add_count<const CHECKED: bool>(
+    counter: &mut u64,
+    count: u64,
+    name: &'static str,
+    s: &Sample,
+) -> Result<(), SudcError> {
+    if CHECKED {
+        match counter.checked_add(count) {
+            Some(sum) => *counter = sum,
+            None => return Err(overflow(s, name, count, *counter)),
+        }
+    } else {
+        *counter += count;
+    }
+    Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn overflow(s: &Sample, name: &str, count: u64, total: u64) -> SudcError {
+    SudcError::single(
+        "replay",
+        format!("{name} (record at tick {})", s.tick),
+        count,
+        format!("a count that keeps the total ({total}) within u64"),
+    )
+}
+
+#[cold]
+#[inline(never)]
+fn backwards(s: &Sample, target: &str, to: Tick, integrated: Tick) -> SudcError {
+    SudcError::single(
+        "replay",
+        format!("{target} (record at tick {})", s.tick),
+        to,
+        format!("a tick no earlier than the trace's integrated time ({integrated})"),
+    )
 }
 
 impl Subscriber for TraceBuilder {
     fn deliver(&mut self, _topic: TopicId, sample: &Sample) {
-        self.apply(sample);
+        // Unchecked: the fold cannot fail.
+        let _ = self.apply::<false>(sample);
     }
 }
 
@@ -217,13 +286,30 @@ pub struct BusRun {
 /// reproducing the live run's [`RunTrace`] byte for byte. `cfg` must be
 /// the configuration the log was recorded under.
 ///
+/// Decoding and folding are one pass: the decoder and the fold inline
+/// into a single loop, so each record is dispatched on its tag once.
+///
 /// # Errors
 ///
 /// Returns a [`SudcError`] if the log is malformed (see
-/// [`BusLog::try_visit`]).
+/// [`BusLog::try_visit`]), or if it decodes but no run could have
+/// published it: a fault or event count that overflows its counter, or
+/// a `Settle`/`Finish` that would integrate the trace backwards in time
+/// (a `Settle` past `cfg.duration_ticks` before a `Finish`). The first
+/// problem in log order is reported.
 pub fn replay(cfg: &SimConfig, log: &BusLog) -> Result<RunTrace, SudcError> {
     let mut builder = TraceBuilder::new(cfg);
-    log.try_visit(|s| builder.apply(s))?;
+    let mut folded = Ok(());
+    let decoded = log.try_visit(
+        #[inline(always)]
+        |s| {
+            if folded.is_ok() {
+                folded = builder.apply::<true>(s);
+            }
+        },
+    );
+    folded?;
+    decoded?;
     Ok(builder.into_trace())
 }
 
@@ -286,6 +372,79 @@ mod tests {
         let live = kernel::run(&cfg, 3);
         let recorded = kernel::run_on_bus(&cfg, 3, true);
         assert_eq!(live, recorded.trace);
+    }
+
+    fn log_of(samples: &[(Tick, Payload)]) -> BusLog {
+        let mut log = BusLog::new();
+        for &(tick, payload) in samples {
+            log.push(&Sample { tick, payload });
+        }
+        log
+    }
+
+    #[test]
+    fn replay_rejects_fault_counts_that_overflow_a_counter() {
+        let cfg = SimConfig::reference_operations(Seconds::new(60.0));
+        let kill = Payload::Fault {
+            kind: FaultKind::StormKill,
+            count: u64::MAX,
+        };
+        let err = replay(&cfg, &log_of(&[(3, kill), (4, kill)])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid replay: `failures (record at tick 4)` = 18446744073709551615 \
+             (allowed: a count that keeps the total (18446744073709551615) within u64)"
+        );
+        // One such fault alone is representable and replays.
+        assert_eq!(
+            replay(&cfg, &log_of(&[(3, kill)])).unwrap().failures,
+            u64::MAX
+        );
+        // Settle's event count is a counter too.
+        let settle = Payload::Settle {
+            events: u64::MAX,
+            busy: 0,
+            batch_queue: 0,
+            downlink_queue: 0,
+            full: true,
+        };
+        let err = replay(&cfg, &log_of(&[(1, settle), (2, settle)])).unwrap_err();
+        assert!(err.violations()[0].path.starts_with("events"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_a_settle_past_the_run_before_its_finish() {
+        let cfg = SimConfig::reference_operations(Seconds::new(60.0));
+        let end = cfg.duration_ticks;
+        let settle = Payload::Settle {
+            events: 1,
+            busy: 2,
+            batch_queue: 0,
+            downlink_queue: 0,
+            full: true,
+        };
+        let finish = Payload::Finish {
+            busy: 0,
+            batch_queue: 0,
+            downlink_queue: 0,
+            full: true,
+            peak_event_queue: 1,
+        };
+        let err = replay(&cfg, &log_of(&[(end + 5, settle), (end + 5, finish)])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "invalid replay: `Finish duration_ticks (record at tick {})` = {end} \
+                 (allowed: a tick no earlier than the trace's integrated time ({}))",
+                end + 5,
+                end + 5
+            )
+        );
+        // A Settle after the Finish would integrate backwards too.
+        let err = replay(&cfg, &log_of(&[(1, finish), (2, settle)])).unwrap_err();
+        assert!(err.violations()[0].path.starts_with("Settle tick"), "{err}");
+        // Settling exactly at the run's end is how every run finishes.
+        assert!(replay(&cfg, &log_of(&[(end, settle), (end, finish)])).is_ok());
     }
 
     #[test]

@@ -1,0 +1,236 @@
+//! Property tests for the bus's binary log ([`BusLog`]).
+//!
+//! Two properties: every nondecreasing stream of samples round-trips
+//! encode → decode unchanged, boundary values included; and no hostile
+//! log — such a stream, or any truncation or byte mutation of a real
+//! recorded run — makes the decoder, the sim's replay fold or the
+//! health plane's pool timeline panic. A hostile log either fails to decode with an error,
+//! or decodes and then replays to a trace or an error.
+
+use std::sync::OnceLock;
+
+use proptest::collection;
+use proptest::prelude::*;
+use space_udc::bus::{BusLog, FaultKind, HealthEvent, Payload, Sample};
+use space_udc::chaos::Campaign;
+use space_udc::health::{HealthConfig, PoolTimeline};
+use space_udc::sim::{replay, run_recorded, SimConfig, DEFAULT_SEED};
+use space_udc::units::Seconds;
+
+/// Values where LEB128 and the u32 fields change shape.
+const EDGES: [u64; 8] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+
+/// A field value from one random word: an edge value three times in
+/// four, else a raw draw.
+fn value(w: u64) -> u64 {
+    if w & 3 != 0 {
+        EDGES[(w >> 2) as usize % EDGES.len()]
+    } else {
+        w >> (w % 64)
+    }
+}
+
+/// A `u32` field value from one random word, edges included.
+fn value_u32(w: u64) -> u32 {
+    u32::try_from(value(w)).unwrap_or(u32::MAX)
+}
+
+/// A capture tick for a latency-bearing sample at `tick`: ages 0, 127,
+/// 128 and `tick` itself, else any age up to the tick.
+fn capture(tick: u64, w: u64) -> u64 {
+    let age = match w % 5 {
+        0 => 0,
+        1 => 127,
+        2 => 128,
+        3 => tick,
+        _ => value(w >> 3) % tick.saturating_add(1).max(1),
+    };
+    tick - age.min(tick)
+}
+
+/// One sample of the variant `w` selects, at `tick`.
+fn sample(tick: u64, w: u64, x: u64) -> Sample {
+    let b = |bit: u32| x >> bit & 1 == 1;
+    let payload = match w % 11 {
+        0 => Payload::Capture {
+            sat: value_u32(x),
+            filtered: b(7),
+        },
+        1 => Payload::Processed {
+            capture: capture(tick, x),
+        },
+        2 => Payload::Delivered {
+            capture: capture(tick, x),
+        },
+        3 => Payload::Settle {
+            events: value(x),
+            busy: value_u32(x.rotate_left(13)),
+            batch_queue: value(x.rotate_left(29)),
+            downlink_queue: value(x.rotate_left(41)),
+            full: b(3),
+        },
+        4 => Payload::QueueDepth {
+            downlink: b(5),
+            len: value(x),
+        },
+        5 => Payload::Backlog {
+            isl: value(x),
+            batch: value(x.rotate_left(17)),
+            downlink: value(x.rotate_left(33)),
+            oldest_age: b(9).then(|| value(x.rotate_left(49))),
+        },
+        6 => Payload::BatchDispatched {
+            size: value(x),
+            timeout: b(11),
+        },
+        7 => Payload::Fault {
+            kind: FaultKind::ALL[(x >> 56) as usize % FaultKind::ALL.len()],
+            count: value(x),
+        },
+        8 => Payload::Finish {
+            busy: value_u32(x),
+            batch_queue: value(x.rotate_left(19)),
+            downlink_queue: value(x.rotate_left(37)),
+            full: b(2),
+            peak_event_queue: value(x.rotate_left(53)),
+        },
+        9 => Payload::Heartbeat { node: value_u32(x) },
+        _ => Payload::Health {
+            event: HealthEvent::ALL[(x >> 60) as usize % HealthEvent::ALL.len()],
+            node: value_u32(x.rotate_left(23)),
+            value: value(x),
+        },
+    };
+    Sample { tick, payload }
+}
+
+/// The log of a short recorded run under combined chaos with the
+/// closed-loop health plane armed, and the config it was recorded
+/// under. A run this short publishes no backlog sample, heartbeat or
+/// health verdict, so one of each (and a spare promotion) is appended
+/// at the final tick: the log then carries every record kind.
+fn recorded() -> &'static (SimConfig, BusLog) {
+    static RUN: OnceLock<(SimConfig, BusLog)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let duration = Seconds::new(40.0);
+        let cfg = Campaign::combined(duration)
+            .apply(&SimConfig::reference_operations(duration))
+            .with_health(HealthConfig::standard());
+        let (_, mut log) = run_recorded(&cfg, DEFAULT_SEED);
+        let tick = cfg.duration_ticks;
+        let tail = [
+            Payload::Backlog {
+                isl: 3,
+                batch: 200,
+                downlink: 1,
+                oldest_age: Some(150),
+            },
+            Payload::Heartbeat { node: 2 },
+            Payload::Fault {
+                kind: FaultKind::Promotion,
+                count: 1,
+            },
+        ]
+        .into_iter()
+        .chain(HealthEvent::ALL.map(|event| Payload::Health {
+            event,
+            node: 2,
+            value: 1800,
+        }));
+        for payload in tail {
+            log.push(&Sample { tick, payload });
+        }
+        (cfg, log)
+    })
+}
+
+/// Decodes `bytes`; if they decode, replays them and builds the pool
+/// timeline. Only a panic fails: any result, error or not, passes.
+fn survives(cfg: &SimConfig, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(log) = BusLog::try_from_bytes(bytes) else {
+        return Ok(());
+    };
+    prop_assert_eq!(log.as_bytes(), bytes);
+    let _ = replay(cfg, &log);
+    let _ = PoolTimeline::try_from_log(&log, cfg.required);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_env_cases(64))]
+
+    #[test]
+    fn every_payload_roundtrips_through_the_log(
+        words in collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        let mut log = BusLog::new();
+        let mut samples = Vec::new();
+        let mut tick = 0u64;
+        for pair in words.chunks(2) {
+            let w = pair[0];
+            let x = pair.get(1).copied().unwrap_or(!w);
+            tick = tick.saturating_add(match w >> 60 {
+                0..=7 => 0,
+                8..=13 => value(w >> 8) % 1024,
+                _ => value(w >> 8),
+            });
+            let s = sample(tick, w >> 4, x);
+            log.push(&s);
+            samples.push(s);
+        }
+        let reparsed = BusLog::try_from_bytes(log.as_bytes());
+        prop_assert!(reparsed.is_ok(), "{reparsed:?}");
+        let reparsed = reparsed.unwrap_or_default();
+        prop_assert_eq!(&reparsed, &log);
+        prop_assert_eq!(reparsed.records(), samples.len() as u64);
+        prop_assert_eq!(reparsed.try_samples().unwrap_or_default(), samples);
+        // Edge values make these hostile to the folds: counts that
+        // overflow, settles past the run's end, verdicts for any node.
+        survives(&recorded().0, log.as_bytes())?;
+    }
+
+    #[test]
+    fn hostile_logs_decode_or_fail_and_never_panic_the_folds(
+        cut in 0u64..u64::MAX,
+        edits in collection::vec(0u64..u64::MAX, 0..6),
+    ) {
+        let (cfg, log) = recorded();
+        let whole = log.as_bytes();
+        let mut bytes = whole[..(cut % (whole.len() as u64 + 1)) as usize].to_vec();
+        survives(cfg, &bytes)?;
+        for e in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = (e >> 8) as usize % bytes.len();
+            match e % 4 {
+                // Overwrite one byte.
+                0 | 1 => bytes[at] = (e >> 40) as u8,
+                // Drop one byte.
+                2 => {
+                    bytes.remove(at);
+                }
+                // Splice in a u64::MAX varint: giant ticks, counts, ages.
+                _ => {
+                    let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+                    bytes.splice(at..at, max);
+                }
+            }
+            survives(cfg, &bytes)?;
+        }
+    }
+}
+
+/// Every prefix of the recorded log is rejected, or decodes to a log
+/// that replays without a panic; the whole log replays.
+#[test]
+fn every_truncation_of_a_recorded_run_is_rejected_or_replayed() {
+    let (cfg, log) = recorded();
+    assert!(replay(cfg, log).is_ok());
+    let bytes = log.as_bytes();
+    for cut in 0..bytes.len() {
+        if let Err(TestCaseError::Fail(msg)) = survives(cfg, &bytes[..cut]) {
+            panic!("cut {cut}: {msg}");
+        }
+    }
+}
