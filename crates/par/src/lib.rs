@@ -8,7 +8,7 @@
 //! [`std::thread::scope`] so the workspace keeps building offline with no
 //! crates.io dependencies.
 //!
-//! Three things live here:
+//! Four things live here:
 //!
 //! - [`par_map`], [`par_reduce`], and [`par_max_by`]: chunked data-parallel
 //!   primitives over slices whose merge order is *deterministic* (chunks
@@ -18,7 +18,9 @@
 //!   (SplitMix64 seeding a xoshiro256**-class core) used by the Monte-Carlo
 //!   models so trials can be partitioned across threads reproducibly;
 //! - [`json`]: a minimal JSON value builder used to emit machine-readable
-//!   benchmark and report artifacts (`BENCH_sweeps.json`).
+//!   benchmark and report artifacts (the `BENCH_*.json` files);
+//! - [`Fnv1a`]: the 64-bit FNV-1a digest behind every committed
+//!   fingerprint in the workspace.
 //!
 //! # Thread-count resolution
 //!
@@ -367,9 +369,67 @@ where
     )
 }
 
+/// 64-bit FNV-1a: the one digest behind the workspace's committed
+/// fingerprints (sim traces, the DSE cache key, the router's decision
+/// stream). It detects drift, not tampering: it is not a cryptographic
+/// hash.
+///
+/// ```
+/// let mut h = sudc_par::Fnv1a::new();
+/// h.write_bytes(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A digest of nothing (the FNV offset basis).
+    #[must_use]
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in, one byte at a time.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds `v` in as its eight little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// The digest of everything written so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::new();
+        h.write_bytes(b"foobar");
+        assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
+        let mut a = Fnv1a::new();
+        a.write_u64(0x0102);
+        let mut b = Fnv1a::new();
+        b.write_bytes(&[2, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(a.finish(), b.finish());
+    }
 
     #[test]
     fn chunk_bounds_cover_input_exactly_once() {

@@ -179,6 +179,11 @@ impl CaseRng {
     }
 
     /// Seeds from a test name (FNV-1a hash).
+    ///
+    /// This is a private copy of `sudc_par::Fnv1a`: `sudc-par`'s own
+    /// tests depend on this shim, so the shim cannot depend on
+    /// `sudc-par` without a cycle, and as a stand-in for a published
+    /// crate it keeps zero dependencies.
     #[must_use]
     pub fn from_name(name: &str) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -202,7 +202,7 @@ impl ReplayReport {
         })
     }
 
-    /// JSON object for `BENCH_router.json` and the figures runner.
+    /// JSON object for the figures runner.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::object()

@@ -4,13 +4,12 @@
 //! wheel/SoA rebuild of [`crate::kernel`]: a [`BinaryHeapQueue`]
 //! scheduler, a freshly allocated `Vec` per dispatched batch, a `retain`
 //! scan for deadline shedding, and a `mem::take`n downlink group. It is
-//! kept, verbatim in behavior, for two jobs:
-//!
-//! 1. **Golden model** — `run` here and [`crate::kernel::run`] must
-//!    produce `==` [`RunTrace`]s for every configuration and seed; the
-//!    equivalence tests and the `sim_scale` bench both assert it.
-//! 2. **Honest baseline** — the `BENCH_sim.json` speedup is measured
-//!    against this kernel, not a strawman.
+//! kept, verbatim in behavior, as the **golden model**: `run` here and
+//! [`crate::kernel::run`] must produce `==` [`RunTrace`]s for every
+//! configuration and seed. The kernel-equality tests assert it, and the
+//! sim, bus and health benches check the kernel against fingerprints of
+//! this kernel's traces that `sudc-bench` commits (its ignored test
+//! recomputes them from here).
 //!
 //! Nothing else should call it: it is deliberately the slow path.
 

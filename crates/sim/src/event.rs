@@ -17,7 +17,7 @@
 //!   100k-satellite fleets at interactive speed.
 //! - [`BinaryHeapQueue`] — the original `BinaryHeap<(tick, seq)>` queue,
 //!   kept verbatim as the reference model for property tests and as the
-//!   honest baseline for `BENCH_sim.json` throughput comparisons.
+//!   scheduler of the frozen [`crate::baseline`] kernel.
 //!
 //! # Why the wheel preserves pop order exactly
 //!
@@ -541,9 +541,9 @@ impl EventQueue {
 }
 
 /// The original binary-heap event queue, kept as the reference model for
-/// the timing wheel's property tests and as the baseline scheduler of the
-/// frozen [`crate::baseline`] kernel that `BENCH_sim.json` compares
-/// against. Pop order is identical to [`EventQueue`]'s by construction:
+/// the timing wheel's property tests and as the scheduler of the frozen
+/// [`crate::baseline`] kernel the kernel-equality tests compare against.
+/// Pop order is identical to [`EventQueue`]'s by construction:
 /// strictly `(tick, sequence)`.
 #[derive(Debug, Default)]
 pub struct BinaryHeapQueue {

@@ -1367,15 +1367,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a over a trace's compact JSON: any drift in any counter,
-    /// histogram or sample moves the digest.
-    fn fingerprint(t: &RunTrace) -> u64 {
-        let json = t.try_to_json().expect("finite trace").to_string_compact();
-        json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     #[test]
     fn rebuilt_kernel_matches_the_baseline_on_a_large_fleet() {
         // 30k satellites capture about 300 times per tick, so tick
@@ -1393,13 +1384,48 @@ mod tests {
         });
         let faulted = nominal.with_faults(faults);
         for (cfg, seed, want) in [
-            (nominal, 7, 0x082a_aa66_88f8_b034),
-            (faulted, 21, 0x0552_2157_338b_4b39),
+            (nominal, 7, 0xf756_dd2b_d2fe_eafd),
+            (faulted, 21, 0xa8bd_aeac_a4dc_69b3),
         ] {
             let t = run(&cfg, seed);
             assert_eq!(t, baseline::run(&cfg, seed));
-            assert_eq!(fingerprint(&t), want, "trace drifted at seed {seed}");
+            assert_eq!(t.fingerprint(), want, "trace drifted at seed {seed}");
         }
+    }
+
+    // The frozen baseline has no health plane and no recorder, so these
+    // committed full-state fingerprints are the only pins on those paths.
+
+    #[test]
+    fn closed_loop_health_under_faults_is_pinned() {
+        let cfg = SimConfig::reference_operations(Seconds::new(1800.0))
+            .with_faults(stress_faults())
+            .with_health(sudc_health::HealthConfig::standard());
+        let t = run(&cfg, 3);
+        assert!(t.detections > 0, "storm kills must be detected");
+        assert_eq!(
+            t.fingerprint(),
+            0x9cc8_e14c_9924_a6ac,
+            "closed-loop health trace drifted"
+        );
+    }
+
+    #[test]
+    fn recorded_and_replayed_runs_are_pinned() {
+        let cfg =
+            SimConfig::collaborative_operations(Seconds::new(1800.0)).with_faults(stress_faults());
+        let (trace, log) = run_recorded(&cfg, 21);
+        let replayed = crate::plane::replay(&cfg, &log).unwrap();
+        assert_eq!(
+            trace.fingerprint(),
+            0x30ec_9265_f7ba_b3fc,
+            "recorded trace drifted"
+        );
+        assert_eq!(
+            replayed.fingerprint(),
+            0x30ec_9265_f7ba_b3fc,
+            "replayed trace drifted"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use sudc_errors::SudcError;
 use sudc_par::json::{Json, ToJson};
+use sudc_par::Fnv1a;
 
 use crate::config::SimConfig;
 use crate::event::Tick;
@@ -190,6 +191,30 @@ impl LatencyHist {
         }
         debug_assert!(false, "rank {k} out of range (count {})", self.count);
         self.max
+    }
+
+    /// Folds every field `==` compares into `h`: the dense array's
+    /// length and counts, the sparse tail, count, sum and max.
+    fn hash_into(&self, h: &mut Fnv1a) {
+        let Self {
+            dense,
+            sparse,
+            count,
+            sum,
+            max,
+        } = self;
+        h.write_u64(dense.len() as u64);
+        for &n in dense {
+            h.write_u64(n);
+        }
+        h.write_u64(sparse.len() as u64);
+        for (&t, &n) in sparse {
+            h.write_u64(t);
+            h.write_u64(n);
+        }
+        h.write_u64(*count);
+        h.write_bytes(&sum.to_le_bytes());
+        h.write_u64(*max);
     }
 
     /// Nearest-rank order statistic matching [`try_percentile`] exactly:
@@ -711,6 +736,141 @@ impl RunTrace {
     }
 }
 
+impl RunTrace {
+    /// FNV-1a digest of every field that `==` compares: counters, the
+    /// diagnostics `events` and `peak_event_queue`, each latency
+    /// histogram bucket by bucket, every backlog sample and the raw
+    /// time-weighted integrals. Two traces that compare equal have the
+    /// same fingerprint; any drift in any of those fields moves it.
+    /// [`RunTrace::try_to_json`] is a summary and is not a substitute:
+    /// it omits the diagnostics and reduces histograms to percentiles,
+    /// samples to an age summary and integrals to means.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        // Exhaustive destructuring: a new field fails to compile until
+        // it is hashed here.
+        let Self {
+            tick_seconds,
+            duration_ticks,
+            required,
+            captured,
+            filtered_out,
+            arrived,
+            processed,
+            delivered,
+            batches,
+            timeout_batches,
+            failures,
+            promotions,
+            dormant_deaths,
+            corrupted,
+            retries,
+            retry_exhausted,
+            shed_batch_overflow,
+            shed_downlink_overflow,
+            shed_deadline,
+            storm_node_kills,
+            isl_flaps,
+            blackout_windows,
+            faults_enabled,
+            heartbeats,
+            suspects,
+            false_suspects,
+            detections,
+            readmissions,
+            health_enabled,
+            detection_latencies,
+            events,
+            peak_event_queue,
+            processing_latencies,
+            delivery_latencies,
+            samples,
+            last_tick,
+            busy_node_ticks,
+            batch_queue_ticks,
+            downlink_queue_ticks,
+            full_capability_ticks,
+            max_batch_queue,
+            max_downlink_queue,
+            end_full_capability,
+            finished,
+        } = self;
+        let mut h = Fnv1a::new();
+        for v in [
+            tick_seconds.to_bits(),
+            *duration_ticks,
+            u64::from(*required),
+            *captured,
+            *filtered_out,
+            *arrived,
+            *processed,
+            *delivered,
+            *batches,
+            *timeout_batches,
+            *failures,
+            *promotions,
+            *dormant_deaths,
+            *corrupted,
+            *retries,
+            *retry_exhausted,
+            *shed_batch_overflow,
+            *shed_downlink_overflow,
+            *shed_deadline,
+            *storm_node_kills,
+            *isl_flaps,
+            *blackout_windows,
+            u64::from(*faults_enabled),
+            *heartbeats,
+            *suspects,
+            *false_suspects,
+            *detections,
+            *readmissions,
+            u64::from(*health_enabled),
+            *events,
+            *peak_event_queue as u64,
+            *last_tick,
+            *full_capability_ticks,
+            *max_batch_queue as u64,
+            *max_downlink_queue as u64,
+            u64::from(*end_full_capability),
+            u64::from(*finished),
+        ] {
+            h.write_u64(v);
+        }
+        for integral in [busy_node_ticks, batch_queue_ticks, downlink_queue_ticks] {
+            h.write_bytes(&integral.to_le_bytes());
+        }
+        for hist in [
+            detection_latencies,
+            processing_latencies,
+            delivery_latencies,
+        ] {
+            hist.hash_into(&mut h);
+        }
+        h.write_u64(samples.len() as u64);
+        for sample in samples {
+            let BacklogSample {
+                tick,
+                isl_items,
+                batch_items,
+                downlink_items,
+                oldest_age,
+            } = *sample;
+            for v in [
+                tick,
+                isl_items as u64,
+                batch_items as u64,
+                downlink_items as u64,
+                u64::from(oldest_age.is_some()),
+                oldest_age.unwrap_or(0),
+            ] {
+                h.write_u64(v);
+            }
+        }
+        h.finish()
+    }
+}
+
 impl ToJson for RunTrace {
     fn to_json(&self) -> Json {
         match self.try_to_json() {
@@ -824,6 +984,43 @@ mod tests {
         let hist = LatencyHist::default();
         let expected = LatencySummary::from_ticks(&[], 0.1);
         assert_eq!(hist.summary(0.1), expected);
+    }
+
+    #[test]
+    fn fingerprint_sees_what_the_json_summary_hides() {
+        let cfg = crate::config::SimConfig::reference_operations(sudc_units::Seconds::new(60.0));
+        // 100 samples of 50 ticks plus two more: {10, 30} in one trace,
+        // {20, 20} in the other. Count, sum (so the mean), every
+        // nearest-rank percentile and the max agree; the buckets do not.
+        let trace = |extra: [Tick; 2]| {
+            let mut t = RunTrace::new(&cfg);
+            for ticks in std::iter::repeat_n(50, 100).chain(extra) {
+                t.record_processing_latency(ticks);
+            }
+            t.finish(cfg.duration_ticks, 0, 0, 0, true);
+            t
+        };
+        let base = trace([10, 30]);
+        let json = |t: &RunTrace| t.try_to_json().unwrap().to_string_compact();
+
+        let moved = trace([20, 20]);
+        assert_ne!(moved, base);
+        assert_eq!(json(&moved), json(&base));
+        assert_ne!(moved.fingerprint(), base.fingerprint());
+
+        // `events` is never serialized.
+        let mut busier = base.clone();
+        busier.events += 1;
+        assert_eq!(json(&busier), json(&base));
+        assert_ne!(busier.fingerprint(), base.fingerprint());
+
+        // Nor is a detection latency when the health plane is off.
+        let mut detected = base.clone();
+        detected.record_detection_latency(7);
+        assert_eq!(json(&detected), json(&base));
+        assert_ne!(detected.fingerprint(), base.fingerprint());
+
+        assert_eq!(base.clone().fingerprint(), base.fingerprint());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! routing decisions across worker counts, and stability of the
 //! decision stream against a committed fingerprint.
 
+use space_udc::par::Fnv1a;
 use space_udc::router::{Router, RoutingOutcome, StreamConfig, Verdict};
 use space_udc::sim::DEFAULT_SEED;
 
@@ -16,27 +17,21 @@ fn routed(threads: usize, stream: &StreamConfig) -> RoutingOutcome {
 /// FNV-1a over the raw decision fields: any drift in a verdict, tier,
 /// latency, or cost anywhere in the stream moves the digest.
 fn fingerprint(out: &RoutingOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for d in &out.decisions {
-        eat(d.id);
+        h.write_u64(d.id);
         let (tag, tier) = match d.verdict {
             Verdict::Placed(t) => (0u64, t.index() as u64),
             Verdict::Deferred => (1, 0),
             Verdict::Rejected => (2, 0),
             Verdict::Shed => (3, 0),
         };
-        eat(tag);
-        eat(tier);
-        eat(d.latency_s.to_bits());
-        eat(d.cost_usd.to_bits());
+        h.write_u64(tag);
+        h.write_u64(tier);
+        h.write_u64(d.latency_s.to_bits());
+        h.write_u64(d.cost_usd.to_bits());
     }
-    h
+    h.finish()
 }
 
 #[test]
