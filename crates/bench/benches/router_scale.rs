@@ -5,7 +5,9 @@
 //! `sudc-router` placement engine at 1, 2, and 8 worker threads,
 //! asserting the decision vectors byte-identical across thread counts
 //! before any timing — the determinism contract is checked on the exact
-//! workload being timed. Every point (`n` = requests) is gated at
+//! workload being timed, and on the same stream at 100x the arrival rate
+//! with a half-block admission queue, so the shedding overload path is
+//! assembled from several workers too. Every point (`n` = requests) is gated at
 //! ≥ 1 M routed requests/s, which is the same bound as < 1 µs per
 //! decision.
 //!
@@ -27,15 +29,21 @@ fn main() {
     let router = Router::reference();
     let stream = StreamConfig::new(requests, DEFAULT_SEED, 1.4);
 
-    set_threads(1);
-    let reference = router.route_stream(&stream);
-    for j in JOBS {
-        set_threads(j);
-        assert_eq!(
-            router.route_stream(&stream),
-            reference,
-            "decisions diverged between 1 and {j} worker threads"
-        );
+    // Untimed: the timed stream, and an overloaded one at 100x the rate
+    // whose half-block admission queue sheds in every full block.
+    let mut overload = StreamConfig::new(requests, DEFAULT_SEED, 100.0 * 1.4);
+    overload.queue_capacity = overload.block / 2;
+    for checked in [&stream, &overload] {
+        set_threads(1);
+        let reference = router.route_stream(checked);
+        for j in JOBS {
+            set_threads(j);
+            assert_eq!(
+                router.route_stream(checked),
+                reference,
+                "decisions diverged between 1 and {j} worker threads"
+            );
+        }
     }
 
     for j in JOBS {

@@ -1,23 +1,29 @@
 //! The batch placement engine.
 //!
-//! [`Router::route_stream`] shards the stream's blocks across workers
-//! with [`sudc_par::par_map`] — each block is generated, admitted, and
-//! scored independently, and the per-block outputs are merged left to
-//! right, so the decision vector is byte-identical at any thread count.
+//! [`Router::route_stream`] gives each worker a contiguous range of the
+//! stream's blocks. Each block is generated, admitted, and scored
+//! independently and its decisions are appended straight to the worker's
+//! one output vector; worker 0's vector is sized for the whole stream and
+//! becomes [`RoutingOutcome::decisions`], the others are appended in
+//! order, and per-block stats merge in block order — so the outcome is
+//! byte-identical at any thread count, and a single worker never copies
+//! its decisions.
 //!
-//! Inside a block the hot path is allocation-free: requests drain from
-//! the preallocated [`AdmissionQueue`](crate::request::AdmissionQueue) into structure-of-arrays columns,
-//! and each decision is four table lookups (one per tier) plus a
+//! Admission runs in closed form ([`admit_all`]): inside a block every
+//! push precedes every pop, so the shed victims are the oldest pushes and
+//! the drain order is the survivors stably partitioned by priority.
+//! [`AdmissionQueue`](crate::request::AdmissionQueue) is the reference
+//! model that closed form is tested against. Requests
+//! are scored straight from the block's reused `Request` buffer in drain
+//! order, and each decision is four table lookups (one per tier) plus a
 //! handful of multiply-adds against the memoized
 //! [`TierTerms`](crate::config::TierTerms).
 
-use std::collections::HashSet;
-
 use sudc_errors::SudcError;
-use sudc_par::par_map;
+use sudc_par::{chunk_bounds, par_map_threads, threads};
 
 use crate::config::{RouterConfig, APPS};
-use crate::request::{Priority, Request, StreamConfig};
+use crate::request::{admit_all, Priority, Request, StreamConfig};
 use crate::tier::Tier;
 
 /// Outcome of one request.
@@ -179,33 +185,54 @@ impl RoutingStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingOutcome {
     /// One decision per generated request. Within a block, admission-shed
-    /// victims appear first (at the moment of shedding), then the queue
-    /// drains in priority order; blocks are concatenated in stream order.
+    /// victims appear first (in push order), then the survivors in drain
+    /// (priority) order; blocks are concatenated in stream order. With
+    /// deferral re-entry, requests still carried at the end of the stream
+    /// follow as `Deferred`.
     pub decisions: Vec<Decision>,
     /// Aggregates over the whole stream.
     pub stats: RoutingStats,
 }
 
-/// Structure-of-arrays columns one block is scored from.
-struct Columns {
-    ids: Vec<u64>,
-    app: Vec<u8>,
-    priority: Vec<u8>,
-    lat_bin: Vec<u16>,
-    size_gbit: Vec<f64>,
-    deadline_s: Vec<f64>,
+/// Per-worker buffers reused across blocks: the generated block and its
+/// drain order.
+#[derive(Default)]
+struct Scratch {
+    requests: Vec<Request>,
+    drain: Vec<u32>,
 }
 
-impl Columns {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            ids: Vec::with_capacity(n),
-            app: Vec::with_capacity(n),
-            priority: Vec::with_capacity(n),
-            lat_bin: Vec::with_capacity(n),
-            size_gbit: Vec::with_capacity(n),
-            deadline_s: Vec::with_capacity(n),
-        }
+impl RoutingOutcome {
+    /// The request ledger, checked in debug builds: one decision per
+    /// generated request, and the counters agree with each other.
+    fn debug_assert_ledger(&self, requests: u64) {
+        let s = &self.stats;
+        debug_assert_eq!(
+            self.decisions.len() as u64,
+            requests,
+            "one decision per request"
+        );
+        debug_assert_eq!(s.requests, requests, "requests counted once");
+        debug_assert_eq!(
+            s.placed + s.deferred + s.rejected + s.shed,
+            s.requests,
+            "every request has one verdict"
+        );
+        debug_assert_eq!(
+            s.tier_counts.iter().sum::<u64>(),
+            s.placed,
+            "placed per tier"
+        );
+        debug_assert_eq!(
+            s.priority_total.iter().sum::<u64>(),
+            s.requests,
+            "requests per class"
+        );
+        debug_assert_eq!(
+            s.priority_placed.iter().sum::<u64>(),
+            s.placed,
+            "placed per class"
+        );
     }
 }
 
@@ -256,37 +283,75 @@ impl Router {
         if let Err(e) = stream.try_validate() {
             panic!("{e}");
         }
-        if self.cfg.readmit_deferred {
-            return self.route_stream_readmit(stream);
-        }
-        let blocks: Vec<u64> = (0..stream.blocks()).collect();
-        let per_block = par_map(&blocks, |_, &b| self.route_block(stream, b, &[], None));
-        let mut decisions = Vec::with_capacity(stream.requests as usize);
+        let out = if self.cfg.readmit_deferred {
+            self.route_stream_readmit(stream)
+        } else {
+            self.route_stream_sharded(stream)
+        };
+        out.debug_assert_ledger(stream.requests);
+        out
+    }
+
+    /// Each worker routes a contiguous range of blocks, appending its
+    /// decisions to one vector. Worker 0's vector has room for the whole
+    /// stream and becomes the output; the others are appended in order.
+    /// Per-block stats merge in block order, so float sums do not depend
+    /// on the thread count.
+    fn route_stream_sharded(&self, stream: &StreamConfig) -> RoutingOutcome {
+        let ranges = chunk_bounds(stream.blocks() as usize, threads());
+        let per_worker = par_map_threads(ranges.len(), &ranges, |w, &(start, end)| {
+            let blocks = start as u64..end as u64;
+            let room = if w == 0 {
+                stream.requests as usize
+            } else {
+                blocks.clone().map(|b| stream.block_len(b)).sum()
+            };
+            let mut decisions = Vec::with_capacity(room);
+            let mut scratch = Scratch::default();
+            let stats: Vec<RoutingStats> = blocks
+                .map(|b| self.route_block(stream, b, &mut scratch, &[], None, &mut decisions))
+                .collect();
+            (decisions, stats)
+        });
+        let mut decisions = Vec::new();
         let mut stats = RoutingStats::zero();
-        for (block_decisions, block_stats) in per_block {
-            decisions.extend_from_slice(&block_decisions);
-            stats.merge(&block_stats);
+        for (w, (worker_decisions, block_stats)) in per_worker.into_iter().enumerate() {
+            if w == 0 {
+                decisions = worker_decisions;
+            } else {
+                decisions.extend_from_slice(&worker_decisions);
+            }
+            for s in &block_stats {
+                stats.merge(s);
+            }
         }
         RoutingOutcome { decisions, stats }
     }
 
     /// Sequential routing with deferral re-entry: each block's first-time
-    /// deferrals carry into the next block's admission queue, ahead of
-    /// that block's own arrivals (they are the oldest work), and compete
-    /// for the next block's capacity budget. A carried request that is
+    /// deferrals carry into the next block's admission, ahead of that
+    /// block's own arrivals (they are the oldest work), and compete for
+    /// the next block's capacity budget. A carried request that is
     /// deferred again takes its `Deferred` verdict for good; whatever is
     /// still carried when the stream ends is flushed as `Deferred`.
     fn route_stream_readmit(&self, stream: &StreamConfig) -> RoutingOutcome {
         let mut decisions = Vec::with_capacity(stream.requests as usize);
         let mut stats = RoutingStats::zero();
+        let mut scratch = Scratch::default();
         let mut carry: Vec<(Request, f64)> = Vec::new();
+        let mut next = Vec::new();
         for b in 0..stream.blocks() {
-            let mut next = Vec::new();
-            let (block_decisions, block_stats) =
-                self.route_block(stream, b, &carry, Some(&mut next));
-            decisions.extend_from_slice(&block_decisions);
+            next.clear();
+            let block_stats = self.route_block(
+                stream,
+                b,
+                &mut scratch,
+                &carry,
+                Some(&mut next),
+                &mut decisions,
+            );
             stats.merge(&block_stats);
-            carry = next;
+            std::mem::swap(&mut carry, &mut next);
         }
         for (r, reachable_latency) in carry {
             stats.deferred += 1;
@@ -316,68 +381,53 @@ impl Router {
         }
     }
 
-    /// Generates, admits, and scores one block. `carry` holds previous
-    /// blocks' deferrals re-entering here (with the reachable latency
-    /// recorded at deferral); when `next_carry` is set, this block's
-    /// first-time deferrals are pushed there instead of deciding.
+    /// Generates, admits, and scores one block, appending its decisions
+    /// to `decisions`. `carry` holds previous blocks' deferrals re-entering
+    /// here (with the reachable latency recorded at deferral); when
+    /// `next_carry` is set, this block's first-time deferrals are pushed
+    /// there instead of deciding.
     fn route_block(
         &self,
         stream: &StreamConfig,
         b: u64,
+        scratch: &mut Scratch,
         carry: &[(Request, f64)],
         mut next_carry: Option<&mut Vec<(Request, f64)>>,
-    ) -> (Vec<Decision>, RoutingStats) {
-        let requests = stream.generate_block(b);
+        decisions: &mut Vec<Decision>,
+    ) -> RoutingStats {
+        let Scratch { requests, drain } = scratch;
+        stream.generate_block_into(b, requests);
         let mut stats = RoutingStats::zero();
         stats.requests = requests.len() as u64;
-        let mut decisions = Vec::with_capacity(requests.len() + carry.len());
-        let carried_ids: HashSet<u64> = carry.iter().map(|(r, _)| r.id).collect();
-
-        // Admission: bounded queue, shed victims decided immediately.
-        // Carried deferrals enter first — they are the oldest work, and
-        // their origin block already counted them in `requests` and
-        // `priority_total`, so only their final verdict lands here.
-        let mut queue = crate::request::AdmissionQueue::new(stream.queue_capacity);
-        for (r, _) in carry {
-            if let Some(victim) = queue.push(*r) {
-                stats.shed += 1;
-                decisions.push(Decision {
-                    id: victim.id,
-                    verdict: Verdict::Shed,
-                    latency_s: 0.0,
-                    cost_usd: 0.0,
-                });
-            }
-        }
-        for r in &requests {
+        for r in requests.iter() {
             stats.priority_total[r.priority.index()] += 1;
-            if let Some(victim) = queue.push(*r) {
-                stats.shed += 1;
-                decisions.push(Decision {
-                    id: victim.id,
-                    verdict: Verdict::Shed,
-                    latency_s: 0.0,
-                    cost_usd: 0.0,
-                });
-            }
         }
 
-        // Drain to SoA columns in scheduling (priority) order. The full
-        // requests are kept alongside only when deferrals may re-enter.
-        let keep_requests = next_carry.is_some();
-        let mut drained: Vec<Request> = Vec::new();
-        let mut cols = Columns::with_capacity(queue.len());
-        while let Some(r) = queue.pop() {
-            if keep_requests {
-                drained.push(r);
+        // Admission in closed form: carried deferrals are pushed first —
+        // they are the oldest work, and their origin block already counted
+        // them in `requests` and `priority_total`, so only their final
+        // verdict lands here. Push `k` is `carry[k]`, then the arrivals.
+        let carried = carry.len();
+        let push = |k: usize| {
+            if k < carried {
+                &carry[k].0
+            } else {
+                &requests[k - carried]
             }
-            cols.ids.push(r.id);
-            cols.app.push(r.app);
-            cols.priority.push(r.priority.index() as u8);
-            cols.lat_bin.push(RouterConfig::lat_bin(r.lat_deg) as u16);
-            cols.size_gbit.push(r.size_gbit * self.cfg.image_gbit);
-            cols.deadline_s.push(r.deadline_s);
-        }
+        };
+        let shed = admit_all(
+            carried + requests.len(),
+            stream.queue_capacity,
+            |k| push(k).priority,
+            drain,
+        );
+        stats.shed = shed as u64;
+        decisions.extend((0..shed).map(|k| Decision {
+            id: push(k).id,
+            verdict: Verdict::Shed,
+            latency_s: 0.0,
+            cost_usd: 0.0,
+        }));
 
         // The block's time-span earns a share of each bottleneck's
         // sustained rate: the ground segment's drain rate (shared by the
@@ -392,14 +442,15 @@ impl Router {
             self.cfg.sudc_capacity_gbit_per_s * span_s * self.cfg.pool_fraction(b);
         stats.ground_budget_gbit = ground_budget;
 
-        // Batch scoring: four memoized tier evaluations per request.
-        let n = cols.ids.len();
-        #[allow(clippy::needless_range_loop)] // i spans the SoA columns, not just `drained`
-        for i in 0..n {
-            let terms = &self.cfg.terms[cols.app[i] as usize];
-            let wait = self.cfg.lat_wait_s[cols.lat_bin[i] as usize];
-            let size = cols.size_gbit[i];
-            let deadline = cols.deadline_s[i];
+        // Scoring in drain (priority) order: four memoized tier
+        // evaluations per request.
+        for &k in drain.iter() {
+            let k = k as usize;
+            let r = push(k);
+            let terms = &self.cfg.terms[r.app as usize];
+            let wait = self.cfg.lat_wait_s[RouterConfig::lat_bin(r.lat_deg)];
+            let size = r.size_gbit * self.cfg.image_gbit;
+            let deadline = r.deadline_s;
 
             let mut best: Option<(f64, f64, usize)> = None; // (cost, latency, tier)
                                                             // Best latency among tiers that could still *hold* the
@@ -445,12 +496,12 @@ impl Router {
                     }
                     stats.placed += 1;
                     stats.tier_counts[t] += 1;
-                    stats.app_tier[cols.app[i] as usize][t] += 1;
-                    stats.priority_placed[cols.priority[i] as usize] += 1;
+                    stats.app_tier[r.app as usize][t] += 1;
+                    stats.priority_placed[r.priority.index()] += 1;
                     stats.latency_sum_s += latency;
                     stats.cost_sum_usd += cost;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Placed(tier),
                         latency_s: latency,
                         cost_usd: cost,
@@ -459,16 +510,17 @@ impl Router {
                 None if reachable_latency <= deadline + self.cfg.defer_horizon_s => {
                     // First deferral with re-entry armed: no verdict yet —
                     // the request rides into the next block's window. A
-                    // carried request deferring again is decided for good.
-                    if !carried_ids.contains(&cols.ids[i]) {
+                    // carried request (push `k < carried`) deferring again
+                    // is decided for good.
+                    if k >= carried {
                         if let Some(out) = next_carry.as_mut() {
-                            out.push((drained[i], reachable_latency));
+                            out.push((*r, reachable_latency));
                             continue;
                         }
                     }
                     stats.deferred += 1;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Deferred,
                         latency_s: reachable_latency,
                         cost_usd: 0.0,
@@ -477,7 +529,7 @@ impl Router {
                 None => {
                     stats.rejected += 1;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Rejected,
                         latency_s: reachable_latency,
                         cost_usd: 0.0,
@@ -487,7 +539,7 @@ impl Router {
             decisions.push(decision);
         }
 
-        (decisions, stats)
+        stats
     }
 }
 

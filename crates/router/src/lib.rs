@@ -52,6 +52,6 @@ pub mod tier;
 pub use config::{RouterConfig, TierTerms, APPS, LAT_BINS};
 pub use engine::{Decision, Router, RoutingOutcome, RoutingStats, Verdict};
 pub use replay::{ReplayReport, RoutedLoad};
-pub use request::{AdmissionQueue, Priority, Request, StreamConfig};
+pub use request::{admit_all, AdmissionQueue, Priority, Request, StreamConfig};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};
 pub use tier::Tier;

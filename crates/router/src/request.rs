@@ -1,4 +1,5 @@
-//! The synthetic tasking stream and the bounded admission queue.
+//! The synthetic tasking stream, the bounded admission queue, and the
+//! closed form of one block's admission.
 //!
 //! Requests are generated as a pure function of `(seed, block index)`
 //! through [`sudc_par::rng::Rng64::stream`], so any block can be
@@ -137,14 +138,19 @@ impl StreamConfig {
     /// `(seed, b)`.
     #[must_use]
     pub fn generate_block(&self, b: u64) -> Vec<Request> {
+        let mut out = Vec::with_capacity(self.block_len(b));
+        self.generate_block_into(b, &mut out);
+        out
+    }
+
+    /// [`generate_block`](Self::generate_block) into a reused buffer:
+    /// `out` is cleared and refilled with block `b`, so a worker routing
+    /// many blocks allocates once.
+    pub(crate) fn generate_block_into(&self, b: u64, out: &mut Vec<Request>) {
         let mut rng = Rng64::stream(self.seed, b);
         let start = b * self.block as u64;
-        let len = self.block_len(b);
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            out.push(draw_request(&mut rng, start + i as u64));
-        }
-        out
+        out.clear();
+        out.extend((0..self.block_len(b) as u64).map(|i| draw_request(&mut rng, start + i)));
     }
 }
 
@@ -178,6 +184,56 @@ fn draw_request(rng: &mut Rng64, id: u64) -> Request {
     }
 }
 
+/// The closed form of an [`AdmissionQueue`] of `capacity` that takes
+/// `pushes` pushes and then drains to empty, with no pop in between —
+/// the engine's per-block admission.
+///
+/// A full queue sheds its globally oldest entry, so after a run of
+/// pushes it holds exactly the newest `capacity` of them. The shed
+/// victims are therefore pushes `0..shed`, in that order, with
+/// `shed = pushes.saturating_sub(capacity)`; the drain pops the
+/// survivors class by class, FIFO within a class, which is a stable
+/// partition of `shed..pushes` by priority.
+///
+/// Returns `shed` and refills `drain` with the survivors' push indices
+/// in pop order. `priority(k)` is the class of push `k`.
+///
+/// # Panics
+///
+/// Panics if `pushes` does not fit in a `u32` index.
+pub fn admit_all(
+    pushes: usize,
+    capacity: usize,
+    priority: impl Fn(usize) -> Priority,
+    drain: &mut Vec<u32>,
+) -> usize {
+    assert!(
+        u32::try_from(pushes).is_ok(),
+        "{pushes} pushes overflow a u32 drain index"
+    );
+    let shed = pushes.saturating_sub(capacity);
+    // Counting sort on the class: count the survivors per class, then
+    // place each at the next free slot of its class's run.
+    let mut next = [0usize; Priority::COUNT];
+    for k in shed..pushes {
+        next[priority(k).index()] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    drain.clear();
+    drain.resize(pushes - shed, 0);
+    for k in shed..pushes {
+        let slot = &mut next[priority(k).index()];
+        drain[*slot] = k as u32;
+        *slot += 1;
+    }
+    shed
+}
+
 /// A bounded, priority-classed admission queue.
 ///
 /// - [`push`](AdmissionQueue::push) enqueues at the back of the request's
@@ -189,6 +245,10 @@ fn draw_request(rng: &mut Rng64, id: u64) -> Request {
 ///
 /// All storage is preallocated at construction; steady-state operation
 /// never allocates.
+///
+/// The engine does not run this queue: within a block it only pushes and
+/// then drains, and [`admit_all`] computes that outcome directly. The
+/// queue stays as the reference model `admit_all` is tested against.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     classes: [VecDeque<(u64, Request)>; Priority::COUNT],

@@ -1,9 +1,10 @@
 //! Acceptance tests for the placement engine: exact reproducibility of
 //! routing decisions across worker counts, and stability of the
-//! decision stream against a committed fingerprint.
+//! decision streams (default, stressed, shedding, and deferral re-entry
+//! over degraded pools) against committed fingerprints.
 
 use space_udc::par::Fnv1a;
-use space_udc::router::{Router, RoutingOutcome, StreamConfig, Verdict};
+use space_udc::router::{Router, RouterConfig, RoutingOutcome, StreamConfig, Verdict};
 use space_udc::sim::DEFAULT_SEED;
 
 /// Routes the same reference stream at a given thread count.
@@ -37,20 +38,28 @@ fn fingerprint(out: &RoutingOutcome) -> u64 {
 #[test]
 fn fixed_seed_routing_is_identical_at_1_2_and_8_threads() {
     // Enough requests for several 4096-request blocks, including a short
-    // tail block, at the reference capture rate.
-    let stream = StreamConfig::new(30_000, DEFAULT_SEED, 3.83);
-    let one = routed(1, &stream);
-    let two = routed(2, &stream);
-    let eight = routed(8, &stream);
-    assert_eq!(one, two, "1-thread and 2-thread decisions diverged");
-    assert_eq!(one, eight, "1-thread and 8-thread decisions diverged");
-    // And the run is non-trivial: every request decided exactly once.
-    // (Within a block, decisions follow the admission queue's
-    // priority-class drain order, not raw id order.)
-    assert_eq!(one.decisions.len(), 30_000);
-    let mut ids: Vec<u64> = one.decisions.iter().map(|d| d.id).collect();
-    ids.sort_unstable();
-    assert!(ids.iter().copied().eq(0..30_000));
+    // tail block, at the reference capture rate; the shedding overload
+    // stream; and a three-block stream that leaves most of eight workers
+    // without a block.
+    let mut short = shedding_stream(3.83 * 100.0);
+    short.requests = 2 * 2048 + 700;
+    for stream in [
+        StreamConfig::new(30_000, DEFAULT_SEED, 3.83),
+        shedding_stream(3.83 * 100.0),
+        short,
+    ] {
+        let one = routed(1, &stream);
+        let two = routed(2, &stream);
+        let eight = routed(8, &stream);
+        assert_eq!(one, two, "1-thread and 2-thread decisions diverged");
+        assert_eq!(one, eight, "1-thread and 8-thread decisions diverged");
+        // And the run is non-trivial: every request decided exactly once.
+        // (Within a block, decisions follow the admission queue's
+        // priority-class drain order, not raw id order.)
+        let mut ids: Vec<u64> = one.decisions.iter().map(|d| d.id).collect();
+        ids.sort_unstable();
+        assert!(ids.iter().copied().eq(0..stream.requests));
+    }
 }
 
 #[test]
@@ -83,5 +92,83 @@ fn stressed_stream_fingerprint_is_stable() {
         fingerprint(&out),
         0x9e07_b474_575e_667a,
         "stressed decision stream drifted for seed {DEFAULT_SEED:#x}"
+    );
+}
+
+/// A stream whose admission queue is smaller than a block, with a short
+/// tail block: every full block sheds, the tail block does not.
+fn shedding_stream(arrival_per_s: f64) -> StreamConfig {
+    let mut s = StreamConfig::new(5 * 2048 + 700, DEFAULT_SEED, arrival_per_s);
+    s.block = 2048;
+    s.queue_capacity = 1500;
+    s
+}
+
+/// The reference router with deferral re-entry armed over a degraded
+/// SµDC pool timeline.
+fn readmitting_degraded() -> Router {
+    let mut cfg = RouterConfig::try_reference()
+        .unwrap()
+        .try_with_degraded_pools(&[1.0, 0.25, 0.5, 0.1])
+        .expect("valid fractions");
+    cfg.readmit_deferred = true;
+    Router::try_new(cfg).unwrap()
+}
+
+#[test]
+fn shedding_stream_fingerprint_is_stable() {
+    // The default streams never shed (`queue_capacity == block`); this
+    // one sheds `block - queue_capacity` oldest arrivals in each of its
+    // five full blocks and nothing in its short tail.
+    let out = routed(1, &shedding_stream(3.83 * 100.0));
+    assert_eq!(out.stats.shed, 5 * (2048 - 1500));
+    assert_eq!(
+        fingerprint(&out),
+        0xcf3e_0f75_a99e_0e05,
+        "shedding decision stream drifted for seed {DEFAULT_SEED:#x}"
+    );
+}
+
+#[test]
+fn readmitting_degraded_stream_fingerprint_is_stable() {
+    // Deferral re-entry over a shrinking SµDC pool. The queue holds two
+    // blocks, so carried requests are never shed: they compete with the
+    // next block's arrivals and may defer a second time.
+    let mut stream = StreamConfig::new(6 * 2048 + 700, DEFAULT_SEED, 4.2);
+    stream.block = 2048;
+    stream.queue_capacity = 2 * 2048;
+    let out = readmitting_degraded().route_stream(&stream);
+    assert!(out.stats.deferred > 0, "overload must defer");
+    assert_eq!(out.stats.shed, 0);
+    assert_eq!(
+        fingerprint(&out),
+        0xb604_760f_29de_64a9,
+        "readmitting decision stream drifted for seed {DEFAULT_SEED:#x}"
+    );
+}
+
+#[test]
+fn readmitting_shedding_stream_decides_every_id_once() {
+    // Re-entry composed with shedding: carried requests are the oldest
+    // pushes, so a full block sheds them first; only the short tail block
+    // lets some of them through to scoring.
+    let stream = shedding_stream(4.2);
+    let out = readmitting_degraded().route_stream(&stream);
+    let s = &out.stats;
+    assert!(
+        s.deferred > 0 && s.shed > 5 * (2048 - 1500),
+        "carry must be shed"
+    );
+    assert_eq!(s.placed + s.deferred + s.rejected + s.shed, s.requests);
+    let mut ids: Vec<u64> = out.decisions.iter().map(|d| d.id).collect();
+    ids.sort_unstable();
+    assert!(
+        ids.iter().copied().eq(0..stream.requests),
+        "every id decided exactly once"
+    );
+    assert_eq!(
+        fingerprint(&out),
+        0xfb9d_a600_28a2_814e,
+        "readmitting shedding decision stream drifted for seed {DEFAULT_SEED:#x}"
     );
 }

@@ -14,12 +14,17 @@
 //! correct, never fast. Random interleavings of pushes and pops must be
 //! observationally indistinguishable between the two, request for
 //! request, at every step.
+//!
+//! The queue is in turn the reference model for [`admit_all`], the
+//! closed form the engine admits each block with: pushing a block (carried
+//! deferrals first, then arrivals) and draining it to empty must shed and
+//! pop exactly what `admit_all` computes.
 
 use std::collections::HashSet;
 
 use proptest::collection;
 use proptest::prelude::*;
-use space_udc::router::{AdmissionQueue, Priority, Request};
+use space_udc::router::{admit_all, AdmissionQueue, Priority, Request};
 
 fn req(id: u64, priority: Priority) -> Request {
     Request {
@@ -143,8 +148,73 @@ fn replay(words: &[u64], capacity: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Pushes `carry` then `arrivals` through a real queue and drains it,
+/// and checks `admit_all` sheds and drains the same ids in the same order.
+fn closed_form_matches_queue(
+    carry: &[Request],
+    arrivals: &[Request],
+    capacity: usize,
+) -> Result<(), TestCaseError> {
+    let push = |k: usize| {
+        if k < carry.len() {
+            &carry[k]
+        } else {
+            &arrivals[k - carry.len()]
+        }
+    };
+    let pushes = carry.len() + arrivals.len();
+
+    let mut q = AdmissionQueue::new(capacity);
+    let shed_by_queue: Vec<u64> = carry
+        .iter()
+        .chain(arrivals)
+        .filter_map(|r| q.push(*r).map(|v| v.id))
+        .collect();
+    let drained_by_queue: Vec<u64> = core::iter::from_fn(|| q.pop()).map(|r| r.id).collect();
+
+    let mut drain = vec![7; 3]; // stale contents must be replaced
+    let shed = admit_all(pushes, capacity, |k| push(k).priority, &mut drain);
+    let shed_ids: Vec<u64> = (0..shed).map(|k| push(k).id).collect();
+    let drained_ids: Vec<u64> = drain.iter().map(|&k| push(k as usize).id).collect();
+
+    prop_assert_eq!(shed, pushes.saturating_sub(capacity));
+    prop_assert_eq!(shed_ids, shed_by_queue);
+    prop_assert_eq!(drained_ids, drained_by_queue);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn closed_form_admission_is_the_queue_pushed_then_drained(
+        classes in collection::vec(0usize..3, 1..96),
+        carry_words in collection::vec(0usize..3, 0..48),
+        mix in 0usize..4,
+        capacity_mode in 0usize..3,
+        delta in 0usize..12,
+    ) {
+        // `mix` 0..3 pins every push to one class; 3 keeps the drawn mix.
+        let class = |c: usize| Priority::ALL[if mix < 3 { mix } else { c }];
+        // Carried deferrals keep their ids from an earlier block.
+        let carry: Vec<Request> = carry_words
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| req(1_000 + i as u64, class(c)))
+            .collect();
+        let arrivals: Vec<Request> = classes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| req(i as u64, class(c)))
+            .collect();
+        let pushes = carry.len() + arrivals.len();
+        let capacity = match capacity_mode {
+            0 => pushes.saturating_sub(delta).max(1),
+            1 => pushes,
+            _ => pushes + delta,
+        };
+        closed_form_matches_queue(&carry, &arrivals, capacity)?;
+    }
 
     #[test]
     fn queue_is_indistinguishable_from_the_flat_scan_model(
