@@ -23,7 +23,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// A deterministic xoshiro256** generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The generator is `Copy` so it can ride inside `Copy` values such as
+/// scheduled events. A copy forks the stream: both copies go on to make
+/// the same draws, so a caller that needs one stream must move each
+/// generator along exactly one path (the sim kernel keeps each
+/// satellite's generator in that satellite's single pending capture
+/// event, and only that event's handler draws from it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rng64 {
     s: [u64; 4],
 }
@@ -54,18 +61,6 @@ impl Rng64 {
         let mut sm = seed ^ index.wrapping_mul(0xa076_1d64_78bd_642f);
         let mixed = splitmix64(&mut sm);
         Self::new(mixed ^ seed.rotate_left(17))
-    }
-
-    /// Touches the generator state so an upcoming draw from this
-    /// generator finds it in cache. The load's value is dead, but it
-    /// still has to complete before it retires, so one warm issued just
-    /// ahead of its draw stalls about as long as the draw would. It pays
-    /// off only in a tight pass that warms many independent generators
-    /// back to back: their misses then overlap each other, and the draws
-    /// that follow hit the cache.
-    #[inline]
-    pub fn warm(&self) {
-        std::hint::black_box(self.s[0]);
     }
 
     /// Next raw 64-bit output.
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn invalid_draw_parameters_error_without_touching_the_stream() {
         let mut rng = Rng64::new(11);
-        let mut twin = rng.clone();
+        let mut twin = rng;
         assert!(rng.try_range(f64::NAN, 1.0).is_err());
         assert!(rng.try_range(0.0, f64::INFINITY).is_err());
         assert!(rng.try_range(3.0, 3.0).is_err());

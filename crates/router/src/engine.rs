@@ -342,6 +342,7 @@ impl Router {
         let mut next = Vec::new();
         for b in 0..stream.blocks() {
             next.clear();
+            let decided_before = decisions.len();
             let block_stats = self.route_block(
                 stream,
                 b,
@@ -349,6 +350,19 @@ impl Router {
                 &carry,
                 Some(&mut next),
                 &mut decisions,
+            );
+            // Re-entry ledger, checked in debug builds: every push is
+            // decided here or carried on, and only the block's own
+            // arrivals (ids from `b * block`, see `generate_block_into`)
+            // are carried, so a deferred request re-enters at most once.
+            debug_assert_eq!(
+                carry.len() + stream.block_len(b),
+                decisions.len() - decided_before + next.len(),
+                "block {b}: carried-in + arrivals = decided + carried-out"
+            );
+            debug_assert!(
+                next.iter().all(|(r, _)| r.id >= b * stream.block as u64),
+                "block {b}: a carried request was carried again"
             );
             stats.merge(&block_stats);
             std::mem::swap(&mut carry, &mut next);

@@ -158,7 +158,8 @@ impl<'a> Kernel<'a> {
     fn seed_initial_events(&mut self, seed: u64) {
         for sat in 0..self.cfg.satellites {
             let dt = self.capture_interval(sat as usize);
-            self.queue.push(dt, Event::Capture { sat });
+            let event = self.capture_event(sat, dt);
+            self.queue.push(dt, event);
         }
 
         let lifetime = WeibullLifetime::try_with_unit_mean(self.cfg.weibull_shape)
@@ -232,7 +233,7 @@ impl<'a> Kernel<'a> {
             );
             self.now = tick;
             match event {
-                Event::Capture { sat } => self.on_capture(sat),
+                Event::Capture { sat, .. } => self.on_capture(sat),
                 Event::IslDone => self.on_isl_done(),
                 Event::BatchTimeout => self.try_dispatch(),
                 Event::BatchDone { slot } => self.on_batch_done(slot),
@@ -282,7 +283,20 @@ impl<'a> Kernel<'a> {
             }
         }
         let dt = self.capture_interval(s);
-        self.queue.push(self.now + dt, Event::Capture { sat });
+        let event = self.capture_event(sat, self.now + dt);
+        self.queue.push(self.now + dt, event);
+    }
+
+    /// The capture event for `sat` at `tick`, carrying the stream state
+    /// and phase the rebuilt kernel would carry. This kernel ignores them
+    /// and reads its own arrays.
+    fn capture_event(&self, sat: u32, tick: Tick) -> Event {
+        let s = sat as usize;
+        Event::Capture {
+            sat,
+            phase: (tick + self.sat_phases[s]) % self.cfg.imaging_period_ticks,
+            rng: self.sat_rngs[s],
+        }
     }
 
     fn isl_transfer_duration(&self) -> Tick {

@@ -49,7 +49,7 @@
 //!
 //! # Slot storage
 //!
-//! A slot is a singly linked list of fixed-size chunks (`CHUNK`, 64
+//! A slot is a singly linked list of fixed-size chunks (`CHUNK`, 16
 //! entries each) drawn from one pool shared by every slot. Drained
 //! chunks go back on the pool's LIFO free list, so the next push reuses
 //! the chunk that was just read — still in cache — and the pool's size
@@ -60,16 +60,28 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use sudc_par::rng::Rng64;
+
 /// Integer simulation time.
 pub type Tick = u64;
 
 /// Everything that can happen in the operations simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// Satellite `sat`'s next frame-capture opportunity.
+    /// Satellite `sat`'s next frame-capture opportunity. A satellite
+    /// always has exactly one pending capture, and only its own captures
+    /// touch its arrival stream, so the event carries that state: the
+    /// handler draws from `rng` and hands the advanced generator (and
+    /// phase) on to the capture it schedules next.
     Capture {
         /// Index of the capturing satellite.
         sat: u32,
+        /// The satellite's imaging-window phase at this event's tick,
+        /// reduced mod the imaging period.
+        phase: Tick,
+        /// The satellite's arrival stream, positioned at this capture's
+        /// first draw.
+        rng: Rng64,
     },
     /// The ISL finishes transferring the image at the head of its queue.
     IslDone,
@@ -157,10 +169,12 @@ const SLOT_WORDS: usize = SLOTS / 64;
 /// module docs — slot order is push order).
 type WheelEntry = (Tick, Event);
 
-/// Entries per pooled slot chunk (1.5 KiB): large enough that the dense
-/// slots of a large fleet rarely follow a chunk link, small enough that
-/// a sparsely filled slot wastes little.
-const CHUNK: usize = 64;
+/// Entries per pooled slot chunk (896 B): a capture entry carries its
+/// satellite's stream state, so entries are large, and most slots of a
+/// small fleet hold a single entry. Dense slots of a large fleet follow
+/// a chunk link every 16 entries, which costs far less than the cache
+/// lines a mostly empty larger chunk would occupy.
+const CHUNK: usize = 16;
 /// End-of-list marker for chunk links.
 const NIL: u32 = u32::MAX;
 /// Filler for never-written chunk entries; never read back.
@@ -598,6 +612,16 @@ impl BinaryHeapQueue {
 mod tests {
     use super::*;
 
+    /// A capture whose carried stream state and phase differ for every
+    /// `sat`, so a mixed-up entry cannot compare equal.
+    fn capture(sat: u32) -> Event {
+        Event::Capture {
+            sat,
+            phase: u64::from(sat) * 7 + 1,
+            rng: Rng64::stream(0x5eed, u64::from(sat)),
+        }
+    }
+
     #[test]
     fn events_pop_in_tick_order() {
         let mut q = EventQueue::new();
@@ -614,10 +638,10 @@ mod tests {
     fn same_tick_events_pop_in_push_order() {
         let mut q = EventQueue::new();
         for sat in 0..100 {
-            q.push(5, Event::Capture { sat });
+            q.push(5, capture(sat));
         }
         for expected in 0..100 {
-            assert_eq!(q.pop(), Some((5, Event::Capture { sat: expected })));
+            assert_eq!(q.pop(), Some((5, capture(expected))));
         }
     }
 
@@ -675,8 +699,8 @@ mod tests {
             (1 << 30) + 7,
         ];
         for (i, &t) in ticks.iter().enumerate() {
-            wheel.push(t, Event::Capture { sat: i as u32 });
-            model.push(t, Event::Capture { sat: i as u32 });
+            wheel.push(t, capture(i as u32));
+            model.push(t, capture(i as u32));
         }
         assert_eq!(wheel.len(), model.len());
         while let Some(expected) = model.pop() {
@@ -706,8 +730,8 @@ mod tests {
                 _ => state % (1 << 34),
             };
             let tick = last + offset;
-            wheel.push(tick, Event::Capture { sat: round });
-            model.push(tick, Event::Capture { sat: round });
+            wheel.push(tick, capture(round));
+            model.push(tick, capture(round));
             if state & 1 == 0 {
                 let got = wheel.pop();
                 assert_eq!(got, model.pop(), "round {round}");
@@ -789,7 +813,7 @@ mod tests {
             assert!(pool_chunks(q) <= bound, "pool outgrew the peak live load");
         };
         for sat in 0..2_000 {
-            q.push(1 + draw(3_000), Event::Capture { sat });
+            q.push(1 + draw(3_000), capture(sat));
         }
         check(&q);
         while let Some(tick) = q.pop_tick(&mut buf) {

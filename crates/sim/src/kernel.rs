@@ -18,7 +18,7 @@
 //!
 //! # Hot-path layout
 //!
-//! The steady-state loop is allocation-free: per-entity state lives in
+//! The steady-state loop is allocation-free: per-node state lives in
 //! parallel arrays (struct-of-arrays — one contiguous `Vec` per field
 //! instead of one struct per entity), in-flight batch capture buffers
 //! come from a fixed-stride slab with a LIFO free list instead of a
@@ -28,16 +28,18 @@
 //! while corruption retries (which re-enter out of capture order) are in
 //! the queue.
 //!
-//! At large fleets the per-satellite state (`sat_rng`, `sat_phase`) is
-//! far larger than the caches, and every capture event touches a random
-//! satellite. The loop drains one tick's events at a time and, before
-//! handling each block of `TOUCH_BLOCK` (256) of them in order, loads the
-//! state of every satellite the block will capture for in one tight
-//! pass: those misses are independent, so they overlap each other
-//! instead of each stalling its own handler. Memory stays proportional
-//! to live work: the event queue's slots share one chunk pool, and the
-//! ISL FIFO — which at saturation holds millions of images — stores
-//! runs of equal capture ticks instead of one entry per image.
+//! At large fleets every capture event belongs to a random satellite,
+//! so per-satellite state indexed by satellite id would be a random
+//! gather into arrays far larger than the caches. The kernel keeps none:
+//! a satellite always has exactly one pending capture, and only its own
+//! captures touch its arrival stream and imaging-window phase, so both
+//! travel inside that `Event::Capture`. A capture reads them from the
+//! entry `pop_tick` has just copied out of its wheel slot, in slot order,
+//! and writes them back with the push that schedules the next capture.
+//! Memory stays proportional to live work: the event queue's slots share
+//! one chunk pool, and the ISL FIFO — which at saturation holds millions
+//! of images — stores runs of equal capture ticks instead of one entry
+//! per image.
 //!
 //! The frozen pre-rebuild kernel survives as [`crate::baseline`] and
 //! must produce `==` traces; the equivalence tests below hold the two
@@ -74,11 +76,6 @@ pub(crate) const INFANT_STREAM_BASE: u64 = 4_000_000;
 pub(crate) const STORM_KILL_STREAM_BASE: u64 = 5_000_000;
 /// Stream stride between consecutive storms' kill-draw blocks.
 pub(crate) const STORM_KILL_STREAM_STRIDE: u64 = 1_000_000;
-
-/// Events per pre-touch block of the tick loop (see "Hot-path layout"):
-/// enough independent loads to keep the memory system busy, few enough
-/// that the touched lines are still cached when the handlers reach them.
-const TOUCH_BLOCK: usize = 256;
 
 /// Rounds a positive tick duration up, never below one tick.
 pub(crate) fn duration_ticks(x: f64) -> Tick {
@@ -246,20 +243,49 @@ pub fn run_recorded(cfg: &SimConfig, seed: u64) -> (RunTrace, BusLog) {
     (run.trace, run.log.expect("recording mode keeps a log"))
 }
 
+/// Images still inside the pipeline when a run ends.
+struct InFlight {
+    /// Queued for or crossing the ISL, queued for a batch, inside a
+    /// running batch, or waiting out a retry backoff.
+    upstream: u64,
+    /// Processed, and queued for or crossing the downlink.
+    downlink: u64,
+}
+
+impl InFlight {
+    /// The capture ledger, checked in debug builds at the end of every
+    /// run: every image that arrived at the ISL was delivered, shed,
+    /// abandoned once its retry budget ran out, or is still in flight;
+    /// and every processed image was delivered, shed from the downlink
+    /// queue, or is still in the downlink stage.
+    fn debug_assert_capture_ledger(&self, t: &RunTrace) {
+        debug_assert_eq!(
+            t.arrived,
+            t.delivered
+                + t.shed_batch_overflow
+                + t.shed_deadline
+                + t.shed_downlink_overflow
+                + t.retry_exhausted
+                + self.upstream
+                + self.downlink,
+            "every arrived image is delivered, shed, abandoned or in flight"
+        );
+        debug_assert_eq!(
+            t.processed,
+            t.delivered + t.shed_downlink_overflow + self.downlink,
+            "every processed image is delivered, shed or in the downlink stage"
+        );
+    }
+}
+
 struct Kernel<'a> {
     cfg: &'a SimConfig,
     queue: EventQueue,
     now: Tick,
     seed: u64,
 
-    // Arrival process (struct-of-arrays: index = satellite id).
-    sat_rng: Vec<Rng64>,
-    /// Satellite `s`'s imaging-window phase `(tick + offset_s) %
-    /// imaging_period_ticks` *at its next pending capture event*,
-    /// maintained incrementally (add the capture interval, reduce mod the
-    /// period) so the hot path never divides. The value is exactly the
-    /// modulo the pre-rebuild kernel computed per event.
-    sat_phase: Vec<Tick>,
+    // Arrival process: each satellite's stream and imaging-window phase
+    // travel in its pending `Event::Capture` (see "Hot-path layout").
     /// Precomputed `imaging_duty * imaging_period_ticks` — the window-
     /// open comparison runs once per capture event.
     duty_window_ticks: f64,
@@ -289,6 +315,9 @@ struct Kernel<'a> {
     retried_in_queue: usize,
     slab: BatchSlab,
     busy_nodes: u32,
+    /// Corrupted images waiting out their retry backoff (a pending
+    /// `Event::Retry` each); feeds the capture ledger.
+    retries_scheduled: u64,
 
     // Fault processes (idle unless `cfg.faults` is set).
     fault_rng: Rng64,
@@ -324,21 +353,6 @@ struct Kernel<'a> {
 
 impl<'a> Kernel<'a> {
     fn new(cfg: &'a SimConfig, seed: u64, record: bool) -> Self {
-        let sat_rng = (0..cfg.satellites)
-            .map(|s| Rng64::stream(seed, SAT_STREAM_BASE + u64::from(s)))
-            .collect();
-        // Imaging-window phase offsets: spread 0 aligns every window
-        // (bursty shared ground-track pass), spread 1 staggers uniformly.
-        let sat_phase = (0..cfg.satellites)
-            .map(|s| {
-                let frac = if cfg.satellites > 1 {
-                    f64::from(s) / f64::from(cfg.satellites)
-                } else {
-                    0.0
-                };
-                (cfg.phase_spread * frac * cfg.imaging_period_ticks as f64).round() as Tick
-            })
-            .collect();
         let isl_links_total = cfg.faults.map_or(1, |f| f.isl_links());
         let isl_rngs = match cfg.faults.and_then(|f| f.isl) {
             Some(isl) => (0..isl.links)
@@ -351,8 +365,6 @@ impl<'a> Kernel<'a> {
             queue: EventQueue::new(),
             now: 0,
             seed,
-            sat_rng,
-            sat_phase,
             duty_window_ticks: cfg.imaging_duty * cfg.imaging_period_ticks as f64,
             isl_busy: false,
             isl_current: 0,
@@ -365,6 +377,7 @@ impl<'a> Kernel<'a> {
             retried_in_queue: 0,
             slab: BatchSlab::new(cfg.batch_target as usize),
             busy_nodes: 0,
+            retries_scheduled: 0,
             health: cfg.health.as_ref().map(|h| {
                 let lowered = h
                     .try_lower(cfg.tick_seconds)
@@ -394,13 +407,22 @@ impl<'a> Kernel<'a> {
     }
 
     fn seed_initial_events(&mut self, seed: u64) {
-        for sat in 0..self.cfg.satellites {
-            let dt = self.capture_interval(sat as usize);
-            // `sat_phase` holds the window offset up to here; fold in the
-            // first event tick so it becomes the phase at that event.
-            self.sat_phase[sat as usize] =
-                (dt + self.sat_phase[sat as usize]) % self.cfg.imaging_period_ticks;
-            self.queue.push(dt, Event::Capture { sat });
+        let cfg = self.cfg;
+        let period = cfg.imaging_period_ticks;
+        for sat in 0..cfg.satellites {
+            let mut rng = Rng64::stream(seed, SAT_STREAM_BASE + u64::from(sat));
+            let dt = duration_ticks(rng.next_exp() * cfg.frame_interval_ticks);
+            // Imaging-window phase offset: spread 0 aligns every window
+            // (bursty shared ground-track pass), spread 1 staggers
+            // uniformly. The event carries the phase at its own tick.
+            let frac = if cfg.satellites > 1 {
+                f64::from(sat) / f64::from(cfg.satellites)
+            } else {
+                0.0
+            };
+            let offset = (cfg.phase_spread * frac * period as f64).round() as Tick;
+            let phase = (dt + offset) % period;
+            self.queue.push(dt, Event::Capture { sat, phase, rng });
         }
 
         // Node pool: the first `required` nodes power on, the rest wait as
@@ -477,11 +499,9 @@ impl<'a> Kernel<'a> {
     fn run(mut self) -> BusRun {
         // Tick-batched event loop: every event of the current tick is
         // drained in FIFO order into one reused buffer and handled in
-        // blocks, each preceded by a pre-touch pass over its captures'
-        // satellite state (see "Hot-path layout" in the module docs).
-        // Handler order, pushes, and the pending-count trajectory (see
-        // `EventQueue::consume_one`) are identical to a one-pop-at-a-time
-        // loop.
+        // order. Handler order, pushes, and the pending-count trajectory
+        // (see `EventQueue::consume_one`) are identical to a
+        // one-pop-at-a-time loop.
         let mut batch: Vec<(Tick, Event)> = Vec::new();
         while let Some(tick) = self.queue.pop_tick(&mut batch) {
             if tick > self.cfg.duration_ticks {
@@ -502,25 +522,22 @@ impl<'a> Kernel<'a> {
                 },
             );
             self.now = tick;
-            for block in batch.chunks(TOUCH_BLOCK) {
-                self.touch_capture_state(block);
-                for &(_, event) in block {
-                    self.queue.consume_one();
-                    match event {
-                        Event::Capture { sat } => self.on_capture(sat),
-                        Event::IslDone => self.on_isl_done(),
-                        Event::BatchTimeout => self.try_dispatch(),
-                        Event::BatchDone { slot } => self.on_batch_done(slot),
-                        Event::NodeFailure { node } => self.on_node_failure(node),
-                        Event::ContactStart => self.on_contact_start(),
-                        Event::DownlinkDone => self.on_downlink_done(),
-                        Event::Sample => self.on_sample(),
-                        Event::IslLinkDown { link } => self.on_isl_link_down(link),
-                        Event::IslLinkUp { link } => self.on_isl_link_up(link),
-                        Event::StormStart => self.on_storm_start(),
-                        Event::Retry { capture, attempt } => self.on_retry(capture, attempt),
-                        Event::HealthScan => self.on_health_scan(),
-                    }
+            for &(_, event) in &batch {
+                self.queue.consume_one();
+                match event {
+                    Event::Capture { sat, phase, rng } => self.on_capture(sat, phase, rng),
+                    Event::IslDone => self.on_isl_done(),
+                    Event::BatchTimeout => self.try_dispatch(),
+                    Event::BatchDone { slot } => self.on_batch_done(slot),
+                    Event::NodeFailure { node } => self.on_node_failure(node),
+                    Event::ContactStart => self.on_contact_start(),
+                    Event::DownlinkDone => self.on_downlink_done(),
+                    Event::Sample => self.on_sample(),
+                    Event::IslLinkDown { link } => self.on_isl_link_down(link),
+                    Event::IslLinkUp { link } => self.on_isl_link_up(link),
+                    Event::StormStart => self.on_storm_start(),
+                    Event::Retry { capture, attempt } => self.on_retry(capture, attempt),
+                    Event::HealthScan => self.on_health_scan(),
                 }
             }
         }
@@ -534,29 +551,23 @@ impl<'a> Kernel<'a> {
                 peak_event_queue: self.queue.peak_len() as u64,
             },
         );
-        self.plane.into_run()
+        let in_flight = self.in_flight();
+        let run = self.plane.into_run();
+        in_flight.debug_assert_capture_ledger(&run.trace);
+        run
     }
 
-    /// Loads the RNG state and window phase of every satellite that
-    /// captures in `block`, back to back, so their cache misses overlap
-    /// before the in-order handlers need them. Reads only: no draw is
-    /// made and no state changes.
-    #[inline]
-    fn touch_capture_state(&self, block: &[(Tick, Event)]) {
-        for &(_, event) in block {
-            if let Event::Capture { sat } = event {
-                self.sat_rng[sat as usize].warm();
-                std::hint::black_box(self.sat_phase[sat as usize]);
-            }
+    /// Counts the images still inside the pipeline, by stage.
+    fn in_flight(&self) -> InFlight {
+        let busy_slots: u64 = self.slab.len.iter().map(|&n| u64::from(n)).sum();
+        InFlight {
+            upstream: self.isl_queue.len() as u64
+                + u64::from(self.isl_busy)
+                + self.batch_queue.len() as u64
+                + busy_slots
+                + self.retries_scheduled,
+            downlink: (self.downlink_queue.len() + self.dl_group.len()) as u64,
         }
-    }
-
-    /// Ticks until satellite `sat`'s next capture opportunity (Poisson
-    /// process at the imaging-mode frame rate; thinned to the window by
-    /// the caller).
-    fn capture_interval(&mut self, sat: usize) -> Tick {
-        let draw = self.sat_rng[sat].next_exp() * self.cfg.frame_interval_ticks;
-        duration_ticks(draw)
     }
 
     /// `(phase + dt) % period` for a `phase` already reduced mod
@@ -574,20 +585,23 @@ impl<'a> Kernel<'a> {
         p
     }
 
-    fn on_capture(&mut self, sat: u32) {
-        let s = sat as usize;
-        let phase = self.sat_phase[s];
+    /// Satellite `sat` captures (inside its imaging window) and schedules
+    /// its next capture opportunity: a Poisson process at the imaging-mode
+    /// frame rate, thinned to the window here. `rng` and `phase` come from
+    /// the event and move on, advanced, into the one it schedules.
+    fn on_capture(&mut self, sat: u32, phase: Tick, mut rng: Rng64) {
         if (phase as f64) < self.duty_window_ticks {
-            let filtered = self.sat_rng[s].next_f64() < self.cfg.filtering;
+            let filtered = rng.next_f64() < self.cfg.filtering;
             self.plane
                 .publish(self.now, Payload::Capture { sat, filtered });
             if !filtered {
                 self.offer_to_isl(self.now);
             }
         }
-        let dt = self.capture_interval(s);
-        self.sat_phase[s] = Self::advance_phase(phase, dt, self.cfg.imaging_period_ticks);
-        self.queue.push(self.now + dt, Event::Capture { sat });
+        let dt = duration_ticks(rng.next_exp() * self.cfg.frame_interval_ticks);
+        let phase = Self::advance_phase(phase, dt, self.cfg.imaging_period_ticks);
+        self.queue
+            .push(self.now + dt, Event::Capture { sat, phase, rng });
     }
 
     /// Transfer time for one image at the current link state: nominal
@@ -676,6 +690,7 @@ impl<'a> Kernel<'a> {
     }
 
     fn on_retry(&mut self, capture: Tick, attempt: u32) {
+        self.retries_scheduled -= 1;
         self.enqueue_for_batch(capture, attempt);
         self.try_dispatch();
     }
@@ -828,6 +843,7 @@ impl<'a> Kernel<'a> {
                 attempt: next,
             },
         );
+        self.retries_scheduled += 1;
     }
 
     fn shed_downlink_overflow(&mut self) {
@@ -1369,8 +1385,9 @@ mod tests {
 
     #[test]
     fn rebuilt_kernel_matches_the_baseline_on_a_large_fleet() {
-        // 30k satellites capture about 300 times per tick, so tick
-        // batches overrun one pre-touch block and the ISL backlog builds
+        // 30k satellites capture about 300 times per tick, so each tick
+        // drains hundreds of captures, each carrying its own stream state,
+        // out of slots many chunks long, and the ISL backlog builds
         // multi-image runs. With a single flapping link every
         // down phase is a total outage that stalls the ISL through
         // `push_front`. The committed fingerprints keep this evidence

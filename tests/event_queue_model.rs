@@ -9,10 +9,26 @@
 //! indistinguishable between the two, event for event, at every step —
 //! through the single `pop` and through the kernel's whole-tick drain
 //! (`pop_tick`, then `consume_one` and the handler's pushes per event).
+//!
+//! Every pushed capture carries its own stream state and phase, as the
+//! kernel's captures do, so that equality also proves the carried state
+//! comes back intact through the `due` heap, overflow migration, cascades
+//! and `pop_tick` drains.
 
 use proptest::collection;
 use proptest::prelude::*;
+use space_udc::par::rng::Rng64;
 use space_udc::sim::{BinaryHeapQueue, Event, EventQueue};
+
+/// Capture number `serial`: a satellite id, phase and stream state that
+/// no other serial shares.
+fn capture(serial: u32) -> Event {
+    Event::Capture {
+        sat: serial,
+        phase: u64::from(serial).wrapping_mul(0x9e37_79b9),
+        rng: Rng64::stream(0x5eed, u64::from(serial)),
+    }
+}
 
 /// Replays one random op sequence against both queues, asserting
 /// identical observable behavior after every operation. Each `u64` word
@@ -38,8 +54,8 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
     let mut last_push = 0u64;
     let mut serial = 0u32;
     let mut push = |wheel: &mut EventQueue, model: &mut BinaryHeapQueue, tick: u64| {
-        wheel.push(tick, Event::Capture { sat: serial });
-        model.push(tick, Event::Capture { sat: serial });
+        wheel.push(tick, capture(serial));
+        model.push(tick, capture(serial));
         serial += 1;
     };
     for &w in words {
@@ -128,17 +144,17 @@ proptest! {
         let mut drained = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         for sat in 0..burst {
-            wheel.push(tick, Event::Capture { sat });
-            drained.push(tick, Event::Capture { sat });
-            model.push(tick, Event::Capture { sat });
+            wheel.push(tick, capture(sat));
+            drained.push(tick, capture(sat));
+            model.push(tick, capture(sat));
         }
         let mut buf = Vec::new();
         prop_assert_eq!(drained.pop_tick(&mut buf), Some(tick));
         prop_assert_eq!(buf.len(), burst as usize);
         for sat in 0..burst {
-            let want = Some((tick, Event::Capture { sat }));
-            prop_assert_eq!(wheel.pop(), want.clone());
-            prop_assert_eq!(Some(buf[sat as usize]), want.clone());
+            let want = Some((tick, capture(sat)));
+            prop_assert_eq!(wheel.pop(), want);
+            prop_assert_eq!(Some(buf[sat as usize]), want);
             prop_assert_eq!(model.pop(), want);
             drained.consume_one();
         }

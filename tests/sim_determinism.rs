@@ -1,9 +1,10 @@
 //! Acceptance tests for the discrete-event operations simulator: exact
 //! reproducibility across thread counts, the collaborative-filtering
-//! latency/backlog claim, and the cold-spare availability bound.
+//! latency/backlog claim, the cold-spare availability bound, and the
+//! capture ledger on every way out of the pipeline.
 
 use space_udc::reliability::availability::NodePool;
-use space_udc::sim::{SimConfig, SimSummary, DEFAULT_SEED};
+use space_udc::sim::{run, FaultConfig, SimConfig, SimSummary, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
 /// The full serialized study for a fixed seed at a given thread count.
@@ -92,4 +93,37 @@ fn cold_spares_sustain_at_least_the_analytic_hot_pool_availability() {
     );
     // Sanity on the bound itself: a meaningful, non-degenerate target.
     assert!(analytic_hot > 0.05 && analytic_hot < 0.5);
+}
+
+#[test]
+fn capture_ledger_holds_on_every_loss_path() {
+    // Every run ends by checking the capture ledger in debug builds:
+    // arrived = delivered + shed + retry-exhausted + in flight, and
+    // processed = delivered + downlink-shed + downlink stage. Each run
+    // below drives one way out of the pipeline, so each loss counter in
+    // the ledger is non-zero in some checked run.
+    let mut overflow = FaultConfig::quiet();
+    overflow.policy.batch_queue_limit = 2;
+    let mut deadline = FaultConfig::quiet();
+    deadline.policy.deadline_ticks = 400;
+    let mut downlink = FaultConfig::quiet();
+    downlink.policy.downlink_queue_limit = 4;
+    let mut upsets = FaultConfig::quiet();
+    upsets.upset_probability = 0.6;
+    let nominal =
+        |faults| SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(faults);
+    // A glacial service rate backs the batch queue up.
+    let slow = |faults| SimConfig {
+        service_ticks_per_image: 2e3,
+        ..nominal(faults)
+    };
+    let lost = [
+        run(&slow(overflow), 3).shed_batch_overflow,
+        run(&slow(deadline), 3).shed_deadline,
+        run(&nominal(downlink), 3).shed_downlink_overflow,
+        run(&nominal(upsets), 3).retry_exhausted,
+    ];
+    for (i, n) in lost.into_iter().enumerate() {
+        assert!(n > 0, "run {i} must lose work on its path");
+    }
 }
