@@ -80,8 +80,7 @@ impl Rng64 {
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[must_use]
     pub fn next_f64(&mut self) -> f64 {
-        // Top 53 bits scaled by 2^-53: the canonical double construction.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_from_u64(self.next_u64())
     }
 
     /// Uniform draw in `[lo, hi)`.
@@ -157,11 +156,30 @@ impl Rng64 {
     }
 
     /// Standard-exponential draw (mean 1) by inversion, clamped away from
-    /// `ln(0)`.
+    /// `ln(0)`: [`Rng64::exp_from_u64`] of the next raw output.
+    ///
+    /// The draw is a fixed function of one `next_u64`, so a caller that
+    /// rounds it to a coarse grid can tabulate the result instead of
+    /// calling `ln` (the sim kernel's capture-gap table does, and falls
+    /// back to [`Rng64::exp_from_u64`] near every step of the grid).
     #[must_use]
     pub fn next_exp(&mut self) -> f64 {
-        -(1.0 - self.next_f64()).max(f64::MIN_POSITIVE).ln()
+        Self::exp_from_u64(self.next_u64())
     }
+
+    /// The standard-exponential variate [`Rng64::next_exp`] makes from
+    /// the raw output `bits`: `-ln(w · 2^-53)` with
+    /// `w = 2^53 - (bits >> 11)`, an integer in `[1, 2^53]` (the
+    /// subtraction `1 - next_f64` is exact).
+    #[must_use]
+    pub fn exp_from_u64(bits: u64) -> f64 {
+        -(1.0 - unit_from_u64(bits)).max(f64::MIN_POSITIVE).ln()
+    }
+}
+
+/// Top 53 bits scaled by 2^-53: the canonical double construction.
+fn unit_from_u64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -217,6 +235,21 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| rng.next_exp()).sum::<f64>() / f64::from(n);
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn exponential_draws_are_the_mapping_of_one_raw_output() {
+        let mut rng = Rng64::new(17);
+        let mut twin = rng;
+        for _ in 0..1000 {
+            let want = Rng64::exp_from_u64(twin.next_u64());
+            assert_eq!(rng.next_exp().to_bits(), want.to_bits());
+        }
+        assert_eq!(rng, twin, "one draw consumes one raw output");
+        // The extremes: `w = 2^53` gives exactly 0, `w = 1` gives 53 ln 2.
+        assert_eq!(Rng64::exp_from_u64(0).to_bits(), (-0.0f64).to_bits());
+        let deepest = 53.0 * std::f64::consts::LN_2;
+        assert!((Rng64::exp_from_u64(u64::MAX) - deepest).abs() < 1e-12);
     }
 
     #[test]

@@ -230,14 +230,21 @@ impl SimConfig {
 
     /// Weak-scales [`SimConfig::reference_operations`] to a fleet of
     /// `satellites`: per-satellite traffic is unchanged while the shared
-    /// resources grow with the fleet — the ISL and downlink are
-    /// provisioned `satellites / 64` times the reference aggregate rate
+    /// resources are provisioned for the fleet — the ISL and downlink
+    /// get `satellites / 64` times the reference aggregate rate
     /// (per-image transfer ticks shrink by that ratio) and the compute
-    /// pool scales by the same ratio. Utilization therefore stays near
-    /// the reference working point at any fleet size, which is exactly
-    /// what a scaling study needs: event count grows linearly while the
-    /// queueing regime stays comparable. `try_scaled_fleet(64, d)` is
-    /// identical to `reference_operations(d)`.
+    /// pool scales by the same ratio. The event count grows linearly
+    /// with the fleet, since captures dominate it.
+    /// `try_scaled_fleet(64, d)` is identical to `reference_operations(d)`.
+    ///
+    /// The kernel does not deliver the provisioned ISL rate. The ISL is
+    /// a single FIFO server and every transfer rounds up to a whole tick,
+    /// so it moves at most one image per tick at any fleet size. The
+    /// reference fleet offers about 0.01 image per tick per satellite, so
+    /// above about 100 satellites the ISL saturates: its backlog grows
+    /// for the whole run and compute utilization falls with fleet size
+    /// instead of staying near the reference working point.
+    /// `tests/sim_determinism.rs` asserts the cap at 1 000 satellites.
     ///
     /// # Errors
     ///

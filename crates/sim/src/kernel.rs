@@ -41,6 +41,17 @@
 //! of images — stores runs of equal capture ticks instead of one entry
 //! per image.
 //!
+//! A capture's successor comes `duration_ticks(next_exp() * mean)` ticks
+//! later, and `next_exp`'s `ln` used to be the largest cost of a capture.
+//! That gap is a step function of the one `next_u64` the draw consumes,
+//! so the kernel reads it from a `GapTable` built once per run: it keys
+//! on the draw's octave and six more bits, stores each bucket's gap and
+//! the at most two steps inside it, and hands every draw within a wide
+//! guard band of a step (and the rare deep tail) to the original
+//! expression. The guard band dwarfs any rounding in `exp` or `ln`, so
+//! the table gives the expression's exact tick, and each draw still
+//! consumes exactly one `next_u64` (see `gap.rs` for the argument).
+//!
 //! The frozen pre-rebuild kernel survives as [`crate::baseline`] and
 //! must produce `==` traces; the equivalence tests below hold the two
 //! kernels together.
@@ -54,6 +65,7 @@ use sudc_reliability::weibull::WeibullLifetime;
 
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue, Tick};
+use crate::gap::GapTable;
 use crate::metrics::RunTrace;
 use crate::plane::{BusRun, SimBus};
 
@@ -240,7 +252,13 @@ pub fn run_on_bus(cfg: &SimConfig, seed: u64, record: bool) -> BusRun {
 #[must_use]
 pub fn run_recorded(cfg: &SimConfig, seed: u64) -> (RunTrace, BusLog) {
     let run = run_on_bus(cfg, seed, true);
-    (run.trace, run.log.expect("recording mode keeps a log"))
+    let log = run.log.expect("recording mode keeps a log");
+    debug_assert_eq!(
+        log.records(),
+        run.stats.total(),
+        "every published sample is recorded exactly once"
+    );
+    (run.trace, log)
 }
 
 /// Images still inside the pipeline when a run ends.
@@ -254,11 +272,17 @@ struct InFlight {
 
 impl InFlight {
     /// The capture ledger, checked in debug builds at the end of every
-    /// run: every image that arrived at the ISL was delivered, shed,
-    /// abandoned once its retry budget ran out, or is still in flight;
-    /// and every processed image was delivered, shed from the downlink
-    /// queue, or is still in the downlink stage.
+    /// run: every capture was filtered at the edge or arrived at the ISL;
+    /// every image that arrived was delivered, shed, abandoned once its
+    /// retry budget ran out, or is still in flight; and every processed
+    /// image was delivered, shed from the downlink queue, or is still in
+    /// the downlink stage.
     fn debug_assert_capture_ledger(&self, t: &RunTrace) {
+        debug_assert_eq!(
+            t.captured,
+            t.filtered_out + t.arrived,
+            "every capture is filtered or arrives"
+        );
         debug_assert_eq!(
             t.arrived,
             t.delivered
@@ -286,6 +310,9 @@ struct Kernel<'a> {
 
     // Arrival process: each satellite's stream and imaging-window phase
     // travel in its pending `Event::Capture` (see "Hot-path layout").
+    /// Capture gaps, `duration_ticks(next_exp() * frame_interval_ticks)`
+    /// read from a per-run table (see "Hot-path layout").
+    gaps: GapTable,
     /// Precomputed `imaging_duty * imaging_period_ticks` — the window-
     /// open comparison runs once per capture event.
     duty_window_ticks: f64,
@@ -365,6 +392,11 @@ impl<'a> Kernel<'a> {
             queue: EventQueue::new(),
             now: 0,
             seed,
+            gaps: if cfg.satellites == 0 {
+                GapTable::exact_only(cfg.frame_interval_ticks)
+            } else {
+                GapTable::new(cfg.frame_interval_ticks)
+            },
             duty_window_ticks: cfg.imaging_duty * cfg.imaging_period_ticks as f64,
             isl_busy: false,
             isl_current: 0,
@@ -411,7 +443,7 @@ impl<'a> Kernel<'a> {
         let period = cfg.imaging_period_ticks;
         for sat in 0..cfg.satellites {
             let mut rng = Rng64::stream(seed, SAT_STREAM_BASE + u64::from(sat));
-            let dt = duration_ticks(rng.next_exp() * cfg.frame_interval_ticks);
+            let dt = self.gaps.draw(&mut rng);
             // Imaging-window phase offset: spread 0 aligns every window
             // (bursty shared ground-track pass), spread 1 staggers
             // uniformly. The event carries the phase at its own tick.
@@ -598,7 +630,7 @@ impl<'a> Kernel<'a> {
                 self.offer_to_isl(self.now);
             }
         }
-        let dt = duration_ticks(rng.next_exp() * self.cfg.frame_interval_ticks);
+        let dt = self.gaps.draw(&mut rng);
         let phase = Self::advance_phase(phase, dt, self.cfg.imaging_period_ticks);
         self.queue
             .push(self.now + dt, Event::Capture { sat, phase, rng });
@@ -1155,7 +1187,51 @@ impl<'a> Kernel<'a> {
             self.queue.push(next, Event::HealthScan);
         }
         self.health = Some(hp);
+        self.debug_assert_node_ledger();
         self.try_dispatch();
+    }
+
+    /// The node ledger, checked in debug builds at every lease: each
+    /// installed node is powered-alive, dead or a cold spare, the
+    /// powered-alive count matches the node states, and the spare pool
+    /// holds exactly the spare nodes, in index order, each with its
+    /// drawn life.
+    fn debug_assert_node_ledger(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        // One state per installed node, and `NodeState` has exactly the
+        // three states: the partition holds once the lengths agree.
+        debug_assert_eq!(
+            self.node_state.len(),
+            self.cfg.nodes as usize,
+            "every installed node is powered-alive, dead or a spare"
+        );
+        let count = |state| self.node_state.iter().filter(|&&s| s == state).count();
+        debug_assert_eq!(
+            count(NodeState::PoweredAlive),
+            self.powered_alive as usize,
+            "powered-alive count"
+        );
+        debug_assert_eq!(
+            count(NodeState::Spare),
+            self.spare_id.len(),
+            "spare pool size"
+        );
+        debug_assert_eq!(self.spare_life.len(), self.spare_id.len(), "spare lives");
+        debug_assert!(
+            self.spare_id
+                .iter()
+                .zip(self.spare_id.iter().skip(1))
+                .all(|(a, b)| a < b),
+            "spares wait in index order"
+        );
+        debug_assert!(
+            self.spare_id
+                .iter()
+                .all(|&n| self.node_state[n as usize] == NodeState::Spare),
+            "every pooled spare is a spare"
+        );
     }
 
     fn on_isl_link_down(&mut self, link: u32) {

@@ -49,6 +49,7 @@ pub mod baseline;
 pub mod config;
 pub mod event;
 pub mod fault;
+mod gap;
 pub mod kernel;
 pub mod metrics;
 pub mod plane;

@@ -3,6 +3,8 @@
 //! latency/backlog claim, the cold-spare availability bound, and the
 //! capture ledger on every way out of the pipeline.
 
+use space_udc::chaos::Campaign;
+use space_udc::health::HealthConfig;
 use space_udc::reliability::availability::NodePool;
 use space_udc::sim::{run, FaultConfig, SimConfig, SimSummary, DEFAULT_SEED};
 use space_udc::units::Seconds;
@@ -126,4 +128,57 @@ fn capture_ledger_holds_on_every_loss_path() {
     for (i, n) in lost.into_iter().enumerate() {
         assert!(n > 0, "run {i} must lose work on its path");
     }
+}
+
+#[test]
+fn faulted_ten_thousand_satellite_fleet_trace_is_pinned() {
+    // The stress path at fleet scale: 10k satellites under the combined
+    // chaos campaign with the closed-loop health plane. The literal was
+    // computed before the capture-gap table replaced the `ln` draw, so it
+    // holds that table to the exact trace of the original expression.
+    let duration = Seconds::new(300.0);
+    let cfg = Campaign::combined(duration)
+        .apply(&SimConfig::try_scaled_fleet(10_000, duration).unwrap())
+        .with_health(HealthConfig::standard());
+    let t = run(&cfg, DEFAULT_SEED);
+    assert!(
+        t.heartbeats > 0 && t.isl_flaps > 0,
+        "every plane must be active"
+    );
+    assert_eq!(
+        t.fingerprint(),
+        0x2406_e597_2fa6_a8d9,
+        "faulted 10k-satellite trace drifted"
+    );
+}
+
+#[test]
+fn tick_quantized_isl_moves_at_most_one_image_per_tick() {
+    // `try_scaled_fleet` provisions the ISL for the fleet's traffic by
+    // shrinking the per-image transfer below one tick, but every transfer
+    // is rounded up to a whole tick, so the single-server link moves at
+    // most one image per tick. Above about 128 satellites that cap, not
+    // the provisioned rate, bounds the pipeline. A fractional ISL service
+    // clock lifts the cap and flips the last assertion.
+    let cfg = SimConfig::try_scaled_fleet(1_000, Seconds::new(600.0)).unwrap();
+    let t = run(&cfg, DEFAULT_SEED);
+    let ticks = cfg.duration_ticks as f64;
+    let offered = t.arrived as f64 / ticks;
+    let provisioned = 1.0 / cfg.isl_transfer_ticks;
+    assert!(
+        offered > 2.0,
+        "the fleet offers {offered:.2} images per tick"
+    );
+    assert!(
+        provisioned > offered,
+        "the link is sized for {provisioned:.2} images per tick"
+    );
+    // Every processed image crossed the ISL first, and the link is busy
+    // almost every tick: the cap binds.
+    let moved = t.processed as f64 / ticks;
+    assert!(moved > 0.9, "the ISL moved only {moved:.3} images per tick");
+    assert!(
+        moved <= 1.0,
+        "the ISL moved {moved:.3} images per tick, above the one-per-tick cap"
+    );
 }
