@@ -75,7 +75,7 @@ pub fn ext_bus() -> String {
         .map(|(id, spec)| {
             vec![
                 id.index().to_string(),
-                spec.name.clone(),
+                spec.name.to_string(),
                 reliability(spec.qos.reliability),
                 deadline(spec.qos.deadline_s),
                 durability(spec.qos.durability).to_string(),
@@ -95,7 +95,7 @@ pub fn ext_bus() -> String {
                 .try_lower(tick_s)
                 .expect("standard contracts lower");
             vec![
-                spec.name.clone(),
+                spec.name.to_string(),
                 low.deadline_ticks.to_string(),
                 low.max_retries.to_string(),
                 depth(low.history_depth),
@@ -131,7 +131,7 @@ pub fn ext_bus() -> String {
         ]);
     }
 
-    let topic_name = |id: TopicId| topics.topic(id).expect("registered").name.clone();
+    let topic_name = |id: TopicId| topics.topic(id).expect("standard topic").name;
     format!(
         "Ext. I: QoS-contracted constellation data plane (seed {DEFAULT_SEED:#x}, {} s simulated)\n\
          standard topic table\n{}\n\n\
@@ -150,10 +150,10 @@ pub fn ext_bus() -> String {
         table(
             &[
                 "run",
-                &topic_name(sudc_bus::TOPIC_CAPTURES),
-                &topic_name(sudc_bus::TOPIC_INSIGHTS),
-                &topic_name(sudc_bus::TOPIC_TELEMETRY),
-                &topic_name(sudc_bus::TOPIC_FAULTS),
+                topic_name(sudc_bus::TOPIC_CAPTURES),
+                topic_name(sudc_bus::TOPIC_INSIGHTS),
+                topic_name(sudc_bus::TOPIC_TELEMETRY),
+                topic_name(sudc_bus::TOPIC_FAULTS),
                 "total",
             ],
             &traffic_rows,

@@ -10,7 +10,7 @@
 
 use crate::record::BusLog;
 use crate::sample::Sample;
-use crate::topic::{BusConfig, TopicId};
+use crate::topic::{TopicId, TOPICS};
 
 /// A synchronous sample sink attached to the bus.
 pub trait Subscriber {
@@ -22,7 +22,7 @@ pub trait Subscriber {
 /// Per-topic publish counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BusStats {
-    counts: Vec<u64>,
+    counts: [u64; TOPICS],
 }
 
 impl BusStats {
@@ -42,7 +42,6 @@ impl BusStats {
 /// A typed pub/sub bus with one attached subscriber.
 #[derive(Debug)]
 pub struct Bus<S> {
-    config: BusConfig,
     stats: BusStats,
     recorder: Option<BusLog>,
     subscriber: S,
@@ -52,23 +51,19 @@ impl<S: Subscriber> Bus<S> {
     /// A bus that forwards samples straight to `subscriber` with no
     /// recording — zero-copy passthrough mode.
     #[must_use]
-    pub fn passthrough(config: BusConfig, subscriber: S) -> Self {
-        Self::build(config, subscriber, false)
+    pub fn passthrough(subscriber: S) -> Self {
+        Self::build(subscriber, false)
     }
 
     /// A bus that additionally appends every sample to a [`BusLog`].
     #[must_use]
-    pub fn recording(config: BusConfig, subscriber: S) -> Self {
-        Self::build(config, subscriber, true)
+    pub fn recording(subscriber: S) -> Self {
+        Self::build(subscriber, true)
     }
 
-    fn build(config: BusConfig, subscriber: S, record: bool) -> Self {
-        let stats = BusStats {
-            counts: vec![0; config.len()],
-        };
+    fn build(subscriber: S, record: bool) -> Self {
         Self {
-            config,
-            stats,
+            stats: BusStats::default(),
             recorder: record.then(BusLog::new),
             subscriber,
         }
@@ -78,10 +73,6 @@ impl<S: Subscriber> Bus<S> {
     #[inline]
     pub fn publish(&mut self, sample: Sample) {
         let topic = sample.payload.topic();
-        debug_assert!(
-            topic.index() < self.config.len(),
-            "payload routed to an unregistered topic"
-        );
         self.stats.counts[topic.index()] += 1;
         if let Some(log) = &mut self.recorder {
             log.push(&sample);
@@ -89,22 +80,10 @@ impl<S: Subscriber> Bus<S> {
         self.subscriber.deliver(topic, &sample);
     }
 
-    /// The topic table this bus was built from.
-    #[must_use]
-    pub fn config(&self) -> &BusConfig {
-        &self.config
-    }
-
     /// Per-topic publish counters so far.
     #[must_use]
     pub fn stats(&self) -> &BusStats {
         &self.stats
-    }
-
-    /// The attached subscriber.
-    #[must_use]
-    pub fn subscriber(&self) -> &S {
-        &self.subscriber
     }
 
     /// Tears the bus down into its subscriber, recorded log (if
@@ -131,7 +110,7 @@ mod tests {
 
     #[test]
     fn passthrough_counts_and_delivers_in_order() {
-        let mut bus = Bus::passthrough(BusConfig::standard(), Tally::default());
+        let mut bus = Bus::passthrough(Tally::default());
         bus.publish(Sample {
             tick: 1,
             payload: Payload::Capture {
@@ -157,7 +136,7 @@ mod tests {
 
     #[test]
     fn recording_mode_captures_the_stream() {
-        let mut bus = Bus::recording(BusConfig::standard(), Tally::default());
+        let mut bus = Bus::recording(Tally::default());
         let samples = [
             Sample {
                 tick: 3,

@@ -8,14 +8,15 @@
 //! insight is worthless even if delivered. This crate makes those
 //! guarantees explicit, in the DDS DataWriter/DataReader shape:
 //!
-//! * [`BusConfig`] registers named topics, each with a [`QosContract`]
-//!   (reliability / deadline / durability / history).
+//! * [`BusConfig`] is the fixed table of the four constellation topics,
+//!   each with a [`QosContract`] (reliability / deadline / durability /
+//!   history).
 //! * [`Bus`] publishes typed [`Sample`]s to a synchronous
 //!   [`Subscriber`]; in passthrough mode the overhead over direct state
-//!   mutation is a counter and a match.
-//! * [`TopicChannel`] is the buffered endpoint that *executes* a
-//!   lowered contract — bounded-retry delivery, deadline shedding,
-//!   history eviction, transient-local late-join replay.
+//!   mutation is a counter and a match. The bus itself buffers nothing:
+//!   the sim kernel executes the capture and insight contracts with its
+//!   own queues and `RecoveryPolicy`, and the telemetry and fault
+//!   contracts are declarative.
 //! * [`BusLog`] records a session as a compact delta-encoded binary
 //!   stream that can re-drive any subscriber deterministically.
 //!
@@ -31,20 +32,15 @@
 #![warn(missing_docs)]
 
 mod bus;
-mod endpoint;
 mod qos;
 mod record;
 mod sample;
 mod topic;
 
 pub use bus::{Bus, BusStats, Subscriber};
-pub use endpoint::{ChannelStats, Delivery, TopicChannel, WRITER_ANONYMOUS};
-pub use qos::{
-    Durability, LivelinessQos, LoweredQos, QosContract, Reliability, STANDARD_FRESHNESS_DEADLINE_S,
-};
+pub use qos::{Durability, LoweredQos, QosContract, Reliability, STANDARD_FRESHNESS_DEADLINE_S};
 pub use record::BusLog;
 pub use sample::{FaultKind, HealthEvent, Payload, Sample, Tick};
 pub use topic::{
-    BusConfig, TopicId, TopicSpec, MAX_TOPICS, TOPIC_CAPTURES, TOPIC_FAULTS, TOPIC_INSIGHTS,
-    TOPIC_TELEMETRY,
+    BusConfig, TopicId, TopicSpec, TOPIC_CAPTURES, TOPIC_FAULTS, TOPIC_INSIGHTS, TOPIC_TELEMETRY,
 };

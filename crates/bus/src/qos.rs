@@ -50,65 +50,6 @@ impl Reliability {
             Reliability::Reliable { max_retries } => max_retries,
         }
     }
-
-    /// Whether a failed delivery may be retried.
-    #[must_use]
-    pub fn is_reliable(self) -> bool {
-        matches!(self, Reliability::Reliable { .. })
-    }
-}
-
-/// Writer-liveliness policy for a topic (the DDS `LIVELINESS` QoS,
-/// `AUTOMATIC` kind): a writer asserts liveliness implicitly with every
-/// publish, and a writer that goes `lease_s` seconds without publishing
-/// is considered dead. The bus lowers the lease onto integer ticks and
-/// evicts a dead writer's retained (transient-local) history so late
-/// joiners never replay samples from a publisher the health plane has
-/// quarantined; `sudc-health` uses the same lease as the heartbeat
-/// expectation of its failure detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LivelinessQos {
-    /// Lease duration in seconds; `0.0` disables liveliness tracking
-    /// (writers are never declared dead).
-    pub lease_s: f64,
-}
-
-impl LivelinessQos {
-    /// No liveliness tracking: writers never expire.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { lease_s: 0.0 }
-    }
-
-    /// Automatic liveliness with the given lease duration.
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] unless `lease_s` is positive and finite
-    /// (use [`LivelinessQos::disabled`] to opt out instead of a zero
-    /// lease).
-    pub fn try_automatic(lease_s: f64) -> Result<Self, SudcError> {
-        let mut d = Diagnostics::new("LivelinessQos::try_automatic");
-        d.positive("lease_s", lease_s);
-        d.finish()?;
-        Ok(Self { lease_s })
-    }
-
-    /// Whether liveliness tracking is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.lease_s > 0.0
-    }
-
-    /// Collects every violation into `d` under `path`.
-    pub fn validate_into(&self, d: &mut Diagnostics, path: &str) {
-        if !(self.lease_s.is_finite() && self.lease_s >= 0.0) {
-            d.violation(
-                format!("{path}.lease_s"),
-                self.lease_s,
-                "finite and >= 0 (0 disables liveliness)",
-            );
-        }
-    }
 }
 
 /// Sample-availability policy for late-joining readers.
@@ -139,9 +80,6 @@ pub struct QosContract {
     /// Bounded history: the writer keeps at most this many undelivered
     /// samples, evicting oldest-first. `0` means unbounded.
     pub history_depth: usize,
-    /// Writer-liveliness lease (disabled for every standard contract;
-    /// the health plane opts in per topic).
-    pub liveliness: LivelinessQos,
 }
 
 impl QosContract {
@@ -153,7 +91,6 @@ impl QosContract {
             deadline_s: 0.0,
             durability: Durability::Volatile,
             history_depth: 0,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -168,7 +105,6 @@ impl QosContract {
             deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
             durability: Durability::Volatile,
             history_depth: 512,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -184,7 +120,6 @@ impl QosContract {
             deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
             durability: Durability::TransientLocal,
             history_depth: 256,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -206,7 +141,6 @@ impl QosContract {
             deadline_s: 0.0,
             durability: Durability::TransientLocal,
             history_depth: 1024,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -226,7 +160,6 @@ impl QosContract {
                 ">= 1 when durability is TransientLocal (store-and-forward needs a bounded store)",
             );
         }
-        self.liveliness.validate_into(d, path);
     }
 
     /// Validates the contract, reporting every violation at once.
@@ -259,14 +192,15 @@ impl QosContract {
             max_retries: self.reliability.max_retries(),
             history_depth: self.history_depth,
             transient_local: self.durability == Durability::TransientLocal,
-            lease_ticks: (self.liveliness.lease_s / tick_seconds).round() as u64,
         })
     }
 }
 
-/// A [`QosContract`] lowered onto integer tick quantities — the form
-/// the delivery machinery ([`crate::TopicChannel`], the sim's
-/// `RecoveryPolicy`) actually executes.
+/// A [`QosContract`] lowered onto integer tick quantities. For the
+/// capture and insight topics these are the `RecoveryPolicy` quantities
+/// the sim kernel executes: `Campaign::combined` in `sudc-chaos` copies
+/// both contracts onto its recovery policy, which lowers with the same
+/// arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweredQos {
     /// Freshness deadline in ticks (0 disables shedding).
@@ -277,10 +211,6 @@ pub struct LoweredQos {
     pub history_depth: usize,
     /// Whether delivered samples are retained for late joiners.
     pub transient_local: bool,
-    /// Writer-liveliness lease in ticks (0 disables liveliness; a writer
-    /// silent longer than this is dead and its retained history is
-    /// evicted).
-    pub lease_ticks: u64,
 }
 
 #[cfg(test)]
@@ -345,40 +275,5 @@ mod tests {
         for bad in [0.0, -0.1, f64::NAN] {
             assert!(QosContract::best_effort().try_lower(bad).is_err());
         }
-    }
-
-    #[test]
-    fn liveliness_lease_lowers_with_the_deadline_rounding() {
-        let c = QosContract {
-            liveliness: LivelinessQos::try_automatic(60.0).unwrap(),
-            ..QosContract::standard_telemetry()
-        };
-        let low = c.try_lower(0.1).unwrap();
-        assert_eq!(low.lease_ticks, 600);
-        // Every standard contract ships with liveliness disabled.
-        for std in [
-            QosContract::best_effort(),
-            QosContract::standard_captures(),
-            QosContract::standard_insights(),
-            QosContract::standard_telemetry(),
-            QosContract::standard_faults(),
-        ] {
-            assert!(!std.liveliness.is_enabled());
-            assert_eq!(std.try_lower(0.1).unwrap().lease_ticks, 0);
-        }
-    }
-
-    #[test]
-    fn hostile_lease_is_rejected_structurally() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(LivelinessQos::try_automatic(bad).is_err(), "{bad}");
-        }
-        let c = QosContract {
-            liveliness: LivelinessQos { lease_s: f64::NAN },
-            ..QosContract::best_effort()
-        };
-        let err = c.try_validate().unwrap_err();
-        assert!(err.violations().iter().any(|v| v.path.contains("lease_s")));
-        assert!(c.try_lower(0.1).is_err());
     }
 }

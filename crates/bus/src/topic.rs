@@ -1,19 +1,17 @@
-//! Topic registry: named, QoS-contracted channels on the bus.
+//! The topic table: the four named, QoS-contracted channels on the bus.
 //!
-//! A [`BusConfig`] is the static topic table a bus instance is built
-//! from. [`BusConfig::standard`] registers the four constellation
-//! topics the sim publishes on; [`BusConfig::try_register`] adds
-//! caller-defined topics with full contract validation.
+//! [`BusConfig::standard`] is the fixed table of the constellation
+//! topics the sim publishes on. Every [`crate::Payload`] maps onto one of
+//! them statically, so the table is never extended at run time.
 
 use crate::qos::QosContract;
-use sudc_errors::{Diagnostics, SudcError};
 
-/// Handle to a registered topic: an index into the bus's topic table.
+/// Handle to a topic: an index into the topic table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TopicId(pub(crate) u16);
 
 impl TopicId {
-    /// Position of this topic in the bus's topic table.
+    /// Position of this topic in the topic table.
     #[must_use]
     pub fn index(self) -> usize {
         usize::from(self.0)
@@ -29,96 +27,39 @@ pub const TOPIC_TELEMETRY: TopicId = TopicId(2);
 /// Fault-event stream: upsets, retries, sheds, failures, promotions.
 pub const TOPIC_FAULTS: TopicId = TopicId(3);
 
-/// Hard cap on registered topics (`TopicId` is a `u16`).
-pub const MAX_TOPICS: usize = u16::MAX as usize;
+/// Number of topics: `TOPIC_CAPTURES` … `TOPIC_FAULTS`.
+pub(crate) const TOPICS: usize = 4;
 
-/// One registered topic: its name and QoS contract.
+/// One topic: its name and QoS contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopicSpec {
-    /// Topic name, unique within a bus (e.g. `"eo/captures"`).
-    pub name: String,
+    /// Topic name (e.g. `"eo/captures"`).
+    pub name: &'static str,
     /// Delivery contract for every sample on this topic.
     pub qos: QosContract,
 }
 
-/// Static topic table for one bus instance.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The topic table.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusConfig {
-    topics: Vec<TopicSpec>,
+    topics: [TopicSpec; TOPICS],
 }
 
 impl BusConfig {
-    /// An empty registry with no topics.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The standard constellation topic table: captures, insights,
     /// telemetry, and fault events, in the fixed order matching
     /// [`TOPIC_CAPTURES`] … [`TOPIC_FAULTS`].
     #[must_use]
     pub fn standard() -> Self {
-        let mut cfg = Self::empty();
-        for (name, qos) in [
-            ("eo/captures", QosContract::standard_captures()),
-            ("eo/insights", QosContract::standard_insights()),
-            ("ops/telemetry", QosContract::standard_telemetry()),
-            ("ops/faults", QosContract::standard_faults()),
-        ] {
-            cfg.try_register(name, qos)
-                .expect("standard topics are statically valid");
+        let spec = |name, qos| TopicSpec { name, qos };
+        Self {
+            topics: [
+                spec("eo/captures", QosContract::standard_captures()),
+                spec("eo/insights", QosContract::standard_insights()),
+                spec("ops/telemetry", QosContract::standard_telemetry()),
+                spec("ops/faults", QosContract::standard_faults()),
+            ],
         }
-        cfg
-    }
-
-    /// Registers a topic, validating the name and QoS contract.
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] listing every problem at once: empty or
-    /// whitespace name, duplicate name, contract violations, or a full
-    /// topic table.
-    pub fn try_register(&mut self, name: &str, qos: QosContract) -> Result<TopicId, SudcError> {
-        let mut d = Diagnostics::new("BusConfig::try_register");
-        let trimmed = name.trim();
-        d.ensure(
-            !trimmed.is_empty(),
-            "name",
-            format!("{name:?}"),
-            "a non-empty, non-whitespace topic name",
-        );
-        d.ensure(
-            !self.topics.iter().any(|t| t.name == name),
-            "name",
-            format!("{name:?}"),
-            "unique within this bus",
-        );
-        d.ensure(
-            self.topics.len() < MAX_TOPICS,
-            "topics.len()",
-            self.topics.len(),
-            format!("fewer than {MAX_TOPICS} registered topics"),
-        );
-        qos.validate_into(&mut d, "qos");
-        d.finish()?;
-        let id = TopicId(self.topics.len() as u16);
-        self.topics.push(TopicSpec {
-            name: name.to_string(),
-            qos,
-        });
-        Ok(id)
-    }
-
-    /// Number of registered topics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.topics.len()
-    }
-
-    /// Whether no topics are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.topics.is_empty()
     }
 
     /// Looks up a topic by id.
@@ -127,16 +68,7 @@ impl BusConfig {
         self.topics.get(id.index())
     }
 
-    /// Looks up a topic id by name.
-    #[must_use]
-    pub fn find(&self, name: &str) -> Option<TopicId> {
-        self.topics
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| TopicId(i as u16))
-    }
-
-    /// Iterates `(id, spec)` pairs in registration order.
+    /// Iterates `(id, spec)` pairs in table order.
     pub fn iter(&self) -> impl Iterator<Item = (TopicId, &TopicSpec)> {
         self.topics
             .iter()
@@ -152,37 +84,14 @@ mod tests {
     #[test]
     fn standard_table_has_fixed_ids() {
         let cfg = BusConfig::standard();
-        assert_eq!(cfg.len(), 4);
-        assert_eq!(cfg.find("eo/captures"), Some(TOPIC_CAPTURES));
-        assert_eq!(cfg.find("eo/insights"), Some(TOPIC_INSIGHTS));
-        assert_eq!(cfg.find("ops/telemetry"), Some(TOPIC_TELEMETRY));
-        assert_eq!(cfg.find("ops/faults"), Some(TOPIC_FAULTS));
-    }
-
-    #[test]
-    fn duplicate_and_empty_names_are_rejected() {
-        let mut cfg = BusConfig::standard();
-        let err = cfg
-            .try_register("eo/captures", QosContract::best_effort())
-            .unwrap_err();
-        assert!(err
-            .violations()
-            .iter()
-            .any(|v| v.allowed.contains("unique")));
-        let err = cfg
-            .try_register("   ", QosContract::best_effort())
-            .unwrap_err();
-        assert!(err.violations().iter().any(|v| v.path == "name"));
-    }
-
-    #[test]
-    fn invalid_qos_blocks_registration() {
-        let mut cfg = BusConfig::empty();
-        let bad = QosContract {
-            deadline_s: f64::NAN,
-            ..QosContract::best_effort()
-        };
-        assert!(cfg.try_register("x", bad).is_err());
-        assert!(cfg.is_empty());
+        assert_eq!(cfg.iter().count(), TOPICS);
+        for (id, name) in [
+            (TOPIC_CAPTURES, "eo/captures"),
+            (TOPIC_INSIGHTS, "eo/insights"),
+            (TOPIC_TELEMETRY, "ops/telemetry"),
+            (TOPIC_FAULTS, "ops/faults"),
+        ] {
+            assert_eq!(cfg.topic(id).map(|t| t.name), Some(name));
+        }
     }
 }

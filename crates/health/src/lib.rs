@@ -6,8 +6,8 @@
 //! crate closes that loop:
 //!
 //! * [`HealthConfig`] — the recovery controller's contract: heartbeat
-//!   lease (shared with the bus's `LIVELINESS` QoS), tick-quantized
-//!   suspicion thresholds (SUSPECT → DEAD), and readmission probation.
+//!   lease, tick-quantized suspicion thresholds (SUSPECT → DEAD), and
+//!   readmission probation.
 //! * [`HealthController`] — a deterministic phi-accrual-style failure
 //!   detector per monitored node. Heartbeats arrive from the
 //!   `ops/telemetry` topic; periodic scans quantize the elapsed silence

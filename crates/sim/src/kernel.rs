@@ -59,7 +59,7 @@
 use std::collections::VecDeque;
 
 use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload};
-use sudc_health::{HealthController, LoweredHealth, ScanVerdict};
+use sudc_health::{HealthController, LoweredHealth, NodeHealth, ScanVerdict};
 use sudc_par::rng::Rng64;
 use sudc_reliability::weibull::WeibullLifetime;
 
@@ -1188,6 +1188,7 @@ impl<'a> Kernel<'a> {
         }
         self.health = Some(hp);
         self.debug_assert_node_ledger();
+        self.debug_assert_detector_ledger();
         self.try_dispatch();
     }
 
@@ -1231,6 +1232,46 @@ impl<'a> Kernel<'a> {
                 .iter()
                 .all(|&n| self.node_state[n as usize] == NodeState::Spare),
             "every pooled spare is a spare"
+        );
+    }
+
+    /// The detector's view of the node partition, checked in debug
+    /// builds at every lease after the verdicts and their promotions:
+    /// every powered-alive node has just heartbeated (or was just
+    /// watched) and is ALIVE, so no kernel-alive node is quarantined;
+    /// every cold spare has never heartbeated and is unmonitored. A dead
+    /// kernel node never heartbeats again, so nothing is readmitted and
+    /// the quarantine holds exactly the detections.
+    fn debug_assert_detector_ledger(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let Some(hp) = &self.health else {
+            return;
+        };
+        let detector = &hp.controller;
+        for (node, &state) in self.node_state.iter().enumerate() {
+            let seen = detector.state(node as u32);
+            match state {
+                NodeState::PoweredAlive => debug_assert_eq!(
+                    seen,
+                    NodeHealth::Alive,
+                    "powered-alive node {node} is ALIVE to the detector"
+                ),
+                NodeState::Spare => debug_assert_eq!(
+                    seen,
+                    NodeHealth::Unmonitored,
+                    "cold spare {node} is unmonitored"
+                ),
+                NodeState::Dead => {}
+            }
+        }
+        let counters = detector.counters();
+        debug_assert_eq!(counters.readmissions, 0, "a dead node is never readmitted");
+        debug_assert_eq!(
+            u64::from(detector.quarantined()),
+            counters.detections,
+            "the quarantine holds exactly the detections"
         );
     }
 

@@ -16,7 +16,7 @@
 //! topic streams across process (or shard) boundaries.
 
 use sudc_bus::{
-    Bus, BusConfig, BusLog, BusStats, FaultKind, HealthEvent, Payload, Sample, Subscriber, TopicId,
+    Bus, BusLog, BusStats, FaultKind, HealthEvent, Payload, Sample, Subscriber, TopicId,
 };
 use sudc_errors::SudcError;
 
@@ -245,13 +245,12 @@ pub(crate) struct SimBus {
 
 impl SimBus {
     pub(crate) fn new(cfg: &SimConfig, record: bool) -> Self {
-        let config = BusConfig::standard();
         let builder = TraceBuilder::new(cfg);
         Self {
             bus: if record {
-                Bus::recording(config, builder)
+                Bus::recording(builder)
             } else {
-                Bus::passthrough(config, builder)
+                Bus::passthrough(builder)
             },
         }
     }

@@ -9,8 +9,10 @@
 //! properties then pin the detector's three contract clauses from the
 //! issue: no suspicion without a missed lease, quarantine monotone in
 //! missed heartbeats, and readmission only after a full consecutive
-//! probation. A final test holds the armed sim to the workspace-wide
-//! determinism bar: identical detector traces at 1, 2, and 8 threads.
+//! probation. Two sim tests close the file: the armed sim meets the
+//! workspace-wide determinism bar (identical detector traces at 1, 2,
+//! and 8 threads), and both controller arms of a cold-spare mission
+//! reach quarantines, so the kernel's detector ledger is exercised.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -19,7 +21,7 @@ use space_udc::chaos::Campaign;
 use space_udc::health::{
     HealthConfig, HealthController, HealthCounters, LoweredHealth, NodeHealth, ScanVerdict,
 };
-use space_udc::sim::{try_replicate_grid, SimConfig, DEFAULT_SEED};
+use space_udc::sim::{run, try_replicate_grid, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
 /// Flat-scan reference model of the detector: plain per-node records,
@@ -362,4 +364,29 @@ fn detector_traces_are_identical_at_1_2_and_8_threads() {
             "no detections observed"
         );
     }
+}
+
+/// Both controller arms of a cold-spare mission reach live quarantines,
+/// and the closed loop promotes spares on them, so the kernel's
+/// debug-build detector ledger (every powered-alive node ALIVE to the
+/// detector, every cold spare unmonitored, quarantine == detections, no
+/// readmission) is checked at every lease of both arms by a debug
+/// `cargo test`.
+#[test]
+fn detector_ledger_arms_reach_detections_and_promotions() {
+    let mission = |closed_loop: bool| {
+        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
+        let health = HealthConfig {
+            lease_s: cfg.tick_seconds * 50.0,
+            closed_loop,
+            ..HealthConfig::standard()
+        };
+        run(&cfg.with_health(health), 11)
+    };
+    let on = mission(true);
+    let off = mission(false);
+    assert!(on.detections > 0, "closed loop saw no detections");
+    assert!(on.promotions > 0, "closed loop never promoted");
+    assert!(off.detections > 0, "monitor-only saw no detections");
+    assert_eq!(off.promotions, 0, "monitor-only promoted");
 }

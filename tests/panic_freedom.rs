@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use space_udc::accel::dse::{try_gpu_joules_per_mac, try_run_dse};
 use space_udc::accel::energy::EnergyTable;
 use space_udc::accel::AcceleratorConfig;
-use space_udc::bus::{BusConfig, Durability, LivelinessQos, QosContract};
+use space_udc::bus::{Durability, QosContract};
 use space_udc::chaos::ChaosSummary;
 use space_udc::core::dynamics::DynamicScenario;
 use space_udc::core::tco::TcoReport;
@@ -466,27 +466,6 @@ proptest! {
     }
 
     #[test]
-    fn bus_topic_registration_rejects_exactly_hostile_entries(
-        sel in 0u32..8, mag in 1.0..9.0f64,
-    ) {
-        let h = hostile(sel, mag);
-        let mut cfg = BusConfig::standard();
-        // Duplicate and blank names are structured errors, not panics.
-        for bad_name in ["eo/captures", "", "   "] {
-            let err = cfg.try_register(bad_name, QosContract::best_effort()).unwrap_err();
-            prop_assert!(structured(&err), "{err}");
-        }
-        // A hostile contract is caught at registration.
-        let mut qos = QosContract::best_effort();
-        qos.deadline_s = h;
-        let result = cfg.try_register("ops/extra", qos).map(|_| ());
-        prop_assert_eq!(result.is_ok(), h.is_finite() && h >= 0.0);
-        if let Err(e) = result {
-            prop_assert!(structured(&e), "{e}");
-        }
-    }
-
-    #[test]
     fn energy_table_try_validate_flags_hostile_fields(
         field in 0u32..11, sel in 0u32..8, mag in 1.0..9.0f64,
     ) {
@@ -582,18 +561,10 @@ proptest! {
         suspect in 0u32..4, dead in 0u32..6, probation in 0u32..4,
     ) {
         let h = hostile(sel, mag);
-        // The bus LIVELINESS lease accepts exactly positive finite
-        // seconds; a zero lease means "disabled" and must go through
-        // `LivelinessQos::disabled`, never `try_automatic`.
-        let liveliness = LivelinessQos::try_automatic(h);
-        prop_assert_eq!(liveliness.is_ok(), h.is_finite() && h > 0.0);
-        if let Err(e) = liveliness {
-            prop_assert!(structured(&e), "{e}");
-        }
-
-        // The detector contract additionally orders its thresholds:
-        // SUSPECT must precede DEAD, and zero-count thresholds are
-        // contradictions, not "disabled".
+        // The detector lease accepts exactly positive finite seconds,
+        // and the contract orders its thresholds: SUSPECT must precede
+        // DEAD, and zero-count thresholds are contradictions, not
+        // "disabled".
         let cfg = HealthConfig {
             lease_s: h,
             suspect_missed: suspect,
@@ -611,13 +582,6 @@ proptest! {
         if let Err(e) = result {
             prop_assert!(structured(&e), "{e}");
         }
-        // The liveliness projection depends on the lease alone.
-        let projected = cfg.try_liveliness();
-        prop_assert_eq!(projected.is_ok(), h.is_finite() && h > 0.0);
-        if let Err(e) = projected {
-            prop_assert!(structured(&e), "{e}");
-        }
-
         // Lowering validates contract and tick at once; a lease that
         // rounds to zero ticks is a structured error, not a silent
         // always-dead detector.
