@@ -5,9 +5,9 @@
 //! This benchmark weak-scales the fleet (1k → 10k → 100k publishers,
 //! [`fleet_point`]) and at every size times three points:
 //!
-//! - `passthrough`: the kernel with no recorder (`n` = messages
-//!   published), its trace checked against the frozen pre-bus kernel's
-//!   committed fingerprint first;
+//! - `passthrough`: the kernel with nothing attached (`n` = messages
+//!   published, which is the log's record count), its trace checked
+//!   against the frozen pre-bus kernel's committed fingerprint first;
 //! - `record`: the same run serializing every topic sample to the
 //!   compact binary log (`n` = log records), timed in alternating pairs
 //!   with `passthrough` and its overhead reported ungated;
@@ -20,15 +20,14 @@
 use sudc_bench::harness::{
     check_fleet_fingerprint, fleet_point, fleets, reps, time, time_pair, Point, Report,
 };
-use sudc_sim::{kernel, replay, run_on_bus, run_recorded};
+use sudc_sim::{kernel, replay, run_recorded};
 
 fn main() {
     let reps = reps(5);
     let mut report = Report::new("bus");
     for fleet in fleets("1000,10000,100000") {
         let (cfg, seed) = fleet_point(fleet);
-        let run = run_on_bus(&cfg, seed, false);
-        check_fleet_fingerprint(fleet, &run.trace);
+        check_fleet_fingerprint(fleet, &kernel::run(&cfg, seed));
         let (trace, log) = run_recorded(&cfg, seed);
         assert_eq!(
             replay(&cfg, &log).expect("recorded log replays"),
@@ -42,7 +41,7 @@ fn main() {
             || kernel::run(&cfg, seed),
             || run_recorded(&cfg, seed),
         );
-        report.push(Point::new(&passthrough, "bus", run.stats.total(), paired.a));
+        report.push(Point::new(&passthrough, "bus", log.records(), paired.a));
         report.push(
             Point::new(format!("record_{fleet}"), "bus", log.records(), paired.b).vs(
                 &passthrough,

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use sudc_bench::{all_experiments, run_experiment};
+use sudc_bench::experiments::{find, EXPERIMENTS};
 
 /// Parses the `--jobs` argument: any positive integer is a thread count;
 /// everything else (including 0) is a configuration error.
@@ -71,15 +71,15 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: figures [--out DIR] [--jobs N] <experiment id>... | all\n\navailable experiments:"
         );
-        for (id, desc) in all_experiments() {
+        for (id, desc, _) in EXPERIMENTS {
             eprintln!("  {id:8} {desc}");
         }
         return ExitCode::FAILURE;
     }
     let ids: Vec<String> = if args.iter().any(|a| a == "all") {
-        all_experiments()
+        EXPERIMENTS
             .iter()
-            .map(|(id, _)| (*id).to_string())
+            .map(|(id, ..)| (*id).to_string())
             .collect()
     } else {
         args
@@ -96,7 +96,7 @@ fn main() -> ExitCode {
     let start = Instant::now();
     let results: Vec<(Option<String>, f64)> = sudc_par::par_map(&ids, |_, id| {
         let t = Instant::now();
-        let report = run_experiment(id);
+        let report = find(id).map(|generate| generate());
         (report, t.elapsed().as_secs_f64() * 1e3)
     });
     let total_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -19,19 +19,15 @@
 //! diffs `--jobs 1/2/8` outputs against each other and against the
 //! committed `results/bus.txt` snapshot.
 
-use sudc_bus::{BusConfig, Durability, Reliability, TopicId};
+use sudc_bus::{BusConfig, BusLog, BusStats, Durability, Reliability, TopicId};
 use sudc_chaos::Campaign;
-use sudc_sim::{replay, run_on_bus, SimConfig, DEFAULT_SEED};
+use sudc_sim::{replay, try_run, SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::table;
-use crate::harness::env_positive;
 
-/// Simulated span, seconds (env `SUDC_BUS_DURATION_S` overrides; CI
-/// uses a small budget).
-fn duration() -> Seconds {
-    Seconds::new(env_positive("SUDC_BUS_DURATION_S", 1800.0))
-}
+/// Simulated span, seconds.
+const DURATION_S: f64 = 1800.0;
 
 fn reliability(r: Reliability) -> String {
     match r {
@@ -67,7 +63,7 @@ fn depth(d: usize) -> String {
 #[must_use]
 pub fn ext_bus() -> String {
     let topics = BusConfig::standard();
-    let duration = duration();
+    let duration = Seconds::new(DURATION_S);
 
     // The standard topic table and its contracts.
     let topic_rows: Vec<Vec<String>> = topics
@@ -112,22 +108,29 @@ pub fn ext_bus() -> String {
     let mut traffic_rows: Vec<Vec<String>> = Vec::new();
     let mut audit_rows: Vec<Vec<String>> = Vec::new();
     for (name, cfg) in [("nominal", &nominal_cfg), ("combined", &combined_cfg)] {
-        let run = run_on_bus(cfg, DEFAULT_SEED, true);
-        let log = run.log.as_ref().expect("recording run keeps a log");
+        let (trace, (log, stats)) =
+            try_run(cfg, DEFAULT_SEED, (BusLog::new(), BusStats::default()))
+                .expect("the reference and combined configs are valid");
+        // The record ledger: every published sample is recorded once.
+        assert_eq!(
+            log.records(),
+            stats.total(),
+            "{name}: recorded != published"
+        );
         let mut row = vec![name.to_string()];
         for (id, _) in topics.iter() {
-            row.push(run.stats.published(id).to_string());
+            row.push(stats.published(id).to_string());
         }
-        row.push(run.stats.total().to_string());
+        row.push(stats.total().to_string());
         traffic_rows.push(row);
 
-        let replayed = replay(cfg, log).expect("recorded log replays");
+        let replayed = replay(cfg, &log).expect("recorded log replays");
         audit_rows.push(vec![
             name.to_string(),
             log.records().to_string(),
             log.byte_len().to_string(),
             format!("{:.2}", log.byte_len() as f64 / log.records() as f64),
-            if replayed == run.trace { "yes" } else { "NO" }.to_string(),
+            if replayed == trace { "yes" } else { "NO" }.to_string(),
         ]);
     }
 

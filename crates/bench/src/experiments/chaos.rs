@@ -14,28 +14,21 @@ use sudc_par::json::ToJson;
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
-use crate::harness::env_positive;
 
 /// Spare counts swept by the report.
 const SPARE_COUNTS: [u32; 4] = [0, 2, 4, 8];
 
-/// Simulated span of every run, seconds (env `SUDC_CHAOS_DURATION_S`
-/// overrides; CI uses a small budget).
-fn duration() -> Seconds {
-    Seconds::new(env_positive("SUDC_CHAOS_DURATION_S", 7200.0))
-}
+/// Simulated span of every run, seconds.
+const DURATION_S: f64 = 7200.0;
 
-/// Replications per grid cell (env `SUDC_CHAOS_REPS` overrides).
-fn reps() -> u32 {
-    env_positive("SUDC_CHAOS_REPS", 3)
-}
+/// Replications per grid cell.
+const REPS: u32 = 3;
 
 /// Ext. G: chaos resilience report — fault campaigns vs cold spares.
 #[must_use]
 pub fn ext_chaos() -> String {
-    let duration = duration();
-    let reps = reps();
-    let summary = ChaosSummary::try_run(duration, &SPARE_COUNTS, reps, sudc_sim::DEFAULT_SEED)
+    let duration = Seconds::new(DURATION_S);
+    let summary = ChaosSummary::try_run(duration, &SPARE_COUNTS, REPS, sudc_sim::DEFAULT_SEED)
         .expect("a positive duration and rep count form a valid grid");
 
     let rows: Vec<Vec<String>> = summary
@@ -79,7 +72,7 @@ pub fn ext_chaos() -> String {
          cold spares to hold availability >= {} (claim #4)\n{}\n\n\
          full grid (JSON)\n{}\n",
         duration.value(),
-        reps,
+        REPS,
         table(
             &[
                 "campaign",

@@ -28,27 +28,20 @@ use sudc_sim::{SimConfig, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
-use crate::harness::env_positive;
 
 /// Cold spares installed in every grid cell (equal across arms).
 const SPARES: u32 = 4;
 
-/// Simulated span of every run, seconds (env `SUDC_HEALTH_DURATION_S`
-/// overrides; CI uses the default).
-fn duration() -> Seconds {
-    Seconds::new(env_positive("SUDC_HEALTH_DURATION_S", 3600.0))
-}
+/// Simulated span of every run, seconds.
+const DURATION_S: f64 = 3600.0;
 
-/// Replications per arm (env `SUDC_HEALTH_REPS` overrides).
-fn reps() -> u32 {
-    env_positive("SUDC_HEALTH_REPS", 4)
-}
+/// Replications per arm.
+const REPS: u32 = 4;
 
 /// Ext. K: the closed-loop health plane under chaos.
 #[must_use]
 pub fn ext_health() -> String {
-    let duration = duration();
-    let reps = reps();
+    let duration = Seconds::new(DURATION_S);
     let contract = HealthConfig::standard();
 
     // --- part 1: the detector contract ------------------------------
@@ -69,7 +62,7 @@ pub fn ext_health() -> String {
     );
 
     // --- part 2: controller-on vs controller-off grid ----------------
-    let report = HealthReport::try_run(duration, SPARES, reps, DEFAULT_SEED)
+    let report = HealthReport::try_run(duration, SPARES, REPS, DEFAULT_SEED)
         .expect("a positive duration and rep count form a valid grid");
     let rows: Vec<Vec<String>> = report
         .cells
@@ -159,7 +152,7 @@ pub fn ext_health() -> String {
          recorded-log routing audit\n{}\n\n\
          full grid (JSON)\n{}\n",
         duration.value(),
-        reps,
+        REPS,
         SPARES,
         contract_lines,
         table(

@@ -25,23 +25,15 @@ use sudc_sim::DEFAULT_SEED;
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
-use crate::harness::env_positive;
 
-/// Requests routed per sweep point (env `SUDC_ROUTER_REQUESTS`
-/// overrides; CI uses the default).
-fn requests() -> u64 {
-    env_positive("SUDC_ROUTER_REQUESTS", 200_000)
-}
+/// Requests routed per sweep point.
+const REQUESTS: u64 = 200_000;
 
-/// Replay duration, seconds (env `SUDC_ROUTER_DURATION_S` overrides).
-fn duration() -> Seconds {
-    Seconds::new(env_positive("SUDC_ROUTER_DURATION_S", 1800.0))
-}
+/// Replay duration, seconds.
+const DURATION_S: f64 = 1800.0;
 
-/// Replay replications (env `SUDC_ROUTER_REPS` overrides).
-fn reps() -> u32 {
-    env_positive("SUDC_ROUTER_REPS", 2)
-}
+/// Replay replications.
+const REPS: u32 = 2;
 
 /// Load multipliers applied to the reference capture rate.
 const LOAD_MULTIPLIERS: [f64; 3] = [1.0, 1e2, 1e4];
@@ -66,7 +58,6 @@ fn mix_row(label: &str, out: &RoutingOutcome) -> Vec<String> {
 /// Ext. H: online request placement across the four execution tiers.
 #[must_use]
 pub fn ext_router() -> String {
-    let requests = requests();
     let router = Router::reference();
     let reference = DynamicScenario::from_scenario(Scenario::Reference, 64)
         .expect("reference scenario must size");
@@ -76,7 +67,7 @@ pub fn ext_router() -> String {
     let mut mix_rows: Vec<Vec<String>> = Vec::new();
     let mut outcomes: Vec<RoutingOutcome> = Vec::new();
     for &m in &LOAD_MULTIPLIERS {
-        let stream = StreamConfig::new(requests, DEFAULT_SEED, base_arrival * m);
+        let stream = StreamConfig::new(REQUESTS, DEFAULT_SEED, base_arrival * m);
         let out = router.route_stream(&stream);
         mix_rows.push(mix_row(&format!("{m:>6.0}x"), &out));
         outcomes.push(out);
@@ -99,15 +90,14 @@ pub fn ext_router() -> String {
         .collect();
 
     // Replay the reference-load placements through the simulator.
-    let duration = duration();
-    let reps = reps();
+    let duration = Seconds::new(DURATION_S);
     let load = RoutedLoad::from_outcome(&outcomes[0]);
     let nominal = load
-        .try_replay(duration, reps, DEFAULT_SEED, None)
+        .try_replay(duration, REPS, DEFAULT_SEED, None)
         .expect("the routed load induces a valid scenario");
     let storm_campaign = sudc_chaos::Campaign::solar_storm(duration);
     let storm = load
-        .try_replay(duration, reps, DEFAULT_SEED, Some(&storm_campaign))
+        .try_replay(duration, REPS, DEFAULT_SEED, Some(&storm_campaign))
         .expect("the routed load induces a valid scenario");
     let replay_rows: Vec<Vec<String>> = [&nominal, &storm]
         .iter()
@@ -123,7 +113,7 @@ pub fn ext_router() -> String {
         .collect();
 
     format!(
-        "Ext. H: online request placement ({requests} requests/point, seed {DEFAULT_SEED:#x})\n\
+        "Ext. H: online request placement ({REQUESTS} requests/point, seed {DEFAULT_SEED:#x})\n\
          reference capture rate {base_arrival:.2} req/s; sweep multiplies it\n{}\n\n\
          per-application tier split at {:.0}x load (placed requests)\n{}\n\n\
          routed load replayed through sudc-sim ({} s, {} reps, SLO {:.0} s)\n{}\n\n\
@@ -148,7 +138,7 @@ pub fn ext_router() -> String {
             &app_rows,
         ),
         duration.value(),
-        reps,
+        REPS,
         nominal.slo_deadline_s,
         table(
             &["campaign", "slo", "avail", "delivered", "p99 (s)"],

@@ -14,35 +14,28 @@ use sudc_sim::{SimConfig, SimSummary, DEFAULT_SEED};
 use sudc_units::Seconds;
 
 use crate::format::{percent, table};
-use crate::harness::env_positive;
 
-/// Simulated operations span, seconds (env `SUDC_SIM_DURATION_S`
-/// overrides; CI uses a small budget).
-fn duration() -> Seconds {
-    Seconds::new(env_positive("SUDC_SIM_DURATION_S", 7200.0))
-}
+/// Simulated operations span, seconds.
+const DURATION_S: f64 = 7200.0;
 
-/// Replications per scenario (env `SUDC_SIM_REPS` overrides).
-fn reps() -> u32 {
-    env_positive("SUDC_SIM_REPS", 3)
-}
+/// Replications per scenario.
+const REPS: u32 = 3;
 
 /// Ext. F: dynamic operations simulation — latency, backlog, and
 /// availability traces from the discrete-event simulator.
 #[must_use]
 pub fn ext_sim() -> String {
-    let duration = duration();
-    let reps = reps();
+    let duration = Seconds::new(DURATION_S);
 
     let baseline = SimSummary::try_study(
         &SimConfig::reference_operations(duration),
-        reps,
+        REPS,
         DEFAULT_SEED,
     )
     .expect("the reference preset is valid");
     let collab = SimSummary::try_study(
         &SimConfig::collaborative_operations(duration),
-        reps,
+        REPS,
         DEFAULT_SEED,
     )
     .expect("the collaborative preset is valid");
@@ -64,7 +57,7 @@ pub fn ext_sim() -> String {
 
     // Mission-scale sparing: simulated end-state capability vs the
     // analytic hot-pool bound at one MTTF.
-    let mission_reps = reps * 20;
+    let mission_reps = REPS * 20;
     let mission = SimConfig::try_cold_spare_mission(20, 10, 0.1, 1.0)
         .and_then(|cfg| SimSummary::try_study(&cfg, mission_reps, DEFAULT_SEED))
         .expect("20 nodes cover the 10 required");
@@ -80,7 +73,7 @@ pub fn ext_sim() -> String {
          baseline summary (JSON)\n{}\n\ncollaborative summary (JSON)\n{}\n\n\
          cold-spare mission summary (JSON)\n{}\n",
         duration.value(),
-        reps,
+        REPS,
         table(
             &[
                 "scenario",

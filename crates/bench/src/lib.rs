@@ -16,5 +16,3 @@
 pub mod experiments;
 pub mod format;
 pub mod harness;
-
-pub use experiments::{all_experiments, run_experiment};

@@ -1,22 +1,44 @@
-//! The bus core: synchronous publish with per-topic accounting and
-//! optional recording.
+//! Subscribers: what a publisher delivers each sample to.
 //!
-//! [`Bus`] is deliberately minimal on the hot path — a publish is a
-//! topic lookup (static, from the payload), a counter increment, an
-//! optional log append, and a synchronous [`Subscriber::deliver`]. In
-//! passthrough mode (no recorder) this is what lets the sim kernel
-//! route every pipeline hop through the bus while staying trace-equal
-//! to the frozen baseline.
+//! There is no bus object. A publisher (the sim kernel) owns its
+//! subscribers and hands every [`Sample`] to each in turn; recording
+//! ([`BusLog`]) and per-topic counting ([`BusStats`]) are subscribers
+//! like any other, attached only when wanted. `()` attaches nothing and
+//! `(A, B)` attaches two, so an unattached publish costs exactly the
+//! deliveries it makes.
 
 use crate::record::BusLog;
 use crate::sample::Sample;
 use crate::topic::{TopicId, TOPICS};
 
-/// A synchronous sample sink attached to the bus.
+/// A synchronous sample sink.
 pub trait Subscriber {
-    /// Receives one published sample. `topic` is derived from the
-    /// payload, so demultiplexing needs no side table.
-    fn deliver(&mut self, topic: TopicId, sample: &Sample);
+    /// Receives one published sample. Its topic is
+    /// `sample.payload.topic()`, so demultiplexing needs no side table.
+    fn deliver(&mut self, sample: &Sample);
+}
+
+/// Attaches nothing.
+impl Subscriber for () {
+    #[inline(always)]
+    fn deliver(&mut self, _sample: &Sample) {}
+}
+
+/// Delivers to `A`, then to `B`.
+impl<A: Subscriber, B: Subscriber> Subscriber for (A, B) {
+    #[inline(always)]
+    fn deliver(&mut self, sample: &Sample) {
+        self.0.deliver(sample);
+        self.1.deliver(sample);
+    }
+}
+
+/// Records every sample.
+impl Subscriber for BusLog {
+    #[inline]
+    fn deliver(&mut self, sample: &Sample) {
+        self.push(sample);
+    }
 }
 
 /// Per-topic publish counters.
@@ -39,58 +61,11 @@ impl BusStats {
     }
 }
 
-/// A typed pub/sub bus with one attached subscriber.
-#[derive(Debug)]
-pub struct Bus<S> {
-    stats: BusStats,
-    recorder: Option<BusLog>,
-    subscriber: S,
-}
-
-impl<S: Subscriber> Bus<S> {
-    /// A bus that forwards samples straight to `subscriber` with no
-    /// recording — zero-copy passthrough mode.
-    #[must_use]
-    pub fn passthrough(subscriber: S) -> Self {
-        Self::build(subscriber, false)
-    }
-
-    /// A bus that additionally appends every sample to a [`BusLog`].
-    #[must_use]
-    pub fn recording(subscriber: S) -> Self {
-        Self::build(subscriber, true)
-    }
-
-    fn build(subscriber: S, record: bool) -> Self {
-        Self {
-            stats: BusStats::default(),
-            recorder: record.then(BusLog::new),
-            subscriber,
-        }
-    }
-
-    /// Publishes one sample: count, optionally record, deliver.
+/// Counts every sample on its topic.
+impl Subscriber for BusStats {
     #[inline]
-    pub fn publish(&mut self, sample: Sample) {
-        let topic = sample.payload.topic();
-        self.stats.counts[topic.index()] += 1;
-        if let Some(log) = &mut self.recorder {
-            log.push(&sample);
-        }
-        self.subscriber.deliver(topic, &sample);
-    }
-
-    /// Per-topic publish counters so far.
-    #[must_use]
-    pub fn stats(&self) -> &BusStats {
-        &self.stats
-    }
-
-    /// Tears the bus down into its subscriber, recorded log (if
-    /// recording), and counters.
-    #[must_use]
-    pub fn into_parts(self) -> (S, Option<BusLog>, BusStats) {
-        (self.subscriber, self.recorder, self.stats)
+    fn deliver(&mut self, sample: &Sample) {
+        self.counts[sample.payload.topic().index()] += 1;
     }
 }
 
@@ -98,51 +73,31 @@ impl<S: Subscriber> Bus<S> {
 mod tests {
     use super::*;
     use crate::sample::Payload;
-    use crate::topic::{TOPIC_CAPTURES, TOPIC_TELEMETRY};
+    use crate::topic::{TOPIC_CAPTURES, TOPIC_INSIGHTS, TOPIC_TELEMETRY};
 
     #[derive(Default)]
-    struct Tally(Vec<(TopicId, Sample)>);
+    struct Tally(Vec<Sample>);
     impl Subscriber for Tally {
-        fn deliver(&mut self, topic: TopicId, sample: &Sample) {
-            self.0.push((topic, *sample));
+        fn deliver(&mut self, sample: &Sample) {
+            self.0.push(*sample);
         }
     }
 
     #[test]
-    fn passthrough_counts_and_delivers_in_order() {
-        let mut bus = Bus::passthrough(Tally::default());
-        bus.publish(Sample {
-            tick: 1,
-            payload: Payload::Capture {
-                sat: 0,
-                filtered: false,
-            },
-        });
-        bus.publish(Sample {
-            tick: 2,
-            payload: Payload::QueueDepth {
-                downlink: false,
-                len: 1,
-            },
-        });
-        assert_eq!(bus.stats().published(TOPIC_CAPTURES), 1);
-        assert_eq!(bus.stats().published(TOPIC_TELEMETRY), 1);
-        assert_eq!(bus.stats().total(), 2);
-        let (tally, log, _) = bus.into_parts();
-        assert!(log.is_none());
-        assert_eq!(tally.0.len(), 2);
-        assert_eq!(tally.0[0].0, TOPIC_CAPTURES);
-    }
-
-    #[test]
-    fn recording_mode_captures_the_stream() {
-        let mut bus = Bus::recording(Tally::default());
+    fn attached_subscribers_count_record_and_deliver_in_order() {
         let samples = [
             Sample {
-                tick: 3,
+                tick: 1,
                 payload: Payload::Capture {
                     sat: 4,
                     filtered: true,
+                },
+            },
+            Sample {
+                tick: 2,
+                payload: Payload::QueueDepth {
+                    downlink: false,
+                    len: 1,
                 },
             },
             Sample {
@@ -150,13 +105,17 @@ mod tests {
                 payload: Payload::Processed { capture: 3 },
             },
         ];
-        for s in samples {
-            bus.publish(s);
+        let mut attached = (Tally::default(), (BusLog::new(), BusStats::default()));
+        for s in &samples {
+            attached.deliver(s);
         }
-        let (_, log, stats) = bus.into_parts();
-        let log = log.expect("recording mode keeps a log");
-        assert_eq!(log.records(), 2);
+        let (tally, (log, stats)) = attached;
+        assert_eq!(tally.0, samples);
+        assert_eq!(log.records(), 3);
         assert_eq!(log.try_samples().unwrap(), samples);
-        assert_eq!(stats.total(), 2);
+        assert_eq!(stats.published(TOPIC_CAPTURES), 1);
+        assert_eq!(stats.published(TOPIC_TELEMETRY), 1);
+        assert_eq!(stats.published(TOPIC_INSIGHTS), 1);
+        assert_eq!(stats.total(), log.records());
     }
 }

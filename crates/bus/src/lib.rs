@@ -11,12 +11,14 @@
 //! * [`BusConfig`] is the fixed table of the four constellation topics,
 //!   each with a [`QosContract`] (reliability / deadline / durability /
 //!   history).
-//! * [`Bus`] publishes typed [`Sample`]s to a synchronous
-//!   [`Subscriber`]; in passthrough mode the overhead over direct state
-//!   mutation is a counter and a match. The bus itself buffers nothing:
-//!   the sim kernel executes the capture and insight contracts with its
-//!   own queues and `RecoveryPolicy`, and the telemetry and fault
-//!   contracts are declarative.
+//! * A publisher hands each typed [`Sample`] to the [`Subscriber`]s it
+//!   owns. Recording ([`BusLog`]) and per-topic counting ([`BusStats`])
+//!   are subscribers too, attached only when wanted (`()` attaches
+//!   nothing, `(A, B)` attaches two), so an unattached publish costs no
+//!   more than its one delivery. Nothing here buffers: the sim kernel
+//!   executes the capture and insight contracts with its own queues and
+//!   `RecoveryPolicy`, and the telemetry and fault contracts are
+//!   declarative.
 //! * [`BusLog`] records a session as a compact delta-encoded binary
 //!   stream that can re-drive any subscriber deterministically.
 //!
@@ -37,7 +39,7 @@ mod record;
 mod sample;
 mod topic;
 
-pub use bus::{Bus, BusStats, Subscriber};
+pub use bus::{BusStats, Subscriber};
 pub use qos::{Durability, LoweredQos, QosContract, Reliability, STANDARD_FRESHNESS_DEADLINE_S};
 pub use record::BusLog;
 pub use sample::{FaultKind, HealthEvent, Payload, Sample, Tick};

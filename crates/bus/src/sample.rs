@@ -235,7 +235,8 @@ impl Payload {
     }
 }
 
-/// A timestamped payload: what [`crate::Bus::publish`] carries.
+/// A timestamped payload: what a publisher delivers to each
+/// [`crate::Subscriber`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
     /// Publication tick (nondecreasing across a run).

@@ -10,10 +10,11 @@
 //!
 //! Four things live here:
 //!
-//! - [`par_map`], [`par_reduce`], and [`par_max_by`]: chunked data-parallel
-//!   primitives over slices whose merge order is *deterministic* (chunks
-//!   merge left-to-right in index order), so parallel output is
-//!   bit-identical to serial regardless of thread count;
+//! - [`par_map`], [`par_try_map`] and [`par_reduce_threads`] (with their
+//!   `_min_chunk` forms): chunked data-parallel primitives over slices
+//!   whose merge order is *deterministic* (chunks merge left-to-right in
+//!   index order), so parallel output is bit-identical to serial
+//!   regardless of thread count;
 //! - [`rng`]: a small, seedable, splittable pseudo-random generator
 //!   (SplitMix64 seeding a xoshiro256**-class core) used by the Monte-Carlo
 //!   models so trials can be partitioned across threads reproducibly;
@@ -234,11 +235,12 @@ where
     par_map_threads(workers, items, f)
 }
 
-/// [`par_reduce`] with a serial-fallback threshold, mirroring
-/// [`par_map_min_chunk`]: chunks never shrink below `min_chunk` items and
-/// small batches fold inline on the caller's thread. The merge stays
-/// left-to-right in chunk order, so any reduction that is thread-count
-/// invariant under [`par_reduce`] remains bit-identical here.
+/// [`par_reduce_threads`] at the ambient thread count with a
+/// serial-fallback threshold, mirroring [`par_map_min_chunk`]: chunks
+/// never shrink below `min_chunk` items and small batches fold inline on
+/// the caller's thread. The merge stays left-to-right in chunk order, so
+/// any reduction that is thread-count invariant under
+/// [`par_reduce_threads`] remains bit-identical here.
 pub fn par_reduce_min_chunk<T, A, I, F, M>(
     items: &[T],
     min_chunk: usize,
@@ -320,53 +322,6 @@ where
         }
     });
     accs.into_iter().reduce(merge).unwrap_or_else(init)
-}
-
-/// [`par_reduce_threads`] with the ambient thread count ([`threads`]).
-pub fn par_reduce<T, A, I, F, M>(items: &[T], init: I, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    par_reduce_threads(threads(), items, init, fold, merge)
-}
-
-/// Finds the item maximizing `score`, returning `(index, score)`.
-///
-/// Ties break toward the **lowest index** (the first maximum encountered in
-/// input order), exactly like a serial `>` scan, at every thread count.
-/// Returns `None` for an empty slice or if every score is NaN.
-pub fn par_max_by<T, F>(items: &[T], score: F) -> Option<(usize, f64)>
-where
-    T: Sync,
-    F: Fn(usize, &T) -> f64 + Sync,
-{
-    par_reduce(
-        items,
-        || None::<(usize, f64)>,
-        |best, i, t| {
-            let s = score(i, t);
-            match best {
-                Some((_, b)) if s > b => Some((i, s)),
-                None if !s.is_nan() => Some((i, s)),
-                _ => best,
-            }
-        },
-        |a, b| match (a, b) {
-            // Left (lower-index) accumulator wins ties, like a serial scan.
-            (Some((_, av)), Some((_, bv))) => {
-                if bv > av {
-                    b
-                } else {
-                    a
-                }
-            }
-            (x, None) | (None, x) => x,
-        },
-    )
 }
 
 /// 64-bit FNV-1a: the one digest behind the workspace's committed
@@ -478,27 +433,6 @@ mod tests {
                 par_reduce_threads(workers, &items, || 0.0, |acc, _, &x| acc + x, |a, b| a + b);
             assert!((parallel - serial).abs() < 1e-9, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn par_max_by_breaks_ties_toward_lowest_index() {
-        // Two global maxima; the first must win at every thread count.
-        let items = [1.0, 5.0, 3.0, 5.0, 2.0];
-        for workers in [1, 2, 3, 5, 8] {
-            set_threads(workers);
-            let (idx, val) = par_max_by(&items, |_, &x| x).unwrap();
-            assert_eq!((idx, val), (1, 5.0), "workers={workers}");
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_max_by_ignores_nan_and_empty() {
-        set_threads(2);
-        assert_eq!(par_max_by::<f64, _>(&[], |_, &x| x), None);
-        let items = [f64::NAN, 2.0, f64::NAN];
-        assert_eq!(par_max_by(&items, |_, &x| x), Some((1, 2.0)));
-        set_threads(0);
     }
 
     #[test]

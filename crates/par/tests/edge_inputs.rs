@@ -6,7 +6,7 @@
 //! equivalent exactly, at every thread count.
 
 use proptest::prelude::*;
-use sudc_par::{par_map_threads, par_max_by, par_reduce_threads, set_threads};
+use sudc_par::{par_map_threads, par_reduce_threads};
 
 proptest! {
     #[test]
@@ -44,31 +44,12 @@ proptest! {
     }
 
     #[test]
-    fn par_max_by_on_empty_input_is_none(workers in 1usize..16) {
-        set_threads(workers);
-        let result = par_max_by::<f64, _>(&[], |_, &x| x);
-        set_threads(0);
-        prop_assert!(result.is_none());
-    }
-
-    #[test]
-    fn par_max_by_on_single_element_returns_it(
-        workers in 1usize..16,
-        x in -1e9..1e9f64,
-    ) {
-        set_threads(workers);
-        let result = par_max_by(&[x], |_, &v| v);
-        set_threads(0);
-        prop_assert_eq!(result, Some((0usize, x)));
-    }
-
-    #[test]
     fn small_inputs_match_serial_at_every_worker_count(
         workers in 1usize..16,
         values in proptest::collection::vec(-1e6..1e6f64, 0..3),
     ) {
-        // The general small-slice property: map preserves order, reduce
-        // matches a left fold, max matches the first-maximum scan.
+        // The general small-slice property: map preserves order and
+        // reduce matches a left fold.
         let mapped = par_map_threads(workers, &values, |_, &v| v.abs());
         let serial_map: Vec<f64> = values.iter().map(|v| v.abs()).collect();
         prop_assert_eq!(mapped, serial_map);
@@ -76,18 +57,5 @@ proptest! {
         let folded = par_reduce_threads(workers, &values, || 0.0, |a, _, &v| a + v, |a, b| a + b);
         let serial_fold: f64 = values.iter().sum();
         prop_assert!((folded - serial_fold).abs() < 1e-9);
-
-        set_threads(workers);
-        let max = par_max_by(&values, |_, &v| v);
-        set_threads(0);
-        let serial_max = values
-            .iter()
-            .enumerate()
-            .fold(None::<(usize, f64)>, |best, (i, &v)| match best {
-                Some((_, b)) if v > b => Some((i, v)),
-                None if !v.is_nan() => Some((i, v)),
-                _ => best,
-            });
-        prop_assert_eq!(max, serial_max);
     }
 }

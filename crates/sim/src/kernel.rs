@@ -58,7 +58,8 @@
 
 use std::collections::VecDeque;
 
-use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload};
+use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload, Sample, Subscriber};
+use sudc_errors::SudcError;
 use sudc_health::{HealthController, LoweredHealth, NodeHealth, ScanVerdict};
 use sudc_par::rng::Rng64;
 use sudc_reliability::weibull::WeibullLifetime;
@@ -67,7 +68,7 @@ use crate::config::SimConfig;
 use crate::event::{Event, EventQueue, Tick};
 use crate::gap::GapTable;
 use crate::metrics::RunTrace;
-use crate::plane::{BusRun, SimBus};
+use crate::plane::TraceBuilder;
 
 /// Stream index base for per-satellite RNG streams (stream `sat`).
 pub(crate) const SAT_STREAM_BASE: u64 = 0;
@@ -213,52 +214,47 @@ impl BatchSlab {
     }
 }
 
-/// Runs one simulation to completion and returns its trace.
+/// Runs one simulation to completion: the one kernel entry point.
 ///
-/// Every pipeline hop is published on the passthrough data-plane bus
-/// (see [`crate::plane`]); the trace is the attached
-/// [`crate::plane::TraceBuilder`]'s fold of that stream.
+/// Every pipeline hop is published as a [`Sample`] and delivered first
+/// to the trace fold (see [`crate::plane`]), then to `attach`. Attach
+/// `()` for the bare trace, a [`BusLog`] to record the topic stream for
+/// [`crate::plane::replay`], a [`sudc_bus::BusStats`] to count samples
+/// per topic, or a pair `(A, B)` for two of them. Returns the trace and
+/// the attachment.
+///
+/// # Errors
+///
+/// Returns the [`SimConfig::try_validate`] error for an invalid `cfg`,
+/// before any work.
+pub fn try_run<S: Subscriber>(
+    cfg: &SimConfig,
+    seed: u64,
+    attach: S,
+) -> Result<(RunTrace, S), SudcError> {
+    cfg.try_validate()?;
+    Ok(Kernel::new(cfg, seed, attach).run())
+}
+
+/// [`try_run`] with nothing attached: the run's trace.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run(cfg: &SimConfig, seed: u64) -> RunTrace {
-    run_on_bus(cfg, seed, false).trace
+    try_run(cfg, seed, ()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
-/// Runs one simulation with the data plane in the requested mode:
-/// `record = false` is zero-overhead passthrough, `record = true`
-/// additionally captures the full topic stream as a [`BusLog`].
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`SimConfig::try_validate`].
-#[must_use]
-pub fn run_on_bus(cfg: &SimConfig, seed: u64, record: bool) -> BusRun {
-    if let Err(e) = cfg.try_validate() {
-        panic!("{e}");
-    }
-    Kernel::new(cfg, seed, record).run()
-}
-
-/// Runs one simulation while recording its topic streams, returning the
-/// trace and the binary log that [`crate::plane::replay`] re-drives to
-/// an identical trace.
+/// [`try_run`] with a [`BusLog`] attached: the trace and the binary log
+/// that [`crate::plane::replay`] re-drives to an identical trace.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`SimConfig::try_validate`].
 #[must_use]
 pub fn run_recorded(cfg: &SimConfig, seed: u64) -> (RunTrace, BusLog) {
-    let run = run_on_bus(cfg, seed, true);
-    let log = run.log.expect("recording mode keeps a log");
-    debug_assert_eq!(
-        log.records(),
-        run.stats.total(),
-        "every published sample is recorded exactly once"
-    );
-    (run.trace, log)
+    try_run(cfg, seed, BusLog::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Images still inside the pipeline when a run ends.
@@ -302,7 +298,7 @@ impl InFlight {
     }
 }
 
-struct Kernel<'a> {
+struct Kernel<'a, S: Subscriber> {
     cfg: &'a SimConfig,
     queue: EventQueue,
     now: Tick,
@@ -373,13 +369,14 @@ struct Kernel<'a> {
     dl_group: Vec<Tick>,
     downlink_queue: VecDeque<Tick>,
 
-    /// Data plane: every state change worth measuring is published here
-    /// and folded into the `RunTrace` by the attached `TraceBuilder`.
-    plane: SimBus,
+    /// Data plane: every state change worth measuring is published to
+    /// the `TraceBuilder`, which folds it into the `RunTrace`, and then
+    /// to the caller's attachment.
+    plane: (TraceBuilder, S),
 }
 
-impl<'a> Kernel<'a> {
-    fn new(cfg: &'a SimConfig, seed: u64, record: bool) -> Self {
+impl<'a, S: Subscriber> Kernel<'a, S> {
+    fn new(cfg: &'a SimConfig, seed: u64, attach: S) -> Self {
         let isl_links_total = cfg.faults.map_or(1, |f| f.isl_links());
         let isl_rngs = match cfg.faults.and_then(|f| f.isl) {
             Some(isl) => (0..isl.links)
@@ -432,7 +429,7 @@ impl<'a> Kernel<'a> {
             dl_busy: false,
             dl_group: Vec::new(),
             downlink_queue: VecDeque::new(),
-            plane: SimBus::new(cfg, record),
+            plane: (TraceBuilder::new(cfg), attach),
         };
         kernel.seed_initial_events(seed);
         kernel
@@ -528,7 +525,13 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    fn run(mut self) -> BusRun {
+    /// Delivers one sample to the trace fold and the attachment.
+    #[inline(always)]
+    fn publish(&mut self, tick: Tick, payload: Payload) {
+        self.plane.deliver(&Sample { tick, payload });
+    }
+
+    fn run(mut self) -> (RunTrace, S) {
         // Tick-batched event loop: every event of the current tick is
         // drained in FIFO order into one reused buffer and handled in
         // order. Handler order, pushes, and the pending-count trajectory
@@ -543,7 +546,7 @@ impl<'a> Kernel<'a> {
             // integrals are settled once per tick with the pre-batch
             // state; per-event calls within the tick would see dt == 0
             // and integrate nothing (`Metrics::advance_to` early-outs).
-            self.plane.publish(
+            self.publish(
                 tick,
                 Payload::Settle {
                     events: batch.len() as u64,
@@ -573,7 +576,7 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
-        self.plane.publish(
+        self.publish(
             self.cfg.duration_ticks,
             Payload::Finish {
                 busy: self.busy_nodes,
@@ -584,9 +587,10 @@ impl<'a> Kernel<'a> {
             },
         );
         let in_flight = self.in_flight();
-        let run = self.plane.into_run();
-        in_flight.debug_assert_capture_ledger(&run.trace);
-        run
+        let (builder, attached) = self.plane;
+        let trace = builder.into_trace();
+        in_flight.debug_assert_capture_ledger(&trace);
+        (trace, attached)
     }
 
     /// Counts the images still inside the pipeline, by stage.
@@ -624,8 +628,7 @@ impl<'a> Kernel<'a> {
     fn on_capture(&mut self, sat: u32, phase: Tick, mut rng: Rng64) {
         if (phase as f64) < self.duty_window_ticks {
             let filtered = rng.next_f64() < self.cfg.filtering;
-            self.plane
-                .publish(self.now, Payload::Capture { sat, filtered });
+            self.publish(self.now, Payload::Capture { sat, filtered });
             if !filtered {
                 self.offer_to_isl(self.now);
             }
@@ -699,7 +702,7 @@ impl<'a> Kernel<'a> {
                         if img.attempt > 0 {
                             self.retried_in_queue -= 1;
                         }
-                        self.plane.publish(
+                        self.publish(
                             self.now,
                             Payload::Fault {
                                 kind: FaultKind::BatchOverflow,
@@ -710,7 +713,7 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::QueueDepth {
                 downlink: false,
@@ -774,7 +777,7 @@ impl<'a> Kernel<'a> {
             (before - self.batch_queue.len()) as u64
         };
         if shed > 0 {
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::Fault {
                     kind: FaultKind::DeadlineShed,
@@ -799,7 +802,7 @@ impl<'a> Kernel<'a> {
                 return;
             }
             let size = self.batch_queue.len().min(self.cfg.batch_target as usize);
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::BatchDispatched {
                     size: size as u64,
@@ -838,7 +841,7 @@ impl<'a> Kernel<'a> {
     /// reprocessing attempt, or abandons the image once the budget is
     /// spent.
     fn handle_corruption(&mut self, capture: Tick, attempt: u32) {
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::Fault {
                 kind: FaultKind::Corrupted,
@@ -847,7 +850,7 @@ impl<'a> Kernel<'a> {
         );
         let Some(f) = self.cfg.faults else { return };
         if attempt >= f.policy.max_retries {
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::Fault {
                     kind: FaultKind::RetryExhausted,
@@ -861,7 +864,7 @@ impl<'a> Kernel<'a> {
         if f.policy.backoff_jitter_ticks > 0 {
             delay += self.fault_rng.next_u64() % (f.policy.backoff_jitter_ticks + 1);
         }
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::Fault {
                 kind: FaultKind::Retry,
@@ -890,7 +893,7 @@ impl<'a> Kernel<'a> {
             shed += 1;
         }
         if shed > 0 {
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::Fault {
                     kind: FaultKind::DownlinkOverflow,
@@ -914,11 +917,11 @@ impl<'a> Kernel<'a> {
                 self.handle_corruption(capture, attempt);
                 continue;
             }
-            self.plane.publish(self.now, Payload::Processed { capture });
+            self.publish(self.now, Payload::Processed { capture });
             self.downlink_queue.push_back(capture);
         }
         self.shed_downlink_overflow();
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::QueueDepth {
                 downlink: true,
@@ -945,7 +948,7 @@ impl<'a> Kernel<'a> {
         if let Some(g) = self.cfg.faults.and_then(|f| f.ground) {
             self.window_blacked_out = self.blackout_rng.next_f64() < g.blackout_probability;
             if self.window_blacked_out {
-                self.plane.publish(
+                self.publish(
                     self.now,
                     Payload::Fault {
                         kind: FaultKind::Blackout,
@@ -989,7 +992,7 @@ impl<'a> Kernel<'a> {
     fn on_downlink_done(&mut self) {
         for i in 0..self.dl_group.len() {
             let capture = self.dl_group[i];
-            self.plane.publish(self.now, Payload::Delivered { capture });
+            self.publish(self.now, Payload::Delivered { capture });
         }
         self.dl_group.clear();
         self.dl_busy = false;
@@ -1004,7 +1007,7 @@ impl<'a> Kernel<'a> {
         }
         self.node_state[node as usize] = NodeState::Dead;
         self.powered_alive -= 1;
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::Fault {
                 kind: FaultKind::NodeFailure,
@@ -1041,7 +1044,7 @@ impl<'a> Kernel<'a> {
             let remaining = life - dormant_consumed;
             if remaining <= 0.0 {
                 self.node_state[spare as usize] = NodeState::Dead;
-                self.plane.publish(
+                self.publish(
                     self.now,
                     Payload::Fault {
                         kind: FaultKind::DormantDeath,
@@ -1052,7 +1055,7 @@ impl<'a> Kernel<'a> {
             }
             self.node_state[spare as usize] = NodeState::PoweredAlive;
             self.powered_alive += 1;
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::Fault {
                     kind: FaultKind::Promotion,
@@ -1107,7 +1110,7 @@ impl<'a> Kernel<'a> {
                 self.powered_alive -= 1;
                 // One event, two trace counters: the subscriber folds a
                 // StormKill into both `failures` and `storm_node_kills`.
-                self.plane.publish(
+                self.publish(
                     self.now,
                     Payload::Fault {
                         kind: FaultKind::StormKill,
@@ -1140,10 +1143,10 @@ impl<'a> Kernel<'a> {
             if self.node_state[node as usize] != NodeState::PoweredAlive {
                 continue;
             }
-            self.plane.publish(self.now, Payload::Heartbeat { node });
+            self.publish(self.now, Payload::Heartbeat { node });
             if let Some(event) = hp.controller.heartbeat(node, self.now) {
                 // FALSE-SUSPECT exoneration or probation readmission.
-                self.plane.publish(
+                self.publish(
                     self.now,
                     Payload::Health {
                         event,
@@ -1164,7 +1167,7 @@ impl<'a> Kernel<'a> {
             } else {
                 0
             };
-            self.plane.publish(
+            self.publish(
                 self.now,
                 Payload::Health {
                     event: v.event,
@@ -1280,7 +1283,7 @@ impl<'a> Kernel<'a> {
             return;
         };
         self.isl_links_up -= 1;
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::Fault {
                 kind: FaultKind::IslFlap,
@@ -1310,7 +1313,7 @@ impl<'a> Kernel<'a> {
         let oldest = self
             .oldest_unfinished_capture()
             .map(|capture| self.now - capture);
-        self.plane.publish(
+        self.publish(
             self.now,
             Payload::Backlog {
                 isl: (self.isl_queue.len() + usize::from(self.isl_busy)) as u64,

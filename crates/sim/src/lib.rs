@@ -16,10 +16,12 @@
 //! - [`fault`] — [`fault::FaultConfig`]: opt-in correlated fault
 //!   processes (solar storms, cohort infant mortality, ISL flaps, ground
 //!   blackouts) and the recovery policies that absorb them;
-//! - [`kernel`] — [`kernel::run`]: one seeded single-threaded run, with
-//!   every pipeline hop published on the `sudc-bus` data plane;
-//! - [`plane`] — the bus attachment: [`plane::TraceBuilder`] folds the
-//!   topic stream into a trace, [`plane::replay`] re-drives a recorded
+//! - [`kernel`] — [`kernel::try_run`]: one seeded single-threaded run,
+//!   with every pipeline hop published to the trace fold and to any
+//!   attached `sudc-bus` subscribers ([`kernel::run`] and
+//!   [`kernel::run_recorded`] attach none and a log);
+//! - [`plane`] — the trace fold over the topic stream, and
+//!   [`plane::replay`], which re-drives a recorded
 //!   [`sudc_bus::BusLog`] to a byte-identical trace;
 //! - [`metrics`] — [`metrics::RunTrace`]: counts, latency percentiles,
 //!   exact time-weighted integrals;
@@ -61,9 +63,9 @@ pub use fault::{
     FaultConfig, GroundBlackouts, InfantMortality, IslFlaps, RecoveryPolicy, StormModel,
     STANDARD_FRESHNESS_DEADLINE_S,
 };
-pub use kernel::{run, run_on_bus, run_recorded};
+pub use kernel::{run, run_recorded, try_run};
 pub use metrics::{try_percentile, BacklogSample, LatencyHist, LatencySummary, RunTrace};
-pub use plane::{replay, BusRun, TraceBuilder};
+pub use plane::replay;
 pub use replicate::{
     try_replicate, try_replicate_grid, try_scale_study, SampledLatency, ScalePoint, SimSummary,
     DEFAULT_SEED,

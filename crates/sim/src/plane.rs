@@ -1,33 +1,33 @@
 //! The sim's attachment to the `sudc-bus` data plane.
 //!
-//! The kernel no longer mutates its [`RunTrace`] directly: every
-//! pipeline hop — capture, filter verdict, batch dispatch, compute
-//! completion, downlink delivery, fault event, telemetry settlement —
-//! is published as a typed [`Payload`] on the standard topic table, and
-//! [`TraceBuilder`] is the subscriber that folds the stream back into a
-//! `RunTrace`. Because the builder performs *exactly* the mutations the
-//! kernel used to perform inline, in the same order, a passthrough bus
-//! is trace-equal to the frozen [`crate::baseline`] — the equivalence
-//! tests in `kernel.rs` hold that line.
+//! The kernel never mutates its [`RunTrace`] directly: every pipeline
+//! hop — capture, filter verdict, batch dispatch, compute completion,
+//! downlink delivery, fault event, telemetry settlement — is published
+//! as a typed [`Payload`] on the standard topic table, and
+//! `TraceBuilder` is the subscriber that folds the stream back into a
+//! `RunTrace`. The kernel always delivers to a `TraceBuilder` first and
+//! then to whatever the caller attached (see [`crate::kernel::try_run`]).
+//! Because the builder performs *exactly* the mutations the kernel used
+//! to perform inline, in the same order, every run is trace-equal to
+//! the frozen [`crate::baseline`] — the equivalence tests in `kernel.rs`
+//! hold that line.
 //!
 //! The payoff is [`replay`]: a recorded [`BusLog`] re-drives a fresh
 //! `TraceBuilder` and reproduces the live run's `RunTrace` byte for
 //! byte, without re-executing the kernel — the foundation for shipping
 //! topic streams across process (or shard) boundaries.
 
-use sudc_bus::{
-    Bus, BusLog, BusStats, FaultKind, HealthEvent, Payload, Sample, Subscriber, TopicId,
-};
+use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload, Sample, Subscriber};
 use sudc_errors::SudcError;
 
 use crate::config::SimConfig;
 use crate::event::Tick;
 use crate::metrics::RunTrace;
 
-/// Bus subscriber that folds the standard topic stream into a
-/// [`RunTrace`], mutation-for-mutation identical to the pre-bus kernel.
+/// Subscriber that folds the standard topic stream into a [`RunTrace`],
+/// mutation-for-mutation identical to the pre-bus kernel.
 #[derive(Debug)]
-pub struct TraceBuilder {
+pub(crate) struct TraceBuilder {
     trace: RunTrace,
     duration_ticks: Tick,
 }
@@ -36,8 +36,7 @@ impl TraceBuilder {
     /// A builder for a run of `cfg` (the trace's integrals and
     /// serialization gates come from the config, so replaying a log
     /// against a different config is meaningless).
-    #[must_use]
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         Self {
             trace: RunTrace::new(cfg),
             duration_ticks: cfg.duration_ticks,
@@ -45,8 +44,7 @@ impl TraceBuilder {
     }
 
     /// The folded trace (complete only after a `Finish` sample).
-    #[must_use]
-    pub fn into_trace(self) -> RunTrace {
+    pub(crate) fn into_trace(self) -> RunTrace {
         self.trace
     }
 
@@ -231,57 +229,14 @@ fn backwards(s: &Sample, target: &str, to: Tick, integrated: Tick) -> SudcError 
 }
 
 impl Subscriber for TraceBuilder {
-    fn deliver(&mut self, _topic: TopicId, sample: &Sample) {
+    #[inline]
+    fn deliver(&mut self, sample: &Sample) {
         // Unchecked: the fold cannot fail.
         let _ = self.apply::<false>(sample);
     }
 }
 
-/// The kernel's handle on the data plane: a bus over the standard topic
-/// table with a [`TraceBuilder`] attached.
-pub(crate) struct SimBus {
-    bus: Bus<TraceBuilder>,
-}
-
-impl SimBus {
-    pub(crate) fn new(cfg: &SimConfig, record: bool) -> Self {
-        let builder = TraceBuilder::new(cfg);
-        Self {
-            bus: if record {
-                Bus::recording(builder)
-            } else {
-                Bus::passthrough(builder)
-            },
-        }
-    }
-
-    #[inline]
-    pub(crate) fn publish(&mut self, tick: Tick, payload: Payload) {
-        self.bus.publish(Sample { tick, payload });
-    }
-
-    pub(crate) fn into_run(self) -> BusRun {
-        let (builder, log, stats) = self.bus.into_parts();
-        BusRun {
-            trace: builder.into_trace(),
-            log,
-            stats,
-        }
-    }
-}
-
-/// Outcome of one bus-routed kernel run.
-#[derive(Debug)]
-pub struct BusRun {
-    /// The folded measurement record (identical to [`crate::run`]'s).
-    pub trace: RunTrace,
-    /// The recorded topic stream, if the run was recording.
-    pub log: Option<BusLog>,
-    /// Per-topic publish counters.
-    pub stats: BusStats,
-}
-
-/// Re-drives a recorded topic stream through a fresh [`TraceBuilder`],
+/// Re-drives a recorded topic stream through a fresh `TraceBuilder`,
 /// reproducing the live run's [`RunTrace`] byte for byte. `cfg` must be
 /// the configuration the log was recorded under.
 ///
@@ -317,7 +272,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, GroundBlackouts, IslFlaps, StormModel};
     use crate::kernel;
-    use sudc_bus::{TOPIC_CAPTURES, TOPIC_TELEMETRY};
     use sudc_units::Seconds;
 
     fn stress_faults() -> FaultConfig {
@@ -346,22 +300,20 @@ mod tests {
     #[test]
     fn recorded_replay_reproduces_the_live_trace() {
         let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
-        let run = kernel::run_on_bus(&cfg, 7, true);
-        let log = run.log.expect("recording run keeps a log");
+        let (trace, log) = kernel::run_recorded(&cfg, 7);
         assert!(log.records() > 0);
-        assert_eq!(replay(&cfg, &log).unwrap(), run.trace);
+        assert_eq!(replay(&cfg, &log).unwrap(), trace);
     }
 
     #[test]
     fn recorded_replay_survives_every_fault_process() {
         let cfg =
             SimConfig::reference_operations(Seconds::new(1800.0)).with_faults(stress_faults());
-        let run = kernel::run_on_bus(&cfg, 21, true);
-        let log = run.log.expect("recording run keeps a log");
-        assert_eq!(replay(&cfg, &log).unwrap(), run.trace);
+        let (trace, log) = kernel::run_recorded(&cfg, 21);
+        assert_eq!(replay(&cfg, &log).unwrap(), trace);
         // The wire format round-trips the stream exactly.
-        let reparsed = sudc_bus::BusLog::try_from_bytes(log.as_bytes()).unwrap();
-        assert_eq!(replay(&cfg, &reparsed).unwrap(), run.trace);
+        let reparsed = BusLog::try_from_bytes(log.as_bytes()).unwrap();
+        assert_eq!(replay(&cfg, &reparsed).unwrap(), trace);
     }
 
     #[test]
@@ -369,8 +321,8 @@ mod tests {
         let cfg =
             SimConfig::reference_operations(Seconds::new(1800.0)).with_faults(stress_faults());
         let live = kernel::run(&cfg, 3);
-        let recorded = kernel::run_on_bus(&cfg, 3, true);
-        assert_eq!(live, recorded.trace);
+        let (recorded, _) = kernel::run_recorded(&cfg, 3);
+        assert_eq!(live, recorded);
     }
 
     fn log_of(samples: &[(Tick, Payload)]) -> BusLog {
@@ -444,14 +396,5 @@ mod tests {
         assert!(err.violations()[0].path.starts_with("Settle tick"), "{err}");
         // Settling exactly at the run's end is how every run finishes.
         assert!(replay(&cfg, &log_of(&[(end, settle), (end, finish)])).is_ok());
-    }
-
-    #[test]
-    fn topic_counters_track_the_pipeline() {
-        let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
-        let run = kernel::run_on_bus(&cfg, 5, false);
-        assert_eq!(run.stats.published(TOPIC_CAPTURES), run.trace.captured);
-        assert!(run.stats.published(TOPIC_TELEMETRY) > 0);
-        assert!(run.stats.total() >= run.trace.captured);
     }
 }

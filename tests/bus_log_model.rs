@@ -11,10 +11,13 @@ use std::sync::OnceLock;
 
 use proptest::collection;
 use proptest::prelude::*;
-use space_udc::bus::{BusLog, FaultKind, HealthEvent, Payload, Sample};
+use space_udc::bus::{
+    BusLog, BusStats, FaultKind, HealthEvent, Payload, Sample, TOPIC_CAPTURES, TOPIC_FAULTS,
+    TOPIC_INSIGHTS, TOPIC_TELEMETRY,
+};
 use space_udc::chaos::Campaign;
 use space_udc::health::{HealthConfig, PoolTimeline};
-use space_udc::sim::{replay, run_recorded, SimConfig, DEFAULT_SEED};
+use space_udc::sim::{replay, run_recorded, try_run, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
 /// Values where LEB128 and the u32 fields change shape.
@@ -142,6 +145,37 @@ fn recorded() -> &'static (SimConfig, BusLog) {
         }
         (cfg, log)
     })
+}
+
+/// The per-topic ledger of a composed run (combined chaos, closed-loop
+/// health, recording and counting attached together): captures and
+/// insights are published exactly once per trace count, every sample is
+/// both recorded and counted, and the log replays to the live trace.
+/// Telemetry (`Settle`, `QueueDepth`) and faults (multi-count `Fault`)
+/// carry samples the trace does not count one for one, so those two
+/// topics are bounded from below.
+#[test]
+fn topic_counters_track_the_pipeline() {
+    let duration = Seconds::new(1800.0);
+    let cfg = Campaign::combined(duration)
+        .apply(&SimConfig::reference_operations(duration))
+        .with_health(HealthConfig::standard());
+    // A seed under which storms and infant mortality kill nodes inside
+    // the horizon; the default seed draws a failure-free run, which
+    // would leave the detector's verdicts unexercised.
+    let (t, (log, stats)) = try_run(&cfg, 3, (BusLog::new(), BusStats::default()))
+        .expect("the composed config is valid");
+    assert!(t.detections > 0, "the run must reach a DEAD declaration");
+    assert_eq!(stats.published(TOPIC_CAPTURES), t.captured);
+    assert_eq!(stats.published(TOPIC_INSIGHTS), t.processed + t.delivered);
+    // Every dispatch and heartbeat, plus the one `Finish`.
+    assert!(stats.published(TOPIC_TELEMETRY) > t.batches + t.heartbeats);
+    assert!(
+        stats.published(TOPIC_FAULTS)
+            >= t.suspects + t.false_suspects + t.detections + t.readmissions
+    );
+    assert_eq!(log.records(), stats.total());
+    assert_eq!(replay(&cfg, &log).expect("recorded log replays"), t);
 }
 
 /// Decodes `bytes`; if they decode, replays them and builds the pool

@@ -29,7 +29,7 @@ use space_udc::par::json::Json;
 use space_udc::par::rng::Rng64;
 use space_udc::reliability::softerror::imagenet_suite;
 use space_udc::router::{Router, RouterConfig, StreamConfig};
-use space_udc::sim::{try_percentile, try_replicate, SimConfig, SimSummary, DEFAULT_SEED};
+use space_udc::sim::{try_percentile, try_replicate, try_run, SimConfig, SimSummary, DEFAULT_SEED};
 use space_udc::sscm::calibration::{try_fit_cer, Observation};
 use space_udc::sscm::cer::Cer;
 use space_udc::sscm::sensitivity::try_tornado;
@@ -230,8 +230,12 @@ proptest! {
             7 => cfg.weibull_shape = h,
             _ => cfg.dormant_aging = h,
         }
+        // A config that fails validation is refused by the kernel entry
+        // point with the same error, before any work; valid ones are
+        // not run here.
         if let Err(e) = cfg.try_validate() {
             prop_assert!(structured(&e), "{e}");
+            prop_assert_eq!(try_run(&cfg, DEFAULT_SEED, ()).err(), Some(e));
         }
     }
 
