@@ -133,8 +133,8 @@ pub fn count_accesses_with(
 /// [`count_accesses_with`] the per-layer search sweeps.
 ///
 /// Assembled from the factored cost model below — `ShapeTerms` →
-/// `DramTraffic` / `EngineTerms` → `Tiling` — the same pieces the sweep
-/// computes once per axis and reuses across candidates.
+/// `DramTraffic` / `EngineTerms` → `Tiling` → `TileTerms` — the same
+/// pieces the sweep computes once per axis and reuses across candidates.
 #[must_use]
 pub fn count_accesses_mapped(
     config: AcceleratorConfig,
@@ -143,15 +143,14 @@ pub fn count_accesses_mapped(
 ) -> AccessCounts {
     let shape = ShapeTerms::of(layer);
     let engine = EngineTerms::new(config, &shape, mapping.engine);
-    let tiling = Tiling::new(&shape, mapping.schedule);
+    let tile = engine.tile(&Tiling::new(&shape, mapping.schedule.ow_tile));
     let dram = shape.dram(config);
-    let (noc_transfers, glb_accesses) = engine.traffic(&tiling, engine.tile_glb(&tiling));
     let o = mapping.schedule.order.index();
     AccessCounts {
         macs: shape.macs,
         rf_accesses: shape.rf_accesses(),
-        noc_transfers,
-        glb_accesses,
+        noc_transfers: tile.noc,
+        glb_accesses: tile.glb_accesses(&shape, config),
         dram_words: dram.words[o],
         dram_refetch_words: dram.refetch_words[o],
         cycles: engine.cycles,
@@ -244,8 +243,10 @@ impl DramTraffic {
     }
 }
 
-/// The per-`(config, shape, engine)` level: spatial parallelism, cycles
-/// and the engine's tile-independent buffer stream.
+/// The per-`(pe_x, pe_y, shape, engine)` level: spatial parallelism,
+/// cycles and the engine's tile-independent buffer stream. Only the PE
+/// grid enters here, so the sweep builds it once per PE group and reuses
+/// it across every buffer sizing of that grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct EngineTerms {
     dataflow: Dataflow,
@@ -257,8 +258,6 @@ pub(crate) struct EngineTerms {
     fixed_glb: f64,
     /// RS: `macs`; WS: `macs / m_par` — the numerator of the tile term.
     tile_numerator: f64,
-    psum_unspilled: f64,
-    psum_capacity: f64,
 }
 
 impl EngineTerms {
@@ -286,45 +285,57 @@ impl EngineTerms {
             cycles: shape.macs / (m_par * row_par),
             fixed_glb,
             tile_numerator,
-            psum_unspilled: shape.psum_unspilled,
-            psum_capacity: f64::from(config.psum_kib) * 1024.0,
         }
     }
 
-    /// The GLB stream the tiling grows — RS weights, WS ifmap — which is
-    /// also the tiling-dependent term of the search's energy floor.
-    pub(crate) fn tile_glb(&self, tiling: &Tiling) -> f64 {
-        match self.dataflow {
+    /// The buffer-side terms of one tiling on this engine.
+    pub(crate) fn tile(&self, tiling: &Tiling) -> TileTerms {
+        // The GLB stream the tiling grows.
+        let tile_glb = match self.dataflow {
             // RS: weights reused along a tile of an output row and across
             // the row_par output rows mapped on the array.
             Dataflow::RowStationary => self.tile_numerator / (self.row_par * tiling.tile_w),
             // WS: ifmap activations stream once per kernel window, with
             // k-1 overlap columns re-read at every tile seam.
             Dataflow::WeightStationary => self.tile_numerator * tiling.halo,
+        };
+        TileTerms {
+            // NoC transfers mirror buffer-to-array traffic: ifmap + weight
+            // streams, in either order (f64 addition is commutative).
+            noc: self.fixed_glb + tile_glb,
+            psum_working_set: tiling.tile_w * self.m_par * PSUM_BYTES,
         }
-    }
-
-    /// `(noc_transfers, glb_accesses)` for a tiling whose [`Self::tile_glb`]
-    /// is `tile_glb`.
-    pub(crate) fn traffic(&self, tiling: &Tiling, tile_glb: f64) -> (f64, f64) {
-        // NoC transfers mirror buffer-to-array traffic: ifmap + weight
-        // streams, in either order (f64 addition is commutative).
-        let noc = self.fixed_glb + tile_glb;
-        // If the psum buffer cannot hold one output-row tile for every
-        // mapped filter the spill factor grows.
-        let psum_working_set = tiling.tile_w * self.m_par * PSUM_BYTES;
-        let psum_spill = (psum_working_set / self.psum_capacity).max(1.0);
-        (noc, noc + self.psum_unspilled * psum_spill)
     }
 }
 
-/// The per-`(shape, schedule)` level: output-row tiling geometry.
+/// The per-`(pe_x, pe_y, shape, engine, tile)` level: NoC transfers and
+/// the psum working set. The psum buffer size enters only through
+/// [`TileTerms::glb_accesses`], so these are shared by every buffer
+/// sizing of a PE grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TileTerms {
+    /// NoC transfers: the ifmap and weight buffer streams.
+    pub(crate) noc: f64,
+    /// Psum bytes one output-row tile holds for every mapped filter.
+    psum_working_set: f64,
+}
+
+impl TileTerms {
+    /// GLB accesses on `config`: both operand streams plus the psum
+    /// traffic, whose spill factor grows when the psum buffer cannot hold
+    /// the working set.
+    pub(crate) fn glb_accesses(&self, shape: &ShapeTerms, config: AcceleratorConfig) -> f64 {
+        let psum_capacity = f64::from(config.psum_kib) * 1024.0;
+        self.noc + shape.psum_unspilled * (self.psum_working_set / psum_capacity).max(1.0)
+    }
+}
+
+/// The per-`(shape, tile factor)` level: output-row tiling geometry.
 /// Processing each output row in `t` segments shrinks the psum working set
 /// by `t` but forfeits cross-segment array-level reuse — weights re-fetch
 /// per segment under RS, ifmap halo columns re-read under WS.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Tiling {
-    pub(crate) schedule: Schedule,
     /// Output-row tile width, `out_w / t`.
     tile_w: f64,
     /// WS ifmap re-read factor, `1 + (t-1)(k-1)/out_w`.
@@ -332,10 +343,9 @@ pub(crate) struct Tiling {
 }
 
 impl Tiling {
-    pub(crate) fn new(shape: &ShapeTerms, schedule: Schedule) -> Self {
-        let t_eff = f64::from(schedule.ow_tile).min(shape.out_w);
+    pub(crate) fn new(shape: &ShapeTerms, ow_tile: u32) -> Self {
+        let t_eff = f64::from(ow_tile).min(shape.out_w);
         Self {
-            schedule,
             tile_w: shape.out_w / t_eff,
             halo: 1.0 + (t_eff - 1.0) * (shape.k - 1.0) / shape.out_w,
         }
@@ -377,9 +387,9 @@ pub fn layer_energy_mapped(
 }
 
 /// Energy of a set of access counts on a design, picojoules — the one
-/// formula every energy path (canonical, mapped, sweep, pruning floor)
-/// shares. `glb_pj` is the config's buffer access energy, hoisted out so
-/// the sweep computes the square root once per config.
+/// formula every energy path (canonical, mapped, sweep) shares. `glb_pj`
+/// is the config's buffer access energy, hoisted out so the sweep
+/// computes the square root once per config.
 #[must_use]
 pub fn picojoules_of(
     config: AcceleratorConfig,
@@ -443,7 +453,7 @@ pub(crate) struct DesignRates<'a> {
     pub(crate) table: &'a EnergyTable,
     glb_pj: f64,
     wire_scale: f64,
-    pub(crate) leak_pj_per_cycle: f64,
+    leak_pj_per_cycle: f64,
 }
 
 impl<'a> DesignRates<'a> {

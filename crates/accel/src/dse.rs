@@ -12,8 +12,10 @@
 //! [`Engine`] (dataflow × spatial projection): 7 168 configurations × 6
 //! engines. Software [`Schedule`](crate::mapping::Schedule)s (loop order × output-row tiling) are
 //! searched per layer on every design point — see [`crate::mapping`] —
-//! through the shape-deduplicated [`LayerMemo`], with energy lower-bound
-//! pruning inside each schedule search. The sweep runs chunked across the
+//! through the shape-deduplicated [`LayerMemo`]. Everything the engine
+//! geometry contributes depends on the PE grid alone, so the sweep holds it
+//! in a per-`(pe_x, pe_y)` table rebuilt only when the grid changes, and
+//! each config adds just its buffer-dependent terms. The sweep runs chunked across the
 //! [`sudc_par`] executor and is bit-identical to its serial oracle at any
 //! worker count: chunk results merge left-to-right with a strictly-greater
 //! test on flat `(config, engine)` indices, so ties resolve to the lowest
@@ -34,10 +36,10 @@ use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::Fnv1a;
 use sudc_units::Joules;
 
-use crate::dataflow::DesignRates;
+use crate::dataflow::{DesignRates, EngineTerms, TileTerms};
 use crate::design::{design_space, AcceleratorConfig};
 use crate::energy::EnergyTable;
-use crate::mapping::{self, DramCost, Engine, SearchCounters, ENGINE_COUNT};
+use crate::mapping::{self, DramCost, Engine, LoopOrder, ENGINE_COUNT};
 use crate::memo::LayerMemo;
 
 /// Framework overhead on the GPU baseline: measured wall-power × time
@@ -157,9 +159,11 @@ impl NetworkResult {
 /// Aggregate counters from one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Schedules fully evaluated through the cost model.
+    /// Schedule candidates costed: every candidate of every
+    /// `(design point, shape)` search, exactly once.
     pub schedules_evaluated: u64,
-    /// Schedules skipped by the energy lower-bound prune.
+    /// Schedule candidates skipped without costing. Always 0: the search
+    /// costs every candidate. Kept so reports that read it stay stable.
     pub schedules_pruned: u64,
     /// Per-`(design point, shape)` schedule searches performed.
     pub shape_searches: u64,
@@ -173,7 +177,8 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Fraction of schedule candidates the lower bound pruned away.
+    /// Fraction of schedule candidates skipped without costing. Always 0,
+    /// like [`Self::schedules_pruned`].
     #[must_use]
     pub fn prune_rate(&self) -> f64 {
         let total = self.schedules_evaluated + self.schedules_pruned;
@@ -210,7 +215,7 @@ pub struct DseOutcome {
     pub designs_evaluated: usize,
     /// Number of hardwired engines evaluated per configuration.
     pub engines_evaluated: usize,
-    /// Search counters (pruning, memoization).
+    /// Search counters (candidates costed, memoization).
     pub stats: SweepStats,
 }
 
@@ -249,7 +254,8 @@ struct BestSoFar {
     /// Best per unique shape — the per-layer architecture reads through
     /// the memo's slots.
     per_shape: Vec<(f64, usize)>,
-    counters: SearchCounters,
+    /// The engine geometry of the PE grid this accumulator last swept.
+    group: GroupTable,
     /// Per-config scratch of ln-efficiencies, `shape × engine` — carried
     /// in the accumulator so the fold never allocates.
     scratch: Vec<f64>,
@@ -261,8 +267,46 @@ impl BestSoFar {
             global: (f64::NEG_INFINITY, 0),
             per_network: vec![(f64::NEG_INFINITY, 0); networks.len()],
             per_shape: vec![(f64::NEG_INFINITY, 0); shapes],
-            counters: SearchCounters::default(),
+            group: GroupTable::default(),
             scratch: vec![0.0; shapes * ENGINE_COUNT],
+        }
+    }
+}
+
+/// The per-PE-group level of the cost model: everything [`EngineTerms`]
+/// derives from `pe_x`/`pe_y`, for every `(shape, engine)` of the suite
+/// and every distinct tile of each. Each accumulator rebuilds it when its
+/// chunk crosses into a new grid, so chunk boundaries cannot change it;
+/// the design space's order makes that once per 256 configs.
+#[derive(Default)]
+struct GroupTable {
+    /// The `(pe_x, pe_y)` the table was built for.
+    key: Option<(u32, u32)>,
+    /// Issue cycles per `(shape, engine)`, shape-major.
+    cycles: Vec<f64>,
+    /// Per `(shape, engine, tile)`, shape-major, then engine, then the
+    /// shape's [`LayerMemo::tilings`] order.
+    tiles: Vec<TileTerms>,
+}
+
+impl GroupTable {
+    /// Makes the table describe `config`'s PE grid.
+    fn refresh(&mut self, config: AcceleratorConfig, memo: &LayerMemo) {
+        let key = (config.pe_x, config.pe_y);
+        if self.key == Some(key) {
+            return;
+        }
+        self.key = Some(key);
+        self.cycles.clear();
+        self.tiles.clear();
+        for si in 0..memo.unique_layers().len() {
+            let shape = memo.terms(si);
+            for engine in Engine::all() {
+                let terms = EngineTerms::new(config, shape, engine);
+                self.cycles.push(terms.cycles);
+                self.tiles
+                    .extend(memo.tilings(si).iter().map(|tiling| terms.tile(tiling)));
+            }
         }
     }
 }
@@ -291,28 +335,24 @@ fn sweep_config(
 ) {
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
     let rates = DesignRates::new(config, table, glb_pj);
-    let engines = Engine::all();
+    best.group.refresh(config, memo);
 
     // Phase 1: best-schedule search per (shape, engine); ln-efficiencies
     // land in the scratch table keyed on (shape, engine). Each cost term is
-    // computed at the level of the axis it depends on: per config (rates),
-    // per (config, shape) (DRAM), per engine and per candidate inside the
-    // search.
+    // computed at the level of the axis it depends on: per PE group (the
+    // group table), per config (rates), per (config, shape) (DRAM), and
+    // per (config, shape, engine, tile) inside the search kernel.
+    let mut tiles = best.group.tiles.as_slice();
     for si in 0..memo.unique_layers().len() {
         let shape = memo.terms(si);
         let dram = DramCost::new(&rates, &shape.dram(config));
-        for (ei, &engine) in engines.iter().enumerate() {
-            let choice = mapping::search(
-                config,
-                &rates,
-                shape,
-                &dram,
-                engine,
-                memo.candidates(si),
-                true,
-                &mut best.counters,
-            );
-            best.scratch[si * ENGINE_COUNT + ei] = (shape.macs / (choice.picojoules * 1e-12)).ln();
+        let n = memo.tilings(si).len();
+        for ei in 0..ENGINE_COUNT {
+            let (here, rest) = tiles.split_at(n);
+            tiles = rest;
+            let cycles = best.group.cycles[si * ENGINE_COUNT + ei];
+            let (_, picojoules) = mapping::cheapest(config, &rates, shape, &dram, cycles, here);
+            best.scratch[si * ENGINE_COUNT + ei] = (shape.macs / (picojoules * 1e-12)).ln();
         }
     }
 
@@ -351,8 +391,8 @@ fn sweep_config(
 /// The space is partitioned into contiguous chunks across the workspace
 /// executor's threads ([`sudc_par::threads`]); each thread folds its chunk
 /// with the same arithmetic as [`run_dse_serial`], searching schedules
-/// through the per-`(config, shape)` memo ([`LayerMemo`]) with lower-bound
-/// pruning, and chunk results merge in index order with a strictly-greater
+/// through the per-`(config, shape)` memo ([`LayerMemo`]), and chunk
+/// results merge in index order with a strictly-greater
 /// test. The outcome is bit-identical to the serial sweep at every thread
 /// count.
 ///
@@ -396,8 +436,6 @@ pub fn run_dse_threads(
             for (av, bv) in a.per_shape.iter_mut().zip(b.per_shape) {
                 *av = better(*av, bv);
             }
-            a.counters.evaluated += b.counters.evaluated;
-            a.counters.pruned += b.counters.pruned;
             a
         },
     );
@@ -463,7 +501,7 @@ fn unflatten(flat: usize) -> (usize, Engine) {
 /// Builds the [`DseOutcome`] from winning flat indices — shared by the
 /// serial and parallel sweeps so their outputs are structurally identical.
 /// Winning schedules are *recomputed* here (deterministically, via the
-/// same pruned search) rather than carried through the fold, keeping the
+/// same search kernel) rather than carried through the fold, keeping the
 /// accumulator small.
 fn assemble_outcome(
     space: &[AcceleratorConfig],
@@ -483,9 +521,7 @@ fn assemble_outcome(
     let winner_for = |flat: usize, layer| {
         let (ci, engine) = unflatten(flat);
         let config = space[ci];
-        let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-        let mut c = SearchCounters::default();
-        let choice = mapping::best_schedule(config, table, glb_pj, layer, engine, &mut c);
+        let choice = mapping::best_schedule(config, table, layer, engine);
         LayerWinner {
             config,
             engine,
@@ -533,6 +569,9 @@ fn assemble_outcome(
 
     let shape_searches =
         space.len() as u64 * ENGINE_COUNT as u64 * memo.unique_layers().len() as u64;
+    let candidates: u64 = (0..memo.unique_layers().len())
+        .map(|si| (LoopOrder::all().len() * memo.tilings(si).len()) as u64)
+        .sum();
     DseOutcome {
         global_best,
         global_engine,
@@ -540,8 +579,8 @@ fn assemble_outcome(
         designs_evaluated: space.len(),
         engines_evaluated: ENGINE_COUNT,
         stats: SweepStats {
-            schedules_evaluated: best.counters.evaluated,
-            schedules_pruned: best.counters.pruned,
+            schedules_evaluated: space.len() as u64 * ENGINE_COUNT as u64 * candidates,
+            schedules_pruned: 0,
             shape_searches,
             memo_hits: memo.dedup_hits(space.len(), ENGINE_COUNT),
             unique_shapes: memo.unique_layers().len(),
@@ -707,15 +746,67 @@ mod tests {
         }
     }
 
+    /// Three PE groups, each spanning all four psum sizes, of 11, 13 and 9
+    /// configs: consecutive groups differ in `pe_y`, then in `pe_x`, and
+    /// chunk boundaries fall inside a group at 2, 3 and 8 workers.
+    fn pe_group_space() -> Vec<AcceleratorConfig> {
+        let group = |pe, step, len| {
+            let configs = design_space().into_iter();
+            configs
+                .filter(move |c| (c.pe_x, c.pe_y) == pe)
+                .step_by(step)
+                .take(len)
+        };
+        let space = group((4, 8), 23, 11).chain(group((4, 16), 19, 13));
+        space.chain(group((8, 16), 27, 9)).collect()
+    }
+
     #[test]
     fn sweep_stats_are_populated() {
-        let out = run_dse(&small_space(), &EnergyTable::default());
-        assert!(out.stats.schedules_evaluated > 0);
-        assert!(out.stats.schedules_pruned > 0, "pruning never fired");
+        let space = small_space();
+        let out = run_dse(&space, &EnergyTable::default());
+        let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
+        let memo = LayerMemo::for_networks(&networks);
+        let candidates: usize = memo
+            .unique_layers()
+            .iter()
+            .map(|l| mapping::schedule_candidates(l).len())
+            .sum();
+        let costed_once = (space.len() * ENGINE_COUNT * candidates) as u64;
+        assert_eq!(out.stats.schedules_evaluated, costed_once);
+        assert_eq!(out.stats.schedules_pruned, 0);
+        assert_eq!(out.stats.prune_rate(), 0.0);
         assert!(out.stats.memo_hit_rate() > 0.0);
-        assert!(out.stats.prune_rate() > 0.0 && out.stats.prune_rate() < 1.0);
         assert_eq!(out.engines_evaluated, ENGINE_COUNT);
-        assert_eq!(out.designs_evaluated, small_space().len());
+        assert_eq!(out.designs_evaluated, space.len());
+    }
+
+    #[test]
+    fn group_table_path_matches_best_schedule_bit_for_bit() {
+        let space = pe_group_space();
+        assert_eq!(
+            space
+                .iter()
+                .map(|c| c.psum_kib)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len(),
+            4
+        );
+        let table = EnergyTable::default();
+        let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
+        let memo = LayerMemo::for_networks(&networks);
+        let mut best = BestSoFar::new(&networks, memo.unique_layers().len());
+        for (idx, &config) in space.iter().enumerate() {
+            sweep_config(&mut best, idx, config, &memo, &networks, &table);
+            for (si, layer) in memo.unique_layers().iter().enumerate() {
+                for (ei, engine) in Engine::all().into_iter().enumerate() {
+                    let pj = mapping::best_schedule(config, &table, layer, engine).picojoules;
+                    let oracle = (layer.macs() as f64 / (pj * 1e-12)).ln();
+                    let got = best.scratch[si * ENGINE_COUNT + ei];
+                    assert_eq!(got.to_bits(), oracle.to_bits(), "{config} {engine} {si}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -756,10 +847,20 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
-        let space = small_space();
+        let space = pe_group_space();
         let table = EnergyTable::default();
         let reference = run_dse_serial(&space, &table);
-        for workers in [1usize, 2, 3, 7] {
+        let group = |i: usize| (space[i].pe_x, space[i].pe_y);
+        for workers in [1usize, 2, 3, 8] {
+            let bounds = sudc_par::chunk_bounds(space.len(), workers);
+            let mid_group = bounds
+                .iter()
+                .skip(1)
+                .any(|&(s, _)| group(s - 1) == group(s));
+            assert!(
+                workers == 1 || mid_group,
+                "no chunk splits a group at {workers}"
+            );
             let got = run_dse_threads(workers, &space, &table);
             assert_eq!(got, reference, "workers={workers}");
         }

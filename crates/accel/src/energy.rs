@@ -147,8 +147,7 @@ impl EnergyTable {
 
     /// Leakage energy per cycle of a design: PE leakage scales with array
     /// size, SRAM retention with provisioned buffer capacity, plus the
-    /// fixed system floor. One formula shared by the cost model and the
-    /// sweep's pruning bound.
+    /// fixed system floor.
     #[must_use]
     pub fn leakage_pj_per_cycle(&self, pes: f64, buffer_kib: f64) -> f64 {
         pes * self.static_pe_pj + buffer_kib * self.static_sram_pj_per_kib + self.system_static_pj

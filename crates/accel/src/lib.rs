@@ -21,7 +21,7 @@
 //!   efficiency-improvement reporting (Fig. 17); the sweep runs chunked
 //!   across the [`sudc_par`] executor, bit-identical to its serial oracle;
 //! - [`memo`] — layer-shape deduplication, holding each distinct shape's
-//!   cost-model terms and schedule candidates for the sweep;
+//!   cost-model terms and tiling geometry for the sweep;
 //! - [`pipeline`] — per-layer pipeline timing and double-buffer sizing
 //!   (Fig. 18).
 

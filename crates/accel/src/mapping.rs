@@ -1,5 +1,5 @@
 //! The per-layer mapping space — loop orders × output-row tilings ×
-//! spatial projections × dataflows — and the pruned best-schedule search.
+//! spatial projections × dataflows — and the best-schedule search.
 //!
 //! Timeloop's advantage over a fixed-dataflow analytical model is mapping
 //! choice. We split that choice along the hardware/software boundary:
@@ -16,19 +16,19 @@
 //!   the gap measures hardware specialization, not compiler quality.
 //!
 //! The schedule search is exhaustive over a tiny, shape-deduplicated
-//! candidate list with an energy lower-bound prune: a schedule whose
-//! MAC + leakage + DRAM + tiling-traffic floor already loses to the
-//! incumbent is skipped without a full evaluation. Pruning is exact: the
-//! floor is a sum of a subset of the exact evaluation's terms (guarded by
-//! a relative margin for summation-order rounding), and ties keep the
-//! earliest candidate in canonical order, so the pruned search returns
-//! bit-identical winners to the unpruned reference — asserted by proptest.
+//! candidate list. The candidates are order-major with the same tiles
+//! under each loop order, and the order enters a candidate's energy only
+//! through its last two addends (DRAM and leakage). So the search costs
+//! each distinct tile's prefix `mac + rf + noc + glb` once and adds each
+//! order's `dram + leak` to it, walking the candidates in canonical order
+//! with a strict `<`, so ties keep the earliest candidate. The sweep and
+//! the standalone [`best_schedule`] share that one kernel.
 
 use sudc_compute::networks::Layer;
 use sudc_units::Joules;
 
 use crate::dataflow::{
-    Dataflow, DesignRates, DramTraffic, EnergyTerms, EngineTerms, ShapeTerms, Tiling,
+    Dataflow, DesignRates, DramTraffic, EngineTerms, ShapeTerms, TileTerms, Tiling,
 };
 use crate::design::AcceleratorConfig;
 use crate::energy::EnergyTable;
@@ -250,42 +250,41 @@ impl core::fmt::Display for Mapping {
     }
 }
 
-/// Schedule candidates for a layer shape, deduplicated: tiling factors
-/// clamp at `out_w`, so factors beyond the first clamped one re-evaluate
-/// an identical mapping and are dropped (a dense layer keeps only the two
-/// loop orders).
+/// Output-row tiling factors for a layer shape, deduplicated: factors
+/// clamp at `out_w`, so factors beyond the first clamped one would
+/// re-evaluate an identical mapping and are dropped (a dense layer keeps
+/// only the untiled factor).
 #[must_use]
-pub fn schedule_candidates(layer: &Layer) -> Vec<Schedule> {
+pub fn tile_options(layer: &Layer) -> Vec<u32> {
     let out_w = f64::from(layer.output_w()).max(1.0);
-    let mut out = Vec::with_capacity(8);
-    for schedule in Schedule::all() {
-        let t_eff = f64::from(schedule.ow_tile).min(out_w);
-        let duplicate = out.last().is_some_and(|prev: &Schedule| {
-            prev.order == schedule.order && f64::from(prev.ow_tile).min(out_w) >= t_eff
-        });
-        if !duplicate {
-            out.push(schedule);
+    let mut out = Vec::with_capacity(OW_TILE_OPTIONS.len());
+    for ow_tile in OW_TILE_OPTIONS {
+        let t_eff = f64::from(ow_tile).min(out_w);
+        if !out
+            .last()
+            .is_some_and(|&prev: &u32| f64::from(prev).min(out_w) >= t_eff)
+        {
+            out.push(ow_tile);
         }
     }
     out
 }
 
-/// Counters from one pruned schedule search (accumulated across the whole
-/// sweep into [`crate::dse::SweepStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchCounters {
-    /// Schedules fully evaluated through the cost model.
-    pub evaluated: u64,
-    /// Schedules skipped by the energy lower bound.
-    pub pruned: u64,
+/// Schedule candidates for a layer shape in canonical (order-major)
+/// order: every loop order over the same [`tile_options`] (a dense layer
+/// keeps only the two loop orders).
+#[must_use]
+pub fn schedule_candidates(layer: &Layer) -> Vec<Schedule> {
+    let tiles = tile_options(layer);
+    LoopOrder::all()
+        .into_iter()
+        .flat_map(|order| {
+            tiles
+                .iter()
+                .map(move |&ow_tile| Schedule { order, ow_tile })
+        })
+        .collect()
 }
-
-/// Relative margin on the pruning comparison: the floor is a sum of a
-/// subset of the exact evaluation's terms, so it is mathematically a lower
-/// bound, but f64 summation order can perturb it by ~1e-16 relative. A
-/// 1e-9 guard keeps the prune sound (never discards a strict winner) at a
-/// negligible cost in prune rate.
-const PRUNE_MARGIN: f64 = 1.0 + 1e-9;
 
 /// Result of a best-schedule search on one `(config, engine, layer)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,72 +303,36 @@ impl ScheduleChoice {
     }
 }
 
-/// Exhaustive-with-pruning search for the cheapest schedule of `layer` on
-/// `config` under `engine`.
-///
-/// `glb_pj` is the config's buffer access energy
-/// ([`EnergyTable::glb_access_pj`]), hoisted out by the sweep; pass
-/// `table.glb_access_pj(config.total_buffer_kib() as f64)` when calling
-/// standalone.
+/// Exhaustive search for the cheapest schedule of `layer` on `config`
+/// under `engine`.
 #[must_use]
 pub fn best_schedule(
     config: AcceleratorConfig,
     table: &EnergyTable,
-    glb_pj: f64,
     layer: &Layer,
     engine: Engine,
-    counters: &mut SearchCounters,
-) -> ScheduleChoice {
-    standalone_search(config, table, glb_pj, layer, engine, true, counters)
-}
-
-/// The unpruned reference search — evaluates every candidate. Must return
-/// bit-identical results to [`best_schedule`]; the accel proptests hold
-/// them together.
-#[must_use]
-pub fn best_schedule_unpruned(
-    config: AcceleratorConfig,
-    table: &EnergyTable,
-    glb_pj: f64,
-    layer: &Layer,
-    engine: Engine,
-) -> ScheduleChoice {
-    let mut counters = SearchCounters::default();
-    standalone_search(config, table, glb_pj, layer, engine, false, &mut counters)
-}
-
-/// Builds the per-shape and per-config pieces the sweep hoists, then
-/// searches.
-fn standalone_search(
-    config: AcceleratorConfig,
-    table: &EnergyTable,
-    glb_pj: f64,
-    layer: &Layer,
-    engine: Engine,
-    prune: bool,
-    counters: &mut SearchCounters,
 ) -> ScheduleChoice {
     let shape = ShapeTerms::of(layer);
-    let candidates = tilings(layer, &shape);
+    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
     let rates = DesignRates::new(config, table, glb_pj);
     let dram = DramCost::new(&rates, &shape.dram(config));
-    search(
-        config,
-        &rates,
-        &shape,
-        &dram,
-        engine,
-        &candidates,
-        prune,
-        counters,
-    )
+    let terms = EngineTerms::new(config, &shape, engine);
+    let tiles: Vec<TileTerms> = tilings(layer, &shape)
+        .iter()
+        .map(|tiling| terms.tile(tiling))
+        .collect();
+    let (index, picojoules) = cheapest(config, &rates, &shape, &dram, terms.cycles, &tiles);
+    ScheduleChoice {
+        schedule: schedule_candidates(layer)[index],
+        picojoules,
+    }
 }
 
-/// [`schedule_candidates`] with each schedule's tiling geometry.
+/// The [`Tiling`] of each of a layer's [`tile_options`].
 pub(crate) fn tilings(layer: &Layer, shape: &ShapeTerms) -> Vec<Tiling> {
-    schedule_candidates(layer)
+    tile_options(layer)
         .into_iter()
-        .map(|schedule| Tiling::new(shape, schedule))
+        .map(|ow_tile| Tiling::new(shape, ow_tile))
         .collect()
 }
 
@@ -380,86 +343,59 @@ pub(crate) fn tilings(layer: &Layer, shape: &ShapeTerms) -> Vec<Tiling> {
 pub(crate) struct DramCost {
     pj: [f64; 2],
     stall_cycles: [f64; 2],
-    /// The prune floor's stall: DRAM energy converted back to cycles.
-    floor_stall_cycles: [f64; 2],
 }
 
 impl DramCost {
     pub(crate) fn new(rates: &DesignRates<'_>, traffic: &DramTraffic) -> Self {
-        let table = rates.table;
-        let words = traffic.effective_words(table);
-        let pj = words.map(|w| rates.dram_energy(w));
+        let words = traffic.effective_words(rates.table);
         Self {
-            pj,
+            pj: words.map(|w| rates.dram_energy(w)),
             stall_cycles: words.map(|w| rates.stall_cycles(w)),
-            floor_stall_cycles: pj.map(|p| p / table.dram_pj / table.dram_words_per_cycle),
         }
     }
 }
 
-/// The best-schedule search over hoisted pieces: everything that does not
-/// depend on the tiling is computed once here, so a candidate costs only
-/// its tile terms.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search(
+/// The search kernel both the sweep and [`best_schedule`] run: the
+/// cheapest candidate of one `(config, shape, engine)`, as its index in
+/// [`schedule_candidates`] order and its energy in picojoules.
+///
+/// `tiles` holds the engine's [`TileTerms`] for each of the shape's
+/// [`tile_options`]; `cycles` is the engine's issue cycles. Each tile's
+/// prefix `mac + rf + noc + glb` is summed once, then each loop order's
+/// `dram + leak` is added to it — the left-to-right order of
+/// [`crate::dataflow::EnergyTerms::total`], so every candidate's energy
+/// has the bits the unfactored formula gives.
+#[inline]
+pub(crate) fn cheapest(
     config: AcceleratorConfig,
     rates: &DesignRates<'_>,
     shape: &ShapeTerms,
     dram: &DramCost,
-    engine: Engine,
-    candidates: &[Tiling],
-    prune: bool,
-    counters: &mut SearchCounters,
-) -> ScheduleChoice {
-    let terms = EngineTerms::new(config, shape, engine);
-    let mac = rates.mac_energy(shape.macs);
-    let rf = rates.rf_energy(shape.rf_accesses());
-    let leak = [0, 1].map(|o| rates.leak_energy(terms.cycles, dram.stall_cycles[o]));
-    // Schedule-independent part of the floor per loop order: arithmetic,
-    // RF traffic, DRAM and leakage are identical for every tiling.
-    let floor_base = [0, 1].map(|o| {
-        mac + rf
-            + dram.pj[o]
-            + terms.cycles.max(dram.floor_stall_cycles[o]) * rates.leak_pj_per_cycle
-    });
-
-    let mut best: Option<ScheduleChoice> = None;
-    for tiling in candidates {
-        let o = tiling.schedule.order.index();
-        // The term that *grows* with the tile factor (weight re-fetch
-        // under RS, ifmap halo under WS): the floor's tiling-dependent
-        // part, and one of the evaluation's buffer streams.
-        let tile_glb = terms.tile_glb(tiling);
-        if prune {
-            if let Some(incumbent) = best {
-                let floor = floor_base[o] + rates.glb_energy(tile_glb);
-                if floor >= incumbent.picojoules * PRUNE_MARGIN {
-                    counters.pruned += 1;
-                    continue;
-                }
+    cycles: f64,
+    tiles: &[TileTerms],
+) -> (usize, f64) {
+    let mac_rf = rates.mac_energy(shape.macs) + rates.rf_energy(shape.rf_accesses());
+    let mut prefix = [0.0; OW_TILE_OPTIONS.len()];
+    for (p, tile) in prefix.iter_mut().zip(tiles) {
+        *p = mac_rf
+            + rates.noc_energy(tile.noc)
+            + rates.glb_energy(tile.glb_accesses(shape, config));
+    }
+    let prefix = &prefix[..tiles.len()];
+    let leak = dram
+        .stall_cycles
+        .map(|stall| rates.leak_energy(cycles, stall));
+    let mut best = (0, prefix[0] + dram.pj[0] + leak[0]);
+    for (o, (&dram_pj, &leak_pj)) in dram.pj.iter().zip(&leak).enumerate() {
+        for (t, &p) in prefix.iter().enumerate() {
+            let picojoules = p + dram_pj + leak_pj;
+            // Strictly-less keeps the earliest candidate on ties.
+            if picojoules < best.1 {
+                best = (o * prefix.len() + t, picojoules);
             }
         }
-        let (noc, glb) = terms.traffic(tiling, tile_glb);
-        let picojoules = EnergyTerms {
-            mac,
-            rf,
-            noc: rates.noc_energy(noc),
-            glb: rates.glb_energy(glb),
-            dram: dram.pj[o],
-            leak: leak[o],
-        }
-        .total();
-        counters.evaluated += 1;
-        // Strictly-less keeps the earliest candidate on ties, matching the
-        // unpruned reference.
-        if best.is_none_or(|b| picojoules < b.picojoules) {
-            best = Some(ScheduleChoice {
-                schedule: tiling.schedule,
-                picojoules,
-            });
-        }
     }
-    best.expect("schedule_candidates is never empty")
+    best
 }
 
 /// Energy of `layer` on `config` hardwired to `engine`, with the best
@@ -471,9 +407,7 @@ pub fn engine_layer_energy(
     table: &EnergyTable,
     layer: &Layer,
 ) -> Joules {
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    let mut c = SearchCounters::default();
-    best_schedule(config, table, glb_pj, layer, engine, &mut c).energy()
+    best_schedule(config, table, layer, engine).energy()
 }
 
 /// Energy of one inference of `network` on `config` hardwired to `engine`,
@@ -486,12 +420,10 @@ pub fn engine_network_energy(
     table: &EnergyTable,
     network: &sudc_compute::networks::Network,
 ) -> Joules {
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    let mut c = SearchCounters::default();
     network
         .layers
         .iter()
-        .map(|layer| best_schedule(config, table, glb_pj, layer, engine, &mut c).energy())
+        .map(|layer| best_schedule(config, table, layer, engine).energy())
         .sum()
 }
 
@@ -503,11 +435,9 @@ pub fn best_mapping_energy(
     table: &EnergyTable,
     layer: &Layer,
 ) -> (Joules, Mapping) {
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    let mut c = SearchCounters::default();
     let mut best: Option<(f64, Mapping)> = None;
     for engine in Engine::all() {
-        let choice = best_schedule(config, table, glb_pj, layer, engine, &mut c);
+        let choice = best_schedule(config, table, layer, engine);
         if best.is_none_or(|(pj, _)| choice.picojoules < pj) {
             best = Some((
                 choice.picojoules,
@@ -525,7 +455,6 @@ pub fn best_mapping_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sudc_compute::networks::NetworkId;
 
     #[test]
     fn engine_indices_match_canonical_order() {
@@ -557,46 +486,6 @@ mod tests {
         let pes = f64::from(config.pes());
         assert!(fr_m * fr_r / pes < 0.1, "row projection starves dense");
         assert!(fg_m * fg_r / pes > 0.9, "grid projection fills the array");
-    }
-
-    #[test]
-    fn pruned_search_matches_unpruned_on_the_suite() {
-        let table = EnergyTable::default();
-        for config in [
-            AcceleratorConfig::reference(),
-            AcceleratorConfig {
-                pe_x: 28,
-                pe_y: 4,
-                ifmap_kib: 8,
-                weight_kib: 8,
-                psum_kib: 8,
-            },
-        ] {
-            let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-            for layer in &NetworkId::ResNet50.network().layers {
-                for engine in Engine::all() {
-                    let mut c = SearchCounters::default();
-                    let pruned = best_schedule(config, &table, glb_pj, layer, engine, &mut c);
-                    let full = best_schedule_unpruned(config, &table, glb_pj, layer, engine);
-                    assert_eq!(pruned, full, "{engine} on {layer:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruning_actually_fires() {
-        let table = EnergyTable::default();
-        let config = AcceleratorConfig::reference();
-        let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-        let mut c = SearchCounters::default();
-        for layer in &NetworkId::ResNet50.network().layers {
-            for engine in Engine::all() {
-                let _ = best_schedule(config, &table, glb_pj, layer, engine, &mut c);
-            }
-        }
-        assert!(c.pruned > 0, "no schedules pruned across ResNet-50");
-        assert!(c.evaluated > 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! duplication factor (~2.3× for the Table III networks) in serial *and*
 //! parallel runs. The memo also precomputes, per shape, everything the
 //! mapping search re-reads on every config: the cost model's per-shape
-//! terms, the deduplicated schedule candidates with their tiling geometry,
-//! and the per-network multiplicity matrix that turns per-shape
+//! terms, the deduplicated tiling factors with their geometry, and the
+//! per-network multiplicity matrix that turns per-shape
 //! log-efficiencies into geomean scores.
 
 use std::collections::HashMap;
@@ -32,8 +32,8 @@ pub struct LayerMemo {
     mult: Vec<Vec<f64>>,
     /// Per-shape terms of the cost model.
     terms: Vec<ShapeTerms>,
-    /// Deduplicated schedule candidates per shape.
-    candidates: Vec<Vec<Tiling>>,
+    /// Tiling geometry of each deduplicated tiling factor, per shape.
+    tilings: Vec<Vec<Tiling>>,
     /// Total (non-deduplicated) layer count across the suite.
     total_layers: usize,
 }
@@ -71,7 +71,7 @@ impl LayerMemo {
             })
             .collect();
         let terms: Vec<ShapeTerms> = unique.iter().map(ShapeTerms::of).collect();
-        let candidates = unique
+        let tilings = unique
             .iter()
             .zip(&terms)
             .map(|(layer, shape)| tilings(layer, shape))
@@ -81,7 +81,7 @@ impl LayerMemo {
             slot,
             mult,
             terms,
-            candidates,
+            tilings,
             total_layers,
         }
     }
@@ -115,10 +115,10 @@ impl LayerMemo {
         &self.terms[si]
     }
 
-    /// Deduplicated schedule candidates for shape `si` (precomputed once
-    /// per sweep instead of once per `(config, shape, engine)` search).
-    pub(crate) fn candidates(&self, si: usize) -> &[Tiling] {
-        &self.candidates[si]
+    /// Tiling geometry of shape `si`'s [`crate::mapping::tile_options`],
+    /// precomputed once per sweep instead of once per search.
+    pub(crate) fn tilings(&self, si: usize) -> &[Tiling] {
+        &self.tilings[si]
     }
 
     /// Layer evaluations one full `config × engine` sweep of `configs`
@@ -133,7 +133,7 @@ impl LayerMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::schedule_candidates;
+    use crate::mapping::tile_options;
     use sudc_compute::networks::NetworkId;
 
     fn suite() -> Vec<Network> {
@@ -179,8 +179,11 @@ mod tests {
     fn candidates_match_direct_enumeration() {
         let memo = LayerMemo::for_networks(&suite());
         for (si, layer) in memo.unique_layers().iter().enumerate() {
-            let schedules: Vec<_> = memo.candidates(si).iter().map(|t| t.schedule).collect();
-            assert_eq!(schedules, schedule_candidates(layer));
+            let shape = ShapeTerms::of(layer);
+            let direct = tile_options(layer)
+                .into_iter()
+                .map(|t| Tiling::new(&shape, t));
+            assert!(memo.tilings(si).iter().copied().eq(direct));
         }
     }
 }

@@ -2,7 +2,7 @@
 #[ignore]
 fn calibration_breakdown() {
     use sudc_accel::dataflow::{count_accesses_mapped, energy_terms};
-    use sudc_accel::mapping::{best_schedule, SearchCounters};
+    use sudc_accel::mapping::best_schedule;
     use sudc_accel::{AcceleratorConfig, Mapping};
 
     let table = sudc_accel::energy::EnergyTable::default();
@@ -22,9 +22,7 @@ fn calibration_breakdown() {
         let net = n.network.network();
         for (layer, w) in net.layers.iter().zip(&n.per_layer_winners) {
             let gcfg = out.global_best;
-            let glb_pj = table.glb_access_pj(f64::from(gcfg.total_buffer_kib()));
-            let mut cnt = SearchCounters::default();
-            let gch = best_schedule(gcfg, &table, glb_pj, layer, out.global_engine, &mut cnt);
+            let gch = best_schedule(gcfg, &table, layer, out.global_engine);
             let gmap = Mapping {
                 engine: out.global_engine,
                 schedule: gch.schedule,

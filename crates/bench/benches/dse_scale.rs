@@ -5,9 +5,10 @@
 //! `sudc-par` executor at the ambient worker count, plus a warm replay
 //! through the incremental [`DseCache`]. Before any timing, the parallel
 //! sweep is asserted bit-identical to the serial oracle at 1, 2 and 8
-//! workers and at the worker count it is timed at, and the search's
-//! pruning and memoization are asserted to actually fire — so the
-//! schedules/s figure describes a correct, working search.
+//! workers and at the worker count it is timed at, the shape memo is
+//! asserted to actually hit, and the schedule count is asserted to be
+//! every candidate of every search exactly once — so the schedules/s
+//! figure describes a correct, working search.
 //!
 //! Writes `BENCH_dse.json`: `serial` and `parallel` (`n` = schedules
 //! evaluated) and `cache_replay` (`n` = 1 sweep). Knobs:
@@ -18,7 +19,10 @@
 use sudc_accel::design::design_space;
 use sudc_accel::dse::{run_dse_serial, run_dse_threads, DseCache, SystemArchitecture};
 use sudc_accel::energy::EnergyTable;
+use sudc_accel::mapping::{schedule_candidates, ENGINE_COUNT};
+use sudc_accel::memo::LayerMemo;
 use sudc_bench::harness::{env_or, reps, time, Point, Report};
+use sudc_compute::networks::NetworkId;
 
 fn main() {
     let threads = sudc_par::threads();
@@ -46,9 +50,16 @@ fn main() {
         s.memo_hit_rate() > 0.0,
         "layer memo never hit: duplicate shapes must be served from cache"
     );
-    assert!(
-        s.prune_rate() > 0.0,
-        "lower-bound prune never fired: the bound is vacuous"
+    let networks: Vec<_> = NetworkId::all().iter().map(|id| id.network()).collect();
+    let candidates: usize = LayerMemo::for_networks(&networks)
+        .unique_layers()
+        .iter()
+        .map(|layer| schedule_candidates(layer).len())
+        .sum();
+    assert_eq!(
+        s.schedules_evaluated,
+        (space.len() * ENGINE_COUNT * candidates) as u64,
+        "every schedule candidate must be costed exactly once"
     );
     let global = oracle.mean_improvement(SystemArchitecture::GlobalAccelerator);
     let per_network = oracle.mean_improvement(SystemArchitecture::PerNetworkAccelerator);

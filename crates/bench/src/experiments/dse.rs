@@ -77,10 +77,8 @@ pub fn ext_dse() -> String {
         outcome.global_engine
     ));
     out.push_str(&format!(
-        "  schedules: {} evaluated, {} pruned (prune rate {:.1}%)\n",
-        s.schedules_evaluated,
-        s.schedules_pruned,
-        100.0 * s.prune_rate()
+        "  schedules: {} candidates costed, each exactly once\n",
+        s.schedules_evaluated
     ));
     out.push_str(&format!(
         "  layer memo: {} shape searches, {} memo hits (memo hit rate {:.1}%), {} unique shapes / {} layers\n",
@@ -172,7 +170,7 @@ mod tests {
     #[test]
     fn dse_extension_reports_search_diagnostics_and_repricing() {
         let e = ext_dse();
-        assert!(e.contains("prune rate"));
+        assert!(e.contains("candidates costed"));
         assert!(e.contains("memo hit rate"));
         assert!(e.contains("replay"));
         assert!(e.contains("orbital $/Gbit"));

@@ -51,19 +51,14 @@ impl RoutedLoad {
         cfg
     }
 
-    /// [`RoutedLoad::sim_config`] under `campaign` (if any), validated.
-    fn try_campaign_config(
-        &self,
-        duration: Seconds,
-        campaign: Option<&Campaign>,
-    ) -> Result<SimConfig, SudcError> {
+    /// [`RoutedLoad::sim_config`] under `campaign` (if any), unvalidated:
+    /// for callers whose sim entry point validates it.
+    fn campaign_config(&self, duration: Seconds, campaign: Option<&Campaign>) -> SimConfig {
         let base = self.sim_config(duration);
-        let cfg = match campaign {
+        match campaign {
             Some(c) => c.apply(&base),
             None => base,
-        };
-        cfg.try_validate()?;
-        Ok(cfg)
+        }
     }
 
     /// Replays the load through `reps` seeded replications, optionally
@@ -81,7 +76,7 @@ impl RoutedLoad {
         seed: u64,
         campaign: Option<&Campaign>,
     ) -> Result<ReplayReport, SudcError> {
-        let cfg = self.try_campaign_config(duration, campaign)?;
+        let cfg = self.campaign_config(duration, campaign);
         let traces = try_replicate(&cfg, reps, seed)?;
         ReplayReport::try_from_traces(
             campaign.map(|c| c.name).unwrap_or("nominal"),
@@ -108,7 +103,8 @@ impl RoutedLoad {
         campaign: Option<&Campaign>,
         log: &BusLog,
     ) -> Result<ReplayReport, SudcError> {
-        let cfg = self.try_campaign_config(duration, campaign)?;
+        let cfg = self.campaign_config(duration, campaign);
+        cfg.try_validate()?;
         let trace = sudc_sim::replay(&cfg, log)?;
         ReplayReport::try_from_traces(
             campaign.map(|c| c.name).unwrap_or("nominal"),
@@ -135,8 +131,8 @@ impl RoutedLoad {
         seed: u64,
         campaign: Option<&Campaign>,
     ) -> Result<(RunTrace, BusLog), SudcError> {
-        let cfg = self.try_campaign_config(duration, campaign)?;
-        Ok(sudc_sim::run_recorded(&cfg, seed))
+        let cfg = self.campaign_config(duration, campaign);
+        sudc_sim::try_run(&cfg, seed, BusLog::new())
     }
 }
 
@@ -296,6 +292,26 @@ mod tests {
         let live = ReplayReport::try_from_traces("nominal", load.sudc_share, vec![trace]).unwrap();
         let audited = load.try_replay_from_log(duration, None, &log).unwrap();
         assert_eq!(live, audited);
+    }
+
+    #[test]
+    fn a_hostile_campaign_is_the_same_error_from_record_and_both_replays() {
+        let load = routed_load();
+        let duration = Seconds::new(600.0);
+        let mut hostile = Campaign::quiet("hostile", "upset probability above 1");
+        hostile.upset_probability = 2.0;
+        let seed = sudc_sim::DEFAULT_SEED;
+        let recorded = load.try_record(duration, seed, Some(&hostile)).unwrap_err();
+        let replayed = load
+            .try_replay(duration, 1, seed, Some(&hostile))
+            .unwrap_err();
+        assert_eq!(recorded, replayed);
+        let from_log = load.try_replay_from_log(duration, Some(&hostile), &BusLog::new());
+        assert_eq!(from_log.unwrap_err(), recorded);
+        assert!(
+            recorded.to_string().contains("upset_probability"),
+            "{recorded}"
+        );
     }
 
     #[test]
