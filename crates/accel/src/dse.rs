@@ -33,7 +33,6 @@ use sudc_compute::hardware::rtx_3090;
 use sudc_compute::networks::{Network, NetworkId};
 use sudc_compute::workloads::{self, Workload};
 use sudc_errors::{Diagnostics, SudcError};
-use sudc_par::Fnv1a;
 use sudc_units::Joules;
 
 use crate::dataflow::{DesignRates, EngineTerms, TileTerms};
@@ -589,98 +588,6 @@ fn assemble_outcome(
     }
 }
 
-/// Deterministic fingerprint of a sweep's inputs (FNV-1a over the
-/// configuration fields and the energy table's bit patterns) — the
-/// incremental-DSE cache key.
-#[must_use]
-pub fn sweep_fingerprint(space: &[AcceleratorConfig], table: &EnergyTable) -> u64 {
-    let mut h = Fnv1a::new();
-    for c in space {
-        for field in [c.pe_x, c.pe_y, c.ifmap_kib, c.weight_kib, c.psum_kib] {
-            h.write_u64(u64::from(field));
-        }
-    }
-    for field in [
-        table.mac_pj,
-        table.rf_pj,
-        table.noc_pj,
-        table.glb_base_pj,
-        table.glb_reference_kib,
-        table.dram_pj,
-        table.static_pe_pj,
-        table.static_sram_pj_per_kib,
-        table.system_static_pj,
-        table.dram_words_per_cycle,
-        table.dram_refetch_pj_factor,
-    ] {
-        h.write_u64(field.to_bits());
-    }
-    h.finish()
-}
-
-/// Incremental-DSE cache: repeated sweeps with identical inputs (router
-/// re-pricing, tornado arms, warm bench reps) return the memoized outcome
-/// instead of re-running the search. Valid across worker counts because
-/// the sweep is bit-identical at any `--jobs`.
-#[derive(Debug, Clone, Default)]
-pub struct DseCache {
-    entries: Vec<(u64, DseOutcome)>,
-    lookups: u64,
-    hits: u64,
-}
-
-impl DseCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs (or replays) a sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space` is empty.
-    pub fn run(&mut self, space: &[AcceleratorConfig], table: &EnergyTable) -> DseOutcome {
-        let key = sweep_fingerprint(space, table);
-        self.lookups += 1;
-        if let Some((_, cached)) = self.entries.iter().find(|(k, _)| *k == key) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        let outcome = run_dse(space, table);
-        self.entries.push((key, outcome.clone()));
-        outcome
-    }
-
-    /// Runs (or replays) the full default sweep.
-    pub fn run_full(&mut self) -> DseOutcome {
-        self.run(&design_space(), &EnergyTable::default())
-    }
-
-    /// Sweeps requested through this cache.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Sweeps served from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Fraction of sweeps served from the cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,32 +784,5 @@ mod tests {
                 assert_eq!(w.config, space[0]);
             }
         }
-    }
-
-    #[test]
-    fn cache_key_is_pinned() {
-        // The key is a digest of the inputs, so it must not move when
-        // the hashing code is refactored.
-        assert_eq!(
-            sweep_fingerprint(&design_space(), &EnergyTable::default()),
-            0x4a9e_e7b5_22b0_04c0,
-        );
-    }
-
-    #[test]
-    fn cache_replays_identical_sweeps() {
-        let space = small_space();
-        let table = EnergyTable::default();
-        let mut cache = DseCache::new();
-        let cold = cache.run(&space, &table);
-        assert_eq!(cache.hits(), 0);
-        let warm = cache.run(&space, &table);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cold, warm);
-        // A different table is a different sweep.
-        let other = cache.run(&space, &EnergyTable::eyeriss_45nm());
-        assert_eq!(cache.hits(), 1);
-        assert_ne!(other.global_best.to_string(), String::new());
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 }

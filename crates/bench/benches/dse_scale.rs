@@ -2,22 +2,20 @@
 //!
 //! Times the full per-layer mapping search (7 168 designs × 6 engines ×
 //! schedule candidates over the Table III suite) serially and on the
-//! `sudc-par` executor at the ambient worker count, plus a warm replay
-//! through the incremental [`DseCache`]. Before any timing, the parallel
-//! sweep is asserted bit-identical to the serial oracle at 1, 2 and 8
-//! workers and at the worker count it is timed at, the shape memo is
-//! asserted to actually hit, and the schedule count is asserted to be
-//! every candidate of every search exactly once — so the schedules/s
-//! figure describes a correct, working search.
+//! `sudc-par` executor at the ambient worker count. Before any timing,
+//! the parallel sweep is asserted bit-identical to the serial oracle at
+//! 1, 2 and 8 workers and at the worker count it is timed at, the shape
+//! memo is asserted to actually hit, and the schedule count is asserted
+//! to be every candidate of every search exactly once — so the
+//! schedules/s figure describes a correct, working search.
 //!
 //! Writes `BENCH_dse.json`: `serial` and `parallel` (`n` = schedules
-//! evaluated) and `cache_replay` (`n` = 1 sweep). Knobs:
-//! `SUDC_DSE_SCALE_STEP` (design-space subsampling stride, default 1 =
-//! the full space; CI's smoke uses a larger stride), `SUDC_BENCH_REPS`
-//! (default 3).
+//! evaluated). Knobs: `SUDC_DSE_SCALE_STEP` (design-space subsampling
+//! stride, default 1 = the full space; CI's smoke uses a larger stride),
+//! `SUDC_BENCH_REPS` (default 3).
 
 use sudc_accel::design::design_space;
-use sudc_accel::dse::{run_dse_serial, run_dse_threads, DseCache, SystemArchitecture};
+use sudc_accel::dse::{run_dse_serial, run_dse_threads, SystemArchitecture};
 use sudc_accel::energy::EnergyTable;
 use sudc_accel::mapping::{schedule_candidates, ENGINE_COUNT};
 use sudc_accel::memo::LayerMemo;
@@ -75,17 +73,5 @@ fn main() {
     report.push(Point::new("serial", "accel", evaluated, serial));
     let parallel = time(reps, || run_dse_threads(threads, &space, &table));
     report.push(Point::new("parallel", "accel", evaluated, parallel));
-    let mut cache = DseCache::new();
-    let cold = cache.run(&space, &table);
-    let replay = time(reps, || {
-        let warm = cache.run(&space, &table);
-        assert_eq!(warm, cold, "cache replay must be bit-identical");
-        warm
-    });
-    assert!(
-        cache.hit_rate() > 0.0,
-        "repeated identical sweeps must replay"
-    );
-    report.push(Point::new("cache_replay", "accel", 1, replay));
     report.write();
 }

@@ -1,7 +1,7 @@
 //! Figure 17: accelerator design-space exploration results, plus the
 //! mapping-search diagnostics extension (`dse`).
 
-use sudc_accel::dse::{run_full_dse, DseCache, SystemArchitecture};
+use sudc_accel::dse::{run_full_dse, SystemArchitecture};
 use sudc_router::{RouterConfig, Tier, APPS};
 
 use crate::format::table;
@@ -56,16 +56,12 @@ pub fn fig17() -> String {
 }
 
 /// Extension: mapping-search diagnostics for the full sweep — search-space
-/// accounting, pruning and memoization effectiveness, per-layer engine
-/// winners, the incremental-DSE replay cache, and what the measured
-/// per-application improvements do to the router's orbital pricing.
+/// accounting, memoization effectiveness, per-layer engine winners, and
+/// what the measured per-application improvements do to the router's
+/// orbital pricing.
 #[must_use]
 pub fn ext_dse() -> String {
-    let mut cache = DseCache::new();
-    let outcome = cache.run_full();
-    // A second identical sweep must replay from the cache.
-    let replayed = cache.run_full();
-    assert_eq!(replayed, outcome, "cache replay must be bit-identical");
+    let outcome = run_full_dse();
 
     let mut out = String::new();
     let s = &outcome.stats;
@@ -87,12 +83,6 @@ pub fn ext_dse() -> String {
         100.0 * s.memo_hit_rate(),
         s.unique_shapes,
         s.total_layers
-    ));
-    out.push_str(&format!(
-        "  incremental-DSE replay: {} lookups, {} hits (hit rate {:.0}%)\n",
-        cache.lookups(),
-        cache.hits(),
-        100.0 * cache.hit_rate()
     ));
 
     let mut engine_counts = std::collections::BTreeMap::new();
@@ -172,7 +162,6 @@ mod tests {
         let e = ext_dse();
         assert!(e.contains("candidates costed"));
         assert!(e.contains("memo hit rate"));
-        assert!(e.contains("replay"));
         assert!(e.contains("orbital $/Gbit"));
     }
 }

@@ -137,7 +137,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "dse",
-        "per-layer mapping search: pruning, memoization, router re-pricing (extension)",
+        "per-layer mapping search: memoization, engine winners, router re-pricing (extension)",
         ext_dse,
     ),
     (

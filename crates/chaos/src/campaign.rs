@@ -253,6 +253,16 @@ impl Campaign {
     /// depth becomes the downlink queue's, and both topics' `DEADLINE`
     /// policy is the shared staleness definition the sim's shedding and
     /// the request router already reason about.
+    ///
+    /// The infant-mortality cohorts are copied from
+    /// [`Campaign::infant_mortality`], but not that campaign's
+    /// `node_mttf` override (3 × `run`): `node_mttf` stays `None`, so
+    /// the scenario's own MTTF applies. Weak-cohort lifetimes are
+    /// multiples of that MTTF, so on
+    /// [`SimConfig::reference_operations`] (infinite MTTF: every node,
+    /// weak or not, lives forever) the infant mortality never fires, and
+    /// on the chaos grid's cells (a 2-year MTTF) it almost never
+    /// fires inside a run. Node failures here come from the storms.
     #[must_use]
     pub fn combined(run: Seconds) -> Self {
         let mut c = Self::solar_storm(run);

@@ -325,9 +325,8 @@ where
 }
 
 /// 64-bit FNV-1a: the one digest behind the workspace's committed
-/// fingerprints (sim traces, the DSE cache key, the router's decision
-/// stream). It detects drift, not tampering: it is not a cryptographic
-/// hash.
+/// fingerprints (sim traces, the router's decision stream). It detects
+/// drift, not tampering: it is not a cryptographic hash.
 ///
 /// ```
 /// let mut h = sudc_par::Fnv1a::new();

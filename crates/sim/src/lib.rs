@@ -66,8 +66,5 @@ pub use fault::{
 pub use kernel::{run, run_recorded, try_run};
 pub use metrics::{try_percentile, BacklogSample, LatencyHist, LatencySummary, RunTrace};
 pub use plane::replay;
-pub use replicate::{
-    try_replicate, try_replicate_grid, try_scale_study, SampledLatency, ScalePoint, SimSummary,
-    DEFAULT_SEED,
-};
+pub use replicate::{try_replicate, try_replicate_grid, SampledLatency, SimSummary, DEFAULT_SEED};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};

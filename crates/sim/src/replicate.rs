@@ -12,16 +12,15 @@
 //! traces (and everything derived from them) are byte-identical whether
 //! the executor uses 1 thread or 64.
 //!
-//! Every seeded study is a grid: [`try_replicate`] is one cell,
-//! [`try_scale_study`] one cell per fleet size, and the chaos and health
-//! reports one cell per campaign × spare count or controller arm.
+//! Every seeded study is a grid: [`try_replicate`] is one cell, and the
+//! chaos and health reports one cell per campaign × spare count or
+//! controller arm.
 //! [`SampledLatency`] is the one latency-mean convention their summaries
 //! share.
 
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
 use sudc_par::rng::Rng64;
-use sudc_units::Seconds;
 
 use crate::config::SimConfig;
 use crate::kernel;
@@ -99,72 +98,6 @@ pub fn try_replicate(
 ) -> Result<Vec<RunTrace>, SudcError> {
     let grid = try_replicate_grid(std::slice::from_ref(cfg), reps, base_seed)?;
     Ok(grid.into_iter().flatten().collect())
-}
-
-/// One fleet size of a [`try_scale_study`]: the aggregated replications plus
-/// the kernel-side throughput diagnostics the scaling benchmark reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalePoint {
-    /// Fleet size of this point (see [`SimConfig::try_scaled_fleet`]).
-    pub satellites: u32,
-    /// Total kernel events handled across all replications.
-    pub events: u64,
-    /// Largest pending-event count any replication's queue reached.
-    pub peak_event_queue: usize,
-    /// The usual cross-replication aggregate at this fleet size.
-    pub summary: SimSummary,
-}
-
-/// Runs a fleet-scaling study: `reps` replications of
-/// [`SimConfig::try_scaled_fleet`] at each size in `fleets`, one
-/// [`try_replicate_grid`] cell per size (so replication `r` draws the
-/// same seed at every size). Points are returned in `fleets` order.
-///
-/// # Errors
-///
-/// Returns a structured error if `fleets` is empty or any fleet size is
-/// zero, and otherwise if `reps` is zero.
-pub fn try_scale_study(
-    duration: Seconds,
-    fleets: &[u32],
-    reps: u32,
-    base_seed: u64,
-) -> Result<Vec<ScalePoint>, SudcError> {
-    let mut d = Diagnostics::new("scale study");
-    d.ensure(
-        !fleets.is_empty(),
-        "fleets.len()",
-        fleets.len(),
-        "at least one fleet size",
-    );
-    let mut err = d.finish().err();
-    let mut cfgs = Vec::with_capacity(fleets.len());
-    for &n in fleets {
-        match SimConfig::try_scaled_fleet(n, duration) {
-            Ok(cfg) => cfgs.push(cfg),
-            Err(e) => {
-                err = Some(match err {
-                    Some(prev) => prev.merge(e),
-                    None => e,
-                });
-            }
-        }
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let grid = try_replicate_grid(&cfgs, reps, base_seed)?;
-    cfgs.iter()
-        .zip(grid)
-        .map(|(cfg, traces)| {
-            Ok(ScalePoint {
-                satellites: cfg.satellites,
-                events: traces.iter().map(|t| t.events).sum(),
-                peak_event_queue: traces.iter().map(|t| t.peak_event_queue).max().unwrap_or(0),
-                summary: SimSummary::try_from_traces(traces)?,
-            })
-        })
-        .collect()
 }
 
 /// A latency population's mean and p99, each averaged over only the
@@ -394,45 +327,27 @@ mod tests {
     }
 
     #[test]
-    fn scale_study_shares_seeds_across_fleet_sizes() {
+    fn replication_r_draws_the_same_seed_in_every_cell() {
+        // Common random numbers: 64 satellites IS the reference preset, so
+        // the first cell of a two-size grid must equal a plain one-cell
+        // study rep for rep, whatever the other cell holds.
         let d = Seconds::new(900.0);
-        let points = try_scale_study(d, &[64, 128], 3, DEFAULT_SEED).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].satellites, 64);
-        assert_eq!(points[1].satellites, 128);
-        // 64 satellites IS the reference preset: the point must equal a
-        // plain replication study rep for rep (common random numbers).
+        let cells = [
+            SimConfig::try_scaled_fleet(64, d).unwrap(),
+            SimConfig::try_scaled_fleet(128, d).unwrap(),
+        ];
+        let grid = try_replicate_grid(&cells, 3, DEFAULT_SEED).unwrap();
+        assert_eq!(grid.len(), 2);
         let reference =
             try_replicate(&SimConfig::reference_operations(d), 3, DEFAULT_SEED).unwrap();
-        assert_eq!(points[0].summary.traces(), &reference[..]);
-        // Larger fleets handle more events.
-        assert!(points[1].events > points[0].events);
-        assert!(points[0].events > 0 && points[0].peak_event_queue > 0);
-    }
-
-    #[test]
-    fn scale_study_is_identical_at_different_thread_counts() {
-        let d = Seconds::new(900.0);
-        let render = |threads: usize| {
-            sudc_par::set_threads(threads);
-            let points = try_scale_study(d, &[64, 128], 2, DEFAULT_SEED).unwrap();
-            sudc_par::set_threads(0);
-            points
-        };
-        let one = render(1);
-        assert_eq!(one, render(2));
-        assert_eq!(one, render(8));
-    }
-
-    #[test]
-    fn scale_study_rejects_empty_grids_with_structured_errors() {
-        let d = Seconds::new(900.0);
-        let err = try_scale_study(d, &[], 2, DEFAULT_SEED).unwrap_err();
-        assert!(err.to_string().contains("fleets"), "{err}");
-        let err = try_scale_study(d, &[64], 0, DEFAULT_SEED).unwrap_err();
-        assert!(err.to_string().contains("reps"), "{err}");
-        let err = try_scale_study(d, &[64, 0], 2, DEFAULT_SEED).unwrap_err();
-        assert!(err.to_string().contains("satellites"), "{err}");
+        assert_eq!(grid[0], reference);
+        // The second cell ran its own, larger fleet on the same seeds: a
+        // seed that depended on the cell's position would break this.
+        assert_eq!(grid[1], try_replicate(&cells[1], 3, DEFAULT_SEED).unwrap());
+        assert!(grid[1]
+            .iter()
+            .zip(&grid[0])
+            .all(|(big, small)| big.events > small.events));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use space_udc::bus::{
 };
 use space_udc::chaos::Campaign;
 use space_udc::health::{HealthConfig, PoolTimeline};
-use space_udc::sim::{replay, run_recorded, try_run, SimConfig, DEFAULT_SEED};
+use space_udc::sim::{replay, run_recorded, try_run, RunTrace, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
 /// Values where LEB128 and the u32 fields change shape.
@@ -154,28 +154,69 @@ fn recorded() -> &'static (SimConfig, BusLog) {
 /// Telemetry (`Settle`, `QueueDepth`) and faults (multi-count `Fault`)
 /// carry samples the trace does not count one for one, so those two
 /// topics are bounded from below.
+fn check_topic_ledger(cfg: &SimConfig, seed: u64) -> RunTrace {
+    let (t, (log, stats)) = try_run(cfg, seed, (BusLog::new(), BusStats::default()))
+        .expect("the composed config is valid");
+    assert_eq!(stats.published(TOPIC_CAPTURES), t.captured, "seed {seed}");
+    assert_eq!(
+        stats.published(TOPIC_INSIGHTS),
+        t.processed + t.delivered,
+        "seed {seed}"
+    );
+    // Every dispatch and heartbeat, plus the one `Finish`.
+    assert!(
+        stats.published(TOPIC_TELEMETRY) > t.batches + t.heartbeats,
+        "seed {seed}"
+    );
+    assert!(
+        stats.published(TOPIC_FAULTS)
+            >= t.suspects + t.false_suspects + t.detections + t.readmissions,
+        "seed {seed}"
+    );
+    assert_eq!(log.records(), stats.total(), "seed {seed}");
+    assert_eq!(
+        replay(cfg, &log).expect("recorded log replays"),
+        t,
+        "seed {seed}"
+    );
+    t
+}
+
 #[test]
 fn topic_counters_track_the_pipeline() {
     let duration = Seconds::new(1800.0);
-    let cfg = Campaign::combined(duration)
-        .apply(&SimConfig::reference_operations(duration))
-        .with_health(HealthConfig::standard());
-    // A seed under which storms and infant mortality kill nodes inside
-    // the horizon; the default seed draws a failure-free run, which
-    // would leave the detector's verdicts unexercised.
-    let (t, (log, stats)) = try_run(&cfg, 3, (BusLog::new(), BusStats::default()))
-        .expect("the composed config is valid");
+    let base = SimConfig::reference_operations(duration);
+    let combined = Campaign::combined(duration);
+    let cfg = combined.apply(&base).with_health(HealthConfig::standard());
+    // A seed under which the storms kill nodes inside the horizon (the
+    // infant mortality never fires on this config: see
+    // `Campaign::combined`); the default seed draws a failure-free run,
+    // which would leave the detector's verdicts unexercised.
+    let t = check_topic_ledger(&cfg, 3);
     assert!(t.detections > 0, "the run must reach a DEAD declaration");
-    assert_eq!(stats.published(TOPIC_CAPTURES), t.captured);
-    assert_eq!(stats.published(TOPIC_INSIGHTS), t.processed + t.delivered);
-    // Every dispatch and heartbeat, plus the one `Finish`.
-    assert!(stats.published(TOPIC_TELEMETRY) > t.batches + t.heartbeats);
-    assert!(
-        stats.published(TOPIC_FAULTS)
-            >= t.suspects + t.false_suspects + t.detections + t.readmissions
-    );
-    assert_eq!(log.records(), stats.total());
-    assert_eq!(replay(&cfg, &log).expect("recorded log replays"), t);
+
+    // The same composition with a finite independent node MTTF (that of
+    // `Campaign::infant_mortality`), under which the weak cohorts fail
+    // early, and two cold spares to promote: every seed then walks the
+    // recovery path (failure, DEAD verdict, spare promotion), so the
+    // debug node, detector and capture ledgers run on it at each seed,
+    // including those that draw no failure above.
+    let spared = SimConfig {
+        nodes: base.required + 2,
+        ..base
+    };
+    let mttf = Campaign {
+        node_mttf: Campaign::infant_mortality(duration).node_mttf,
+        ..combined
+    }
+    .apply(&spared)
+    .with_health(HealthConfig::standard());
+    for seed in [DEFAULT_SEED, 1, 2, 5, 7, 9, 11] {
+        let t = check_topic_ledger(&mttf, seed);
+        assert!(t.failures > 0, "seed {seed}: no node failed");
+        assert!(t.detections > 0, "seed {seed}: no DEAD declaration");
+        assert!(t.promotions > 0, "seed {seed}: no spare promoted");
+    }
 }
 
 /// Decodes `bytes`; if they decode, replays them and builds the pool

@@ -15,9 +15,9 @@ use space_udc::par::{chunk_bounds, par_map_threads, par_reduce_threads};
 /// The sweep picks bit-identical winners (global, per-network, per-layer
 /// energies) in serial and at several parallel widths. A stride-5
 /// subspace spans every design-space axis and still splits into uneven
-/// chunks at every width; the full 7,168-point space at `--jobs 1/2/8` is
-/// diffed against the committed `results/fig17.txt` and `results/dse.txt`
-/// by the CI DSE smoke.
+/// chunks at every width; the full 7,168-point space is diffed against
+/// the committed `results/fig17.txt` and `results/dse.txt` at
+/// `--jobs 1/2/4/8` by the CI snapshot step.
 #[test]
 fn strided_design_space_sweep_is_bit_identical_serial_vs_parallel() {
     let space: Vec<_> = design_space().into_iter().step_by(5).collect();
