@@ -263,6 +263,15 @@ impl Campaign {
     /// weak or not, lives forever) the infant mortality never fires, and
     /// on the chaos grid's cells (a 2-year MTTF) it almost never
     /// fires inside a run. Node failures here come from the storms.
+    ///
+    /// The 256-deep downlink bound meets a delivery model the router does
+    /// not share. The router prices orbital insights at `wait_scale = 0`,
+    /// as if they left at once over the always-on telemetry link, but the
+    /// kernel holds every insight for the next ground-contact window. One
+    /// 7 200 s contact gap on the reference config accumulates about
+    /// 28 200 insights, so under this campaign most insights are shed at
+    /// the downlink queue, and a replayed SLO attainment counts only the
+    /// survivors.
     #[must_use]
     pub fn combined(run: Seconds) -> Self {
         let mut c = Self::solar_storm(run);

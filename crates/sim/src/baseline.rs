@@ -1,7 +1,7 @@
 //! The frozen pre-rebuild reference kernel.
 //!
-//! This is the simulation kernel exactly as it stood before the timing-
-//! wheel/SoA rebuild of [`crate::kernel`]: a [`BinaryHeapQueue`]
+//! This is the simulation kernel exactly as it stood before the
+//! event-queue/SoA rebuild of [`crate::kernel`]: a [`BinaryHeapQueue`]
 //! scheduler, a freshly allocated `Vec` per dispatched batch, a `retain`
 //! scan for deadline shedding, and a `mem::take`n downlink group. It is
 //! kept, verbatim in behavior, as the **golden model**: `run` here and

@@ -9,43 +9,39 @@
 //!
 //! Two queue implementations share that contract:
 //!
-//! - [`EventQueue`] — a hierarchical timing wheel ([`LEVELS`] levels of
-//!   [`SLOTS`] slots, [`LEVEL_BITS`] bits per level) with a calendar-queue
-//!   overflow heap for events beyond the wheel horizon (far-future Weibull
-//!   failures, distant contact windows). Push and pop are O(1) amortized,
-//!   independent of the number of pending events — the property that keeps
-//!   100k-satellite fleets at interactive speed.
+//! - [`EventQueue`] — a ring of 4 096 one-tick slots covering the window
+//!   of ticks just after the ring time, with a keyed overflow heap for
+//!   later events (far-future Weibull failures, distant contact windows).
+//!   Push and pop are O(1) amortized, independent of the number of pending
+//!   events — the property that keeps 100k-satellite fleets at interactive
+//!   speed.
 //! - [`BinaryHeapQueue`] — the original `BinaryHeap<(tick, seq)>` queue,
 //!   kept verbatim as the reference model for property tests and as the
 //!   scheduler of the frozen [`crate::baseline`] kernel.
 //!
-//! # Why the wheel preserves pop order exactly
+//! # Why the ring preserves pop order exactly
 //!
-//! Let `W` be the wheel time (the last tick popped from the wheel, never
-//! decreasing). Three invariants, each enforced structurally:
+//! Let `T` be the ring time: the last tick popped from the ring, never
+//! decreasing. A push at `tick` goes to one of three places:
 //!
-//! 1. **Past-tick pushes** (`tick < W`) go to the `due` heap. Every `due`
-//!    tick is strictly below `W`, and every wheel/overflow tick is `>= W`,
-//!    so draining `due` first is globally minimal and no same-tick FIFO
-//!    interleaving between `due` and the wheel can exist.
-//! 2. **Wheel placement** is by the highest differing bit group between
-//!    `tick` and `W`: level `l` holds ticks whose bits above
-//!    `LEVEL_BITS * (l + 1)` equal `W`'s. Cascades only run when every
-//!    lower level is empty, and redistribute one slot's entries in push
-//!    order into empty lower slots — so each slot's deque is always
-//!    push-ordered and same-tick FIFO survives every cascade.
-//! 3. **Overflow** holds ticks whose top `64 - WHEEL_BITS` bits differ
-//!    from `W`'s; they are strictly later than everything in the wheel,
-//!    and migrate a whole wheel-horizon block at a time in `(tick, seq)`
-//!    order when the wheel drains.
+//! 1. **Past ticks** (`tick < T`) go to the `due` heap, keyed `(tick,
+//!    seq)`. Every other pending tick is `>= T`, so draining `due` first
+//!    is globally minimal and no tick has entries both in `due` and
+//!    elsewhere.
+//! 2. **The window** (`T <= tick < T + RING`) goes to slot `tick % RING`,
+//!    which holds that one tick. A slot appends in push order, so it pops
+//!    same-tick entries FIFO.
+//! 3. **Later ticks** go to the `overflow` heap, keyed `(tick, seq)`.
+//!    Whenever `T` advances, the overflow entries the new window covers
+//!    move into their slots in `(tick, seq)` order before the pop
+//!    returns — before any handler can push directly at those ticks — so
+//!    a direct push always lands behind the overflow entries pushed at its
+//!    tick earlier. An empty ring jumps `T` to the overflow minimum.
 //!
-//! Wheel slots store only `(tick, event)` — no sequence number. The
-//! sequence is implicit in slot order: pushes append in push order,
-//! cascades replay a slot front to back, and an overflow migration drains
-//! its *entire* horizon block in `(tick, seq)` order before any pop
-//! returns, so a later wheel push at a migrated tick always lands behind
-//! it. Only the `due` and `overflow` heaps, which genuinely reorder, carry
-//! explicit sequence numbers.
+//! A slot entry therefore stores only the `Event`: its tick follows from
+//! the slot and `T`, and its sequence number from its place in the slot.
+//! Only the two heaps, which genuinely reorder, carry explicit ticks and
+//! sequence numbers.
 //!
 //! # Slot storage
 //!
@@ -150,26 +146,16 @@ impl PartialOrd for EventEntry {
     }
 }
 
-/// Bits of tick resolved per wheel level. 10 bits (1024 slots) keeps the
-/// dominant event class — capture reschedules a few hundred ticks ahead —
-/// in level 0, where entries are popped straight out of their slot with
-/// no cascade re-handling.
-pub const LEVEL_BITS: u32 = 10;
-/// Slots per wheel level.
-pub const SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of wheel levels.
-pub const LEVELS: usize = 4;
-/// Total tick bits the wheel resolves; ticks differing from the wheel
-/// time above this go to the overflow heap.
-const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
-/// `u64` words per per-level occupancy bitmap.
-const SLOT_WORDS: usize = SLOTS / 64;
+/// One-tick slots in the ring: pushes less than this many ticks after the
+/// ring time go straight into a slot. It covers the dominant event class —
+/// capture reschedules a few hundred ticks ahead — and leaves about one
+/// push in 10^4 to 10^6 of the stackbench workloads to the overflow heap;
+/// 2 048 and 8 192 slots measured the same.
+const RING: usize = 4096;
+/// `u64` words in the occupancy bitmap.
+const RING_WORDS: usize = RING / 64;
 
-/// A scheduled entry inside a wheel slot: no sequence number (see the
-/// module docs — slot order is push order).
-type WheelEntry = (Tick, Event);
-
-/// Entries per pooled slot chunk (896 B): a capture entry carries its
+/// Entries per pooled slot chunk (768 B): a capture entry carries its
 /// satellite's stream state, so entries are large, and most slots of a
 /// small fleet hold a single entry. Dense slots of a large fleet follow
 /// a chunk link every 16 entries, which costs far less than the cache
@@ -178,9 +164,9 @@ const CHUNK: usize = 16;
 /// End-of-list marker for chunk links.
 const NIL: u32 = u32::MAX;
 /// Filler for never-written chunk entries; never read back.
-const VACANT: WheelEntry = (0, Event::Sample);
+const VACANT: Event = Event::Sample;
 
-/// One wheel slot: a FIFO over a chain of pool chunks. Entries run from
+/// One ring slot: a FIFO over a chain of pool chunks. Entries run from
 /// `read` in chunk `head` to `write` (exclusive) in chunk `tail`; an
 /// empty slot holds no chunk at all.
 #[derive(Debug, Clone, Copy)]
@@ -200,11 +186,11 @@ impl Slot {
     };
 }
 
-/// Fixed-size chunks shared by every wheel slot, recycled through a LIFO
+/// Fixed-size chunks shared by every ring slot, recycled through a LIFO
 /// free list threaded through `next`.
 #[derive(Debug)]
 struct ChunkPool {
-    entries: Vec<[WheelEntry; CHUNK]>,
+    entries: Vec<[Event; CHUNK]>,
     /// Link to the next chunk of the same slot (or free list); `NIL` ends
     /// a chain.
     next: Vec<u32>,
@@ -232,7 +218,7 @@ impl ChunkPool {
     /// Appends `entry` to `slot`, linking in a fresh chunk when the tail
     /// is full.
     #[inline]
-    fn push_back(&mut self, slot: &mut Slot, entry: WheelEntry) {
+    fn push_back(&mut self, slot: &mut Slot, entry: Event) {
         if slot.head == NIL {
             let c = self.alloc();
             *slot = Slot {
@@ -254,7 +240,7 @@ impl ChunkPool {
     /// Removes and returns the front entry of a non-empty `slot`,
     /// releasing its head chunk once that is fully read.
     #[inline]
-    fn pop_front(&mut self, slot: &mut Slot) -> WheelEntry {
+    fn pop_front(&mut self, slot: &mut Slot) -> Event {
         let entry = self.entries[slot.head as usize][slot.read as usize];
         slot.read += 1;
         if slot.head == slot.tail {
@@ -273,7 +259,7 @@ impl ChunkPool {
 
     /// Moves every entry of `slot` onto the end of `out` in FIFO order
     /// and releases its chunks, leaving the slot empty.
-    fn drain_into(&mut self, slot: &mut Slot, out: &mut Vec<WheelEntry>) {
+    fn drain_into(&mut self, slot: &mut Slot, out: &mut Vec<Event>) {
         let mut c = slot.head;
         let mut from = slot.read as usize;
         while c != NIL {
@@ -292,44 +278,29 @@ impl ChunkPool {
     }
 }
 
-/// Index of the first set bit at or after word `from` of a level's
-/// occupancy bitmap, if any. Callers pass the word of the wheel time's
-/// own slot: every occupied slot at a level is at or after it (wheel
-/// entries never precede the wheel time within a block), so the scan
-/// skips the permanently-empty prefix.
-#[inline]
-fn first_set_from(words: &[u64; SLOT_WORDS], from: usize) -> Option<usize> {
-    for (w, &word) in words.iter().enumerate().skip(from) {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-/// A deterministic future-event list: hierarchical timing wheel with a
-/// calendar-queue overflow level.
+/// A deterministic future-event list: a ring of one-tick slots with a
+/// keyed overflow heap for the ticks beyond it.
 ///
 /// Same contract as [`BinaryHeapQueue`] — events pop in `(tick, push
 /// order)` order — but `push`/`pop` are O(1) amortized regardless of how
 /// many events are pending, instead of O(log n) heap sifts.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `LEVELS * SLOTS` slots, indexed `level * SLOTS + slot`. Each slot
-    /// stays in push order (see module docs).
+    /// `RING` slots; slot `t % RING` holds the entries at tick `t` for
+    /// every `t` in the window `[time, time + RING)`, in push order.
     slots: Vec<Slot>,
     /// Chunk storage behind every slot.
     pool: ChunkPool,
-    /// Per-level occupancy bitmaps; bit `s` set iff slot `s` is non-empty.
-    occupied: [[u64; SLOT_WORDS]; LEVELS],
-    /// Wheel time `W`: the last tick popped from the wheel (never
-    /// decreases). All wheel/overflow entries have `tick >= W`.
-    wheel_time: Tick,
-    /// Entries pushed at ticks strictly below the wheel time. Strictly
-    /// earlier than everything in the wheel, so always drained first.
+    /// Occupancy bitmap; bit `s` set iff slot `s` is non-empty.
+    occupied: [u64; RING_WORDS],
+    /// Ring time `T`: the last tick popped from the ring (never
+    /// decreases). All ring and overflow entries have `tick >= T`.
+    time: Tick,
+    /// Entries pushed at ticks strictly below the ring time. Strictly
+    /// earlier than everything in the ring, so always drained first.
     due: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
-    /// Entries beyond the wheel horizon, keyed `(tick, seq)`; migrated a
-    /// whole horizon block at a time when the wheel drains.
+    /// Entries at `time + RING` or later, keyed `(tick, seq)`; each moves
+    /// into its slot as soon as the window covers it.
     overflow: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
     sequence: u64,
     len: usize,
@@ -339,14 +310,14 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         Self {
-            slots: vec![Slot::EMPTY; LEVELS * SLOTS],
+            slots: vec![Slot::EMPTY; RING],
             pool: ChunkPool {
                 entries: Vec::new(),
                 next: Vec::new(),
                 free: NIL,
             },
-            occupied: [[0; SLOT_WORDS]; LEVELS],
-            wheel_time: 0,
+            occupied: [0; RING_WORDS],
+            time: 0,
             due: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             sequence: 0,
@@ -354,6 +325,12 @@ impl Default for EventQueue {
             peak: 0,
         }
     }
+}
+
+/// The ring slot that holds `tick`.
+#[inline]
+fn slot_of(tick: Tick) -> usize {
+    (tick % RING as Tick) as usize
 }
 
 impl EventQueue {
@@ -370,11 +347,11 @@ impl EventQueue {
         if self.len > self.peak {
             self.peak = self.len;
         }
-        if tick < self.wheel_time {
+        if tick < self.time {
             self.due
                 .push(Reverse((tick, self.sequence, EventEntry(event))));
             self.sequence += 1;
-        } else if (tick ^ self.wheel_time) >> WHEEL_BITS != 0 {
+        } else if tick - self.time >= RING as Tick {
             self.overflow
                 .push(Reverse((tick, self.sequence, EventEntry(event))));
             self.sequence += 1;
@@ -383,24 +360,12 @@ impl EventQueue {
         }
     }
 
-    /// Files an in-horizon `tick >= wheel_time` entry into its wheel
-    /// level.
+    /// Appends an in-window entry to its slot.
     #[inline]
     fn place(&mut self, tick: Tick, event: Event) {
-        let diff = tick ^ self.wheel_time;
-        debug_assert_eq!(diff >> WHEEL_BITS, 0, "place() past the horizon");
-        // Highest differing LEVEL_BITS group picks the level; diff == 0
-        // (tick == wheel time) lands in level 0.
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
-        };
-        let shift = LEVEL_BITS * level as u32;
-        let slot = ((tick >> shift) & (SLOTS as u64 - 1)) as usize;
-        self.pool
-            .push_back(&mut self.slots[level * SLOTS + slot], (tick, event));
-        self.occupied[level][slot >> 6] |= 1 << (slot & 63);
+        let slot = slot_of(tick);
+        self.pool.push_back(&mut self.slots[slot], event);
+        self.occupied[slot >> 6] |= 1 << (slot & 63);
     }
 
     /// Pops the earliest event, if any.
@@ -408,36 +373,31 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        // Past-tick pushes are strictly earlier than the wheel (invariant
-        // 1 in the module docs): drain them first.
+        self.len -= 1;
+        // Past-tick pushes are strictly earlier than the ring (case 1 in
+        // the module docs): drain them first.
         if let Some(Reverse((tick, _, EventEntry(e)))) = self.due.pop() {
-            self.len -= 1;
             return Some((tick, e));
         }
-        let slot = self
-            .lowest_ready_slot()
-            .expect("len > 0 with empty storage");
+        let slot = self.advance();
         let list = &mut self.slots[slot];
-        let (tick, event) = self.pool.pop_front(list);
+        let event = self.pool.pop_front(list);
         if list.head == NIL {
-            self.occupied[0][slot >> 6] &= !(1 << (slot & 63));
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
         }
-        self.wheel_time = tick;
-        self.len -= 1;
-        Some((tick, event))
+        Some((self.time, event))
     }
 
     /// Drains every event at the earliest pending tick into `buf`
-    /// (cleared first) in FIFO order, returning that tick. Level-0 slots
-    /// hold exactly one tick each, so the drain copies the slot's chunks
-    /// out front to back and returns them to the pool's free list, where
-    /// the pushes made while handling the batch pick them up again. A
-    /// push at the drained tick itself (a zero delay) starts a fresh
-    /// chain in the now-empty slot and surfaces on the next call, behind
-    /// the whole batch, as pop order requires. `buf` keeps its capacity,
-    /// so once it and the pool have reached their peaks the drain
-    /// allocates nothing. Past-tick (`due`) entries are rare and surfaced
-    /// one at a time. Every entry carries the returned tick.
+    /// (cleared first) in FIFO order, returning that tick. A slot holds
+    /// exactly one tick, so the drain copies the slot's chunks out front
+    /// to back and returns them to the pool's free list, where the pushes
+    /// made while handling the batch pick them up again. A push at the
+    /// drained tick itself (a zero delay) starts a fresh chain in the
+    /// now-empty slot and surfaces on the next call, behind the whole
+    /// batch, as pop order requires. `buf` keeps its capacity, so once it
+    /// and the pool have reached their peaks the drain allocates nothing.
+    /// Past-tick (`due`) entries are rare and surfaced one at a time.
     ///
     /// `len` accounting is deferred: the caller must invoke
     /// [`EventQueue::consume_one`] once per drained event *before* any
@@ -446,23 +406,19 @@ impl EventQueue {
     /// to a pop-one-at-a-time loop over the same schedule.
     ///
     /// Returns `None` (with `buf` empty) when no events are pending.
-    pub fn pop_tick(&mut self, buf: &mut Vec<(Tick, Event)>) -> Option<Tick> {
+    pub fn pop_tick(&mut self, buf: &mut Vec<Event>) -> Option<Tick> {
         buf.clear();
         if self.len == 0 {
             return None;
         }
         if let Some(Reverse((tick, _, EventEntry(e)))) = self.due.pop() {
-            buf.push((tick, e));
+            buf.push(e);
             return Some(tick);
         }
-        let slot = self
-            .lowest_ready_slot()
-            .expect("len > 0 with empty storage");
+        let slot = self.advance();
         self.pool.drain_into(&mut self.slots[slot], buf);
-        let tick = buf.first().expect("occupied slot is empty").0;
-        self.occupied[0][slot >> 6] &= !(1 << (slot & 63));
-        self.wheel_time = tick;
-        Some(tick)
+        self.occupied[slot >> 6] &= !(1 << (slot & 63));
+        Some(self.time)
     }
 
     /// Retires one event previously drained by [`EventQueue::pop_tick`]
@@ -472,67 +428,51 @@ impl EventQueue {
         self.len -= 1;
     }
 
-    /// Ensures level 0 has an occupied slot — cascading higher levels or
-    /// migrating an overflow block as needed — and returns its index, or
-    /// `None` if the whole queue is empty.
-    fn lowest_ready_slot(&mut self) -> Option<usize> {
-        loop {
-            // Level 0 slots hold exactly one tick each; the lowest
-            // occupied slot is the minimum pending tick, and it is never
-            // below the wheel time's own slot.
-            let hint = (self.wheel_time as usize & (SLOTS - 1)) >> 6;
-            if let Some(slot) = first_set_from(&self.occupied[0], hint) {
-                return Some(slot);
+    /// Moves the ring time to the earliest pending ring tick (an empty
+    /// ring jumps to the overflow minimum), migrates every overflow entry
+    /// the new window covers, and returns the slot of the new ring time.
+    /// The caller has checked that something is pending outside `due`.
+    fn advance(&mut self) -> usize {
+        self.time = match self.first_occupied() {
+            Some(ahead) => self.time + ahead,
+            None => {
+                let Reverse((first, _, _)) =
+                    self.overflow.peek().expect("len > 0 with empty storage");
+                *first
             }
-            if self.cascade() {
-                continue;
+        };
+        while let Some(&Reverse((tick, _, _))) = self.overflow.peek() {
+            if tick - self.time >= RING as Tick {
+                break;
             }
-            // Wheel fully drained: migrate the next horizon block from
-            // the overflow heap (in (tick, seq) order, preserving FIFO).
-            let &Reverse((first, _, _)) = self.overflow.peek()?;
-            self.wheel_time = first >> WHEEL_BITS << WHEEL_BITS;
-            while let Some(&Reverse((tick, _, _))) = self.overflow.peek() {
-                if tick >> WHEEL_BITS != first >> WHEEL_BITS {
-                    break;
-                }
-                let Reverse((tick, _, EventEntry(e))) =
-                    self.overflow.pop().expect("peeked entry vanished");
-                self.place(tick, e);
-            }
+            let Reverse((tick, _, EventEntry(e))) =
+                self.overflow.pop().expect("peeked entry vanished");
+            self.place(tick, e);
         }
+        slot_of(self.time)
     }
 
-    /// Redistributes the lowest occupied slot of the lowest non-empty
-    /// level into the (empty) levels below it. Returns false if the whole
-    /// wheel is empty.
-    fn cascade(&mut self) -> bool {
-        for level in 1..LEVELS {
-            let shift = LEVEL_BITS * level as u32;
-            let hint = ((self.wheel_time >> shift) as usize & (SLOTS - 1)) >> 6;
-            let Some(slot) = first_set_from(&self.occupied[level], hint) else {
-                continue;
-            };
-            // Advance the wheel to the slot's base tick: upper bits kept,
-            // this level's bits set to the slot index, lower bits zeroed.
-            // Every entry in the slot is >= this base, and every lower
-            // level is empty, so redistribution lands in fresh slots.
-            let base =
-                ((self.wheel_time >> (shift + LEVEL_BITS)) << LEVEL_BITS | slot as Tick) << shift;
-            debug_assert!(base >= self.wheel_time);
-            self.wheel_time = base;
-            self.occupied[level][slot >> 6] &= !(1 << (slot & 63));
-            // Replay the detached chain front to back, which preserves
-            // push order. Each chunk is released as soon as it is read,
-            // so the placements below reuse it straight away.
-            let mut list = std::mem::replace(&mut self.slots[level * SLOTS + slot], Slot::EMPTY);
-            while list.head != NIL {
-                let (tick, event) = self.pool.pop_front(&mut list);
-                debug_assert!(tick >= base && (tick ^ base) >> shift == 0);
-                self.place(tick, event);
-            }
-            return true;
-        }
-        false
+    /// Ticks from the ring time to the earliest occupied slot, if any.
+    /// Slots run in tick order from the ring time's own slot round to
+    /// the slot just before it, so the bitmap is scanned circularly from
+    /// that slot's bit.
+    #[inline]
+    fn first_occupied(&self) -> Option<Tick> {
+        let start = slot_of(self.time);
+        let (word, bit) = (start >> 6, start & 63);
+        let own = self.occupied[word] >> bit << bit;
+        let found = if own != 0 {
+            word * 64 + own.trailing_zeros() as usize
+        } else {
+            // Wrapping round to the start word again reads its low bits:
+            // the window's far end.
+            (1..=RING_WORDS).find_map(|k| {
+                let w = (word + k) % RING_WORDS;
+                let bits = self.occupied[w];
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            })?
+        };
+        Some(((found + RING - start) % RING) as Tick)
     }
 
     /// Number of pending events.
@@ -555,7 +495,7 @@ impl EventQueue {
 }
 
 /// The original binary-heap event queue, kept as the reference model for
-/// the timing wheel's property tests and as the scheduler of the frozen
+/// the ring's property tests and as the scheduler of the frozen
 /// [`crate::baseline`] kernel the kernel-equality tests compare against.
 /// Pop order is identical to [`EventQueue`]'s by construction:
 /// strictly `(tick, sequence)`.
@@ -659,8 +599,9 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_overflow_horizon() {
-        // Ticks beyond 2^30 from the wheel time exercise the overflow
-        // heap and whole-block migration; mix in near-term events.
+        // Ticks far beyond the ring's window exercise the overflow heap,
+        // the jump of an empty ring and migration; mix in near-term
+        // events.
         let mut q = EventQueue::new();
         let far = 1u64 << 40;
         q.push(far + 3, Event::Sample);
@@ -677,36 +618,94 @@ mod tests {
     }
 
     #[test]
-    fn cascades_across_level_boundaries_preserve_order() {
-        // Pushes spanning every wheel level plus same-tick pairs at a
-        // level boundary; pops must match the heap model exactly.
-        let mut wheel = EventQueue::new();
+    fn overflow_entries_pop_before_later_direct_pushes_at_their_tick() {
+        // `t` lies beyond the window when the first capture is pushed, so
+        // that one waits in the overflow heap; once the ring time moves to
+        // 20 the window covers `t`, and the handler's push goes straight
+        // into the slot. Push order must survive, through `pop_tick` and
+        // through `pop`.
+        let t = RING as Tick + 10;
+        let mut buf = Vec::new();
+        let mut drained = EventQueue::new();
+        let mut popped = EventQueue::new();
+        for q in [&mut drained, &mut popped] {
+            q.push(20, Event::Sample);
+            q.push(t, capture(1));
+        }
+        assert_eq!(drained.pop_tick(&mut buf), Some(20));
+        drained.consume_one();
+        drained.push(t, capture(2));
+        assert_eq!(drained.pop_tick(&mut buf), Some(t));
+        assert_eq!(buf, [capture(1), capture(2)]);
+        assert_eq!(popped.pop(), Some((20, Event::Sample)));
+        popped.push(t, capture(2));
+        assert_eq!(popped.pop(), Some((t, capture(1))));
+        assert_eq!(popped.pop(), Some((t, capture(2))));
+    }
+
+    #[test]
+    fn pushes_at_the_horizon_and_across_slot_zero_match_the_heap_model() {
+        let h = RING as Tick;
+        let mut ring = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
-        let ticks = [
-            0u64,
-            1,
-            63,
-            64,
-            64, // same tick across a level-0 boundary
-            65,
-            4095,
-            4096,
-            1 << 18,
-            (1 << 18) + 1,
-            1 << 24,
-            (1 << 29) + 12345,
-            (1 << 30) + 7,
-            (1 << 30) + 7,
-        ];
-        for (i, &t) in ticks.iter().enumerate() {
-            wheel.push(t, capture(i as u32));
-            model.push(t, capture(i as u32));
+        let mut serial = 0;
+        let mut push = |ring: &mut EventQueue, model: &mut BinaryHeapQueue, tick: Tick| {
+            ring.push(tick, capture(serial));
+            model.push(tick, capture(serial));
+            serial += 1;
+        };
+        // From ring time 0: the last tick in the window, the first past
+        // it and the next, twice each.
+        for t in [h - 1, h, h + 1, h - 1, h, h + 1] {
+            push(&mut ring, &mut model, t);
         }
-        assert_eq!(wheel.len(), model.len());
+        // A run of consecutive ticks from the ring's last slots round
+        // past slot 0.
+        for t in h - 6..h + 6 {
+            push(&mut ring, &mut model, t);
+        }
+        // Pop through h - 3: the ring time then sits in the ring's last
+        // slots, so the window's far end lies in the slots before its
+        // own, past slot 0.
+        let now = h - 3;
+        loop {
+            let got = ring.pop();
+            assert_eq!(got, model.pop());
+            if got.is_some_and(|(t, _)| t == now) {
+                break;
+            }
+        }
+        for t in [now + h - 1, now + h, now + h + 1, now + h - 1, now + h] {
+            push(&mut ring, &mut model, t);
+        }
+        assert_eq!(ring.len(), model.len());
         while let Some(expected) = model.pop() {
-            assert_eq!(wheel.pop(), Some(expected));
+            assert_eq!(ring.pop(), Some(expected));
         }
-        assert!(wheel.is_empty());
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn an_empty_ring_jumps_to_the_overflow_minimum() {
+        let h = RING as Tick;
+        let far = 5 * h + 17;
+        let mut q = EventQueue::new();
+        q.push(far + 2, capture(2));
+        q.push(far, capture(0));
+        q.push(far + h, capture(3)); // still past the window after the jump
+        q.push(far, capture(1));
+        let mut buf = Vec::new();
+        assert_eq!(q.pop_tick(&mut buf), Some(far));
+        assert_eq!(buf, [capture(0), capture(1)]);
+        assert_eq!(q.time, far);
+        assert_eq!(q.overflow.len(), 1, "only far + RING waits on");
+        q.consume_one();
+        q.consume_one();
+        q.push(far + 2, capture(4)); // lands behind the migrated entry
+        assert_eq!(q.pop(), Some((far + 2, capture(2))));
+        assert_eq!(q.pop(), Some((far + 2, capture(4))));
+        assert_eq!(q.pop(), Some((far + h, capture(3))));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -714,7 +713,7 @@ mod tests {
         // Deterministic pseudo-random interleaving: advance time by
         // popping, keep pushing relative offsets (including 0 = same
         // tick as the last pop, a "past-edge" push).
-        let mut wheel = EventQueue::new();
+        let mut ring = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut last = 0u64;
@@ -730,19 +729,19 @@ mod tests {
                 _ => state % (1 << 34),
             };
             let tick = last + offset;
-            wheel.push(tick, capture(round));
+            ring.push(tick, capture(round));
             model.push(tick, capture(round));
             if state & 1 == 0 {
-                let got = wheel.pop();
+                let got = ring.pop();
                 assert_eq!(got, model.pop(), "round {round}");
                 last = got.map_or(last, |(t, _)| t);
             }
         }
         while let Some(expected) = model.pop() {
-            assert_eq!(wheel.pop(), Some(expected));
+            assert_eq!(ring.pop(), Some(expected));
         }
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.len(), 0);
+        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
     }
 
     #[test]
@@ -781,11 +780,7 @@ mod tests {
     }
 
     fn occupied_slots(q: &EventQueue) -> usize {
-        q.occupied
-            .iter()
-            .flatten()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        q.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     #[test]
@@ -818,7 +813,7 @@ mod tests {
         check(&q);
         while let Some(tick) = q.pop_tick(&mut buf) {
             check(&q);
-            for &(_, event) in &buf {
+            for &event in &buf {
                 q.consume_one();
                 // Ramp up to tick 20k, then let the load die out.
                 let children = match tick {

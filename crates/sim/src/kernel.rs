@@ -34,12 +34,13 @@
 //! a satellite always has exactly one pending capture, and only its own
 //! captures touch its arrival stream and imaging-window phase, so both
 //! travel inside that `Event::Capture`. A capture reads them from the
-//! entry `pop_tick` has just copied out of its wheel slot, in slot order,
+//! event `pop_tick` has just copied out of its ring slot, in slot order,
 //! and writes them back with the push that schedules the next capture.
-//! Memory stays proportional to live work: the event queue's slots share
-//! one chunk pool, and the ISL FIFO — which at saturation holds millions
-//! of images — stores runs of equal capture ticks instead of one entry
-//! per image.
+//! Memory stays proportional to live work: a ring slot holds one tick, so
+//! its entries store the bare 48-byte event with no tick beside it, the
+//! slots share one chunk pool, and the ISL FIFO — which at saturation
+//! holds millions of images — stores runs of equal capture ticks instead
+//! of one entry per image.
 //!
 //! A capture's successor comes `duration_ticks(next_exp() * mean)` ticks
 //! later, and `next_exp`'s `ln` used to be the largest cost of a capture.
@@ -537,7 +538,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         // order. Handler order, pushes, and the pending-count trajectory
         // (see `EventQueue::consume_one`) are identical to a
         // one-pop-at-a-time loop.
-        let mut batch: Vec<(Tick, Event)> = Vec::new();
+        let mut batch: Vec<Event> = Vec::new();
         while let Some(tick) = self.queue.pop_tick(&mut batch) {
             if tick > self.cfg.duration_ticks {
                 break;
@@ -557,7 +558,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 },
             );
             self.now = tick;
-            for &(_, event) in &batch {
+            for &event in &batch {
                 self.queue.consume_one();
                 match event {
                     Event::Capture { sat, phase, rng } => self.on_capture(sat, phase, rng),

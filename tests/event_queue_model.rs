@@ -1,8 +1,8 @@
-//! Property tests holding the timing-wheel scheduler to the reference
-//! `BinaryHeap` model.
+//! Property tests holding the ring scheduler to the reference `BinaryHeap`
+//! model.
 //!
-//! [`EventQueue`] (hierarchical timing wheel + calendar overflow) and
-//! [`BinaryHeapQueue`] (the original `BinaryHeap<Reverse<(tick, seq,
+//! [`EventQueue`] (a ring of 4 096 one-tick slots after the ring time,
+//! plus a keyed overflow heap for later ticks) and [`BinaryHeapQueue`] (the original `BinaryHeap<Reverse<(tick, seq,
 //! event)>>`) implement the same contract: pop in tick order, FIFO within
 //! a tick, any push tick accepted — including ticks at or before the last
 //! pop. Random interleavings of pushes and pops must be observationally
@@ -12,13 +12,19 @@
 //!
 //! Every pushed capture carries its own stream state and phase, as the
 //! kernel's captures do, so that equality also proves the carried state
-//! comes back intact through the `due` heap, overflow migration, cascades
-//! and `pop_tick` drains.
+//! comes back intact through the `due` heap, overflow migration and
+//! `pop_tick` drains.
+//!
+//! Case counts honour `SUDC_PROPTEST_CASES` (see `.github/workflows/ci.yml`).
 
 use proptest::collection;
 use proptest::prelude::*;
 use space_udc::par::rng::Rng64;
 use space_udc::sim::{BinaryHeapQueue, Event, EventQueue};
+
+/// The ring's window in ticks: a push at least this far past the ring
+/// time goes to the overflow heap.
+const RING: u64 = 4096;
 
 /// Capture number `serial`: a satellite id, phase and stream state that
 /// no other serial shares.
@@ -34,27 +40,38 @@ fn capture(serial: u32) -> Event {
 /// identical observable behavior after every operation. Each `u64` word
 /// encodes one operation:
 ///
-/// - `0..=2`: push a few thousand ticks ahead of the last pop;
-/// - `3`: push at exactly the previous push's tick (same-tick FIFO);
-/// - `4`: push far ahead — beyond the wheel's 2^30-tick horizon, into
-///   the calendar overflow level (Weibull lifetimes, contact windows);
-/// - `5`: push at or before the last popped tick (retry backoff of 0,
-///   zero-duration transfers);
+/// - `0..=2`: push inside the ring's window `[now, now + RING)`;
+/// - `3`: push at exactly the previous push's tick or the last op-`4`
+///   tick (same-tick FIFO; at the op-`4` tick, across its migration from
+///   the overflow heap once a pop has brought it into the window);
+/// - `4`: push at the window's edge or past it, into the overflow heap:
+///   at `now + RING - 1` (the last tick inside), `now + RING` or one
+///   past it, up to four windows past the edge, or up to 2^40 ticks past
+///   `now` (Weibull lifetimes, contact windows), past 2^32 in most draws;
+/// - `5`: push at or before `now` (retry backoff of 0, zero-duration
+///   transfers);
 /// - `6..=7`: pop once from both queues and compare;
 /// - `8`: drain one tick the way the kernel does — `pop_tick`, then per
 ///   event `consume_one`, a model pop to compare, and the pushes a
-///   handler would make (same tick included);
+///   handler would make: at the tick being drained, a little later, or
+///   at the last op-`4` tick if that is not past. The drain's advance
+///   may just have brought that tick into the window, so the handler's
+///   direct push must pop behind the entry that waited in the overflow
+///   heap;
 /// - `9`: a same-tick burst of 65–200 events, longer than one slot
-///   chunk, up to two wheel levels ahead so it also cascades.
+///   chunk, inside the window or up to 2^20 ticks past it.
 fn replay(words: &[u64]) -> Result<(), TestCaseError> {
-    let mut wheel = EventQueue::new();
+    let mut ring = EventQueue::new();
     let mut model = BinaryHeapQueue::new();
     let mut buf = Vec::new();
-    let mut last_pop = 0u64;
+    // The latest tick popped so far, which is the ring time: `due` pops
+    // lie below it.
+    let mut now = 0u64;
     let mut last_push = 0u64;
+    let mut last_far = 0u64;
     let mut serial = 0u32;
-    let mut push = |wheel: &mut EventQueue, model: &mut BinaryHeapQueue, tick: u64| {
-        wheel.push(tick, capture(serial));
+    let mut push = |ring: &mut EventQueue, model: &mut BinaryHeapQueue, tick: u64| {
+        ring.push(tick, capture(serial));
         model.push(tick, capture(serial));
         serial += 1;
     };
@@ -62,66 +79,80 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
         match w % 10 {
             op @ (0..=5) => {
                 let tick = match op {
-                    0..=2 => last_pop + (w >> 4) % 4096,
-                    3 => last_push,
-                    4 => last_pop + (w >> 4) % (1u64 << 34),
-                    _ => last_pop.saturating_sub((w >> 4) % 1024),
+                    0..=2 => now + (w >> 4) % RING,
+                    3 if (w >> 4) & 1 == 0 => last_push,
+                    3 => last_far,
+                    4 => {
+                        now + match (w >> 4) % 3 {
+                            0 => RING - 1 + (w >> 8) % 3,
+                            1 => RING + (w >> 8) % (4 * RING),
+                            _ => (w >> 8) % (1u64 << 40),
+                        }
+                    }
+                    _ => now.saturating_sub((w >> 4) % 1024),
                 };
                 last_push = tick;
-                push(&mut wheel, &mut model, tick);
+                if op == 4 {
+                    last_far = tick;
+                }
+                push(&mut ring, &mut model, tick);
             }
             6 | 7 => {
-                let got = wheel.pop();
+                let got = ring.pop();
                 let want = model.pop();
                 prop_assert_eq!(&got, &want);
                 if let Some((tick, _)) = got {
-                    last_pop = tick;
+                    now = now.max(tick);
                 }
             }
             8 => {
-                let Some(tick) = wheel.pop_tick(&mut buf) else {
+                let Some(tick) = ring.pop_tick(&mut buf) else {
                     prop_assert!(model.is_empty());
                     continue;
                 };
-                last_pop = tick;
-                for (k, &entry) in buf.iter().enumerate() {
-                    prop_assert_eq!(entry.0, tick);
-                    wheel.consume_one();
-                    prop_assert_eq!(Some(entry), model.pop());
-                    prop_assert_eq!(wheel.len(), model.len());
-                    // Handler pushes: none, one ahead, or one at the
-                    // tick being drained (it must pop after the batch).
-                    match (w >> 4).wrapping_add(k as u64) % 3 {
+                now = now.max(tick);
+                for (k, &event) in buf.iter().enumerate() {
+                    ring.consume_one();
+                    prop_assert_eq!(Some((tick, event)), model.pop());
+                    prop_assert_eq!(ring.len(), model.len());
+                    // Handler pushes: none, one ahead, one at the tick
+                    // being drained (it must pop after the batch), or one
+                    // at the last far push's tick (it must pop after the
+                    // entries pushed there earlier). A handler never
+                    // pushes into the past, which would overtake the rest
+                    // of the drained batch.
+                    match (w >> 4).wrapping_add(k as u64) % 4 {
                         0 => {}
-                        1 => push(&mut wheel, &mut model, tick + (w >> 8) % 2048),
-                        _ => push(&mut wheel, &mut model, tick),
+                        1 => push(&mut ring, &mut model, tick + (w >> 8) % 2048),
+                        2 => push(&mut ring, &mut model, tick),
+                        _ => push(&mut ring, &mut model, last_far.max(tick)),
                     }
                 }
             }
             _ => {
-                let tick = last_pop + (w >> 12) % (1u64 << 20);
+                let tick = now + (w >> 12) % (RING + (1u64 << 20));
                 for _ in 0..65 + (w >> 4) % 136 {
-                    push(&mut wheel, &mut model, tick);
+                    push(&mut ring, &mut model, tick);
                 }
                 last_push = tick;
             }
         }
-        prop_assert_eq!(wheel.len(), model.len());
-        prop_assert_eq!(wheel.is_empty(), model.is_empty());
-        prop_assert_eq!(wheel.peak_len(), model.peak_len());
+        prop_assert_eq!(ring.len(), model.len());
+        prop_assert_eq!(ring.is_empty(), model.is_empty());
+        prop_assert_eq!(ring.peak_len(), model.peak_len());
     }
     // Drain what survives the interleaving: full global order check.
     while !model.is_empty() {
-        prop_assert_eq!(wheel.pop(), model.pop());
+        prop_assert_eq!(ring.pop(), model.pop());
     }
-    prop_assert!(wheel.is_empty());
-    prop_assert_eq!(wheel.pop(), None);
-    prop_assert_eq!(wheel.peak_len(), model.peak_len());
+    prop_assert!(ring.is_empty());
+    prop_assert_eq!(ring.pop(), None);
+    prop_assert_eq!(ring.peak_len(), model.peak_len());
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_env_cases(48))]
 
     #[test]
     fn wheel_is_indistinguishable_from_the_heap_model(
@@ -133,18 +164,23 @@ proptest! {
     #[test]
     fn bursts_at_one_tick_pop_in_push_order(
         burst in 2u32..300,
-        tick in 0u64..(1u64 << 32),
+        far in 0u64..(1u64 << 40),
+        near in 0u32..2,
     ) {
         // Same-tick FIFO in isolation: a pure burst must come back in
         // exactly the order it went in, on both implementations, popped
         // one at a time or drained by one `pop_tick`. Bursts run past
-        // several slot chunks, and far ticks reach the wheel through the
-        // overflow heap and a cascade per level.
-        let mut wheel = EventQueue::new();
+        // several slot chunks. Half the ticks lie within two windows of
+        // 0, in the ring or just past it; the rest lie up to 2^40 ticks
+        // out, past 2^32 in almost every draw. A tick past the window
+        // reaches the ring through the overflow heap and the jump of the
+        // empty ring.
+        let tick = if near == 1 { far % (2 * RING) } else { far };
+        let mut ring = EventQueue::new();
         let mut drained = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         for sat in 0..burst {
-            wheel.push(tick, capture(sat));
+            ring.push(tick, capture(sat));
             drained.push(tick, capture(sat));
             model.push(tick, capture(sat));
         }
@@ -153,8 +189,8 @@ proptest! {
         prop_assert_eq!(buf.len(), burst as usize);
         for sat in 0..burst {
             let want = Some((tick, capture(sat)));
-            prop_assert_eq!(wheel.pop(), want);
-            prop_assert_eq!(Some(buf[sat as usize]), want);
+            prop_assert_eq!(ring.pop(), want);
+            prop_assert_eq!(Some((tick, buf[sat as usize])), want);
             prop_assert_eq!(model.pop(), want);
             drained.consume_one();
         }
