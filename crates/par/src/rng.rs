@@ -127,10 +127,14 @@ impl Rng64 {
     /// Uniform integer draw in `[0, bound)` via Lemire's multiply-shift
     /// (bias negligible for the bounds used here).
     ///
+    /// Inlined across crates like the other draws: the zero-bound error
+    /// is built out of line, so the hot path is one multiply.
+    ///
     /// # Panics
     ///
     /// Panics if `bound` is 0 (see [`Rng64::try_below`]).
     #[must_use]
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         match self.try_below(bound) {
             Ok(x) => x,
@@ -143,14 +147,10 @@ impl Rng64 {
     /// # Errors
     ///
     /// Returns a structured error if `bound` is 0.
+    #[inline]
     pub fn try_below(&mut self, bound: u64) -> Result<u64, sudc_errors::SudcError> {
         if bound == 0 {
-            return Err(sudc_errors::SudcError::single(
-                "Rng64::next_below",
-                "bound",
-                bound,
-                "a positive bound",
-            ));
+            return Err(zero_bound_error());
         }
         Ok(((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64)
     }
@@ -175,6 +175,14 @@ impl Rng64 {
     pub fn exp_from_u64(bits: u64) -> f64 {
         -(1.0 - unit_from_u64(bits)).max(f64::MIN_POSITIVE).ln()
     }
+}
+
+/// The error [`Rng64::try_below`] returns for a zero bound, built out of
+/// line so the draw itself stays small enough to inline.
+#[cold]
+#[inline(never)]
+fn zero_bound_error() -> sudc_errors::SudcError {
+    sudc_errors::SudcError::single("Rng64::next_below", "bound", 0, "a positive bound")
 }
 
 /// Top 53 bits scaled by 2^-53: the canonical double construction.
@@ -269,7 +277,10 @@ mod tests {
         assert!(rng.try_range(f64::NAN, 1.0).is_err());
         assert!(rng.try_range(0.0, f64::INFINITY).is_err());
         assert!(rng.try_range(3.0, 3.0).is_err());
-        assert!(rng.try_below(0).is_err());
+        assert_eq!(
+            rng.try_below(0).unwrap_err().to_string(),
+            "invalid Rng64::next_below: `bound` = 0 (allowed: a positive bound)"
+        );
         // Rejected draws consumed no randomness.
         assert_eq!(rng.next_u64(), twin.next_u64());
         let err = rng.try_range(2.0, -2.0).unwrap_err();

@@ -429,11 +429,18 @@ impl RouterConfig {
     }
 
     /// Latitude-bin index for a capture latitude in degrees (clamped to
-    /// the poles).
+    /// the poles, rounded half away from zero; NaN maps to bin 0).
+    ///
+    /// Rounds by truncation plus a half test rather than `f64::round`,
+    /// which is a libm call on targets without a rounding instruction
+    /// (the x86-64 baseline); the two agree on every input, and
+    /// `x - t` is exact because `t` is `x`'s integer part.
     #[must_use]
+    #[inline]
     pub fn lat_bin(lat_deg: f64) -> usize {
-        let clamped = lat_deg.clamp(-90.0, 90.0);
-        (clamped + 90.0).round() as usize
+        let x = lat_deg.clamp(-90.0, 90.0) + 90.0;
+        let t = x as usize;
+        t + usize::from(x - t as f64 >= 0.5)
     }
 }
 
@@ -579,5 +586,23 @@ mod tests {
         assert_eq!(RouterConfig::lat_bin(90.0), 180);
         assert_eq!(RouterConfig::lat_bin(200.0), 180);
         assert_eq!(RouterConfig::lat_bin(f64::NEG_INFINITY), 0);
+    }
+
+    #[test]
+    fn lat_bin_matches_libm_round() {
+        // The form `lat_bin` replaced, kept as the oracle.
+        let oracle = |lat: f64| (lat.clamp(-90.0, 90.0) + 90.0).round() as usize;
+        let mut inputs = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        // Every 1/8 degree from -200 to 200 (exact in binary).
+        inputs.extend((-1600..=1600).map(|i| f64::from(i) / 8.0));
+        // Both neighbours of every half degree, where rounding flips.
+        for i in -400..=400 {
+            let half = f64::from(i) / 2.0;
+            inputs.extend([half.next_up(), half.next_down()]);
+        }
+        for lat in inputs {
+            assert_eq!(RouterConfig::lat_bin(lat), oracle(lat), "lat {lat:?}");
+        }
+        assert_eq!(RouterConfig::lat_bin(f64::NAN), 0);
     }
 }

@@ -18,6 +18,22 @@
 //! order, and each decision is four table lookups (one per tier) plus a
 //! handful of multiply-adds against the memoized
 //! [`TierTerms`](crate::config::TierTerms).
+//!
+//! The per-request path calls nothing out of line: generation inlines
+//! its draws and picks the deadline class from a table, the latitude bin
+//! rounds without libm, and each tier is tested against a four-entry
+//! capacity array, the winner kept by conditional moves. Besides the
+//! verdict's (placed, deferred or rejected), two data-dependent branches
+//! are left, and both are deliberate: one skips a tier that cannot hold
+//! the payload, the other a tier that misses the deadline. Each resolves
+//! before the select chain starts, so its mispredictions are cheap and
+//! the verdict branch learns from its history. Folding them into the
+//! selects measured slower, because everything after them then waits on
+//! the whole chain: with both folded, the overload stream ran slower
+//! than with the old branchy loop; with the deadline test alone folded,
+//! a stream that places every request on the SµDC lost the whole gain.
+
+use std::hint::select_unpredictable;
 
 use sudc_errors::SudcError;
 use sudc_par::{chunk_bounds, par_map_threads, threads};
@@ -457,7 +473,7 @@ impl Router {
         stats.ground_budget_gbit = ground_budget;
 
         // Scoring in drain (priority) order: four memoized tier
-        // evaluations per request.
+        // evaluations per request, each against its tier's capacity.
         for &k in drain.iter() {
             let k = k as usize;
             let r = push(k);
@@ -465,18 +481,29 @@ impl Router {
             let wait = self.cfg.lat_wait_s[RouterConfig::lat_bin(r.lat_deg)];
             let size = r.size_gbit * self.cfg.image_gbit;
             let deadline = r.deadline_s;
+            // What each tier can still hold, in `Tier` order: the edge and
+            // cloud tiers share the ground segment's budget.
+            let capacity = [
+                self.cfg.onboard_max_gbit,
+                sudc_budget,
+                ground_budget,
+                ground_budget,
+            ];
 
-            let mut best: Option<(f64, f64, usize)> = None; // (cost, latency, tier)
-                                                            // Best latency among tiers that could still *hold* the
-                                                            // request (capacity and size allow), deadline aside — the
-                                                            // defer-vs-reject signal.
+            // The cheapest feasible tier, then the fastest, then the first
+            // in tier order (iteration order, so a later tier must be
+            // strictly better). A closed or late tier is skipped by a
+            // branch; the winner among the rest is kept by selects.
+            let mut found = false;
+            let (mut best_cost, mut best_latency, mut best_tier) = (0.0, 0.0, 0);
+            // Best latency among tiers that could still *hold* the
+            // request (capacity and size allow), deadline aside — the
+            // defer-vs-reject signal.
             let mut reachable_latency = f64::INFINITY;
-            for (t, term) in terms.iter().enumerate() {
-                let open = match Tier::from_index(t) {
-                    Tier::Onboard => size <= self.cfg.onboard_max_gbit,
-                    Tier::OrbitalSudc => size <= sudc_budget,
-                    Tier::GroundEdge | Tier::Cloud => size <= ground_budget,
-                };
+            // Indexed, not zipped, so LLVM unrolls the four tiers.
+            for t in 0..Tier::COUNT {
+                let term = &terms[t];
+                let open = size <= capacity[t];
                 if !open {
                     continue;
                 }
@@ -486,68 +513,61 @@ impl Router {
                     continue;
                 }
                 let cost = term.fixed_usd + term.per_gbit_usd * size;
-                let better = match best {
-                    None => true,
-                    Some((bc, bl, bt)) => {
-                        (cost, latency, t) < (bc, bl, bt) // cost, then latency, then tier order
-                    }
-                };
-                if better {
-                    best = Some((cost, latency, t));
-                }
+                let better =
+                    !found | (cost < best_cost) | ((cost == best_cost) & (latency < best_latency));
+                best_cost = select_f64(better, cost, best_cost);
+                best_latency = select_f64(better, latency, best_latency);
+                best_tier = select_unpredictable(better, t, best_tier);
+                found = true;
             }
 
-            let decision = match best {
-                Some((cost, latency, t)) => {
-                    let tier = Tier::from_index(t);
-                    match tier {
-                        Tier::OrbitalSudc => sudc_budget -= size,
-                        Tier::GroundEdge | Tier::Cloud => {
-                            ground_budget -= size;
-                            stats.ground_gbit += size;
-                        }
-                        Tier::Onboard => {}
+            let decision = if found {
+                let tier = Tier::from_index(best_tier);
+                match tier {
+                    Tier::OrbitalSudc => sudc_budget -= size,
+                    Tier::GroundEdge | Tier::Cloud => {
+                        ground_budget -= size;
+                        stats.ground_gbit += size;
                     }
-                    stats.placed += 1;
-                    stats.tier_counts[t] += 1;
-                    stats.app_tier[r.app as usize][t] += 1;
-                    stats.priority_placed[r.priority.index()] += 1;
-                    stats.latency_sum_s += latency;
-                    stats.cost_sum_usd += cost;
-                    Decision {
-                        id: r.id,
-                        verdict: Verdict::Placed(tier),
-                        latency_s: latency,
-                        cost_usd: cost,
+                    Tier::Onboard => {}
+                }
+                stats.placed += 1;
+                stats.tier_counts[best_tier] += 1;
+                stats.app_tier[r.app as usize][best_tier] += 1;
+                stats.priority_placed[r.priority.index()] += 1;
+                stats.latency_sum_s += best_latency;
+                stats.cost_sum_usd += best_cost;
+                Decision {
+                    id: r.id,
+                    verdict: Verdict::Placed(tier),
+                    latency_s: best_latency,
+                    cost_usd: best_cost,
+                }
+            } else if reachable_latency <= deadline + self.cfg.defer_horizon_s {
+                // First deferral with re-entry armed: no verdict yet — the
+                // request rides into the next block's window. A carried
+                // request (push `k < carried`) deferring again is decided
+                // for good.
+                if k >= carried {
+                    if let Some(out) = next_carry.as_mut() {
+                        out.push((*r, reachable_latency));
+                        continue;
                     }
                 }
-                None if reachable_latency <= deadline + self.cfg.defer_horizon_s => {
-                    // First deferral with re-entry armed: no verdict yet —
-                    // the request rides into the next block's window. A
-                    // carried request (push `k < carried`) deferring again
-                    // is decided for good.
-                    if k >= carried {
-                        if let Some(out) = next_carry.as_mut() {
-                            out.push((*r, reachable_latency));
-                            continue;
-                        }
-                    }
-                    stats.deferred += 1;
-                    Decision {
-                        id: r.id,
-                        verdict: Verdict::Deferred,
-                        latency_s: reachable_latency,
-                        cost_usd: 0.0,
-                    }
+                stats.deferred += 1;
+                Decision {
+                    id: r.id,
+                    verdict: Verdict::Deferred,
+                    latency_s: reachable_latency,
+                    cost_usd: 0.0,
                 }
-                None => {
-                    stats.rejected += 1;
-                    Decision {
-                        id: r.id,
-                        verdict: Verdict::Rejected,
-                        latency_s: reachable_latency,
-                        cost_usd: 0.0,
-                    }
+            } else {
+                stats.rejected += 1;
+                Decision {
+                    id: r.id,
+                    verdict: Verdict::Rejected,
+                    latency_s: reachable_latency,
+                    cost_usd: 0.0,
                 }
             };
             decisions.push(decision);
@@ -555,6 +575,15 @@ impl Router {
 
         stats
     }
+}
+
+/// `if c { a } else { b }` as a select on the bit patterns. On the x86-64
+/// baseline (SSE2) LLVM lowers a float select to a branch but an integer
+/// one to a conditional move, and the scoring loop's conditions are
+/// data-dependent.
+#[inline(always)]
+fn select_f64(c: bool, a: f64, b: f64) -> f64 {
+    f64::from_bits(select_unpredictable(c, a.to_bits(), b.to_bits()))
 }
 
 #[cfg(test)]

@@ -150,13 +150,25 @@ impl StreamConfig {
         let mut rng = Rng64::stream(self.seed, b);
         let start = b * self.block as u64;
         out.clear();
-        out.extend((0..self.block_len(b) as u64).map(|i| draw_request(&mut rng, start + i)));
+        // The closure owns the generator, so its state stays in registers
+        // across the loop rather than round-tripping through memory.
+        out.extend((0..self.block_len(b) as u64).map(move |i| draw_request(&mut rng, start + i)));
     }
 }
 
+/// Deadline class mix: a class-`c` request's deadline is
+/// `DEADLINE_BASE_S[c] + u * DEADLINE_SPAN_S[c]` seconds for a uniform
+/// `u`, indexed like [`Priority::ALL`].
+const DEADLINE_BASE_S: [f64; Priority::COUNT] = [30.0, 300.0, 3600.0];
+/// Width of each class's deadline range, seconds (see
+/// [`DEADLINE_BASE_S`]).
+const DEADLINE_SPAN_S: [f64; Priority::COUNT] = [270.0, 3300.0, 18_000.0];
+
 /// Draws one request from the stream RNG. Draws are inlined
 /// `lo + u*(hi-lo)` rather than `next_range` calls: this runs once per
-/// generated request and must stay allocation-free.
+/// generated request and must stay allocation-free, call-free and free
+/// of data-dependent branches.
+#[inline(always)]
 fn draw_request(rng: &mut Rng64, id: u64) -> Request {
     // EO tasking concentrates in the imaging band.
     let lat_deg = -66.0 + rng.next_f64() * 132.0;
@@ -164,15 +176,11 @@ fn draw_request(rng: &mut Rng64, id: u64) -> Request {
     let app = rng.next_below(APPS as u64) as u8;
     // Payload from a quarter frame (chips) to a four-frame strip.
     let size_frames = 0.25 + rng.next_f64() * 3.75;
-    // Deadline class mix: 20% urgent, 60% standard, 20% bulk.
-    let class = rng.next_f64();
-    let (priority, deadline_s) = if class < 0.2 {
-        (Priority::Urgent, 30.0 + rng.next_f64() * 270.0)
-    } else if class < 0.8 {
-        (Priority::Standard, 300.0 + rng.next_f64() * 3300.0)
-    } else {
-        (Priority::Bulk, 3600.0 + rng.next_f64() * 18_000.0)
-    };
+    // Deadline class mix: 20% urgent, 60% standard, 20% bulk, picked by
+    // index rather than by branch.
+    let u = rng.next_f64();
+    let class = usize::from(u >= 0.2) + usize::from(u >= 0.8);
+    let deadline_s = DEADLINE_BASE_S[class] + rng.next_f64() * DEADLINE_SPAN_S[class];
     Request {
         id,
         lat_deg,
@@ -180,7 +188,7 @@ fn draw_request(rng: &mut Rng64, id: u64) -> Request {
         app,
         size_gbit: size_frames, // scaled to Gbit by the engine's image size
         deadline_s,
-        priority,
+        priority: Priority::ALL[class],
     }
 }
 

@@ -1,7 +1,8 @@
 //! Acceptance tests for the placement engine: exact reproducibility of
 //! routing decisions across worker counts, and stability of the
-//! decision streams (default, stressed, shedding, and deferral re-entry
-//! over degraded pools) against committed fingerprints.
+//! generated request stream and of the decision streams (default,
+//! stressed, shedding, and deferral re-entry over degraded pools) against
+//! committed fingerprints.
 
 use space_udc::par::Fnv1a;
 use space_udc::router::{Router, RouterConfig, RoutingOutcome, StreamConfig, Verdict};
@@ -74,6 +75,37 @@ fn decision_stream_fingerprint_is_stable() {
         fingerprint(&out),
         0x99d5_a665_978b_6969,
         "decision stream drifted for seed {DEFAULT_SEED:#x}"
+    );
+}
+
+#[test]
+fn request_stream_fingerprint_is_stable() {
+    // Snapshot of the generated requests themselves, every field of every
+    // request: two full 4096-request blocks plus a 1808-request tail.
+    // Generation drift fails here directly, before it reaches any
+    // decision fingerprint.
+    let stream = StreamConfig::new(10_000, DEFAULT_SEED, 3.83);
+    let mut h = Fnv1a::new();
+    let mut generated = 0;
+    for b in 0..stream.blocks() {
+        for r in stream.generate_block(b) {
+            h.write_u64(r.id);
+            h.write_u64(r.lat_deg.to_bits());
+            h.write_u64(r.lon_deg.to_bits());
+            h.write_u64(u64::from(r.app));
+            h.write_u64(r.size_gbit.to_bits());
+            h.write_u64(r.deadline_s.to_bits());
+            h.write_u64(r.priority.index() as u64);
+            generated += 1;
+        }
+    }
+    assert_eq!(stream.blocks(), 3);
+    assert_eq!(stream.block_len(2), 1808);
+    assert_eq!(generated, 10_000);
+    assert_eq!(
+        h.finish(),
+        0x351e_311d_2585_4702,
+        "request stream drifted for seed {DEFAULT_SEED:#x}"
     );
 }
 

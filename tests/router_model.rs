@@ -19,12 +19,20 @@
 //! closed form the engine admits each block with: pushing a block (carried
 //! deferrals first, then arrivals) and draining it to empty must shed and
 //! pop exactly what `admit_all` computes.
+//!
+//! The engine's tier choice is held to a brute-force scorer the same way:
+//! on configurations whose tiers tie on cost (and sometimes on latency
+//! too), every decision must match a tuple-compare scan that draws the
+//! capacity budgets down in drain order.
 
 use std::collections::HashSet;
 
 use proptest::collection;
 use proptest::prelude::*;
-use space_udc::router::{admit_all, AdmissionQueue, Priority, Request};
+use space_udc::router::{
+    admit_all, AdmissionQueue, Decision, Priority, Request, Router, RouterConfig, StreamConfig,
+    Tier, TierTerms, Verdict, APPS,
+};
 
 fn req(id: u64, priority: Priority) -> Request {
     Request {
@@ -183,8 +191,169 @@ fn closed_form_matches_queue(
     Ok(())
 }
 
+/// Brute-force scoring of `stream` against `cfg`, without deferral
+/// re-entry: per block, the shed victims in push order, then one decision
+/// per survivor in drain order. Each request scans the four tiers and
+/// keeps the least `(cost, latency, tier)` tuple among those that are
+/// open and in time; a placement draws its tier's budget down before the
+/// next request is scored.
+fn reference_decisions(cfg: &RouterConfig, stream: &StreamConfig) -> Vec<Decision> {
+    let mut decisions = Vec::new();
+    let mut drain = Vec::new();
+    for b in 0..stream.blocks() {
+        let requests = stream.generate_block(b);
+        let shed = admit_all(
+            requests.len(),
+            stream.queue_capacity,
+            |k| requests[k].priority,
+            &mut drain,
+        );
+        decisions.extend(requests[..shed].iter().map(|r| Decision {
+            id: r.id,
+            verdict: Verdict::Shed,
+            latency_s: 0.0,
+            cost_usd: 0.0,
+        }));
+        let span_s = requests.len() as f64 / stream.arrival_per_s;
+        let mut ground_budget = cfg.ground_capacity_gbit_per_s * span_s;
+        let mut sudc_budget = cfg.sudc_capacity_gbit_per_s * span_s * cfg.pool_fraction(b);
+        for &k in &drain {
+            let r = &requests[k as usize];
+            let terms = &cfg.terms[r.app as usize];
+            let wait = cfg.lat_wait_s[RouterConfig::lat_bin(r.lat_deg)];
+            let size = r.size_gbit * cfg.image_gbit;
+            let deadline = r.deadline_s;
+
+            let mut best: Option<(f64, f64, usize)> = None; // (cost, latency, tier)
+            let mut reachable_latency = f64::INFINITY;
+            for (t, term) in terms.iter().enumerate() {
+                let open = match Tier::from_index(t) {
+                    Tier::Onboard => size <= cfg.onboard_max_gbit,
+                    Tier::OrbitalSudc => size <= sudc_budget,
+                    Tier::GroundEdge | Tier::Cloud => size <= ground_budget,
+                };
+                if !open {
+                    continue;
+                }
+                let latency = term.fixed_s + term.per_gbit_s * size + term.wait_scale * wait;
+                reachable_latency = reachable_latency.min(latency);
+                if latency > deadline {
+                    continue;
+                }
+                let cost = term.fixed_usd + term.per_gbit_usd * size;
+                let better = match best {
+                    None => true,
+                    Some((bc, bl, bt)) => {
+                        (cost, latency, t) < (bc, bl, bt) // cost, then latency, then tier order
+                    }
+                };
+                if better {
+                    best = Some((cost, latency, t));
+                }
+            }
+
+            decisions.push(match best {
+                Some((cost, latency, t)) => {
+                    let tier = Tier::from_index(t);
+                    match tier {
+                        Tier::OrbitalSudc => sudc_budget -= size,
+                        Tier::GroundEdge | Tier::Cloud => ground_budget -= size,
+                        Tier::Onboard => {}
+                    }
+                    Decision {
+                        id: r.id,
+                        verdict: Verdict::Placed(tier),
+                        latency_s: latency,
+                        cost_usd: cost,
+                    }
+                }
+                None => Decision {
+                    id: r.id,
+                    verdict: if reachable_latency <= deadline + cfg.defer_horizon_s {
+                        Verdict::Deferred
+                    } else {
+                        Verdict::Rejected
+                    },
+                    latency_s: reachable_latency,
+                    cost_usd: 0.0,
+                },
+            });
+        }
+    }
+    decisions
+}
+
+/// Latency and cost coefficients for one application, built so tiers
+/// tie: every tier shares one cost pair, and `latency_ties` picks between
+/// one shared latency triple (`true`) and each tier drawing one of two
+/// triples (`false`, so some tiers tie and others do not). `u` holds
+/// uniforms in `[0, 1)`; `image_gbit` scales the per-Gbit terms to about
+/// a frame's worth.
+fn tied_terms(u: &[f64], latency_ties: bool, image_gbit: f64) -> [TierTerms; Tier::COUNT] {
+    let latency = |v: &[f64]| (3000.0 * v[0], 1000.0 * v[1] / image_gbit, v[2]);
+    let shared = latency(&u[0..3]);
+    let other = latency(&u[3..6]);
+    let (fixed_usd, per_gbit_usd) = (10.0 * u[6], 5.0 * u[7] / image_gbit);
+    core::array::from_fn(|t| {
+        let (fixed_s, per_gbit_s, wait_scale) = if latency_ties || u[8 + t] < 0.5 {
+            shared
+        } else {
+            other
+        };
+        TierTerms {
+            fixed_s,
+            per_gbit_s,
+            wait_scale,
+            fixed_usd,
+            per_gbit_usd,
+        }
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_env_cases(48))]
+
+    #[test]
+    fn tier_choice_matches_the_tuple_compare_on_cost_ties(
+        uniforms in collection::vec(0.0..1.0f64, 12 * APPS..12 * APPS + 1),
+        latency_tie_apps in 0u32..(1 << APPS),
+        budgets in collection::vec(0.0..1.0f64, 3..4),
+        requests in 1u64..3000,
+        block in 64usize..1024,
+        shed_some in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut cfg = RouterConfig::try_reference().expect("reference config");
+        for (a, row) in cfg.terms.iter_mut().enumerate() {
+            let tie = latency_tie_apps >> a & 1 == 1;
+            *row = tied_terms(&uniforms[12 * a..12 * (a + 1)], tie, cfg.image_gbit);
+        }
+        // Budgets from nothing to about twice a block's demand (payloads
+        // average about two frames), so capacity binds in some blocks and
+        // not in others; the onboard cap runs from no frame to four.
+        cfg.onboard_max_gbit = (4.0 * budgets[0] * cfg.image_gbit).max(1e-9);
+        cfg.sudc_capacity_gbit_per_s = (4.0 * budgets[1] * cfg.image_gbit).max(1e-9);
+        cfg.ground_capacity_gbit_per_s = (4.0 * budgets[2] * cfg.image_gbit).max(1e-9);
+        let router = Router::try_new(cfg.clone()).expect("valid random config");
+
+        let mut stream = StreamConfig::new(requests, seed, 1.0);
+        stream.block = block;
+        stream.queue_capacity = if shed_some == 1 { block - block / 4 } else { block };
+        let got = router.route_stream(&stream).decisions;
+        let want = reference_decisions(&cfg, &stream);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!(
+                g.id == w.id
+                    && g.verdict == w.verdict
+                    && g.latency_s.to_bits() == w.latency_s.to_bits()
+                    && g.cost_usd.to_bits() == w.cost_usd.to_bits(),
+                "engine {:?} != reference {:?}",
+                g,
+                w
+            );
+        }
+    }
 
     #[test]
     fn closed_form_admission_is_the_queue_pushed_then_drained(
