@@ -19,8 +19,7 @@
 //!   this is what makes *per-layer* accelerators beat a single global
 //!   design.
 
-use sudc_compute::networks::{Layer, Network};
-use sudc_units::Joules;
+use sudc_compute::networks::Layer;
 
 use crate::design::AcceleratorConfig;
 use crate::energy::EnergyTable;
@@ -82,24 +81,14 @@ pub struct AccessCounts {
     pub utilization: f64,
 }
 
-/// Counts the storage-hierarchy actions for `layer` on `config` under the
-/// cheaper of the two canonical dataflows (see [`count_accesses_with`]).
-#[must_use]
-pub fn count_accesses(config: AcceleratorConfig, layer: &Layer) -> AccessCounts {
-    let rs = count_accesses_with(config, layer, Dataflow::RowStationary);
-    let ws = count_accesses_with(config, layer, Dataflow::WeightStationary);
-    if ws.glb_accesses + ws.dram_words < rs.glb_accesses + rs.dram_words {
-        ws
-    } else {
-        rs
-    }
-}
-
 /// Counts the storage-hierarchy actions for `layer` on `config` under a
 /// specific dataflow's *canonical* mapping: the filter-row spatial
 /// projection, no output-row tiling, and the cheaper DRAM loop order —
 /// exactly the two points of the mapping space the pre-search model
 /// hardwired (asserted bit-identical in the tests below).
+///
+/// Kept without a non-test caller: these two points are the fixed-dataflow
+/// reference `tests/mapping_props.rs` invariant 1 holds the search to.
 #[must_use]
 pub fn count_accesses_with(
     config: AcceleratorConfig,
@@ -352,44 +341,33 @@ impl Tiling {
     }
 }
 
-/// Energy for one inference of `layer` on `config`.
-///
-/// # Examples
-///
-/// ```
-/// use sudc_accel::dataflow::layer_energy;
-/// use sudc_accel::design::AcceleratorConfig;
-/// use sudc_accel::energy::EnergyTable;
-/// use sudc_compute::networks::Layer;
-///
-/// let layer = Layer::conv(56, 56, 64, 128, 3, 1);
-/// let e = layer_energy(AcceleratorConfig::reference(), &EnergyTable::eyeriss_45nm(), &layer);
-/// assert!(e.value() > 0.0);
-/// ```
-#[must_use]
-pub fn layer_energy(config: AcceleratorConfig, table: &EnergyTable, layer: &Layer) -> Joules {
-    let c = count_accesses(config, layer);
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    Joules::new(picojoules_of(config, table, glb_pj, &c) * 1e-12)
-}
-
-/// Energy for one inference of `layer` under an arbitrary mapping.
-#[must_use]
-pub fn layer_energy_mapped(
-    config: AcceleratorConfig,
-    table: &EnergyTable,
-    layer: &Layer,
-    mapping: Mapping,
-) -> Joules {
-    let c = count_accesses_mapped(config, layer, mapping);
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    Joules::new(picojoules_of(config, table, glb_pj, &c) * 1e-12)
-}
-
 /// Energy of a set of access counts on a design, picojoules — the one
 /// formula every energy path (canonical, mapped, sweep) shares. `glb_pj`
 /// is the config's buffer access energy, hoisted out so the sweep
 /// computes the square root once per config.
+///
+/// Kept without a non-test caller: the sweep sums the same terms in the
+/// same order from hoisted rates, and `tests/mapping_props.rs` invariant 2
+/// checks this formula bit for bit against its unfactored oracle.
+///
+/// # Examples
+///
+/// Pricing one layer under the canonical row-stationary mapping:
+///
+/// ```
+/// use sudc_accel::dataflow::{count_accesses_with, picojoules_of, Dataflow};
+/// use sudc_accel::design::AcceleratorConfig;
+/// use sudc_accel::energy::EnergyTable;
+/// use sudc_compute::networks::Layer;
+///
+/// let config = AcceleratorConfig::reference();
+/// let table = EnergyTable::default();
+/// let layer = Layer::conv(56, 56, 64, 128, 3, 1);
+/// let counts = count_accesses_with(config, &layer, Dataflow::RowStationary);
+/// let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
+/// let pj = picojoules_of(config, &table, glb_pj, &counts);
+/// assert!(pj > 0.0 && pj.is_finite());
+/// ```
 #[must_use]
 pub fn picojoules_of(
     config: AcceleratorConfig,
@@ -506,65 +484,35 @@ impl<'a> DesignRates<'a> {
     }
 }
 
-/// Energy for one inference of a whole network on `config` (the pipelined
-/// per-layer designs of Fig. 18 sum layer energies the same way; pipelining
-/// changes latency, not energy).
-#[must_use]
-pub fn network_energy(config: AcceleratorConfig, table: &EnergyTable, network: &Network) -> Joules {
-    network
-        .layers
-        .iter()
-        .map(|l| layer_energy(config, table, l))
-        .sum()
-}
-
-/// Energy-efficiency of a layer on a config, MACs per joule (higher is
-/// better) — the quantity whose geometric mean drives design selection.
-#[must_use]
-pub fn layer_efficiency(config: AcceleratorConfig, table: &EnergyTable, layer: &Layer) -> f64 {
-    let e = layer_energy(config, table, layer);
-    layer.macs() as f64 / e.value()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sudc_compute::networks::NetworkId;
 
-    fn table() -> EnergyTable {
-        EnergyTable::eyeriss_45nm()
-    }
-
     #[test]
     fn energy_is_positive_for_all_layers_of_all_networks() {
         let cfg = AcceleratorConfig::reference();
+        let table = EnergyTable::default();
+        let glb_pj = table.glb_access_pj(f64::from(cfg.total_buffer_kib()));
         for id in NetworkId::all() {
             for layer in &id.network().layers {
-                let e = layer_energy(cfg, &table(), layer);
-                assert!(e.value() > 0.0 && e.is_finite());
+                for df in Dataflow::all() {
+                    let c = count_accesses_with(cfg, layer, df);
+                    let pj = picojoules_of(cfg, &table, glb_pj, &c);
+                    assert!(pj > 0.0 && pj.is_finite());
+                }
             }
         }
-    }
-
-    #[test]
-    fn network_energy_is_sum_of_layers() {
-        let cfg = AcceleratorConfig::reference();
-        let net = NetworkId::ResNet50.network();
-        let total = network_energy(cfg, &table(), &net);
-        let sum: Joules = net
-            .layers
-            .iter()
-            .map(|l| layer_energy(cfg, &table(), l))
-            .sum();
-        assert!((total - sum).abs() < Joules::new(1e-12));
     }
 
     #[test]
     fn utilization_is_a_fraction() {
         let cfg = AcceleratorConfig::reference();
         for layer in &NetworkId::UNet.network().layers {
-            let c = count_accesses(cfg, layer);
-            assert!(c.utilization > 0.0 && c.utilization <= 1.0);
+            for df in Dataflow::all() {
+                let c = count_accesses_with(cfg, layer, df);
+                assert!(c.utilization > 0.0 && c.utilization <= 1.0);
+            }
         }
     }
 
@@ -577,17 +525,20 @@ mod tests {
         };
         // A 1x1x16-channel layer cannot fill 28 columns.
         let tiny = Layer::conv(32, 32, 128, 16, 1, 1);
-        let c = count_accesses(big, &tiny);
-        assert!(c.utilization < 0.6);
+        for df in Dataflow::all() {
+            assert!(count_accesses_with(big, &tiny, df).utilization < 0.6);
+        }
     }
 
     #[test]
     fn fc_layers_get_no_weight_reuse() {
         let cfg = AcceleratorConfig::reference();
         let fc = Layer::dense(2048, 1000);
-        let c = count_accesses(cfg, &fc);
-        // Every weight must be fetched at least once from the buffer.
-        assert!(c.glb_accesses >= fc.weights() as f64);
+        for df in Dataflow::all() {
+            // Every weight must be fetched at least once from the buffer.
+            let c = count_accesses_with(cfg, &fc, df);
+            assert!(c.glb_accesses >= fc.weights() as f64);
+        }
     }
 
     #[test]
@@ -602,21 +553,11 @@ mod tests {
         };
         // A weight-heavy layer that exceeds 16 KiB of weights.
         let layer = Layer::conv(14, 14, 512, 512, 3, 1);
-        let c_small = count_accesses(small, &layer);
-        let c_big = count_accesses(big, &layer);
-        assert!(c_big.dram_words <= c_small.dram_words);
-    }
-
-    #[test]
-    fn accelerator_energy_per_mac_is_a_few_picojoules() {
-        let cfg = AcceleratorConfig::reference();
-        let net = NetworkId::ResNet50.network();
-        let e = network_energy(cfg, &table(), &net);
-        let pj_per_mac = e.value() * 1e12 / net.total_macs() as f64;
-        assert!(
-            pj_per_mac > 3.0 && pj_per_mac < 40.0,
-            "expected single-digit-to-tens pJ/MAC, got {pj_per_mac}"
-        );
+        for df in Dataflow::all() {
+            let c_small = count_accesses_with(small, &layer, df);
+            let c_big = count_accesses_with(big, &layer, df);
+            assert!(c_big.dram_words <= c_small.dram_words);
+        }
     }
 
     #[test]
@@ -628,8 +569,6 @@ mod tests {
         let rs = count_accesses_with(cfg, &pointwise, Dataflow::RowStationary);
         let ws = count_accesses_with(cfg, &pointwise, Dataflow::WeightStationary);
         assert!(ws.glb_accesses < rs.glb_accesses);
-        let chosen = count_accesses(cfg, &pointwise);
-        assert!((chosen.glb_accesses - ws.glb_accesses).abs() < 1.0);
     }
 
     #[test]
@@ -639,21 +578,6 @@ mod tests {
         let rs = count_accesses_with(cfg, &spatial, Dataflow::RowStationary);
         let ws = count_accesses_with(cfg, &spatial, Dataflow::WeightStationary);
         assert!(rs.glb_accesses < ws.glb_accesses);
-    }
-
-    #[test]
-    fn mapper_choice_never_exceeds_either_dataflow() {
-        let cfg = AcceleratorConfig::reference();
-        for layer in &NetworkId::DenseNet121.network().layers {
-            let best = count_accesses(cfg, layer);
-            for df in Dataflow::all() {
-                let fixed = count_accesses_with(cfg, layer, df);
-                assert!(
-                    best.glb_accesses + best.dram_words
-                        <= fixed.glb_accesses + fixed.dram_words + 1e-9
-                );
-            }
-        }
     }
 
     /// The pre-mapping-search model, verbatim (including the
@@ -814,14 +738,5 @@ mod tests {
             "psum spill benefit"
         );
         assert_eq!(tiled.cycles, untiled.cycles, "tiling is traffic-only");
-    }
-
-    #[test]
-    fn efficiency_is_reciprocal_of_energy_per_mac() {
-        let cfg = AcceleratorConfig::reference();
-        let layer = Layer::conv(28, 28, 256, 256, 3, 1);
-        let eff = layer_efficiency(cfg, &table(), &layer);
-        let e = layer_energy(cfg, &table(), &layer);
-        assert!((eff - layer.macs() as f64 / e.value()).abs() / eff < 1e-12);
     }
 }

@@ -66,6 +66,9 @@ impl AcceleratorConfig {
     }
 
     /// A mid-sized reference design (16×16 PEs, 64/64/32 KiB buffers).
+    ///
+    /// Kept without a non-test caller: `tests/panic_freedom.rs` builds its
+    /// malformed DSE sweeps around it.
     #[must_use]
     pub fn reference() -> Self {
         Self {

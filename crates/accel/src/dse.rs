@@ -87,6 +87,9 @@ pub fn gpu_joules_per_mac(workload: &Workload) -> f64 {
 ///
 /// # Errors
 /// Returns a [`SudcError`] naming each offending field.
+///
+/// Kept without a non-test caller: `tests/panic_freedom.rs` drives this
+/// fallible form with hostile workloads.
 pub fn try_gpu_joules_per_mac(workload: &Workload) -> Result<f64, SudcError> {
     let mut d = Diagnostics::new("Workload");
     if d.finite("utilization", workload.utilization) {
@@ -228,12 +231,6 @@ impl DseOutcome {
     pub fn mean_improvement(&self, arch: SystemArchitecture) -> f64 {
         let sum: f64 = self.networks.iter().map(|n| n.improvement(arch)).sum();
         sum / self.networks.len() as f64
-    }
-
-    /// Result for one network.
-    #[must_use]
-    pub fn network(&self, id: NetworkId) -> Option<&NetworkResult> {
-        self.networks.iter().find(|n| n.network == id)
     }
 }
 
@@ -469,6 +466,9 @@ pub fn run_dse_serial(space: &[AcceleratorConfig], table: &EnergyTable) -> DseOu
 ///
 /// # Errors
 /// Returns a [`SudcError`] collecting every violation.
+///
+/// Kept without a non-test caller: `tests/panic_freedom.rs` checks that it
+/// rejects exactly the malformed sweeps.
 pub fn try_run_dse(
     space: &[AcceleratorConfig],
     table: &EnergyTable,
@@ -649,7 +649,7 @@ mod tests {
         let out = run_dse(&small_space(), &EnergyTable::default());
         assert_eq!(out.networks.len(), 10);
         for id in NetworkId::all() {
-            assert!(out.network(id).is_some(), "{id}");
+            assert!(out.networks.iter().any(|n| n.network == id), "{id}");
         }
     }
 

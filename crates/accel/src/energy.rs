@@ -1,9 +1,10 @@
 //! Per-access energy table — the Accelergy role in the paper's framework.
 //!
-//! Values follow the well-known Eyeriss energy hierarchy (Chen et al.):
-//! relative to a 16-bit MAC, a register-file access is cheap, a NoC hop and
-//! global-buffer access cost a few ×, and DRAM costs ~100–200×. Buffer
-//! access energy grows with capacity (CACTI-style ~√size scaling).
+//! Values follow the ordering of the well-known Eyeriss energy hierarchy
+//! (Chen et al.): a register-file access is cheap, a NoC hop and a
+//! global-buffer access cost a few × more, and DRAM costs orders of
+//! magnitude more than a 16-bit MAC. Buffer access energy grows with
+//! capacity (CACTI-style ~√size scaling).
 
 /// Energy per elementary action, picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,30 +49,12 @@ pub struct EnergyTable {
 }
 
 impl EnergyTable {
-    /// The classic Eyeriss 45/65 nm-era energy hierarchy (kept for
-    /// reference and cross-checking against the published numbers).
-    #[must_use]
-    pub fn eyeriss_45nm() -> Self {
-        Self {
-            mac_pj: 2.2,
-            rf_pj: 1.0,
-            noc_pj: 2.0,
-            glb_base_pj: 6.0,
-            glb_reference_kib: 64.0,
-            dram_pj: 200.0,
-            static_pe_pj: 0.25,
-            static_sram_pj_per_kib: 0.8,
-            system_static_pj: 56.0,
-            dram_words_per_cycle: 4.0,
-            dram_refetch_pj_factor: 1.0,
-        }
-    }
-
     /// Same-node (Samsung 8 nm-class, the RTX 3090's node) energy
     /// hierarchy — the table the DSE uses so the accelerator-vs-GPU
     /// comparison is iso-technology, as in the paper's limit study.
     /// Dynamic access energies scale down steeply from the 45 nm-era
-    /// table (logic scales far better than wires and DRAM interfaces),
+    /// Eyeriss values (logic scales far better than wires and DRAM
+    /// interfaces),
     /// while leakage becomes a first-order term at 8 nm — the static
     /// entries here are calibrated, together with the DRAM roofline,
     /// so the sweep reproduces Fig. 17's improvement hierarchy (~50×
@@ -184,7 +167,7 @@ mod tests {
 
     #[test]
     fn hierarchy_is_ordered() {
-        let t = EnergyTable::eyeriss_45nm();
+        let t = EnergyTable::samsung_8nm_class();
         assert!(t.rf_pj < t.noc_pj);
         assert!(t.noc_pj < t.glb_base_pj);
         assert!(t.glb_base_pj < t.dram_pj);
@@ -193,7 +176,7 @@ mod tests {
 
     #[test]
     fn glb_energy_scales_with_sqrt_capacity() {
-        let t = EnergyTable::eyeriss_45nm();
+        let t = EnergyTable::samsung_8nm_class();
         let e64 = t.glb_access_pj(64.0);
         let e256 = t.glb_access_pj(256.0);
         assert!((e256 / e64 - 2.0).abs() < 1e-9);
@@ -203,7 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = EnergyTable::eyeriss_45nm().glb_access_pj(0.0);
+        let _ = EnergyTable::samsung_8nm_class().glb_access_pj(0.0);
     }
 
     #[test]
@@ -222,7 +205,6 @@ mod tests {
 
     #[test]
     fn validation_accepts_shipped_tables_and_rejects_hostile_ones() {
-        assert!(EnergyTable::eyeriss_45nm().try_validate().is_ok());
         assert!(EnergyTable::samsung_8nm_class().try_validate().is_ok());
         let bad = EnergyTable {
             glb_base_pj: 0.0,

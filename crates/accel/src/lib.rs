@@ -20,10 +20,10 @@
 //! - [`dse`] — sweep, selection (global / per-network / per-layer), and
 //!   efficiency-improvement reporting (Fig. 17); the sweep runs chunked
 //!   across the [`sudc_par`] executor, bit-identical to its serial oracle;
+//! - [`mapping`] — the per-layer mapping space (engine × schedule) and the
+//!   best-schedule search;
 //! - [`memo`] — layer-shape deduplication, holding each distinct shape's
-//!   cost-model terms and tiling geometry for the sweep;
-//! - [`pipeline`] — per-layer pipeline timing and double-buffer sizing
-//!   (Fig. 18).
+//!   cost-model terms and tiling geometry for the sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod dse;
 pub mod energy;
 pub mod mapping;
 pub mod memo;
-pub mod pipeline;
 
 pub use design::AcceleratorConfig;
 pub use dse::{DseOutcome, SystemArchitecture};

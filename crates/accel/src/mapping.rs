@@ -147,21 +147,6 @@ impl Engine {
         out
     }
 
-    /// Index of this engine in [`Engine::all`].
-    #[must_use]
-    pub fn index(self) -> usize {
-        let df = match self.dataflow {
-            Dataflow::RowStationary => 0,
-            Dataflow::WeightStationary => 1,
-        };
-        let sp = match self.spatial {
-            SpatialMap::FilterRow => 0,
-            SpatialMap::RowFilter => 1,
-            SpatialMap::FilterGrid => 2,
-        };
-        df * SpatialMap::all().len() + sp
-    }
-
     /// The engine the pre-mapping model hardwired for a dataflow.
     #[must_use]
     pub fn canonical(dataflow: Dataflow) -> Self {
@@ -199,6 +184,9 @@ pub struct Schedule {
 
 impl Schedule {
     /// All schedules in canonical (order-major, tile-ascending) order.
+    ///
+    /// Kept without a non-test caller: `tests/mapping_props.rs` draws the
+    /// mappings its unfactored cost-model oracle checks from this list.
     #[must_use]
     pub fn all() -> [Self; 8] {
         let mut out = [Self {
@@ -213,15 +201,6 @@ impl Schedule {
             }
         }
         out
-    }
-
-    /// The untiled weights-outer schedule.
-    #[must_use]
-    pub fn canonical() -> Self {
-        Self {
-            order: LoopOrder::WeightsOuter,
-            ow_tile: 1,
-        }
     }
 }
 
@@ -398,18 +377,6 @@ pub(crate) fn cheapest(
     best
 }
 
-/// Energy of `layer` on `config` hardwired to `engine`, with the best
-/// software schedule — the quantity the DSE's geomean scoring consumes.
-#[must_use]
-pub fn engine_layer_energy(
-    config: AcceleratorConfig,
-    engine: Engine,
-    table: &EnergyTable,
-    layer: &Layer,
-) -> Joules {
-    best_schedule(config, table, layer, engine).energy()
-}
-
 /// Energy of one inference of `network` on `config` hardwired to `engine`,
 /// best schedule per layer — how the DSE costs a committed design point on
 /// a whole workload.
@@ -429,6 +396,10 @@ pub fn engine_network_energy(
 
 /// Energy of `layer` with full mapping freedom (best engine × schedule) —
 /// what a per-layer design gets to exploit.
+///
+/// Kept without a non-test caller: it is the full-freedom search that
+/// `tests/mapping_props.rs` invariant 1 checks against both canonical
+/// dataflows.
 #[must_use]
 pub fn best_mapping_energy(
     config: AcceleratorConfig,
@@ -455,13 +426,6 @@ pub fn best_mapping_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_indices_match_canonical_order() {
-        for (i, engine) in Engine::all().into_iter().enumerate() {
-            assert_eq!(engine.index(), i);
-        }
-    }
 
     #[test]
     fn dense_layers_collapse_the_tile_ladder() {
@@ -495,7 +459,7 @@ mod tests {
         let layer = Layer::conv(28, 28, 256, 256, 3, 1);
         let (best, _) = best_mapping_energy(config, &table, &layer);
         for engine in Engine::all() {
-            assert!(best <= engine_layer_energy(config, engine, &table, &layer));
+            assert!(best <= best_schedule(config, &table, &layer, engine).energy());
         }
     }
 }

@@ -38,14 +38,9 @@ pub struct CdhDesign {
 }
 
 impl CdhDesign {
-    /// Sizes C&DH for an ISL of `isl_rate` at today's FSO efficiency.
-    #[must_use]
-    pub fn size(isl_rate: GigabitsPerSecond) -> Self {
-        Self::size_with_fso_efficiency(isl_rate, 1.0)
-    }
-
-    /// Sizes C&DH assuming FSO power efficiency improved by
-    /// `fso_efficiency_scalar` over today.
+    /// Sizes C&DH for an ISL of `isl_rate`, assuming FSO power efficiency
+    /// improved by `fso_efficiency_scalar` over today (`1.0` is today's
+    /// terminals).
     #[must_use]
     pub fn size_with_fso_efficiency(
         isl_rate: GigabitsPerSecond,
@@ -80,13 +75,13 @@ mod tests {
 
     #[test]
     fn cost_driver_is_downscaled() {
-        let d = CdhDesign::size(GigabitsPerSecond::new(100.0));
+        let d = CdhDesign::size_with_fso_efficiency(GigabitsPerSecond::new(100.0), 1.0);
         assert!(d.rf_equivalent_rate.value() < 1.0);
     }
 
     #[test]
     fn totals_include_fso_terminal() {
-        let d = CdhDesign::size(GigabitsPerSecond::new(25.0));
+        let d = CdhDesign::size_with_fso_efficiency(GigabitsPerSecond::new(25.0), 1.0);
         assert!(d.mass() > d.avionics_mass);
         assert!(d.power() > d.avionics_power);
         assert_eq!(d.mass(), d.avionics_mass + d.fso.mass);
@@ -95,7 +90,7 @@ mod tests {
 
     #[test]
     fn zero_rate_still_has_base_avionics() {
-        let d = CdhDesign::size(GigabitsPerSecond::ZERO);
+        let d = CdhDesign::size_with_fso_efficiency(GigabitsPerSecond::ZERO, 1.0);
         assert!(d.avionics_mass.value() > 0.0);
         assert!(d.avionics_power.value() > 0.0);
         assert_eq!(d.fso.power, Watts::ZERO);
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn fso_efficiency_only_touches_terminal_power() {
-        let today = CdhDesign::size(GigabitsPerSecond::new(50.0));
+        let today = CdhDesign::size_with_fso_efficiency(GigabitsPerSecond::new(50.0), 1.0);
         let future = CdhDesign::size_with_fso_efficiency(GigabitsPerSecond::new(50.0), 8.0);
         assert_eq!(today.avionics_power, future.avionics_power);
         assert!(future.fso.power < today.fso.power);

@@ -40,12 +40,6 @@ impl Compression {
         }
     }
 
-    /// Whether the pixels are bit-exact after decompression.
-    #[must_use]
-    pub fn is_lossless(self) -> bool {
-        !matches!(self, Self::NeuralQuasiLossless)
-    }
-
     /// ISL rate needed after compressing a raw stream of `raw` capacity.
     ///
     /// ```
@@ -100,13 +94,6 @@ mod tests {
         assert!(Compression::None.ratio() < Compression::Ccsds121.ratio());
         assert!(Compression::Ccsds121.ratio() < Compression::Jpeg2000Lossless.ratio());
         assert!(Compression::Jpeg2000Lossless.ratio() < Compression::NeuralQuasiLossless.ratio());
-    }
-
-    #[test]
-    fn losslessness_classification() {
-        assert!(Compression::Ccsds121.is_lossless());
-        assert!(Compression::Jpeg2000Lossless.is_lossless());
-        assert!(!Compression::NeuralQuasiLossless.is_lossless());
     }
 
     #[test]

@@ -6,63 +6,9 @@
 
 use sudc_units::{GigabitsPerSecond, Kilograms, Watts};
 
-/// Link topology class, which sets the terminal's size/power envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkClass {
-    /// LEO-to-LEO crosslink (short range, high rate).
-    LeoToLeo,
-    /// LEO-to-GEO/MEO relay (long range, lower rate per watt).
-    LeoToGeo,
-}
-
-/// A cataloged commercial optical terminal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FsoTerminal {
-    /// Product-style name.
-    pub name: &'static str,
-    /// Link class.
-    pub class: LinkClass,
-    /// Peak data rate.
-    pub data_rate: GigabitsPerSecond,
-    /// Terminal mass.
-    pub mass: Kilograms,
-    /// Operating power draw.
-    pub power: Watts,
-}
-
-/// Catalog of existing commercial terminals (Table I: "Optical ISLs mass,
-/// power, and data rates are based on published values for existing
-/// commercial systems").
-#[must_use]
-pub fn terminal_catalog() -> Vec<FsoTerminal> {
-    vec![
-        FsoTerminal {
-            name: "Condor-class LEO crosslink",
-            class: LinkClass::LeoToLeo,
-            data_rate: GigabitsPerSecond::new(100.0),
-            mass: Kilograms::new(14.0),
-            power: Watts::new(120.0),
-        },
-        FsoTerminal {
-            name: "Compact LEO crosslink",
-            class: LinkClass::LeoToLeo,
-            data_rate: GigabitsPerSecond::new(10.0),
-            mass: Kilograms::new(6.0),
-            power: Watts::new(45.0),
-        },
-        FsoTerminal {
-            name: "GEO relay terminal",
-            class: LinkClass::LeoToGeo,
-            data_rate: GigabitsPerSecond::new(10.0),
-            mass: Kilograms::new(35.0),
-            power: Watts::new(160.0),
-        },
-    ]
-}
-
 /// Today's LEO–LEO FSO electrical efficiency, watts per Gbit/s (derived from
-/// the catalog's Condor-class point: 120 W / 100 Gbit/s plus pointing and
-/// electronics overhead).
+/// a Condor-class terminal's published point: 120 W / 100 Gbit/s plus
+/// pointing and electronics overhead).
 pub const TODAYS_W_PER_GBPS: f64 = 5.0;
 
 /// Fixed terminal mass (telescope, gimbal, electronics), kg.
@@ -79,7 +25,7 @@ const MASS_PER_GBPS_KG: f64 = 0.09;
 /// use sudc_comms::fso::FsoLink;
 /// use sudc_units::GigabitsPerSecond;
 ///
-/// let link = FsoLink::for_rate(GigabitsPerSecond::new(25.0));
+/// let link = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(25.0), 1.0);
 /// assert!((link.power.value() - 125.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,15 +39,10 @@ pub struct FsoLink {
 }
 
 impl FsoLink {
-    /// Sizes a LEO–LEO link for `rate` at today's FSO power efficiency.
-    #[must_use]
-    pub fn for_rate(rate: GigabitsPerSecond) -> Self {
-        Self::for_rate_with_efficiency(rate, 1.0)
-    }
-
-    /// Sizes a link for `rate` assuming FSO power efficiency improved by
-    /// `efficiency_scalar` (≥ 1) over today — e.g. DARPA Space-BACN-style
-    /// terminals (paper §IV-B discussion).
+    /// Sizes a LEO–LEO link for `rate` assuming FSO power efficiency
+    /// improved by `efficiency_scalar` (≥ 1) over today — `1.0` is today's
+    /// terminals, larger values e.g. DARPA Space-BACN-style terminals
+    /// (paper §IV-B discussion).
     ///
     /// # Panics
     ///
@@ -136,35 +77,14 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn catalog_is_nonempty_and_physical() {
-        let cat = terminal_catalog();
-        assert!(cat.len() >= 3);
-        for t in &cat {
-            assert!(t.data_rate.value() > 0.0, "{}", t.name);
-            assert!(t.mass.value() > 0.0, "{}", t.name);
-            assert!(t.power.value() > 0.0, "{}", t.name);
-        }
-    }
-
-    #[test]
-    fn geo_terminals_are_heavier_per_gbps() {
-        let cat = terminal_catalog();
-        let leo = cat.iter().find(|t| t.class == LinkClass::LeoToLeo).unwrap();
-        let geo = cat.iter().find(|t| t.class == LinkClass::LeoToGeo).unwrap();
-        let leo_kg_per_gbps = leo.mass.value() / leo.data_rate.value();
-        let geo_kg_per_gbps = geo.mass.value() / geo.data_rate.value();
-        assert!(geo_kg_per_gbps > leo_kg_per_gbps);
-    }
-
-    #[test]
     fn link_power_follows_todays_efficiency() {
-        let link = FsoLink::for_rate(GigabitsPerSecond::new(25.0));
+        let link = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(25.0), 1.0);
         assert!((link.power.value() - 25.0 * TODAYS_W_PER_GBPS).abs() < 1e-12);
     }
 
     #[test]
     fn efficiency_scalar_reduces_power_not_mass() {
-        let base = FsoLink::for_rate(GigabitsPerSecond::new(50.0));
+        let base = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(50.0), 1.0);
         let future = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(50.0), 10.0);
         assert!((future.power.value() - base.power.value() / 10.0).abs() < 1e-9);
         assert_eq!(future.mass, base.mass);
@@ -172,7 +92,7 @@ mod tests {
 
     #[test]
     fn zero_rate_link_is_free() {
-        let link = FsoLink::for_rate(GigabitsPerSecond::ZERO);
+        let link = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::ZERO, 1.0);
         assert_eq!(link.power, Watts::ZERO);
         assert_eq!(link.mass, Kilograms::ZERO);
     }
@@ -187,8 +107,8 @@ mod tests {
         #[test]
         fn link_monotone_in_rate(r1 in 0.0..500.0f64, r2 in 0.0..500.0f64) {
             let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-            let l_lo = FsoLink::for_rate(GigabitsPerSecond::new(lo));
-            let l_hi = FsoLink::for_rate(GigabitsPerSecond::new(hi));
+            let l_lo = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(lo), 1.0);
+            let l_hi = FsoLink::for_rate_with_efficiency(GigabitsPerSecond::new(hi), 1.0);
             prop_assert!(l_lo.power <= l_hi.power);
             prop_assert!(l_lo.mass <= l_hi.mass);
         }

@@ -6,8 +6,7 @@
 //! *downscaled by the FSO/X-band bandwidth ratio* (because SSCM's C&DH CER
 //! was regressed against RF-era satellites).
 //!
-//! - [`fso`] — optical terminal catalog and rate-parametric link sizing;
-//! - [`linkbudget`] — the underlying optical link-budget physics;
+//! - [`fso`] — rate-parametric optical link sizing;
 //! - [`rf`] — the X-band RF baseline used for C&DH downscaling;
 //! - [`cdh`] — command & data handling subsystem sizing;
 //! - [`compression`] — CCSDS-121, lossless JPEG 2000, and neural
@@ -24,7 +23,6 @@ pub mod cdh;
 pub mod compression;
 pub mod downlink;
 pub mod fso;
-pub mod linkbudget;
 pub mod requirements;
 pub mod rf;
 

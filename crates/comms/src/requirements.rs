@@ -9,8 +9,6 @@
 
 use sudc_units::{GigabitsPerSecond, KilopixelsPerJoule, Watts};
 
-use crate::compression::Compression;
-
 /// Raw bits per pixel of EO sensor data (12-bit sensels padded to 16-bit
 /// transport words).
 pub const DEFAULT_BITS_PER_PIXEL: f64 = 12.0;
@@ -60,34 +58,6 @@ pub fn saturation_rate(
     GigabitsPerSecond::new(pixels_per_second * bits_per_pixel / 1e9)
 }
 
-/// An ISL provisioning decision: saturation requirement plus compression.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IslRequirement {
-    /// Raw saturation rate before compression.
-    pub raw_rate: GigabitsPerSecond,
-    /// Compression applied on the EO-satellite side.
-    pub compression: Compression,
-    /// Link capacity that must actually be provisioned.
-    pub provisioned_rate: GigabitsPerSecond,
-}
-
-impl IslRequirement {
-    /// Computes the provisioned capacity for a payload/application pair.
-    #[must_use]
-    pub fn for_payload(
-        budget: Watts,
-        efficiency: KilopixelsPerJoule,
-        compression: Compression,
-    ) -> Self {
-        let raw = saturation_rate(budget, efficiency, DEFAULT_BITS_PER_PIXEL);
-        Self {
-            raw_rate: raw,
-            compression,
-            provisioned_rate: compression.compressed_rate(raw),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,16 +92,6 @@ mod tests {
         let r1 = saturation_rate(Watts::new(500.0), eff, 12.0);
         let r2 = saturation_rate(Watts::new(10_000.0), eff, 12.0);
         assert!((r2.value() / r1.value() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compression_shrinks_provisioned_rate() {
-        let req = IslRequirement::for_payload(
-            Watts::from_kilowatts(4.0),
-            KilopixelsPerJoule::new(1168.0),
-            Compression::NeuralQuasiLossless,
-        );
-        assert!((req.provisioned_rate.value() - req.raw_rate.value() / 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! standard analytic model: per-image energy falls with batch size as fixed
 //! launch/idle overheads amortize, approaching an asymptote.
 
-use sudc_units::{Joules, Seconds, Watts};
+use sudc_units::{Joules, Seconds};
 
 use crate::workloads::Workload;
-
-/// GPU idle (non-compute) power floor while a job is resident, W.
-const IDLE_POWER_W: f64 = 19.0;
 
 /// An analytic per-application GPU energy model fitted to a Table III row.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,19 +73,6 @@ impl GpuEnergyModel {
         );
         Seconds::new(f64::from(batch) / images_per_minute * 60.0)
     }
-
-    /// Mean power drawn while streaming single images (batch = 1) versus
-    /// batched operation — batching is strictly more efficient.
-    #[must_use]
-    pub fn streaming_penalty(&self) -> f64 {
-        self.energy_per_image(1) / self.energy_per_image(1 << 12)
-    }
-
-    /// GPU power floor when idle between batches.
-    #[must_use]
-    pub fn idle_power() -> Watts {
-        Watts::new(IDLE_POWER_W)
-    }
 }
 
 #[cfg(test)]
@@ -132,11 +116,6 @@ mod tests {
         let t = GpuEnergyModel::batch_accumulation_time(b, 6.0);
         assert!(t.value() > 60.0, "accumulation {t}");
         assert!(t.value() < 3600.0, "but under an hour: {t}");
-    }
-
-    #[test]
-    fn streaming_is_less_efficient() {
-        assert!(model().streaming_penalty() > 1.05);
     }
 
     #[test]

@@ -45,32 +45,15 @@ impl HardwareSpec {
         self.tf32.unwrap_or(self.fp32)
     }
 
-    /// Peak TFLOPS per watt (the paper's key efficiency metric).
-    ///
-    /// Returns `None` if the TDP is unknown.
-    #[must_use]
-    pub fn flops_per_watt(&self) -> Option<f64> {
-        self.tdp.map(|tdp| self.peak_flops().value() / tdp.value())
-    }
-
     /// Peak TFLOPS per dollar (the metric terrestrial buyers optimize).
     ///
     /// Returns `None` if the price is unknown.
+    ///
+    /// Kept without a non-test caller: `tests/paper_claims.rs` checks the
+    /// paper's FLOPs-per-dollar contrast (the H100 below the RTX 3090) with it.
     #[must_use]
     pub fn flops_per_dollar(&self) -> Option<f64> {
         self.price.map(|p| self.peak_flops().value() / p.value())
-    }
-
-    /// Number of units needed to fill a payload power budget (TDP-limited).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the part has no TDP entry or a zero TDP.
-    #[must_use]
-    pub fn units_for_budget(&self, budget: Watts) -> u32 {
-        let tdp = self.tdp.expect("units_for_budget requires a known TDP");
-        assert!(tdp.value() > 0.0, "TDP must be positive");
-        (budget.value() / tdp.value()).floor() as u32
     }
 }
 
@@ -202,14 +185,6 @@ pub fn catalog() -> Vec<HardwareSpec> {
     ]
 }
 
-/// Looks up a catalog entry by (case-insensitive) name.
-#[must_use]
-pub fn by_name(name: &str) -> Option<HardwareSpec> {
-    catalog()
-        .into_iter()
-        .find(|h| h.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,9 +198,10 @@ mod tests {
     fn a100_and_h100_flops_per_watt_advantage_over_3090() {
         // Paper: "the A100 and H100 have max FLOPs/W advantage of 5.1x and
         // 21.2x, respectively, over RTX 3090".
-        let base = rtx_3090().flops_per_watt().unwrap();
-        let a = a100().flops_per_watt().unwrap() / base;
-        let h = h100().flops_per_watt().unwrap() / base;
+        let flops_per_watt = |hw: HardwareSpec| hw.peak_flops().value() / hw.tdp.unwrap().value();
+        let base = flops_per_watt(rtx_3090());
+        let a = flops_per_watt(a100()) / base;
+        let h = flops_per_watt(h100()) / base;
         assert!((a - 5.1).abs() < 0.1, "A100 advantage {a}");
         assert!((h - 21.2).abs() < 0.3, "H100 advantage {h}");
     }
@@ -264,19 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn units_for_budget_is_tdp_limited() {
-        assert_eq!(rtx_3090().units_for_budget(Watts::from_kilowatts(4.0)), 11);
-        assert_eq!(a100().units_for_budget(Watts::from_kilowatts(4.0)), 13);
-        assert_eq!(rtx_3090().units_for_budget(Watts::new(100.0)), 0);
-    }
-
-    #[test]
-    fn lookup_by_name_is_case_insensitive() {
-        assert_eq!(by_name("rtx 3090").unwrap().name, "RTX 3090");
-        assert!(by_name("nonexistent").is_none());
-    }
-
-    #[test]
     fn peak_flops_prefers_tensor_cores() {
         assert_eq!(a100().peak_flops(), Teraflops::new(156.0));
         assert_eq!(rtx_3090().peak_flops(), Teraflops::new(35.58));
@@ -285,6 +248,6 @@ mod tests {
     #[test]
     fn missing_data_yields_none_not_garbage() {
         assert!(radeon_780m().flops_per_dollar().is_none());
-        assert!(kintex_ultrascale_xqr().flops_per_watt().is_none());
+        assert!(kintex_ultrascale_xqr().tdp.is_none());
     }
 }

@@ -9,8 +9,6 @@
 //!   on an RTX 3090 (power, utilization, inference time, kpixel/J);
 //! - [`networks`] — layer-shape descriptions of the CNNs behind those
 //!   applications (Fig. 13), consumed by `sudc-accel`;
-//! - [`server`] — packaging chips into flyable servers (specific power,
-//!   payload mass/price for a power budget);
 //! - [`gpu`] — a batch-size-aware GPU energy model reproducing the paper's
 //!   batch-processing methodology;
 //! - [`scheduler`] — a discrete-event simulation of the Fig. 14 batch
@@ -25,7 +23,6 @@ pub mod hardware;
 pub mod networks;
 pub mod precision;
 pub mod scheduler;
-pub mod server;
 pub mod workloads;
 
 pub use hardware::HardwareSpec;

@@ -240,12 +240,6 @@ impl Network {
     pub fn total_weights(&self) -> u64 {
         self.layers.iter().map(Layer::weights).sum()
     }
-
-    /// Number of layers.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 /// Appends a ResNet bottleneck block (1x1 down, 3x3, 1x1 up).
@@ -570,7 +564,7 @@ mod tests {
         for id in NetworkId::all() {
             let net = id.network();
             assert_eq!(net.id, id);
-            assert!(net.depth() > 3, "{id} too shallow");
+            assert!(net.layers.len() > 3, "{id} too shallow");
             assert!(net.total_macs() > 0, "{id} has no work");
             assert!(net.total_weights() > 0, "{id} has no weights");
         }
@@ -642,7 +636,7 @@ mod tests {
     #[test]
     fn densenet_has_121_ish_depth() {
         // 1 stem + 58 dense-block pairs (116) + 3 transitions + classifier.
-        assert!(densenet_121().depth() > 100);
+        assert!(densenet_121().layers.len() > 100);
     }
 
     #[test]

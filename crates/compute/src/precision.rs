@@ -60,16 +60,6 @@ impl Precision {
             Self::Int8 => 0.99,
         }
     }
-
-    /// Energy-efficiency gain over FP32 from arithmetic and data movement
-    /// together (traffic scales with operand width).
-    #[must_use]
-    pub fn efficiency_gain(self) -> f64 {
-        let arithmetic = 1.0 / self.mac_energy_factor();
-        let traffic = f64::from(Self::Fp32.bits()) / f64::from(self.bits());
-        // Arithmetic and traffic each cover roughly half the energy.
-        2.0 / (1.0 / arithmetic + 1.0 / traffic)
-    }
 }
 
 impl core::fmt::Display for Precision {
@@ -104,20 +94,6 @@ mod tests {
             assert!(p.accuracy_retention() <= 1.0);
         }
         assert!(Precision::Int8.accuracy_retention() < Precision::Fp16.accuracy_retention());
-    }
-
-    #[test]
-    fn efficiency_gain_ordering() {
-        assert!((Precision::Fp32.efficiency_gain() - 1.0).abs() < 1e-12);
-        assert!(Precision::Int8.efficiency_gain() > Precision::Fp16.efficiency_gain());
-        assert!(Precision::Fp16.efficiency_gain() > 1.5);
-    }
-
-    #[test]
-    fn tf32_explains_part_of_the_tensor_core_advantage() {
-        // TF32 keeps 32-bit storage, so its gain is arithmetic-limited.
-        let g = Precision::Tf32.efficiency_gain();
-        assert!(g > 1.2 && g < 2.3, "got {g}");
     }
 
     #[test]

@@ -180,15 +180,6 @@ pub fn most_compute_intensive() -> Workload {
         .expect("suite is non-empty")
 }
 
-impl Workload {
-    /// Pixels processed per second when the application holds a payload of
-    /// `budget` watts busy.
-    #[must_use]
-    pub fn pixel_rate(&self, budget: Watts) -> f64 {
-        self.efficiency.value() * 1e3 * budget.value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +239,5 @@ mod tests {
     fn networks_are_distinct_per_application() {
         let nets: std::collections::HashSet<_> = suite().into_iter().map(|w| w.network).collect();
         assert_eq!(nets.len(), 10, "each app deploys its own network");
-    }
-
-    #[test]
-    fn pixel_rate_scales_with_budget() {
-        let w = by_name("Air Pollution").unwrap();
-        let r1 = w.pixel_rate(Watts::new(500.0));
-        let r2 = w.pixel_rate(Watts::new(1000.0));
-        assert!((r2 / r1 - 2.0).abs() < 1e-12);
     }
 }

@@ -5,7 +5,7 @@
 //! constellation reduces SµDC ISL and compute power proportionally". At a
 //! filtering rate of 0.5, a 4 kW SµDC shrinks to 2 kW (Fig. 19).
 
-use sudc_units::{GigabitsPerSecond, Watts};
+use sudc_units::Watts;
 
 /// An edge-filtering configuration on the EO satellites.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,12 +66,6 @@ impl EdgeFiltering {
     pub fn reduced_compute(self, baseline: Watts) -> Watts {
         baseline * self.pass_fraction()
     }
-
-    /// ISL capacity required after filtering.
-    #[must_use]
-    pub fn reduced_isl(self, baseline: GigabitsPerSecond) -> GigabitsPerSecond {
-        baseline * self.pass_fraction()
-    }
 }
 
 impl Default for EdgeFiltering {
@@ -98,10 +92,6 @@ mod tests {
             f.reduced_compute(Watts::from_kilowatts(4.0)),
             Watts::from_kilowatts(2.0)
         );
-        assert_eq!(
-            f.reduced_isl(GigabitsPerSecond::new(100.0)),
-            GigabitsPerSecond::new(50.0)
-        );
     }
 
     #[test]
@@ -118,7 +108,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn compute_and_isl_shrink_proportionally(
+        fn compute_shrinks_proportionally(
             rate in 0.0..0.99f64,
             power in 100.0..10_000.0f64,
         ) {

@@ -5,13 +5,10 @@
 //!
 //! - radiator temperature setpoint (area vs. pump-power trade),
 //! - launch pricing era,
-//! - FSO power-efficiency improvements (Space-BACN-class terminals),
-//! - solar-cell technology.
+//! - FSO power-efficiency improvements (Space-BACN-class terminals).
 
-use sudc_comms::cdh::CdhDesign;
 use sudc_errors::SudcError;
 use sudc_orbital::launch::LaunchPricing;
-use sudc_power::{PowerDesign, SolarCellTech};
 use sudc_thermal::{HeatPump, ThermalDesign};
 use sudc_units::{Kelvin, Usd, Watts};
 
@@ -107,39 +104,6 @@ pub fn fso_efficiency_ablation(
         .collect()
 }
 
-/// Power-subsystem mass under the two solar-cell technologies, exposing
-/// the GaAs-vs-silicon default.
-#[must_use]
-pub fn solar_tech_ablation(eol_load: Watts) -> Vec<(&'static str, f64)> {
-    use sudc_orbital::CircularOrbit;
-    use sudc_units::Years;
-    [
-        ("triple-junction GaAs", SolarCellTech::TripleJunctionGaAs),
-        ("silicon", SolarCellTech::Silicon),
-    ]
-    .into_iter()
-    .map(|(name, tech)| {
-        let design = PowerDesign::size(
-            eol_load,
-            CircularOrbit::reference_leo(),
-            Years::new(5.0),
-            tech,
-        );
-        (name, design.mass().value())
-    })
-    .collect()
-}
-
-/// The C&DH power consumed at an ISL rate, today vs. a Space-BACN-class
-/// future (a direct view of where the FSO ablation's savings come from).
-#[must_use]
-pub fn cdh_power_comparison(isl_gbps: f64) -> (Watts, Watts) {
-    let rate = sudc_units::GigabitsPerSecond::new(isl_gbps);
-    let today = CdhDesign::size(rate);
-    let future = CdhDesign::size_with_fso_efficiency(rate, 10.0);
-    (today.power(), future.power())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,17 +155,5 @@ mod tests {
             curve.last().unwrap().1 < 0.99,
             "10x FSO must save something"
         );
-    }
-
-    #[test]
-    fn gaas_arrays_are_lighter() {
-        let rows = solar_tech_ablation(Watts::from_kilowatts(4.0));
-        assert!(rows[0].1 < rows[1].1);
-    }
-
-    #[test]
-    fn future_fso_cuts_cdh_power() {
-        let (today, future) = cdh_power_comparison(100.0);
-        assert!(future < today);
     }
 }

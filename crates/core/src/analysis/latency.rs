@@ -12,7 +12,7 @@ use sudc_compute::workloads::Workload;
 use sudc_orbital::contact::GroundNetwork;
 use sudc_orbital::imaging::Imager;
 use sudc_orbital::CircularOrbit;
-use sudc_units::{Gigabits, GigabitsPerSecond, Seconds};
+use sudc_units::{Gigabits, Seconds};
 
 /// Latency of the two processing paths for one workload.
 #[derive(Debug, Clone)]
@@ -84,13 +84,6 @@ pub fn latency_table(stations: u32) -> Vec<LatencyComparison> {
         .collect()
 }
 
-/// The raw data rate a single reference EO satellite produces (useful for
-/// judging the downlink deficit).
-#[must_use]
-pub fn reference_production_rate() -> GigabitsPerSecond {
-    Imager::reference().data_rate(CircularOrbit::reference_leo())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,11 +122,5 @@ mod tests {
                 assert!(dl > d.in_space, "{}", d.workload);
             }
         }
-    }
-
-    #[test]
-    fn production_rate_is_sub_gbps() {
-        let r = reference_production_rate().value();
-        assert!(r > 0.01 && r < 1.0);
     }
 }

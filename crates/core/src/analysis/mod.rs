@@ -50,13 +50,3 @@ pub fn default_design(compute_power: Watts) -> Result<SuDcDesign, SudcError> {
 pub fn default_tco(compute_power: Watts) -> Result<TcoReport, SudcError> {
     default_design(compute_power)?.try_tco()
 }
-
-/// The paper's three reference SµDC sizes: 0.5, 4, and 10 kW.
-#[must_use]
-pub fn reference_powers() -> [Watts; 3] {
-    [
-        Watts::new(500.0),
-        Watts::from_kilowatts(4.0),
-        Watts::from_kilowatts(10.0),
-    ]
-}

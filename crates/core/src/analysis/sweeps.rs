@@ -150,8 +150,16 @@ pub fn mass_vs_power(powers: &[Watts]) -> Result<Vec<MassPoint>, SudcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::reference_powers;
     use sudc_sscm::subsystems::Subsystem;
+
+    /// The paper's three reference SµDC sizes: 0.5, 4, and 10 kW.
+    fn reference_powers() -> [Watts; 3] {
+        [
+            Watts::new(500.0),
+            Watts::from_kilowatts(4.0),
+            Watts::from_kilowatts(10.0),
+        ]
+    }
 
     #[test]
     fn tco_grows_sublinearly_with_power() {

@@ -38,6 +38,10 @@ const SPARE_MASS_FACTOR: f64 = 0.1;
 /// Structure mass fraction of dry mass.
 const STRUCTURE_FRACTION: f64 = 0.18;
 
+/// Pointing requirement every design is costed at (the SSCM-SµDC ADCS
+/// cost input), arcsec.
+const POINTING_ARCSEC: f64 = 60.0;
+
 /// ADCS mass fraction of dry mass.
 const ADCS_FRACTION: f64 = 0.05;
 
@@ -225,39 +229,6 @@ impl SuDcDesign {
     pub fn try_tco(&self) -> Result<TcoReport, SudcError> {
         self.size()?.try_tco()
     }
-
-    /// Radiation regime implied by the operating orbit.
-    #[must_use]
-    pub fn radiation_regime(&self) -> sudc_orbital::radiation::RadiationRegime {
-        use sudc_orbital::radiation::RadiationRegime;
-        let altitude_km = self.orbit.altitude().value() / 1e3;
-        if altitude_km < 2_000.0 {
-            RadiationRegime::LeoNonPolar
-        } else if altitude_km < 30_000.0 {
-            RadiationRegime::Meo
-        } else {
-            RadiationRegime::Geo
-        }
-    }
-
-    /// Assesses whether the selected hardware survives the mission's total
-    /// ionizing dose behind `shield_mils` of aluminum (§VIII's COTS
-    /// suitability check).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SudcError`] if `shield_mils` is negative or non-finite.
-    pub fn radiation_assessment(
-        &self,
-        shield_mils: f64,
-    ) -> Result<sudc_orbital::radiation::TidAssessment, SudcError> {
-        sudc_orbital::radiation::TidAssessment::try_assess(
-            self.radiation_regime(),
-            shield_mils,
-            self.lifetime,
-            self.hardware.tid_tolerance,
-        )
-    }
 }
 
 /// A physically sized SµDC, ready for costing.
@@ -328,6 +299,9 @@ impl SizedSuDc {
     }
 
     /// Exports the physical sizing as JSON.
+    ///
+    /// Kept without a non-test caller: it is the sizing's export format,
+    /// and `tests/json_fidelity.rs` checks that it never writes a `null`.
     #[must_use]
     pub fn to_json(&self) -> sudc_par::json::Json {
         sudc_par::json::Json::object()
@@ -360,7 +334,6 @@ pub struct SuDcDesignBuilder {
     orbit: CircularOrbit,
     redundancy: RedundancyScheme,
     spares: u32,
-    pointing_arcsec: f64,
     launch: LaunchPricing,
 }
 
@@ -378,7 +351,6 @@ impl Default for SuDcDesignBuilder {
             orbit: CircularOrbit::reference_leo(),
             redundancy: RedundancyScheme::None,
             spares: 0,
-            pointing_arcsec: 60.0,
             launch: LaunchPricing::falcon9_rideshare(),
         }
     }
@@ -451,6 +423,10 @@ impl SuDcDesignBuilder {
     }
 
     /// Sets the operating orbit (default: 550 km LEO).
+    ///
+    /// Kept without a non-test caller: it is the one way to move the
+    /// orbit the sizing costs (drag, fuel, eclipse), which
+    /// `tests/pipeline.rs` checks through it.
     #[must_use]
     pub fn orbit(mut self, orbit: CircularOrbit) -> Self {
         self.orbit = orbit;
@@ -468,13 +444,6 @@ impl SuDcDesignBuilder {
     #[must_use]
     pub fn spares(mut self, spares: u32) -> Self {
         self.spares = spares;
-        self
-    }
-
-    /// Sets the pointing requirement in arcseconds.
-    #[must_use]
-    pub fn pointing_arcsec(mut self, arcsec: f64) -> Self {
-        self.pointing_arcsec = arcsec;
         self
     }
 
@@ -505,7 +474,6 @@ impl SuDcDesignBuilder {
         }
         d.positive("efficiency_factor", self.efficiency_factor);
         d.positive("hardware_price_factor", self.hardware_price_factor);
-        d.positive("pointing_arcsec", self.pointing_arcsec);
         d.ensure(
             self.fso_efficiency_scalar >= 1.0 && self.fso_efficiency_scalar.is_finite(),
             "fso_efficiency_scalar",
@@ -529,7 +497,7 @@ impl SuDcDesignBuilder {
             orbit: self.orbit,
             redundancy: self.redundancy,
             spares: self.spares,
-            pointing_arcsec: self.pointing_arcsec,
+            pointing_arcsec: POINTING_ARCSEC,
             launch: self.launch,
         })
     }
@@ -668,36 +636,27 @@ mod tests {
     }
 
     #[test]
-    fn cots_gpus_survive_leo_behind_heavy_shielding() {
+    fn cots_gpus_survive_leo_behind_heavy_shielding_but_not_geo() {
         // Paper §VIII: LEO + 400 mil shielding keeps COTS within tolerance.
+        use sudc_orbital::radiation::{RadiationRegime, TidAssessment};
         let design = four_kw();
-        let shielded = design.radiation_assessment(400.0).unwrap();
+        let assess = |regime, shield_mils| {
+            TidAssessment::try_assess(
+                regime,
+                shield_mils,
+                design.lifetime,
+                design.hardware.tid_tolerance,
+            )
+            .unwrap()
+        };
+        let shielded = assess(RadiationRegime::LeoNonPolar, 400.0);
         assert!(
             shielded.survives_with_margin(1.5),
             "margin {}",
             shielded.margin
         );
-        let thin = design.radiation_assessment(100.0).unwrap();
-        assert!(thin.margin < shielded.margin);
-    }
-
-    #[test]
-    fn geo_orbits_demand_rad_hard_parts() {
-        use sudc_orbital::CircularOrbit;
-        use sudc_units::Meters;
-        let geo = SuDcDesign::builder()
-            .compute_power(Watts::from_kilowatts(4.0))
-            .orbit(CircularOrbit::from_altitude(Meters::new(35_786e3)))
-            .try_build()
-            .unwrap();
-        assert_eq!(
-            geo.radiation_regime(),
-            sudc_orbital::radiation::RadiationRegime::Geo
-        );
-        assert!(!geo
-            .radiation_assessment(200.0)
-            .unwrap()
-            .survives_with_margin(1.0));
+        assert!(assess(RadiationRegime::LeoNonPolar, 100.0).margin < shielded.margin);
+        assert!(!assess(RadiationRegime::Geo, 200.0).survives_with_margin(1.0));
     }
 
     #[test]

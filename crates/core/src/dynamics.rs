@@ -141,13 +141,6 @@ impl DynamicScenario {
         })
     }
 
-    /// Enables collaborative edge filtering (paper §V).
-    #[must_use]
-    pub fn with_filtering(mut self, filtering: EdgeFiltering) -> Self {
-        self.filtering = filtering;
-        self
-    }
-
     /// Installs `spares` cold spares over the required node count, aging at
     /// `dormant_aging` of the powered rate while dormant.
     ///
@@ -165,53 +158,11 @@ impl DynamicScenario {
         self
     }
 
-    /// Overrides the powered-node mean time to failure — chaos campaigns
-    /// use accelerated aging so failure dynamics are observable inside an
-    /// operations-scale run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mttf` is not positive (infinite disables failures).
-    #[must_use]
-    pub fn with_node_mttf(mut self, mttf: Seconds) -> Self {
-        assert!(
-            mttf.value() > 0.0 && !mttf.value().is_nan(),
-            "node MTTF must be positive, got {}",
-            mttf.value()
-        );
-        self.node_mttf = mttf;
-        self
-    }
-
-    /// Overrides the Weibull shape of node lifetimes (1 = exponential,
-    /// < 1 = infant mortality, > 1 = wear-out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is not positive and finite.
-    #[must_use]
-    pub fn with_weibull_shape(mut self, shape: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0,
-            "Weibull shape must be positive and finite, got {shape}"
-        );
-        self.weibull_shape = shape;
-        self
-    }
-
     /// Aggregate image rate reaching the SµDC after filtering, images/s.
     #[must_use]
     pub fn arrival_rate(&self) -> f64 {
         f64::from(self.satellites) * self.imaging_duty_cycle / self.frame_interval.value()
             * self.filtering.pass_fraction()
-    }
-
-    /// Aggregate compute utilization implied by the steady-state rates —
-    /// the sanity anchor the simulator's measured utilization should
-    /// approach on long runs.
-    #[must_use]
-    pub fn offered_compute_load(&self) -> f64 {
-        self.arrival_rate() * self.per_image_service.value() / f64::from(self.required)
     }
 }
 
@@ -221,6 +172,12 @@ mod tests {
 
     fn reference() -> DynamicScenario {
         DynamicScenario::from_scenario(Scenario::Reference, 64).unwrap()
+    }
+
+    /// Compute utilization the steady-state rates imply: the value the
+    /// simulator's measured utilization approaches on long runs.
+    fn offered_compute_load(d: &DynamicScenario) -> f64 {
+        d.arrival_rate() * d.per_image_service.value() / f64::from(d.required)
     }
 
     #[test]
@@ -243,15 +200,18 @@ mod tests {
         // The no-filtering suite workload should stress the 10 active
         // nodes without exceeding them (else backlogs grow unboundedly and
         // the collaborative comparison degenerates).
-        let load = reference().offered_compute_load();
+        let load = offered_compute_load(&reference());
         assert!(load > 0.35 && load < 0.95, "offered load {load}");
     }
 
     #[test]
     fn filtering_cuts_the_offered_load_proportionally() {
         let base = reference();
-        let filtered = reference().with_filtering(EdgeFiltering::cloud_filtering());
-        let ratio = filtered.offered_compute_load() / base.offered_compute_load();
+        let filtered = DynamicScenario {
+            filtering: EdgeFiltering::cloud_filtering(),
+            ..reference()
+        };
+        let ratio = offered_compute_load(&filtered) / offered_compute_load(&base);
         assert!((ratio - 1.0 / 3.0).abs() < 1e-9, "ratio {ratio}");
     }
 

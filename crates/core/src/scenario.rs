@@ -32,6 +32,9 @@ pub enum Scenario {
 
 impl Scenario {
     /// All scenarios.
+    ///
+    /// Kept without a non-test caller: `tests/panic_freedom.rs` runs every
+    /// scenario through the fallible pipeline with it.
     #[must_use]
     pub fn all() -> [Self; 7] {
         [

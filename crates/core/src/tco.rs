@@ -38,20 +38,9 @@ pub struct TcoReport {
 }
 
 impl TcoReport {
-    /// Assembles a report. Infallible by construction; see
-    /// [`TcoReport::try_new`] for the validating form.
-    #[must_use]
-    pub fn new(estimate: CostEstimate, launch: Usd, operations: Usd) -> Self {
-        Self {
-            estimate,
-            launch,
-            operations,
-        }
-    }
-
-    /// Validating form of [`TcoReport::new`]: rejects non-finite or
-    /// negative launch and operations costs, which would silently poison
-    /// every share and total downstream.
+    /// Assembles a report, rejecting non-finite or negative launch and
+    /// operations costs, which would silently poison every share and total
+    /// downstream.
     ///
     /// # Errors
     ///
@@ -142,6 +131,9 @@ impl TcoReport {
     }
 
     /// Exports the report as JSON: every line item in USD plus the rollups.
+    ///
+    /// Kept without a non-test caller: it is the report's export format,
+    /// and `tests/json_fidelity.rs` checks that it never writes a `null`.
     #[must_use]
     pub fn to_json(&self) -> sudc_par::json::Json {
         let lines = self
@@ -168,7 +160,7 @@ mod tests {
         let estimate = SubsystemCers::sudc_default()
             .try_estimate(&SscmInputs::reference())
             .unwrap();
-        TcoReport::new(estimate, Usd::from_millions(2.5), Usd::from_millions(3.5))
+        TcoReport::try_new(estimate, Usd::from_millions(2.5), Usd::from_millions(3.5)).unwrap()
     }
 
     #[test]

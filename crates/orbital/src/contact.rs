@@ -66,13 +66,6 @@ impl PassGeometry {
         let omega = 2.0 * std::f64::consts::PI / self.orbit.period().value();
         Seconds::new(2.0 * self.max_central_angle() / omega)
     }
-
-    /// Fraction of the orbit spent inside the station's coverage cone on an
-    /// overhead pass (`λ/π`).
-    #[must_use]
-    pub fn coverage_fraction(&self) -> f64 {
-        self.max_central_angle() / std::f64::consts::PI
-    }
 }
 
 /// Daily passes a *polar* ground station sees from a polar orbit: every
@@ -240,7 +233,6 @@ mod tests {
         let g = PassGeometry::new(CircularOrbit::reference_leo(), 90.0);
         assert!(g.max_central_angle().abs() < 1e-12);
         assert!(g.max_pass_duration().value().abs() < 1e-9);
-        assert!(g.coverage_fraction().abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! - [`orbit`] — circular-orbit geometry: velocity, period, eclipse fraction;
 //! - [`contact`] — ground-station contacts and bent-pipe downlink latency;
 //! - [`drag`] — exponential-atmosphere drag and station-keeping Δv budgets;
-//! - [`geometry`] — constellation ring geometry and ISL line-of-sight;
 //! - [`rocket`] — the Tsiolkovsky rocket equation for fuel-mass sizing;
 //! - [`radiation`] — total-ionizing-dose rates vs. orbit regime & shielding;
 //! - [`imaging`] — Earth-observation image production rates;
@@ -29,7 +28,6 @@
 pub mod constants;
 pub mod contact;
 pub mod drag;
-pub mod geometry;
 pub mod imaging;
 pub mod launch;
 pub mod orbit;

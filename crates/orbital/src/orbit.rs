@@ -17,7 +17,6 @@ use crate::constants::{MU_EARTH, R_EARTH};
 /// use sudc_units::Meters;
 ///
 /// let starlink_like = CircularOrbit::from_altitude(Meters::new(550e3));
-/// assert!(starlink_like.is_leo());
 /// assert!(starlink_like.eclipse_fraction() > 0.3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,12 +91,6 @@ impl CircularOrbit {
         (R_EARTH / self.radius().value()).asin() / std::f64::consts::PI
     }
 
-    /// Whether the orbit is in the LEO band (below 2000 km).
-    #[must_use]
-    pub fn is_leo(self) -> bool {
-        self.altitude.value() < 2.0e6
-    }
-
     /// Eclipse fraction at a solar beta angle (the angle between the sun
     /// vector and the orbit plane), in radians.
     ///
@@ -110,6 +103,9 @@ impl CircularOrbit {
     /// # Panics
     ///
     /// Panics if `beta_rad` is non-finite.
+    ///
+    /// Kept without a non-test caller: `tests/extension_claims.rs` checks that
+    /// dawn-dusk orbits cut the eclipse penalty with it.
     #[must_use]
     pub fn eclipse_fraction_at_beta(self, beta_rad: f64) -> f64 {
         assert!(beta_rad.is_finite(), "beta angle must be finite");
@@ -120,13 +116,6 @@ impl CircularOrbit {
             return 0.0; // orbit plane clears the shadow cylinder
         }
         (h_term / cos_beta).acos() / std::f64::consts::PI
-    }
-
-    /// The beta angle (radians) beyond which the orbit sees no eclipse.
-    #[must_use]
-    pub fn eclipse_free_beta(self) -> f64 {
-        let r = self.radius().value();
-        (1.0 - (R_EARTH / r).powi(2)).sqrt().acos()
     }
 }
 
@@ -186,12 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn leo_classification() {
-        assert!(leo().is_leo());
-        assert!(!CircularOrbit::from_altitude(Meters::new(35_786e3)).is_leo());
-    }
-
-    #[test]
     #[should_panic(expected = "altitude must be finite")]
     fn negative_altitude_panics() {
         let _ = CircularOrbit::from_altitude(Meters::new(-1.0));
@@ -215,13 +198,8 @@ mod tests {
         let f40 = o.eclipse_fraction_at_beta(40f64.to_radians());
         assert!(f40 < f0 && f40 > 0.0);
         // Beyond the eclipse-free beta (about 67 deg at 550 km) no shadow.
-        let free = o.eclipse_free_beta();
-        assert!(
-            (free.to_degrees() - 67.0).abs() < 2.0,
-            "free beta {}",
-            free.to_degrees()
-        );
-        assert_eq!(o.eclipse_fraction_at_beta(free + 0.01), 0.0);
+        assert!(o.eclipse_fraction_at_beta(66f64.to_radians()) > 0.0);
+        assert_eq!(o.eclipse_fraction_at_beta(68f64.to_radians()), 0.0);
     }
 
     #[test]

@@ -18,29 +18,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Monopropellant hydrazine thruster (Isp ≈ 220 s) — the conventional
-    /// small-satellite choice the paper's SSCM variant is designed around.
-    #[must_use]
-    pub fn monopropellant() -> Self {
-        Self {
-            isp: Seconds::new(220.0),
-        }
-    }
-
     /// Bipropellant thruster (Isp ≈ 320 s).
     #[must_use]
     pub fn bipropellant() -> Self {
         Self {
             isp: Seconds::new(320.0),
-        }
-    }
-
-    /// Ion thruster (Isp ≈ 2500 s) — what SEER-Space parameterizes for
-    /// larger satellites (see the paper's Fig. 3 discussion).
-    #[must_use]
-    pub fn ion() -> Self {
-        Self {
-            isp: Seconds::new(2500.0),
         }
     }
 
@@ -61,9 +43,9 @@ impl Engine {
     /// use sudc_orbital::rocket::Engine;
     /// use sudc_units::{Kilograms, MetersPerSecond};
     ///
-    /// let fuel = Engine::monopropellant()
+    /// let fuel = Engine::bipropellant()
     ///     .fuel_mass(Kilograms::new(1000.0), MetersPerSecond::new(150.0));
-    /// assert!(fuel.value() > 60.0 && fuel.value() < 80.0);
+    /// assert!(fuel.value() > 40.0 && fuel.value() < 60.0);
     /// ```
     #[must_use]
     pub fn fuel_mass(self, dry_mass: Kilograms, dv: MetersPerSecond) -> Kilograms {
@@ -78,14 +60,6 @@ impl Engine {
         let ratio = dv.value() / self.exhaust_velocity().value();
         dry_mass * (ratio.exp() - 1.0)
     }
-
-    /// Δv achievable from the given fuel load (inverse of [`Self::fuel_mass`]).
-    #[must_use]
-    pub fn dv_from_fuel(self, dry_mass: Kilograms, fuel: Kilograms) -> MetersPerSecond {
-        assert!(dry_mass.value() > 0.0, "dry mass must be positive");
-        let mass_ratio = (dry_mass + fuel).value() / dry_mass.value();
-        MetersPerSecond::new(self.exhaust_velocity().value() * mass_ratio.ln())
-    }
 }
 
 #[cfg(test)]
@@ -95,13 +69,13 @@ mod tests {
 
     #[test]
     fn exhaust_velocity_matches_isp() {
-        let v = Engine::monopropellant().exhaust_velocity().value();
-        assert!((v - 220.0 * G0).abs() < 1e-9);
+        let v = Engine::bipropellant().exhaust_velocity().value();
+        assert!((v - 320.0 * G0).abs() < 1e-9);
     }
 
     #[test]
     fn fuel_mass_is_proportional_to_dry_mass() {
-        let e = Engine::monopropellant();
+        let e = Engine::bipropellant();
         let dv = MetersPerSecond::new(200.0);
         let f1 = e.fuel_mass(Kilograms::new(500.0), dv);
         let f2 = e.fuel_mass(Kilograms::new(1000.0), dv);
@@ -112,9 +86,13 @@ mod tests {
     fn higher_isp_needs_less_fuel() {
         let dry = Kilograms::new(1000.0);
         let dv = MetersPerSecond::new(300.0);
-        let mono = Engine::monopropellant().fuel_mass(dry, dv);
-        let bi = Engine::bipropellant().fuel_mass(dry, dv);
-        let ion = Engine::ion().fuel_mass(dry, dv);
+        let with_isp = |isp| Engine {
+            isp: Seconds::new(isp),
+        };
+        // Monopropellant hydrazine, bipropellant, ion.
+        let mono = with_isp(220.0).fuel_mass(dry, dv);
+        let bi = with_isp(320.0).fuel_mass(dry, dv);
+        let ion = with_isp(2500.0).fuel_mass(dry, dv);
         assert!(bi < mono);
         assert!(ion < bi);
     }
@@ -126,19 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn fuel_and_dv_are_inverse() {
-        let e = Engine::bipropellant();
-        let dry = Kilograms::new(750.0);
-        let dv = MetersPerSecond::new(412.0);
-        let fuel = e.fuel_mass(dry, dv);
-        let back = e.dv_from_fuel(dry, fuel);
-        assert!((back - dv).abs() < MetersPerSecond::new(1e-9));
-    }
-
-    #[test]
     #[should_panic(expected = "delta-v must be non-negative")]
     fn negative_dv_panics() {
-        let _ = Engine::ion().fuel_mass(Kilograms::new(1.0), MetersPerSecond::new(-1.0));
+        let _ = Engine::bipropellant().fuel_mass(Kilograms::new(1.0), MetersPerSecond::new(-1.0));
     }
 
     proptest! {
@@ -148,7 +116,7 @@ mod tests {
             dv2 in 0.0..2000.0f64,
             dry in 10.0..5000.0f64,
         ) {
-            let e = Engine::monopropellant();
+            let e = Engine::bipropellant();
             let (lo, hi) = if dv1 <= dv2 { (dv1, dv2) } else { (dv2, dv1) };
             let f_lo = e.fuel_mass(Kilograms::new(dry), MetersPerSecond::new(lo));
             let f_hi = e.fuel_mass(Kilograms::new(dry), MetersPerSecond::new(hi));
@@ -161,21 +129,10 @@ mod tests {
             dry in 10.0..5000.0f64,
         ) {
             // Doubling dv more than doubles fuel (convexity of exp).
-            let e = Engine::monopropellant();
+            let e = Engine::bipropellant();
             let f1 = e.fuel_mass(Kilograms::new(dry), MetersPerSecond::new(dv));
             let f2 = e.fuel_mass(Kilograms::new(dry), MetersPerSecond::new(2.0 * dv));
             prop_assert!(f2.value() >= 2.0 * f1.value() - 1e-9);
-        }
-
-        #[test]
-        fn roundtrip_dv(
-            dv in 0.0..3000.0f64,
-            dry in 1.0..10_000.0f64,
-        ) {
-            let e = Engine::ion();
-            let fuel = e.fuel_mass(Kilograms::new(dry), MetersPerSecond::new(dv));
-            let back = e.dv_from_fuel(Kilograms::new(dry), fuel);
-            prop_assert!((back.value() - dv).abs() < 1e-6);
         }
     }
 }

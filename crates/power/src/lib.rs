@@ -7,8 +7,7 @@
 //!   (EOL) degradation, eclipse oversizing, and specific power;
 //! - [`battery`] — eclipse-ride-through batteries with depth-of-discharge
 //!   limits;
-//! - [`design`] — a complete power-subsystem design (array + battery + PDU);
-//! - [`nuclear`] — the RTG alternative (and why LEO SµDCs do not use it).
+//! - [`design`] — a complete power-subsystem design (array + battery + PDU).
 //!
 //! # Examples
 //!
@@ -30,7 +29,6 @@
 
 pub mod battery;
 pub mod design;
-pub mod nuclear;
 pub mod solar;
 
 pub use design::PowerDesign;

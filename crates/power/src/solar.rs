@@ -122,12 +122,6 @@ impl SolarArray {
             mass,
         }
     }
-
-    /// Power the array can deliver in sunlight after `elapsed` years.
-    #[must_use]
-    pub fn power_after(&self, elapsed: Years) -> Watts {
-        self.bol_power * (1.0 - self.tech.annual_degradation()).powf(elapsed.value())
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +175,7 @@ mod tests {
             Years::new(5.0),
             SolarCellTech::TripleJunctionGaAs,
         );
-        let eol_sun_power = a.power_after(Years::new(5.0));
+        let eol_sun_power = a.bol_power * (1.0 - a.tech.annual_degradation()).powf(5.0);
         let f = leo().eclipse_fraction();
         let needed = load * (((1.0 - f) + f / BATTERY_ROUND_TRIP_EFFICIENCY) / (1.0 - f));
         assert!((eol_sun_power - needed).abs() < Watts::new(1e-6));

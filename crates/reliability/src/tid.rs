@@ -72,16 +72,6 @@ pub fn dataset() -> Vec<TidRecord> {
     ]
 }
 
-/// Demonstrated tolerance at the most advanced node in the dataset.
-#[must_use]
-pub fn modern_cots_tolerance() -> KradSi {
-    dataset()
-        .iter()
-        .min_by_key(|r| r.node_nm)
-        .map(TidRecord::demonstrated_tolerance)
-        .expect("dataset is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +101,12 @@ mod tests {
         // satellite's lifetime."
         let lifetime_dose =
             try_mission_dose(RadiationRegime::LeoNonPolar, 200.0, Years::new(5.0)).unwrap();
-        let tolerance = modern_cots_tolerance();
+        // The most advanced node in the dataset.
+        let tolerance = dataset()
+            .iter()
+            .min_by_key(|r| r.node_nm)
+            .unwrap()
+            .demonstrated_tolerance();
         assert!(
             tolerance.value() >= 10.0 * lifetime_dose.value(),
             "tolerance {tolerance} vs mission {lifetime_dose}"

@@ -9,7 +9,7 @@
 
 use sudc_errors::SudcError;
 
-use crate::availability::{binomial_pmf, binomial_tail_at_least};
+use crate::availability::binomial_tail_at_least;
 
 /// A Weibull lifetime distribution parameterized to preserve the mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,12 +41,6 @@ impl WeibullLifetime {
         Ok(Self { shape, scale })
     }
 
-    /// The exponential special case.
-    #[must_use]
-    pub fn exponential() -> Self {
-        Self::try_with_unit_mean(1.0).expect("shape 1 is positive and finite")
-    }
-
     /// Per-node survival probability at `t` (in MTTF units).
     ///
     /// # Errors
@@ -69,29 +63,15 @@ impl WeibullLifetime {
     /// # Errors
     ///
     /// Returns a structured error if `t` is negative or non-finite.
+    ///
+    /// Kept without a non-test caller: `tests/extension_claims.rs` checks that
+    /// overprovisioning pays off under every lifetime shape with it.
     pub fn try_availability(&self, nodes: u32, required: u32, t: f64) -> Result<f64, SudcError> {
         Ok(binomial_tail_at_least(
             nodes,
             required,
             self.try_survival(t)?,
         ))
-    }
-
-    /// Expected usable capacity `E[min(required, alive)]` at `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured error if `t` is negative or non-finite.
-    pub fn try_expected_capacity(
-        &self,
-        nodes: u32,
-        required: u32,
-        t: f64,
-    ) -> Result<f64, SudcError> {
-        let p = self.try_survival(t)?;
-        Ok((0..=nodes)
-            .map(|j| f64::from(j.min(required)) * binomial_pmf(nodes, j, p))
-            .sum())
     }
 }
 
@@ -140,7 +120,7 @@ mod tests {
 
     #[test]
     fn shape_one_reduces_to_the_exponential_model() {
-        let w = WeibullLifetime::exponential();
+        let w = WeibullLifetime::try_with_unit_mean(1.0).unwrap();
         let pool = NodePool::try_new(20, 10).unwrap();
         for t in [0.1, 0.5, 1.0, 2.0] {
             assert!((w.try_survival(t).unwrap() - (-t).exp()).abs() < 1e-12);
@@ -156,7 +136,7 @@ mod tests {
         // k > 1: flat early hazard, then wear-out. Early survival beats the
         // exponential; late survival falls below it.
         let wearout = WeibullLifetime::try_with_unit_mean(3.0).unwrap();
-        let exp = WeibullLifetime::exponential();
+        let exp = WeibullLifetime::try_with_unit_mean(1.0).unwrap();
         assert!(wearout.try_survival(0.2).unwrap() > exp.try_survival(0.2).unwrap());
         assert!(wearout.try_survival(2.0).unwrap() < exp.try_survival(2.0).unwrap());
     }
@@ -164,7 +144,7 @@ mod tests {
     #[test]
     fn infant_mortality_hurts_early_availability() {
         let infant = WeibullLifetime::try_with_unit_mean(0.5).unwrap();
-        let exp = WeibullLifetime::exponential();
+        let exp = WeibullLifetime::try_with_unit_mean(1.0).unwrap();
         assert!(
             infant.try_availability(20, 10, 0.1).unwrap()
                 < exp.try_availability(20, 10, 0.1).unwrap()
@@ -178,10 +158,6 @@ mod tests {
         for t in [0.3, 0.6, 0.9] {
             assert!(
                 w.try_availability(30, 10, t).unwrap() > w.try_availability(10, 10, t).unwrap()
-            );
-            assert!(
-                w.try_expected_capacity(30, 10, t).unwrap()
-                    > w.try_expected_capacity(10, 10, t).unwrap()
             );
         }
     }

@@ -97,6 +97,9 @@ impl CostEstimate {
     /// # Errors
     ///
     /// Returns a structured error if `n` is zero.
+    ///
+    /// Kept without a non-test caller: `tests/panic_freedom.rs` checks that it
+    /// rejects an empty fleet.
     pub fn try_fleet_cost(&self, n: u32) -> Result<Usd, SudcError> {
         if n == 0 {
             return Err(SudcError::single(
@@ -107,21 +110,6 @@ impl CostEstimate {
             ));
         }
         Ok(self.nre_total() + self.recurring_unit() * f64::from(n))
-    }
-
-    /// Share of the first-unit cost attributable to one subsystem.
-    ///
-    /// An all-zero estimate (every NRE and RE at `Usd::ZERO`) has no
-    /// meaningful shares; every subsystem's share is reported as 0 rather
-    /// than NaN so downstream JSON artifacts stay well-formed.
-    #[must_use]
-    pub fn share_of(&self, subsystem: Subsystem) -> f64 {
-        let first_unit = self.first_unit();
-        if first_unit.value() == 0.0 {
-            return 0.0;
-        }
-        self.cost_of(subsystem)
-            .map_or(0.0, |c| c.total() / first_unit)
     }
 }
 
@@ -165,18 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn shares_sum_to_one() {
-        let est = sample();
-        let total: f64 = [Subsystem::Structure, Subsystem::Power]
-            .iter()
-            .map(|&s| est.share_of(s))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn missing_subsystem_has_zero_share() {
-        assert_eq!(sample().share_of(Subsystem::Ttc), 0.0);
+    fn missing_subsystem_has_no_cost() {
         assert!(sample().cost_of(Subsystem::Ttc).is_none());
     }
 
@@ -195,29 +172,6 @@ mod tests {
     fn zero_fleet_is_rejected() {
         let err = sample().try_fleet_cost(0).unwrap_err();
         assert!(err.to_string().contains("at least one satellite"), "{err}");
-    }
-
-    #[test]
-    fn all_zero_estimate_has_zero_shares_not_nan() {
-        // Regression: `share_of` used to divide by a zero first-unit cost
-        // and return NaN, which poisoned downstream JSON as `null`.
-        let est = CostEstimate::try_new(vec![
-            SubsystemCost {
-                subsystem: Subsystem::Structure,
-                nre: Usd::ZERO,
-                re: Usd::ZERO,
-            },
-            SubsystemCost {
-                subsystem: Subsystem::Power,
-                nre: Usd::ZERO,
-                re: Usd::ZERO,
-            },
-        ])
-        .unwrap();
-        for s in [Subsystem::Structure, Subsystem::Power, Subsystem::Ttc] {
-            let share = est.share_of(s);
-            assert_eq!(share, 0.0, "{s}: {share}");
-        }
     }
 
     #[test]

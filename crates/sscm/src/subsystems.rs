@@ -42,6 +42,9 @@ pub enum Subsystem {
 
 impl Subsystem {
     /// All subsystems, in report order.
+    ///
+    /// Kept without a non-test caller: it is the reference list the CER
+    /// tests check the default estimate against, one item per subsystem.
     #[must_use]
     pub fn all() -> [Self; 10] {
         [

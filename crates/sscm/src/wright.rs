@@ -90,6 +90,9 @@ impl LearningCurve {
     ///
     /// Returns a structured error if `n` is zero (the average over an
     /// empty run is undefined).
+    ///
+    /// Kept without a non-test caller: `tests/panic_freedom.rs` checks that no
+    /// Wright-curve query panics.
     pub fn try_average_cost(&self, first_unit: Usd, n: u32) -> Result<Usd, SudcError> {
         if n == 0 {
             return Err(SudcError::single(

@@ -80,12 +80,6 @@ impl ThermalDesign {
         )
     }
 
-    /// Total heat arriving at the radiator.
-    #[must_use]
-    pub fn rejected_heat(self) -> Watts {
-        self.heat_load + self.pump_power
-    }
-
     /// Radiator panel area.
     #[must_use]
     pub fn radiator_area(self) -> SquareMeters {
@@ -118,7 +112,7 @@ mod tests {
     fn radiator_sized_for_load_plus_pump_work() {
         let d = ThermalDesign::size_default(Watts::from_kilowatts(10.0));
         let check = d.radiator.emitted_power(d.radiator_temperature);
-        assert!((check - d.rejected_heat()).abs() < Watts::new(1.0));
+        assert!((check - (d.heat_load + d.pump_power)).abs() < Watts::new(1.0));
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl HeatPump {
             Watts::new(heat_load.value() / cop)
         }
     }
-
-    /// Total heat arriving at the radiator: payload heat plus pump work.
-    #[must_use]
-    pub fn rejected_heat(self, heat_load: Watts, sink: Kelvin) -> Watts {
-        heat_load + self.pump_power(heat_load, sink)
-    }
 }
 
 impl Default for HeatPump {
@@ -121,16 +115,6 @@ mod tests {
         let warm = pump.pump_power(load, Kelvin::from_celsius(40.0));
         let hot = pump.pump_power(load, Kelvin::from_celsius(80.0));
         assert!(hot > warm);
-    }
-
-    #[test]
-    fn rejected_heat_exceeds_load_when_pumping() {
-        let pump = HeatPump::spacecraft_default();
-        let load = Watts::from_kilowatts(4.0);
-        let sink = Kelvin::from_celsius(45.0);
-        let rejected = pump.rejected_heat(load, sink);
-        assert!(rejected > load);
-        assert!((rejected - load - pump.pump_power(load, sink)).abs() < Watts::new(1e-9));
     }
 
     #[test]

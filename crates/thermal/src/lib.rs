@@ -9,9 +9,7 @@
 //!   performance follows a Carnot fraction, used to raise radiator
 //!   temperature and shrink radiator area;
 //! - [`design`] — closed-loop sizing of a complete thermal subsystem for a
-//!   given payload heat load;
-//! - [`louver`] — variable-emissivity (LAVER-class) radiators for the
-//!   cold case.
+//!   given payload heat load.
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 
 pub mod design;
 pub mod heatpump;
-pub mod louver;
 pub mod radiator;
 
 pub use design::ThermalDesign;

@@ -1,59 +1,16 @@
-//! Cross-crate physics consistency: quantities derived in one substrate
-//! must close against independent models in another.
+//! Cross-crate consistency: a quantity one crate derives must close
+//! against an independent model in another — the sized SµDC's ISL against
+//! the constellation's feed, three availability models at their shared
+//! exponential point, and the shipped CERs against the calibration fitter.
 
-use space_udc::comms::linkbudget::OpticalLink;
-use space_udc::comms::requirements::saturation_rate;
-use space_udc::compute::workloads;
 use space_udc::constellation::EoConstellation;
 use space_udc::core::design::SuDcDesign;
-use space_udc::orbital::geometry::RingConstellation;
-use space_udc::orbital::CircularOrbit;
 use space_udc::reliability::mission::{try_simulate, MissionConfig, SparingPolicy};
 use space_udc::reliability::weibull::WeibullLifetime;
 use space_udc::reliability::NodePool;
 use space_udc::sscm::calibration::{sample_cer, try_fit_cer};
 use space_udc::sscm::subsystems::SubsystemCers;
-use space_udc::units::{Meters, Watts};
-
-/// The optical crosslink must close over the actual in-ring separations of
-/// a 16-satellite EO ring at the ISL rates the SµDC provisions.
-#[test]
-fn isl_link_budget_closes_over_ring_geometry() {
-    let ring = RingConstellation::new(CircularOrbit::reference_leo(), 16);
-    let neighbor = ring.neighbor_distance();
-    let link = OpticalLink::leo_crosslink();
-    let achievable = link.achievable_rate(neighbor);
-
-    // The worst-case per-EO-satellite feed into a 4 kW SµDC: the total
-    // saturation rate divided across 16 feeders.
-    let lightest = workloads::most_lightweight();
-    let total_needed = saturation_rate(
-        Watts::from_kilowatts(4.0),
-        lightest.efficiency,
-        space_udc::comms::requirements::DEFAULT_BITS_PER_PIXEL,
-    );
-    let per_feeder = total_needed / 16.0;
-    assert!(
-        achievable > per_feeder,
-        "link closes {achievable} vs needed {per_feeder} at {neighbor}"
-    );
-}
-
-/// Line of sight must hold for the separations dense constellations use —
-/// and fail for sparse rings whose chords graze the atmosphere (with only
-/// 8 satellites at 550 km, the neighbor chord dips below 100 km altitude).
-#[test]
-fn ring_line_of_sight_matches_the_geometry() {
-    for n in [16, 32, 64] {
-        let ring = RingConstellation::new(CircularOrbit::reference_leo(), n);
-        assert!(
-            ring.has_line_of_sight(1, Meters::new(100e3)),
-            "ring of {n}: neighbors blocked?"
-        );
-    }
-    let sparse = RingConstellation::new(CircularOrbit::reference_leo(), 8);
-    assert!(!sparse.has_line_of_sight(1, Meters::new(100e3)));
-}
+use space_udc::units::Watts;
 
 /// The constellation's aggregate data rate must be deliverable over the
 /// provisioned SµDC ISL (the SµDC never receives more than it provisioned).
@@ -85,7 +42,8 @@ fn three_availability_models_agree_at_the_exponential_point() {
         .unwrap()
         .try_availability(t)
         .unwrap();
-    let weibull = WeibullLifetime::exponential()
+    let weibull = WeibullLifetime::try_with_unit_mean(1.0)
+        .unwrap()
         .try_availability(20, 10, t)
         .unwrap();
     let mc = try_simulate(
@@ -121,30 +79,4 @@ fn shipped_cers_roundtrip_through_the_fitter() {
         let b = fit.cer.evaluate(driver).value();
         assert!((a - b).abs() / a < 1e-9);
     }
-}
-
-/// The accelerator pipeline must sustain the constellation's inference
-/// demand: throughput from `sudc-accel` vs arrival rate from `sudc-orbital`.
-#[test]
-fn per_layer_pipeline_keeps_up_with_the_constellation() {
-    use space_udc::accel::pipeline::analyze_homogeneous;
-    use space_udc::accel::AcceleratorConfig;
-    use space_udc::compute::networks::NetworkId;
-    use space_udc::orbital::imaging::Imager;
-
-    let timing = analyze_homogeneous(
-        &NetworkId::ResNet50.network(),
-        AcceleratorConfig::reference(),
-    );
-    // 64 EO satellites x ~4 frames/min effective, tiled into 224^2 tiles:
-    // each 67 Mpixel frame is ~1340 tiles.
-    let frames_per_second =
-        Imager::reference().frames_per_minute(CircularOrbit::reference_leo()) * 0.6 * 64.0 / 60.0;
-    let tiles_per_frame = 67.0e6 / (224.0 * 224.0);
-    let tile_rate = frames_per_second * tiles_per_frame;
-    assert!(
-        timing.throughput * 64.0 > tile_rate,
-        "64 pipelines at {:.0}/s vs demand {tile_rate:.0}/s",
-        timing.throughput * 64.0
-    );
 }

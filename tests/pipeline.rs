@@ -32,7 +32,8 @@ fn sizing_closure_is_self_consistent() {
             .radiator
             .emitted_power(sized.thermal.radiator_temperature);
         assert!(
-            (emitted - sized.thermal.rejected_heat()).abs() < Watts::new(1.0),
+            (emitted - (sized.thermal.heat_load + sized.thermal.pump_power)).abs()
+                < Watts::new(1.0),
             "{p} kW: thermal closure"
         );
     }
