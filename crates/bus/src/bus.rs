@@ -112,7 +112,9 @@ mod tests {
         let (tally, (log, stats)) = attached;
         assert_eq!(tally.0, samples);
         assert_eq!(log.records(), 3);
-        assert_eq!(log.try_samples().unwrap(), samples);
+        let mut decoded = Vec::new();
+        log.try_visit(|s| decoded.push(*s)).unwrap();
+        assert_eq!(decoded, samples);
         assert_eq!(stats.published(TOPIC_CAPTURES), 1);
         assert_eq!(stats.published(TOPIC_TELEMETRY), 1);
         assert_eq!(stats.published(TOPIC_INSIGHTS), 1);

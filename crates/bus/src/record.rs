@@ -480,6 +480,11 @@ impl BusLog {
     }
 
     /// The raw encoded log.
+    ///
+    /// Kept without a non-test caller: with [`BusLog::try_from_bytes`] it
+    /// is the log's byte form for storage outside the program. The
+    /// round-trip and hostile-input properties in `tests/bus_log_model.rs`
+    /// go through it, and a log inspector (ROADMAP.md item 1) will too.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -487,6 +492,12 @@ impl BusLog {
 
     /// Parses and validates a log from raw bytes (a full decode pass —
     /// a truncated or corrupt log is rejected up front).
+    ///
+    /// Kept without a non-test caller: this is the decoder's entry point
+    /// for bytes from outside the program. The hostile-input properties in
+    /// `tests/bus_log_model.rs` (truncations, byte edits, spliced varints)
+    /// hold it to "decode or fail, never panic", and a log inspector
+    /// (ROADMAP.md item 1) will read logs through it.
     ///
     /// # Errors
     /// Returns a [`SudcError`] naming the byte offset and field of the
@@ -521,16 +532,6 @@ impl BusLog {
         Ok(self.records)
     }
 
-    /// Decodes the whole log into memory.
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] if any record is malformed.
-    pub fn try_samples(&self) -> Result<Vec<Sample>, SudcError> {
-        let mut out = Vec::new();
-        self.try_visit(|s| out.push(*s))?;
-        Ok(out)
-    }
-
     #[inline]
     fn visit_bytes(bytes: &[u8], mut f: impl FnMut(&Sample)) -> Result<(), SudcError> {
         let mut c = Cursor {
@@ -554,6 +555,13 @@ impl BusLog {
 mod tests {
     use super::*;
 
+    /// Every sample of a valid `log`, in order.
+    fn decode(log: &BusLog) -> Vec<Sample> {
+        let mut out = Vec::new();
+        log.try_visit(|s| out.push(*s)).expect("valid log");
+        out
+    }
+
     fn roundtrip(samples: &[Sample]) {
         let mut log = BusLog::new();
         for s in samples {
@@ -561,7 +569,7 @@ mod tests {
         }
         let reparsed = BusLog::try_from_bytes(log.as_bytes()).expect("valid log");
         assert_eq!(reparsed, log);
-        assert_eq!(reparsed.try_samples().unwrap(), samples);
+        assert_eq!(decode(&reparsed), samples);
     }
 
     #[test]
@@ -738,7 +746,7 @@ mod tests {
         put_bool(&mut ok, true);
         let log = BusLog::try_from_bytes(&ok).unwrap();
         assert_eq!(
-            log.try_samples().unwrap()[0].payload,
+            decode(&log)[0].payload,
             Payload::Capture {
                 sat: u32::MAX,
                 filtered: true,
@@ -871,7 +879,7 @@ mod tests {
         put_varint(&mut edge, u64::MAX - 1);
         edge.extend_from_slice(&[0, TAG_HEARTBEAT, 1, 0]);
         let log = BusLog::try_from_bytes(&edge).unwrap();
-        assert_eq!(log.try_samples().unwrap()[1].tick, u64::MAX);
+        assert_eq!(decode(&log)[1].tick, u64::MAX);
     }
 
     #[test]
@@ -888,10 +896,7 @@ mod tests {
         }
         // age == tick is a capture at tick zero.
         let log = BusLog::try_from_bytes(&[TAG_DELIVERED, 5, 5]).unwrap();
-        assert_eq!(
-            log.try_samples().unwrap()[0].payload,
-            Payload::Delivered { capture: 0 }
-        );
+        assert_eq!(decode(&log)[0].payload, Payload::Delivered { capture: 0 });
     }
 
     #[test]

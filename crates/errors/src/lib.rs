@@ -224,12 +224,6 @@ impl Diagnostics {
         self.ensure(n > 0, path, n, "at least 1")
     }
 
-    /// Whether any violation has been recorded so far.
-    #[must_use]
-    pub fn has_violations(&self) -> bool {
-        !self.violations.is_empty()
-    }
-
     /// Ends the pass: `Ok(())` if clean, the collected [`SudcError`]
     /// otherwise.
     ///
@@ -263,7 +257,6 @@ mod tests {
         let mut d = Diagnostics::new("X");
         assert!(d.positive("a", 1.0));
         assert!(d.unit_interval("b", 0.5));
-        assert!(!d.has_violations());
         assert!(d.finish().is_ok());
     }
 

@@ -1,8 +1,7 @@
 //! The tick-quantized failure detector and quarantine state machine.
 
-use crate::config::{HealthConfig, LoweredHealth};
+use crate::config::LoweredHealth;
 use sudc_bus::{HealthEvent, Tick};
-use sudc_errors::SudcError;
 
 /// Detector state of one monitored node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,26 +91,6 @@ impl HealthController {
             nodes: records,
             counters: HealthCounters::default(),
         }
-    }
-
-    /// Fallible constructor from the wall-clock contract.
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] if the contract or tick length is
-    /// invalid (see [`HealthConfig::try_lower`]).
-    pub fn try_new(
-        nodes: u32,
-        powered: u32,
-        cfg: &HealthConfig,
-        tick_seconds: f64,
-    ) -> Result<Self, SudcError> {
-        Ok(Self::new(nodes, powered, cfg.try_lower(tick_seconds)?))
-    }
-
-    /// The lowered contract the detector executes.
-    #[must_use]
-    pub fn config(&self) -> LoweredHealth {
-        self.cfg
     }
 
     /// Current detector state of `node`.
@@ -223,6 +202,7 @@ impl HealthController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HealthConfig;
 
     fn lowered() -> LoweredHealth {
         HealthConfig::standard().try_lower(0.1).unwrap()

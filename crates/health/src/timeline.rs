@@ -70,12 +70,6 @@ impl PoolTimeline {
         })
     }
 
-    /// The pool size the contract requires (the 100 % level).
-    #[must_use]
-    pub fn required(&self) -> u32 {
-        self.required
-    }
-
     /// Observed alive nodes at `tick`.
     #[must_use]
     pub fn alive_at(&self, tick: Tick) -> u32 {

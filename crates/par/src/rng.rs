@@ -83,22 +83,8 @@ impl Rng64 {
         unit_from_u64(self.next_u64())
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not finite or `lo >= hi` (see
-    /// [`Rng64::try_range`]).
-    #[must_use]
-    pub fn next_range(&mut self, lo: f64, hi: f64) -> f64 {
-        match self.try_range(lo, hi) {
-            Ok(x) => x,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Rng64::next_range`]: validates the bounds before
-    /// drawing (an invalid range draws nothing, keeping the stream intact).
+    /// Uniform draw in `[lo, hi)`. Validates the bounds before drawing
+    /// (an invalid range draws nothing, keeping the stream intact).
     ///
     /// # Errors
     ///
@@ -109,7 +95,7 @@ impl Rng64 {
         if lo.is_finite() && hi.is_finite() && lo < hi {
             return Ok(lo + self.next_f64() * (hi - lo));
         }
-        let mut d = sudc_errors::Diagnostics::new("Rng64::next_range");
+        let mut d = sudc_errors::Diagnostics::new("Rng64::try_range");
         let lo_ok = d.finite("lo", lo);
         let hi_ok = d.finite("hi", hi);
         if lo_ok && hi_ok {
@@ -265,7 +251,7 @@ mod tests {
         let mut rng = Rng64::new(5);
         for _ in 0..1000 {
             assert!(rng.next_below(7) < 7);
-            let x = rng.next_range(-2.0, 3.0);
+            let x = rng.try_range(-2.0, 3.0).unwrap();
             assert!((-2.0..3.0).contains(&x));
         }
     }

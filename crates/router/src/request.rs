@@ -39,16 +39,6 @@ impl Priority {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Short stable identifier used in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Urgent => "urgent",
-            Self::Standard => "standard",
-            Self::Bulk => "bulk",
-        }
-    }
 }
 
 /// One tasking request: "run application `app` over a capture of
@@ -165,7 +155,7 @@ const DEADLINE_BASE_S: [f64; Priority::COUNT] = [30.0, 300.0, 3600.0];
 const DEADLINE_SPAN_S: [f64; Priority::COUNT] = [270.0, 3300.0, 18_000.0];
 
 /// Draws one request from the stream RNG. Draws are inlined
-/// `lo + u*(hi-lo)` rather than `next_range` calls: this runs once per
+/// `lo + u*(hi-lo)` rather than `try_range` calls: this runs once per
 /// generated request and must stay allocation-free, call-free and free
 /// of data-dependent branches.
 #[inline(always)]
@@ -254,9 +244,12 @@ pub fn admit_all(
 /// All storage is preallocated at construction; steady-state operation
 /// never allocates.
 ///
-/// The engine does not run this queue: within a block it only pushes and
-/// then drains, and [`admit_all`] computes that outcome directly. The
-/// queue stays as the reference model `admit_all` is tested against.
+/// Kept without a non-test caller: the engine does not run this queue.
+/// Within a block it only pushes and then drains, and [`admit_all`]
+/// computes that outcome directly. The queue stays as the reference
+/// model `admit_all` is tested against
+/// (`tests/router_model.rs::closed_form_admission_is_the_queue_pushed_then_drained`),
+/// and is itself held to a flat-scan model there.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     classes: [VecDeque<(u64, Request)>; Priority::COUNT],
@@ -330,12 +323,6 @@ impl AdmissionQueue {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Maximum queue occupancy.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Requests shed since construction.

@@ -44,6 +44,12 @@ struct QueuedImage {
 
 /// Runs one simulation to completion on the frozen reference kernel.
 ///
+/// Kept without a non-test caller: it is the golden model the kernel is
+/// held to. `kernel::tests::rebuilt_kernel_matches_the_frozen_baseline`
+/// and its siblings compare traces with `==`, and `sudc-bench`'s ignored
+/// `harness::tests::fleet_fingerprints_match_the_frozen_baseline`
+/// recomputes the fleet fingerprints the benches check from it.
+///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`SimConfig::try_validate`].

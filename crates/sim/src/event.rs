@@ -12,9 +12,9 @@
 //! - [`EventQueue`] — a ring of 4 096 one-tick slots covering the window
 //!   of ticks just after the ring time, with a keyed overflow heap for
 //!   later events (far-future Weibull failures, distant contact windows).
-//!   Push and pop are O(1) amortized, independent of the number of pending
-//!   events — the property that keeps 100k-satellite fleets at interactive
-//!   speed.
+//!   Push and the whole-tick drain are O(1) amortized per event,
+//!   independent of the number of pending events — the property that
+//!   keeps 100k-satellite fleets at interactive speed.
 //! - [`BinaryHeapQueue`] — the original `BinaryHeap<(tick, seq)>` queue,
 //!   kept verbatim as the reference model for property tests and as the
 //!   scheduler of the frozen [`crate::baseline`] kernel.
@@ -33,7 +33,7 @@
 //!    same-tick entries FIFO.
 //! 3. **Later ticks** go to the `overflow` heap, keyed `(tick, seq)`.
 //!    Whenever `T` advances, the overflow entries the new window covers
-//!    move into their slots in `(tick, seq)` order before the pop
+//!    move into their slots in `(tick, seq)` order before the drain
 //!    returns — before any handler can push directly at those ticks — so
 //!    a direct push always lands behind the overflow entries pushed at its
 //!    tick earlier. An empty ring jumps `T` to the overflow minimum.
@@ -237,26 +237,6 @@ impl ChunkPool {
         slot.write += 1;
     }
 
-    /// Removes and returns the front entry of a non-empty `slot`,
-    /// releasing its head chunk once that is fully read.
-    #[inline]
-    fn pop_front(&mut self, slot: &mut Slot) -> Event {
-        let entry = self.entries[slot.head as usize][slot.read as usize];
-        slot.read += 1;
-        if slot.head == slot.tail {
-            if slot.read == slot.write {
-                self.release(slot.head);
-                *slot = Slot::EMPTY;
-            }
-        } else if slot.read == CHUNK as u32 {
-            let next = self.next[slot.head as usize];
-            self.release(slot.head);
-            slot.head = next;
-            slot.read = 0;
-        }
-        entry
-    }
-
     /// Moves every entry of `slot` onto the end of `out` in FIFO order
     /// and releases its chunks, leaving the slot empty.
     fn drain_into(&mut self, slot: &mut Slot, out: &mut Vec<Event>) {
@@ -281,9 +261,12 @@ impl ChunkPool {
 /// A deterministic future-event list: a ring of one-tick slots with a
 /// keyed overflow heap for the ticks beyond it.
 ///
-/// Same contract as [`BinaryHeapQueue`] — events pop in `(tick, push
-/// order)` order — but `push`/`pop` are O(1) amortized regardless of how
-/// many events are pending, instead of O(log n) heap sifts.
+/// Same contract as [`BinaryHeapQueue`] — events come out in `(tick,
+/// push order)` order — but `push` and the [`EventQueue::pop_tick`] drain
+/// are O(1) amortized per event regardless of how many events are
+/// pending, instead of O(log n) heap sifts. `pop_tick` with
+/// [`EventQueue::consume_one`] is the only way out: the kernel drains a
+/// whole tick at a time, and the tests hold that same path to the heap.
 #[derive(Debug)]
 pub struct EventQueue {
     /// `RING` slots; slot `t % RING` holds the entries at tick `t` for
@@ -368,26 +351,6 @@ impl EventQueue {
         self.occupied[slot >> 6] |= 1 << (slot & 63);
     }
 
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Tick, Event)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        // Past-tick pushes are strictly earlier than the ring (case 1 in
-        // the module docs): drain them first.
-        if let Some(Reverse((tick, _, EventEntry(e)))) = self.due.pop() {
-            return Some((tick, e));
-        }
-        let slot = self.advance();
-        let list = &mut self.slots[slot];
-        let event = self.pool.pop_front(list);
-        if list.head == NIL {
-            self.occupied[slot >> 6] &= !(1 << (slot & 63));
-        }
-        Some((self.time, event))
-    }
-
     /// Drains every event at the earliest pending tick into `buf`
     /// (cleared first) in FIFO order, returning that tick. A slot holds
     /// exactly one tick, so the drain copies the slot's chunks out front
@@ -397,13 +360,16 @@ impl EventQueue {
     /// now-empty slot and surfaces on the next call, behind the whole
     /// batch, as pop order requires. `buf` keeps its capacity, so once it
     /// and the pool have reached their peaks the drain allocates nothing.
-    /// Past-tick (`due`) entries are rare and surfaced one at a time.
+    /// Past-tick (`due`) entries are rare and surfaced one at a time;
+    /// they are strictly earlier than the ring (case 1 in the module
+    /// docs), so they drain first.
     ///
-    /// `len` accounting is deferred: the caller must invoke
+    /// Pending-count accounting is deferred: the caller must invoke
     /// [`EventQueue::consume_one`] once per drained event *before* any
     /// pushes that handling the event causes, so the pending-count
     /// trajectory — and therefore [`EventQueue::peak_len`] — is identical
-    /// to a pop-one-at-a-time loop over the same schedule.
+    /// to [`BinaryHeapQueue`]'s pop-one-at-a-time loop over the same
+    /// schedule.
     ///
     /// Returns `None` (with `buf` empty) when no events are pending.
     pub fn pop_tick(&mut self, buf: &mut Vec<Event>) -> Option<Tick> {
@@ -475,18 +441,6 @@ impl EventQueue {
         Some(((found + RING - start) % RING) as Tick)
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Largest number of events ever pending at once.
     #[must_use]
     pub fn peak_len(&self) -> usize {
@@ -494,11 +448,13 @@ impl EventQueue {
     }
 }
 
-/// The original binary-heap event queue, kept as the reference model for
-/// the ring's property tests and as the scheduler of the frozen
+/// The original binary-heap event queue. Pop order is identical to
+/// [`EventQueue`]'s by construction: strictly `(tick, sequence)`.
+///
+/// Kept without a non-test caller: it is the reference model the ring's
+/// drain is held to, in this module's tests and in
+/// `tests/event_queue_model.rs`, and the scheduler of the frozen
 /// [`crate::baseline`] kernel the kernel-equality tests compare against.
-/// Pop order is identical to [`EventQueue`]'s by construction:
-/// strictly `(tick, sequence)`.
 #[derive(Debug, Default)]
 pub struct BinaryHeapQueue {
     heap: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
@@ -529,18 +485,6 @@ impl BinaryHeapQueue {
             .map(|Reverse((tick, _, EventEntry(e)))| (tick, e))
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Largest number of events ever pending at once.
     #[must_use]
     pub fn peak_len(&self) -> usize {
@@ -562,16 +506,53 @@ mod tests {
         }
     }
 
+    /// Drains one tick the way the kernel does: `pop_tick`, then one
+    /// `consume_one` per drained event.
+    fn drain_tick(q: &mut EventQueue) -> Option<(Tick, Vec<Event>)> {
+        let mut buf = Vec::new();
+        let tick = q.pop_tick(&mut buf)?;
+        for _ in &buf {
+            q.consume_one();
+        }
+        Some((tick, buf))
+    }
+
+    /// Drains `q` to empty, tick by tick, as `(tick, event)` pairs.
+    fn drain_all(q: &mut EventQueue) -> Vec<(Tick, Event)> {
+        let mut out = Vec::new();
+        while let Some((tick, events)) = drain_tick(q) {
+            out.extend(events.into_iter().map(|e| (tick, e)));
+        }
+        out
+    }
+
+    /// Drains one tick from `ring` and checks it against as many pops of
+    /// `model`; returns the drained tick.
+    fn drain_tick_against(ring: &mut EventQueue, model: &mut BinaryHeapQueue) -> Option<Tick> {
+        let Some((tick, events)) = drain_tick(ring) else {
+            assert_eq!(model.pop(), None);
+            return None;
+        };
+        for e in events {
+            assert_eq!(model.pop(), Some((tick, e)));
+        }
+        Some(tick)
+    }
+
     #[test]
     fn events_pop_in_tick_order() {
         let mut q = EventQueue::new();
         q.push(30, Event::IslDone);
         q.push(10, Event::ContactStart);
         q.push(20, Event::Sample);
-        assert_eq!(q.pop(), Some((10, Event::ContactStart)));
-        assert_eq!(q.pop(), Some((20, Event::Sample)));
-        assert_eq!(q.pop(), Some((30, Event::IslDone)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            drain_all(&mut q),
+            [
+                (10, Event::ContactStart),
+                (20, Event::Sample),
+                (30, Event::IslDone)
+            ]
+        );
     }
 
     #[test]
@@ -580,9 +561,11 @@ mod tests {
         for sat in 0..100 {
             q.push(5, capture(sat));
         }
-        for expected in 0..100 {
-            assert_eq!(q.pop(), Some((5, capture(expected))));
-        }
+        assert_eq!(
+            drain_tick(&mut q),
+            Some((5, (0..100).map(capture).collect()))
+        );
+        assert_eq!(drain_tick(&mut q), None);
     }
 
     #[test]
@@ -590,11 +573,17 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(2, Event::Sample);
         q.push(1, Event::IslDone);
-        assert_eq!(q.pop(), Some((1, Event::IslDone)));
-        q.push(1, Event::ContactStart); // "past" tick still pops first
-        assert_eq!(q.pop(), Some((1, Event::ContactStart)));
-        assert_eq!(q.pop(), Some((2, Event::Sample)));
-        assert!(q.is_empty());
+        assert_eq!(drain_tick(&mut q), Some((1, vec![Event::IslDone])));
+        q.push(1, Event::ContactStart); // the drained tick: behind the batch
+        q.push(0, Event::DownlinkDone); // a "past" tick still pops first
+        assert_eq!(
+            drain_all(&mut q),
+            [
+                (0, Event::DownlinkDone),
+                (1, Event::ContactStart),
+                (2, Event::Sample)
+            ]
+        );
     }
 
     #[test]
@@ -609,12 +598,16 @@ mod tests {
         q.push(far + 3, Event::ContactStart); // same far tick: FIFO
         q.push(far, Event::DownlinkDone);
         q.push(2 * far, Event::StormStart);
-        assert_eq!(q.pop(), Some((5, Event::IslDone)));
-        assert_eq!(q.pop(), Some((far, Event::DownlinkDone)));
-        assert_eq!(q.pop(), Some((far + 3, Event::Sample)));
-        assert_eq!(q.pop(), Some((far + 3, Event::ContactStart)));
-        assert_eq!(q.pop(), Some((2 * far, Event::StormStart)));
-        assert!(q.is_empty());
+        assert_eq!(
+            drain_all(&mut q),
+            [
+                (5, Event::IslDone),
+                (far, Event::DownlinkDone),
+                (far + 3, Event::Sample),
+                (far + 3, Event::ContactStart),
+                (2 * far, Event::StormStart)
+            ]
+        );
     }
 
     #[test]
@@ -622,25 +615,17 @@ mod tests {
         // `t` lies beyond the window when the first capture is pushed, so
         // that one waits in the overflow heap; once the ring time moves to
         // 20 the window covers `t`, and the handler's push goes straight
-        // into the slot. Push order must survive, through `pop_tick` and
-        // through `pop`.
+        // into the slot. Push order must survive the drain.
         let t = RING as Tick + 10;
         let mut buf = Vec::new();
-        let mut drained = EventQueue::new();
-        let mut popped = EventQueue::new();
-        for q in [&mut drained, &mut popped] {
-            q.push(20, Event::Sample);
-            q.push(t, capture(1));
-        }
-        assert_eq!(drained.pop_tick(&mut buf), Some(20));
-        drained.consume_one();
-        drained.push(t, capture(2));
-        assert_eq!(drained.pop_tick(&mut buf), Some(t));
+        let mut q = EventQueue::new();
+        q.push(20, Event::Sample);
+        q.push(t, capture(1));
+        assert_eq!(q.pop_tick(&mut buf), Some(20));
+        q.consume_one();
+        q.push(t, capture(2));
+        assert_eq!(q.pop_tick(&mut buf), Some(t));
         assert_eq!(buf, [capture(1), capture(2)]);
-        assert_eq!(popped.pop(), Some((20, Event::Sample)));
-        popped.push(t, capture(2));
-        assert_eq!(popped.pop(), Some((t, capture(1))));
-        assert_eq!(popped.pop(), Some((t, capture(2))));
     }
 
     #[test]
@@ -664,25 +649,16 @@ mod tests {
         for t in h - 6..h + 6 {
             push(&mut ring, &mut model, t);
         }
-        // Pop through h - 3: the ring time then sits in the ring's last
+        // Drain through h - 3: the ring time then sits in the ring's last
         // slots, so the window's far end lies in the slots before its
         // own, past slot 0.
         let now = h - 3;
-        loop {
-            let got = ring.pop();
-            assert_eq!(got, model.pop());
-            if got.is_some_and(|(t, _)| t == now) {
-                break;
-            }
-        }
+        while drain_tick_against(&mut ring, &mut model).expect("pending") != now {}
         for t in [now + h - 1, now + h, now + h + 1, now + h - 1, now + h] {
             push(&mut ring, &mut model, t);
         }
-        assert_eq!(ring.len(), model.len());
-        while let Some(expected) = model.pop() {
-            assert_eq!(ring.pop(), Some(expected));
-        }
-        assert!(ring.is_empty());
+        while drain_tick_against(&mut ring, &mut model).is_some() {}
+        assert_eq!(ring.len, 0);
     }
 
     #[test]
@@ -702,17 +678,21 @@ mod tests {
         q.consume_one();
         q.consume_one();
         q.push(far + 2, capture(4)); // lands behind the migrated entry
-        assert_eq!(q.pop(), Some((far + 2, capture(2))));
-        assert_eq!(q.pop(), Some((far + 2, capture(4))));
-        assert_eq!(q.pop(), Some((far + h, capture(3))));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            drain_all(&mut q),
+            [
+                (far + 2, capture(2)),
+                (far + 2, capture(4)),
+                (far + h, capture(3))
+            ]
+        );
     }
 
     #[test]
     fn interleaved_drain_and_refill_matches_the_heap_model() {
         // Deterministic pseudo-random interleaving: advance time by
-        // popping, keep pushing relative offsets (including 0 = same
-        // tick as the last pop, a "past-edge" push).
+        // draining, keep pushing relative offsets (including 0 = same
+        // tick as the last drain, a "past-edge" push).
         let mut ring = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -732,34 +712,35 @@ mod tests {
             ring.push(tick, capture(round));
             model.push(tick, capture(round));
             if state & 1 == 0 {
-                let got = ring.pop();
-                assert_eq!(got, model.pop(), "round {round}");
-                last = got.map_or(last, |(t, _)| t);
+                last = drain_tick_against(&mut ring, &mut model).unwrap_or(last);
             }
         }
-        while let Some(expected) = model.pop() {
-            assert_eq!(ring.pop(), Some(expected));
-        }
-        assert!(ring.is_empty());
-        assert_eq!(ring.len(), 0);
+        while drain_tick_against(&mut ring, &mut model).is_some() {}
+        assert_eq!(ring.len, 0);
+        assert_eq!(ring.peak_len(), model.peak_len());
     }
 
     #[test]
     fn len_and_peak_track_pending_events() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        let mut buf = Vec::new();
+        assert_eq!(q.len, 0);
         q.push(10, Event::Sample);
         q.push(1 << 35, Event::Sample); // overflow entry counts too
         q.push(11, Event::IslDone);
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len, 3);
         assert_eq!(q.peak_len(), 3);
-        q.pop();
-        q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_tick(&mut buf), Some(10));
+        assert_eq!(q.len, 3, "a drained event is pending until consumed");
+        q.consume_one();
+        assert_eq!(q.pop_tick(&mut buf), Some(11));
+        q.consume_one();
+        assert_eq!(q.len, 1);
         assert_eq!(q.peak_len(), 3, "peak is a high-water mark");
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_tick(&mut buf), Some(1 << 35));
+        q.consume_one();
+        assert_eq!(q.len, 0);
+        assert_eq!(q.pop_tick(&mut buf), None);
     }
 
     /// Chunks the pool has ever allocated: its high-water mark.
@@ -802,7 +783,7 @@ mod tests {
         };
         let mut bound = 0;
         let mut check = |q: &EventQueue| {
-            let live = q.len().div_ceil(CHUNK) + occupied_slots(q);
+            let live = q.len.div_ceil(CHUNK) + occupied_slots(q);
             assert!(chunks_in_use(q) <= live, "in use beyond the live load");
             bound = bound.max(live);
             assert!(pool_chunks(q) <= bound, "pool outgrew the peak live load");
@@ -820,7 +801,7 @@ mod tests {
                     0..=19_999 => 1 + draw(2),
                     _ => draw(2),
                 };
-                for _ in 0..children.min(30_000u64.saturating_sub(q.len() as u64)) {
+                for _ in 0..children.min(30_000u64.saturating_sub(q.len as u64)) {
                     q.push(tick + 1 + draw(3_000), event);
                 }
             }
@@ -836,7 +817,6 @@ mod tests {
         q.push(30, Event::IslDone);
         q.push(10, Event::ContactStart);
         q.push(10, Event::Sample);
-        assert_eq!(q.len(), 3);
         assert_eq!(q.peak_len(), 3);
         assert_eq!(q.pop(), Some((10, Event::ContactStart)));
         assert_eq!(q.pop(), Some((10, Event::Sample)));

@@ -77,8 +77,13 @@ impl StormModel {
     }
 
     /// Expected per-node kill probability per storm, severity mixture
-    /// included (campaign builders use this to rate-match the independent
-    /// baseline).
+    /// included.
+    ///
+    /// Kept without a non-test caller: the chaos crate's rate-matching
+    /// check (`campaign::tests::baseline_and_storm_expected_kill_rates_match`)
+    /// uses it to show that the `solar_storm` campaign kills nodes at the
+    /// `independent` campaign's rate, which is what makes the two
+    /// campaigns' spare counts comparable.
     #[must_use]
     pub fn mean_kill_probability(&self) -> f64 {
         (1.0 - self.major_probability) * self.kill_probability(false)
@@ -205,8 +210,9 @@ impl RecoveryPolicy {
 
 /// Complete fault-injection configuration. Attach one to
 /// [`crate::SimConfig::faults`] to enable fault injection; every component
-/// is individually optional.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// is individually optional. The default is quiet: every process off or
+/// at a zero rate, with the default [`RecoveryPolicy`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Per-image probability that processing is corrupted by an SEU under
     /// quiet space weather, in [0, 1]. Multiplied by
@@ -225,20 +231,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A quiet configuration: fault processes armed with zero rates and
-    /// default policies. Useful as a builder starting point.
-    #[must_use]
-    pub fn quiet() -> Self {
-        Self {
-            upset_probability: 0.0,
-            storm: None,
-            infant: None,
-            isl: None,
-            ground: None,
-            policy: RecoveryPolicy::default(),
-        }
-    }
-
     /// Number of redundant ISL links (1 when flapping is disabled).
     #[must_use]
     pub fn isl_links(&self) -> u32 {
@@ -350,7 +342,7 @@ mod tests {
 
     #[test]
     fn quiet_config_is_valid() {
-        assert!(check(&FaultConfig::quiet()).is_ok());
+        assert!(check(&FaultConfig::default()).is_ok());
     }
 
     #[test]
@@ -375,24 +367,26 @@ mod tests {
 
     #[test]
     fn storm_multiplies_and_clamps_the_upset_probability() {
-        let mut f = FaultConfig::quiet();
-        f.upset_probability = 0.3;
-        f.storm = Some(StormModel {
-            period_ticks: 100,
-            duration_ticks: 50,
-            offset_ticks: 0,
-            seu_multiplier: 10.0,
-            node_kill_probability: 0.0,
-            major_probability: 0.0,
-            major_multiplier: 1.0,
-        });
+        let f = FaultConfig {
+            upset_probability: 0.3,
+            storm: Some(StormModel {
+                period_ticks: 100,
+                duration_ticks: 50,
+                offset_ticks: 0,
+                seu_multiplier: 10.0,
+                node_kill_probability: 0.0,
+                major_probability: 0.0,
+                major_multiplier: 1.0,
+            }),
+            ..FaultConfig::default()
+        };
         assert!((f.upset_probability_at(10) - 1.0).abs() < 1e-12, "clamped");
         assert!((f.upset_probability_at(60) - 0.3).abs() < 1e-12, "quiet");
     }
 
     #[test]
     fn backoff_doubles_up_to_the_cap() {
-        let mut f = FaultConfig::quiet();
+        let mut f = FaultConfig::default();
         f.policy.backoff_base_ticks = 50;
         f.policy.backoff_cap_ticks = 300;
         assert_eq!(f.backoff_ticks(1), 50);
@@ -404,22 +398,24 @@ mod tests {
 
     #[test]
     fn invalid_components_are_all_reported() {
-        let mut f = FaultConfig::quiet();
-        f.upset_probability = 1.5;
-        f.storm = Some(StormModel {
-            period_ticks: 10,
-            duration_ticks: 20,
-            offset_ticks: 0,
-            seu_multiplier: 0.5,
-            node_kill_probability: -0.1,
-            major_probability: 1.5,
-            major_multiplier: 0.2,
-        });
-        f.isl = Some(IslFlaps {
-            links: 0,
-            mean_up_ticks: f64::NAN,
-            mean_down_ticks: 0.0,
-        });
+        let f = FaultConfig {
+            upset_probability: 1.5,
+            storm: Some(StormModel {
+                period_ticks: 10,
+                duration_ticks: 20,
+                offset_ticks: 0,
+                seu_multiplier: 0.5,
+                node_kill_probability: -0.1,
+                major_probability: 1.5,
+                major_multiplier: 0.2,
+            }),
+            isl: Some(IslFlaps {
+                links: 0,
+                mean_up_ticks: f64::NAN,
+                mean_down_ticks: 0.0,
+            }),
+            ..FaultConfig::default()
+        };
         let err = check(&f).unwrap_err();
         assert!(err.violations().len() >= 8, "{err}");
         let msg = err.to_string();
@@ -470,7 +466,7 @@ mod tests {
 
     #[test]
     fn backoff_cap_below_base_is_rejected() {
-        let mut f = FaultConfig::quiet();
+        let mut f = FaultConfig::default();
         f.policy.backoff_base_ticks = 100;
         f.policy.backoff_cap_ticks = 10;
         let err = check(&f).unwrap_err();

@@ -1412,26 +1412,27 @@ mod tests {
     /// The fault config used by the determinism and equivalence tests:
     /// every fault process active at once.
     fn stress_faults() -> FaultConfig {
-        let mut f = FaultConfig::quiet();
-        f.upset_probability = 0.05;
-        f.storm = Some(StormModel {
-            period_ticks: 4000,
-            duration_ticks: 600,
-            offset_ticks: 1000,
-            seu_multiplier: 20.0,
-            node_kill_probability: 0.2,
-            major_probability: 0.25,
-            major_multiplier: 3.0,
-        });
-        f.isl = Some(IslFlaps {
-            links: 3,
-            mean_up_ticks: 2000.0,
-            mean_down_ticks: 400.0,
-        });
-        f.ground = Some(GroundBlackouts {
-            blackout_probability: 0.3,
-        });
-        f
+        FaultConfig {
+            upset_probability: 0.05,
+            storm: Some(StormModel {
+                period_ticks: 4000,
+                duration_ticks: 600,
+                offset_ticks: 1000,
+                seu_multiplier: 20.0,
+                node_kill_probability: 0.2,
+                major_probability: 0.25,
+                major_multiplier: 3.0,
+            }),
+            isl: Some(IslFlaps {
+                links: 3,
+                mean_up_ticks: 2000.0,
+                mean_down_ticks: 400.0,
+            }),
+            ground: Some(GroundBlackouts {
+                blackout_probability: 0.3,
+            }),
+            ..FaultConfig::default()
+        }
     }
 
     #[test]
@@ -1571,7 +1572,7 @@ mod tests {
         // Exercise the freshness deadline on the pop-from-front fast path
         // (no retries in play): a glacial service rate backs the batch
         // queue up far past the deadline.
-        let mut f = FaultConfig::quiet();
+        let mut f = FaultConfig::default();
         f.policy.deadline_ticks = 400;
         let mut cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
         cfg.service_ticks_per_image = 5e4;
@@ -1586,7 +1587,7 @@ mod tests {
     fn shedding_with_retries_in_queue_matches_the_retain_scan() {
         // Corruption retries re-enter the queue out of capture order,
         // forcing the retain fallback; shed counts must still match.
-        let mut f = FaultConfig::quiet();
+        let mut f = FaultConfig::default();
         f.policy.deadline_ticks = 600;
         f.upset_probability = 0.4;
         let mut cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
@@ -1601,16 +1602,18 @@ mod tests {
 
     #[test]
     fn storm_latchups_kill_nodes_and_degrade_availability() {
-        let mut f = FaultConfig::quiet();
-        f.storm = Some(StormModel {
-            period_ticks: 3000,
-            duration_ticks: 300,
-            offset_ticks: 500,
-            seu_multiplier: 1.0,
-            node_kill_probability: 0.5,
-            major_probability: 0.0,
-            major_multiplier: 1.0,
-        });
+        let f = FaultConfig {
+            storm: Some(StormModel {
+                period_ticks: 3000,
+                duration_ticks: 300,
+                offset_ticks: 500,
+                seu_multiplier: 1.0,
+                node_kill_probability: 0.5,
+                major_probability: 0.0,
+                major_multiplier: 1.0,
+            }),
+            ..FaultConfig::default()
+        };
         // No Weibull failures, no spares: every capability loss is storm
         // damage.
         let cfg = SimConfig::reference_operations(Seconds::new(1800.0)).with_faults(f);
@@ -1622,10 +1625,12 @@ mod tests {
 
     #[test]
     fn total_blackouts_stop_all_delivery() {
-        let mut f = FaultConfig::quiet();
-        f.ground = Some(GroundBlackouts {
-            blackout_probability: 1.0,
-        });
+        let f = FaultConfig {
+            ground: Some(GroundBlackouts {
+                blackout_probability: 1.0,
+            }),
+            ..FaultConfig::default()
+        };
         let cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
         let t = run(&cfg, 5);
         assert!(t.processed > 0, "compute keeps running through blackouts");
@@ -1635,8 +1640,10 @@ mod tests {
 
     #[test]
     fn certain_corruption_exhausts_the_retry_budget() {
-        let mut f = FaultConfig::quiet();
-        f.upset_probability = 1.0;
+        let f = FaultConfig {
+            upset_probability: 1.0,
+            ..FaultConfig::default()
+        };
         let cfg = SimConfig::reference_operations(Seconds::new(1800.0)).with_faults(f);
         let t = run(&cfg, 13);
         assert_eq!(t.processed, 0, "every completion is corrupted");
@@ -1650,12 +1657,14 @@ mod tests {
 
     #[test]
     fn link_flaps_slow_but_do_not_lose_work() {
-        let mut f = FaultConfig::quiet();
-        f.isl = Some(IslFlaps {
-            links: 2,
-            mean_up_ticks: 1500.0,
-            mean_down_ticks: 500.0,
-        });
+        let f = FaultConfig {
+            isl: Some(IslFlaps {
+                links: 2,
+                mean_up_ticks: 1500.0,
+                mean_down_ticks: 500.0,
+            }),
+            ..FaultConfig::default()
+        };
         let cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
         let t = run(&cfg, 17);
         assert!(t.isl_flaps > 0, "links must flap over an hour");
@@ -1667,7 +1676,7 @@ mod tests {
 
     #[test]
     fn bounded_queues_shed_oldest_work() {
-        let mut f = FaultConfig::quiet();
+        let mut f = FaultConfig::default();
         f.policy.batch_queue_limit = 2;
         // Starve compute so the batch queue must overflow: keep nodes but
         // make service glacial.
@@ -1683,7 +1692,6 @@ mod tests {
         let cfg = SimConfig::reference_operations(Seconds::new(1800.0))
             .with_health(sudc_health::HealthConfig::standard());
         let t = run(&cfg, 7);
-        assert!(t.health_enabled());
         assert!(t.heartbeats > 0, "powered nodes must heartbeat");
         assert_eq!(t.suspects, 0, "no suspicion without a missed lease");
         assert_eq!(t.false_suspects, 0);
@@ -1708,7 +1716,8 @@ mod tests {
 
     #[test]
     fn closed_loop_detection_drives_promotion_with_latency() {
-        let t = run(&health_mission(true), 11);
+        let cfg = health_mission(true);
+        let t = run(&cfg, 11);
         assert!(t.failures > 0, "two MTTFs of exponential nodes must fail");
         assert!(t.detections > 0, "failures must be detected");
         assert!(t.promotions > 0, "DEAD declarations must promote spares");
@@ -1717,7 +1726,7 @@ mod tests {
         // Silence is measured from the last *heartbeat*, which can be up
         // to one lease before the failure: the latency floor is
         // `dead_missed - 1` whole leases.
-        let floor = t.tick_seconds() * 50.0 * 3.0;
+        let floor = cfg.tick_seconds * 50.0 * 3.0;
         assert!(
             t.detection_latency().p50 >= floor,
             "p50 {} < floor {floor}",

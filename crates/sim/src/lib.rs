@@ -64,7 +64,7 @@ pub use fault::{
     STANDARD_FRESHNESS_DEADLINE_S,
 };
 pub use kernel::{run, run_recorded, try_run};
-pub use metrics::{try_percentile, BacklogSample, LatencyHist, LatencySummary, RunTrace};
+pub use metrics::{try_percentile, LatencyHist, LatencySummary, RunTrace};
 pub use plane::replay;
 pub use replicate::{try_replicate, try_replicate_grid, SampledLatency, SimSummary, DEFAULT_SEED};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};

@@ -168,12 +168,6 @@ impl LatencyHist {
         }
     }
 
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// The `k`-th smallest sample (0-indexed). Requires `k < count`.
     fn kth(&self, k: u64) -> Tick {
         let mut cumulative = 0u64;
@@ -268,18 +262,18 @@ impl LatencyHist {
 
 /// One periodic backlog sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BacklogSample {
+pub(crate) struct BacklogSample {
     /// Sample time.
-    pub tick: Tick,
+    tick: Tick,
     /// Images in or awaiting ISL transfer.
-    pub isl_items: usize,
+    isl_items: usize,
     /// Images awaiting batch dispatch.
-    pub batch_items: usize,
+    batch_items: usize,
     /// Insights in or awaiting downlink.
-    pub downlink_items: usize,
+    downlink_items: usize,
     /// Age of the oldest unfinished image, ticks (`None` if the pipeline
     /// is empty).
-    pub oldest_age: Option<Tick>,
+    oldest_age: Option<Tick>,
 }
 
 /// The complete measurement record of one simulation run.
@@ -504,12 +498,6 @@ impl RunTrace {
         });
     }
 
-    /// Physical length of one tick, seconds.
-    #[must_use]
-    pub fn tick_seconds(&self) -> f64 {
-        self.tick_seconds
-    }
-
     /// Simulated span, seconds.
     #[must_use]
     pub fn duration_seconds(&self) -> f64 {
@@ -601,18 +589,6 @@ impl RunTrace {
         }
     }
 
-    /// Whether fault injection was configured for this run.
-    #[must_use]
-    pub fn faults_enabled(&self) -> bool {
-        self.faults_enabled
-    }
-
-    /// Whether the closed-loop health plane was configured for this run.
-    #[must_use]
-    pub fn health_enabled(&self) -> bool {
-        self.health_enabled
-    }
-
     /// Ground-truth failure → DEAD declaration latency statistics
     /// (health plane only; empty otherwise).
     #[must_use]
@@ -641,12 +617,6 @@ impl RunTrace {
             .map(|s| s.oldest_age.unwrap_or(0))
             .collect();
         LatencySummary::from_ticks(&ages, self.tick_seconds)
-    }
-
-    /// The periodic backlog samples, in time order.
-    #[must_use]
-    pub fn samples(&self) -> &[BacklogSample] {
-        &self.samples
     }
 }
 
@@ -976,7 +946,7 @@ mod tests {
             reverse.record(t);
         }
         assert_eq!(forward, reverse);
-        assert_eq!(forward.count(), 6);
+        assert_eq!(forward.summary(1.0).count, 6);
     }
 
     #[test]

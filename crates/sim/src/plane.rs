@@ -275,26 +275,27 @@ mod tests {
     use sudc_units::Seconds;
 
     fn stress_faults() -> FaultConfig {
-        let mut f = FaultConfig::quiet();
-        f.upset_probability = 0.05;
-        f.storm = Some(StormModel {
-            period_ticks: 4000,
-            duration_ticks: 600,
-            offset_ticks: 1000,
-            seu_multiplier: 20.0,
-            node_kill_probability: 0.2,
-            major_probability: 0.25,
-            major_multiplier: 3.0,
-        });
-        f.isl = Some(IslFlaps {
-            links: 3,
-            mean_up_ticks: 2000.0,
-            mean_down_ticks: 400.0,
-        });
-        f.ground = Some(GroundBlackouts {
-            blackout_probability: 0.3,
-        });
-        f
+        FaultConfig {
+            upset_probability: 0.05,
+            storm: Some(StormModel {
+                period_ticks: 4000,
+                duration_ticks: 600,
+                offset_ticks: 1000,
+                seu_multiplier: 20.0,
+                node_kill_probability: 0.2,
+                major_probability: 0.25,
+                major_multiplier: 3.0,
+            }),
+            isl: Some(IslFlaps {
+                links: 3,
+                mean_up_ticks: 2000.0,
+                mean_down_ticks: 400.0,
+            }),
+            ground: Some(GroundBlackouts {
+                blackout_probability: 0.3,
+            }),
+            ..FaultConfig::default()
+        }
     }
 
     #[test]

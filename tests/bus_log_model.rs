@@ -107,41 +107,52 @@ fn sample(tick: u64, w: u64, x: u64) -> Sample {
     Sample { tick, payload }
 }
 
-/// The log of a short recorded run under combined chaos with the
-/// closed-loop health plane armed, and the config it was recorded
-/// under. A run this short publishes no backlog sample, heartbeat or
-/// health verdict, so one of each (and a spare promotion) is appended
-/// at the final tick: the log then carries every record kind.
+/// The log of a recorded composed run, and the config it was recorded
+/// under: combined chaos with the independent node MTTF of
+/// `Campaign::infant_mortality`, two cold spares and the closed-loop
+/// health plane, run long enough (240 s) for the detector's 180 s DEAD
+/// floor. Nodes fail, go SUSPECT and DEAD, and spares are promoted, so
+/// the log carries real failure, verdict and promotion records, and
+/// backlog samples and heartbeats. The two health events this run does
+/// not produce, a refuted suspicion (`FalseSuspect`) and a readmission
+/// after probation (`Readmit`), are appended at the final tick: the log
+/// then carries every record kind.
+///
+/// The fleet is an eighth of the reference one (8 satellites; the
+/// compute nodes, which fail, are unchanged). The truncation test
+/// replays every prefix, so its cost grows with the square of the log,
+/// and at 64 satellites the log is five times longer.
 fn recorded() -> &'static (SimConfig, BusLog) {
     static RUN: OnceLock<(SimConfig, BusLog)> = OnceLock::new();
     RUN.get_or_init(|| {
-        let duration = Seconds::new(40.0);
-        let cfg = Campaign::combined(duration)
-            .apply(&SimConfig::reference_operations(duration))
-            .with_health(HealthConfig::standard());
-        let (_, mut log) = run_recorded(&cfg, DEFAULT_SEED);
+        let duration = Seconds::new(240.0);
+        let base = SimConfig::reference_operations(duration);
+        let spared = SimConfig {
+            satellites: base.satellites / 8,
+            nodes: base.required + 2,
+            ..base
+        };
+        let cfg = Campaign {
+            node_mttf: Campaign::infant_mortality(duration).node_mttf,
+            ..Campaign::combined(duration)
+        }
+        .apply(&spared)
+        .with_health(HealthConfig::standard());
+        let (t, mut log) = run_recorded(&cfg, DEFAULT_SEED);
+        assert!(
+            t.detections > 0 && t.promotions > 0,
+            "the fixture must walk failure -> DEAD -> promotion"
+        );
         let tick = cfg.duration_ticks;
-        let tail = [
-            Payload::Backlog {
-                isl: 3,
-                batch: 200,
-                downlink: 1,
-                oldest_age: Some(150),
-            },
-            Payload::Heartbeat { node: 2 },
-            Payload::Fault {
-                kind: FaultKind::Promotion,
-                count: 1,
-            },
-        ]
-        .into_iter()
-        .chain(HealthEvent::ALL.map(|event| Payload::Health {
-            event,
-            node: 2,
-            value: 1800,
-        }));
-        for payload in tail {
-            log.push(&Sample { tick, payload });
+        for event in [HealthEvent::FalseSuspect, HealthEvent::Readmit] {
+            log.push(&Sample {
+                tick,
+                payload: Payload::Health {
+                    event,
+                    node: 2,
+                    value: 1800,
+                },
+            });
         }
         (cfg, log)
     })
@@ -258,7 +269,9 @@ proptest! {
         let reparsed = reparsed.unwrap_or_default();
         prop_assert_eq!(&reparsed, &log);
         prop_assert_eq!(reparsed.records(), samples.len() as u64);
-        prop_assert_eq!(reparsed.try_samples().unwrap_or_default(), samples);
+        let mut decoded = Vec::new();
+        prop_assert!(reparsed.try_visit(|s| decoded.push(*s)).is_ok());
+        prop_assert_eq!(decoded, samples);
         // Edge values make these hostile to the folds: counts that
         // overflow, settles past the run's end, verdicts for any node.
         survives(&recorded().0, log.as_bytes())?;

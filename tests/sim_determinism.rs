@@ -104,14 +104,16 @@ fn capture_ledger_holds_on_every_loss_path() {
     // processed = delivered + downlink-shed + downlink stage. Each run
     // below drives one way out of the pipeline, so each loss counter in
     // the ledger is non-zero in some checked run.
-    let mut overflow = FaultConfig::quiet();
+    let mut overflow = FaultConfig::default();
     overflow.policy.batch_queue_limit = 2;
-    let mut deadline = FaultConfig::quiet();
+    let mut deadline = FaultConfig::default();
     deadline.policy.deadline_ticks = 400;
-    let mut downlink = FaultConfig::quiet();
+    let mut downlink = FaultConfig::default();
     downlink.policy.downlink_queue_limit = 4;
-    let mut upsets = FaultConfig::quiet();
-    upsets.upset_probability = 0.6;
+    let upsets = FaultConfig {
+        upset_probability: 0.6,
+        ..FaultConfig::default()
+    };
     let nominal =
         |faults| SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(faults);
     // A glacial service rate backs the batch queue up.
