@@ -215,9 +215,10 @@ impl ShapeTerms {
     }
 }
 
-/// The per-`(config, shape)` level: DRAM words per loop order (indexed by
-/// `LoopOrder::index`). Engine- and tile-independent — the loop order
-/// alone decides which tensor re-streams.
+/// The per-`(ifmap_kib, weight_kib, shape)` level: DRAM words per loop
+/// order (indexed by `LoopOrder::index`). Engine-, tile-, PE-grid- and
+/// psum-independent — the loop order alone decides which tensor
+/// re-streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DramTraffic {
     words: [f64; 2],
@@ -299,8 +300,9 @@ impl EngineTerms {
 
 /// The per-`(pe_x, pe_y, shape, engine, tile)` level: NoC transfers and
 /// the psum working set. The psum buffer size enters only through
-/// [`TileTerms::glb_accesses`], so these are shared by every buffer
-/// sizing of a PE grid.
+/// [`TileTerms::glb_accesses`], so the sweep derives from these, once per
+/// PE group, the NoC part of the energy prefix and, once per psum size,
+/// the GLB accesses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TileTerms {
     /// NoC transfers: the ifmap and weight buffer streams.
@@ -419,8 +421,8 @@ pub fn energy_terms(
         rf: rates.rf_energy(c.rf_accesses),
         noc: rates.noc_energy(c.noc_transfers),
         glb: rates.glb_energy(c.glb_accesses),
-        dram: rates.dram_energy(dram_eff),
-        leak: rates.leak_energy(c.cycles, rates.stall_cycles(dram_eff)),
+        dram: table.dram_energy(dram_eff),
+        leak: rates.leak_energy(c.cycles, table.dram_stall_cycles(dram_eff)),
     }
 }
 
@@ -428,7 +430,7 @@ pub fn energy_terms(
 /// the design's buffer size, wire length and leakage folded in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DesignRates<'a> {
-    pub(crate) table: &'a EnergyTable,
+    table: &'a EnergyTable,
     glb_pj: f64,
     wire_scale: f64,
     leak_pj_per_cycle: f64,
@@ -462,18 +464,6 @@ impl<'a> DesignRates<'a> {
 
     pub(crate) fn glb_energy(&self, glb_accesses: f64) -> f64 {
         glb_accesses * self.glb_pj
-    }
-
-    /// `effective_words` is [`EnergyTable::dram_effective_words`]: re-fetch
-    /// words cost a row-buffer-locality premium in both energy and
-    /// effective bandwidth.
-    pub(crate) fn dram_energy(&self, effective_words: f64) -> f64 {
-        effective_words * self.table.dram_pj
-    }
-
-    /// Cycles the DRAM interface needs for `effective_words`.
-    pub(crate) fn stall_cycles(&self, effective_words: f64) -> f64 {
-        effective_words / self.table.dram_words_per_cycle
     }
 
     /// Roofline: a memory-bound layer stalls the array for the full DRAM

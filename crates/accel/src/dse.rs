@@ -12,14 +12,19 @@
 //! [`Engine`] (dataflow × spatial projection): 7 168 configurations × 6
 //! engines. Software [`Schedule`](crate::mapping::Schedule)s (loop order × output-row tiling) are
 //! searched per layer on every design point — see [`crate::mapping`] —
-//! through the shape-deduplicated [`LayerMemo`]. Everything the engine
-//! geometry contributes depends on the PE grid alone, so the sweep holds it
-//! in a per-`(pe_x, pe_y)` table rebuilt only when the grid changes, and
-//! each config adds just its buffer-dependent terms. The sweep runs chunked across the
-//! [`sudc_par`] executor and is bit-identical to its serial oracle at any
-//! worker count: chunk results merge left-to-right with a strictly-greater
-//! test on flat `(config, engine)` indices, so ties resolve to the lowest
-//! index exactly as in the serial loop.
+//! through the shape-deduplicated [`LayerMemo`]. Each cost term is
+//! computed at the level of the axes it depends on, and each level is
+//! rebuilt only when its key changes in the space's order: the engine
+//! geometry and the `mac + rf + noc` energy prefix per PE grid, the GLB
+//! accesses per `(PE grid, psum size)`, and the DRAM costs per
+//! `(ifmap, weight)` buffer pair. A config adds just its buffer access
+//! energy and leakage rate, and each `(config, shape, engine)` only sums
+//! and compares its schedule candidates. The geomeans walk each
+//! network's nonzero `(shape, multiplicity)` pairs. The sweep runs
+//! chunked across the [`sudc_par`] executor and is bit-identical to its
+//! serial oracle at any worker count: chunk results merge left-to-right
+//! with a strictly-greater test on flat `(config, engine)` indices, so
+//! ties resolve to the lowest index exactly as in the serial loop.
 //!
 //! The GPU baseline is derived from the Table III measurements: the
 //! effective energy per useful MAC on the RTX 3090 is
@@ -35,8 +40,8 @@ use sudc_compute::workloads::{self, Workload};
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_units::Joules;
 
-use crate::dataflow::{DesignRates, EngineTerms, TileTerms};
-use crate::design::{design_space, AcceleratorConfig};
+use crate::dataflow::{DesignRates, EngineTerms};
+use crate::design::{design_space, AcceleratorConfig, PSUM_KIB_OPTIONS};
 use crate::energy::EnergyTable;
 use crate::mapping::{self, DramCost, Engine, LoopOrder, ENGINE_COUNT};
 use crate::memo::LayerMemo;
@@ -169,7 +174,7 @@ pub struct SweepStats {
     pub schedules_pruned: u64,
     /// Per-`(design point, shape)` schedule searches performed.
     pub shape_searches: u64,
-    /// Layer evaluations served by the `(config, shape)` memo instead of
+    /// Layer evaluations served by the shape memo instead of
     /// recomputation (duplicate shapes across the suite).
     pub memo_hits: u64,
     /// Distinct layer shapes in the suite.
@@ -250,8 +255,11 @@ struct BestSoFar {
     /// Best per unique shape — the per-layer architecture reads through
     /// the memo's slots.
     per_shape: Vec<(f64, usize)>,
-    /// The engine geometry of the PE grid this accumulator last swept.
+    /// The cost terms of the PE grid this accumulator last swept.
     group: GroupTable,
+    /// The DRAM costs of the `(ifmap_kib, weight_kib)` pair this
+    /// accumulator last swept.
+    dram: DramRow,
     /// Per-config scratch of ln-efficiencies, `shape × engine` — carried
     /// in the accumulator so the fold never allocates.
     scratch: Vec<f64>,
@@ -264,46 +272,124 @@ impl BestSoFar {
             per_network: vec![(f64::NEG_INFINITY, 0); networks.len()],
             per_shape: vec![(f64::NEG_INFINITY, 0); shapes],
             group: GroupTable::default(),
+            dram: DramRow::default(),
             scratch: vec![0.0; shapes * ENGINE_COUNT],
         }
     }
 }
 
-/// The per-PE-group level of the cost model: everything [`EngineTerms`]
-/// derives from `pe_x`/`pe_y`, for every `(shape, engine)` of the suite
-/// and every distinct tile of each. Each accumulator rebuilds it when its
-/// chunk crosses into a new grid, so chunk boundaries cannot change it;
-/// the design space's order makes that once per 256 configs.
+/// GLB-access tables one [`GroupTable`] holds at once: one per psum size
+/// of the design space, so the full sweep builds each exactly once per PE
+/// group. A space with more psum sizes in one group evicts the oldest.
+const GLB_TABLES: usize = PSUM_KIB_OPTIONS.len();
+
+/// The per-PE-group level of the cost model, for every `(shape, engine)`
+/// of the suite and every distinct tile of each. Each accumulator
+/// rebuilds it when its chunk crosses into a new grid, so chunk
+/// boundaries cannot change it; the design space's order makes that once
+/// per 256 configs.
 #[derive(Default)]
 struct GroupTable {
     /// The `(pe_x, pe_y)` the table was built for.
     key: Option<(u32, u32)>,
     /// Issue cycles per `(shape, engine)`, shape-major.
     cycles: Vec<f64>,
-    /// Per `(shape, engine, tile)`, shape-major, then engine, then the
-    /// shape's [`LayerMemo::tilings`] order.
-    tiles: Vec<TileTerms>,
+    /// The candidate energy's `mac + rf + noc` prefix, picojoules, per
+    /// `(shape, engine, tile)`: shape-major, then engine, then the shape's
+    /// [`LayerMemo::tilings`] order.
+    prefix: Vec<f64>,
+    /// GLB accesses per `(shape, engine, tile)`, in `prefix` order, keyed
+    /// on the psum size they were built for (it sets the psum spill);
+    /// at most [`GLB_TABLES`], oldest first.
+    glb: Vec<(u32, Vec<f64>)>,
 }
 
 impl GroupTable {
-    /// Makes the table describe `config`'s PE grid.
-    fn refresh(&mut self, config: AcceleratorConfig, memo: &LayerMemo) {
+    /// Makes the table describe `config`'s PE grid; `rates` are
+    /// `config`'s, of which only the table's MAC and RF energies and the
+    /// grid's NoC rate enter.
+    fn refresh(&mut self, config: AcceleratorConfig, rates: &DesignRates<'_>, memo: &LayerMemo) {
         let key = (config.pe_x, config.pe_y);
         if self.key == Some(key) {
             return;
         }
         self.key = Some(key);
         self.cycles.clear();
-        self.tiles.clear();
+        self.prefix.clear();
+        self.glb.clear();
         for si in 0..memo.unique_layers().len() {
             let shape = memo.terms(si);
+            let mac_rf = rates.mac_energy(shape.macs) + rates.rf_energy(shape.rf_accesses());
             for engine in Engine::all() {
                 let terms = EngineTerms::new(config, shape, engine);
                 self.cycles.push(terms.cycles);
-                self.tiles
-                    .extend(memo.tilings(si).iter().map(|tiling| terms.tile(tiling)));
+                self.prefix.extend(
+                    memo.tilings(si)
+                        .iter()
+                        .map(|tiling| mac_rf + rates.noc_energy(terms.tile(tiling).noc)),
+                );
             }
         }
+    }
+
+    /// `(cycles, prefix, glb)` for `config`, whose PE grid the table
+    /// describes: the GLB accesses of `config`'s psum size are built on
+    /// first use.
+    fn with_psum(
+        &mut self,
+        config: AcceleratorConfig,
+        memo: &LayerMemo,
+    ) -> (&[f64], &[f64], &[f64]) {
+        let at = match self.glb.iter().position(|(kib, _)| *kib == config.psum_kib) {
+            Some(at) => at,
+            None => {
+                if self.glb.len() == GLB_TABLES {
+                    self.glb.remove(0);
+                }
+                let mut glb = Vec::with_capacity(self.prefix.len());
+                for si in 0..memo.unique_layers().len() {
+                    let shape = memo.terms(si);
+                    for engine in Engine::all() {
+                        let terms = EngineTerms::new(config, shape, engine);
+                        glb.extend(
+                            memo.tilings(si)
+                                .iter()
+                                .map(|tiling| terms.tile(tiling).glb_accesses(shape, config)),
+                        );
+                    }
+                }
+                self.glb.push((config.psum_kib, glb));
+                self.glb.len() - 1
+            }
+        };
+        (&self.cycles, &self.prefix, &self.glb[at].1)
+    }
+}
+
+/// The per-`(ifmap_kib, weight_kib)` level: each shape's [`DramCost`].
+/// One row, refilled when the pair changes — every fourth config in the
+/// design space's order.
+#[derive(Default)]
+struct DramRow {
+    /// The `(ifmap_kib, weight_kib)` the row was filled for.
+    key: Option<(u32, u32)>,
+    /// Per shape.
+    costs: Vec<DramCost>,
+}
+
+impl DramRow {
+    /// Makes the row describe `config`'s buffer pair.
+    fn refresh(&mut self, config: AcceleratorConfig, memo: &LayerMemo, table: &EnergyTable) {
+        let key = (config.ifmap_kib, config.weight_kib);
+        if self.key == Some(key) {
+            return;
+        }
+        self.key = Some(key);
+        self.costs.clear();
+        self.costs.extend(
+            (0..memo.unique_layers().len())
+                .map(|si| DramCost::new(table, &memo.terms(si).dram(config))),
+        );
     }
 }
 
@@ -331,54 +417,69 @@ fn sweep_config(
 ) {
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
     let rates = DesignRates::new(config, table, glb_pj);
-    best.group.refresh(config, memo);
+    best.group.refresh(config, &rates, memo);
+    best.dram.refresh(config, memo, table);
 
     // Phase 1: best-schedule search per (shape, engine); ln-efficiencies
-    // land in the scratch table keyed on (shape, engine). Each cost term is
-    // computed at the level of the axis it depends on: per PE group (the
-    // group table), per config (rates), per (config, shape) (DRAM), and
-    // per (config, shape, engine, tile) inside the search kernel.
-    let mut tiles = best.group.tiles.as_slice();
+    // land in the scratch table keyed on (shape, engine). Each cost term
+    // comes from the level of the axes it depends on: the prefix and
+    // cycles per PE group, the GLB accesses per (PE group, psum size),
+    // DRAM per (ifmap, weight) pair, and the GLB and leakage rates per
+    // config. Only the candidate sums and their minimum run per
+    // (config, shape, engine), in `mapping::cheapest`, the kernel
+    // `best_schedule` runs on the same terms computed fresh.
+    let (cycles, prefix, glb) = best.group.with_psum(config, memo);
+    let mut start = 0;
     for si in 0..memo.unique_layers().len() {
-        let shape = memo.terms(si);
-        let dram = DramCost::new(&rates, &shape.dram(config));
+        let macs = memo.terms(si).macs;
+        let dram = &best.dram.costs[si];
         let n = memo.tilings(si).len();
         for ei in 0..ENGINE_COUNT {
-            let (here, rest) = tiles.split_at(n);
-            tiles = rest;
-            let cycles = best.group.cycles[si * ENGINE_COUNT + ei];
-            let (_, picojoules) = mapping::cheapest(config, &rates, shape, &dram, cycles, here);
-            best.scratch[si * ENGINE_COUNT + ei] = (shape.macs / (picojoules * 1e-12)).ln();
+            let se = si * ENGINE_COUNT + ei;
+            let tiles = start..start + n;
+            start += n;
+            let (_, picojoules) = mapping::cheapest(
+                &rates,
+                &prefix[tiles.clone()],
+                &glb[tiles],
+                dram,
+                cycles[se],
+            );
+            best.scratch[se] = (macs / (picojoules * 1e-12)).ln();
         }
     }
 
-    // Phase 2: score each engine as a full design point, in engine-index
-    // order so the flat tie-break matches the serial nesting.
-    for ei in 0..ENGINE_COUNT {
-        let flat = idx * ENGINE_COUNT + ei;
-        for si in 0..memo.unique_layers().len() {
+    // Phase 2: score every engine as a full design point. Each
+    // accumulator sees the engines in index order so the flat tie-break
+    // matches the serial nesting, and each geomean sums its network's
+    // shapes in ascending order, one independent sum per engine.
+    let flat = |ei: usize| idx * ENGINE_COUNT + ei;
+    let rows = best.scratch.chunks_exact(ENGINE_COUNT);
+    for (slot, row) in best.per_shape.iter_mut().zip(rows) {
+        for (ei, &score) in row.iter().enumerate() {
             // ln is monotone, so comparing log-efficiencies picks the same
             // winner as comparing efficiencies.
-            best.per_shape[si] = better(
-                best.per_shape[si],
-                (best.scratch[si * ENGINE_COUNT + ei], flat),
-            );
+            *slot = better(*slot, (score, flat(ei)));
         }
-        let mut global_log_sum = 0.0;
-        for (ni, net) in networks.iter().enumerate() {
-            let mut net_log_sum = 0.0;
-            for si in 0..memo.unique_layers().len() {
-                let m = memo.multiplicity(ni, si);
-                if m > 0.0 {
-                    net_log_sum += m * best.scratch[si * ENGINE_COUNT + ei];
-                }
+    }
+    let mut global_log_sum = [0.0; ENGINE_COUNT];
+    for (ni, net) in networks.iter().enumerate() {
+        let mut net_log_sum = [0.0; ENGINE_COUNT];
+        for &(si, m) in memo.network_shapes(ni) {
+            let row = &best.scratch[si * ENGINE_COUNT..(si + 1) * ENGINE_COUNT];
+            for (sum, &score) in net_log_sum.iter_mut().zip(row) {
+                *sum += m * score;
             }
-            let net_geo = net_log_sum / net.layers.len() as f64;
-            best.per_network[ni] = better(best.per_network[ni], (net_geo, flat));
-            global_log_sum += net_log_sum;
         }
-        let global_geo = global_log_sum / memo.total_layers() as f64;
-        best.global = better(best.global, (global_geo, flat));
+        for (ei, &net_sum) in net_log_sum.iter().enumerate() {
+            let net_geo = net_sum / net.layers.len() as f64;
+            best.per_network[ni] = better(best.per_network[ni], (net_geo, flat(ei)));
+            global_log_sum[ei] += net_sum;
+        }
+    }
+    for (ei, &sum) in global_log_sum.iter().enumerate() {
+        let global_geo = sum / memo.total_layers() as f64;
+        best.global = better(best.global, (global_geo, flat(ei)));
     }
 }
 
@@ -387,10 +488,9 @@ fn sweep_config(
 /// The space is partitioned into contiguous chunks across the workspace
 /// executor's threads ([`sudc_par::threads`]); each thread folds its chunk
 /// with the same arithmetic as [`run_dse_serial`], searching schedules
-/// through the per-`(config, shape)` memo ([`LayerMemo`]), and chunk
-/// results merge in index order with a strictly-greater
-/// test. The outcome is bit-identical to the serial sweep at every thread
-/// count.
+/// once per distinct shape ([`LayerMemo`]), and chunk results merge in
+/// index order with a strictly-greater test. The outcome is
+/// bit-identical to the serial sweep at every thread count.
 ///
 /// # Panics
 ///
@@ -653,19 +753,82 @@ mod tests {
         }
     }
 
-    /// Three PE groups, each spanning all four psum sizes, of 11, 13 and 9
-    /// configs: consecutive groups differ in `pe_y`, then in `pe_x`, and
-    /// chunk boundaries fall inside a group at 2, 3 and 8 workers.
+    /// Three PE groups of 11, 12 and 11 configs that revisit every
+    /// hoisted level of the sweep. Inside each group every psum size
+    /// recurs, and the `(ifmap, weight)` pair changes and later comes back
+    /// after another pair, so the DRAM row is refilled for a pair it held
+    /// before; the first two groups also change one buffer of the pair
+    /// alone (the weight, then the ifmap). The last group cycles through
+    /// five psum sizes (128 KiB is off the design space's grid), one more
+    /// than [`GLB_TABLES`], so a GLB table is evicted and rebuilt.
+    /// Consecutive groups differ in `pe_y`, then in `pe_x`, and chunk
+    /// boundaries fall inside a group at 2, 3 and 8 workers.
     fn pe_group_space() -> Vec<AcceleratorConfig> {
-        let group = |pe, step, len| {
-            let configs = design_space().into_iter();
-            configs
-                .filter(move |c| (c.pe_x, c.pe_y) == pe)
-                .step_by(step)
-                .take(len)
-        };
-        let space = group((4, 8), 23, 11).chain(group((4, 16), 19, 13));
-        space.chain(group((8, 16), 27, 9)).collect()
+        type Visit = ((u32, u32), &'static [u32]);
+        let groups: [((u32, u32), &[Visit]); 3] = [
+            (
+                (4, 8),
+                &[
+                    ((16, 48), &[8, 16, 32, 64]),
+                    ((16, 8), &[64, 16, 8]),
+                    ((16, 48), &[32, 8, 64, 16]),
+                ],
+            ),
+            (
+                (4, 16),
+                &[
+                    ((8, 128), &[16, 8, 64, 32]),
+                    ((32, 128), &[8, 32]),
+                    ((96, 24), &[64, 16]),
+                    ((8, 128), &[32, 64, 8, 16]),
+                ],
+            ),
+            (
+                (8, 16),
+                &[
+                    ((64, 16), &[8, 16, 32, 64, 128]),
+                    ((24, 96), &[8, 32]),
+                    ((64, 16), &[16, 64, 128, 8]),
+                ],
+            ),
+        ];
+        let mut space = Vec::new();
+        for ((pe_x, pe_y), visits) in groups {
+            for &((ifmap_kib, weight_kib), psums) in visits {
+                space.extend(psums.iter().map(|&psum_kib| AcceleratorConfig {
+                    pe_x,
+                    pe_y,
+                    ifmap_kib,
+                    weight_kib,
+                    psum_kib,
+                }));
+            }
+        }
+        space
+    }
+
+    #[test]
+    fn pe_group_space_revisits_every_hoisted_level() {
+        let space = pe_group_space();
+        let mut groups: Vec<&[AcceleratorConfig]> = space
+            .chunk_by(|a, b| (a.pe_x, a.pe_y) == (b.pe_x, b.pe_y))
+            .collect();
+        assert_eq!(groups.len(), 3);
+        for group in &groups {
+            for c in *group {
+                let recurs = group.iter().filter(|d| d.psum_kib == c.psum_kib).count();
+                assert!(recurs >= 2, "{c}: psum size does not recur");
+            }
+            let pairs: Vec<_> = group
+                .chunk_by(|a, b| (a.ifmap_kib, a.weight_kib) == (b.ifmap_kib, b.weight_kib))
+                .map(|run| (run[0].ifmap_kib, run[0].weight_kib))
+                .collect();
+            let distinct: std::collections::BTreeSet<_> = pairs.iter().collect();
+            assert!(distinct.len() < pairs.len(), "no pair comes back");
+        }
+        let last = groups.pop().unwrap();
+        let psums: std::collections::BTreeSet<_> = last.iter().map(|c| c.psum_kib).collect();
+        assert!(psums.len() > GLB_TABLES, "no GLB table is evicted");
     }
 
     #[test]
@@ -688,32 +851,84 @@ mod tests {
         assert_eq!(out.designs_evaluated, space.len());
     }
 
+    /// The ln-efficiency of every `(shape, engine)` on `config`, from
+    /// the standalone [`mapping::best_schedule`] search, shape-major.
+    fn best_schedule_scores(
+        config: AcceleratorConfig,
+        table: &EnergyTable,
+        memo: &LayerMemo,
+    ) -> Vec<f64> {
+        let mut scores = Vec::with_capacity(memo.unique_layers().len() * ENGINE_COUNT);
+        for layer in memo.unique_layers() {
+            for engine in Engine::all() {
+                let pj = mapping::best_schedule(config, table, layer, engine).picojoules;
+                scores.push((layer.macs() as f64 / (pj * 1e-12)).ln());
+            }
+        }
+        scores
+    }
+
     #[test]
     fn group_table_path_matches_best_schedule_bit_for_bit() {
-        let space = pe_group_space();
-        assert_eq!(
-            space
-                .iter()
-                .map(|c| c.psum_kib)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
-            4
-        );
         let table = EnergyTable::default();
         let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
         let memo = LayerMemo::for_networks(&networks);
         let mut best = BestSoFar::new(&networks, memo.unique_layers().len());
-        for (idx, &config) in space.iter().enumerate() {
+        for (idx, config) in pe_group_space().into_iter().enumerate() {
             sweep_config(&mut best, idx, config, &memo, &networks, &table);
-            for (si, layer) in memo.unique_layers().iter().enumerate() {
-                for (ei, engine) in Engine::all().into_iter().enumerate() {
-                    let pj = mapping::best_schedule(config, &table, layer, engine).picojoules;
-                    let oracle = (layer.macs() as f64 / (pj * 1e-12)).ln();
-                    let got = best.scratch[si * ENGINE_COUNT + ei];
-                    assert_eq!(got.to_bits(), oracle.to_bits(), "{config} {engine} {si}");
-                }
+            let oracle = best_schedule_scores(config, &table, &memo);
+            for (se, (got, want)) in best.scratch.iter().zip(&oracle).enumerate() {
+                let (si, engine) = (se / ENGINE_COUNT, Engine::all()[se % ENGINE_COUNT]);
+                assert_eq!(got.to_bits(), want.to_bits(), "{config} {engine} {si}");
             }
         }
+    }
+
+    /// The whole sweep without any of its hoisting: every score from
+    /// [`mapping::best_schedule`], every geomean over each network's
+    /// dense row of shape multiplicities, assembled like the real sweep.
+    fn best_schedule_outcome(space: &[AcceleratorConfig], table: &EnergyTable) -> DseOutcome {
+        let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
+        let memo = LayerMemo::for_networks(&networks);
+        let shapes = memo.unique_layers().len();
+        let mult: Vec<Vec<f64>> = networks
+            .iter()
+            .enumerate()
+            .map(|(ni, net)| {
+                let mut row = vec![0.0; shapes];
+                for li in 0..net.layers.len() {
+                    row[memo.slot(ni, li)] += 1.0;
+                }
+                row
+            })
+            .collect();
+        let mut best = BestSoFar::new(&networks, shapes);
+        for (idx, &config) in space.iter().enumerate() {
+            let scores = best_schedule_scores(config, table, &memo);
+            for ei in 0..ENGINE_COUNT {
+                let flat = idx * ENGINE_COUNT + ei;
+                for si in 0..shapes {
+                    let score = scores[si * ENGINE_COUNT + ei];
+                    best.per_shape[si] = better(best.per_shape[si], (score, flat));
+                }
+                let mut global_log_sum = 0.0;
+                for (ni, net) in networks.iter().enumerate() {
+                    let mut net_log_sum = 0.0;
+                    for si in 0..shapes {
+                        let m = mult[ni][si];
+                        if m > 0.0 {
+                            net_log_sum += m * scores[si * ENGINE_COUNT + ei];
+                        }
+                    }
+                    let net_geo = net_log_sum / net.layers.len() as f64;
+                    best.per_network[ni] = better(best.per_network[ni], (net_geo, flat));
+                    global_log_sum += net_log_sum;
+                }
+                let global_geo = global_log_sum / memo.total_layers() as f64;
+                best.global = better(best.global, (global_geo, flat));
+            }
+        }
+        assemble_outcome(space, table, &networks, &memo, &best)
     }
 
     #[test]
@@ -753,10 +968,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
+    fn sweep_matches_the_best_schedule_oracle_at_any_worker_count() {
         let space = pe_group_space();
         let table = EnergyTable::default();
-        let reference = run_dse_serial(&space, &table);
+        let oracle = best_schedule_outcome(&space, &table);
+        assert_eq!(run_dse_serial(&space, &table), oracle, "serial");
         let group = |i: usize| (space[i].pe_x, space[i].pe_y);
         for workers in [1usize, 2, 3, 8] {
             let bounds = sudc_par::chunk_bounds(space.len(), workers);
@@ -769,7 +985,7 @@ mod tests {
                 "no chunk splits a group at {workers}"
             );
             let got = run_dse_threads(workers, &space, &table);
-            assert_eq!(got, reference, "workers={workers}");
+            assert_eq!(got, oracle, "workers={workers}");
         }
     }
 

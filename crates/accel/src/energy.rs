@@ -128,6 +128,18 @@ impl EnergyTable {
         total_words + (self.dram_refetch_pj_factor - 1.0) * refetch_words
     }
 
+    /// DRAM energy of `effective_words` ([`Self::dram_effective_words`]):
+    /// re-fetch words cost a row-buffer-locality premium in both energy
+    /// and effective bandwidth.
+    pub(crate) fn dram_energy(&self, effective_words: f64) -> f64 {
+        effective_words * self.dram_pj
+    }
+
+    /// Cycles the DRAM interface needs for `effective_words`.
+    pub(crate) fn dram_stall_cycles(&self, effective_words: f64) -> f64 {
+        effective_words / self.dram_words_per_cycle
+    }
+
     /// Leakage energy per cycle of a design: PE leakage scales with array
     /// size, SRAM retention with provisioned buffer capacity, plus the
     /// fixed system floor.

@@ -21,15 +21,15 @@
 //! through its last two addends (DRAM and leakage). So the search costs
 //! each distinct tile's prefix `mac + rf + noc + glb` once and adds each
 //! order's `dram + leak` to it, walking the candidates in canonical order
-//! with a strict `<`, so ties keep the earliest candidate. The sweep and
-//! the standalone [`best_schedule`] share that one kernel.
+//! with a strict `<`, so ties keep the earliest candidate. The sweep in
+//! [`crate::dse`] and the standalone [`best_schedule`] share that one
+//! kernel; the sweep feeds it terms it hoists further (per PE group, psum
+//! size and buffer pair), and [`best_schedule`] computes them fresh.
 
 use sudc_compute::networks::Layer;
 use sudc_units::Joules;
 
-use crate::dataflow::{
-    Dataflow, DesignRates, DramTraffic, EngineTerms, ShapeTerms, TileTerms, Tiling,
-};
+use crate::dataflow::{Dataflow, DesignRates, DramTraffic, EngineTerms, ShapeTerms, Tiling};
 use crate::design::AcceleratorConfig;
 use crate::energy::EnergyTable;
 
@@ -294,13 +294,19 @@ pub fn best_schedule(
     let shape = ShapeTerms::of(layer);
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
     let rates = DesignRates::new(config, table, glb_pj);
-    let dram = DramCost::new(&rates, &shape.dram(config));
+    let dram = DramCost::new(table, &shape.dram(config));
     let terms = EngineTerms::new(config, &shape, engine);
-    let tiles: Vec<TileTerms> = tilings(layer, &shape)
-        .iter()
-        .map(|tiling| terms.tile(tiling))
-        .collect();
-    let (index, picojoules) = cheapest(config, &rates, &shape, &dram, terms.cycles, &tiles);
+    let mac_rf = rates.mac_energy(shape.macs) + rates.rf_energy(shape.rf_accesses());
+    let mut prefix = [0.0; OW_TILE_OPTIONS.len()];
+    let mut glb = [0.0; OW_TILE_OPTIONS.len()];
+    let tiles = tilings(layer, &shape);
+    for ((p, g), tiling) in prefix.iter_mut().zip(&mut glb).zip(&tiles) {
+        let tile = terms.tile(tiling);
+        *p = mac_rf + rates.noc_energy(tile.noc);
+        *g = tile.glb_accesses(&shape, config);
+    }
+    let n = tiles.len();
+    let (index, picojoules) = cheapest(&rates, &prefix[..n], &glb[..n], &dram, terms.cycles);
     ScheduleChoice {
         schedule: schedule_candidates(layer)[index],
         picojoules,
@@ -315,62 +321,63 @@ pub(crate) fn tilings(layer: &Layer, shape: &ShapeTerms) -> Vec<Tiling> {
         .collect()
 }
 
-/// DRAM energy and stall time of one shape on one design, per loop order
-/// (indexed by [`LoopOrder::index`]) — engine- and tile-independent, so
-/// the sweep computes it once per `(config, shape)`.
+/// DRAM energy and stall time of one shape, per loop order (indexed by
+/// [`LoopOrder::index`]). It depends on the config only through its
+/// `(ifmap_kib, weight_kib)` pair — engine-, tile-, PE-grid- and
+/// psum-independent — so the sweep keeps one row of these for the
+/// current pair.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DramCost {
-    pj: [f64; 2],
-    stall_cycles: [f64; 2],
+    pub(crate) pj: [f64; 2],
+    pub(crate) stall_cycles: [f64; 2],
 }
 
 impl DramCost {
-    pub(crate) fn new(rates: &DesignRates<'_>, traffic: &DramTraffic) -> Self {
-        let words = traffic.effective_words(rates.table);
+    pub(crate) fn new(table: &EnergyTable, traffic: &DramTraffic) -> Self {
+        let words = traffic.effective_words(table);
         Self {
-            pj: words.map(|w| rates.dram_energy(w)),
-            stall_cycles: words.map(|w| rates.stall_cycles(w)),
+            pj: words.map(|w| table.dram_energy(w)),
+            stall_cycles: words.map(|w| table.dram_stall_cycles(w)),
         }
     }
 }
 
-/// The search kernel both the sweep and [`best_schedule`] run: the
-/// cheapest candidate of one `(config, shape, engine)`, as its index in
-/// [`schedule_candidates`] order and its energy in picojoules.
+/// The search kernel both [`best_schedule`] and the sweep in
+/// [`crate::dse`] run: the cheapest candidate of one
+/// `(config, shape, engine)`, as its index in [`schedule_candidates`]
+/// order and its energy in picojoules.
 ///
-/// `tiles` holds the engine's [`TileTerms`] for each of the shape's
-/// [`tile_options`]; `cycles` is the engine's issue cycles. Each tile's
-/// prefix `mac + rf + noc + glb` is summed once, then each loop order's
-/// `dram + leak` is added to it — the left-to-right order of
+/// Per tile of the shape's [`tile_options`], `prefix` holds the energy
+/// prefix `mac + rf + noc` and `glb` the GLB accesses; `dram` is the
+/// shape's DRAM costs and `cycles` the engine's issue cycles. Each tile's
+/// `prefix + glb` is summed once, then each loop order's `dram + leak` is
+/// added to it — the left-to-right order of
 /// [`crate::dataflow::EnergyTerms::total`], so every candidate's energy
-/// has the bits the unfactored formula gives.
+/// has the bits the unfactored formula gives. A strict `<` over the
+/// candidates in canonical order keeps the first minimum.
 #[inline]
 pub(crate) fn cheapest(
-    config: AcceleratorConfig,
     rates: &DesignRates<'_>,
-    shape: &ShapeTerms,
+    prefix: &[f64],
+    glb: &[f64],
     dram: &DramCost,
     cycles: f64,
-    tiles: &[TileTerms],
 ) -> (usize, f64) {
-    let mac_rf = rates.mac_energy(shape.macs) + rates.rf_energy(shape.rf_accesses());
-    let mut prefix = [0.0; OW_TILE_OPTIONS.len()];
-    for (p, tile) in prefix.iter_mut().zip(tiles) {
-        *p = mac_rf
-            + rates.noc_energy(tile.noc)
-            + rates.glb_energy(tile.glb_accesses(shape, config));
+    let mut tile_pj = [0.0; OW_TILE_OPTIONS.len()];
+    for ((pj, &p), &g) in tile_pj.iter_mut().zip(prefix).zip(glb) {
+        *pj = p + rates.glb_energy(g);
     }
-    let prefix = &prefix[..tiles.len()];
+    let tile_pj = &tile_pj[..prefix.len()];
     let leak = dram
         .stall_cycles
         .map(|stall| rates.leak_energy(cycles, stall));
-    let mut best = (0, prefix[0] + dram.pj[0] + leak[0]);
+    let mut best = (0, tile_pj[0] + dram.pj[0] + leak[0]);
     for (o, (&dram_pj, &leak_pj)) in dram.pj.iter().zip(&leak).enumerate() {
-        for (t, &p) in prefix.iter().enumerate() {
-            let picojoules = p + dram_pj + leak_pj;
+        for (t, &pj) in tile_pj.iter().enumerate() {
+            let picojoules = pj + dram_pj + leak_pj;
             // Strictly-less keeps the earliest candidate on ties.
             if picojoules < best.1 {
-                best = (o * prefix.len() + t, picojoules);
+                best = (o * tile_pj.len() + t, picojoules);
             }
         }
     }

@@ -4,14 +4,15 @@
 //! repeat shapes heavily (every 3×3/stride-1 block of a ResNet stage is
 //! identical, U-Net mirrors its encoder, …). Deduplicating shapes up front
 //! means each `(config, engine)` design point evaluates its schedule
-//! search once per distinct shape — the `(config, shape)`-keyed cache the
-//! sweep reads through — which cuts the hot loop by the suite's
+//! search once per distinct shape, which cuts the hot loop by the suite's
 //! duplication factor (~2.3× for the Table III networks) in serial *and*
 //! parallel runs. The memo also precomputes, per shape, everything the
 //! mapping search re-reads on every config: the cost model's per-shape
-//! terms, the deduplicated tiling factors with their geometry, and the
-//! per-network multiplicity matrix that turns per-shape
-//! log-efficiencies into geomean scores.
+//! terms and the deduplicated tiling factors with their geometry. Per
+//! network it keeps the sparse row of `(shape, multiplicity)` pairs that
+//! turns per-shape log-efficiencies into geomean scores: a network uses
+//! only a few of the suite's shapes (209 of the 10 × 167 pairs are
+//! nonzero), so a geomean walks just those.
 
 use std::collections::HashMap;
 
@@ -20,16 +21,19 @@ use sudc_compute::networks::{Layer, Network};
 use crate::dataflow::{ShapeTerms, Tiling};
 use crate::mapping::tilings;
 
-/// Shape-deduplicated view of a network suite.
+/// Shape-deduplicated view of a network suite: the distinct shapes with
+/// their cost-model terms and tilings, each layer's shape slot, and each
+/// network's sparse `(shape, multiplicity)` row.
 #[derive(Debug, Clone)]
 pub struct LayerMemo {
     /// Distinct layer shapes, in first-appearance order.
     unique: Vec<Layer>,
     /// `slot[network][layer]` → index into `unique`.
     slot: Vec<Vec<usize>>,
-    /// `mult[network][shape]` → how many layers of the network have the
-    /// shape (as f64: it weights log-efficiency sums).
-    mult: Vec<Vec<f64>>,
+    /// `shapes[network]` → the network's `(shape, multiplicity)` pairs
+    /// with a nonzero multiplicity, in ascending shape order (as f64: it
+    /// weights log-efficiency sums).
+    shapes: Vec<Vec<(usize, f64)>>,
     /// Per-shape terms of the cost model.
     terms: Vec<ShapeTerms>,
     /// Tiling geometry of each deduplicated tiling factor, per shape.
@@ -60,14 +64,17 @@ impl LayerMemo {
                     .collect()
             })
             .collect();
-        let mult = slot
+        let shapes = slot
             .iter()
             .map(|slots| {
                 let mut row = vec![0.0; unique.len()];
                 for &si in slots {
                     row[si] += 1.0;
                 }
-                row
+                row.into_iter()
+                    .enumerate()
+                    .filter(|&(_, m)| m > 0.0)
+                    .collect()
             })
             .collect();
         let terms: Vec<ShapeTerms> = unique.iter().map(ShapeTerms::of).collect();
@@ -79,7 +86,7 @@ impl LayerMemo {
         Self {
             unique,
             slot,
-            mult,
+            shapes,
             terms,
             tilings,
             total_layers,
@@ -104,10 +111,10 @@ impl LayerMemo {
         self.slot[ni][li]
     }
 
-    /// How many layers of network `ni` share shape `si`.
-    #[must_use]
-    pub fn multiplicity(&self, ni: usize, si: usize) -> f64 {
-        self.mult[ni][si]
+    /// Network `ni`'s shapes with how many of its layers share each, in
+    /// ascending shape order; shapes the network does not use are absent.
+    pub(crate) fn network_shapes(&self, ni: usize) -> &[(usize, f64)] {
+        &self.shapes[ni]
     }
 
     /// Cost-model terms of shape `si`.
@@ -164,14 +171,20 @@ mod tests {
     }
 
     #[test]
-    fn multiplicities_sum_to_network_sizes() {
+    fn network_shapes_count_each_networks_layers() {
         let networks = suite();
         let memo = LayerMemo::for_networks(&networks);
         for (ni, net) in networks.iter().enumerate() {
-            let total: f64 = (0..memo.unique_layers().len())
-                .map(|si| memo.multiplicity(ni, si))
-                .sum();
-            assert!((total - net.layers.len() as f64).abs() < 1e-9);
+            let row = memo.network_shapes(ni);
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "{}", net.id);
+            for &(si, m) in row {
+                let count = (0..net.layers.len())
+                    .filter(|&li| memo.slot(ni, li) == si)
+                    .count();
+                assert_eq!(m, count as f64, "{} shape {si}", net.id);
+            }
+            let total: f64 = row.iter().map(|&(_, m)| m).sum();
+            assert_eq!(total, net.layers.len() as f64, "{}", net.id);
         }
     }
 

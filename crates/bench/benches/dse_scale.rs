@@ -11,7 +11,8 @@
 //!
 //! Writes `BENCH_dse.json`: `serial` and `parallel` (`n` = schedules
 //! evaluated). Knobs: `SUDC_DSE_SCALE_STEP` (design-space subsampling
-//! stride, default 1 = the full space; CI's smoke uses a larger stride),
+//! stride, default 1 = the full space; CI's smoke uses 7, which still
+//! visits every buffer size and PE group),
 //! `SUDC_BENCH_REPS` (default 3).
 
 use sudc_accel::design::design_space;

@@ -167,13 +167,13 @@ const NIL: u32 = u32::MAX;
 const VACANT: Event = Event::Sample;
 
 /// One ring slot: a FIFO over a chain of pool chunks. Entries run from
-/// `read` in chunk `head` to `write` (exclusive) in chunk `tail`; an
-/// empty slot holds no chunk at all.
+/// the start of chunk `head` to `write` (exclusive) in chunk `tail`; a
+/// slot drains whole, so no read cursor is needed. An empty slot holds
+/// no chunk at all.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     head: u32,
     tail: u32,
-    read: u32,
     write: u32,
 }
 
@@ -181,7 +181,6 @@ impl Slot {
     const EMPTY: Self = Self {
         head: NIL,
         tail: NIL,
-        read: 0,
         write: 0,
     };
 }
@@ -224,7 +223,6 @@ impl ChunkPool {
             *slot = Slot {
                 head: c,
                 tail: c,
-                read: 0,
                 write: 0,
             };
         } else if slot.write == CHUNK as u32 {
@@ -241,18 +239,16 @@ impl ChunkPool {
     /// and releases its chunks, leaving the slot empty.
     fn drain_into(&mut self, slot: &mut Slot, out: &mut Vec<Event>) {
         let mut c = slot.head;
-        let mut from = slot.read as usize;
         while c != NIL {
             let to = if c == slot.tail {
                 slot.write as usize
             } else {
                 CHUNK
             };
-            out.extend_from_slice(&self.entries[c as usize][from..to]);
+            out.extend_from_slice(&self.entries[c as usize][..to]);
             let next = self.next[c as usize];
             self.release(c);
             c = next;
-            from = 0;
         }
         *slot = Slot::EMPTY;
     }
