@@ -19,12 +19,28 @@
 //! accesses per `(PE grid, psum size)`, and the DRAM costs per
 //! `(ifmap, weight)` buffer pair. A config adds just its buffer access
 //! energy and leakage rate, and each `(config, shape, engine)` only sums
-//! and compares its schedule candidates. The geomeans walk each
-//! network's nonzero `(shape, multiplicity)` pairs. The sweep runs
-//! chunked across the [`sudc_par`] executor and is bit-identical to its
-//! serial oracle at any worker count: chunk results merge left-to-right
-//! with a strictly-greater test on flat `(config, engine)` indices, so
-//! ties resolve to the lowest index exactly as in the serial loop.
+//! and compares its schedule candidates. The sweep runs chunked across
+//! the [`sudc_par`] executor and is bit-identical to its serial oracle
+//! at any worker count: chunk results merge left-to-right with a
+//! strictly-greater test on flat `(config, engine)` indices, so ties
+//! resolve to the lowest index exactly as in the serial loop.
+//!
+//! Scores are natural logs of efficiency (MACs per joule), and a geomean
+//! score is each network's multiplicity-weighted mean of them. Only the
+//! winners matter, so an exact filter keeps `f64::ln` off the hot path:
+//! a candidate is scored exactly (one `ln` per shape, each geomean summed
+//! over the network's nonzero `(shape, multiplicity)` pairs in ascending
+//! order) unless a cheap bound proves that it cannot beat or tie the
+//! incumbent. Per shape, the bound compares raw efficiencies against the
+//! incumbent's less a relative `LN_MARGIN`. Per network, the exponents
+//! of the layers' efficiencies are summed and their mantissas multiplied,
+//! which gives the log sum from one `ln`, within `LOG_SUM_BOUND` of the
+//! exact score in geomean units; the global bound sums those. A candidate
+//! is skipped only when it falls more than `LN_MARGIN` = 10⁻⁶ (10⁴ ×
+//! the bound) below the incumbent's exact score. Exact ties and every
+//! zero, subnormal, infinite or NaN efficiency take the exact path, and
+//! the filter does not assume that libm's `ln` is monotone, only that it
+//! is accurate to an ulp or so; so the outcome keeps every bit.
 //!
 //! The GPU baseline is derived from the Table III measurements: the
 //! effective energy per useful MAC on the RTX 3090 is
@@ -255,14 +271,20 @@ struct BestSoFar {
     /// Best per unique shape — the per-layer architecture reads through
     /// the memo's slots.
     per_shape: Vec<(f64, usize)>,
+    /// Per shape, the [`shape_floor`] of its incumbent's efficiency; 0
+    /// until it has one.
+    shape_floors: Vec<f64>,
     /// The cost terms of the PE grid this accumulator last swept.
     group: GroupTable,
     /// The DRAM costs of the `(ifmap_kib, weight_kib)` pair this
     /// accumulator last swept.
     dram: DramRow,
-    /// Per-config scratch of ln-efficiencies, `shape × engine` — carried
-    /// in the accumulator so the fold never allocates.
-    scratch: Vec<f64>,
+    /// Per-config scratch, `shape × engine`, carried in the accumulator so
+    /// the fold never allocates: the efficiencies (MACs per joule), then
+    /// the biased exponent and the mantissa of each, from [`split`].
+    ratios: Vec<f64>,
+    exponents: Vec<f64>,
+    mantissas: Vec<f64>,
 }
 
 impl BestSoFar {
@@ -271,11 +293,96 @@ impl BestSoFar {
             global: (f64::NEG_INFINITY, 0),
             per_network: vec![(f64::NEG_INFINITY, 0); networks.len()],
             per_shape: vec![(f64::NEG_INFINITY, 0); shapes],
+            shape_floors: vec![0.0; shapes],
             group: GroupTable::default(),
             dram: DramRow::default(),
-            scratch: vec![0.0; shapes * ENGINE_COUNT],
+            ratios: vec![0.0; shapes * ENGINE_COUNT],
+            exponents: vec![0.0; shapes * ENGINE_COUNT],
+            mantissas: vec![0.0; shapes * ENGINE_COUNT],
         }
     }
+
+    /// Folds `b`, a later chunk's accumulator, into `self`.
+    fn merge(mut self, b: Self) -> Self {
+        self.global = better(self.global, b.global);
+        for (av, bv) in self.per_network.iter_mut().zip(b.per_network) {
+            *av = better(*av, bv);
+        }
+        let shapes = self.per_shape.iter_mut().zip(&mut self.shape_floors);
+        for ((av, af), (bv, bf)) in shapes.zip(b.per_shape.into_iter().zip(b.shape_floors)) {
+            // The strict `better`, keeping each floor with its incumbent.
+            if bv.0 > av.0 {
+                (*av, *af) = (bv, bf);
+            }
+        }
+        self
+    }
+}
+
+/// Bound, in geomean (natural-log) units, on how far an
+/// [`approx_log_sum`] divided by its term count can stray from the exact
+/// geomean score: `f64::ln` per term, weighted and summed in order. Both
+/// sides round a few times per term, by at most an ulp of `|ln r| ≤ 745`
+/// (about 1e-13), so the two sums part by about 1e-11 for 127 terms of
+/// that size.
+const LOG_SUM_BOUND: f64 = 1e-10;
+
+/// How far, in geomean units, a candidate's approximate score must fall
+/// below the incumbent's exact score to be skipped without its exact
+/// `ln`s: 1e-6, four orders of magnitude past [`LOG_SUM_BOUND`].
+const LN_MARGIN: f64 = 10_000.0 * LOG_SUM_BOUND;
+
+/// `r` as its biased exponent `e` and mantissa `m ∈ [1, 2)`, with
+/// `r = 2^(e − 1023) · m` — or a NaN mantissa unless `r` is positive,
+/// normal and finite, so that every product it enters is NaN.
+#[inline]
+fn split(r: f64) -> (f64, f64) {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = r.to_bits();
+    let mantissa = if (f64::MIN_POSITIVE..=f64::MAX).contains(&r) {
+        f64::from_bits(bits & MANTISSA | 1f64.to_bits())
+    } else {
+        f64::NAN
+    };
+    (f64::from((bits >> 52) as u32), mantissa)
+}
+
+/// `Σ ln r` over `terms` efficiencies, from the sum of their [`split`]
+/// exponents and the product of their mantissas: one `ln` in place of
+/// one per term, within [`LOG_SUM_BOUND`] × `terms` of the exact sum. A
+/// NaN mantissa makes it NaN, and a product that overflows (past 1 023
+/// terms) makes it `+∞`; [`ruled_out`] rules out neither.
+#[inline]
+fn approx_log_sum(exponents: f64, mantissas: f64, terms: f64) -> f64 {
+    (exponents - 1023.0 * terms) * core::f64::consts::LN_2 + mantissas.ln()
+}
+
+/// Whether a candidate whose approximate geomean score is `approx`
+/// cannot beat or tie the incumbent's exact score `best`, and so skips
+/// the exact path: true only when `approx` is more than [`LN_MARGIN`]
+/// below `best`, which [`LOG_SUM_BOUND`] proves the exact score is too.
+/// Ties and a NaN `approx` are never ruled out.
+#[inline]
+fn ruled_out(approx: f64, best: f64) -> bool {
+    approx < best - LN_MARGIN
+}
+
+/// The efficiency below which a shape's candidate cannot beat or tie an
+/// incumbent of efficiency `r`: `ln(r · (1 − LN_MARGIN)) < ln r −
+/// LN_MARGIN`, a gap no error of `f64::ln` within a few ulps of the true
+/// log can close. It asks nothing of `f64::ln`'s monotonicity.
+#[inline]
+fn shape_floor(r: f64) -> f64 {
+    r * (1.0 - LN_MARGIN)
+}
+
+/// Whether every efficiency of a shape's row is positive, normal and
+/// below `floor` (its incumbent's [`shape_floor`]), so that none can beat
+/// or tie the incumbent. Zero, subnormal, infinite and NaN efficiencies
+/// fail it, so their row takes the exact path.
+#[inline]
+fn below_floor(row: &[f64], floor: f64) -> bool {
+    row.iter().all(|&r| r >= f64::MIN_POSITIVE && r < floor)
 }
 
 /// GLB-access tables one [`GroupTable`] holds at once: one per psum size
@@ -420,7 +527,7 @@ fn sweep_config(
     best.group.refresh(config, &rates, memo);
     best.dram.refresh(config, memo, table);
 
-    // Phase 1: best-schedule search per (shape, engine); ln-efficiencies
+    // Phase 1: best-schedule search per (shape, engine); efficiencies
     // land in the scratch table keyed on (shape, engine). Each cost term
     // comes from the level of the axes it depends on: the prefix and
     // cycles per PE group, the GLB accesses per (PE group, psum size),
@@ -445,41 +552,83 @@ fn sweep_config(
                 dram,
                 cycles[se],
             );
-            best.scratch[se] = (macs / (picojoules * 1e-12)).ln();
+            best.ratios[se] = macs / (picojoules * 1e-12);
         }
     }
 
-    // Phase 2: score every engine as a full design point. Each
-    // accumulator sees the engines in index order so the flat tie-break
-    // matches the serial nesting, and each geomean sums its network's
-    // shapes in ascending order, one independent sum per engine.
+    // Phase 2: score every engine as a full design point through the
+    // exact filter. A candidate the filter cannot rule out takes the
+    // exact path: `f64::ln` per shape, each geomean summed in ascending
+    // shape order, one independent sum per engine, networks in order for
+    // the global sum, then the strict `better`. Each accumulator sees the
+    // engines in index order, so the flat tie-break matches the serial
+    // nesting.
+    let BestSoFar {
+        global,
+        per_network,
+        per_shape,
+        shape_floors,
+        ratios,
+        exponents,
+        mantissas,
+        ..
+    } = best;
     let flat = |ei: usize| idx * ENGINE_COUNT + ei;
-    let rows = best.scratch.chunks_exact(ENGINE_COUNT);
-    for (slot, row) in best.per_shape.iter_mut().zip(rows) {
-        for (ei, &score) in row.iter().enumerate() {
-            // ln is monotone, so comparing log-efficiencies picks the same
-            // winner as comparing efficiencies.
-            *slot = better(*slot, (score, flat(ei)));
+    let rows = ratios.chunks_exact(ENGINE_COUNT);
+    for ((slot, floor), row) in per_shape.iter_mut().zip(shape_floors).zip(rows) {
+        if below_floor(row, *floor) {
+            continue;
         }
-    }
-    let mut global_log_sum = [0.0; ENGINE_COUNT];
-    for (ni, net) in networks.iter().enumerate() {
-        let mut net_log_sum = [0.0; ENGINE_COUNT];
-        for &(si, m) in memo.network_shapes(ni) {
-            let row = &best.scratch[si * ENGINE_COUNT..(si + 1) * ENGINE_COUNT];
-            for (sum, &score) in net_log_sum.iter_mut().zip(row) {
-                *sum += m * score;
+        for (ei, &r) in row.iter().enumerate() {
+            let score = r.ln();
+            // The strict `better`, moving the floor with the incumbent.
+            if score > slot.0 {
+                (*slot, *floor) = ((score, flat(ei)), shape_floor(r));
             }
         }
-        for (ei, &net_sum) in net_log_sum.iter().enumerate() {
-            let net_geo = net_sum / net.layers.len() as f64;
-            best.per_network[ni] = better(best.per_network[ni], (net_geo, flat(ei)));
-            global_log_sum[ei] += net_sum;
+    }
+
+    // The geomeans filter on `approx_log_sum`s over each network's
+    // layers.
+    for ((e, m), &r) in exponents.iter_mut().zip(mantissas.iter_mut()).zip(&*ratios) {
+        (*e, *m) = split(r);
+    }
+    let exact_net_sum = |ni: usize, ei: usize| {
+        memo.network_shapes(ni).iter().fold(0.0, |sum, &(si, m)| {
+            sum + m * ratios[si * ENGINE_COUNT + ei].ln()
+        })
+    };
+    let mut global_approx = [0.0; ENGINE_COUNT];
+    for (ni, net) in networks.iter().enumerate() {
+        let mut exponent_sum = [0.0; ENGINE_COUNT];
+        let mut mantissa_product = [1.0; ENGINE_COUNT];
+        for &si in memo.network_slots(ni) {
+            let row = si * ENGINE_COUNT..(si + 1) * ENGINE_COUNT;
+            for ((sum, product), (&e, &m)) in exponent_sum
+                .iter_mut()
+                .zip(&mut mantissa_product)
+                .zip(exponents[row.clone()].iter().zip(&mantissas[row]))
+            {
+                *sum += e;
+                *product *= m;
+            }
+        }
+        let layers = net.layers.len() as f64;
+        for ei in 0..ENGINE_COUNT {
+            let approx = approx_log_sum(exponent_sum[ei], mantissa_product[ei], layers);
+            if !ruled_out(approx / layers, per_network[ni].0) {
+                let net_geo = exact_net_sum(ni, ei) / layers;
+                per_network[ni] = better(per_network[ni], (net_geo, flat(ei)));
+            }
+            global_approx[ei] += approx;
         }
     }
-    for (ei, &sum) in global_log_sum.iter().enumerate() {
-        let global_geo = sum / memo.total_layers() as f64;
-        best.global = better(best.global, (global_geo, flat(ei)));
+    let layers = memo.total_layers() as f64;
+    for (ei, &approx) in global_approx.iter().enumerate() {
+        if !ruled_out(approx / layers, global.0) {
+            let sum = (0..networks.len()).fold(0.0, |sum, ni| sum + exact_net_sum(ni, ei));
+            *global = better(*global, (sum / layers, flat(ei)));
+        }
     }
 }
 
@@ -524,16 +673,7 @@ pub fn run_dse_threads(
             sweep_config(&mut best, idx, config, &memo, &networks, table);
             best
         },
-        |mut a, b| {
-            a.global = better(a.global, b.global);
-            for (av, bv) in a.per_network.iter_mut().zip(b.per_network) {
-                *av = better(*av, bv);
-            }
-            for (av, bv) in a.per_shape.iter_mut().zip(b.per_shape) {
-                *av = better(*av, bv);
-            }
-            a
-        },
+        BestSoFar::merge,
     );
 
     assemble_outcome(space, table, &networks, &memo, &best)
@@ -851,21 +991,21 @@ mod tests {
         assert_eq!(out.designs_evaluated, space.len());
     }
 
-    /// The ln-efficiency of every `(shape, engine)` on `config`, from
-    /// the standalone [`mapping::best_schedule`] search, shape-major.
-    fn best_schedule_scores(
+    /// The efficiency of every `(shape, engine)` on `config`, from the
+    /// standalone [`mapping::best_schedule`] search, shape-major.
+    fn best_schedule_ratios(
         config: AcceleratorConfig,
         table: &EnergyTable,
         memo: &LayerMemo,
     ) -> Vec<f64> {
-        let mut scores = Vec::with_capacity(memo.unique_layers().len() * ENGINE_COUNT);
+        let mut ratios = Vec::with_capacity(memo.unique_layers().len() * ENGINE_COUNT);
         for layer in memo.unique_layers() {
             for engine in Engine::all() {
                 let pj = mapping::best_schedule(config, table, layer, engine).picojoules;
-                scores.push((layer.macs() as f64 / (pj * 1e-12)).ln());
+                ratios.push(layer.macs() as f64 / (pj * 1e-12));
             }
         }
-        scores
+        ratios
     }
 
     #[test]
@@ -876,20 +1016,32 @@ mod tests {
         let mut best = BestSoFar::new(&networks, memo.unique_layers().len());
         for (idx, config) in pe_group_space().into_iter().enumerate() {
             sweep_config(&mut best, idx, config, &memo, &networks, &table);
-            let oracle = best_schedule_scores(config, &table, &memo);
-            for (se, (got, want)) in best.scratch.iter().zip(&oracle).enumerate() {
+            let oracle = best_schedule_ratios(config, &table, &memo);
+            for (se, (got, want)) in best.ratios.iter().zip(&oracle).enumerate() {
                 let (si, engine) = (se / ENGINE_COUNT, Engine::all()[se % ENGINE_COUNT]);
                 assert_eq!(got.to_bits(), want.to_bits(), "{config} {engine} {si}");
             }
         }
     }
 
-    /// The whole sweep without any of its hoisting: every score from
-    /// [`mapping::best_schedule`], every geomean over each network's
-    /// dense row of shape multiplicities, assembled like the real sweep.
+    /// The whole sweep without any of its hoisting or filtering: every
+    /// score from [`mapping::best_schedule`] and `f64::ln`, every geomean
+    /// over each network's dense row of shape multiplicities, assembled
+    /// like the real sweep.
     fn best_schedule_outcome(space: &[AcceleratorConfig], table: &EnergyTable) -> DseOutcome {
         let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
         let memo = LayerMemo::for_networks(&networks);
+        let best = oracle_incumbents(space, table, &networks, &memo);
+        assemble_outcome(space, table, &networks, &memo, &best)
+    }
+
+    /// The winners of [`best_schedule_outcome`], with their exact scores.
+    fn oracle_incumbents(
+        space: &[AcceleratorConfig],
+        table: &EnergyTable,
+        networks: &[Network],
+        memo: &LayerMemo,
+    ) -> BestSoFar {
         let shapes = memo.unique_layers().len();
         let mult: Vec<Vec<f64>> = networks
             .iter()
@@ -902,9 +1054,12 @@ mod tests {
                 row
             })
             .collect();
-        let mut best = BestSoFar::new(&networks, shapes);
+        let mut best = BestSoFar::new(networks, shapes);
         for (idx, &config) in space.iter().enumerate() {
-            let scores = best_schedule_scores(config, table, &memo);
+            let scores: Vec<f64> = best_schedule_ratios(config, table, memo)
+                .into_iter()
+                .map(f64::ln)
+                .collect();
             for ei in 0..ENGINE_COUNT {
                 let flat = idx * ENGINE_COUNT + ei;
                 for si in 0..shapes {
@@ -928,7 +1083,29 @@ mod tests {
                 best.global = better(best.global, (global_geo, flat));
             }
         }
-        assemble_outcome(space, table, &networks, &memo, &best)
+        best
+    }
+
+    #[test]
+    fn filtered_incumbents_carry_the_exact_scores() {
+        // The outcome holds only the winners; their scores, which the
+        // filter compares against, must be the exact ones too.
+        let table = EnergyTable::default();
+        let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
+        let memo = LayerMemo::for_networks(&networks);
+        let space = pe_group_space();
+        let mut best = BestSoFar::new(&networks, memo.unique_layers().len());
+        for (idx, &config) in space.iter().enumerate() {
+            sweep_config(&mut best, idx, config, &memo, &networks, &table);
+        }
+        let oracle = oracle_incumbents(&space, &table, &networks, &memo);
+        let bits = |b: &BestSoFar| {
+            let all = [b.global].into_iter().chain(b.per_network.iter().copied());
+            all.chain(b.per_shape.iter().copied())
+                .map(|(score, flat)| (score.to_bits(), flat))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&best), bits(&oracle));
     }
 
     #[test]
@@ -986,6 +1163,175 @@ mod tests {
             );
             let got = run_dse_threads(workers, &space, &table);
             assert_eq!(got, oracle, "workers={workers}");
+        }
+    }
+
+    /// The exact side of [`approx_log_sum`]: `f64::ln` per value, weighted
+    /// by its multiplicity and summed in order, as a geomean sums.
+    fn exact_log_sum(terms: &[(f64, f64)]) -> f64 {
+        terms.iter().fold(0.0, |sum, &(r, m)| sum + m * r.ln())
+    }
+
+    /// [`approx_log_sum`] over the same terms, each repeated by its
+    /// multiplicity, as the sweep walks a network's layers.
+    fn approx_of(terms: &[(f64, f64)]) -> f64 {
+        let (mut exponents, mut mantissas, mut count) = (0.0, 1.0, 0.0);
+        for &(r, m) in terms {
+            let (e, mantissa) = split(r);
+            for _ in 0..m as usize {
+                exponents += e;
+                mantissas *= mantissa;
+                count += 1.0;
+            }
+        }
+        approx_log_sum(exponents, mantissas, count)
+    }
+
+    #[test]
+    fn approximate_log_sums_stay_within_their_bound() {
+        const {
+            assert!(
+                LN_MARGIN >= 100.0 * LOG_SUM_BOUND,
+                "margin under 100x the bound"
+            )
+        };
+        let check = |terms: &[(f64, f64)]| {
+            let count: f64 = terms.iter().map(|&(_, m)| m).sum();
+            let err = (approx_of(terms) - exact_log_sum(terms)).abs() / count;
+            assert!(err <= LOG_SUM_BOUND, "{terms:?}: error {err:e}");
+        };
+        // One term at both edges of the mantissa range and its midpoint,
+        // at every normal exponent.
+        let below_two = f64::from_bits(2f64.to_bits() - 1);
+        for exponent in -1022..=1023 {
+            for mantissa in [1.0, 1.5, below_two] {
+                check(&[(mantissa * 2f64.powi(exponent), 1.0)]);
+            }
+        }
+        // Up to 127 terms of up to 8 repeats each (at most 1 016 layers,
+        // short of the 1 023 that could overflow the mantissa product),
+        // spread over every normal exponent or crowded at either end.
+        let mut rng = sudc_par::rng::Rng64::new(31);
+        for case in 0..2_000 {
+            let n = 1 + (rng.next_u64() % 127) as usize;
+            let terms: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    let exponent = match case % 3 {
+                        0 => (rng.next_u64() % 2046) as i32 - 1022,
+                        1 => 1023 - (rng.next_u64() % 4) as i32,
+                        _ => (rng.next_u64() % 4) as i32 - 1022,
+                    };
+                    let r = (1.0 + rng.next_f64()) * 2f64.powi(exponent);
+                    (r, (1 + rng.next_u64() % 8) as f64)
+                })
+                .collect();
+            check(&terms);
+        }
+    }
+
+    #[test]
+    fn ties_take_the_exact_path() {
+        for s in [-745.0, -1.0, 0.0, 25.0, 709.0] {
+            assert!(!ruled_out(s, s), "an exact tie at {s} is skipped");
+            let near = s - LN_MARGIN / 2.0;
+            assert!(!ruled_out(near, s), "a near-tie at {s} is skipped");
+        }
+        for r in [f64::MIN_POSITIVE, 1.0, 3.2e11, f64::MAX] {
+            assert!(
+                !below_floor(&[r], shape_floor(r)),
+                "{r} ties and is skipped"
+            );
+        }
+        // Every config twice in a row, then the whole space again: each
+        // later copy ties its first exactly and must lose to it.
+        let base = pe_group_space();
+        let mut space: Vec<AcceleratorConfig> = base.iter().flat_map(|&c| [c, c]).collect();
+        space.extend(&base);
+        let table = EnergyTable::default();
+        let oracle = best_schedule_outcome(&space, &table);
+        assert_eq!(run_dse_serial(&space, &table), oracle, "serial");
+        for workers in [1usize, 2, 3, 8] {
+            let got = run_dse_threads(workers, &space, &table);
+            assert_eq!(got, oracle, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn non_normal_efficiencies_take_the_exact_path() {
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        let hostile = [
+            0.0,
+            -0.0,
+            5e-324,
+            subnormal,
+            f64::INFINITY,
+            -f64::INFINITY,
+            f64::NAN,
+            -1.0,
+        ];
+        for r in hostile {
+            for floor in [1e300, f64::MAX, f64::INFINITY] {
+                assert!(!below_floor(&[1.0, r], floor), "{r} skipped below {floor}");
+            }
+            let (e, m) = split(r);
+            assert!(m.is_nan(), "{r} splits to a mantissa {m}");
+            let (e1, m1) = split(3.2e11);
+            let approx = approx_log_sum(e + e1, m * m1, 2.0);
+            for best in [f64::NEG_INFINITY, -745.0, 25.0, 1e300, f64::INFINITY] {
+                assert!(!ruled_out(approx / 2.0, best), "{r} skipped against {best}");
+            }
+        }
+        for r in [f64::MIN_POSITIVE, 1.0, f64::MAX] {
+            assert!(!split(r).1.is_nan(), "{r} is positive, normal and finite");
+        }
+        // A free design makes every efficiency infinite.
+        let free = EnergyTable {
+            mac_pj: 0.0,
+            rf_pj: 0.0,
+            noc_pj: 0.0,
+            glb_base_pj: 0.0,
+            dram_pj: 0.0,
+            static_pe_pj: 0.0,
+            static_sram_pj_per_kib: 0.0,
+            system_static_pj: 0.0,
+            ..EnergyTable::default()
+        };
+        let space = &pe_group_space()[..6];
+        let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
+        let memo = LayerMemo::for_networks(&networks);
+        let ratios = best_schedule_ratios(space[0], &free, &memo);
+        assert!(ratios.iter().all(|r| *r == f64::INFINITY));
+        let oracle = best_schedule_outcome(space, &free);
+        for workers in [1usize, 3] {
+            assert_eq!(
+                run_dse_threads(workers, space, &free),
+                oracle,
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// FNV-1a 64 of the full 7 168-config sweep's `{:?}` dump (108 749
+    /// bytes). The only check that sees the full space's bits: stackbench
+    /// rounds its digest to 0.1, and the oracle test above sweeps 34
+    /// configs.
+    const FULL_SWEEP_DIGEST: u64 = 0x87ac_526c_0a50_174c;
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "full sweep; runs in the release Test step")]
+    fn full_sweep_outcome_is_pinned() {
+        let space = design_space();
+        let table = EnergyTable::default();
+        for workers in [1usize, 3] {
+            let dump = format!("{:?}", run_dse_threads(workers, &space, &table));
+            let mut h = sudc_par::Fnv1a::new();
+            h.write_bytes(dump.as_bytes());
+            assert_eq!(
+                (h.finish(), dump.len()),
+                (FULL_SWEEP_DIGEST, 108_749),
+                "workers={workers}: {:016x}",
+                h.finish()
+            );
         }
     }
 

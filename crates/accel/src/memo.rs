@@ -117,6 +117,11 @@ impl LayerMemo {
         &self.shapes[ni]
     }
 
+    /// Network `ni`'s shape slots, one per layer, in layer order.
+    pub(crate) fn network_slots(&self, ni: usize) -> &[usize] {
+        &self.slot[ni]
+    }
+
     /// Cost-model terms of shape `si`.
     pub(crate) fn terms(&self, si: usize) -> &ShapeTerms {
         &self.terms[si]

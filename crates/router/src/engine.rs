@@ -175,17 +175,6 @@ impl RoutingStats {
         self.cost_sum_usd / self.placed as f64
     }
 
-    /// Fraction of placed requests that run in orbit (onboard or SµDC).
-    #[must_use]
-    pub fn orbital_fraction(&self) -> f64 {
-        if self.placed == 0 {
-            return 0.0;
-        }
-        (self.tier_counts[Tier::Onboard.index()] + self.tier_counts[Tier::OrbitalSudc.index()])
-            as f64
-            / self.placed as f64
-    }
-
     /// Fraction of generated requests placed on the orbital SµDC — the
     /// capture share the sim replay feeds back through `sudc-sim`.
     #[must_use]

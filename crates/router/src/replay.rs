@@ -24,10 +24,6 @@ use crate::engine::RoutingOutcome;
 pub struct RoutedLoad {
     /// Fraction of generated requests placed on the orbital SµDC.
     pub sudc_share: f64,
-    /// Fraction of placed requests running in orbit (onboard + SµDC).
-    pub orbital_fraction: f64,
-    /// Fraction of generated requests placed anywhere.
-    pub acceptance_rate: f64,
 }
 
 impl RoutedLoad {
@@ -36,8 +32,6 @@ impl RoutedLoad {
     pub fn from_outcome(outcome: &RoutingOutcome) -> Self {
         Self {
             sudc_share: outcome.stats.sudc_share(),
-            orbital_fraction: outcome.stats.orbital_fraction(),
-            acceptance_rate: outcome.stats.acceptance_rate(),
         }
     }
 
@@ -322,11 +316,7 @@ mod tests {
 
     #[test]
     fn sim_config_filtering_tracks_sudc_share() {
-        let load = RoutedLoad {
-            sudc_share: 0.25,
-            orbital_fraction: 0.9,
-            acceptance_rate: 0.95,
-        };
+        let load = RoutedLoad { sudc_share: 0.25 };
         let cfg = load.sim_config(Seconds::new(600.0));
         assert!((cfg.filtering - 0.75).abs() < 1e-12);
     }
