@@ -7,7 +7,7 @@
 //!
 //! - `passthrough`: the kernel with nothing attached (`n` = messages
 //!   published, which is the log's record count), its trace checked
-//!   against the frozen pre-bus kernel's committed fingerprint first;
+//!   against its committed fingerprint first;
 //! - `record`: the same run serializing every topic sample to the
 //!   compact binary log (`n` = log records), timed in alternating pairs
 //!   with `passthrough` and its overhead reported ungated;

@@ -8,7 +8,7 @@
 //! draws no randomness and no node ever misses a lease in the nominal
 //! run, the two traces must agree on every pipeline counter; that is
 //! asserted before timing (with the passthrough trace checked against
-//! the frozen kernel's committed fingerprint), so the wall-clock gap is
+//! its committed fingerprint), so the wall-clock gap is
 //! pure detector overhead.
 //!
 //! The two runs are timed in alternating pairs, and every fleet's

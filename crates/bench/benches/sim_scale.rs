@@ -3,8 +3,7 @@
 //! Weak-scales the operations simulator along the fleet axis
 //! (64 → 1k → 10k → 100k → 300k → 1M satellites, [`fleet_point`]) and
 //! times the kernel at every size. Before timing, each trace is checked
-//! against the frozen pre-rebuild kernel's committed fingerprint, so the
-//! timed run is a correct one.
+//! against its committed fingerprint, so the timed run is a correct one.
 //!
 //! Writes `BENCH_sim.json`, one point per fleet (`n` = events). Knobs:
 //! `SUDC_BENCH_FLEETS`, `SUDC_BENCH_REPS` (default 5).

@@ -245,9 +245,11 @@ pub fn fleet_point(fleet: u32) -> (SimConfig, u64) {
 }
 
 /// [`RunTrace::fingerprint`] of [`fleet_point`] at each default fleet
-/// size, computed from the frozen `sudc_sim::baseline` kernel. The
-/// ignored test `fleet_fingerprints_match_the_frozen_baseline`
-/// recomputes them (run it with `--ignored` to regenerate).
+/// size. The values were computed from the pre-rebuild kernel, and the
+/// current kernel reproduced each of them before that kernel was
+/// retired. The ignored test `fleet_fingerprints_match_the_kernel`
+/// checks `sudc_sim::kernel::run` against all six and prints the
+/// recomputed table on a mismatch.
 const FLEET_FINGERPRINTS: [(u32, u64); 6] = [
     (64, 0xe55a_c3fb_95ed_ff73),
     (1_000, 0x4f34_9377_2d36_38d3),
@@ -258,7 +260,7 @@ const FLEET_FINGERPRINTS: [(u32, u64); 6] = [
 ];
 
 /// Asserts that `trace`, the kernel's run of [`fleet_point`]`(fleet)`,
-/// is the frozen baseline's trace, by its committed fingerprint.
+/// has the committed fingerprint of that point.
 ///
 /// # Panics
 ///
@@ -278,7 +280,7 @@ pub fn check_fleet_fingerprint(fleet: u32, trace: &RunTrace) {
     assert_eq!(
         trace.fingerprint(),
         want,
-        "the kernel diverged from the frozen baseline at {fleet} satellites"
+        "the kernel's trace drifted from the committed fingerprint at {fleet} satellites"
     );
 }
 
@@ -391,8 +393,8 @@ impl Report {
         (report, failed)
     }
 
-    /// Writes `BENCH_<bench>.json` into `dir` and prints one line per
-    /// point.
+    /// Writes `BENCH_<bench>.json` into `dir`, creating `dir` if it does
+    /// not exist, and prints one line per point.
     ///
     /// # Errors
     ///
@@ -401,11 +403,12 @@ impl Report {
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be written or a point's `n` exceeds
-    /// 2^53.
+    /// Panics if `dir` cannot be created, the file cannot be written or
+    /// a point's `n` exceeds 2^53.
     pub fn write_to(&self, dir: &Path) -> Result<PathBuf, String> {
         let (report, failed) = self.to_json();
         let out = dir.join(format!("BENCH_{}.json", self.bench));
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
         std::fs::write(&out, report.to_string_pretty() + "\n")
             .unwrap_or_else(|e| panic!("writing {}: {e}", out.display()));
         println!(
@@ -585,11 +588,11 @@ mod tests {
             assert_eq!(floor, &["min_items_per_s", "items_per_s", "pass"]);
         }
 
-        let dir = std::env::temp_dir().join(format!("sudc-bench-report-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let root = std::env::temp_dir().join(format!("sudc-bench-report-{}", std::process::id()));
+        let dir = root.join("nested");
         let failed = report.write_to(&dir).unwrap_err();
         let written = std::fs::read_to_string(dir.join("BENCH_schema_test.json")).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(written, json.to_string_pretty() + "\n");
         assert_eq!(
             failed,
@@ -604,17 +607,17 @@ mod tests {
         check_fleet_fingerprint(500, &sudc_sim::run(&cfg, 1));
     }
 
-    /// Recomputes [`FLEET_FINGERPRINTS`] from the frozen baseline kernel.
-    /// It is the oracle's cost the benches no longer pay: several
-    /// seconds at 1 M satellites in release.
+    /// Checks the kernel against [`FLEET_FINGERPRINTS`] at all six
+    /// fleets; on a mismatch the message is the recomputed table. The
+    /// benches check only the fleets they time.
     #[test]
-    #[ignore = "runs the frozen baseline at up to 1 M satellites; use --release --ignored"]
-    fn fleet_fingerprints_match_the_frozen_baseline() {
+    #[ignore = "runs the kernel at up to 1 M satellites; use --release --ignored"]
+    fn fleet_fingerprints_match_the_kernel() {
         let got: Vec<(u32, u64)> = FLEET_FINGERPRINTS
             .iter()
             .map(|&(fleet, _)| {
                 let (cfg, seed) = fleet_point(fleet);
-                (fleet, sudc_sim::baseline::run(&cfg, seed).fingerprint())
+                (fleet, sudc_sim::kernel::run(&cfg, seed).fingerprint())
             })
             .collect();
         let hex: Vec<String> = got

@@ -75,13 +75,13 @@ pub struct SimConfig {
     /// Downlink transmission time for one insight product, ticks.
     pub downlink_transfer_ticks: f64,
 
-    /// Opt-in fault injection (`None` = the exact baseline kernel: same
-    /// random draws, same event schedule, bit-identical traces).
+    /// Opt-in fault injection (`None` = the nominal kernel: no fault
+    /// stream is drawn and no fault event scheduled).
     pub faults: Option<FaultConfig>,
 
-    /// Opt-in closed-loop health plane (`None` = the exact baseline
-    /// kernel with oracle spare promotion: no heartbeats, no detector,
-    /// bit-identical traces). With a config set, powered nodes
+    /// Opt-in closed-loop health plane (`None` = the nominal kernel with
+    /// oracle spare promotion: no heartbeats, no detector, no health
+    /// events). With a config set, powered nodes
     /// heartbeat every lease, the `sudc-health` failure detector runs
     /// at the same cadence, and — in closed-loop mode — cold spares
     /// are promoted only when the detector declares a node DEAD.

@@ -16,8 +16,7 @@
 //!   independent of the number of pending events — the property that
 //!   keeps 100k-satellite fleets at interactive speed.
 //! - [`BinaryHeapQueue`] — the original `BinaryHeap<(tick, seq)>` queue,
-//!   kept verbatim as the reference model for property tests and as the
-//!   scheduler of the frozen [`crate::baseline`] kernel.
+//!   kept verbatim as the reference model the ring is tested against.
 //!
 //! # Why the ring preserves pop order exactly
 //!
@@ -448,9 +447,9 @@ impl EventQueue {
 /// [`EventQueue`]'s by construction: strictly `(tick, sequence)`.
 ///
 /// Kept without a non-test caller: it is the reference model the ring's
-/// drain is held to, in this module's tests and in
-/// `tests/event_queue_model.rs`, and the scheduler of the frozen
-/// [`crate::baseline`] kernel the kernel-equality tests compare against.
+/// drain is held to, in this module's tests and in the property test
+/// `tests/event_queue_model.rs`, which reaches it through the facade
+/// crate and so needs it public.
 #[derive(Debug, Default)]
 pub struct BinaryHeapQueue {
     heap: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,

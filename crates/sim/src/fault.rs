@@ -1,7 +1,7 @@
 //! Opt-in fault injection: correlated failure processes and the recovery
 //! policies that absorb them.
 //!
-//! The baseline kernel already models *independent* Weibull node failures.
+//! The nominal kernel already models *independent* Weibull node failures.
 //! Real LEO threats are correlated: a solar storm multiplies the SEU rate
 //! for every node at once (and can destroy hardware via latch-up), a bad
 //! manufacturing cohort ships several short-lived nodes together, an ISL

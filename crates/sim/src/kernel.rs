@@ -53,9 +53,11 @@
 //! the table gives the expression's exact tick, and each draw still
 //! consumes exactly one `next_u64` (see `gap.rs` for the argument).
 //!
-//! The frozen pre-rebuild kernel survives as [`crate::baseline`] and
-//! must produce `==` traces; the equivalence tests below hold the two
-//! kernels together.
+//! A run at a fixed `(config, seed)` is a constant, so the tests below
+//! pin full-state [`RunTrace::fingerprint`]s at points across the
+//! nominal, collaborative, fault, cold-spare, shedding, health and
+//! recorded paths. The points a pre-rebuild kernel also ran carry that
+//! kernel's fingerprints: the rebuild matched it bit for bit there.
 
 use std::collections::VecDeque;
 
@@ -72,24 +74,24 @@ use crate::metrics::RunTrace;
 use crate::plane::TraceBuilder;
 
 /// Stream index base for per-satellite RNG streams (stream `sat`).
-pub(crate) const SAT_STREAM_BASE: u64 = 0;
+const SAT_STREAM_BASE: u64 = 0;
 /// Stream index base for per-node lifetime streams.
-pub(crate) const NODE_STREAM_BASE: u64 = 1_000_000;
+const NODE_STREAM_BASE: u64 = 1_000_000;
 /// Stream index base for per-ISL-link flap streams (fault injection).
-pub(crate) const ISL_LINK_STREAM_BASE: u64 = 2_000_000;
+const ISL_LINK_STREAM_BASE: u64 = 2_000_000;
 /// Stream index for the shared fault stream (SEU corruption draws and
 /// retry jitter, consumed in event order).
-pub(crate) const FAULT_STREAM_BASE: u64 = 3_000_000;
+const FAULT_STREAM_BASE: u64 = 3_000_000;
 /// Stream index for ground-contact blackout draws (one per window).
-pub(crate) const BLACKOUT_STREAM_BASE: u64 = 3_500_000;
+const BLACKOUT_STREAM_BASE: u64 = 3_500_000;
 /// Stream index base for per-manufacturing-cohort infant-mortality draws.
-pub(crate) const INFANT_STREAM_BASE: u64 = 4_000_000;
+const INFANT_STREAM_BASE: u64 = 4_000_000;
 /// Stream index base for storm latch-up draws. Storm `s`, node `n` draws
 /// from stream `BASE + s * STRIDE + n` — a pure function of the entity
 /// pair, so one node's fate never depends on how many others are powered.
-pub(crate) const STORM_KILL_STREAM_BASE: u64 = 5_000_000;
+const STORM_KILL_STREAM_BASE: u64 = 5_000_000;
 /// Stream stride between consecutive storms' kill-draw blocks.
-pub(crate) const STORM_KILL_STREAM_STRIDE: u64 = 1_000_000;
+const STORM_KILL_STREAM_STRIDE: u64 = 1_000_000;
 
 /// Rounds a positive tick duration up, never below one tick.
 pub(crate) fn duration_ticks(x: f64) -> Tick {
@@ -181,7 +183,7 @@ struct BatchSlab {
 /// detector plus the ground-truth bookkeeping the sim alone can supply
 /// (actual failure ticks, for detection-latency accounting). Pure
 /// integer state machine — no RNG streams, so enabling it perturbs no
-/// draw in the baseline schedule.
+/// draw in the schedule a run without it makes.
 struct HealthPlane {
     controller: HealthController,
     lowered: LoweredHealth,
@@ -507,7 +509,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             .push(self.cfg.sample_interval_ticks, Event::Sample);
 
         // Fault processes. No events are seeded (and no streams consumed)
-        // with faults disabled, so the baseline schedule is untouched.
+        // with faults disabled, so the nominal schedule is untouched.
         if let Some(isl) = self.cfg.faults.and_then(|f| f.isl) {
             for link in 0..isl.links {
                 let dt =
@@ -520,7 +522,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         }
 
         // Health plane: the first lease boundary. Nothing is seeded with
-        // the plane disabled, so the baseline schedule is untouched.
+        // the plane disabled, so the nominal schedule is untouched.
         if let Some(hp) = &self.health {
             self.queue.push(hp.lowered.lease_ticks, Event::HealthScan);
         }
@@ -1357,7 +1359,6 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
     use crate::fault::{FaultConfig, GroundBlackouts, IslFlaps, StormModel};
     use sudc_units::Seconds;
 
@@ -1444,30 +1445,34 @@ mod tests {
         assert_ne!(a, run(&cfg, 22));
     }
 
+    /// Full-state fingerprints of fixed `(config, seed)` points across
+    /// the nominal, collaborative, fault-injected and cold-spare paths.
+    /// Each pin is the trace the pre-rebuild kernel produced at that
+    /// point, so it holds the kernel to that kernel's behaviour bit for
+    /// bit.
     #[test]
-    fn rebuilt_kernel_matches_the_frozen_baseline() {
-        for seed in [1, 7, 42] {
-            let cfg = SimConfig::reference_operations(Seconds::new(3600.0));
-            assert_eq!(run(&cfg, seed), baseline::run(&cfg, seed));
-            let collab = SimConfig::collaborative_operations(Seconds::new(3600.0));
-            assert_eq!(run(&collab, seed), baseline::run(&collab, seed));
-        }
-    }
-
-    #[test]
-    fn rebuilt_kernel_matches_the_baseline_under_faults() {
-        let cfg =
-            SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(stress_faults());
-        for seed in [3, 21] {
-            assert_eq!(run(&cfg, seed), baseline::run(&cfg, seed));
-        }
-    }
-
-    #[test]
-    fn rebuilt_kernel_matches_the_baseline_on_cold_spare_missions() {
-        let cfg = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
-        for seed in [11, 29] {
-            assert_eq!(run(&cfg, seed), baseline::run(&cfg, seed));
+    fn kernel_traces_are_pinned() {
+        let reference = SimConfig::reference_operations(Seconds::new(3600.0));
+        let collab = SimConfig::collaborative_operations(Seconds::new(3600.0));
+        let stressed = reference.with_faults(stress_faults());
+        let spares = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
+        for (name, cfg, seed, want) in [
+            ("reference", reference, 1, 0x39e9_d8a5_ff57_6d14),
+            ("reference", reference, 7, 0x1f2c_9977_14f3_cd88),
+            ("reference", reference, 42, 0x4644_30c5_b5ee_dfa1),
+            ("collaborative", collab, 1, 0x4583_37f2_aa74_167e),
+            ("collaborative", collab, 7, 0x1dd8_5226_f73c_35f0),
+            ("collaborative", collab, 42, 0x001e_5a33_29fa_6b7f),
+            ("stress faults", stressed, 3, 0xe3b7_7735_c47d_8930),
+            ("stress faults", stressed, 21, 0xe26e_b50d_8e87_83c0),
+            ("cold spares", spares, 11, 0x9bae_0ce8_d340_35cc),
+            ("cold spares", spares, 29, 0xc7a0_d3ca_550c_2ea0),
+        ] {
+            assert_eq!(
+                run(&cfg, seed).fingerprint(),
+                want,
+                "{name} trace drifted at seed {seed}"
+            );
         }
     }
 
@@ -1506,14 +1511,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_kernel_matches_the_baseline_on_a_large_fleet() {
+    fn large_fleet_traces_are_pinned() {
         // 30k satellites capture about 300 times per tick, so each tick
         // drains hundreds of captures, each carrying its own stream state,
         // out of slots many chunks long, and the ISL backlog builds
         // multi-image runs. With a single flapping link every
         // down phase is a total outage that stalls the ISL through
-        // `push_front`. The committed fingerprints keep this evidence
-        // once the frozen baseline is gone.
+        // `push_front`.
         let nominal = SimConfig::try_scaled_fleet(30_000, Seconds::new(20.0)).unwrap();
         let mut faults = stress_faults();
         faults.isl = Some(IslFlaps {
@@ -1526,14 +1530,13 @@ mod tests {
             (nominal, 7, 0xf756_dd2b_d2fe_eafd),
             (faulted, 21, 0xa8bd_aeac_a4dc_69b3),
         ] {
-            let t = run(&cfg, seed);
-            assert_eq!(t, baseline::run(&cfg, seed));
-            assert_eq!(t.fingerprint(), want, "trace drifted at seed {seed}");
+            assert_eq!(
+                run(&cfg, seed).fingerprint(),
+                want,
+                "trace drifted at seed {seed}"
+            );
         }
     }
-
-    // The frozen baseline has no health plane and no recorder, so these
-    // committed full-state fingerprints are the only pins on those paths.
 
     #[test]
     fn closed_loop_health_under_faults_is_pinned() {
@@ -1568,7 +1571,7 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_shedding_matches_the_retain_scan() {
+    fn deadline_shedding_on_the_fast_path_is_pinned() {
         // Exercise the freshness deadline on the pop-from-front fast path
         // (no retries in play): a glacial service rate backs the batch
         // queue up far past the deadline.
@@ -1577,27 +1580,23 @@ mod tests {
         let mut cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
         cfg.service_ticks_per_image = 5e4;
         let t = run(&cfg, 3);
-        let b = baseline::run(&cfg, 3);
         assert!(t.shed_deadline > 0, "the deadline must shed work");
-        assert_eq!(t.shed_deadline, b.shed_deadline);
-        assert_eq!(t, b);
+        assert_eq!(t.fingerprint(), 0xafe9_7c57_80a7_79e8, "shed trace drifted");
     }
 
     #[test]
-    fn shedding_with_retries_in_queue_matches_the_retain_scan() {
+    fn deadline_shedding_with_retries_in_queue_is_pinned() {
         // Corruption retries re-enter the queue out of capture order,
-        // forcing the retain fallback; shed counts must still match.
+        // forcing the retain fallback.
         let mut f = FaultConfig::default();
         f.policy.deadline_ticks = 600;
         f.upset_probability = 0.4;
         let mut cfg = SimConfig::reference_operations(Seconds::new(3600.0)).with_faults(f);
         cfg.service_ticks_per_image = 2e3;
         let t = run(&cfg, 5);
-        let b = baseline::run(&cfg, 5);
         assert!(t.retries > 0, "corruption must force retries");
         assert!(t.shed_deadline > 0, "the deadline must shed work");
-        assert_eq!(t.shed_deadline, b.shed_deadline);
-        assert_eq!(t, b);
+        assert_eq!(t.fingerprint(), 0xddf2_fd94_1c13_91a0, "shed trace drifted");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! then to whatever the caller attached (see [`crate::kernel::try_run`]).
 //! Because the builder performs *exactly* the mutations the kernel used
 //! to perform inline, in the same order, every run is trace-equal to
-//! the frozen [`crate::baseline`] — the equivalence tests in `kernel.rs`
-//! hold that line.
+//! the pre-bus kernel's — the fingerprint pins in `kernel.rs`, taken
+//! from that kernel, hold that line.
 //!
 //! The payoff is [`replay`]: a recorded [`BusLog`] re-drives a fresh
 //! `TraceBuilder` and reproduces the live run's `RunTrace` byte for
