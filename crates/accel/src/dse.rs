@@ -20,10 +20,10 @@
 //! `(ifmap, weight)` buffer pair. A config adds just its buffer access
 //! energy and leakage rate, and each `(config, shape, engine)` only sums
 //! and compares its schedule candidates. The sweep runs chunked across
-//! the [`sudc_par`] executor and is bit-identical to its serial oracle
+//! the [`sudc_par`] executor and is bit-identical to its one-worker run
 //! at any worker count: chunk results merge left-to-right with a
 //! strictly-greater test on flat `(config, engine)` indices, so ties
-//! resolve to the lowest index exactly as in the serial loop.
+//! resolve to the lowest index exactly as in one serial loop.
 //!
 //! Scores are natural logs of efficiency (MACs per joule), and a geomean
 //! score is each network's multiplicity-weighted mean of them. Only the
@@ -511,9 +511,9 @@ fn better(a: (f64, usize), b: (f64, usize)) -> (f64, usize) {
     }
 }
 
-/// Shared per-config fold body: the single implementation both the serial
-/// oracle and every parallel chunk execute, so their arithmetic is
-/// identical by construction.
+/// Per-config fold body: the single implementation every chunk executes
+/// (one chunk at one worker), so their arithmetic is identical by
+/// construction.
 fn sweep_config(
     best: &mut BestSoFar,
     idx: usize,
@@ -636,10 +636,10 @@ fn sweep_config(
 ///
 /// The space is partitioned into contiguous chunks across the workspace
 /// executor's threads ([`sudc_par::threads`]); each thread folds its chunk
-/// with the same arithmetic as [`run_dse_serial`], searching schedules
-/// once per distinct shape ([`LayerMemo`]), and chunk results merge in
-/// index order with a strictly-greater test. The outcome is
-/// bit-identical to the serial sweep at every thread count.
+/// in index order, searching schedules once per distinct shape
+/// ([`LayerMemo`]), and chunk results merge in index order with a
+/// strictly-greater test. The outcome is bit-identical to the one-worker
+/// sweep at every thread count.
 ///
 /// # Panics
 ///
@@ -675,27 +675,6 @@ pub fn run_dse_threads(
         },
         BestSoFar::merge,
     );
-
-    assemble_outcome(space, table, &networks, &memo, &best)
-}
-
-/// Reference serial sweep — a plain loop over the space, kept as the
-/// oracle that [`run_dse`] must match bit for bit at any worker count.
-///
-/// # Panics
-///
-/// Panics if `space` is empty.
-#[must_use]
-pub fn run_dse_serial(space: &[AcceleratorConfig], table: &EnergyTable) -> DseOutcome {
-    assert!(!space.is_empty(), "design space must be non-empty");
-
-    let networks: Vec<Network> = NetworkId::all().iter().map(|id| id.network()).collect();
-    let memo = LayerMemo::for_networks(&networks);
-
-    let mut best = BestSoFar::new(&networks, memo.unique_layers().len());
-    for (idx, &config) in space.iter().enumerate() {
-        sweep_config(&mut best, idx, config, &memo, &networks, table);
-    }
 
     assemble_outcome(space, table, &networks, &memo, &best)
 }
@@ -737,8 +716,8 @@ fn unflatten(flat: usize) -> (usize, Engine) {
     (flat / ENGINE_COUNT, Engine::all()[flat % ENGINE_COUNT])
 }
 
-/// Builds the [`DseOutcome`] from winning flat indices — shared by the
-/// serial and parallel sweeps so their outputs are structurally identical.
+/// Builds the [`DseOutcome`] from winning flat indices, after the merge,
+/// so outputs at every worker count are structurally identical.
 /// Winning schedules are *recomputed* here (deterministically, via the
 /// same search kernel) rather than carried through the fold, keeping the
 /// accumulator small.
@@ -1149,7 +1128,6 @@ mod tests {
         let space = pe_group_space();
         let table = EnergyTable::default();
         let oracle = best_schedule_outcome(&space, &table);
-        assert_eq!(run_dse_serial(&space, &table), oracle, "serial");
         let group = |i: usize| (space[i].pe_x, space[i].pe_y);
         for workers in [1usize, 2, 3, 8] {
             let bounds = sudc_par::chunk_bounds(space.len(), workers);
@@ -1249,7 +1227,6 @@ mod tests {
         space.extend(&base);
         let table = EnergyTable::default();
         let oracle = best_schedule_outcome(&space, &table);
-        assert_eq!(run_dse_serial(&space, &table), oracle, "serial");
         for workers in [1usize, 2, 3, 8] {
             let got = run_dse_threads(workers, &space, &table);
             assert_eq!(got, oracle, "workers={workers}");

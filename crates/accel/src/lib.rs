@@ -19,7 +19,7 @@
 //! - [`dataflow`] — row-stationary access counting (Timeloop's role);
 //! - [`dse`] — sweep, selection (global / per-network / per-layer), and
 //!   efficiency-improvement reporting (Fig. 17); the sweep runs chunked
-//!   across the [`sudc_par`] executor, bit-identical to its serial oracle;
+//!   across the [`sudc_par`] executor, bit-identical to its one-worker run;
 //! - [`mapping`] — the per-layer mapping space (engine × schedule) and the
 //!   best-schedule search;
 //! - [`memo`] — layer-shape deduplication, holding each distinct shape's

@@ -11,7 +11,7 @@
 //! - `record`: the same run serializing every topic sample to the
 //!   compact binary log (`n` = log records), timed in alternating pairs
 //!   with `passthrough` and its overhead reported ungated;
-//! - `replay`: decoding the log and re-driving a fresh trace builder,
+//! - `replay`: decoding the log and re-driving a fresh `RunTrace` fold,
 //!   asserted equal to the live trace before timing.
 //!
 //! Writes `BENCH_bus.json`. Knobs: `SUDC_BENCH_FLEETS`,

@@ -28,21 +28,6 @@ pub struct ScanVerdict {
     pub event: HealthEvent,
 }
 
-/// Aggregate detector counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthCounters {
-    /// Heartbeats observed.
-    pub heartbeats: u64,
-    /// ALIVE → SUSPECT transitions.
-    pub suspects: u64,
-    /// SUSPECT → ALIVE transitions (the node was alive all along).
-    pub false_suspects: u64,
-    /// SUSPECT → DEAD declarations (quarantines).
-    pub detections: u64,
-    /// DEAD → ALIVE readmissions after probation.
-    pub readmissions: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct NodeRecord {
     state: NodeHealth,
@@ -66,7 +51,6 @@ struct NodeRecord {
 pub struct HealthController {
     cfg: LoweredHealth,
     nodes: Vec<NodeRecord>,
-    counters: HealthCounters,
 }
 
 impl HealthController {
@@ -89,7 +73,6 @@ impl HealthController {
         Self {
             cfg,
             nodes: records,
-            counters: HealthCounters::default(),
         }
     }
 
@@ -97,12 +80,6 @@ impl HealthController {
     #[must_use]
     pub fn state(&self, node: u32) -> NodeHealth {
         self.nodes[node as usize].state
-    }
-
-    /// Aggregate counters so far.
-    #[must_use]
-    pub fn counters(&self) -> HealthCounters {
-        self.counters
     }
 
     /// Nodes currently quarantined (DEAD).
@@ -130,7 +107,6 @@ impl HealthController {
     /// alive, [`HealthEvent::Readmit`] when a quarantined node
     /// completes probation.
     pub fn heartbeat(&mut self, node: u32, tick: Tick) -> Option<HealthEvent> {
-        self.counters.heartbeats += 1;
         let lease = self.cfg.lease_ticks;
         let rec = &mut self.nodes[node as usize];
         let gap = tick.saturating_sub(rec.last_heartbeat);
@@ -144,7 +120,6 @@ impl HealthController {
             NodeHealth::Alive => None,
             NodeHealth::Suspect => {
                 rec.state = NodeHealth::Alive;
-                self.counters.false_suspects += 1;
                 Some(HealthEvent::FalseSuspect)
             }
             NodeHealth::Dead => {
@@ -154,7 +129,6 @@ impl HealthController {
                 if rec.probation >= self.cfg.probation_leases {
                     rec.state = NodeHealth::Alive;
                     rec.probation = 0;
-                    self.counters.readmissions += 1;
                     Some(HealthEvent::Readmit)
                 } else {
                     None
@@ -180,7 +154,6 @@ impl HealthController {
             let missed = (now.saturating_sub(rec.last_heartbeat) / lease) as u32;
             if rec.state == NodeHealth::Alive && missed >= self.cfg.suspect_missed {
                 rec.state = NodeHealth::Suspect;
-                self.counters.suspects += 1;
                 verdicts.push(ScanVerdict {
                     node: i as u32,
                     event: HealthEvent::Suspect,
@@ -189,7 +162,6 @@ impl HealthController {
             if rec.state == NodeHealth::Suspect && missed >= self.cfg.dead_missed {
                 rec.state = NodeHealth::Dead;
                 rec.probation = 0;
-                self.counters.detections += 1;
                 verdicts.push(ScanVerdict {
                     node: i as u32,
                     event: HealthEvent::Dead,
@@ -224,8 +196,6 @@ mod tests {
             assert!(scan(&mut c, t).is_empty());
             assert_eq!(c.state(0), NodeHealth::Alive);
         }
-        assert_eq!(c.counters().suspects, 0);
-        assert_eq!(c.counters().false_suspects, 0);
     }
 
     #[test]
@@ -260,7 +230,7 @@ mod tests {
         );
         // Repeated scans do not re-declare.
         assert!(scan(&mut c, 20 * cfg.lease_ticks).is_empty());
-        assert_eq!(c.counters().detections, 1);
+        assert_eq!(c.quarantined(), 1);
     }
 
     #[test]
@@ -272,8 +242,7 @@ mod tests {
         assert_eq!(scan(&mut c, now)[0].event, HealthEvent::Suspect);
         assert_eq!(c.heartbeat(0, now + 1), Some(HealthEvent::FalseSuspect));
         assert_eq!(c.state(0), NodeHealth::Alive);
-        assert_eq!(c.counters().false_suspects, 1);
-        assert_eq!(c.counters().detections, 0);
+        assert_eq!(c.quarantined(), 0);
     }
 
     #[test]
@@ -305,7 +274,7 @@ mod tests {
             }
         }
         assert_eq!(c.state(0), NodeHealth::Alive);
-        assert_eq!(c.counters().readmissions, 1);
+        assert_eq!(c.quarantined(), 0);
     }
 
     #[test]

@@ -37,5 +37,5 @@ mod detector;
 mod timeline;
 
 pub use config::{HealthConfig, LoweredHealth};
-pub use detector::{HealthController, HealthCounters, NodeHealth, ScanVerdict};
+pub use detector::{HealthController, NodeHealth, ScanVerdict};
 pub use timeline::PoolTimeline;

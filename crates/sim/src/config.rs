@@ -291,6 +291,14 @@ impl SimConfig {
         let mut d = Diagnostics::new("SimConfig");
         d.positive("tick_seconds", self.tick_seconds);
         d.positive_count("duration_ticks", self.duration_ticks);
+        // The kernel saturates every schedule at `Tick::MAX`; a run that
+        // ends before it never handles such an event.
+        d.ensure(
+            self.duration_ticks < Tick::MAX,
+            "duration_ticks",
+            self.duration_ticks,
+            "below u64::MAX, the tick a saturated schedule lands on",
+        );
         d.positive_count("sample_interval_ticks", self.sample_interval_ticks);
         d.ensure(
             self.satellites == 0
@@ -436,5 +444,18 @@ mod tests {
         cfg.contact_window_ticks = cfg.contact_gap_ticks + 1;
         let err = cfg.try_validate().unwrap_err();
         assert!(err.to_string().contains("contact window"), "{err}");
+    }
+
+    #[test]
+    fn a_run_must_end_before_the_saturated_tick() {
+        // A schedule past `u64` saturates to `Tick::MAX`; a run that
+        // reached that tick would handle such an event, and every one it
+        // rescheduled, forever.
+        let mut cfg = SimConfig::reference_operations(Seconds::new(600.0));
+        cfg.duration_ticks = Tick::MAX;
+        let err = cfg.try_validate().unwrap_err();
+        assert!(err.violations()[0].path == "duration_ticks", "{err}");
+        cfg.duration_ticks = Tick::MAX - 1;
+        assert!(cfg.try_validate().is_ok());
     }
 }

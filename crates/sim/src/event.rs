@@ -21,16 +21,15 @@
 //! # Why the ring preserves pop order exactly
 //!
 //! Let `T` be the ring time: the last tick popped from the ring, never
-//! decreasing. A push at `tick` goes to one of three places:
+//! decreasing. A push never lands behind it: the kernel schedules every
+//! event at `now + delay` with `now == T` (saturating at `Tick::MAX`),
+//! and a push at `tick < T` is a contract violation that panics. A push
+//! at `tick` goes to one of two places:
 //!
-//! 1. **Past ticks** (`tick < T`) go to the `due` heap, keyed `(tick,
-//!    seq)`. Every other pending tick is `>= T`, so draining `due` first
-//!    is globally minimal and no tick has entries both in `due` and
-//!    elsewhere.
-//! 2. **The window** (`T <= tick < T + RING`) goes to slot `tick % RING`,
+//! 1. **The window** (`T <= tick < T + RING`) goes to slot `tick % RING`,
 //!    which holds that one tick. A slot appends in push order, so it pops
 //!    same-tick entries FIFO.
-//! 3. **Later ticks** go to the `overflow` heap, keyed `(tick, seq)`.
+//! 2. **Later ticks** go to the `overflow` heap, keyed `(tick, seq)`.
 //!    Whenever `T` advances, the overflow entries the new window covers
 //!    move into their slots in `(tick, seq)` order before the drain
 //!    returns — before any handler can push directly at those ticks — so
@@ -39,8 +38,8 @@
 //!
 //! A slot entry therefore stores only the `Event`: its tick follows from
 //! the slot and `T`, and its sequence number from its place in the slot.
-//! Only the two heaps, which genuinely reorder, carry explicit ticks and
-//! sequence numbers.
+//! Only the overflow heap, which genuinely reorders, carries explicit
+//! ticks and sequence numbers.
 //!
 //! # Slot storage
 //!
@@ -274,9 +273,6 @@ pub struct EventQueue {
     /// Ring time `T`: the last tick popped from the ring (never
     /// decreases). All ring and overflow entries have `tick >= T`.
     time: Tick,
-    /// Entries pushed at ticks strictly below the ring time. Strictly
-    /// earlier than everything in the ring, so always drained first.
-    due: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
     /// Entries at `time + RING` or later, keyed `(tick, seq)`; each moves
     /// into its slot as soon as the window covers it.
     overflow: BinaryHeap<Reverse<(Tick, u64, EventEntry)>>,
@@ -296,7 +292,6 @@ impl Default for EventQueue {
             },
             occupied: [0; RING_WORDS],
             time: 0,
-            due: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             sequence: 0,
             len: 0,
@@ -320,16 +315,18 @@ impl EventQueue {
 
     /// Schedules `event` at `tick`. Events at equal ticks pop in push
     /// order (FIFO).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is behind the ring time (the last drained tick):
+    /// such an event would pop out of tick order.
     pub fn push(&mut self, tick: Tick, event: Event) {
+        assert!(tick >= self.time, "push behind the ring time");
         self.len += 1;
         if self.len > self.peak {
             self.peak = self.len;
         }
-        if tick < self.time {
-            self.due
-                .push(Reverse((tick, self.sequence, EventEntry(event))));
-            self.sequence += 1;
-        } else if tick - self.time >= RING as Tick {
+        if tick - self.time >= RING as Tick {
             self.overflow
                 .push(Reverse((tick, self.sequence, EventEntry(event))));
             self.sequence += 1;
@@ -355,9 +352,6 @@ impl EventQueue {
     /// now-empty slot and surfaces on the next call, behind the whole
     /// batch, as pop order requires. `buf` keeps its capacity, so once it
     /// and the pool have reached their peaks the drain allocates nothing.
-    /// Past-tick (`due`) entries are rare and surfaced one at a time;
-    /// they are strictly earlier than the ring (case 1 in the module
-    /// docs), so they drain first.
     ///
     /// Pending-count accounting is deferred: the caller must invoke
     /// [`EventQueue::consume_one`] once per drained event *before* any
@@ -371,10 +365,6 @@ impl EventQueue {
         buf.clear();
         if self.len == 0 {
             return None;
-        }
-        if let Some(Reverse((tick, _, EventEntry(e)))) = self.due.pop() {
-            buf.push(e);
-            return Some(tick);
         }
         let slot = self.advance();
         self.pool.drain_into(&mut self.slots[slot], buf);
@@ -392,7 +382,7 @@ impl EventQueue {
     /// Moves the ring time to the earliest pending ring tick (an empty
     /// ring jumps to the overflow minimum), migrates every overflow entry
     /// the new window covers, and returns the slot of the new ring time.
-    /// The caller has checked that something is pending outside `due`.
+    /// The caller has checked that something is pending.
     fn advance(&mut self) -> usize {
         self.time = match self.first_occupied() {
             Some(ahead) => self.time + ahead,
@@ -569,16 +559,25 @@ mod tests {
         q.push(2, Event::Sample);
         q.push(1, Event::IslDone);
         assert_eq!(drain_tick(&mut q), Some((1, vec![Event::IslDone])));
+        q.push(2, Event::DownlinkDone); // behind the earlier push at 2
         q.push(1, Event::ContactStart); // the drained tick: behind the batch
-        q.push(0, Event::DownlinkDone); // a "past" tick still pops first
         assert_eq!(
             drain_all(&mut q),
             [
-                (0, Event::DownlinkDone),
                 (1, Event::ContactStart),
-                (2, Event::Sample)
+                (2, Event::Sample),
+                (2, Event::DownlinkDone)
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "push behind the ring time")]
+    fn a_push_behind_the_ring_time_panics() {
+        let mut q = EventQueue::new();
+        q.push(5, Event::Sample);
+        assert_eq!(drain_tick(&mut q), Some((5, vec![Event::Sample])));
+        q.push(4, Event::IslDone);
     }
 
     #[test]
@@ -687,7 +686,7 @@ mod tests {
     fn interleaved_drain_and_refill_matches_the_heap_model() {
         // Deterministic pseudo-random interleaving: advance time by
         // draining, keep pushing relative offsets (including 0 = same
-        // tick as the last drain, a "past-edge" push).
+        // tick as the last drain, the kernel's zero-delay push).
         let mut ring = EventQueue::new();
         let mut model = BinaryHeapQueue::new();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;

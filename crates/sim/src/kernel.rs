@@ -71,7 +71,6 @@ use crate::config::SimConfig;
 use crate::event::{Event, EventQueue, Tick};
 use crate::gap::GapTable;
 use crate::metrics::RunTrace;
-use crate::plane::TraceBuilder;
 
 /// Stream index base for per-satellite RNG streams (stream `sat`).
 const SAT_STREAM_BASE: u64 = 0;
@@ -220,7 +219,7 @@ impl BatchSlab {
 /// Runs one simulation to completion: the one kernel entry point.
 ///
 /// Every pipeline hop is published as a [`Sample`] and delivered first
-/// to the trace fold (see [`crate::plane`]), then to `attach`. Attach
+/// to the run's [`RunTrace`], which folds it in, then to `attach`. Attach
 /// `()` for the bare trace, a [`BusLog`] to record the topic stream for
 /// [`crate::plane::replay`], a [`sudc_bus::BusStats`] to count samples
 /// per topic, or a pair `(A, B)` for two of them. Returns the trace and
@@ -373,9 +372,9 @@ struct Kernel<'a, S: Subscriber> {
     downlink_queue: VecDeque<Tick>,
 
     /// Data plane: every state change worth measuring is published to
-    /// the `TraceBuilder`, which folds it into the `RunTrace`, and then
-    /// to the caller's attachment.
-    plane: (TraceBuilder, S),
+    /// the run's `RunTrace`, which folds it in, and then to the caller's
+    /// attachment.
+    plane: (RunTrace, S),
 }
 
 impl<'a, S: Subscriber> Kernel<'a, S> {
@@ -432,7 +431,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             dl_busy: false,
             dl_group: Vec::new(),
             downlink_queue: VecDeque::new(),
-            plane: (TraceBuilder::new(cfg), attach),
+            plane: (RunTrace::new(cfg), attach),
         };
         kernel.seed_initial_events(seed);
         kernel
@@ -453,8 +452,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 0.0
             };
             let offset = (cfg.phase_spread * frac * period as f64).round() as Tick;
-            let phase = (dt + offset) % period;
-            self.queue.push(dt, Event::Capture { sat, phase, rng });
+            let phase = dt.saturating_add(offset) % period;
+            self.schedule(dt, Event::Capture { sat, phase, rng });
         }
 
         // Node pool: the first `required` nodes power on, the rest wait as
@@ -492,7 +491,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 self.node_state.push(NodeState::PoweredAlive);
                 self.powered_alive += 1;
                 if life.is_finite() {
-                    self.queue.push(
+                    self.schedule(
                         duration_ticks(life * self.cfg.mttf_ticks),
                         Event::NodeFailure { node },
                     );
@@ -504,9 +503,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             }
         }
 
-        self.queue.push(0, Event::ContactStart);
-        self.queue
-            .push(self.cfg.sample_interval_ticks, Event::Sample);
+        self.schedule(0, Event::ContactStart);
+        self.schedule(self.cfg.sample_interval_ticks, Event::Sample);
 
         // Fault processes. No events are seeded (and no streams consumed)
         // with faults disabled, so the nominal schedule is untouched.
@@ -514,24 +512,33 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             for link in 0..isl.links {
                 let dt =
                     duration_ticks(self.isl_rngs[link as usize].next_exp() * isl.mean_up_ticks);
-                self.queue.push(dt, Event::IslLinkDown { link });
+                self.schedule(dt, Event::IslLinkDown { link });
             }
         }
         if let Some(storm) = self.cfg.faults.and_then(|f| f.storm) {
-            self.queue.push(storm.offset_ticks, Event::StormStart);
+            self.schedule(storm.offset_ticks, Event::StormStart);
         }
 
         // Health plane: the first lease boundary. Nothing is seeded with
         // the plane disabled, so the nominal schedule is untouched.
         if let Some(hp) = &self.health {
-            self.queue.push(hp.lowered.lease_ticks, Event::HealthScan);
+            self.schedule(hp.lowered.lease_ticks, Event::HealthScan);
         }
     }
 
-    /// Delivers one sample to the trace fold and the attachment.
+    /// Delivers one sample to the run's trace and then the attachment.
     #[inline(always)]
     fn publish(&mut self, tick: Tick, payload: Payload) {
         self.plane.deliver(&Sample { tick, payload });
+    }
+
+    /// Schedules `event` `delay` ticks from now: the one way the kernel
+    /// pushes, so no push lands behind the ring time. The sum saturates,
+    /// and a validated run ends before `Tick::MAX`, so a delay that would
+    /// carry past `u64` leaves its event pending, never handled.
+    #[inline(always)]
+    fn schedule(&mut self, delay: Tick, event: Event) {
+        self.queue.push(self.now.saturating_add(delay), event);
     }
 
     fn run(mut self) -> (RunTrace, S) {
@@ -548,7 +555,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             // Time only advances between batches, so the time-weighted
             // integrals are settled once per tick with the pre-batch
             // state; per-event calls within the tick would see dt == 0
-            // and integrate nothing (`Metrics::advance_to` early-outs).
+            // and integrate nothing (`RunTrace::advance_to` early-outs).
             self.publish(
                 tick,
                 Payload::Settle {
@@ -589,11 +596,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 peak_event_queue: self.queue.peak_len() as u64,
             },
         );
-        let in_flight = self.in_flight();
-        let (builder, attached) = self.plane;
-        let trace = builder.into_trace();
-        in_flight.debug_assert_capture_ledger(&trace);
-        (trace, attached)
+        self.in_flight().debug_assert_capture_ledger(&self.plane.0);
+        self.plane
     }
 
     /// Counts the images still inside the pipeline, by stage.
@@ -614,7 +618,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
     /// one compare-and-subtract usually replaces the division.
     #[inline]
     fn advance_phase(phase: Tick, dt: Tick, period: Tick) -> Tick {
-        let mut p = phase + dt;
+        let mut p = phase.saturating_add(dt);
         if p >= period {
             p -= period;
             if p >= period {
@@ -638,8 +642,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         }
         let dt = self.gaps.draw(&mut rng);
         let phase = Self::advance_phase(phase, dt, self.cfg.imaging_period_ticks);
-        self.queue
-            .push(self.now + dt, Event::Capture { sat, phase, rng });
+        self.schedule(dt, Event::Capture { sat, phase, rng });
     }
 
     /// Transfer time for one image at the current link state: nominal
@@ -656,8 +659,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
     fn start_isl_transfer(&mut self, capture: Tick) {
         self.isl_busy = true;
         self.isl_current = capture;
-        self.queue
-            .push(self.now + self.isl_transfer_duration(), Event::IslDone);
+        self.schedule(self.isl_transfer_duration(), Event::IslDone);
     }
 
     fn offer_to_isl(&mut self, capture: Tick) {
@@ -723,8 +725,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 len: self.batch_queue.len() as u64,
             },
         );
-        self.queue
-            .push(self.now + self.cfg.batch_timeout_ticks, Event::BatchTimeout);
+        self.schedule(self.cfg.batch_timeout_ticks, Event::BatchTimeout);
     }
 
     fn on_retry(&mut self, capture: Tick, attempt: u32) {
@@ -800,7 +801,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             let stale = self
                 .batch_queue
                 .front()
-                .is_some_and(|img| img.enqueued + self.cfg.batch_timeout_ticks <= self.now);
+                .is_some_and(|img| self.now - img.enqueued >= self.cfg.batch_timeout_ticks);
             if !full && !stale {
                 return;
             }
@@ -824,8 +825,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             }
             self.slab.len[slot as usize] = size as u32;
             let service = duration_ticks(size as f64 * self.cfg.service_ticks_per_image);
-            self.queue
-                .push(self.now + service, Event::BatchDone { slot });
+            self.schedule(service, Event::BatchDone { slot });
             self.busy_nodes += 1;
         }
     }
@@ -864,8 +864,12 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         }
         let next = attempt + 1;
         let mut delay = f.backoff_ticks(next);
-        if f.policy.backoff_jitter_ticks > 0 {
-            delay += self.fault_rng.next_u64() % (f.policy.backoff_jitter_ticks + 1);
+        let jitter = f.policy.backoff_jitter_ticks;
+        if jitter > 0 {
+            // One draw, uniform over `0..=jitter`; at `Tick::MAX` that is
+            // every `u64`, the draw itself.
+            let draw = self.fault_rng.next_u64();
+            delay = delay.saturating_add(jitter.checked_add(1).map_or(draw, |n| draw % n));
         }
         self.publish(
             self.now,
@@ -874,8 +878,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 count: 1,
             },
         );
-        self.queue.push(
-            self.now + delay,
+        self.schedule(
+            delay,
             Event::Retry {
                 capture,
                 attempt: next,
@@ -946,8 +950,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
     }
 
     fn on_contact_start(&mut self) {
-        self.queue
-            .push(self.now + self.cfg.contact_gap_ticks, Event::ContactStart);
+        self.schedule(self.cfg.contact_gap_ticks, Event::ContactStart);
         if let Some(g) = self.cfg.faults.and_then(|f| f.ground) {
             self.window_blacked_out = self.blackout_rng.next_f64() < g.blackout_probability;
             if self.window_blacked_out {
@@ -989,7 +992,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         self.dl_group.extend(self.downlink_queue.drain(..count));
         self.dl_busy = true;
         let transfer = duration_ticks(count as f64 * per_insight);
-        self.queue.push(self.now + transfer, Event::DownlinkDone);
+        self.schedule(transfer, Event::DownlinkDone);
     }
 
     fn on_downlink_done(&mut self) {
@@ -1066,8 +1069,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 },
             );
             if remaining.is_finite() {
-                self.queue.push(
-                    self.now + duration_ticks(remaining * self.cfg.mttf_ticks),
+                self.schedule(
+                    duration_ticks(remaining * self.cfg.mttf_ticks),
                     Event::NodeFailure { node: spare },
                 );
             }
@@ -1084,8 +1087,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         let Some(s) = self.cfg.faults.and_then(|f| f.storm) else {
             return;
         };
-        self.queue
-            .push(self.now + s.period_ticks, Event::StormStart);
+        self.schedule(s.period_ticks, Event::StormStart);
         let storm = self.storm_seq;
         self.storm_seq += 1;
         if s.node_kill_probability <= 0.0 {
@@ -1188,9 +1190,8 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         }
         verdicts.clear();
         hp.verdicts = verdicts;
-        let next = self.now + hp.lowered.lease_ticks;
-        if next <= self.cfg.duration_ticks {
-            self.queue.push(next, Event::HealthScan);
+        if self.now.saturating_add(hp.lowered.lease_ticks) <= self.cfg.duration_ticks {
+            self.schedule(hp.lowered.lease_ticks, Event::HealthScan);
         }
         self.health = Some(hp);
         self.debug_assert_node_ledger();
@@ -1272,11 +1273,13 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 NodeState::Dead => {}
             }
         }
-        let counters = detector.counters();
-        debug_assert_eq!(counters.readmissions, 0, "a dead node is never readmitted");
+        // Every verdict and readmission was published, so the trace's
+        // fold has counted each one.
+        let trace = &self.plane.0;
+        debug_assert_eq!(trace.readmissions, 0, "a dead node is never readmitted");
         debug_assert_eq!(
             u64::from(detector.quarantined()),
-            counters.detections,
+            trace.detections,
             "the quarantine holds exactly the detections"
         );
     }
@@ -1294,7 +1297,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             },
         );
         let dt = duration_ticks(self.isl_rngs[link as usize].next_exp() * isl.mean_down_ticks);
-        self.queue.push(self.now + dt, Event::IslLinkUp { link });
+        self.schedule(dt, Event::IslLinkUp { link });
     }
 
     fn on_isl_link_up(&mut self, link: u32) {
@@ -1303,7 +1306,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         };
         self.isl_links_up += 1;
         let dt = duration_ticks(self.isl_rngs[link as usize].next_exp() * isl.mean_up_ticks);
-        self.queue.push(self.now + dt, Event::IslLinkDown { link });
+        self.schedule(dt, Event::IslLinkDown { link });
         // A transfer stalled by a total outage restarts on recovery.
         if !self.isl_busy {
             if let Some(next) = self.isl_queue.pop_front() {
@@ -1325,8 +1328,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 oldest_age: oldest,
             },
         );
-        self.queue
-            .push(self.now + self.cfg.sample_interval_ticks, Event::Sample);
+        self.schedule(self.cfg.sample_interval_ticks, Event::Sample);
     }
 
     /// Capture tick of the oldest image still in the pipeline (excluding
@@ -1357,7 +1359,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::{FaultConfig, GroundBlackouts, IslFlaps, StormModel};
     use sudc_units::Seconds;
@@ -1410,9 +1412,9 @@ mod tests {
         assert!(t.availability() > 0.0 && t.availability() <= 1.0);
     }
 
-    /// The fault config used by the determinism and equivalence tests:
-    /// every fault process active at once.
-    fn stress_faults() -> FaultConfig {
+    /// The fault config used by the determinism, equivalence and replay
+    /// tests: every fault process active at once.
+    pub(crate) fn stress_faults() -> FaultConfig {
         FaultConfig {
             upset_probability: 0.05,
             storm: Some(StormModel {

@@ -17,14 +17,14 @@
 //!   processes (solar storms, cohort infant mortality, ISL flaps, ground
 //!   blackouts) and the recovery policies that absorb them;
 //! - [`kernel`] — [`kernel::try_run`]: one seeded single-threaded run,
-//!   with every pipeline hop published to the trace fold and to any
+//!   with every pipeline hop published to the run's trace and to any
 //!   attached `sudc-bus` subscribers ([`kernel::run`] and
 //!   [`kernel::run_recorded`] attach none and a log);
-//! - [`plane`] — the trace fold over the topic stream, and
-//!   [`plane::replay`], which re-drives a recorded
+//! - [`plane`] — [`plane::replay`], which re-drives a recorded
 //!   [`sudc_bus::BusLog`] to a byte-identical trace;
 //! - [`metrics`] — [`metrics::RunTrace`]: counts, latency percentiles,
-//!   exact time-weighted integrals;
+//!   exact time-weighted integrals, and the subscriber fold that builds
+//!   them from the topic stream;
 //! - [`replicate`] — [`replicate::try_replicate_grid`]: the one
 //!   common-random-numbers replication grid every seeded study runs
 //!   through (replication `r` draws one seed in every cell, one flat

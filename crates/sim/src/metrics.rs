@@ -6,6 +6,12 @@
 //! `==`), and periodic backlog-age samples. Summaries ([`LatencySummary`],
 //! [`RunTrace::to_json`]) convert ticks to seconds only at the edge.
 //!
+//! A trace builds itself: it is the [`Subscriber`] the kernel publishes
+//! every pipeline hop to first, and its fold turns each
+//! [`sudc_bus::Sample`] into exactly one set of counter, histogram and
+//! integral updates. [`crate::plane::replay`] runs the same fold, checked,
+//! over a recorded log.
+//!
 //! Latency populations are stored as exact integer histograms
 //! ([`LatencyHist`]): a dense count array for small tick values (grown
 //! geometrically as a pure function of the running maximum, so the layout
@@ -18,6 +24,7 @@
 
 use std::collections::BTreeMap;
 
+use sudc_bus::{FaultKind, HealthEvent, Payload, Sample, Subscriber};
 use sudc_errors::SudcError;
 use sudc_par::json::{Json, ToJson};
 use sudc_par::Fnv1a;
@@ -417,7 +424,7 @@ impl RunTrace {
     }
 
     /// Integrates the time-weighted state from `last_tick` to `tick`.
-    pub(crate) fn advance_to(
+    fn advance_to(
         &mut self,
         tick: Tick,
         busy_nodes: u32,
@@ -438,64 +445,142 @@ impl RunTrace {
         }
     }
 
-    /// The tick the time-weighted integrals have reached.
-    pub(crate) fn integrated_to(&self) -> Tick {
-        self.last_tick
-    }
-
-    pub(crate) fn finish(
-        &mut self,
-        duration: Tick,
-        busy_nodes: u32,
-        batch_queue: usize,
-        downlink_queue: usize,
-        full_capability: bool,
-    ) {
-        self.advance_to(
-            duration,
-            busy_nodes,
-            batch_queue,
-            downlink_queue,
-            full_capability,
-        );
-        self.end_full_capability = full_capability;
-        self.finished = true;
-    }
-
-    pub(crate) fn record_processing_latency(&mut self, ticks: Tick) {
-        self.processing_latencies.record(ticks);
-    }
-
-    pub(crate) fn record_delivery_latency(&mut self, ticks: Tick) {
-        self.delivery_latencies.record(ticks);
-    }
-
-    pub(crate) fn record_detection_latency(&mut self, ticks: Tick) {
-        self.detection_latencies.record(ticks);
-    }
-
-    pub(crate) fn note_batch_queue_len(&mut self, len: usize) {
-        self.max_batch_queue = self.max_batch_queue.max(len);
-    }
-
-    pub(crate) fn note_downlink_queue_len(&mut self, len: usize) {
-        self.max_downlink_queue = self.max_downlink_queue.max(len);
-    }
-
-    pub(crate) fn record_backlog_sample(
-        &mut self,
-        isl_items: usize,
-        batch_items: usize,
-        downlink_items: usize,
-        oldest_age: Option<Tick>,
-    ) {
-        self.samples.push(BacklogSample {
-            tick: self.last_tick,
-            isl_items,
-            batch_items,
-            downlink_items,
-            oldest_age,
-        });
+    /// Folds one sample into the trace. The live kernel's stream is
+    /// well-formed by construction and folds with `CHECKED = false`;
+    /// [`crate::plane::replay`] folds a log from outside with `CHECKED =
+    /// true`, which turns a counter overflow or a backwards integration
+    /// into an error. Inlined so the replay loop's payload match merges
+    /// with the decoder's tag dispatch.
+    #[inline(always)]
+    pub(crate) fn apply<const CHECKED: bool>(&mut self, s: &Sample) -> Result<(), SudcError> {
+        // Adds to a trace counter; checked, an overflow is an error.
+        macro_rules! add {
+            ($counter:ident, $count:expr) => {
+                add_count::<CHECKED>(&mut self.$counter, $count, stringify!($counter), s)?
+            };
+        }
+        match s.payload {
+            Payload::Capture { filtered, .. } => {
+                self.captured += 1;
+                if filtered {
+                    self.filtered_out += 1;
+                } else {
+                    self.arrived += 1;
+                }
+            }
+            Payload::Processed { capture } => {
+                self.processed += 1;
+                self.processing_latencies.record(s.tick - capture);
+            }
+            Payload::Delivered { capture } => {
+                self.delivered += 1;
+                self.delivery_latencies.record(s.tick - capture);
+            }
+            Payload::Settle {
+                events,
+                busy,
+                batch_queue,
+                downlink_queue,
+                full,
+            } => {
+                if CHECKED && s.tick < self.last_tick {
+                    return Err(backwards(s, "Settle tick", s.tick, self.last_tick));
+                }
+                self.advance_to(
+                    s.tick,
+                    busy,
+                    batch_queue as usize,
+                    downlink_queue as usize,
+                    full,
+                );
+                add!(events, events);
+            }
+            Payload::QueueDepth { downlink, len } => {
+                let max = if downlink {
+                    &mut self.max_downlink_queue
+                } else {
+                    &mut self.max_batch_queue
+                };
+                *max = (*max).max(len as usize);
+            }
+            Payload::Backlog {
+                isl,
+                batch,
+                downlink,
+                oldest_age,
+            } => self.samples.push(BacklogSample {
+                tick: self.last_tick,
+                isl_items: isl as usize,
+                batch_items: batch as usize,
+                downlink_items: downlink as usize,
+                oldest_age,
+            }),
+            Payload::BatchDispatched { timeout, .. } => {
+                if timeout {
+                    self.timeout_batches += 1;
+                }
+                self.batches += 1;
+            }
+            Payload::Finish {
+                busy,
+                batch_queue,
+                downlink_queue,
+                full,
+                peak_event_queue,
+            } => {
+                if CHECKED && self.duration_ticks < self.last_tick {
+                    return Err(backwards(
+                        s,
+                        "Finish duration_ticks",
+                        self.duration_ticks,
+                        self.last_tick,
+                    ));
+                }
+                self.peak_event_queue = peak_event_queue as usize;
+                self.advance_to(
+                    self.duration_ticks,
+                    busy,
+                    batch_queue as usize,
+                    downlink_queue as usize,
+                    full,
+                );
+                self.end_full_capability = full;
+                self.finished = true;
+            }
+            Payload::Fault { kind, count } => match kind {
+                FaultKind::BatchOverflow => add!(shed_batch_overflow, count),
+                FaultKind::DownlinkOverflow => add!(shed_downlink_overflow, count),
+                FaultKind::DeadlineShed => add!(shed_deadline, count),
+                FaultKind::Corrupted => add!(corrupted, count),
+                FaultKind::Retry => add!(retries, count),
+                FaultKind::RetryExhausted => add!(retry_exhausted, count),
+                FaultKind::NodeFailure => add!(failures, count),
+                FaultKind::Promotion => add!(promotions, count),
+                FaultKind::DormantDeath => add!(dormant_deaths, count),
+                FaultKind::StormKill => {
+                    // A storm latch-up is both a node failure and a storm
+                    // statistic — one event, two counters.
+                    add!(failures, count);
+                    add!(storm_node_kills, count);
+                }
+                FaultKind::IslFlap => add!(isl_flaps, count),
+                FaultKind::Blackout => add!(blackout_windows, count),
+            },
+            Payload::Heartbeat { .. } => self.heartbeats += 1,
+            Payload::Health { event, value, .. } => match event {
+                HealthEvent::Suspect => self.suspects += 1,
+                HealthEvent::FalseSuspect => self.false_suspects += 1,
+                HealthEvent::Dead => {
+                    self.detections += 1;
+                    // `value` carries the ground-truth failure → DEAD
+                    // declaration gap, so replay reproduces the latency
+                    // population without re-running the detector.
+                    self.detection_latencies.record(value);
+                }
+                HealthEvent::Readmit => self.readmissions += 1,
+            },
+        }
+        Ok(())
     }
 
     /// Simulated span, seconds.
@@ -841,6 +926,58 @@ impl RunTrace {
     }
 }
 
+/// The kernel's first subscriber: every published sample folds straight
+/// into the trace.
+impl Subscriber for RunTrace {
+    #[inline]
+    fn deliver(&mut self, sample: &Sample) {
+        // Unchecked: the fold cannot fail.
+        let _ = self.apply::<false>(sample);
+    }
+}
+
+/// Adds `count` to a trace counter; checked, an overflow is an error
+/// naming the counter and the sample that carried it.
+#[inline(always)]
+fn add_count<const CHECKED: bool>(
+    counter: &mut u64,
+    count: u64,
+    name: &'static str,
+    s: &Sample,
+) -> Result<(), SudcError> {
+    if CHECKED {
+        match counter.checked_add(count) {
+            Some(sum) => *counter = sum,
+            None => return Err(overflow(s, name, count, *counter)),
+        }
+    } else {
+        *counter += count;
+    }
+    Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn overflow(s: &Sample, name: &str, count: u64, total: u64) -> SudcError {
+    SudcError::single(
+        "replay",
+        format!("{name} (record at tick {})", s.tick),
+        count,
+        format!("a count that keeps the total ({total}) within u64"),
+    )
+}
+
+#[cold]
+#[inline(never)]
+fn backwards(s: &Sample, target: &str, to: Tick, integrated: Tick) -> SudcError {
+    SudcError::single(
+        "replay",
+        format!("{target} (record at tick {})", s.tick),
+        to,
+        format!("a tick no earlier than the trace's integrated time ({integrated})"),
+    )
+}
+
 impl ToJson for RunTrace {
     fn to_json(&self) -> Json {
         match self.try_to_json() {
@@ -956,6 +1093,27 @@ mod tests {
         assert_eq!(hist.summary(0.1), expected);
     }
 
+    /// Delivers one sample to `t`.
+    fn fold(t: &mut RunTrace, tick: Tick, payload: Payload) {
+        t.deliver(&Sample { tick, payload });
+    }
+
+    /// Ends `t`'s run idle and at full capability.
+    fn finish(t: &mut RunTrace) {
+        let end = t.duration_ticks;
+        fold(
+            t,
+            end,
+            Payload::Finish {
+                busy: 0,
+                batch_queue: 0,
+                downlink_queue: 0,
+                full: true,
+                peak_event_queue: 0,
+            },
+        );
+    }
+
     #[test]
     fn fingerprint_sees_what_the_json_summary_hides() {
         let cfg = crate::config::SimConfig::reference_operations(sudc_units::Seconds::new(60.0));
@@ -965,9 +1123,9 @@ mod tests {
         let trace = |extra: [Tick; 2]| {
             let mut t = RunTrace::new(&cfg);
             for ticks in std::iter::repeat_n(50, 100).chain(extra) {
-                t.record_processing_latency(ticks);
+                fold(&mut t, ticks, Payload::Processed { capture: 0 });
             }
-            t.finish(cfg.duration_ticks, 0, 0, 0, true);
+            finish(&mut t);
             t
         };
         let base = trace([10, 30]);
@@ -986,7 +1144,12 @@ mod tests {
 
         // Nor is a detection latency when the health plane is off.
         let mut detected = base.clone();
-        detected.record_detection_latency(7);
+        let dead = Payload::Health {
+            event: HealthEvent::Dead,
+            node: 0,
+            value: 7,
+        };
+        fold(&mut detected, cfg.duration_ticks, dead);
         assert_eq!(json(&detected), json(&base));
         assert_ne!(detected.fingerprint(), base.fingerprint());
 
@@ -999,8 +1162,15 @@ mod tests {
         let mut t = RunTrace::new(&cfg);
         let d = cfg.duration_ticks;
         // Busy for the first half, idle for the second.
-        t.advance_to(d / 2, 1, 4, 0, true);
-        t.finish(d, 0, 0, 0, true);
+        let busy = Payload::Settle {
+            events: 0,
+            busy: 1,
+            batch_queue: 4,
+            downlink_queue: 0,
+            full: true,
+        };
+        fold(&mut t, d / 2, busy);
+        finish(&mut t);
         assert!((t.compute_utilization() - 0.5).abs() < 1e-9);
         assert!((t.mean_batch_queue() - 2.0).abs() < 1e-9);
         assert!((t.availability() - 1.0).abs() < 1e-12);

@@ -3,242 +3,31 @@
 //! The kernel never mutates its [`RunTrace`] directly: every pipeline
 //! hop — capture, filter verdict, batch dispatch, compute completion,
 //! downlink delivery, fault event, telemetry settlement — is published
-//! as a typed [`Payload`] on the standard topic table, and
-//! `TraceBuilder` is the subscriber that folds the stream back into a
-//! `RunTrace`. The kernel always delivers to a `TraceBuilder` first and
-//! then to whatever the caller attached (see [`crate::kernel::try_run`]).
-//! Because the builder performs *exactly* the mutations the kernel used
-//! to perform inline, in the same order, every run is trace-equal to
-//! the pre-bus kernel's — the fingerprint pins in `kernel.rs`, taken
-//! from that kernel, hold that line.
+//! as a typed [`Payload`](sudc_bus::Payload) on the standard topic
+//! table, and the `RunTrace` is itself the subscriber that folds the
+//! stream back into counters, histograms and integrals. The kernel
+//! always delivers to its trace first and then to whatever the caller
+//! attached (see [`crate::kernel::try_run`]). The fold performs
+//! *exactly* the mutations the kernel used to perform inline, in the
+//! same order, so every run is trace-equal to the pre-bus kernel's — the
+//! fingerprint pins in `kernel.rs`, taken from that kernel, hold that
+//! line.
 //!
 //! The payoff is [`replay`]: a recorded [`BusLog`] re-drives a fresh
-//! `TraceBuilder` and reproduces the live run's `RunTrace` byte for
-//! byte, without re-executing the kernel — the foundation for shipping
-//! topic streams across process (or shard) boundaries.
+//! `RunTrace` and reproduces the live run's trace byte for byte,
+//! without re-executing the kernel — the foundation for shipping topic
+//! streams across process (or shard) boundaries.
 
-use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload, Sample, Subscriber};
+use sudc_bus::BusLog;
 use sudc_errors::SudcError;
 
 use crate::config::SimConfig;
-use crate::event::Tick;
 use crate::metrics::RunTrace;
 
-/// Subscriber that folds the standard topic stream into a [`RunTrace`],
-/// mutation-for-mutation identical to the pre-bus kernel.
-#[derive(Debug)]
-pub(crate) struct TraceBuilder {
-    trace: RunTrace,
-    duration_ticks: Tick,
-}
-
-impl TraceBuilder {
-    /// A builder for a run of `cfg` (the trace's integrals and
-    /// serialization gates come from the config, so replaying a log
-    /// against a different config is meaningless).
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
-        Self {
-            trace: RunTrace::new(cfg),
-            duration_ticks: cfg.duration_ticks,
-        }
-    }
-
-    /// The folded trace (complete only after a `Finish` sample).
-    pub(crate) fn into_trace(self) -> RunTrace {
-        self.trace
-    }
-
-    /// Folds one sample into the trace. The live kernel's stream is
-    /// well-formed by construction and folds with `CHECKED = false`;
-    /// [`replay`] folds a log from outside with `CHECKED = true`, which
-    /// turns a counter overflow or a backwards integration into an
-    /// error. Inlined so the replay loop's payload match merges with the
-    /// decoder's tag dispatch.
-    #[inline(always)]
-    fn apply<const CHECKED: bool>(&mut self, s: &Sample) -> Result<(), SudcError> {
-        let t = &mut self.trace;
-        // Adds to a trace counter; checked, an overflow is an error.
-        macro_rules! add {
-            ($counter:ident, $count:expr) => {
-                add_count::<CHECKED>(&mut t.$counter, $count, stringify!($counter), s)?
-            };
-        }
-        match s.payload {
-            Payload::Capture { filtered, .. } => {
-                t.captured += 1;
-                if filtered {
-                    t.filtered_out += 1;
-                } else {
-                    t.arrived += 1;
-                }
-            }
-            Payload::Processed { capture } => {
-                t.processed += 1;
-                t.record_processing_latency(s.tick - capture);
-            }
-            Payload::Delivered { capture } => {
-                t.delivered += 1;
-                t.record_delivery_latency(s.tick - capture);
-            }
-            Payload::Settle {
-                events,
-                busy,
-                batch_queue,
-                downlink_queue,
-                full,
-            } => {
-                if CHECKED && s.tick < t.integrated_to() {
-                    return Err(backwards(s, "Settle tick", s.tick, t.integrated_to()));
-                }
-                t.advance_to(
-                    s.tick,
-                    busy,
-                    batch_queue as usize,
-                    downlink_queue as usize,
-                    full,
-                );
-                add!(events, events);
-            }
-            Payload::QueueDepth { downlink, len } => {
-                if downlink {
-                    t.note_downlink_queue_len(len as usize);
-                } else {
-                    t.note_batch_queue_len(len as usize);
-                }
-            }
-            Payload::Backlog {
-                isl,
-                batch,
-                downlink,
-                oldest_age,
-            } => {
-                t.record_backlog_sample(
-                    isl as usize,
-                    batch as usize,
-                    downlink as usize,
-                    oldest_age,
-                );
-            }
-            Payload::BatchDispatched { timeout, .. } => {
-                if timeout {
-                    t.timeout_batches += 1;
-                }
-                t.batches += 1;
-            }
-            Payload::Finish {
-                busy,
-                batch_queue,
-                downlink_queue,
-                full,
-                peak_event_queue,
-            } => {
-                if CHECKED && self.duration_ticks < t.integrated_to() {
-                    return Err(backwards(
-                        s,
-                        "Finish duration_ticks",
-                        self.duration_ticks,
-                        t.integrated_to(),
-                    ));
-                }
-                t.peak_event_queue = peak_event_queue as usize;
-                t.finish(
-                    self.duration_ticks,
-                    busy,
-                    batch_queue as usize,
-                    downlink_queue as usize,
-                    full,
-                );
-            }
-            Payload::Fault { kind, count } => match kind {
-                FaultKind::BatchOverflow => add!(shed_batch_overflow, count),
-                FaultKind::DownlinkOverflow => add!(shed_downlink_overflow, count),
-                FaultKind::DeadlineShed => add!(shed_deadline, count),
-                FaultKind::Corrupted => add!(corrupted, count),
-                FaultKind::Retry => add!(retries, count),
-                FaultKind::RetryExhausted => add!(retry_exhausted, count),
-                FaultKind::NodeFailure => add!(failures, count),
-                FaultKind::Promotion => add!(promotions, count),
-                FaultKind::DormantDeath => add!(dormant_deaths, count),
-                FaultKind::StormKill => {
-                    // A storm latch-up is both a node failure and a storm
-                    // statistic — one event, two counters.
-                    add!(failures, count);
-                    add!(storm_node_kills, count);
-                }
-                FaultKind::IslFlap => add!(isl_flaps, count),
-                FaultKind::Blackout => add!(blackout_windows, count),
-            },
-            Payload::Heartbeat { .. } => t.heartbeats += 1,
-            Payload::Health { event, value, .. } => match event {
-                HealthEvent::Suspect => t.suspects += 1,
-                HealthEvent::FalseSuspect => t.false_suspects += 1,
-                HealthEvent::Dead => {
-                    t.detections += 1;
-                    // `value` carries the ground-truth failure → DEAD
-                    // declaration gap, so replay reproduces the latency
-                    // population without re-running the detector.
-                    t.record_detection_latency(value);
-                }
-                HealthEvent::Readmit => t.readmissions += 1,
-            },
-        }
-        Ok(())
-    }
-}
-
-/// Adds `count` to a trace counter; checked, an overflow is an error
-/// naming the counter and the sample that carried it.
-#[inline(always)]
-fn add_count<const CHECKED: bool>(
-    counter: &mut u64,
-    count: u64,
-    name: &'static str,
-    s: &Sample,
-) -> Result<(), SudcError> {
-    if CHECKED {
-        match counter.checked_add(count) {
-            Some(sum) => *counter = sum,
-            None => return Err(overflow(s, name, count, *counter)),
-        }
-    } else {
-        *counter += count;
-    }
-    Ok(())
-}
-
-#[cold]
-#[inline(never)]
-fn overflow(s: &Sample, name: &str, count: u64, total: u64) -> SudcError {
-    SudcError::single(
-        "replay",
-        format!("{name} (record at tick {})", s.tick),
-        count,
-        format!("a count that keeps the total ({total}) within u64"),
-    )
-}
-
-#[cold]
-#[inline(never)]
-fn backwards(s: &Sample, target: &str, to: Tick, integrated: Tick) -> SudcError {
-    SudcError::single(
-        "replay",
-        format!("{target} (record at tick {})", s.tick),
-        to,
-        format!("a tick no earlier than the trace's integrated time ({integrated})"),
-    )
-}
-
-impl Subscriber for TraceBuilder {
-    #[inline]
-    fn deliver(&mut self, sample: &Sample) {
-        // Unchecked: the fold cannot fail.
-        let _ = self.apply::<false>(sample);
-    }
-}
-
-/// Re-drives a recorded topic stream through a fresh `TraceBuilder`,
-/// reproducing the live run's [`RunTrace`] byte for byte. `cfg` must be
-/// the configuration the log was recorded under.
+/// Re-drives a recorded topic stream through a fresh [`RunTrace`]'s
+/// fold, reproducing the live run's trace byte for byte. `cfg` must be
+/// the configuration the log was recorded under (the trace's integrals
+/// and serialization gates come from it).
 ///
 /// Decoding and folding are one pass: the decoder and the fold inline
 /// into a single loop, so each record is dispatched on its tag once.
@@ -252,51 +41,28 @@ impl Subscriber for TraceBuilder {
 /// (a `Settle` past `cfg.duration_ticks` before a `Finish`). The first
 /// problem in log order is reported.
 pub fn replay(cfg: &SimConfig, log: &BusLog) -> Result<RunTrace, SudcError> {
-    let mut builder = TraceBuilder::new(cfg);
+    let mut trace = RunTrace::new(cfg);
     let mut folded = Ok(());
     let decoded = log.try_visit(
         #[inline(always)]
         |s| {
             if folded.is_ok() {
-                folded = builder.apply::<true>(s);
+                folded = trace.apply::<true>(s);
             }
         },
     );
     folded?;
     decoded?;
-    Ok(builder.into_trace())
+    Ok(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, GroundBlackouts, IslFlaps, StormModel};
-    use crate::kernel;
+    use crate::event::Tick;
+    use crate::kernel::{self, tests::stress_faults};
+    use sudc_bus::{FaultKind, Payload, Sample};
     use sudc_units::Seconds;
-
-    fn stress_faults() -> FaultConfig {
-        FaultConfig {
-            upset_probability: 0.05,
-            storm: Some(StormModel {
-                period_ticks: 4000,
-                duration_ticks: 600,
-                offset_ticks: 1000,
-                seu_multiplier: 20.0,
-                node_kill_probability: 0.2,
-                major_probability: 0.25,
-                major_multiplier: 3.0,
-            }),
-            isl: Some(IslFlaps {
-                links: 3,
-                mean_up_ticks: 2000.0,
-                mean_down_ticks: 400.0,
-            }),
-            ground: Some(GroundBlackouts {
-                blackout_probability: 0.3,
-            }),
-            ..FaultConfig::default()
-        }
-    }
 
     #[test]
     fn recorded_replay_reproduces_the_live_trace() {

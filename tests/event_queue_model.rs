@@ -2,11 +2,14 @@
 //! model.
 //!
 //! [`EventQueue`] (a ring of 4 096 one-tick slots after the ring time,
-//! plus a keyed overflow heap for later ticks) and [`BinaryHeapQueue`] (the original `BinaryHeap<Reverse<(tick, seq,
-//! event)>>`) implement the same contract: pop in tick order, FIFO within
-//! a tick, any push tick accepted — including ticks at or before the last
-//! pop. Random interleavings of pushes and drains must be observationally
-//! indistinguishable between the two, event for event, at every step.
+//! plus a keyed overflow heap for later ticks) and [`BinaryHeapQueue`]
+//! (the original `BinaryHeap<Reverse<(tick, seq, event)>>`) implement
+//! the same contract: pop in tick order, FIFO within a tick. The ring
+//! accepts pushes at or after the last drained tick, which is every push
+//! the kernel makes (`now + delay`, delay 0 included); one behind it
+//! panics (a unit test in `event.rs` holds that). Random interleavings
+//! of such pushes and drains must be observationally indistinguishable
+//! between the two, event for event, at every step.
 //! The ring has one way out, the kernel's whole-tick drain (`pop_tick`,
 //! then `consume_one` and the handler's pushes per event), so that is
 //! the path held to the model's pops. Its pending count is checked
@@ -15,8 +18,7 @@
 //!
 //! Every pushed capture carries its own stream state and phase, as the
 //! kernel's captures do, so that equality also proves the carried state
-//! comes back intact through the `due` heap, overflow migration and
-//! `pop_tick` drains.
+//! comes back intact through overflow migration and `pop_tick` drains.
 //!
 //! Case counts honour `SUDC_PROPTEST_CASES` (see `.github/workflows/ci.yml`).
 
@@ -45,14 +47,15 @@ fn capture(serial: u32) -> Event {
 ///
 /// - `0..=2`: push inside the ring's window `[now, now + RING)`;
 /// - `3`: push at exactly the previous push's tick or the last op-`4`
-///   tick (same-tick FIFO; at the op-`4` tick, across its migration from
-///   the overflow heap once a drain has brought it into the window);
+///   tick, if that is not behind `now` (same-tick FIFO; at the op-`4`
+///   tick, across its migration from the overflow heap once a drain has
+///   brought it into the window), else at `now`;
 /// - `4`: push at the window's edge or past it, into the overflow heap:
 ///   at `now + RING - 1` (the last tick inside), `now + RING` or one
 ///   past it, up to four windows past the edge, or up to 2^40 ticks past
 ///   `now` (Weibull lifetimes, contact windows), past 2^32 in most draws;
-/// - `5`: push at or before `now` (retry backoff of 0, zero-duration
-///   transfers);
+/// - `5`: push at exactly `now`, the zero-delay push the kernel makes
+///   (it lands behind the batch drained at `now`);
 /// - `6..=8`: drain one tick the way the kernel does — `pop_tick`, then
 ///   per event `consume_one` and a model pop to compare. On op `8` the
 ///   handler also pushes: at the tick being drained, a little later, or
@@ -66,8 +69,8 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
     let mut ring = EventQueue::new();
     let mut model = BinaryHeapQueue::new();
     let mut buf = Vec::new();
-    // The latest tick drained so far, which is the ring time: `due`
-    // entries lie below it.
+    // The latest tick drained so far, which is the ring time: no push
+    // lands below it.
     let mut now = 0u64;
     let mut last_push = 0u64;
     let mut last_far = 0u64;
@@ -82,8 +85,8 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
             op @ (0..=5) => {
                 let tick = match op {
                     0..=2 => now + (w >> 4) % RING,
-                    3 if (w >> 4) & 1 == 0 => last_push,
-                    3 => last_far,
+                    3 if (w >> 4) & 1 == 0 => last_push.max(now),
+                    3 => last_far.max(now),
                     4 => {
                         now + match (w >> 4) % 3 {
                             0 => RING - 1 + (w >> 8) % 3,
@@ -91,7 +94,7 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
                             _ => (w >> 8) % (1u64 << 40),
                         }
                     }
-                    _ => now.saturating_sub((w >> 4) % 1024),
+                    _ => now,
                 };
                 last_push = tick;
                 if op == 4 {
@@ -114,9 +117,7 @@ fn replay(words: &[u64]) -> Result<(), TestCaseError> {
                     // Handler pushes: none, one ahead, one at the tick
                     // being drained (it must pop after the batch), or one
                     // at the last far push's tick (it must pop after the
-                    // entries pushed there earlier). A handler never
-                    // pushes into the past, which would overtake the rest
-                    // of the drained batch.
+                    // entries pushed there earlier).
                     match (w >> 4).wrapping_add(k as u64) % 4 {
                         0 => {}
                         1 => push(&mut ring, &mut model, tick + (w >> 8) % 2048),

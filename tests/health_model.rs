@@ -5,7 +5,8 @@
 //! and in-place records; the model below re-derives every verdict from
 //! a plain `Vec` rescan. Random interleavings of heartbeats, scans, and
 //! watches at nondecreasing ticks must be observationally identical at
-//! every step — same states, same verdicts, same counters. Dedicated
+//! every step — same states, same verdicts, same transitions from each
+//! heartbeat, same quarantine. Dedicated
 //! properties then pin the detector's three contract clauses from the
 //! issue: no suspicion without a missed lease, quarantine monotone in
 //! missed heartbeats, and readmission only after a full consecutive
@@ -18,9 +19,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use space_udc::bus::HealthEvent;
 use space_udc::chaos::Campaign;
-use space_udc::health::{
-    HealthConfig, HealthController, HealthCounters, LoweredHealth, NodeHealth, ScanVerdict,
-};
+use space_udc::health::{HealthConfig, HealthController, LoweredHealth, NodeHealth, ScanVerdict};
 use space_udc::sim::{run, try_replicate_grid, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
@@ -29,7 +28,6 @@ use space_udc::units::Seconds;
 struct Model {
     cfg: LoweredHealth,
     nodes: Vec<ModelNode>,
-    counters: HealthCounters,
 }
 
 #[derive(Clone, Copy)]
@@ -52,15 +50,10 @@ impl Model {
                 probation: 0,
             })
             .collect();
-        Self {
-            cfg,
-            nodes,
-            counters: HealthCounters::default(),
-        }
+        Self { cfg, nodes }
     }
 
     fn heartbeat(&mut self, node: usize, tick: u64) -> Option<HealthEvent> {
-        self.counters.heartbeats += 1;
         let n = &mut self.nodes[node];
         let gap = tick.saturating_sub(n.last_heartbeat);
         let was = n.state;
@@ -72,7 +65,6 @@ impl Model {
             }
             NodeHealth::Suspect => {
                 n.state = NodeHealth::Alive;
-                self.counters.false_suspects += 1;
                 Some(HealthEvent::FalseSuspect)
             }
             NodeHealth::Dead => {
@@ -84,7 +76,6 @@ impl Model {
                 if n.probation >= self.cfg.probation_leases {
                     n.state = NodeHealth::Alive;
                     n.probation = 0;
-                    self.counters.readmissions += 1;
                     Some(HealthEvent::Readmit)
                 } else {
                     None
@@ -100,7 +91,6 @@ impl Model {
                 (now.saturating_sub(self.nodes[i].last_heartbeat) / self.cfg.lease_ticks) as u32;
             if self.nodes[i].state == NodeHealth::Alive && missed >= self.cfg.suspect_missed {
                 self.nodes[i].state = NodeHealth::Suspect;
-                self.counters.suspects += 1;
                 verdicts.push(ScanVerdict {
                     node: i as u32,
                     event: HealthEvent::Suspect,
@@ -109,7 +99,6 @@ impl Model {
             if self.nodes[i].state == NodeHealth::Suspect && missed >= self.cfg.dead_missed {
                 self.nodes[i].state = NodeHealth::Dead;
                 self.nodes[i].probation = 0;
-                self.counters.detections += 1;
                 verdicts.push(ScanVerdict {
                     node: i as u32,
                     event: HealthEvent::Dead,
@@ -209,7 +198,6 @@ proptest! {
             for n in 0..6u32 {
                 prop_assert_eq!(real.state(n), model.nodes[n as usize].state);
             }
-            prop_assert_eq!(real.counters(), model.counters);
             prop_assert_eq!(real.quarantined(), model.quarantined());
         }
     }
@@ -232,15 +220,11 @@ proptest! {
                 // Any beat inside the round keeps silence below one
                 // full lease at scan time.
                 let jitter = (jitter_seed * 31 + u64::from(n) * 7 + r) % lease;
-                c.heartbeat(n, (r - 1) * lease + jitter);
+                prop_assert_eq!(c.heartbeat(n, (r - 1) * lease + jitter), None);
             }
             c.scan(r * lease, &mut verdicts);
             prop_assert!(verdicts.is_empty(), "round {r} produced verdicts");
         }
-        let counters = c.counters();
-        prop_assert_eq!(counters.suspects, 0);
-        prop_assert_eq!(counters.false_suspects, 0);
-        prop_assert_eq!(counters.detections, 0);
         for n in 0..nodes {
             prop_assert_eq!(c.state(n), NodeHealth::Alive);
         }
@@ -323,12 +307,11 @@ proptest! {
                 prop_assert_eq!(c.state(0), NodeHealth::Dead);
             }
         }
-        prop_assert_eq!(c.counters().readmissions, u64::from(readmitted));
     }
 }
 
 /// The armed sim meets the workspace determinism bar: the complete
-/// per-replication trace — detector counters included — of every cell of
+/// per-replication trace — health counters included — of every cell of
 /// a replication grid (both controller arms) is identical at 1, 2, and 8
 /// worker threads.
 #[test]

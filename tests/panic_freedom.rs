@@ -29,7 +29,10 @@ use space_udc::par::json::Json;
 use space_udc::par::rng::Rng64;
 use space_udc::reliability::softerror::imagenet_suite;
 use space_udc::router::{Router, RouterConfig, StreamConfig};
-use space_udc::sim::{try_percentile, try_replicate, try_run, SimConfig, SimSummary, DEFAULT_SEED};
+use space_udc::sim::{
+    try_percentile, try_replicate, try_run, FaultConfig, IslFlaps, SimConfig, SimSummary,
+    StormModel, DEFAULT_SEED,
+};
 use space_udc::sscm::calibration::{try_fit_cer, Observation};
 use space_udc::sscm::cer::Cer;
 use space_udc::sscm::sensitivity::try_tornado;
@@ -231,12 +234,91 @@ proptest! {
             _ => cfg.dormant_aging = h,
         }
         // A config that fails validation is refused by the kernel entry
-        // point with the same error, before any work; valid ones are
-        // not run here.
+        // point with the same error, before any work; the valid extremes
+        // are run by the property below.
         if let Err(e) = cfg.try_validate() {
             prop_assert!(structured(&e), "{e}");
             prop_assert_eq!(try_run(&cfg, DEFAULT_SEED, ()).err(), Some(e));
         }
+    }
+
+    /// Valid configs whose delays reach past the `u64` tick clock run to
+    /// completion: every schedule saturates, so an event due after the
+    /// clock ends is never handled, instead of overflowing (a debug
+    /// panic) or wrapping into the past (a silently wrong release run).
+    /// Each run balances the capture ledger, and the stage behind an
+    /// unreachable delay never completes.
+    #[test]
+    fn valid_configs_with_extreme_delays_run_to_completion(
+        field in 0u32..7, mag in 1.0..9.0f64, seed in 0u64..1000,
+    ) {
+        let huge = hostile(5, mag);
+        let mut cfg = SimConfig::reference_operations(Seconds::new(60.0));
+        let mut faults = FaultConfig::default();
+        match field {
+            0 => cfg.isl_transfer_ticks = huge,
+            1 => cfg.service_ticks_per_image = huge,
+            2 => cfg.batch_timeout_ticks = u64::MAX,
+            3 => cfg.frame_interval_ticks = huge,
+            4 => {
+                // Every completion is corrupted, and each retry waits
+                // out a jitter drawn over all of `u64`.
+                faults.upset_probability = 1.0;
+                faults.policy.backoff_jitter_ticks = u64::MAX;
+            }
+            5 => {
+                faults.storm = Some(StormModel {
+                    period_ticks: u64::MAX,
+                    duration_ticks: 100,
+                    offset_ticks: 10,
+                    seu_multiplier: 1.0,
+                    node_kill_probability: 0.0,
+                    major_probability: 0.0,
+                    major_multiplier: 1.0,
+                });
+            }
+            _ => {
+                faults.isl = Some(IslFlaps {
+                    links: 1,
+                    mean_up_ticks: 50.0,
+                    mean_down_ticks: huge,
+                });
+            }
+        }
+        let cfg = cfg.with_faults(faults);
+        prop_assert!(cfg.try_validate().is_ok(), "field {field} must be valid");
+        let run = try_run(&cfg, seed, ());
+        prop_assert!(run.is_ok(), "field {field}: {:?}", run.err());
+        let (t, ()) = run.unwrap();
+        // The capture ledger, as far as the trace alone can close it.
+        prop_assert_eq!(t.captured, t.filtered_out + t.arrived);
+        prop_assert!(
+            t.delivered + t.shed_batch_overflow + t.shed_deadline + t.retry_exhausted
+                <= t.arrived
+        );
+        prop_assert!(t.delivered + t.shed_downlink_overflow <= t.processed);
+        prop_assert!(t.processed <= t.arrived);
+        // What each extreme leaves of the pipeline: the first transfer or
+        // batch never ends; full batches dispatch without the timeout; no
+        // first capture falls inside the run; no retry returns; storms
+        // leave the pipeline moving; a link that goes down stays down.
+        let expected = match field {
+            0 | 1 => t.processed == 0,
+            2 => t.processed > 0,
+            3 => t.captured == 0,
+            4 => t.processed == 0 && t.retries == t.corrupted,
+            5 => t.arrived > 0,
+            _ => t.isl_flaps <= 1,
+        };
+        prop_assert!(
+            expected,
+            "field {field}: {} captured, {} processed, {} of {} corrupted retried, {} flaps",
+            t.captured,
+            t.processed,
+            t.retries,
+            t.corrupted,
+            t.isl_flaps
+        );
     }
 
     #[test]
