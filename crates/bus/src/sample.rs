@@ -15,6 +15,7 @@ pub type Tick = u64;
 /// more than one run counter (e.g. a storm kill is both a failure and a
 /// storm statistic); the mapping lives with the subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FaultKind {
     /// Capture shed at batch-queue admission (bounded history).
     BatchOverflow,
@@ -43,7 +44,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All kinds, in wire-tag order (see `record.rs`).
+    /// All kinds, in wire-tag order (see `record.rs`): the declaration
+    /// order, so a kind's tag is its discriminant.
     pub const ALL: [FaultKind; 12] = [
         FaultKind::BatchOverflow,
         FaultKind::DownlinkOverflow,
@@ -62,10 +64,7 @@ impl FaultKind {
     /// Stable wire tag for the binary log.
     #[must_use]
     pub fn wire_tag(self) -> u8 {
-        Self::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("every kind is in ALL") as u8
+        self as u8
     }
 
     /// Inverse of [`FaultKind::wire_tag`].
@@ -79,6 +78,7 @@ impl FaultKind {
 /// (`sudc-health`) for one monitored compute node. Like [`FaultKind`],
 /// the mapping onto run counters lives with the subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum HealthEvent {
     /// The failure detector moved the node to SUSPECT (missed leases
     /// reached the suspicion threshold).
@@ -94,7 +94,8 @@ pub enum HealthEvent {
 }
 
 impl HealthEvent {
-    /// All events, in wire-tag order (see `record.rs`).
+    /// All events, in wire-tag order (see `record.rs`): the declaration
+    /// order, so an event's tag is its discriminant.
     pub const ALL: [HealthEvent; 4] = [
         HealthEvent::Suspect,
         HealthEvent::FalseSuspect,
@@ -105,10 +106,7 @@ impl HealthEvent {
     /// Stable wire tag for the binary log.
     #[must_use]
     pub fn wire_tag(self) -> u8 {
-        Self::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("every event is in ALL") as u8
+        self as u8
     }
 
     /// Inverse of [`HealthEvent::wire_tag`].
@@ -251,7 +249,8 @@ mod tests {
 
     #[test]
     fn fault_wire_tags_roundtrip() {
-        for kind in FaultKind::ALL {
+        for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.wire_tag()), i);
             assert_eq!(FaultKind::from_wire_tag(kind.wire_tag()), Some(kind));
         }
         assert_eq!(FaultKind::from_wire_tag(FaultKind::ALL.len() as u8), None);
@@ -259,7 +258,8 @@ mod tests {
 
     #[test]
     fn health_wire_tags_roundtrip() {
-        for event in HealthEvent::ALL {
+        for (i, event) in HealthEvent::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(event.wire_tag()), i);
             assert_eq!(HealthEvent::from_wire_tag(event.wire_tag()), Some(event));
         }
         assert_eq!(

@@ -14,9 +14,10 @@
 //!
 //! Differences from real proptest: inputs are sampled from a fixed-seed
 //! deterministic RNG (derived from the test-function name), there is no
-//! shrinking, and failures report the exact inputs so a case can be
-//! reproduced by hand. That trade keeps the dependency surface at zero
-//! while preserving the tests' semantics.
+//! shrinking, and failures — a failed `prop_assert!` or a panic in the
+//! body — report the exact inputs so a case can be reproduced by hand.
+//! That trade keeps the dependency surface at zero while preserving the
+//! tests' semantics.
 
 #![forbid(unsafe_code)]
 
@@ -313,10 +314,23 @@ macro_rules! __proptest_each {
                 let inputs = [
                     $(format!("{} = {:?}", stringify!($arg), $arg)),+
                 ].join(", ");
-                let outcome = (|| -> $crate::TestCaseResult {
-                    $body
-                    Ok(())
-                })();
+                // A panic in the body (an `assert!`, an `unwrap`, an
+                // index out of range) fails the case like a
+                // `prop_assert!`, so its report names the inputs too.
+                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> $crate::TestCaseResult {
+                        $body
+                        Ok(())
+                    },
+                ))
+                .unwrap_or_else(|payload| {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    Err($crate::TestCaseError::Fail(msg))
+                });
                 (inputs, outcome)
             });
         }
@@ -382,6 +396,14 @@ mod tests {
         let mut a = crate::CaseRng::from_name("prop");
         let mut b = crate::CaseRng::from_name("prop");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    proptest! {
+        #[test]
+        #[should_panic(expected = "failed for inputs {x = ")]
+        fn panics_in_the_body_report_inputs(x in 0u32..10) {
+            assert!(x > 10, "x out of range");
+        }
     }
 
     #[test]

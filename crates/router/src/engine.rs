@@ -9,6 +9,12 @@
 //! byte-identical at any thread count, and a single worker never copies
 //! its decisions.
 //!
+//! That output vector is fresh memory on every call, so first-touch
+//! page faults are a fixed share of each pass. A [`Decision`] is
+//! therefore packed into 25 bytes (8-byte id, one-byte [`Verdict`], two
+//! `f64`s) rather than padded to 32, and a 4 M-request stream faults in
+//! 95 MiB instead of 122 MiB.
+//!
 //! Admission runs in closed form ([`admit_all`]): inside a block every
 //! push precedes every pop, so the shed victims are the oldest pushes and
 //! the drain order is the survivors stably partitioned by priority.
@@ -57,8 +63,20 @@ pub enum Verdict {
     Shed,
 }
 
-/// One placement decision.
+/// One placement decision: 25 bytes, packed.
+///
+/// Every routed request gets one, so a pass writes its whole
+/// [`RoutingOutcome::decisions`] vector into fresh memory, and the first
+/// touch of each page (a minor fault) is a large share of a pass on a
+/// multi-million-request stream. Unpacked, 7 of each record's 32 bytes
+/// would be padding after the one-byte [`Verdict`]; packed, the vector
+/// is 22 % smaller and a pass faults in that many fewer pages.
+///
+/// Read fields by value (`{ d.id }`, `d.latency_s`), never by reference:
+/// `&d.id` does not compile (E0793), because a packed field may be
+/// unaligned.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed)]
 pub struct Decision {
     /// The request's stream id.
     pub id: u64,
@@ -70,6 +88,8 @@ pub struct Decision {
     /// Modeled cost of the chosen tier, USD; zero unless placed.
     pub cost_usd: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<Decision>() == 25);
 
 /// Aggregated counters over a routed stream. Mergeable, so per-block
 /// stats fold deterministically in block order.
@@ -626,7 +646,7 @@ mod tests {
         }
         for d in &out.decisions {
             if let Verdict::Placed(_) = d.verdict {
-                assert!(d.latency_s <= deadline[&d.id] + 1e-9);
+                assert!(d.latency_s <= deadline[&{ d.id }] + 1e-9);
             }
         }
     }
