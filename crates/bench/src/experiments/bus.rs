@@ -11,8 +11,8 @@
 //! `combined` chaos campaign whose queue bounds and deadline *are* the
 //! capture/insight contracts. Fourth, the record→replay audit: each
 //! run's topic stream is serialized to the compact binary log, decoded,
-//! and re-driven through a fresh trace builder, which must reproduce
-//! the live `RunTrace` byte for byte.
+//! and re-driven through a fresh `RunTrace` fold, which must reproduce
+//! the live trace byte for byte.
 //!
 //! Every number is a pure function of fixed seeds and model constants —
 //! no wall-clock — so the bytes are identical at any worker count; CI
@@ -140,7 +140,7 @@ pub fn ext_bus() -> String {
          standard topic table\n{}\n\n\
          contract lowering at the {tick_s} s reference tick (RecoveryPolicy arithmetic)\n{}\n\n\
          per-topic samples published by the kernel run\n{}\n\n\
-         record -> replay audit (binary topic log re-driven through a fresh trace builder)\n{}\n",
+         record -> replay audit (binary topic log re-driven through a fresh `RunTrace` fold)\n{}\n",
         duration.value(),
         table(
             &["id", "topic", "reliability", "deadline", "durability", "history"],

@@ -137,10 +137,14 @@ pub enum Payload {
         /// Tick the source capture fired.
         capture: Tick,
     },
-    /// Tick settlement: the scheduler advanced to this sample's tick
-    /// and is about to dispatch `events` events.
+    /// Tick settlement, published after a tick whose events changed the
+    /// settled state: the state it carries held from the previous
+    /// `Settle` (or the run's start) up to this sample's tick. Ticks that
+    /// left the state unchanged publish none; one more `Settle` at the
+    /// last handled tick carries their events before the `Finish`.
     Settle {
-        /// Events dispatched at this tick.
+        /// Events handled since the previous `Settle`, this tick's
+        /// included.
         events: u64,
         /// Compute nodes busy entering the tick.
         busy: u32,
@@ -148,7 +152,8 @@ pub enum Payload {
         batch_queue: u64,
         /// Downlink-queue depth entering the tick.
         downlink_queue: u64,
-        /// Whether powered-alive nodes meet the required capability.
+        /// Whether powered-alive nodes met the required capability
+        /// entering the tick.
         full: bool,
     },
     /// A bounded queue changed length (post-admission depth).

@@ -42,6 +42,17 @@
 //! holds millions of images — stores runs of equal capture ticks instead
 //! of one entry per image.
 //!
+//! The trace's time-weighted integrals read the settled state: busy
+//! nodes, the batch- and downlink-queue depths and full capability.
+//! Time advances only between tick batches, and most ticks (a capture
+//! that lands on a busy ISL, a heartbeat scan) leave that state as it
+//! was, so the kernel publishes a telemetry `Settle` only after a tick
+//! that changed it. It carries the pre-batch state, which held since
+//! the previous `Settle`, and the events handled since then; the
+//! integrals add `dt × state` in integers, so the long intervals sum to
+//! exactly what per-tick ones would, with fewer records to fold, record
+//! and replay.
+//!
 //! A capture's successor comes `duration_ticks(next_exp() * mean)` ticks
 //! later, and `next_exp`'s `ln` used to be the largest cost of a capture.
 //! That gap is a step function of the one `next_u64` the draw consumes,
@@ -257,6 +268,17 @@ pub fn run(cfg: &SimConfig, seed: u64) -> RunTrace {
 #[must_use]
 pub fn run_recorded(cfg: &SimConfig, seed: u64) -> (RunTrace, BusLog) {
     try_run(cfg, seed, BusLog::new()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The state the trace's time-weighted integrals read: busy compute
+/// nodes, the batch- and downlink-queue depths, and whether the powered
+/// pool meets the required capability.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Settled {
+    busy: u32,
+    batch_queue: u64,
+    downlink_queue: u64,
+    full: bool,
 }
 
 /// Images still inside the pipeline when a run ends.
@@ -541,31 +563,37 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         self.queue.push(self.now.saturating_add(delay), event);
     }
 
+    /// The settled state as it stands now.
+    #[inline(always)]
+    fn settled(&self) -> Settled {
+        Settled {
+            busy: self.busy_nodes,
+            batch_queue: self.batch_queue.len() as u64,
+            downlink_queue: self.downlink_queue.len() as u64,
+            full: self.powered_alive >= self.cfg.required,
+        }
+    }
+
     fn run(mut self) -> (RunTrace, S) {
         // Tick-batched event loop: every event of the current tick is
         // drained in FIFO order into one reused buffer and handled in
         // order. Handler order, pushes, and the pending-count trajectory
         // (see `EventQueue::consume_one`) are identical to a
         // one-pop-at-a-time loop.
+        //
+        // Time only advances between batches, so the settled state is
+        // constant from the end of one handled tick to the start of the
+        // next. A `Settle` follows only a tick whose handlers changed it,
+        // carrying the pre-batch snapshot (which held since the previous
+        // `Settle`) and the events handled since then; ticks that change
+        // nothing extend the interval the next `Settle` closes.
         let mut batch: Vec<Event> = Vec::new();
+        let mut unsettled_events = 0u64;
         while let Some(tick) = self.queue.pop_tick(&mut batch) {
             if tick > self.cfg.duration_ticks {
                 break;
             }
-            // Time only advances between batches, so the time-weighted
-            // integrals are settled once per tick with the pre-batch
-            // state; per-event calls within the tick would see dt == 0
-            // and integrate nothing (`RunTrace::advance_to` early-outs).
-            self.publish(
-                tick,
-                Payload::Settle {
-                    events: batch.len() as u64,
-                    busy: self.busy_nodes,
-                    batch_queue: self.batch_queue.len() as u64,
-                    downlink_queue: self.downlink_queue.len() as u64,
-                    full: self.powered_alive >= self.cfg.required,
-                },
-            );
+            let before = self.settled();
             self.now = tick;
             for &event in &batch {
                 self.queue.consume_one();
@@ -585,6 +613,16 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                     Event::HealthScan => self.on_health_scan(),
                 }
             }
+            unsettled_events += batch.len() as u64;
+            if self.settled() != before {
+                self.publish_settle(tick, unsettled_events, before);
+                unsettled_events = 0;
+            }
+        }
+        // The ticks since the last `Settle` left the state unchanged; one
+        // more at the last handled tick carries their events.
+        if unsettled_events > 0 {
+            self.publish_settle(self.now, unsettled_events, self.settled());
         }
         self.publish(
             self.cfg.duration_ticks,
@@ -598,6 +636,28 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         );
         self.in_flight().debug_assert_capture_ledger(&self.plane.0);
         self.plane
+    }
+
+    /// Publishes that `state` held up to `tick`, and the `events` handled
+    /// since the previous `Settle`.
+    #[inline(always)]
+    fn publish_settle(&mut self, tick: Tick, events: u64, state: Settled) {
+        let Settled {
+            busy,
+            batch_queue,
+            downlink_queue,
+            full,
+        } = state;
+        self.publish(
+            tick,
+            Payload::Settle {
+                events,
+                busy,
+                batch_queue,
+                downlink_queue,
+                full,
+            },
+        );
     }
 
     /// Counts the images still inside the pipeline, by stage.

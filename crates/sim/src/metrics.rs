@@ -509,7 +509,7 @@ impl RunTrace {
                 downlink,
                 oldest_age,
             } => self.samples.push(BacklogSample {
-                tick: self.last_tick,
+                tick: s.tick,
                 isl_items: isl as usize,
                 batch_items: batch as usize,
                 downlink_items: downlink as usize,

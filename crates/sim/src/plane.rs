@@ -7,11 +7,16 @@
 //! table, and the `RunTrace` is itself the subscriber that folds the
 //! stream back into counters, histograms and integrals. The kernel
 //! always delivers to its trace first and then to whatever the caller
-//! attached (see [`crate::kernel::try_run`]). The fold performs
-//! *exactly* the mutations the kernel used to perform inline, in the
-//! same order, so every run is trace-equal to the pre-bus kernel's — the
-//! fingerprint pins in `kernel.rs`, taken from that kernel, hold that
-//! line.
+//! attached (see [`crate::kernel::try_run`]). Every run is trace-equal
+//! to the pre-bus kernel's — the fingerprint pins in `kernel.rs`, taken
+//! from that kernel, hold that line.
+//!
+//! Settlement is sparse: a `Settle` is published only after a tick that
+//! changed the settled state (busy nodes, queue depths, full
+//! capability), and says that the state it carries held since the
+//! previous one. The fold integrates `dt × state` exactly, so a log with
+//! a `Settle` per tick — as logs recorded before settlement went sparse
+//! are — replays to the same trace.
 //!
 //! The payoff is [`replay`]: a recorded [`BusLog`] re-drives a fresh
 //! `RunTrace` and reproduces the live run's trace byte for byte,

@@ -1,11 +1,13 @@
 //! Property tests for the bus's binary log ([`BusLog`]).
 //!
-//! Two properties: every nondecreasing stream of samples round-trips
-//! encode → decode unchanged, boundary values included; and no hostile
-//! log — such a stream, or any truncation or byte mutation of a real
+//! Three properties: every nondecreasing stream of samples round-trips
+//! encode → decode unchanged, boundary values included; no hostile log
+//! — such a stream, or any truncation or byte mutation of a real
 //! recorded run — makes the decoder, the sim's replay fold or the
-//! health plane's pool timeline panic. A hostile log either fails to decode with an error,
-//! or decodes and then replays to a trace or an error.
+//! health plane's pool timeline panic (a hostile log either fails to
+//! decode with an error, or decodes and then replays to a trace or an
+//! error); and extra zero-event `Settle`s inside a recorded run's
+//! constant-state intervals replay to the same trace.
 
 use std::sync::OnceLock;
 
@@ -17,6 +19,7 @@ use space_udc::bus::{
 };
 use space_udc::chaos::Campaign;
 use space_udc::health::{HealthConfig, PoolTimeline};
+use space_udc::par::rng::Rng64;
 use space_udc::sim::{replay, run_recorded, try_run, RunTrace, SimConfig, DEFAULT_SEED};
 use space_udc::units::Seconds;
 
@@ -158,13 +161,49 @@ fn recorded() -> &'static (SimConfig, BusLog) {
     })
 }
 
+/// The settled state a `Settle` or `Finish` carries: busy nodes, batch-
+/// and downlink-queue depths, full capability.
+type State = (u32, u64, u64, bool);
+
+/// The state `payload` closes an interval with, and the events it
+/// carries, if it is a `Settle` or the `Finish`.
+fn closes(payload: Payload) -> Option<(State, u64)> {
+    match payload {
+        Payload::Settle {
+            events,
+            busy,
+            batch_queue,
+            downlink_queue,
+            full,
+        } => Some(((busy, batch_queue, downlink_queue, full), events)),
+        Payload::Finish {
+            busy,
+            batch_queue,
+            downlink_queue,
+            full,
+            ..
+        } => Some(((busy, batch_queue, downlink_queue, full), 0)),
+        _ => None,
+    }
+}
+
+/// Every sample of `log`, in order.
+fn decode(log: &BusLog) -> Vec<Sample> {
+    let mut samples = Vec::new();
+    log.try_visit(|s| samples.push(*s))
+        .expect("recorded log decodes");
+    samples
+}
+
 /// The per-topic ledger of a composed run (combined chaos, closed-loop
 /// health, recording and counting attached together): captures and
 /// insights are published exactly once per trace count, every sample is
 /// both recorded and counted, and the log replays to the live trace.
 /// Telemetry (`Settle`, `QueueDepth`) and faults (multi-count `Fault`)
 /// carry samples the trace does not count one for one, so those two
-/// topics are bounded from below.
+/// topics are bounded from below. A `Settle` is published only after a
+/// tick that changed the settled state, so no two in a row carry the
+/// same state, and their event counts add up to the run's.
 fn check_topic_ledger(cfg: &SimConfig, seed: u64) -> RunTrace {
     let (t, (log, stats)) = try_run(cfg, seed, (BusLog::new(), BusStats::default()))
         .expect("the composed config is valid");
@@ -185,6 +224,19 @@ fn check_topic_ledger(cfg: &SimConfig, seed: u64) -> RunTrace {
         "seed {seed}"
     );
     assert_eq!(log.records(), stats.total(), "seed {seed}");
+    let settles: Vec<(State, u64)> = decode(&log)
+        .iter()
+        .filter(|s| matches!(s.payload, Payload::Settle { .. }))
+        .filter_map(|s| closes(s.payload))
+        .collect();
+    if let Some(w) = settles.windows(2).find(|w| w[0].0 == w[1].0) {
+        panic!("seed {seed}: two Settles in a row carry {:?}", w[0].0);
+    }
+    assert_eq!(
+        settles.iter().map(|&(_, events)| events).sum::<u64>(),
+        t.events,
+        "seed {seed}"
+    );
     assert_eq!(
         replay(cfg, &log).expect("recorded log replays"),
         t,
@@ -306,6 +358,58 @@ proptest! {
             }
             survives(cfg, &bytes)?;
         }
+    }
+
+    /// A `Settle` says its state held from the previous one up to its
+    /// tick, and the trace integrates `dt × state` exactly, so splitting
+    /// an interval with zero-event `Settle`s that repeat the state of the
+    /// one closing it (the `Finish`, for the last) changes no integral,
+    /// no event count and no backlog sample's tick. A log with one
+    /// `Settle` per handled tick is such a split of the sparse one.
+    #[test]
+    fn zero_event_settles_inside_constant_intervals_replay_to_the_same_trace(
+        seed in 0u64..u64::MAX,
+    ) {
+        let (cfg, log) = recorded();
+        let mut rng = Rng64::new(seed);
+        let mut split = BusLog::new();
+        let (mut open_tick, mut pending) = (0, Vec::new());
+        for s in decode(log) {
+            if let Some((state, _)) = closes(s.payload) {
+                // Up to two extra closes at ticks in [open_tick, s.tick],
+                // each placed after every sample at or before its tick.
+                let mut ticks: Vec<u64> = (0..rng.next_below(3))
+                    .map(|_| open_tick + rng.next_below(s.tick - open_tick + 1))
+                    .collect();
+                ticks.sort_unstable();
+                let (busy, batch_queue, downlink_queue, full) = state;
+                let mut held = std::mem::take(&mut pending).into_iter().peekable();
+                for tick in ticks {
+                    while let Some(h) = held.next_if(|h: &Sample| h.tick <= tick) {
+                        split.push(&h);
+                    }
+                    split.push(&Sample {
+                        tick,
+                        payload: Payload::Settle {
+                            events: 0,
+                            busy,
+                            batch_queue,
+                            downlink_queue,
+                            full,
+                        },
+                    });
+                }
+                held.for_each(|h| split.push(&h));
+                split.push(&s);
+                open_tick = s.tick;
+            } else {
+                pending.push(s);
+            }
+        }
+        pending.iter().for_each(|h| split.push(h));
+        prop_assert!(split.records() > log.records());
+        let original = replay(cfg, log).expect("recorded log replays");
+        prop_assert_eq!(replay(cfg, &split).map_err(|e| e.to_string()), Ok(original));
     }
 }
 
