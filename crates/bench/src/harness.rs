@@ -245,18 +245,20 @@ pub fn fleet_point(fleet: u32) -> (SimConfig, u64) {
 }
 
 /// [`RunTrace::fingerprint`] of [`fleet_point`] at each default fleet
-/// size. The values were computed from the pre-rebuild kernel, and the
-/// current kernel reproduced each of them before that kernel was
-/// retired. The ignored test `fleet_fingerprints_match_the_kernel`
+/// size. The traces are the pre-rebuild kernel's, which the current
+/// kernel reproduced before that kernel was retired; the values were
+/// re-computed once when the fingerprint stopped hashing the `events`
+/// and `peak_event_queue` diagnostics, with nothing else changed. The
+/// ignored test `fleet_fingerprints_match_the_kernel`
 /// checks `sudc_sim::kernel::run` against all six and prints the
 /// recomputed table on a mismatch.
 const FLEET_FINGERPRINTS: [(u32, u64); 6] = [
-    (64, 0xe55a_c3fb_95ed_ff73),
-    (1_000, 0x4f34_9377_2d36_38d3),
-    (10_000, 0xf624_7ea2_95a7_283c),
-    (100_000, 0x03a7_49aa_3928_fc38),
-    (300_000, 0x15fc_3e25_cc76_725e),
-    (1_000_000, 0x2a45_327a_68b5_717e),
+    (64, 0xb696_97c0_3d21_803d),
+    (1_000, 0x2b11_ea34_c70b_eab3),
+    (10_000, 0xe8ac_006e_dca8_8a03),
+    (100_000, 0x7909_df51_18a2_76d0),
+    (300_000, 0x7f63_72f1_8923_8a14),
+    (1_000_000, 0xfafe_d260_3c27_4803),
 ];
 
 /// Asserts that `trace`, the kernel's run of [`fleet_point`]`(fleet)`,

@@ -169,8 +169,10 @@ impl SimConfig {
     /// A mission-scale failure study: `nodes` installed of which
     /// `required` must be powered, cold spares aging at `dormant_aging`,
     /// run for `duration_mttf` lifetimes. The image pipeline is off; ticks
-    /// are scaled so one MTTF is 100 000 ticks. Every invalid parameter
-    /// is reported in one pass.
+    /// are scaled so one MTTF is 100 000 ticks. With no satellites there
+    /// is nothing to downlink, so one contact window spans the whole run
+    /// rather than a window opening, to no effect, every tick. Every
+    /// invalid parameter is reported in one pass.
     ///
     /// # Errors
     ///
@@ -220,8 +222,8 @@ impl SimConfig {
             mttf_ticks,
             weibull_shape: 1.0,
             dormant_aging,
-            contact_gap_ticks: 1,
-            contact_window_ticks: 1,
+            contact_gap_ticks: duration_ticks,
+            contact_window_ticks: duration_ticks,
             downlink_transfer_ticks: 0.0,
             faults: None,
             health: None,
@@ -400,6 +402,7 @@ mod tests {
         assert_eq!(cfg.duration_ticks, 150_000);
         assert_eq!(cfg.satellites, 0);
         assert!((cfg.mttf_ticks - 100_000.0).abs() < 1e-9);
+        assert_eq!(cfg.contact_gap_ticks, cfg.duration_ticks);
     }
 
     #[test]

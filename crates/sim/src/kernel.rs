@@ -64,11 +64,36 @@
 //! the table gives the expression's exact tick, and each draw still
 //! consumes exactly one `next_u64` (see `gap.rs` for the argument).
 //!
+//! Captures are a Poisson process thinned to the imaging window, and in
+//! the reference scenario 40 % of each orbit is dark. A dark capture
+//! publishes nothing and changes nothing but the stream and phase its
+//! event carries, so `on_capture` draws through a dark stretch in one
+//! handler: it skips the next capture while that capture and the one
+//! after it are both dark, making the same draws in the same order. It
+//! must not skip the stretch's *last* dark capture. That event is what
+//! pushes the next in-window capture, from the same tick as a
+//! capture-by-capture handler would. Same-tick events run in push
+//! order, so the push tick fixes the in-window capture's rank within
+//! its tick. Pushed instead from the handler before the stretch, up to
+//! about 23 000 ticks earlier, it would run ahead of every event pushed
+//! at its tick in between (a `Sample` pushed 600 ticks earlier, say),
+//! and same-tick handlers do not commute: a backlog sample would count
+//! an image captured in its own tick that it used to miss. One residual
+//! case remains. The kept capture is itself pushed earlier, so within
+//! its own tick it can now run before an event it used to follow; if
+//! that event schedules a non-commuting event at exactly the in-window
+//! capture's tick, the two swap. No pin, probe or snapshot has shown
+//! it. `events` counts only the captures handled, so it falls; no other
+//! trace field moved at any pin or probe.
+//!
 //! A run at a fixed `(config, seed)` is a constant, so the tests below
 //! pin full-state [`RunTrace::fingerprint`]s at points across the
-//! nominal, collaborative, fault, cold-spare, shedding, health and
-//! recorded paths. The points a pre-rebuild kernel also ran carry that
-//! kernel's fingerprints: the rebuild matched it bit for bit there.
+//! nominal, collaborative, fault, cold-spare, shedding, health,
+//! recorded and window re-entry paths. The fingerprint leaves out the
+//! diagnostics `events` and `peak_event_queue`, so a kernel that
+//! handles fewer events to reach the same trace keeps every pin. The
+//! points a pre-rebuild kernel also ran carry that kernel's traces: the
+//! rebuild matched it bit for bit there.
 
 use std::collections::VecDeque;
 
@@ -102,6 +127,23 @@ const INFANT_STREAM_BASE: u64 = 4_000_000;
 const STORM_KILL_STREAM_BASE: u64 = 5_000_000;
 /// Stream stride between consecutive storms' kill-draw blocks.
 const STORM_KILL_STREAM_STRIDE: u64 = 1_000_000;
+
+/// The first phase in `0..period` outside an imaging window of
+/// `duty_window` ticks: phase `p` is inside exactly when
+/// `(p as f64) < duty_window`. That float test is monotone in `p`, so the
+/// phases inside form a prefix and one integer compare per capture
+/// replaces the conversion. `ceil` finds the end exactly below 2^53; the
+/// loops step past the conversion's rounding above it.
+fn window_end(duty_window: f64, period: Tick) -> Tick {
+    let mut end = (duty_window.ceil() as Tick).min(period);
+    while end > 0 && (end - 1) as f64 >= duty_window {
+        end -= 1;
+    }
+    while end < period && (end as f64) < duty_window {
+        end += 1;
+    }
+    end
+}
 
 /// Rounds a positive tick duration up, never below one tick.
 pub(crate) fn duration_ticks(x: f64) -> Tick {
@@ -333,9 +375,10 @@ struct Kernel<'a, S: Subscriber> {
     /// Capture gaps, `duration_ticks(next_exp() * frame_interval_ticks)`
     /// read from a per-run table (see "Hot-path layout").
     gaps: GapTable,
-    /// Precomputed `imaging_duty * imaging_period_ticks` — the window-
-    /// open comparison runs once per capture event.
-    duty_window_ticks: f64,
+    /// The first imaging-window phase outside the window (see
+    /// `window_end`); a capture tests its phase, and the handler each
+    /// phase it draws through, against it.
+    window_end: Tick,
 
     // ISL: single FIFO server; `isl_current` is the capture tick of the
     // image in transfer. Under fault injection the provisioned rate is
@@ -418,7 +461,10 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             } else {
                 GapTable::new(cfg.frame_interval_ticks)
             },
-            duty_window_ticks: cfg.imaging_duty * cfg.imaging_period_ticks as f64,
+            window_end: window_end(
+                cfg.imaging_duty * cfg.imaging_period_ticks as f64,
+                cfg.imaging_period_ticks,
+            ),
             isl_busy: false,
             isl_current: 0,
             isl_queue: TickRuns::default(),
@@ -688,20 +734,49 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
         p
     }
 
+    /// Whether a capture at imaging-window `phase` falls inside the window.
+    #[inline(always)]
+    fn imaging(&self, phase: Tick) -> bool {
+        phase < self.window_end
+    }
+
     /// Satellite `sat` captures (inside its imaging window) and schedules
     /// its next capture opportunity: a Poisson process at the imaging-mode
     /// frame rate, thinned to the window here. `rng` and `phase` come from
     /// the event and move on, advanced, into the one it schedules.
+    ///
+    /// A dark capture (outside the window) publishes nothing and touches
+    /// only the stream and phase it carries, so the handler draws through
+    /// a dark stretch instead of queueing each one: it skips the next
+    /// capture while both that capture and the one after it are dark and
+    /// inside the run, with the same draws in the same order. Each stretch
+    /// keeps its last dark capture as an event, and that event pushes the
+    /// next in-window capture from the same tick as a capture-by-capture
+    /// handler would, so the in-window capture keeps its rank among the
+    /// events of its tick (see "Hot-path layout" for the one case that
+    /// can still reorder).
     fn on_capture(&mut self, sat: u32, phase: Tick, mut rng: Rng64) {
-        if (phase as f64) < self.duty_window_ticks {
+        if self.imaging(phase) {
             let filtered = rng.next_f64() < self.cfg.filtering;
             self.publish(self.now, Payload::Capture { sat, filtered });
             if !filtered {
                 self.offer_to_isl(self.now);
             }
         }
-        let dt = self.gaps.draw(&mut rng);
-        let phase = Self::advance_phase(phase, dt, self.cfg.imaging_period_ticks);
+        let period = self.cfg.imaging_period_ticks;
+        let mut dt = self.gaps.draw(&mut rng);
+        let mut phase = Self::advance_phase(phase, dt, period);
+        while !self.imaging(phase) && self.now.saturating_add(dt) <= self.cfg.duration_ticks {
+            let mut ahead = rng;
+            let gap = self.gaps.draw(&mut ahead);
+            let after = Self::advance_phase(phase, gap, period);
+            if self.imaging(after) {
+                break;
+            }
+            dt = dt.saturating_add(gap);
+            phase = after;
+            rng = ahead;
+        }
         self.schedule(dt, Event::Capture { sat, phase, rng });
     }
 
@@ -1509,9 +1584,9 @@ pub(crate) mod tests {
 
     /// Full-state fingerprints of fixed `(config, seed)` points across
     /// the nominal, collaborative, fault-injected and cold-spare paths.
-    /// Each pin is the trace the pre-rebuild kernel produced at that
-    /// point, so it holds the kernel to that kernel's behaviour bit for
-    /// bit.
+    /// Each pin fingerprints the trace the pre-rebuild kernel produced at
+    /// that point, so it holds the kernel to that kernel's behaviour bit
+    /// for bit, apart from the diagnostics the fingerprint leaves out.
     #[test]
     fn kernel_traces_are_pinned() {
         let reference = SimConfig::reference_operations(Seconds::new(3600.0));
@@ -1519,22 +1594,51 @@ pub(crate) mod tests {
         let stressed = reference.with_faults(stress_faults());
         let spares = SimConfig::try_cold_spare_mission(20, 10, 0.1, 2.0).unwrap();
         for (name, cfg, seed, want) in [
-            ("reference", reference, 1, 0x39e9_d8a5_ff57_6d14),
-            ("reference", reference, 7, 0x1f2c_9977_14f3_cd88),
-            ("reference", reference, 42, 0x4644_30c5_b5ee_dfa1),
-            ("collaborative", collab, 1, 0x4583_37f2_aa74_167e),
-            ("collaborative", collab, 7, 0x1dd8_5226_f73c_35f0),
-            ("collaborative", collab, 42, 0x001e_5a33_29fa_6b7f),
-            ("stress faults", stressed, 3, 0xe3b7_7735_c47d_8930),
-            ("stress faults", stressed, 21, 0xe26e_b50d_8e87_83c0),
-            ("cold spares", spares, 11, 0x9bae_0ce8_d340_35cc),
-            ("cold spares", spares, 29, 0xc7a0_d3ca_550c_2ea0),
+            ("reference", reference, 1, 0x4aaa_1c4c_5277_57f5),
+            ("reference", reference, 7, 0x6373_4a7c_a58b_c3f6),
+            ("reference", reference, 42, 0x1cad_0fa0_417d_b84e),
+            ("collaborative", collab, 1, 0x22db_c041_b23f_2f68),
+            ("collaborative", collab, 7, 0xf764_155a_63fc_7e59),
+            ("collaborative", collab, 42, 0x0a69_a0f3_e9bf_baae),
+            ("stress faults", stressed, 3, 0xe3d8_db61_a787_db7f),
+            ("stress faults", stressed, 21, 0x8528_3f70_6dc9_704e),
+            ("cold spares", spares, 11, 0x4394_18bb_ce84_2659),
+            ("cold spares", spares, 29, 0x9eaa_5f89_5b01_aaf8),
         ] {
             assert_eq!(
                 run(&cfg, seed).fingerprint(),
                 want,
                 "{name} trace drifted at seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn window_end_matches_the_float_window_test() {
+        let reference = SimConfig::reference_operations(Seconds::new(60.0));
+        for (duty, period) in [
+            (reference.imaging_duty, reference.imaging_period_ticks),
+            (0.0, 57_390),
+            (1.0, 57_390),
+            (0.5, 1),
+            (0.3, 7),
+            (0.5, 1 << 60),
+            (0.7, (1 << 62) + 12_345),
+            (1.0, Tick::MAX),
+        ] {
+            let window = duty * period as f64;
+            let end = window_end(window, period);
+            for p in [0, 1, 2, period / 2, period - 1]
+                .into_iter()
+                .chain((0..4).flat_map(|k| [end.saturating_sub(k), end.saturating_add(k)]))
+                .filter(|&p| p < period)
+            {
+                assert_eq!(
+                    p < end,
+                    (p as f64) < window,
+                    "phase {p}, duty {duty}, period {period}"
+                );
+            }
         }
     }
 
@@ -1589,8 +1693,8 @@ pub(crate) mod tests {
         });
         let faulted = nominal.with_faults(faults);
         for (cfg, seed, want) in [
-            (nominal, 7, 0xf756_dd2b_d2fe_eafd),
-            (faulted, 21, 0xa8bd_aeac_a4dc_69b3),
+            (nominal, 7, 0xad8e_f689_bf8b_6ddc),
+            (faulted, 21, 0x4504_d054_2dfe_8284),
         ] {
             assert_eq!(
                 run(&cfg, seed).fingerprint(),
@@ -1598,6 +1702,24 @@ pub(crate) mod tests {
                 "trace drifted at seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn imaging_window_reentries_are_pinned() {
+        // A day is about 15 orbits of 57 390 ticks, each with 22 956 dark
+        // ticks, so every satellite draws through whole dark stretches
+        // and re-enters its window; the hour-long pins above leave the
+        // window but never come back. A handler that pushed each
+        // stretch's in-window capture before the stretch would rank it
+        // ahead of events pushed at its tick in the meantime (a `Sample`
+        // pushed 600 ticks earlier, say) and move this trace.
+        let cfg = SimConfig::try_scaled_fleet(8, Seconds::new(86_400.0)).unwrap();
+        let t = run(&cfg, 3);
+        assert_eq!(
+            t.fingerprint(),
+            0x9451_63b6_628f_d47b,
+            "re-entry trace drifted"
+        );
     }
 
     #[test]
@@ -1609,7 +1731,7 @@ pub(crate) mod tests {
         assert!(t.detections > 0, "storm kills must be detected");
         assert_eq!(
             t.fingerprint(),
-            0x9cc8_e14c_9924_a6ac,
+            0x4f02_75ff_4f9a_f556,
             "closed-loop health trace drifted"
         );
     }
@@ -1622,12 +1744,12 @@ pub(crate) mod tests {
         let replayed = crate::plane::replay(&cfg, &log).unwrap();
         assert_eq!(
             trace.fingerprint(),
-            0x30ec_9265_f7ba_b3fc,
+            0xabd4_8aba_6c44_6463,
             "recorded trace drifted"
         );
         assert_eq!(
             replayed.fingerprint(),
-            0x30ec_9265_f7ba_b3fc,
+            0xabd4_8aba_6c44_6463,
             "replayed trace drifted"
         );
     }
@@ -1643,7 +1765,7 @@ pub(crate) mod tests {
         cfg.service_ticks_per_image = 5e4;
         let t = run(&cfg, 3);
         assert!(t.shed_deadline > 0, "the deadline must shed work");
-        assert_eq!(t.fingerprint(), 0xafe9_7c57_80a7_79e8, "shed trace drifted");
+        assert_eq!(t.fingerprint(), 0xb5e0_f613_7f67_36f3, "shed trace drifted");
     }
 
     #[test]
@@ -1658,7 +1780,7 @@ pub(crate) mod tests {
         let t = run(&cfg, 5);
         assert!(t.retries > 0, "corruption must force retries");
         assert!(t.shed_deadline > 0, "the deadline must shed work");
-        assert_eq!(t.fingerprint(), 0xddf2_fd94_1c13_91a0, "shed trace drifted");
+        assert_eq!(t.fingerprint(), 0x295a_5755_e0e4_9529, "shed trace drifted");
     }
 
     #[test]

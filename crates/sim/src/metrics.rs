@@ -350,11 +350,12 @@ pub struct RunTrace {
     health_enabled: bool,
     detection_latencies: LatencyHist,
 
-    /// Events the kernel loop handled (throughput diagnostic; never
-    /// serialized, so artifacts are unchanged by its presence).
+    /// Events the kernel loop handled (throughput diagnostic; neither
+    /// serialized nor fingerprinted, so artifacts and pins are unchanged
+    /// by its presence, but compared by `==`).
     pub events: u64,
     /// High-water mark of the scheduler's pending-event count
-    /// (diagnostic; never serialized).
+    /// (diagnostic; neither serialized nor fingerprinted).
     pub peak_event_queue: usize,
 
     processing_latencies: LatencyHist,
@@ -792,18 +793,22 @@ impl RunTrace {
 }
 
 impl RunTrace {
-    /// FNV-1a digest of every field that `==` compares: counters, the
-    /// diagnostics `events` and `peak_event_queue`, each latency
-    /// histogram bucket by bucket, every backlog sample and the raw
-    /// time-weighted integrals. Two traces that compare equal have the
-    /// same fingerprint; any drift in any of those fields moves it.
+    /// FNV-1a digest of every field that `==` compares except the two
+    /// diagnostics, `events` and `peak_event_queue`: counters, each
+    /// latency histogram bucket by bucket, every backlog sample and the
+    /// raw time-weighted integrals. Two traces that compare equal have
+    /// the same fingerprint; any drift in any of those fields moves it.
+    /// The diagnostics describe how the kernel got to the trace, not the
+    /// trace: a kernel that handles fewer events to reach the same
+    /// model state keeps every fingerprint. `==` still compares them, so
+    /// record → replay must agree on them too.
     /// [`RunTrace::try_to_json`] is a summary and is not a substitute:
     /// it omits the diagnostics and reduces histograms to percentiles,
     /// samples to an age summary and integrals to means.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         // Exhaustive destructuring: a new field fails to compile until
-        // it is hashed here.
+        // it is hashed, or deliberately skipped, here.
         let Self {
             tick_seconds,
             duration_ticks,
@@ -835,8 +840,8 @@ impl RunTrace {
             readmissions,
             health_enabled,
             detection_latencies,
-            events,
-            peak_event_queue,
+            events: _,
+            peak_event_queue: _,
             processing_latencies,
             delivery_latencies,
             samples,
@@ -881,8 +886,6 @@ impl RunTrace {
             *detections,
             *readmissions,
             u64::from(*health_enabled),
-            *events,
-            *peak_event_queue as u64,
             *last_tick,
             *full_capability_ticks,
             *max_batch_queue as u64,
@@ -1136,11 +1139,18 @@ mod tests {
         assert_eq!(json(&moved), json(&base));
         assert_ne!(moved.fingerprint(), base.fingerprint());
 
-        // `events` is never serialized.
+        // The diagnostics are in neither the JSON nor the fingerprint,
+        // but `==` still sees them, so record → replay must agree on
+        // them.
         let mut busier = base.clone();
         busier.events += 1;
-        assert_eq!(json(&busier), json(&base));
-        assert_ne!(busier.fingerprint(), base.fingerprint());
+        let mut deeper = base.clone();
+        deeper.peak_event_queue += 1;
+        for diagnosed in [busier, deeper] {
+            assert_ne!(diagnosed, base);
+            assert_eq!(json(&diagnosed), json(&base));
+            assert_eq!(diagnosed.fingerprint(), base.fingerprint());
+        }
 
         // Nor is a detection latency when the health plane is off.
         let mut detected = base.clone();

@@ -8,8 +8,9 @@
 //! stream back into counters, histograms and integrals. The kernel
 //! always delivers to its trace first and then to whatever the caller
 //! attached (see [`crate::kernel::try_run`]). Every run is trace-equal
-//! to the pre-bus kernel's — the fingerprint pins in `kernel.rs`, taken
-//! from that kernel, hold that line.
+//! to the pre-bus kernel's apart from the `events` diagnostic (the
+//! kernel no longer queues dark captures) — the fingerprint pins in
+//! `kernel.rs`, taken from that kernel, hold that line.
 //!
 //! Settlement is sparse: a `Settle` is published only after a tick that
 //! changed the settled state (busy nodes, queue depths, full

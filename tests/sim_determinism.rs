@@ -149,7 +149,7 @@ fn faulted_ten_thousand_satellite_fleet_trace_is_pinned() {
     );
     assert_eq!(
         t.fingerprint(),
-        0x2406_e597_2fa6_a8d9,
+        0xfad3_4e2e_e8d4_5ead,
         "faulted 10k-satellite trace drifted"
     );
 }
