@@ -7,15 +7,31 @@
 //! A log is a flat byte stream of records. Each record is:
 //!
 //! ```text
-//! tag:u8  dtick:varint  fields…
+//! head:u8  [dtick:varint]  fields…
 //! ```
 //!
-//! `dtick` is the tick delta since the previous record (publication
-//! ticks are nondecreasing, so deltas are small and LEB128-friendly).
+//! The head byte's low seven bits are the record tag. `dtick` is the
+//! tick delta since the previous record (publication ticks are
+//! nondecreasing, so deltas are small and LEB128-friendly). Most
+//! records share their predecessor's tick: such a record sets the
+//! head's high bit (`0x80`) and writes no `dtick`. The decoder
+//! also reads an explicit zero `dtick`, which the encoder never writes.
 //! Integers are unsigned LEB128 varints; booleans are one byte, `0` or
 //! `1`. Latency-bearing payloads (`Processed`, `Delivered`) encode the
 //! capture tick as an *age* (`tick - capture`), which is tiny compared
 //! to the absolute tick.
+//!
+//! A `Settle` is a delta of the previous `Settle` (of the all-zero
+//! state, for the first). Most change one field, so the record is
+//!
+//! ```text
+//! head  [dtick]  mask:u8  events:varint  [busy]  [batch_queue]  [downlink_queue]
+//! ```
+//!
+//! where mask bits `0x01`, `0x02` and `0x04` say which of `busy`,
+//! `batch_queue` and `downlink_queue` changed and follow, in that
+//! order, and bit `0x08` is `full`. The log keeps the last `Settle`'s
+//! fields to encode the next one against.
 //!
 //! ## Decoding
 //!
@@ -26,6 +42,7 @@
 //!
 //! - a log that ends inside a record;
 //! - an unknown record tag, `FaultKind` or `HealthEvent` byte;
+//! - a `Settle` mask with a bit above `0x08` set;
 //! - a boolean byte other than `0` or `1`;
 //! - a varint wider than 64 bits, or above `u32::MAX` in a `u32` field;
 //! - a `dtick` that carries the tick past `u64::MAX`;
@@ -52,6 +69,32 @@ const TAG_FINISH: u8 = 9;
 const TAG_HEARTBEAT: u8 = 10;
 const TAG_HEALTH: u8 = 11;
 const UNKNOWN_TAG: &str = "a known record tag (1..=11)";
+/// Head-byte flag: the record's tick is its predecessor's, and no
+/// `dtick` follows.
+const SAME_TICK: u8 = 0x80;
+/// `Settle` mask bits: which fields changed, and `full` itself.
+const SETTLE_BUSY: u8 = 0x01;
+const SETTLE_BATCH_QUEUE: u8 = 0x02;
+const SETTLE_DOWNLINK_QUEUE: u8 = 0x04;
+const SETTLE_FULL: u8 = 0x08;
+
+/// The fields a `Settle` is encoded against: those of the previous
+/// `Settle`, all zero before the first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Settled {
+    busy: u32,
+    batch_queue: u64,
+    downlink_queue: u64,
+}
+
+fn put_head(out: &mut Vec<u8>, tag: u8, dtick: Tick) {
+    if dtick == 0 {
+        out.push(tag | SAME_TICK);
+    } else {
+        out.push(tag);
+        put_varint(out, dtick);
+    }
+}
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -148,6 +191,8 @@ struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     fault: Option<Fault>,
+    /// The last `Settle`'s fields, which the next one is a delta of.
+    settled: Settled,
 }
 
 impl<'a> Cursor<'a> {
@@ -231,17 +276,23 @@ impl<'a> Cursor<'a> {
     /// on the payload: one tag match per record serves both.
     #[inline(always)]
     fn record(&mut self, tick: Tick, f: &mut impl FnMut(&Sample)) -> Option<Tick> {
-        let tag = self.byte("tag")?;
+        let head = self.byte("tag")?;
+        let tag = head & !SAME_TICK;
         if !(TAG_CAPTURE..=TAG_HEALTH).contains(&tag) {
-            return self.fail("tag", Found::Value(tag.into()), UNKNOWN_TAG);
+            return self.fail("tag", Found::Value(head.into()), UNKNOWN_TAG);
         }
-        let dtick = self.varint("dtick")?;
-        let Some(tick) = tick.checked_add(dtick) else {
-            return self.fail(
-                "dtick",
-                Found::Value(dtick),
-                "a tick delta that keeps the tick within u64",
-            );
+        let tick = if head & SAME_TICK != 0 {
+            tick
+        } else {
+            let dtick = self.varint("dtick")?;
+            let Some(tick) = tick.checked_add(dtick) else {
+                return self.fail(
+                    "dtick",
+                    Found::Value(dtick),
+                    "a tick delta that keeps the tick within u64",
+                );
+            };
+            tick
         };
         // Builds the sample inside the arm and visits it there.
         macro_rules! emit {
@@ -261,13 +312,33 @@ impl<'a> Cursor<'a> {
             TAG_DELIVERED => emit!(Payload::Delivered {
                 capture: self.capture(tick)?,
             }),
-            TAG_SETTLE => emit!(Payload::Settle {
-                events: self.varint("events")?,
-                busy: self.varint_u32("busy")?,
-                batch_queue: self.varint("batch_queue")?,
-                downlink_queue: self.varint("downlink_queue")?,
-                full: self.boolean("full")?,
-            }),
+            TAG_SETTLE => {
+                let mask = self.byte("settle mask")?;
+                if mask > SETTLE_BUSY | SETTLE_BATCH_QUEUE | SETTLE_DOWNLINK_QUEUE | SETTLE_FULL {
+                    return self.fail(
+                        "settle mask",
+                        Found::Value(mask.into()),
+                        "a Settle mask with no bit above 0x08",
+                    );
+                }
+                let events = self.varint("events")?;
+                if mask & SETTLE_BUSY != 0 {
+                    self.settled.busy = self.varint_u32("busy")?;
+                }
+                if mask & SETTLE_BATCH_QUEUE != 0 {
+                    self.settled.batch_queue = self.varint("batch_queue")?;
+                }
+                if mask & SETTLE_DOWNLINK_QUEUE != 0 {
+                    self.settled.downlink_queue = self.varint("downlink_queue")?;
+                }
+                emit!(Payload::Settle {
+                    events,
+                    busy: self.settled.busy,
+                    batch_queue: self.settled.batch_queue,
+                    downlink_queue: self.settled.downlink_queue,
+                    full: mask & SETTLE_FULL != 0,
+                })
+            }
             TAG_QUEUE_DEPTH => emit!(Payload::QueueDepth {
                 downlink: self.boolean("downlink")?,
                 len: self.varint("len")?,
@@ -346,6 +417,8 @@ pub struct BusLog {
     bytes: Vec<u8>,
     records: u64,
     last_tick: Tick,
+    /// The last `Settle`'s fields, which the next one is encoded against.
+    settled: Settled,
 }
 
 impl BusLog {
@@ -369,21 +442,18 @@ impl BusLog {
         let dtick = sample.tick.saturating_sub(self.last_tick);
         match sample.payload {
             Payload::Capture { sat, filtered } => {
-                out.push(TAG_CAPTURE);
-                put_varint(out, dtick);
+                put_head(out, TAG_CAPTURE, dtick);
                 put_varint(out, u64::from(sat));
                 put_bool(out, filtered);
             }
             Payload::Processed { capture } => {
                 debug_assert!(capture <= sample.tick);
-                out.push(TAG_PROCESSED);
-                put_varint(out, dtick);
+                put_head(out, TAG_PROCESSED, dtick);
                 put_varint(out, sample.tick.saturating_sub(capture));
             }
             Payload::Delivered { capture } => {
                 debug_assert!(capture <= sample.tick);
-                out.push(TAG_DELIVERED);
-                put_varint(out, dtick);
+                put_head(out, TAG_DELIVERED, dtick);
                 put_varint(out, sample.tick.saturating_sub(capture));
             }
             Payload::Settle {
@@ -393,17 +463,36 @@ impl BusLog {
                 downlink_queue,
                 full,
             } => {
-                out.push(TAG_SETTLE);
-                put_varint(out, dtick);
+                put_head(out, TAG_SETTLE, dtick);
+                let prev = self.settled;
+                let new_busy = busy != prev.busy;
+                let new_batch = batch_queue != prev.batch_queue;
+                let new_downlink = downlink_queue != prev.downlink_queue;
+                let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+                out.push(
+                    flag(new_busy, SETTLE_BUSY)
+                        | flag(new_batch, SETTLE_BATCH_QUEUE)
+                        | flag(new_downlink, SETTLE_DOWNLINK_QUEUE)
+                        | flag(full, SETTLE_FULL),
+                );
                 put_varint(out, events);
-                put_varint(out, u64::from(busy));
-                put_varint(out, batch_queue);
-                put_varint(out, downlink_queue);
-                put_bool(out, full);
+                if new_busy {
+                    put_varint(out, u64::from(busy));
+                }
+                if new_batch {
+                    put_varint(out, batch_queue);
+                }
+                if new_downlink {
+                    put_varint(out, downlink_queue);
+                }
+                self.settled = Settled {
+                    busy,
+                    batch_queue,
+                    downlink_queue,
+                };
             }
             Payload::QueueDepth { downlink, len } => {
-                out.push(TAG_QUEUE_DEPTH);
-                put_varint(out, dtick);
+                put_head(out, TAG_QUEUE_DEPTH, dtick);
                 put_bool(out, downlink);
                 put_varint(out, len);
             }
@@ -413,8 +502,7 @@ impl BusLog {
                 downlink,
                 oldest_age,
             } => {
-                out.push(TAG_BACKLOG);
-                put_varint(out, dtick);
+                put_head(out, TAG_BACKLOG, dtick);
                 put_varint(out, isl);
                 put_varint(out, batch);
                 put_varint(out, downlink);
@@ -424,14 +512,12 @@ impl BusLog {
                 }
             }
             Payload::BatchDispatched { size, timeout } => {
-                out.push(TAG_BATCH_DISPATCHED);
-                put_varint(out, dtick);
+                put_head(out, TAG_BATCH_DISPATCHED, dtick);
                 put_varint(out, size);
                 put_bool(out, timeout);
             }
             Payload::Fault { kind, count } => {
-                out.push(TAG_FAULT);
-                put_varint(out, dtick);
+                put_head(out, TAG_FAULT, dtick);
                 out.push(kind.wire_tag());
                 put_varint(out, count);
             }
@@ -442,8 +528,7 @@ impl BusLog {
                 full,
                 peak_event_queue,
             } => {
-                out.push(TAG_FINISH);
-                put_varint(out, dtick);
+                put_head(out, TAG_FINISH, dtick);
                 put_varint(out, u64::from(busy));
                 put_varint(out, batch_queue);
                 put_varint(out, downlink_queue);
@@ -451,13 +536,11 @@ impl BusLog {
                 put_varint(out, peak_event_queue);
             }
             Payload::Heartbeat { node } => {
-                out.push(TAG_HEARTBEAT);
-                put_varint(out, dtick);
+                put_head(out, TAG_HEARTBEAT, dtick);
                 put_varint(out, u64::from(node));
             }
             Payload::Health { event, node, value } => {
-                out.push(TAG_HEALTH);
-                put_varint(out, dtick);
+                put_head(out, TAG_HEALTH, dtick);
                 out.push(event.wire_tag());
                 put_varint(out, u64::from(node));
                 put_varint(out, value);
@@ -503,20 +586,14 @@ impl BusLog {
     /// Returns a [`SudcError`] naming the byte offset and field of the
     /// first malformed record.
     pub fn try_from_bytes(bytes: &[u8]) -> Result<Self, SudcError> {
-        let mut log = Self {
-            bytes: bytes.to_vec(),
-            records: 0,
-            last_tick: 0,
-        };
         let mut records = 0u64;
-        let mut last = 0u64;
-        Self::visit_bytes(bytes, |s| {
-            records += 1;
-            last = s.tick;
-        })?;
-        log.records = records;
-        log.last_tick = last;
-        Ok(log)
+        let (last_tick, settled) = Self::visit_bytes(bytes, |_| records += 1)?;
+        Ok(Self {
+            bytes: bytes.to_vec(),
+            records,
+            last_tick,
+            settled,
+        })
     }
 
     /// Decodes every sample in order, invoking `f` on each. `f` is
@@ -532,12 +609,15 @@ impl BusLog {
         Ok(self.records)
     }
 
+    /// Decodes `bytes`, invoking `f` on each sample, and returns the last
+    /// record's tick and `Settle` state: what the encoder continues from.
     #[inline]
-    fn visit_bytes(bytes: &[u8], mut f: impl FnMut(&Sample)) -> Result<(), SudcError> {
+    fn visit_bytes(bytes: &[u8], mut f: impl FnMut(&Sample)) -> Result<(Tick, Settled), SudcError> {
         let mut c = Cursor {
             bytes,
             pos: 0,
             fault: None,
+            settled: Settled::default(),
         };
         let mut tick: Tick = 0;
         while c.pos < c.bytes.len() {
@@ -547,7 +627,7 @@ impl BusLog {
             };
             tick = next;
         }
-        Ok(())
+        Ok((tick, c.settled))
     }
 }
 
@@ -574,7 +654,7 @@ mod tests {
 
     #[test]
     fn every_payload_roundtrips() {
-        roundtrip(&[
+        let listed = [
             Sample {
                 tick: 0,
                 payload: Payload::Settle {
@@ -683,6 +763,101 @@ mod tests {
                     peak_event_queue: 12,
                 },
             },
+        ];
+        roundtrip(&listed);
+
+        // Each payload twice at one tick and once at a later one: the
+        // first record of each pair carries a `dtick`, the second sets
+        // the head's same-tick bit instead.
+        let mut samples = Vec::new();
+        for (i, s) in listed.iter().enumerate() {
+            let tick = 10 * i as Tick + 2;
+            samples.extend([tick, tick, tick + 1].map(|tick| Sample {
+                tick,
+                payload: s.payload,
+            }));
+        }
+        let mut log = BusLog::new();
+        let mut prev = 0;
+        for s in &samples {
+            let head = log.byte_len();
+            log.push(s);
+            assert_eq!(
+                log.as_bytes()[head] & SAME_TICK != 0,
+                s.tick == prev,
+                "{s:?}"
+            );
+            prev = s.tick;
+        }
+        roundtrip(&samples);
+    }
+
+    #[test]
+    fn settles_are_deltas_of_the_previous_settle() {
+        let settle = |events, busy, batch_queue, downlink_queue, full| Sample {
+            tick: 4,
+            payload: Payload::Settle {
+                events,
+                busy,
+                batch_queue,
+                downlink_queue,
+                full,
+            },
+        };
+        let samples = [
+            // The first is encoded against the all-zero state: only the
+            // changed batch queue follows `events`.
+            settle(3, 0, 200, 0, true),
+            // No field changed: the mask carries `full` alone.
+            settle(0, 0, 200, 0, true),
+            settle(1, 2, 200, 7, false),
+        ];
+        let mut log = BusLog::new();
+        log.push(&samples[0]);
+        assert_eq!(
+            log.as_bytes(),
+            [
+                TAG_SETTLE,
+                4,
+                SETTLE_BATCH_QUEUE | SETTLE_FULL,
+                3,
+                0xC8,
+                0x01
+            ]
+        );
+        log.push(&samples[1]);
+        assert_eq!(
+            &log.as_bytes()[6..],
+            [TAG_SETTLE | SAME_TICK, SETTLE_FULL, 0]
+        );
+        log.push(&samples[2]);
+        assert_eq!(
+            &log.as_bytes()[9..],
+            [
+                TAG_SETTLE | SAME_TICK,
+                SETTLE_BUSY | SETTLE_DOWNLINK_QUEUE,
+                1,
+                2,
+                7
+            ]
+        );
+        roundtrip(&samples);
+        // A zero-change first `Settle` carries the zero state.
+        roundtrip(&[settle(0, 0, 0, 0, false)]);
+        // Other records between two `Settle`s leave the delta base alone.
+        roundtrip(&[
+            settle(1, 1, 1, 1, true),
+            Sample {
+                tick: 4,
+                payload: Payload::Finish {
+                    busy: 9,
+                    batch_queue: 9,
+                    downlink_queue: 9,
+                    full: false,
+                    peak_event_queue: 9,
+                },
+            },
+            settle(1, 1, 2, 1, true),
         ]);
     }
 
@@ -726,10 +901,10 @@ mod tests {
             assert!(v.path.contains("sat"), "path={}", v.path);
             assert!(v.value.contains(&value.to_string()), "value={}", v.value);
 
-            // TAG_SETTLE: tag, dtick=0, events=1, busy=value, …
-            let mut settle = vec![TAG_SETTLE, 0, 1];
+            // TAG_SETTLE: tag, dtick=0, mask=busy changed, events=1,
+            // busy=value.
+            let mut settle = vec![TAG_SETTLE, 0, SETTLE_BUSY, 1];
             put_varint(&mut settle, value);
-            settle.extend_from_slice(&[0, 0, 1]);
             let err = BusLog::try_from_bytes(&settle).unwrap_err();
             assert!(err.violations()[0].path.contains("busy"));
 
@@ -777,7 +952,7 @@ mod tests {
         let mut eleven_bytes = vec![TAG_PROCESSED, 0];
         eleven_bytes.extend_from_slice(&[0x80; 9]);
         eleven_bytes.extend_from_slice(&[0x81, 0x00]);
-        let cases: [(&[u8], &str); 18] = [
+        let cases: [(&[u8], &str); 23] = [
             (
                 &[TAG_CAPTURE],
                 "`dtick (byte offset 1)` = end of log (allowed: at least one more byte)",
@@ -791,7 +966,7 @@ mod tests {
                 "`age (byte offset 2)` = end of log (allowed: at least one more byte)",
             ),
             (
-                &[TAG_SETTLE, 0, 0x81],
+                &[TAG_SETTLE | SAME_TICK, 0, 0x81],
                 "`events (byte offset 3)` = end of log (allowed: at least one more byte)",
             ),
             (
@@ -815,8 +990,28 @@ mod tests {
                 "`health event (byte offset 2)` = end of log (allowed: at least one more byte)",
             ),
             (
+                &[TAG_CAPTURE | SAME_TICK],
+                "`sat (byte offset 1)` = end of log (allowed: at least one more byte)",
+            ),
+            (
+                &[TAG_SETTLE | SAME_TICK, SETTLE_DOWNLINK_QUEUE, 0],
+                "`downlink_queue (byte offset 3)` = end of log (allowed: at least one more byte)",
+            ),
+            (
                 &[0xEE],
                 "`tag (byte offset 1)` = 238 (allowed: a known record tag (1..=11))",
+            ),
+            (
+                &[SAME_TICK],
+                "`tag (byte offset 1)` = 128 (allowed: a known record tag (1..=11))",
+            ),
+            (
+                &[TAG_SETTLE | SAME_TICK, 0x10, 0],
+                "`settle mask (byte offset 2)` = 16 (allowed: a Settle mask with no bit above 0x08)",
+            ),
+            (
+                &[TAG_HEARTBEAT, 1, 0, TAG_SETTLE, 0, 0x80, 0],
+                "`settle mask (byte offset 6)` = 128 (allowed: a Settle mask with no bit above 0x08)",
             ),
             (
                 &[TAG_HEARTBEAT, 0, 1, 0],

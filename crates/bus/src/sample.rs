@@ -156,7 +156,9 @@ pub enum Payload {
         /// entering the tick.
         full: bool,
     },
-    /// A bounded queue changed length (post-admission depth).
+    /// A bounded queue reached a new peak length (post-admission depth):
+    /// the kernel publishes one only when the queue outgrows every depth
+    /// it published before.
     QueueDepth {
         /// `false` = batch queue, `true` = downlink queue.
         downlink: bool,

@@ -309,6 +309,10 @@ impl SimConfig {
             self.frame_interval_ticks,
             "a positive, finite frame interval when satellites image",
         );
+        // The imaging phase and the contact schedule are ticks modulo
+        // these periods, and a zero contact gap would reschedule its
+        // window start at the same tick forever.
+        d.positive_count("imaging_period_ticks", self.imaging_period_ticks);
         d.unit_interval("imaging_duty", self.imaging_duty);
         d.unit_interval("phase_spread", self.phase_spread);
         d.ensure(
@@ -340,6 +344,7 @@ impl SimConfig {
         );
         d.positive("weibull_shape", self.weibull_shape);
         d.unit_interval("dormant_aging", self.dormant_aging);
+        d.positive_count("contact_gap_ticks", self.contact_gap_ticks);
         d.ensure(
             self.contact_window_ticks <= self.contact_gap_ticks,
             "contact_window_ticks",
@@ -447,6 +452,32 @@ mod tests {
         cfg.contact_window_ticks = cfg.contact_gap_ticks + 1;
         let err = cfg.try_validate().unwrap_err();
         assert!(err.to_string().contains("contact window"), "{err}");
+    }
+
+    #[test]
+    fn zero_periods_are_rejected_before_the_run() {
+        // A zero imaging period divided the phase arithmetic by zero, and
+        // a zero contact gap rescheduled its window start forever; both
+        // must fail validation, so `try_run` returns the error untouched.
+        let base = SimConfig::reference_operations(Seconds::new(60.0));
+        let zero_period = SimConfig {
+            imaging_period_ticks: 0,
+            ..base
+        };
+        let zero_gap = SimConfig {
+            contact_gap_ticks: 0,
+            contact_window_ticks: 0,
+            ..base
+        };
+        for (cfg, path) in [
+            (zero_period, "imaging_period_ticks"),
+            (zero_gap, "contact_gap_ticks"),
+        ] {
+            let err = cfg.try_validate().unwrap_err();
+            assert_eq!(err.violations().len(), 1, "{err}");
+            assert_eq!(err.violations()[0].path, path, "{err}");
+            assert_eq!(crate::try_run(&cfg, 1, ()).err(), Some(err));
+        }
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //! the previous `Settle`, and the events handled since then; the
 //! integrals add `dt × state` in integers, so the long intervals sum to
 //! exactly what per-tick ones would, with fewer records to fold, record
-//! and replay.
+//! and replay. The trace reads a queue's `QueueDepth` samples only for
+//! its peak, so the kernel publishes one only when the queue outgrows
+//! the peak the run's own trace holds, and keeps no copy of that peak.
 //!
 //! A capture's successor comes `duration_ticks(next_exp() * mean)` ticks
 //! later, and `next_exp`'s `ln` used to be the largest cost of a capture.
@@ -853,13 +855,16 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
                 }
             }
         }
-        self.publish(
-            self.now,
-            Payload::QueueDepth {
-                downlink: false,
-                len: self.batch_queue.len() as u64,
-            },
-        );
+        let len = self.batch_queue.len();
+        if len > self.plane.0.max_batch_queue() {
+            self.publish(
+                self.now,
+                Payload::QueueDepth {
+                    downlink: false,
+                    len: len as u64,
+                },
+            );
+        }
         self.schedule(self.cfg.batch_timeout_ticks, Event::BatchTimeout);
     }
 
@@ -1063,13 +1068,16 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             self.downlink_queue.push_back(capture);
         }
         self.shed_downlink_overflow();
-        self.publish(
-            self.now,
-            Payload::QueueDepth {
-                downlink: true,
-                len: self.downlink_queue.len() as u64,
-            },
-        );
+        let len = self.downlink_queue.len();
+        if len > self.plane.0.max_downlink_backlog() {
+            self.publish(
+                self.now,
+                Payload::QueueDepth {
+                    downlink: true,
+                    len: len as u64,
+                },
+            );
+        }
         self.try_downlink();
         self.try_dispatch();
     }

@@ -203,7 +203,9 @@ fn decode(log: &BusLog) -> Vec<Sample> {
 /// carry samples the trace does not count one for one, so those two
 /// topics are bounded from below. A `Settle` is published only after a
 /// tick that changed the settled state, so no two in a row carry the
-/// same state, and their event counts add up to the run's.
+/// same state, and their event counts add up to the run's. A
+/// `QueueDepth` is published only at a new peak of its queue, so each
+/// queue's lengths strictly increase and end at the trace's maximum.
 fn check_topic_ledger(cfg: &SimConfig, seed: u64) -> RunTrace {
     let (t, (log, stats)) = try_run(cfg, seed, (BusLog::new(), BusStats::default()))
         .expect("the composed config is valid");
@@ -224,7 +226,31 @@ fn check_topic_ledger(cfg: &SimConfig, seed: u64) -> RunTrace {
         "seed {seed}"
     );
     assert_eq!(log.records(), stats.total(), "seed {seed}");
-    let settles: Vec<(State, u64)> = decode(&log)
+    let samples = decode(&log);
+    for (downlink, max) in [
+        (false, t.max_batch_queue()),
+        (true, t.max_downlink_backlog()),
+    ] {
+        let lens: Vec<u64> = samples
+            .iter()
+            .filter_map(|s| match s.payload {
+                Payload::QueueDepth { downlink: d, len } if d == downlink => Some(len),
+                _ => None,
+            })
+            .collect();
+        if let Some(w) = lens.windows(2).find(|w| w[0] >= w[1]) {
+            panic!(
+                "seed {seed}: downlink={downlink} QueueDepth {} then {}",
+                w[0], w[1]
+            );
+        }
+        assert_eq!(
+            lens.last().copied(),
+            (max > 0).then_some(max as u64),
+            "seed {seed}: downlink={downlink}"
+        );
+    }
+    let settles: Vec<(State, u64)> = samples
         .iter()
         .filter(|s| matches!(s.payload, Payload::Settle { .. }))
         .filter_map(|s| closes(s.payload))
