@@ -350,11 +350,12 @@ impl Campaign {
     /// campaign: the 64-satellite reference scenario with `spares` cold
     /// spares, on a 0.1 s tick, run for `duration`. Not yet validated —
     /// the replication grid validates every cell before running any.
-    pub(crate) fn reference_cell(
-        &self,
-        spares: u32,
-        duration: Seconds,
-    ) -> Result<SimConfig, SudcError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a structured error if the reference scenario cannot be
+    /// lowered onto the tick clock.
+    pub fn reference_cell(&self, spares: u32, duration: Seconds) -> Result<SimConfig, SudcError> {
         let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
             .with_cold_spares(spares, DORMANT_AGING);
         Ok(self.apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?))

@@ -20,7 +20,9 @@
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_health::HealthConfig;
 use sudc_par::json::{Json, ToJson};
-use sudc_sim::{try_replicate_grid, RunTrace, SampledLatency, STANDARD_FRESHNESS_DEADLINE_S};
+use sudc_sim::{
+    try_replicate_grid, Outcome, RunTrace, SampledLatency, STANDARD_FRESHNESS_DEADLINE_S,
+};
 use sudc_units::Seconds;
 
 use crate::campaign::Campaign;
@@ -157,7 +159,7 @@ impl HealthReport {
                     traces,
                 )
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         Ok(Self {
             duration_s: duration.value(),
@@ -217,24 +219,28 @@ impl ToJson for HealthReport {
     }
 }
 
-/// Aggregates one arm's replications.
+/// Aggregates one arm's replications: the shared fields from one
+/// [`Outcome`], plus the detector counters summed over replications.
+///
+/// # Errors
+///
+/// Returns a structured error if `traces` is empty.
 pub(crate) fn aggregate(
     campaign: &'static str,
     closed_loop: bool,
     traces: &[RunTrace],
-) -> HealthCell {
-    let n = traces.len() as f64;
-    let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
+) -> Result<HealthCell, SudcError> {
+    let outcome = Outcome::try_from_traces(traces)?;
     let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
     let detection = SampledLatency::over(traces, RunTrace::detection_latency);
     let suspects = total(&|t| t.suspects);
     let false_suspects = total(&|t| t.false_suspects);
-    HealthCell {
+    Ok(HealthCell {
         campaign,
         closed_loop,
-        availability: mean(&RunTrace::availability),
-        slo_attainment: mean(&|t| t.delivery_within(Seconds::new(STANDARD_FRESHNESS_DEADLINE_S))),
-        delivered_fraction: mean(&RunTrace::delivered_fraction),
+        availability: outcome.availability,
+        slo_attainment: outcome.slo_attainment,
+        delivered_fraction: outcome.delivered_fraction,
         heartbeats: total(&|t| t.heartbeats),
         suspects,
         false_suspects,
@@ -248,7 +254,7 @@ pub(crate) fn aggregate(
         readmissions: total(&|t| t.readmissions),
         detection_latency_mean_s: detection.mean,
         detection_latency_p99_s: detection.p99,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -26,6 +26,11 @@
 //!   at equal spares, pricing what detection latency costs and what
 //!   closing the recovery loop buys back.
 //!
+//! Both reports fill their availability, delivery, SLO-attainment and
+//! TCO-per-insight fields from one `sudc_sim::Outcome` per cell, the one
+//! place the cross-replication rules live; each cell adds only its own
+//! counters, summed over replications.
+//!
 //! # Examples
 //!
 //! ```
@@ -85,7 +90,8 @@ mod tests {
             &try_replicate(&cell_cfg, reps, seed).unwrap(),
             tco_usd + per_spare_usd * f64::from(spares),
             lifetime_hours,
-        );
+        )
+        .unwrap();
         assert_eq!(chaos.cell(campaign.name, spares), Some(&expected));
 
         let contract = HealthConfig::standard();
@@ -100,7 +106,8 @@ mod tests {
             campaign.name,
             true,
             &try_replicate(&arm_cfg, reps, seed).unwrap(),
-        );
+        )
+        .unwrap();
         assert_eq!(report.cell(campaign.name, true), Some(&expected));
     }
 }

@@ -15,7 +15,7 @@ use sudc_core::tco::TcoLine;
 use sudc_core::Scenario;
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
-use sudc_sim::{try_replicate_grid, RunTrace, SampledLatency};
+use sudc_sim::{try_replicate_grid, Outcome, RunTrace};
 use sudc_sscm::subsystems::Subsystem;
 use sudc_units::Seconds;
 
@@ -160,7 +160,7 @@ impl ChaosSummary {
                     lifetime_hours,
                 )
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         Ok(Self {
             duration_s: duration.value(),
@@ -245,28 +245,30 @@ pub(crate) fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
     Ok((per_node, tco.total().value(), lifetime_hours))
 }
 
-/// Aggregates one cell's replications.
+/// Aggregates one cell's replications: the shared fields from one
+/// [`Outcome`], plus the fault counters summed over replications.
+///
+/// # Errors
+///
+/// Returns a structured error if `traces` is empty.
 pub(crate) fn aggregate(
     campaign: &'static str,
     spares: u32,
     traces: &[RunTrace],
     adjusted_tco_usd: f64,
     lifetime_hours: f64,
-) -> ChaosCell {
-    let n = traces.len() as f64;
-    let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
+) -> Result<ChaosCell, SudcError> {
+    let outcome = Outcome::try_from_traces(traces)?;
     let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
-    let delivered_per_hour = mean(&RunTrace::delivered_per_hour);
-    let lifetime_insights = delivered_per_hour * lifetime_hours;
-    ChaosCell {
+    Ok(ChaosCell {
         campaign,
         spares,
-        delivered_fraction: mean(&RunTrace::delivered_fraction),
-        availability: mean(&RunTrace::availability),
-        end_full_fraction: mean(&|t| f64::from(u8::from(t.ends_at_full_capability()))),
-        delivery_p99_s: SampledLatency::over(traces, RunTrace::delivery_latency).p99,
-        mean_downlink_backlog: mean(&RunTrace::mean_downlink_backlog),
-        delivered_per_hour,
+        delivered_fraction: outcome.delivered_fraction,
+        availability: outcome.availability,
+        end_full_fraction: outcome.end_full_fraction,
+        delivery_p99_s: outcome.delivery.p99,
+        mean_downlink_backlog: outcome.mean_downlink_backlog,
+        delivered_per_hour: outcome.delivered_per_hour,
         corrupted: total(&|t| t.corrupted),
         retries: total(&|t| t.retries),
         retry_exhausted: total(&|t| t.retry_exhausted),
@@ -274,12 +276,8 @@ pub(crate) fn aggregate(
         storm_node_kills: total(&|t| t.storm_node_kills),
         isl_flaps: total(&|t| t.isl_flaps),
         blackout_windows: total(&|t| t.blackout_windows),
-        tco_per_insight_usd: if lifetime_insights > 0.0 {
-            adjusted_tco_usd / lifetime_insights
-        } else {
-            f64::INFINITY
-        },
-    }
+        tco_per_insight_usd: outcome.tco_per_insight(adjusted_tco_usd, lifetime_hours),
+    })
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! - [`networks`] — layer-shape descriptions of the CNNs behind those
 //!   applications (Fig. 13), consumed by `sudc-accel`;
 //! - [`gpu`] — a batch-size-aware GPU energy model reproducing the paper's
-//!   batch-processing methodology;
-//! - [`scheduler`] — a discrete-event simulation of the Fig. 14 batch
-//!   pipeline (latency / energy / utilization trade);
+//!   batch-processing methodology, with the closed-form batch-accumulation
+//!   wait behind the Fig. 14 latency / energy trade (the pipeline itself
+//!   runs in `sudc-sim`'s kernel);
 //! - [`precision`] — FP32/TF32/FP16/INT8 energy-vs-accuracy trade.
 
 #![forbid(unsafe_code)]
@@ -22,7 +22,6 @@ pub mod gpu;
 pub mod hardware;
 pub mod networks;
 pub mod precision;
-pub mod scheduler;
 pub mod workloads;
 
 pub use hardware::HardwareSpec;

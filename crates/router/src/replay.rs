@@ -14,7 +14,7 @@ use sudc_bus::BusLog;
 use sudc_chaos::Campaign;
 use sudc_errors::SudcError;
 use sudc_par::json::Json;
-use sudc_sim::{try_replicate, RunTrace, SampledLatency, SimConfig, STANDARD_FRESHNESS_DEADLINE_S};
+use sudc_sim::{try_replicate, Outcome, RunTrace, SimConfig, STANDARD_FRESHNESS_DEADLINE_S};
 use sudc_units::Seconds;
 
 use crate::engine::RoutingOutcome;
@@ -152,10 +152,11 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Aggregates measured traces into the audit record — the single
-    /// summarization path shared by the live ([`RoutedLoad::try_replay`])
-    /// and from-log ([`RoutedLoad::try_replay_from_log`]) routes, which
-    /// is what makes the two audits byte-comparable.
+    /// Aggregates measured traces into the audit record through one
+    /// [`Outcome`] — the single summarization path shared by the live
+    /// ([`RoutedLoad::try_replay`]) and from-log
+    /// ([`RoutedLoad::try_replay_from_log`]) routes, which is what makes
+    /// the two audits byte-comparable.
     ///
     /// # Errors
     ///
@@ -166,29 +167,16 @@ impl ReplayReport {
         sudc_share: f64,
         traces: Vec<RunTrace>,
     ) -> Result<Self, SudcError> {
-        let reps = u32::try_from(traces.len())
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| {
-                SudcError::single(
-                    "ReplayReport::try_from_traces",
-                    "traces.len()",
-                    traces.len(),
-                    "between 1 and u32::MAX traces",
-                )
-            })?;
-        let n = traces.len() as f64;
-        let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
-        let slo_deadline = Seconds::new(STANDARD_FRESHNESS_DEADLINE_S);
+        let outcome = Outcome::try_from_traces(&traces)?;
         Ok(Self {
             campaign,
             sudc_share,
-            reps,
+            reps: outcome.reps,
             slo_deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
-            slo_attainment: mean(&|t| t.delivery_within(slo_deadline)),
-            mean_availability: mean(&RunTrace::availability),
-            delivered_fraction: mean(&RunTrace::delivered_fraction),
-            mean_delivery_p99_s: SampledLatency::over(&traces, RunTrace::delivery_latency).p99,
+            slo_attainment: outcome.slo_attainment,
+            mean_availability: outcome.availability,
+            delivered_fraction: outcome.delivered_fraction,
+            mean_delivery_p99_s: outcome.delivery.p99,
         })
     }
 

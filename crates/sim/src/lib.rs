@@ -28,8 +28,13 @@
 //! - [`replicate`] — [`replicate::try_replicate_grid`]: the one
 //!   common-random-numbers replication grid every seeded study runs
 //!   through (replication `r` draws one seed in every cell, one flat
-//!   `sudc-par` batch, bit-identical at any thread count), and
-//!   [`replicate::SimSummary`], its cross-replication aggregate.
+//!   `sudc-par` batch, bit-identical at any thread count);
+//!   [`replicate::Outcome`], the one place the cross-replication rules
+//!   live (means in replication order, the delivery-p99 convention, SLO
+//!   attainment over delivered insights — 1 when nothing is delivered —
+//!   and TCO per insight), which every trace-set report fills its shared
+//!   fields from; and [`replicate::SimSummary`], the sim study's
+//!   aggregate.
 //!
 //! # Examples
 //!
@@ -65,5 +70,7 @@ pub use fault::{
 pub use kernel::{run, run_recorded, try_run};
 pub use metrics::{try_percentile, LatencyHist, LatencySummary, RunTrace};
 pub use plane::replay;
-pub use replicate::{try_replicate, try_replicate_grid, SampledLatency, SimSummary, DEFAULT_SEED};
+pub use replicate::{
+    try_replicate, try_replicate_grid, Outcome, SampledLatency, SimSummary, DEFAULT_SEED,
+};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};

@@ -15,14 +15,25 @@
 //! Every seeded study is a grid: [`try_replicate`] is one cell, and the
 //! chaos and health reports one cell per campaign × spare count or
 //! controller arm.
-//! [`SampledLatency`] is the one latency-mean convention their summaries
-//! share.
+//!
+//! [`Outcome`] is the one place the cross-replication rules live: every
+//! trace-set report (this module's [`SimSummary`], the chaos and health
+//! cells, the router's replay audit) fills its shared fields from one
+//! `Outcome`. A mean is summed in replication order, then divided by the
+//! replication count; a latency p99 is a [`SampledLatency`] mean; SLO
+//! attainment is the fraction of *delivered* insights inside
+//! [`STANDARD_FRESHNESS_DEADLINE_S`] (1 when nothing was delivered); and
+//! TCO per insight is [`Outcome::tco_per_insight`]. The `stackbench`
+//! harness prices TCO per insight in its own code, which must keep
+//! matching that rule.
 
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
 use sudc_par::rng::Rng64;
+use sudc_units::Seconds;
 
 use crate::config::SimConfig;
+use crate::fault::STANDARD_FRESHNESS_DEADLINE_S;
 use crate::kernel;
 use crate::metrics::{LatencySummary, RunTrace};
 
@@ -135,6 +146,84 @@ impl SampledLatency {
     }
 }
 
+/// Mean of `f` over `traces`: summed in replication order, then divided
+/// by the replication count.
+fn mean(traces: &[RunTrace], f: impl Fn(&RunTrace) -> f64) -> f64 {
+    traces.iter().map(f).sum::<f64>() / traces.len() as f64
+}
+
+/// What a set of replications delivered: the cross-replication quantities
+/// two or more reports read, each computed once (see the module docs for
+/// the rules).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Outcome {
+    /// Replications aggregated.
+    pub reps: u32,
+    /// Mean fraction of the run at full capability.
+    pub availability: f64,
+    /// Fraction of replications that *ended* at full capability.
+    pub end_full_fraction: f64,
+    /// Mean fraction of arrived work delivered to the ground.
+    pub delivered_fraction: f64,
+    /// Mean delivered insights per simulated hour.
+    pub delivered_per_hour: f64,
+    /// Mean time-average insights awaiting downlink.
+    pub mean_downlink_backlog: f64,
+    /// Mean fraction of delivered insights inside the
+    /// [`STANDARD_FRESHNESS_DEADLINE_S`] freshness SLO (a replication that
+    /// delivered nothing counts 1).
+    pub slo_attainment: f64,
+    /// Capture → ground-delivery latency over the replications that
+    /// delivered anything.
+    pub delivery: SampledLatency,
+}
+
+impl Outcome {
+    /// Aggregates replication traces, in replication order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a structured error if `traces` is empty or longer than
+    /// `u32::MAX`.
+    pub fn try_from_traces(traces: &[RunTrace]) -> Result<Self, SudcError> {
+        let reps = u32::try_from(traces.len())
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| {
+                SudcError::single(
+                    "trace-set outcome",
+                    "traces.len()",
+                    traces.len(),
+                    "between 1 and u32::MAX replications (cannot summarize zero replications)",
+                )
+            })?;
+        let deadline = Seconds::new(STANDARD_FRESHNESS_DEADLINE_S);
+        Ok(Self {
+            reps,
+            availability: mean(traces, RunTrace::availability),
+            end_full_fraction: mean(traces, |t| f64::from(u8::from(t.ends_at_full_capability()))),
+            delivered_fraction: mean(traces, RunTrace::delivered_fraction),
+            delivered_per_hour: mean(traces, RunTrace::delivered_per_hour),
+            mean_downlink_backlog: mean(traces, RunTrace::mean_downlink_backlog),
+            slo_attainment: mean(traces, |t| t.delivery_within(deadline)),
+            delivery: SampledLatency::over(traces, RunTrace::delivery_latency),
+        })
+    }
+
+    /// Mission TCO per delivered insight, USD: `tco_usd` over the delivery
+    /// rate extrapolated across `lifetime_hours`. Infinite when nothing is
+    /// delivered — the cost of a dead pipeline is unbounded.
+    #[must_use]
+    pub fn tco_per_insight(&self, tco_usd: f64, lifetime_hours: f64) -> f64 {
+        let lifetime_insights = self.delivered_per_hour * lifetime_hours;
+        if lifetime_insights > 0.0 {
+            tco_usd / lifetime_insights
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
 /// Cross-replication aggregate of a simulation study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
@@ -170,7 +259,8 @@ pub struct SimSummary {
 }
 
 impl SimSummary {
-    /// Aggregates replication traces.
+    /// Aggregates replication traces: the shared fields from one
+    /// [`Outcome`], plus the sim-only means.
     ///
     /// The p99 aggregates are [`SampledLatency`] means: they average only
     /// over replications whose latency population is non-empty, and the
@@ -181,30 +271,20 @@ impl SimSummary {
     ///
     /// Returns a structured error if `traces` is empty.
     pub fn try_from_traces(traces: Vec<RunTrace>) -> Result<Self, SudcError> {
-        if traces.is_empty() {
-            return Err(SudcError::single(
-                "SimSummary",
-                "traces.len()",
-                0,
-                "at least one replication (cannot summarize zero replications)",
-            ));
-        }
-        let n = traces.len() as f64;
-        let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
+        let outcome = Outcome::try_from_traces(&traces)?;
         let processing = SampledLatency::over(&traces, RunTrace::processing_latency);
-        let delivery = SampledLatency::over(&traces, RunTrace::delivery_latency);
         Ok(Self {
-            reps: traces.len() as u32,
+            reps: outcome.reps,
             mean_processing_p99: processing.p99,
             processing_p99_reps: processing.reps,
-            mean_delivery_p99: delivery.p99,
-            delivery_p99_reps: delivery.reps,
-            mean_batch_queue: mean(&RunTrace::mean_batch_queue),
-            mean_downlink_backlog: mean(&RunTrace::mean_downlink_backlog),
-            mean_utilization: mean(&RunTrace::compute_utilization),
-            mean_availability: mean(&RunTrace::availability),
-            end_full_fraction: mean(&|t| f64::from(u8::from(t.ends_at_full_capability()))),
-            mean_delivered_per_hour: mean(&RunTrace::delivered_per_hour),
+            mean_delivery_p99: outcome.delivery.p99,
+            delivery_p99_reps: outcome.delivery.reps,
+            mean_batch_queue: mean(&traces, RunTrace::mean_batch_queue),
+            mean_downlink_backlog: outcome.mean_downlink_backlog,
+            mean_utilization: mean(&traces, RunTrace::compute_utilization),
+            mean_availability: outcome.availability,
+            end_full_fraction: outcome.end_full_fraction,
+            mean_delivered_per_hour: outcome.delivered_per_hour,
             traces,
         })
     }
@@ -293,6 +373,20 @@ mod tests {
         let summary = SimSummary::try_from_traces(traces).unwrap();
         assert!((summary.mean_utilization - expected).abs() < 1e-12);
         assert_eq!(summary.reps, 3);
+    }
+
+    #[test]
+    fn tco_per_insight_prices_the_lifetime_delivery_and_a_dead_pipeline_infinitely() {
+        let cfg = SimConfig::reference_operations(Seconds::new(900.0));
+        let outcome = Outcome::try_from_traces(&try_replicate(&cfg, 2, 42).unwrap()).unwrap();
+        assert!(outcome.delivered_per_hour > 0.0);
+        let per_insight = outcome.tco_per_insight(1e6, 1e4);
+        assert_eq!(per_insight, 1e6 / (outcome.delivered_per_hour * 1e4));
+        let dead = Outcome {
+            delivered_per_hour: 0.0,
+            ..outcome
+        };
+        assert_eq!(dead.tco_per_insight(1e6, 1e4), f64::INFINITY);
     }
 
     #[test]

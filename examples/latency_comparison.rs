@@ -1,16 +1,15 @@
 //! Latency motivation: compare bent-pipe downlink processing against
-//! in-space processing for every EO application, and simulate the batch
-//! pipeline's latency/energy trade.
+//! in-space processing for every EO application, and price the batch
+//! pipeline's latency/energy trade: the time to accumulate a batch
+//! against the energy per image it buys.
 //!
 //! ```text
 //! cargo run --example latency_comparison
 //! ```
 
 use space_udc::compute::gpu::GpuEnergyModel;
-use space_udc::compute::scheduler::{simulate, BatchPolicy};
 use space_udc::compute::workloads;
 use space_udc::core::analysis::latency;
-use space_udc::units::Seconds;
 
 fn main() {
     println!("== Bent-pipe vs in-space latency (3-station ground network) ==");
@@ -30,25 +29,24 @@ fn main() {
         );
     }
 
-    println!("\n== Batch pipeline simulation: Air Pollution at 6 images/min ==");
+    println!("\n== Batch size trade: Air Pollution at 6 images/min ==");
     let workload = workloads::by_name("Air Pollution").expect("known workload");
     let model = GpuEnergyModel::fit(&workload);
-    let horizon = Seconds::new(6.0 * 3600.0);
     let policies = [
-        ("streaming (batch 1)", BatchPolicy::streaming()),
+        ("streaming (batch 1)", 1),
         (
             "energy-minimizing batch",
-            BatchPolicy::energy_minimizing(&model, Seconds::new(1800.0)),
+            model.energy_minimizing_batch(0.05),
         ),
     ];
-    for (name, policy) in policies {
-        let stats = simulate(&workload, 6.0, horizon, policy);
+    for (name, batch) in policies {
+        let wait = GpuEnergyModel::batch_accumulation_time(batch, 6.0);
         println!(
-            "  {:24} mean latency {:6.1} min  energy/image {:6.2} J  utilization {:4.1}%",
+            "  {:24} batch {:4}  accumulation {:6.1} min  energy/image {:6.2} J",
             name,
-            stats.mean_latency.value() / 60.0,
-            stats.energy_per_image().value(),
-            100.0 * stats.utilization,
+            batch,
+            wait.value() / 60.0,
+            model.energy_per_image(batch).value(),
         );
     }
     println!("\nBatching trades minutes of latency for a large energy saving —");
