@@ -20,6 +20,7 @@ use crate::format::{percent, ratio, table};
 #[must_use]
 pub fn ext_latency() -> String {
     let rows: Vec<Vec<String>> = latency::latency_table(3)
+        .expect("the reference imager has a positive frame rate")
         .into_iter()
         .map(|cmp| {
             vec![

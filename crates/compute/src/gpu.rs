@@ -7,6 +7,7 @@
 //! standard analytic model: per-image energy falls with batch size as fixed
 //! launch/idle overheads amortize, approaching an asymptote.
 
+use sudc_errors::{Diagnostics, SudcError};
 use sudc_units::{Joules, Seconds};
 
 use crate::workloads::Workload;
@@ -40,12 +41,18 @@ impl GpuEnergyModel {
 
     /// Energy per image at the given batch size.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn energy_per_image(&self, batch: u32) -> Joules {
-        assert!(batch > 0, "batch size must be positive");
+    /// Returns a structured error naming `batch` if it is zero.
+    pub fn energy_per_image(&self, batch: u32) -> Result<Joules, SudcError> {
+        let mut d = Diagnostics::new("GpuEnergyModel::energy_per_image");
+        d.positive_count("batch", u64::from(batch));
+        d.finish()?;
+        Ok(self.energy_at(batch))
+    }
+
+    /// [`Self::energy_per_image`] for a batch known to be positive.
+    fn energy_at(&self, batch: u32) -> Joules {
         self.asymptotic_energy + self.batch_overhead / f64::from(batch)
     }
 
@@ -56,7 +63,7 @@ impl GpuEnergyModel {
     pub fn energy_minimizing_batch(&self, tolerance: f64) -> u32 {
         let mut batch = 1;
         let limit = self.asymptotic_energy * (1.0 + tolerance);
-        while self.energy_per_image(batch) > limit && batch < 1 << 16 {
+        while self.energy_at(batch) > limit && batch < 1 << 16 {
             batch *= 2;
         }
         batch
@@ -65,13 +72,19 @@ impl GpuEnergyModel {
     /// Time to accumulate `batch` images at `images_per_minute` (the
     /// batching latency the paper accepts: "it may take up to several
     /// minutes for an energy-minimizing batch size to be reached").
-    #[must_use]
-    pub fn batch_accumulation_time(batch: u32, images_per_minute: f64) -> Seconds {
-        assert!(
-            images_per_minute > 0.0,
-            "image rate must be positive, got {images_per_minute}"
-        );
-        Seconds::new(f64::from(batch) / images_per_minute * 60.0)
+    ///
+    /// # Errors
+    ///
+    /// Returns a structured error naming `images_per_minute` unless it is
+    /// positive and finite.
+    pub fn batch_accumulation_time(
+        batch: u32,
+        images_per_minute: f64,
+    ) -> Result<Seconds, SudcError> {
+        let mut d = Diagnostics::new("GpuEnergyModel::batch_accumulation_time");
+        d.positive("images_per_minute", images_per_minute);
+        d.finish()?;
+        Ok(Seconds::new(f64::from(batch) / images_per_minute * 60.0))
     }
 }
 
@@ -88,14 +101,14 @@ mod tests {
     #[test]
     fn energy_falls_with_batch_size() {
         let m = model();
-        assert!(m.energy_per_image(1) > m.energy_per_image(4));
-        assert!(m.energy_per_image(4) > m.energy_per_image(64));
+        assert!(m.energy_per_image(1).unwrap() > m.energy_per_image(4).unwrap());
+        assert!(m.energy_per_image(4).unwrap() > m.energy_per_image(64).unwrap());
     }
 
     #[test]
     fn energy_approaches_asymptote() {
         let m = model();
-        let e = m.energy_per_image(1 << 14);
+        let e = m.energy_per_image(1 << 14).unwrap();
         assert!((e / m.asymptotic_energy - 1.0) < 0.001);
     }
 
@@ -104,7 +117,7 @@ mod tests {
         let m = model();
         let b = m.energy_minimizing_batch(0.05);
         assert!(b >= 16, "needs a real batch, got {b}");
-        assert!(m.energy_per_image(b) <= m.asymptotic_energy * 1.05);
+        assert!(m.energy_per_image(b).unwrap() <= m.asymptotic_energy * 1.05);
     }
 
     #[test]
@@ -113,22 +126,26 @@ mod tests {
         // batch size to be reached" at ~6 images/min.
         let m = model();
         let b = m.energy_minimizing_batch(0.05);
-        let t = GpuEnergyModel::batch_accumulation_time(b, 6.0);
+        let t = GpuEnergyModel::batch_accumulation_time(b, 6.0).unwrap();
         assert!(t.value() > 60.0, "accumulation {t}");
         assert!(t.value() < 3600.0, "but under an hour: {t}");
     }
 
     #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_panics() {
-        let _ = model().energy_per_image(0);
+    fn degenerate_inputs_are_errors_naming_their_field() {
+        let err = model().energy_per_image(0).unwrap_err();
+        assert_eq!(err.violations()[0].path, "batch", "{err}");
+        for rate in [0.0, -6.0, f64::NAN] {
+            let err = GpuEnergyModel::batch_accumulation_time(16, rate).unwrap_err();
+            assert_eq!(err.violations()[0].path, "images_per_minute", "{err}");
+        }
     }
 
     proptest! {
         #[test]
         fn energy_monotone_nonincreasing_in_batch(b in 1u32..10_000) {
             let m = model();
-            prop_assert!(m.energy_per_image(b + 1) <= m.energy_per_image(b));
+            prop_assert!(m.energy_per_image(b + 1).unwrap() <= m.energy_per_image(b).unwrap());
         }
     }
 }

@@ -9,6 +9,7 @@
 use sudc_comms::compression::Compression;
 use sudc_compute::gpu::GpuEnergyModel;
 use sudc_compute::workloads::Workload;
+use sudc_errors::SudcError;
 use sudc_orbital::contact::GroundNetwork;
 use sudc_orbital::imaging::Imager;
 use sudc_orbital::CircularOrbit;
@@ -36,13 +37,17 @@ impl LatencyComparison {
 
 /// Compares bent-pipe and in-space latency for one workload on one EO
 /// satellite and ground network.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns a structured error if the imager's frame rate on `orbit` is
+/// not positive and finite.
 pub fn compare_latency(
     workload: &Workload,
     imager: Imager,
     orbit: CircularOrbit,
     network: &GroundNetwork,
-) -> LatencyComparison {
+) -> Result<LatencyComparison, SudcError> {
     // The bent pipe gets the same courtesies a real system has: the imager
     // duty-cycles (eclipse/ocean) and the downlink is CCSDS-compressed.
     let duty = sudc_constellation::eo::DEFAULT_IMAGING_DUTY_CYCLE;
@@ -56,20 +61,23 @@ pub fn compare_latency(
     let model = GpuEnergyModel::fit(workload);
     let batch = model.energy_minimizing_batch(0.05);
     let images_per_minute = imager.frames_per_minute(orbit);
-    let accumulation = GpuEnergyModel::batch_accumulation_time(batch, images_per_minute);
+    let accumulation = GpuEnergyModel::batch_accumulation_time(batch, images_per_minute)?;
     let in_space = accumulation + workload.inference_time;
 
-    LatencyComparison {
+    Ok(LatencyComparison {
         workload: workload.name,
         bent_pipe,
         in_space,
-    }
+    })
 }
 
 /// The full Table III suite compared on the reference orbit/imager against
 /// a ground network of `stations` stations.
-#[must_use]
-pub fn latency_table(stations: u32) -> Vec<LatencyComparison> {
+///
+/// # Errors
+///
+/// Returns the first workload's error from [`compare_latency`].
+pub fn latency_table(stations: u32) -> Result<Vec<LatencyComparison>, SudcError> {
     let network = GroundNetwork::commercial(stations);
     sudc_compute::workloads::suite()
         .iter()
@@ -90,7 +98,7 @@ mod tests {
 
     #[test]
     fn in_space_processing_is_minutes_not_hours() {
-        for cmp in latency_table(3) {
+        for cmp in latency_table(3).unwrap() {
             let minutes = cmp.in_space.value() / 60.0;
             assert!(
                 minutes > 0.3 && minutes < 60.0,
@@ -102,7 +110,7 @@ mod tests {
 
     #[test]
     fn bent_pipe_is_much_slower_when_it_works_at_all() {
-        for cmp in latency_table(3) {
+        for cmp in latency_table(3).unwrap() {
             match cmp.speedup() {
                 Some(s) => assert!(s > 3.0, "{}: speedup only {s}", cmp.workload),
                 None => {
@@ -114,8 +122,8 @@ mod tests {
 
     #[test]
     fn dense_ground_networks_narrow_the_gap_but_do_not_close_it() {
-        let sparse = latency_table(2);
-        let dense = latency_table(16);
+        let sparse = latency_table(2).unwrap();
+        let dense = latency_table(16).unwrap();
         for (s, d) in sparse.iter().zip(&dense) {
             if let (Some(sl), Some(dl)) = (s.bent_pipe, d.bent_pipe) {
                 assert!(dl < sl);

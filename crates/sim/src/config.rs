@@ -16,7 +16,7 @@ use sudc_errors::{Diagnostics, SudcError};
 use sudc_health::HealthConfig;
 use sudc_units::Seconds;
 
-use crate::event::Tick;
+use crate::event::{Tick, MAX_IMAGING_PERIOD_TICKS};
 use crate::fault::FaultConfig;
 
 /// Complete configuration of one simulation run.
@@ -313,6 +313,16 @@ impl SimConfig {
         // these periods, and a zero contact gap would reschedule its
         // window start at the same tick forever.
         d.positive_count("imaging_period_ticks", self.imaging_period_ticks);
+        if self.imaging_period_ticks > MAX_IMAGING_PERIOD_TICKS {
+            d.violation(
+                "imaging_period_ticks",
+                self.imaging_period_ticks,
+                format!(
+                    "at most 2^24 = {MAX_IMAGING_PERIOD_TICKS}: a pending capture carries its \
+                     imaging-window phase in 24 bits"
+                ),
+            );
+        }
         d.unit_interval("imaging_duty", self.imaging_duty);
         d.unit_interval("phase_spread", self.phase_spread);
         d.ensure(
@@ -355,6 +365,7 @@ impl SimConfig {
             ),
         );
         d.non_negative("downlink_transfer_ticks", self.downlink_transfer_ticks);
+        crate::kernel::validate_stream_layout(self, &mut d);
         if let Some(f) = &self.faults {
             f.validate_into(&mut d);
         }
@@ -452,6 +463,69 @@ mod tests {
         cfg.contact_window_ticks = cfg.contact_gap_ticks + 1;
         let err = cfg.try_validate().unwrap_err();
         assert!(err.to_string().contains("contact window"), "{err}");
+    }
+
+    #[test]
+    fn imaging_period_is_bounded_by_the_carried_phase_width() {
+        // Phases below the period ride in 24 bits of each pending capture.
+        let mut cfg = SimConfig::reference_operations(Seconds::new(600.0));
+        cfg.imaging_period_ticks = MAX_IMAGING_PERIOD_TICKS;
+        cfg.try_validate().unwrap();
+        let (trace, ()) = crate::try_run(&cfg, 1, ()).unwrap();
+        assert!(trace.captured > 0);
+
+        cfg.imaging_period_ticks = MAX_IMAGING_PERIOD_TICKS + 1;
+        let err = cfg.try_validate().unwrap_err();
+        assert_eq!(err.violations().len(), 1, "{err}");
+        assert_eq!(err.violations()[0].path, "imaging_period_ticks", "{err}");
+        assert!(err.to_string().contains("24 bits"), "{err}");
+        assert_eq!(crate::try_run(&cfg, 1, ()).err(), Some(err));
+    }
+
+    #[test]
+    fn from_dynamic_refuses_a_tick_that_overflows_the_phase_width() {
+        // A 0.1 ms tick puts a ~95-minute orbit at ~5.7e7 ticks.
+        let d = DynamicScenario::from_scenario(Scenario::Reference, 64).unwrap();
+        let err = SimConfig::try_from_dynamic(&d, 1e-4, Seconds::new(60.0)).unwrap_err();
+        assert!(
+            err.violations()
+                .iter()
+                .any(|v| v.path == "imaging_period_ticks"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("24 bits"), "{err}");
+    }
+
+    #[test]
+    fn entity_counts_are_bounded_by_their_random_stream_blocks() {
+        // The largest fleet the stream layout holds stays valid.
+        let fleet = SimConfig::try_scaled_fleet(1_000_000, Seconds::new(60.0)).unwrap();
+        fleet.try_validate().unwrap();
+        let mut nodes = fleet;
+        nodes.nodes = 999_999;
+        nodes.try_validate().unwrap();
+        let mut links = fleet;
+        links.faults = Some(FaultConfig {
+            isl: Some(crate::fault::IslFlaps {
+                links: 1_000_000,
+                mean_up_ticks: 1.0,
+                mean_down_ticks: 1.0,
+            }),
+            ..FaultConfig::default()
+        });
+        links.try_validate().unwrap();
+
+        // One more of any of them would draw another entity's stream.
+        let mut bad = fleet;
+        bad.satellites = 1_000_001;
+        bad.nodes = 1_000_000;
+        let mut bad_links = links.faults.unwrap();
+        bad_links.isl.as_mut().unwrap().links = 1_000_001;
+        bad.faults = Some(bad_links);
+        let err = bad.try_validate().unwrap_err();
+        let paths: Vec<_> = err.violations().iter().map(|v| v.path.as_str()).collect();
+        assert_eq!(paths, ["satellites", "nodes", "faults.isl.links"], "{err}");
+        assert!(err.to_string().contains("random stream"), "{err}");
     }
 
     #[test]

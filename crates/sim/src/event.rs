@@ -67,12 +67,21 @@ pub enum Event {
     /// touch its arrival stream, so the event carries that state: the
     /// handler draws from `rng` and hands the advanced generator (and
     /// phase) on to the capture it schedules next.
+    ///
+    /// The phase is split into `phase_lo` and `phase_hi` so that, with
+    /// `sat`, it fills the seven bytes after the enum tag that would
+    /// otherwise be padding, and the event stays 40 bytes. Build one
+    /// with [`Event::capture`] and read the phase back with
+    /// [`capture_phase`].
     Capture {
+        /// Low 16 bits of the satellite's imaging-window phase at this
+        /// event's tick, reduced mod the imaging period (below
+        /// [`MAX_IMAGING_PERIOD_TICKS`], so 24 bits hold it).
+        phase_lo: u16,
+        /// High 8 bits of that 24-bit phase.
+        phase_hi: u8,
         /// Index of the capturing satellite.
         sat: u32,
-        /// The satellite's imaging-window phase at this event's tick,
-        /// reduced mod the imaging period.
-        phase: Tick,
         /// The satellite's arrival stream, positioned at this capture's
         /// first draw.
         rng: Rng64,
@@ -127,6 +136,40 @@ pub enum Event {
     HealthScan,
 }
 
+// The ring stores bare events, so their size is the per-satellite cost
+// of a large fleet. rustc places `Capture`'s small fields in the padding
+// after the tag; field order is a layout choice, not a guarantee, so this
+// pins it.
+const _: () = assert!(std::mem::size_of::<Event>() == 40);
+
+/// The largest imaging period, in ticks, whose phases fit the 24 bits an
+/// [`Event::Capture`] carries; [`crate::SimConfig::try_validate`] refuses
+/// longer periods.
+pub const MAX_IMAGING_PERIOD_TICKS: Tick = 1 << 24;
+
+impl Event {
+    /// The capture of satellite `sat` at imaging-window `phase`, which
+    /// must be below [`MAX_IMAGING_PERIOD_TICKS`].
+    #[inline(always)]
+    #[must_use]
+    pub fn capture(sat: u32, phase: Tick, rng: Rng64) -> Self {
+        debug_assert!(phase < MAX_IMAGING_PERIOD_TICKS, "phase {phase}");
+        Event::Capture {
+            phase_lo: phase as u16,
+            phase_hi: (phase >> 16) as u8,
+            sat,
+            rng,
+        }
+    }
+}
+
+/// The phase an [`Event::Capture`]'s `phase_lo` and `phase_hi` carry.
+#[inline(always)]
+#[must_use]
+pub fn capture_phase(phase_lo: u16, phase_hi: u8) -> Tick {
+    Tick::from(phase_hi) << 16 | Tick::from(phase_lo)
+}
+
 /// Wrapper ordering events only by their `(tick, sequence)` key; the
 /// payload itself never influences ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +196,7 @@ const RING: usize = 4096;
 /// `u64` words in the occupancy bitmap.
 const RING_WORDS: usize = RING / 64;
 
-/// Entries per pooled slot chunk (768 B): a capture entry carries its
+/// Entries per pooled slot chunk (640 B): a capture entry carries its
 /// satellite's stream state, so entries are large, and most slots of a
 /// small fleet hold a single entry. Dense slots of a large fleet follow
 /// a chunk link every 16 entries, which costs far less than the cache
@@ -484,10 +527,30 @@ mod tests {
     /// A capture whose carried stream state and phase differ for every
     /// `sat`, so a mixed-up entry cannot compare equal.
     fn capture(sat: u32) -> Event {
-        Event::Capture {
+        Event::capture(
             sat,
-            phase: u64::from(sat) * 7 + 1,
-            rng: Rng64::stream(0x5eed, u64::from(sat)),
+            (u64::from(sat) * 7 + 1) % MAX_IMAGING_PERIOD_TICKS,
+            Rng64::stream(0x5eed, u64::from(sat)),
+        )
+    }
+
+    #[test]
+    fn capture_round_trips_every_carried_phase_bit() {
+        for phase in [0, 1, 1 << 16, MAX_IMAGING_PERIOD_TICKS - 1] {
+            for sat in [0, u32::MAX] {
+                let rng = Rng64::stream(7, u64::from(sat));
+                let Event::Capture {
+                    phase_lo,
+                    phase_hi,
+                    sat: got_sat,
+                    rng: got_rng,
+                } = Event::capture(sat, phase, rng)
+                else {
+                    panic!("Event::capture built another variant");
+                };
+                assert_eq!(capture_phase(phase_lo, phase_hi), phase);
+                assert_eq!((got_sat, got_rng), (sat, rng));
+            }
         }
     }
 

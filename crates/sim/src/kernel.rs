@@ -37,10 +37,11 @@
 //! event `pop_tick` has just copied out of its ring slot, in slot order,
 //! and writes them back with the push that schedules the next capture.
 //! Memory stays proportional to live work: a ring slot holds one tick, so
-//! its entries store the bare 48-byte event with no tick beside it, the
-//! slots share one chunk pool, and the ISL FIFO — which at saturation
-//! holds millions of images — stores runs of equal capture ticks instead
-//! of one entry per image.
+//! its entries store the bare 40-byte event with no tick beside it (the
+//! capture's phase, carried in 24 bits, and its satellite id sit in the
+//! padding after the enum tag), the slots share one chunk pool, and the
+//! ISL FIFO — which at saturation holds millions of images — stores runs
+//! of equal capture ticks instead of one entry per image.
 //!
 //! The trace's time-weighted integrals read the settled state: busy
 //! nodes, the batch- and downlink-queue depths and full capability.
@@ -100,22 +101,26 @@
 use std::collections::VecDeque;
 
 use sudc_bus::{BusLog, FaultKind, HealthEvent, Payload, Sample, Subscriber};
-use sudc_errors::SudcError;
+use sudc_errors::{Diagnostics, SudcError};
 use sudc_health::{HealthController, LoweredHealth, NodeHealth, ScanVerdict};
 use sudc_par::rng::Rng64;
 use sudc_reliability::weibull::WeibullLifetime;
 
 use crate::config::SimConfig;
-use crate::event::{Event, EventQueue, Tick};
+use crate::event::{capture_phase, Event, EventQueue, Tick};
 use crate::gap::GapTable;
 use crate::metrics::RunTrace;
 
+/// Streams in each per-entity block below. A config with more entities
+/// than its block holds would draw from the next block's streams, so
+/// `SimConfig::try_validate` refuses it (see `validate_stream_layout`).
+const STREAM_BLOCK: u64 = 1_000_000;
 /// Stream index base for per-satellite RNG streams (stream `sat`).
 const SAT_STREAM_BASE: u64 = 0;
 /// Stream index base for per-node lifetime streams.
-const NODE_STREAM_BASE: u64 = 1_000_000;
+const NODE_STREAM_BASE: u64 = STREAM_BLOCK;
 /// Stream index base for per-ISL-link flap streams (fault injection).
-const ISL_LINK_STREAM_BASE: u64 = 2_000_000;
+const ISL_LINK_STREAM_BASE: u64 = 2 * STREAM_BLOCK;
 /// Stream index for the shared fault stream (SEU corruption draws and
 /// retry jitter, consumed in event order).
 const FAULT_STREAM_BASE: u64 = 3_000_000;
@@ -127,8 +132,60 @@ const INFANT_STREAM_BASE: u64 = 4_000_000;
 /// from stream `BASE + s * STRIDE + n` — a pure function of the entity
 /// pair, so one node's fate never depends on how many others are powered.
 const STORM_KILL_STREAM_BASE: u64 = 5_000_000;
-/// Stream stride between consecutive storms' kill-draw blocks.
-const STORM_KILL_STREAM_STRIDE: u64 = 1_000_000;
+/// Stream stride between consecutive storms' kill-draw blocks. The
+/// block's last stream is the storm's severity draw.
+const STORM_KILL_STREAM_STRIDE: u64 = STREAM_BLOCK;
+
+/// Refuses entity counts whose streams would leave their block: satellite
+/// `k` draws stream `k`, node `n` stream `NODE_STREAM_BASE + n` and slot
+/// `n` of every storm's block (below the severity slot, and with cohort
+/// `n / batch_size` in the infant block), and ISL link `l` stream
+/// `ISL_LINK_STREAM_BASE + l`. Past the bound two entities would silently
+/// share one random stream.
+pub(crate) fn validate_stream_layout(cfg: &SimConfig, d: &mut Diagnostics) {
+    const MAX_SATELLITES: u64 = NODE_STREAM_BASE - SAT_STREAM_BASE;
+    const MAX_NODES: u64 = STORM_KILL_STREAM_STRIDE - 1;
+    const MAX_ISL_LINKS: u64 = FAULT_STREAM_BASE - ISL_LINK_STREAM_BASE;
+    const _: () = assert!(
+        MAX_NODES <= ISL_LINK_STREAM_BASE - NODE_STREAM_BASE
+            && MAX_NODES <= STORM_KILL_STREAM_BASE - INFANT_STREAM_BASE
+    );
+    // Each message is formatted only for a violation: validation runs in
+    // every run's set-up.
+    if u64::from(cfg.satellites) > MAX_SATELLITES {
+        d.violation(
+            "satellites",
+            cfg.satellites,
+            format!(
+                "at most {MAX_SATELLITES}: satellite k draws random stream {SAT_STREAM_BASE} + k, \
+                 and the node streams start at {NODE_STREAM_BASE}"
+            ),
+        );
+    }
+    if u64::from(cfg.nodes) > MAX_NODES {
+        d.violation(
+            "nodes",
+            cfg.nodes,
+            format!(
+                "at most {MAX_NODES}: node n draws random stream {NODE_STREAM_BASE} + n and slot \
+                 n of each storm's {STORM_KILL_STREAM_STRIDE}-stream block, whose last slot is \
+                 the storm's severity draw"
+            ),
+        );
+    }
+    if let Some(links) = cfg.faults.and_then(|f| f.isl).map(|i| i.links) {
+        if u64::from(links) > MAX_ISL_LINKS {
+            d.violation(
+                "faults.isl.links",
+                links,
+                format!(
+                    "at most {MAX_ISL_LINKS}: link l draws random stream {ISL_LINK_STREAM_BASE} \
+                     + l, and the shared fault stream is {FAULT_STREAM_BASE}"
+                ),
+            );
+        }
+    }
+}
 
 /// The first phase in `0..period` outside an imaging window of
 /// `duty_window` ticks: phase `p` is inside exactly when
@@ -523,7 +580,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             };
             let offset = (cfg.phase_spread * frac * period as f64).round() as Tick;
             let phase = dt.saturating_add(offset) % period;
-            self.schedule(dt, Event::Capture { sat, phase, rng });
+            self.schedule(dt, Event::capture(sat, phase, rng));
         }
 
         // Node pool: the first `required` nodes power on, the rest wait as
@@ -646,7 +703,12 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             for &event in &batch {
                 self.queue.consume_one();
                 match event {
-                    Event::Capture { sat, phase, rng } => self.on_capture(sat, phase, rng),
+                    Event::Capture {
+                        phase_lo,
+                        phase_hi,
+                        sat,
+                        rng,
+                    } => self.on_capture(sat, capture_phase(phase_lo, phase_hi), rng),
                     Event::IslDone => self.on_isl_done(),
                     Event::BatchTimeout => self.try_dispatch(),
                     Event::BatchDone { slot } => self.on_batch_done(slot),
@@ -779,7 +841,7 @@ impl<'a, S: Subscriber> Kernel<'a, S> {
             phase = after;
             rng = ahead;
         }
-        self.schedule(dt, Event::Capture { sat, phase, rng });
+        self.schedule(dt, Event::capture(sat, phase, rng));
     }
 
     /// Transfer time for one image at the current link state: nominal

@@ -11,9 +11,9 @@ use space_udc::compute::gpu::GpuEnergyModel;
 use space_udc::compute::workloads;
 use space_udc::core::analysis::latency;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Bent-pipe vs in-space latency (3-station ground network) ==");
-    for cmp in latency::latency_table(3) {
+    for cmp in latency::latency_table(3)? {
         let bent = cmp.bent_pipe.map_or("downlink deficit".to_string(), |l| {
             format!("{:5.1} h", l.value() / 3600.0)
         });
@@ -30,7 +30,7 @@ fn main() {
     }
 
     println!("\n== Batch size trade: Air Pollution at 6 images/min ==");
-    let workload = workloads::by_name("Air Pollution").expect("known workload");
+    let workload = workloads::by_name("Air Pollution").ok_or("unknown workload")?;
     let model = GpuEnergyModel::fit(&workload);
     let policies = [
         ("streaming (batch 1)", 1),
@@ -40,15 +40,16 @@ fn main() {
         ),
     ];
     for (name, batch) in policies {
-        let wait = GpuEnergyModel::batch_accumulation_time(batch, 6.0);
+        let wait = GpuEnergyModel::batch_accumulation_time(batch, 6.0)?;
         println!(
             "  {:24} batch {:4}  accumulation {:6.1} min  energy/image {:6.2} J",
             name,
             batch,
             wait.value() / 60.0,
-            model.energy_per_image(batch).value(),
+            model.energy_per_image(batch)?.value(),
         );
     }
     println!("\nBatching trades minutes of latency for a large energy saving —");
     println!("still orders of magnitude faster than waiting for a downlink window.");
+    Ok(())
 }

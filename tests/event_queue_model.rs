@@ -25,6 +25,7 @@
 use proptest::collection;
 use proptest::prelude::*;
 use space_udc::par::rng::Rng64;
+use space_udc::sim::event::MAX_IMAGING_PERIOD_TICKS;
 use space_udc::sim::{BinaryHeapQueue, Event, EventQueue};
 
 /// The ring's window in ticks: a push at least this far past the ring
@@ -32,13 +33,14 @@ use space_udc::sim::{BinaryHeapQueue, Event, EventQueue};
 const RING: u64 = 4096;
 
 /// Capture number `serial`: a satellite id, phase and stream state that
-/// no other serial shares.
+/// no other serial shares. The phase is reduced to the 24 bits a capture
+/// carries and, over the serials a case draws, sets all of them.
 fn capture(serial: u32) -> Event {
-    Event::Capture {
-        sat: serial,
-        phase: u64::from(serial).wrapping_mul(0x9e37_79b9),
-        rng: Rng64::stream(0x5eed, u64::from(serial)),
-    }
+    Event::capture(
+        serial,
+        u64::from(serial).wrapping_mul(0x9e37_79b9) % MAX_IMAGING_PERIOD_TICKS,
+        Rng64::stream(0x5eed, u64::from(serial)),
+    )
 }
 
 /// Replays one random op sequence against both queues, asserting

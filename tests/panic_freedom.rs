@@ -17,6 +17,7 @@ use space_udc::accel::energy::EnergyTable;
 use space_udc::accel::AcceleratorConfig;
 use space_udc::bus::{Durability, QosContract};
 use space_udc::chaos::ChaosSummary;
+use space_udc::compute::gpu::GpuEnergyModel;
 use space_udc::core::dynamics::DynamicScenario;
 use space_udc::core::tco::TcoReport;
 use space_udc::core::{Scenario, SuDcDesign};
@@ -724,6 +725,21 @@ fn from_dynamic_rejects_hostile_clock_parameters() {
             assert!(by_duration.is_err(), "duration = {h}");
         }
         for e in [by_tick.err(), by_duration.err()].into_iter().flatten() {
+            assert!(structured(&e), "{e}");
+        }
+    }
+}
+
+#[test]
+fn gpu_batch_model_rejects_hostile_batches_and_rates() {
+    let m = GpuEnergyModel::fit(&space_udc::compute::workloads::most_lightweight());
+    let err = m.energy_per_image(0).unwrap_err();
+    assert!(structured(&err), "{err}");
+    for sel in 0..8u32 {
+        let h = hostile(sel, 3.0);
+        let result = GpuEnergyModel::batch_accumulation_time(16, h);
+        assert_eq!(result.is_ok(), h.is_finite() && h > 0.0, "{h}");
+        if let Err(e) = result {
             assert!(structured(&e), "{e}");
         }
     }
