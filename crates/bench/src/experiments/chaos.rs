@@ -38,9 +38,9 @@ pub fn ext_chaos() -> String {
             vec![
                 c.campaign.to_string(),
                 c.spares.to_string(),
-                percent(c.delivered_fraction),
-                percent(c.availability),
-                format!("{:.0}", c.delivery_p99_s),
+                percent(c.outcome.delivered_fraction),
+                percent(c.outcome.availability),
+                format!("{:.0}", c.outcome.delivery.p99),
                 format!("{}", c.shed),
                 format!("{}", c.storm_node_kills),
                 if c.tco_per_insight_usd.is_finite() {

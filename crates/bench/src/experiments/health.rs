@@ -71,11 +71,11 @@ pub fn ext_health() -> String {
             vec![
                 c.campaign.to_string(),
                 if c.closed_loop { "on" } else { "off" }.to_string(),
-                percent(c.availability),
-                percent(c.slo_attainment),
+                percent(c.outcome.availability),
+                percent(c.outcome.slo_attainment),
                 format!("{}", c.detections),
                 format!("{}", c.promotions),
-                format!("{:.0}", c.detection_latency_mean_s),
+                format!("{:.0}", c.detection.mean),
                 percent(c.false_suspicion_rate),
             ]
         })

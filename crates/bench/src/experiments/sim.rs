@@ -45,12 +45,12 @@ pub fn ext_sim() -> String {
         .map(|(name, s)| {
             vec![
                 (*name).to_string(),
-                format!("{:.1}", s.mean_processing_p99),
-                format!("{:.0}", s.mean_delivery_p99),
+                format!("{:.1}", s.processing.p99),
+                format!("{:.0}", s.outcome.delivery.p99),
                 format!("{:.1}", s.mean_batch_queue),
-                format!("{:.0}", s.mean_downlink_backlog),
+                format!("{:.0}", s.outcome.mean_downlink_backlog),
                 percent(s.mean_utilization),
-                format!("{:.0}", s.mean_delivered_per_hour),
+                format!("{:.0}", s.outcome.delivered_per_hour),
             ]
         })
         .collect();
@@ -87,7 +87,7 @@ pub fn ext_sim() -> String {
             &ops_rows,
         ),
         mission_reps,
-        percent(mission.end_full_fraction),
+        percent(mission.outcome.end_full_fraction),
         percent(analytic_hot),
         baseline.to_json().to_string_pretty(),
         collab.to_json().to_string_pretty(),

@@ -146,20 +146,18 @@ impl QosContract {
 
     /// Collects every contract violation into `d` under `path`.
     pub fn validate_into(&self, d: &mut Diagnostics, path: &str) {
-        if !(self.deadline_s.is_finite() && self.deadline_s >= 0.0) {
-            d.violation(
-                format!("{path}.deadline_s"),
-                self.deadline_s,
-                "finite and >= 0 (0 disables the deadline)",
-            );
-        }
-        if self.durability == Durability::TransientLocal && self.history_depth == 0 {
-            d.violation(
-                format!("{path}.history_depth"),
-                self.history_depth,
-                ">= 1 when durability is TransientLocal (store-and-forward needs a bounded store)",
-            );
-        }
+        d.ensure(
+            self.deadline_s.is_finite() && self.deadline_s >= 0.0,
+            format_args!("{path}.deadline_s"),
+            self.deadline_s,
+            "finite and >= 0 (0 disables the deadline)",
+        );
+        d.ensure(
+            self.durability != Durability::TransientLocal || self.history_depth > 0,
+            format_args!("{path}.history_depth"),
+            self.history_depth,
+            ">= 1 when durability is TransientLocal (store-and-forward needs a bounded store)",
+        );
     }
 
     /// Validates the contract, reporting every violation at once.

@@ -13,16 +13,15 @@
 //! latency / false-suspicion columns price what the detector itself
 //! costs. Each arm is the resilience grid's cell for its campaign (so the
 //! two studies price the same spares) with the detector contract attached,
-//! and the arms run through the same [`sudc_sim::try_replicate_grid`], so
-//! the whole report is one order-preserving parallel batch and
-//! byte-identical at any thread count.
+//! and the arms run through the resilience grid's own campaign × arm
+//! runner over [`sudc_sim::try_replicate_grid`], so the whole report is
+//! one order-preserving parallel batch and byte-identical at any thread
+//! count.
 
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_health::HealthConfig;
 use sudc_par::json::{Json, ToJson};
-use sudc_sim::{
-    try_replicate_grid, Outcome, RunTrace, SampledLatency, STANDARD_FRESHNESS_DEADLINE_S,
-};
+use sudc_sim::{Outcome, RunTrace, SampledLatency, STANDARD_FRESHNESS_DEADLINE_S};
 use sudc_units::Seconds;
 
 use crate::campaign::Campaign;
@@ -36,13 +35,10 @@ pub struct HealthCell {
     pub campaign: &'static str,
     /// Whether DEAD declarations drove spare promotion in this arm.
     pub closed_loop: bool,
-    /// Mean fraction of the run at full capability.
-    pub availability: f64,
-    /// Mean fraction of deliveries inside the standing 900 s freshness
-    /// SLO ([`STANDARD_FRESHNESS_DEADLINE_S`]).
-    pub slo_attainment: f64,
-    /// Mean fraction of arrived work delivered to the ground.
-    pub delivered_fraction: f64,
+    /// The arm's replications summarized; its `slo_attainment` is against
+    /// the standing 900 s freshness SLO
+    /// ([`STANDARD_FRESHNESS_DEADLINE_S`]).
+    pub outcome: Outcome,
     /// Heartbeats published, summed over replications.
     pub heartbeats: u64,
     /// SUSPECT declarations, summed.
@@ -58,11 +54,9 @@ pub struct HealthCell {
     pub promotions: u64,
     /// Quarantined nodes readmitted after probation, summed.
     pub readmissions: u64,
-    /// Mean failure → DEAD-declaration latency, seconds, over
-    /// replications that detected anything; 0 when none did.
-    pub detection_latency_mean_s: f64,
-    /// Mean p99 of the same latency, seconds, same convention.
-    pub detection_latency_p99_s: f64,
+    /// Failure → DEAD-declaration latency over the replications that
+    /// detected anything.
+    pub detection: SampledLatency,
 }
 
 /// The closed-loop health study: every campaign, both arms.
@@ -127,38 +121,18 @@ impl HealthReport {
     ) -> Result<Self, SudcError> {
         let mut d = Diagnostics::new("health study grid");
         d.positive("duration", duration.value());
-        d.ensure(
-            !campaigns.is_empty(),
-            "campaigns.len()",
-            campaigns.len(),
-            "at least one campaign",
-        );
-        d.finish()?;
-
         // Arm order within a campaign is monitor-only first, closed-loop
         // second.
-        let arms = [false, true];
-        let mut configs = Vec::with_capacity(campaigns.len() * arms.len());
-        for campaign in campaigns {
-            let cell = campaign.reference_cell(spares, duration)?;
-            configs.extend(arms.map(|closed_loop| {
-                cell.with_health(HealthConfig {
-                    closed_loop,
-                    ..contract
-                })
-            }));
-        }
-        let grid = try_replicate_grid(&configs, reps, base_seed)?;
+        let arm = |closed_loop| HealthConfig {
+            closed_loop,
+            ..contract
+        };
+        let grid = crate::try_run_grid(d, campaigns, &[false, true], reps, base_seed, |c, on| {
+            Ok(c.reference_cell(spares, duration)?.with_health(arm(on)))
+        })?;
         let cells = grid
             .iter()
-            .enumerate()
-            .map(|(cell_idx, traces)| {
-                aggregate(
-                    campaigns[cell_idx / arms.len()].name,
-                    arms[cell_idx % arms.len()],
-                    traces,
-                )
-            })
+            .map(|(campaign, closed_loop, traces)| aggregate(campaign, *closed_loop, traces))
             .collect::<Result<_, _>>()?;
 
         Ok(Self {
@@ -182,7 +156,9 @@ impl HealthReport {
     /// minus monitor-only availability, `None` if either arm is missing.
     #[must_use]
     pub fn availability_gain(&self, campaign: &str) -> Option<f64> {
-        Some(self.cell(campaign, true)?.availability - self.cell(campaign, false)?.availability)
+        let availability =
+            |closed_loop| Some(self.cell(campaign, closed_loop)?.outcome.availability);
+        Some(availability(true)? - availability(false)?)
     }
 }
 
@@ -195,9 +171,9 @@ impl ToJson for HealthReport {
                 Json::object()
                     .with("campaign", c.campaign)
                     .with("closed_loop", c.closed_loop)
-                    .with("availability", c.availability)
-                    .with("slo_attainment", c.slo_attainment)
-                    .with("delivered_fraction", c.delivered_fraction)
+                    .with("availability", c.outcome.availability)
+                    .with("slo_attainment", c.outcome.slo_attainment)
+                    .with("delivered_fraction", c.outcome.delivered_fraction)
                     .with("heartbeats", c.heartbeats as f64)
                     .with("suspects", c.suspects as f64)
                     .with("false_suspects", c.false_suspects as f64)
@@ -205,8 +181,8 @@ impl ToJson for HealthReport {
                     .with("detections", c.detections as f64)
                     .with("promotions", c.promotions as f64)
                     .with("readmissions", c.readmissions as f64)
-                    .with("detection_latency_mean_s", c.detection_latency_mean_s)
-                    .with("detection_latency_p99_s", c.detection_latency_p99_s)
+                    .with("detection_latency_mean_s", c.detection.mean)
+                    .with("detection_latency_p99_s", c.detection.p99)
             })
             .collect();
         Json::object()
@@ -219,28 +195,25 @@ impl ToJson for HealthReport {
     }
 }
 
-/// Aggregates one arm's replications: the shared fields from one
-/// [`Outcome`], plus the detector counters summed over replications.
+/// Aggregates one arm's replications: one [`Outcome`], plus the detector
+/// counters summed over replications.
 ///
 /// # Errors
 ///
 /// Returns a structured error if `traces` is empty.
-pub(crate) fn aggregate(
+fn aggregate(
     campaign: &'static str,
     closed_loop: bool,
     traces: &[RunTrace],
 ) -> Result<HealthCell, SudcError> {
     let outcome = Outcome::try_from_traces(traces)?;
     let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
-    let detection = SampledLatency::over(traces, RunTrace::detection_latency);
     let suspects = total(&|t| t.suspects);
     let false_suspects = total(&|t| t.false_suspects);
     Ok(HealthCell {
         campaign,
         closed_loop,
-        availability: outcome.availability,
-        slo_attainment: outcome.slo_attainment,
-        delivered_fraction: outcome.delivered_fraction,
+        outcome,
         heartbeats: total(&|t| t.heartbeats),
         suspects,
         false_suspects,
@@ -252,8 +225,7 @@ pub(crate) fn aggregate(
         detections: total(&|t| t.detections),
         promotions: total(&|t| t.promotions),
         readmissions: total(&|t| t.readmissions),
-        detection_latency_mean_s: detection.mean,
-        detection_latency_p99_s: detection.p99,
+        detection: SampledLatency::over(traces, RunTrace::detection_latency),
     })
 }
 
@@ -282,12 +254,13 @@ mod tests {
         assert_eq!(off.promotions, 0, "monitor-only must never promote");
         assert!(on.promotions > 0, "closed loop must promote");
         assert!(
-            on.availability > off.availability || on.slo_attainment > off.slo_attainment,
+            on.outcome.availability > off.outcome.availability
+                || on.outcome.slo_attainment > off.outcome.slo_attainment,
             "closed loop must strictly improve availability ({} vs {}) or SLO ({} vs {})",
-            on.availability,
-            off.availability,
-            on.slo_attainment,
-            off.slo_attainment
+            on.outcome.availability,
+            off.outcome.availability,
+            on.outcome.slo_attainment,
+            off.outcome.slo_attainment
         );
     }
 
@@ -318,41 +291,14 @@ mod tests {
                 // (dead_missed - 1) leases after the death.
                 let floor = report.lease_s * 3.0;
                 assert!(
-                    cell.detection_latency_mean_s >= floor,
+                    cell.detection.mean >= floor,
                     "{}: mean latency {} below floor {}",
                     cell.campaign,
-                    cell.detection_latency_mean_s,
+                    cell.detection.mean,
                     floor
                 );
             }
         }
-    }
-
-    #[test]
-    fn report_bytes_are_identical_at_every_thread_count() {
-        let render = |threads: usize| {
-            sudc_par::set_threads(threads);
-            let duration = Seconds::new(900.0);
-            let json = HealthReport::try_run_campaigns(
-                &[
-                    Campaign::independent(duration),
-                    Campaign::combined(duration),
-                ],
-                duration,
-                2,
-                2,
-                HealthConfig::standard(),
-                11,
-            )
-            .unwrap()
-            .to_json()
-            .to_string_pretty();
-            sudc_par::set_threads(0);
-            json
-        };
-        let one = render(1);
-        assert_eq!(one, render(2));
-        assert_eq!(one, render(8));
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!   at equal spares, pricing what detection latency costs and what
 //!   closing the recovery loop buys back.
 //!
-//! Both reports fill their availability, delivery, SLO-attainment and
-//! TCO-per-insight fields from one `sudc_sim::Outcome` per cell, the one
-//! place the cross-replication rules live; each cell adds only its own
-//! counters, summed over replications.
+//! Both reports run through one campaign × arm grid runner (the arms are
+//! spare counts or controller settings), and each of their cells holds
+//! one `sudc_sim::Outcome`, the one place the cross-replication rules
+//! live; a cell adds only its own counters, summed over replications.
 //!
 //! # Examples
 //!
@@ -40,7 +40,7 @@
 //!
 //! let summary = ChaosSummary::try_run(Seconds::new(900.0), &[0, 4], 2, 7)?;
 //! let quiet = summary.cell("independent", 4).unwrap();
-//! assert!(quiet.availability <= 1.0);
+//! assert!(quiet.outcome.availability <= 1.0);
 //! // Same grid, same seed -> byte-identical report at any thread count.
 //! assert_eq!(
 //!     summary.to_json().to_string_pretty(),
@@ -63,51 +63,112 @@ pub use health::{HealthCell, HealthReport};
 pub use report::{ChaosCell, ChaosSummary, CLAIM4_AVAILABILITY_TARGET};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};
 
+use sudc_sim::{try_replicate_grid, RunTrace, SimConfig};
+
+/// One grid cell: its campaign's name, its arm and its traces in
+/// replication order.
+type GridCell<A> = (&'static str, A, Vec<RunTrace>);
+
+/// Finishes a report's grid checks `d` with a non-empty `campaigns`, then
+/// runs every `(campaign, arm)` cell's configuration, `cell(campaign,
+/// arm)`, as one [`try_replicate_grid`] with `reps` common-random-numbers
+/// replications. Returns the cells campaign-major, in `campaigns` ×
+/// `arms` order.
+///
+/// # Errors
+///
+/// Returns `d`'s violations, else the first error `cell` returns, else
+/// one error listing a zero `reps` and every cell configuration's
+/// [`SimConfig::try_validate`] violations in cell order.
+fn try_run_grid<A: Copy>(
+    mut d: Diagnostics,
+    campaigns: &[Campaign],
+    arms: &[A],
+    reps: u32,
+    base_seed: u64,
+    cell: impl Fn(&Campaign, A) -> Result<SimConfig, SudcError>,
+) -> Result<Vec<GridCell<A>>, SudcError> {
+    d.ensure(
+        !campaigns.is_empty(),
+        "campaigns.len()",
+        campaigns.len(),
+        "at least one campaign",
+    );
+    d.finish()?;
+    let cells: Vec<(&Campaign, A)> = campaigns
+        .iter()
+        .flat_map(|c| arms.iter().map(move |&arm| (c, arm)))
+        .collect();
+    let configs = cells
+        .iter()
+        .map(|&(c, arm)| cell(c, arm))
+        .collect::<Result<Vec<_>, _>>()?;
+    let grid = try_replicate_grid(&configs, reps, base_seed)?;
+    Ok(cells
+        .into_iter()
+        .zip(grid)
+        .map(|((c, arm), traces)| (c.name, arm, traces))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sudc_health::HealthConfig;
+    use sudc_par::json::ToJson;
     use sudc_sim::try_replicate;
     use sudc_units::Seconds;
 
-    /// Both studies are common-random-numbers grids: a resilience cell and
-    /// a health arm each aggregate exactly the traces a one-cell
-    /// `try_replicate` of that cell's configuration returns.
+    /// The grid is common random numbers in campaign-major order: each
+    /// cell holds exactly the traces a one-cell `try_replicate` of its
+    /// configuration returns.
     #[test]
-    fn study_cells_aggregate_exactly_the_one_cell_replications() {
+    fn grid_cells_are_the_one_cell_replications_in_campaign_major_order() {
         let duration = Seconds::new(900.0);
-        let campaign = Campaign::solar_storm(duration);
-        let (spares, reps, seed) = (2, 2, 11);
-        let cell_cfg = campaign.reference_cell(spares, duration).unwrap();
+        let campaigns = [
+            Campaign::independent(duration),
+            Campaign::solar_storm(duration),
+        ];
+        let (reps, seed) = (2, 11);
+        let cell = |c: &Campaign, spares| c.reference_cell(spares, duration);
+        let d = Diagnostics::new("test grid");
+        let grid = try_run_grid(d, &campaigns, &[0, 2], reps, seed, cell).unwrap();
+        let [independent, storm] = &campaigns;
+        let expected = [(independent, 0), (independent, 2), (storm, 0), (storm, 2)];
+        assert_eq!(grid.len(), expected.len());
+        for ((campaign, spares), (name, arm, traces)) in expected.into_iter().zip(&grid) {
+            assert_eq!((*name, *arm), (campaign.name, spares));
+            let one_cell = try_replicate(&cell(campaign, spares).unwrap(), reps, seed).unwrap();
+            assert_eq!(traces, &one_cell, "{name} at {spares} spares");
+        }
+    }
 
-        let chaos =
-            ChaosSummary::try_run_campaigns(&[campaign], duration, &[0, spares], reps, seed)
-                .unwrap();
-        let (per_spare_usd, tco_usd, lifetime_hours) = report::spare_pricing().unwrap();
-        let expected = report::aggregate(
-            campaign.name,
-            spares,
-            &try_replicate(&cell_cfg, reps, seed).unwrap(),
-            tco_usd + per_spare_usd * f64::from(spares),
-            lifetime_hours,
-        )
-        .unwrap();
-        assert_eq!(chaos.cell(campaign.name, spares), Some(&expected));
-
-        let contract = HealthConfig::standard();
-        let report =
-            HealthReport::try_run_campaigns(&[campaign], duration, spares, reps, contract, seed)
-                .unwrap();
-        let arm_cfg = cell_cfg.with_health(HealthConfig {
-            closed_loop: true,
-            ..contract
-        });
-        let expected = health::aggregate(
-            campaign.name,
-            true,
-            &try_replicate(&arm_cfg, reps, seed).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(report.cell(campaign.name, true), Some(&expected));
+    #[test]
+    fn both_reports_are_byte_identical_at_every_thread_count() {
+        let duration = Seconds::new(900.0);
+        let campaigns = [
+            Campaign::independent(duration),
+            Campaign::combined(duration),
+        ];
+        let render = |threads: usize| {
+            sudc_par::set_threads(threads);
+            let chaos = ChaosSummary::try_run_campaigns(&campaigns, duration, &[0, 4], 2, 11);
+            let health = HealthReport::try_run_campaigns(
+                &campaigns,
+                duration,
+                2,
+                2,
+                HealthConfig::standard(),
+                11,
+            );
+            sudc_par::set_threads(0);
+            [
+                chaos.unwrap().to_json().to_string_pretty(),
+                health.unwrap().to_json().to_string_pretty(),
+            ]
+        };
+        let one = render(1);
+        assert_eq!(one, render(2));
+        assert_eq!(one, render(8));
     }
 }

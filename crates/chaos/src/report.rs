@@ -6,7 +6,8 @@
 //! random numbers), so a cell-to-cell difference is the effect of the
 //! campaign or the spares, never sampling noise from different draws. The
 //! cells run through [`sudc_sim::try_replicate_grid`], the workspace's one
-//! CRN replication grid: it owns the seeds, validates every cell up front,
+//! CRN replication grid, by way of the campaign × arm runner this crate's
+//! two reports share: it owns the seeds, validates every cell up front,
 //! and runs the whole `(cell, rep)` grid as one order-preserving parallel
 //! batch, so the aggregated [`ChaosSummary`] is byte-identical at any
 //! thread count.
@@ -15,7 +16,7 @@ use sudc_core::tco::TcoLine;
 use sudc_core::Scenario;
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::json::{Json, ToJson};
-use sudc_sim::{try_replicate_grid, Outcome, RunTrace};
+use sudc_sim::{Outcome, RunTrace};
 use sudc_sscm::subsystems::Subsystem;
 use sudc_units::Seconds;
 
@@ -35,19 +36,9 @@ pub struct ChaosCell {
     pub campaign: &'static str,
     /// Cold spares installed over the required node count.
     pub spares: u32,
-    /// Mean fraction of arrived work delivered to the ground.
-    pub delivered_fraction: f64,
-    /// Mean fraction of the run at full capability (the SLA availability).
-    pub availability: f64,
-    /// Fraction of replications still at full capability at run end.
-    pub end_full_fraction: f64,
-    /// Mean capture → ground p99 latency, seconds, over replications that
-    /// delivered anything; 0 when none did.
-    pub delivery_p99_s: f64,
-    /// Mean time-average downlink backlog.
-    pub mean_downlink_backlog: f64,
-    /// Mean delivered insights per simulated hour.
-    pub delivered_per_hour: f64,
+    /// The cell's replications summarized: its `availability` is the SLA
+    /// availability the claim-#4 target is checked against.
+    pub outcome: Outcome,
     /// Upset-corrupted processings, summed over replications.
     pub corrupted: u64,
     /// Retry attempts scheduled, summed.
@@ -132,31 +123,19 @@ impl ChaosSummary {
             spare_counts.len(),
             "at least one spare count",
         );
-        d.ensure(
-            !campaigns.is_empty(),
-            "campaigns.len()",
-            campaigns.len(),
-            "at least one campaign",
-        );
-        d.finish()?;
-
-        let configs = campaigns
-            .iter()
-            .flat_map(|c| spare_counts.iter().map(|&s| c.reference_cell(s, duration)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let grid = try_replicate_grid(&configs, reps, base_seed)?;
+        let grid = crate::try_run_grid(d, campaigns, spare_counts, reps, base_seed, |c, s| {
+            c.reference_cell(s, duration)
+        })?;
 
         let (per_spare_usd, tco_total_usd, lifetime_hours) = spare_pricing()?;
         let cells = grid
             .iter()
-            .enumerate()
-            .map(|(cell_idx, traces)| {
-                let spares = spare_counts[cell_idx % spare_counts.len()];
+            .map(|(campaign, spares, traces)| {
                 aggregate(
-                    campaigns[cell_idx / spare_counts.len()].name,
-                    spares,
+                    campaign,
+                    *spares,
                     traces,
-                    tco_total_usd + per_spare_usd * f64::from(spares),
+                    tco_total_usd + per_spare_usd * f64::from(*spares),
                     lifetime_hours,
                 )
             })
@@ -186,7 +165,7 @@ impl ChaosSummary {
         counts.sort_unstable();
         counts.into_iter().find(|&s| {
             self.cell(campaign, s)
-                .is_some_and(|c| c.availability >= target)
+                .is_some_and(|c| c.outcome.availability >= target)
         })
     }
 }
@@ -201,12 +180,12 @@ impl ToJson for ChaosSummary {
                 Json::object()
                     .with("campaign", c.campaign)
                     .with("spares", c.spares)
-                    .with("delivered_fraction", c.delivered_fraction)
-                    .with("availability", c.availability)
-                    .with("end_full_fraction", c.end_full_fraction)
-                    .with("delivery_p99_s", c.delivery_p99_s)
-                    .with("mean_downlink_backlog", c.mean_downlink_backlog)
-                    .with("delivered_per_hour", c.delivered_per_hour)
+                    .with("delivered_fraction", c.outcome.delivered_fraction)
+                    .with("availability", c.outcome.availability)
+                    .with("end_full_fraction", c.outcome.end_full_fraction)
+                    .with("delivery_p99_s", c.outcome.delivery.p99)
+                    .with("mean_downlink_backlog", c.outcome.mean_downlink_backlog)
+                    .with("delivered_per_hour", c.outcome.delivered_per_hour)
                     .with("corrupted", c.corrupted as f64)
                     .with("retries", c.retries as f64)
                     .with("retry_exhausted", c.retry_exhausted as f64)
@@ -230,7 +209,7 @@ impl ToJson for ChaosSummary {
 /// compute payload (spares are powered off, so they carry no extra power
 /// or thermal cost — the heart of the near-zero-cost claim). Returns
 /// `(per-spare USD, reference TCO USD, design lifetime in hours)`.
-pub(crate) fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
+fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
     let design = Scenario::Reference.try_design()?;
     let tco = design.try_tco()?;
     let compute_usd = tco
@@ -245,13 +224,13 @@ pub(crate) fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
     Ok((per_node, tco.total().value(), lifetime_hours))
 }
 
-/// Aggregates one cell's replications: the shared fields from one
-/// [`Outcome`], plus the fault counters summed over replications.
+/// Aggregates one cell's replications: one [`Outcome`], plus the fault
+/// counters summed over replications.
 ///
 /// # Errors
 ///
 /// Returns a structured error if `traces` is empty.
-pub(crate) fn aggregate(
+fn aggregate(
     campaign: &'static str,
     spares: u32,
     traces: &[RunTrace],
@@ -263,12 +242,7 @@ pub(crate) fn aggregate(
     Ok(ChaosCell {
         campaign,
         spares,
-        delivered_fraction: outcome.delivered_fraction,
-        availability: outcome.availability,
-        end_full_fraction: outcome.end_full_fraction,
-        delivery_p99_s: outcome.delivery.p99,
-        mean_downlink_backlog: outcome.mean_downlink_backlog,
-        delivered_per_hour: outcome.delivered_per_hour,
+        outcome,
         corrupted: total(&|t| t.corrupted),
         retries: total(&|t| t.retries),
         retry_exhausted: total(&|t| t.retry_exhausted),
@@ -283,6 +257,7 @@ pub(crate) fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StormSpec;
 
     /// A small but non-trivial grid shared by the tests (each run of it is
     /// ~a second of work, so tests reuse one instance where possible).
@@ -296,27 +271,11 @@ mod tests {
         assert_eq!(s.cells.len(), 6 * 3);
         for c in Campaign::suite(Seconds::new(1800.0)) {
             for &spares in &[0, 2, 16] {
-                let cell = s.cell(c.name, spares).unwrap();
-                assert!((0.0..=1.0).contains(&cell.availability), "{}", c.name);
-                assert!((0.0..=1.0).contains(&cell.delivered_fraction), "{}", c.name);
+                let o = &s.cell(c.name, spares).unwrap().outcome;
+                assert!((0.0..=1.0).contains(&o.availability), "{}", c.name);
+                assert!((0.0..=1.0).contains(&o.delivered_fraction), "{}", c.name);
             }
         }
-    }
-
-    #[test]
-    fn report_bytes_are_identical_at_every_thread_count() {
-        let render = |threads: usize| {
-            sudc_par::set_threads(threads);
-            let json = ChaosSummary::try_run(Seconds::new(900.0), &[0, 4], 2, 11)
-                .unwrap()
-                .to_json()
-                .to_string_pretty();
-            sudc_par::set_threads(0);
-            json
-        };
-        let one = render(1);
-        assert_eq!(one, render(2));
-        assert_eq!(one, render(8));
     }
 
     #[test]
@@ -336,10 +295,10 @@ mod tests {
         let storm = s.cell("solar_storm", 2).unwrap();
         assert!(storm.storm_node_kills > 0, "storms must actually kill");
         assert!(
-            storm.availability < ind.availability - 0.02,
+            storm.outcome.availability < ind.outcome.availability - 0.02,
             "storm {} vs independent {}",
-            storm.availability,
-            ind.availability
+            storm.outcome.availability,
+            ind.outcome.availability
         );
     }
 
@@ -350,9 +309,9 @@ mod tests {
             // Degraded at zero spares...
             let bare = s.cell(campaign, 0).unwrap();
             assert!(
-                bare.availability < CLAIM4_AVAILABILITY_TARGET,
+                bare.outcome.availability < CLAIM4_AVAILABILITY_TARGET,
                 "{campaign} bare availability {}",
-                bare.availability
+                bare.outcome.availability
             );
             // ...recovered somewhere in the sweep.
             let needed = s
@@ -378,7 +337,7 @@ mod tests {
         let s = small_grid();
         let bare = s.cell("solar_storm", 0).unwrap();
         let spared = s.cell("solar_storm", 16).unwrap();
-        assert!(spared.delivered_fraction >= bare.delivered_fraction);
+        assert!(spared.outcome.delivered_fraction >= bare.outcome.delivered_fraction);
         // Spares are priced: at *equal* delivery the spared cell would
         // cost more per insight, so if it costs less it must deliver more.
         assert!(spared.tco_per_insight_usd.is_finite());
@@ -392,5 +351,34 @@ mod tests {
         assert!(err.to_string().contains("spare_counts"), "{err}");
         let err = ChaosSummary::try_run(Seconds::new(900.0), &[0], 0, 1).unwrap_err();
         assert!(err.to_string().contains("reps"), "{err}");
+    }
+
+    #[test]
+    fn zero_reps_and_every_invalid_cell_are_one_error() {
+        // The second campaign's applied configuration is invalid at every
+        // spare count; with zero replications the grid reports the reps
+        // and both of its violations in every one of its cells together,
+        // in cell order, instead of stopping at the first.
+        let duration = Seconds::new(900.0);
+        let mut bad = Campaign::solar_storm(duration);
+        bad.upset_probability = f64::NAN;
+        bad.storm = bad.storm.map(|storm| StormSpec {
+            seu_multiplier: 0.5,
+            ..storm
+        });
+        let campaigns = [Campaign::independent(duration), bad];
+        let err = ChaosSummary::try_run_campaigns(&campaigns, duration, &[0, 2], 0, 1).unwrap_err();
+        let paths: Vec<&str> = err.violations().iter().map(|v| v.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "reps",
+                "faults.upset_probability",
+                "faults.storm.seu_multiplier",
+                "faults.upset_probability",
+                "faults.storm.seu_multiplier",
+            ],
+            "{err}"
+        );
     }
 }

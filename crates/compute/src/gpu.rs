@@ -76,15 +76,24 @@ impl GpuEnergyModel {
     /// # Errors
     ///
     /// Returns a structured error naming `images_per_minute` unless it is
-    /// positive and finite.
+    /// positive and finite and the accumulation time it gives is finite
+    /// (a subnormal rate would take forever).
     pub fn batch_accumulation_time(
         batch: u32,
         images_per_minute: f64,
     ) -> Result<Seconds, SudcError> {
+        let seconds = f64::from(batch) / images_per_minute * 60.0;
         let mut d = Diagnostics::new("GpuEnergyModel::batch_accumulation_time");
-        d.positive("images_per_minute", images_per_minute);
+        if d.positive("images_per_minute", images_per_minute) {
+            d.ensure(
+                seconds.is_finite(),
+                "images_per_minute",
+                images_per_minute,
+                format_args!("a rate at which {batch} images accumulate in finite time"),
+            );
+        }
         d.finish()?;
-        Ok(Seconds::new(f64::from(batch) / images_per_minute * 60.0))
+        Ok(Seconds::new(seconds))
     }
 }
 
@@ -135,7 +144,7 @@ mod tests {
     fn degenerate_inputs_are_errors_naming_their_field() {
         let err = model().energy_per_image(0).unwrap_err();
         assert_eq!(err.violations()[0].path, "batch", "{err}");
-        for rate in [0.0, -6.0, f64::NAN] {
+        for rate in [0.0, -6.0, f64::NAN, f64::MIN_POSITIVE] {
             let err = GpuEnergyModel::batch_accumulation_time(16, rate).unwrap_err();
             assert_eq!(err.violations()[0].path, "images_per_minute", "{err}");
         }

@@ -158,25 +158,27 @@ impl Diagnostics {
     /// Records a violation unconditionally.
     pub fn violation(
         &mut self,
-        path: impl Into<String>,
+        path: impl fmt::Display,
         value: impl fmt::Display,
-        allowed: impl Into<String>,
+        allowed: impl fmt::Display,
     ) {
         self.violations.push(Violation {
-            path: path.into(),
+            path: path.to_string(),
             value: value.to_string(),
-            allowed: allowed.into(),
+            allowed: allowed.to_string(),
         });
     }
 
     /// Records a violation unless `ok` holds. Returns `ok` so callers can
-    /// gate dependent checks.
+    /// gate dependent checks. `path`, `value` and `allowed` are rendered
+    /// only for a violation, so a caller on a hot set-up path passes
+    /// `format_args!` and a passing check formats nothing.
     pub fn ensure(
         &mut self,
         ok: bool,
-        path: impl Into<String>,
+        path: impl fmt::Display,
         value: impl fmt::Display,
-        allowed: impl Into<String>,
+        allowed: impl fmt::Display,
     ) -> bool {
         if !ok {
             self.violation(path, value, allowed);
@@ -185,17 +187,17 @@ impl Diagnostics {
     }
 
     /// Requires `v` to be finite (neither NaN nor ±∞).
-    pub fn finite(&mut self, path: impl Into<String>, v: f64) -> bool {
+    pub fn finite(&mut self, path: impl fmt::Display, v: f64) -> bool {
         self.ensure(v.is_finite(), path, v, "a finite number")
     }
 
     /// Requires `v` to be finite and strictly positive.
-    pub fn positive(&mut self, path: impl Into<String>, v: f64) -> bool {
+    pub fn positive(&mut self, path: impl fmt::Display, v: f64) -> bool {
         self.ensure(v.is_finite() && v > 0.0, path, v, "positive and finite")
     }
 
     /// Requires `v` to be finite and non-negative.
-    pub fn non_negative(&mut self, path: impl Into<String>, v: f64) -> bool {
+    pub fn non_negative(&mut self, path: impl fmt::Display, v: f64) -> bool {
         self.ensure(
             v.is_finite() && v >= 0.0,
             path,
@@ -205,22 +207,22 @@ impl Diagnostics {
     }
 
     /// Requires `v` to be finite and inside `[lo, hi]`.
-    pub fn in_range(&mut self, path: impl Into<String>, v: f64, lo: f64, hi: f64) -> bool {
+    pub fn in_range(&mut self, path: impl fmt::Display, v: f64, lo: f64, hi: f64) -> bool {
         self.ensure(
             v.is_finite() && v >= lo && v <= hi,
             path,
             v,
-            format!("in [{lo}, {hi}]"),
+            format_args!("in [{lo}, {hi}]"),
         )
     }
 
     /// Requires `v` to be finite and inside `[0, 1]`.
-    pub fn unit_interval(&mut self, path: impl Into<String>, v: f64) -> bool {
+    pub fn unit_interval(&mut self, path: impl fmt::Display, v: f64) -> bool {
         self.in_range(path, v, 0.0, 1.0)
     }
 
     /// Requires an integer count to be at least one.
-    pub fn positive_count(&mut self, path: impl Into<String>, n: u64) -> bool {
+    pub fn positive_count(&mut self, path: impl fmt::Display, n: u64) -> bool {
         self.ensure(n > 0, path, n, "at least 1")
     }
 
@@ -292,6 +294,26 @@ mod tests {
         assert!(d.non_negative("z", 0.0));
         assert!(d.in_range("lo", 0.0, 0.0, 1.0));
         assert!(d.in_range("hi", 1.0, 0.0, 1.0));
+        assert!(d.finish().is_ok());
+    }
+
+    /// A `Display` that panics when rendered: a passing check must never
+    /// format its path or allowed range.
+    struct Unrendered;
+
+    impl fmt::Display for Unrendered {
+        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+            panic!("a passing check rendered its message")
+        }
+    }
+
+    #[test]
+    fn passing_checks_render_nothing() {
+        // Every other check funnels through `ensure`; `in_range` alone
+        // builds an `allowed` of its own.
+        let mut d = Diagnostics::new("t");
+        assert!(d.ensure(true, Unrendered, Unrendered, Unrendered));
+        assert!(d.in_range(Unrendered, 0.5, 0.0, 1.0));
         assert!(d.finish().is_ok());
     }
 

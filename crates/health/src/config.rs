@@ -60,22 +60,21 @@ impl HealthConfig {
 
     /// Collects every contract violation into `d` under `path`.
     pub fn validate_into(&self, d: &mut Diagnostics, path: &str) {
-        d.positive(format!("{path}.lease_s"), self.lease_s);
+        d.positive(format_args!("{path}.lease_s"), self.lease_s);
         d.positive_count(
-            format!("{path}.suspect_missed"),
+            format_args!("{path}.suspect_missed"),
             u64::from(self.suspect_missed),
         );
         d.positive_count(
-            format!("{path}.probation_leases"),
+            format_args!("{path}.probation_leases"),
             u64::from(self.probation_leases),
         );
-        if self.dead_missed <= self.suspect_missed {
-            d.violation(
-                format!("{path}.dead_missed"),
-                self.dead_missed,
-                "> suspect_missed (SUSPECT must precede DEAD)",
-            );
-        }
+        d.ensure(
+            self.dead_missed > self.suspect_missed,
+            format_args!("{path}.dead_missed"),
+            self.dead_missed,
+            "> suspect_missed (SUSPECT must precede DEAD)",
+        );
     }
 
     /// Validates the contract, reporting every violation at once.

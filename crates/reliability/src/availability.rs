@@ -56,7 +56,7 @@ impl NodePool {
                 required <= nodes,
                 "required",
                 required,
-                format!(
+                format_args!(
                     "at most nodes = {nodes} (cannot require {required} of only {nodes} nodes)"
                 ),
             );

@@ -80,7 +80,7 @@ pub fn try_simulate(
             config.required <= config.nodes,
             "config.required",
             config.required,
-            format!(
+            format_args!(
                 "at most nodes = {} (cannot require {} of {} nodes)",
                 config.nodes, config.required, config.nodes
             ),

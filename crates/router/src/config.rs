@@ -17,7 +17,6 @@ use sudc_core::Scenario;
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_orbital::contact::{passes_per_day, polar_station_passes_per_day, GroundNetwork};
 use sudc_orbital::orbit::CircularOrbit;
-use sudc_sim::STANDARD_FRESHNESS_DEADLINE_S;
 use sudc_sscm::Subsystem;
 
 use crate::tier::Tier;
@@ -59,7 +58,7 @@ const GROUND_TARGET_UTILIZATION: f64 = 0.7;
 ///
 /// ```text
 /// latency = fixed_s + per_gbit_s * G + wait_scale * lat_wait_s[b]
-/// cost    = fixed_usd + per_gbit_usd * G
+/// cost    = per_gbit_usd * G
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierTerms {
@@ -73,9 +72,6 @@ pub struct TierTerms {
     /// tiers whose insights ride the always-on telemetry path, 1 for
     /// tiers that must downlink the raw payload through a pass).
     pub wait_scale: f64,
-    /// Payload-independent cost (zero in the reference derivation; kept
-    /// so callers can model per-request scheduling overheads).
-    pub fixed_usd: f64,
     /// Cost per Gbit of payload: compute occupancy plus data movement.
     pub per_gbit_usd: f64,
 }
@@ -86,7 +82,6 @@ impl TierTerms {
             fixed_s: 0.0,
             per_gbit_s: 0.0,
             wait_scale: 0.0,
-            fixed_usd: 0.0,
             per_gbit_usd: 0.0,
         }
     }
@@ -95,10 +90,6 @@ impl TierTerms {
 /// Immutable pricing tables the placement engine scores against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
-    /// Freshness SLO a placement must meet when the request carries no
-    /// tighter deadline of its own (the workspace-wide
-    /// [`STANDARD_FRESHNESS_DEADLINE_S`]).
-    pub deadline_slo_s: f64,
     /// Extra wait beyond its deadline a request may tolerate before it is
     /// rejected outright instead of deferred (one mean contact gap: the
     /// next pass could still serve it).
@@ -235,28 +226,24 @@ impl RouterConfig {
                 fixed_s: insight_tx_s,
                 per_gbit_s: svc_per_gbit * slowdown_onboard,
                 wait_scale: 0.0,
-                fixed_usd: 0.0,
                 per_gbit_usd: usd_onboard_per_gbit * occupancy,
             };
             terms[a][Tier::OrbitalSudc.index()] = TierTerms {
                 fixed_s: accumulation_s + insight_tx_s,
                 per_gbit_s: 1.0 / d.isl_rate.value() + svc_per_gbit,
                 wait_scale: 0.0,
-                fixed_usd: 0.0,
                 per_gbit_usd: usd_sudc_per_gbit * occupancy,
             };
             terms[a][Tier::GroundEdge.index()] = TierTerms {
                 fixed_s: queueing_s,
                 per_gbit_s: 1.0 / network.downlink_rate.value() + svc_per_gbit,
                 wait_scale: 1.0,
-                fixed_usd: 0.0,
                 per_gbit_usd: usd_downlink_per_gbit + usd_ground_compute_per_gbit * occupancy,
             };
             terms[a][Tier::Cloud.index()] = TierTerms {
                 fixed_s: queueing_s + CLOUD_WAN_S,
                 per_gbit_s: 1.0 / network.downlink_rate.value() + svc_per_gbit / speedup_cloud,
                 wait_scale: 1.0,
-                fixed_usd: 0.0,
                 per_gbit_usd: usd_downlink_per_gbit * (1.0 + CLOUD_WAN_COST_FRACTION)
                     + usd_cloud_compute_per_gbit * occupancy,
             };
@@ -297,7 +284,6 @@ impl RouterConfig {
         let sudc_capacity = f64::from(REQUIRED_NODES) * image_gbit / d.per_image_service.value();
 
         Ok(Self {
-            deadline_slo_s: STANDARD_FRESHNESS_DEADLINE_S,
             defer_horizon_s: network.mean_contact_gap().value(),
             image_gbit,
             terms,
@@ -337,7 +323,7 @@ impl RouterConfig {
         let mut d = Diagnostics::new("RouterConfig::try_with_accelerator_repricing");
         d.positive("hardware_price_premium", hardware_price_premium);
         for (a, &f) in per_app_improvement.iter().enumerate() {
-            d.positive(format!("per_app_improvement[{a}]"), f);
+            d.positive(format_args!("per_app_improvement[{a}]"), f);
         }
         d.finish()?;
         for (a, row) in self.terms.iter_mut().enumerate() {
@@ -369,7 +355,7 @@ impl RouterConfig {
             "at least one block fraction",
         );
         for (b, &f) in fractions.iter().enumerate() {
-            d.unit_interval(format!("fractions[{b}]"), f);
+            d.unit_interval(format_args!("fractions[{b}]"), f);
         }
         d.finish()?;
         self.sudc_pool_fraction = fractions.to_vec();
@@ -399,7 +385,6 @@ impl RouterConfig {
     /// coefficient.
     pub fn try_validate(&self) -> Result<(), SudcError> {
         let mut d = Diagnostics::new("RouterConfig");
-        d.positive("deadline_slo_s", self.deadline_slo_s);
         d.non_negative("defer_horizon_s", self.defer_horizon_s);
         d.positive("image_gbit", self.image_gbit);
         d.positive(
@@ -411,19 +396,28 @@ impl RouterConfig {
         for (a, row) in self.terms.iter().enumerate() {
             for (t, terms) in row.iter().enumerate() {
                 let tier = Tier::from_index(t);
-                let path = |f: &str| format!("terms[{a}][{tier}].{f}");
-                d.non_negative(path("fixed_s"), terms.fixed_s);
-                d.non_negative(path("per_gbit_s"), terms.per_gbit_s);
-                d.in_range(path("wait_scale"), terms.wait_scale, 0.0, 1.0);
-                d.non_negative(path("fixed_usd"), terms.fixed_usd);
-                d.non_negative(path("per_gbit_usd"), terms.per_gbit_usd);
+                d.non_negative(format_args!("terms[{a}][{tier}].fixed_s"), terms.fixed_s);
+                d.non_negative(
+                    format_args!("terms[{a}][{tier}].per_gbit_s"),
+                    terms.per_gbit_s,
+                );
+                d.in_range(
+                    format_args!("terms[{a}][{tier}].wait_scale"),
+                    terms.wait_scale,
+                    0.0,
+                    1.0,
+                );
+                d.non_negative(
+                    format_args!("terms[{a}][{tier}].per_gbit_usd"),
+                    terms.per_gbit_usd,
+                );
             }
         }
         for (b, w) in self.lat_wait_s.iter().enumerate() {
-            d.non_negative(format!("lat_wait_s[{b}]"), *w);
+            d.non_negative(format_args!("lat_wait_s[{b}]"), *w);
         }
         for (b, f) in self.sudc_pool_fraction.iter().enumerate() {
-            d.unit_interval(format!("sudc_pool_fraction[{b}]"), *f);
+            d.unit_interval(format_args!("sudc_pool_fraction[{b}]"), *f);
         }
         d.finish()
     }
@@ -452,6 +446,18 @@ mod tests {
     fn reference_config_validates() {
         let cfg = RouterConfig::try_reference().unwrap();
         cfg.try_validate().expect("reference config must validate");
+    }
+
+    #[test]
+    fn bad_table_entries_are_named_in_exact_text() {
+        let mut cfg = RouterConfig::try_reference().unwrap();
+        cfg.terms[3][Tier::GroundEdge.index()].wait_scale = 1.5;
+        cfg.lat_wait_s[7] = -2.0;
+        assert_eq!(
+            cfg.try_validate().unwrap_err().to_string(),
+            "invalid RouterConfig: `terms[3][ground_edge].wait_scale` = 1.5 (allowed: in [0, 1]); \
+             `lat_wait_s[7]` = -2 (allowed: non-negative and finite)"
+        );
     }
 
     #[test]

@@ -521,7 +521,7 @@ impl Router {
                 if latency > deadline {
                     continue;
                 }
-                let cost = term.fixed_usd + term.per_gbit_usd * size;
+                let cost = term.per_gbit_usd * size;
                 let better =
                     !found | (cost < best_cost) | ((cost == best_cost) & (latency < best_latency));
                 best_cost = select_f64(better, cost, best_cost);
@@ -840,7 +840,7 @@ mod tests {
     #[test]
     fn try_route_stream_reports_bad_config_and_stream_together() {
         let mut cfg = RouterConfig::try_reference().unwrap();
-        cfg.deadline_slo_s = f64::NAN;
+        cfg.image_gbit = f64::NAN;
         let router = Router { cfg };
         let mut stream = small_stream();
         stream.requests = 0;

@@ -131,6 +131,10 @@ impl RoutedLoad {
 }
 
 /// What the simulator measured when the routed load was replayed.
+///
+/// Unlike the other trace-set reports, which hold one [`Outcome`], this
+/// one copies the `Outcome` fields it reports into fields of its own:
+/// the repository benchmark reads them by name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayReport {
     /// Fault campaign name, or `"nominal"`.

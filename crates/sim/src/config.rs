@@ -191,7 +191,7 @@ impl SimConfig {
                 required <= nodes,
                 "required",
                 required,
-                format!(
+                format_args!(
                     "at most nodes = {nodes} (cannot require {required} of only {nodes} nodes)"
                 ),
             );
@@ -313,16 +313,15 @@ impl SimConfig {
         // these periods, and a zero contact gap would reschedule its
         // window start at the same tick forever.
         d.positive_count("imaging_period_ticks", self.imaging_period_ticks);
-        if self.imaging_period_ticks > MAX_IMAGING_PERIOD_TICKS {
-            d.violation(
-                "imaging_period_ticks",
-                self.imaging_period_ticks,
-                format!(
-                    "at most 2^24 = {MAX_IMAGING_PERIOD_TICKS}: a pending capture carries its \
-                     imaging-window phase in 24 bits"
-                ),
-            );
-        }
+        d.ensure(
+            self.imaging_period_ticks <= MAX_IMAGING_PERIOD_TICKS,
+            "imaging_period_ticks",
+            self.imaging_period_ticks,
+            format_args!(
+                "at most 2^24 = {MAX_IMAGING_PERIOD_TICKS}: a pending capture carries its \
+                 imaging-window phase in 24 bits"
+            ),
+        );
         d.unit_interval("imaging_duty", self.imaging_duty);
         d.unit_interval("phase_spread", self.phase_spread);
         d.ensure(
@@ -340,7 +339,7 @@ impl SimConfig {
                 self.required <= self.nodes,
                 "required",
                 self.required,
-                format!(
+                format_args!(
                     "at most nodes = {} (cannot require {} of {} nodes)",
                     self.nodes, self.required, self.nodes
                 ),
@@ -359,7 +358,7 @@ impl SimConfig {
             self.contact_window_ticks <= self.contact_gap_ticks,
             "contact_window_ticks",
             self.contact_window_ticks,
-            format!(
+            format_args!(
                 "at most contact_gap_ticks = {} (the contact window cannot exceed the gap between windows)",
                 self.contact_gap_ticks
             ),

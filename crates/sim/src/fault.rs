@@ -259,7 +259,7 @@ impl FaultConfig {
                     s.duration_ticks <= s.period_ticks,
                     "faults.storm.duration_ticks",
                     s.duration_ticks,
-                    format!(
+                    format_args!(
                         "at most period_ticks = {} (a storm window cannot outlast its period)",
                         s.period_ticks
                     ),
@@ -310,7 +310,7 @@ impl FaultConfig {
             p.backoff_cap_ticks >= p.backoff_base_ticks,
             "faults.policy.backoff_cap_ticks",
             p.backoff_cap_ticks,
-            format!(
+            format_args!(
                 "at least backoff_base_ticks = {} (the cap cannot undercut the base delay)",
                 p.backoff_base_ticks
             ),

@@ -150,40 +150,35 @@ pub(crate) fn validate_stream_layout(cfg: &SimConfig, d: &mut Diagnostics) {
         MAX_NODES <= ISL_LINK_STREAM_BASE - NODE_STREAM_BASE
             && MAX_NODES <= STORM_KILL_STREAM_BASE - INFANT_STREAM_BASE
     );
-    // Each message is formatted only for a violation: validation runs in
-    // every run's set-up.
-    if u64::from(cfg.satellites) > MAX_SATELLITES {
-        d.violation(
-            "satellites",
-            cfg.satellites,
-            format!(
-                "at most {MAX_SATELLITES}: satellite k draws random stream {SAT_STREAM_BASE} + k, \
-                 and the node streams start at {NODE_STREAM_BASE}"
-            ),
-        );
-    }
-    if u64::from(cfg.nodes) > MAX_NODES {
-        d.violation(
-            "nodes",
-            cfg.nodes,
-            format!(
-                "at most {MAX_NODES}: node n draws random stream {NODE_STREAM_BASE} + n and slot \
-                 n of each storm's {STORM_KILL_STREAM_STRIDE}-stream block, whose last slot is \
-                 the storm's severity draw"
-            ),
-        );
-    }
+    d.ensure(
+        u64::from(cfg.satellites) <= MAX_SATELLITES,
+        "satellites",
+        cfg.satellites,
+        format_args!(
+            "at most {MAX_SATELLITES}: satellite k draws random stream {SAT_STREAM_BASE} + k, \
+             and the node streams start at {NODE_STREAM_BASE}"
+        ),
+    );
+    d.ensure(
+        u64::from(cfg.nodes) <= MAX_NODES,
+        "nodes",
+        cfg.nodes,
+        format_args!(
+            "at most {MAX_NODES}: node n draws random stream {NODE_STREAM_BASE} + n and slot \
+             n of each storm's {STORM_KILL_STREAM_STRIDE}-stream block, whose last slot is \
+             the storm's severity draw"
+        ),
+    );
     if let Some(links) = cfg.faults.and_then(|f| f.isl).map(|i| i.links) {
-        if u64::from(links) > MAX_ISL_LINKS {
-            d.violation(
-                "faults.isl.links",
-                links,
-                format!(
-                    "at most {MAX_ISL_LINKS}: link l draws random stream {ISL_LINK_STREAM_BASE} \
-                     + l, and the shared fault stream is {FAULT_STREAM_BASE}"
-                ),
-            );
-        }
+        d.ensure(
+            u64::from(links) <= MAX_ISL_LINKS,
+            "faults.isl.links",
+            links,
+            format_args!(
+                "at most {MAX_ISL_LINKS}: link l draws random stream {ISL_LINK_STREAM_BASE} \
+                 + l, and the shared fault stream is {FAULT_STREAM_BASE}"
+            ),
+        );
     }
 }
 

@@ -32,9 +32,9 @@
 //!   [`replicate::Outcome`], the one place the cross-replication rules
 //!   live (means in replication order, the delivery-p99 convention, SLO
 //!   attainment over delivered insights — 1 when nothing is delivered —
-//!   and TCO per insight), which every trace-set report fills its shared
-//!   fields from; and [`replicate::SimSummary`], the sim study's
-//!   aggregate.
+//!   and TCO per insight), which every trace-set report holds; and
+//!   [`replicate::SimSummary`], the sim study's aggregate: one `Outcome`
+//!   plus the sim-only means.
 //!
 //! # Examples
 //!
@@ -45,7 +45,7 @@
 //! let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
 //! let study = SimSummary::try_study(&cfg, 2, DEFAULT_SEED)?;
 //! assert!(study.mean_utilization > 0.0);
-//! assert!((study.mean_availability - 1.0).abs() < 1e-12);
+//! assert!((study.outcome.availability - 1.0).abs() < 1e-12);
 //! # Ok::<(), sudc_sim::SudcError>(())
 //! ```
 

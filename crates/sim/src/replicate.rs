@@ -18,10 +18,10 @@
 //!
 //! [`Outcome`] is the one place the cross-replication rules live: every
 //! trace-set report (this module's [`SimSummary`], the chaos and health
-//! cells, the router's replay audit) fills its shared fields from one
-//! `Outcome`. A mean is summed in replication order, then divided by the
-//! replication count; a latency p99 is a [`SampledLatency`] mean; SLO
-//! attainment is the fraction of *delivered* insights inside
+//! cells) holds one `Outcome`, and the router's replay audit copies its
+//! fields from one. A mean is summed in replication order, then divided
+//! by the replication count; a latency p99 is a [`SampledLatency`] mean;
+//! SLO attainment is the fraction of *delivered* insights inside
 //! [`STANDARD_FRESHNESS_DEADLINE_S`] (1 when nothing was delivered); and
 //! TCO per insight is [`Outcome::tco_per_insight`]. The `stackbench`
 //! harness prices TCO per insight in its own code, which must keep
@@ -224,67 +224,35 @@ impl Outcome {
     }
 }
 
-/// Cross-replication aggregate of a simulation study.
+/// Cross-replication aggregate of a simulation study: one [`Outcome`]
+/// plus the sim-only means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
-    /// Number of replications aggregated.
-    pub reps: u32,
-    /// Mean capture → batch-complete p99 latency, seconds, averaged over
-    /// the replications that processed at least one image
-    /// ([`SimSummary::processing_p99_reps`]); 0 when none did.
-    pub mean_processing_p99: f64,
-    /// Replications with at least one processing-latency sample — the
-    /// population behind [`SimSummary::mean_processing_p99`].
-    pub processing_p99_reps: u32,
-    /// Mean capture → ground-delivery p99 latency, seconds, averaged over
-    /// the replications that delivered at least one insight
-    /// ([`SimSummary::delivery_p99_reps`]); 0 when none did.
-    pub mean_delivery_p99: f64,
-    /// Replications with at least one delivery-latency sample — the
-    /// population behind [`SimSummary::mean_delivery_p99`].
-    pub delivery_p99_reps: u32,
+    /// The replications summarized.
+    pub outcome: Outcome,
+    /// Capture → batch-complete latency over the replications that
+    /// processed at least one image.
+    pub processing: SampledLatency,
     /// Mean time-average images awaiting batch dispatch.
     pub mean_batch_queue: f64,
-    /// Mean time-average insights awaiting downlink.
-    pub mean_downlink_backlog: f64,
     /// Mean time-average busy fraction of required nodes.
     pub mean_utilization: f64,
-    /// Mean fraction of the run at full capability.
-    pub mean_availability: f64,
-    /// Fraction of replications that *ended* at full capability.
-    pub end_full_fraction: f64,
-    /// Mean delivered insights per simulated hour.
-    pub mean_delivered_per_hour: f64,
     traces: Vec<RunTrace>,
 }
 
 impl SimSummary {
-    /// Aggregates replication traces: the shared fields from one
-    /// [`Outcome`], plus the sim-only means.
-    ///
-    /// The p99 aggregates are [`SampledLatency`] means: they average only
-    /// over replications whose latency population is non-empty, and the
-    /// populations' sizes are surfaced as
-    /// [`SimSummary::processing_p99_reps`] / [`SimSummary::delivery_p99_reps`].
+    /// Aggregates replication traces: one [`Outcome`], plus the sim-only
+    /// means.
     ///
     /// # Errors
     ///
     /// Returns a structured error if `traces` is empty.
     pub fn try_from_traces(traces: Vec<RunTrace>) -> Result<Self, SudcError> {
-        let outcome = Outcome::try_from_traces(&traces)?;
-        let processing = SampledLatency::over(&traces, RunTrace::processing_latency);
         Ok(Self {
-            reps: outcome.reps,
-            mean_processing_p99: processing.p99,
-            processing_p99_reps: processing.reps,
-            mean_delivery_p99: outcome.delivery.p99,
-            delivery_p99_reps: outcome.delivery.reps,
+            outcome: Outcome::try_from_traces(&traces)?,
+            processing: SampledLatency::over(&traces, RunTrace::processing_latency),
             mean_batch_queue: mean(&traces, RunTrace::mean_batch_queue),
-            mean_downlink_backlog: outcome.mean_downlink_backlog,
             mean_utilization: mean(&traces, RunTrace::compute_utilization),
-            mean_availability: outcome.availability,
-            end_full_fraction: outcome.end_full_fraction,
-            mean_delivered_per_hour: outcome.delivered_per_hour,
             traces,
         })
     }
@@ -309,16 +277,17 @@ impl SimSummary {
 impl ToJson for SimSummary {
     fn to_json(&self) -> Json {
         let reps: Vec<Json> = self.traces.iter().map(ToJson::to_json).collect();
+        let o = &self.outcome;
         Json::object()
-            .with("reps", self.reps)
-            .with("mean_processing_p99_s", self.mean_processing_p99)
-            .with("mean_delivery_p99_s", self.mean_delivery_p99)
+            .with("reps", o.reps)
+            .with("mean_processing_p99_s", self.processing.p99)
+            .with("mean_delivery_p99_s", o.delivery.p99)
             .with("mean_batch_queue", self.mean_batch_queue)
-            .with("mean_downlink_backlog", self.mean_downlink_backlog)
+            .with("mean_downlink_backlog", o.mean_downlink_backlog)
             .with("mean_utilization", self.mean_utilization)
-            .with("mean_availability", self.mean_availability)
-            .with("end_full_fraction", self.end_full_fraction)
-            .with("mean_delivered_per_hour", self.mean_delivered_per_hour)
+            .with("mean_availability", o.availability)
+            .with("end_full_fraction", o.end_full_fraction)
+            .with("mean_delivered_per_hour", o.delivered_per_hour)
             .with("replications", Json::Arr(reps))
     }
 }
@@ -372,7 +341,7 @@ mod tests {
             / 3.0;
         let summary = SimSummary::try_from_traces(traces).unwrap();
         assert!((summary.mean_utilization - expected).abs() < 1e-12);
-        assert_eq!(summary.reps, 3);
+        assert_eq!(summary.outcome.reps, 3);
     }
 
     #[test]
@@ -413,11 +382,11 @@ mod tests {
             .sum::<f64>()
             / 2.0;
         let summary = SimSummary::try_from_traces(traces).unwrap();
-        assert_eq!(summary.reps, 3);
-        assert_eq!(summary.delivery_p99_reps, 2);
-        assert!((summary.mean_delivery_p99 - populated_mean).abs() < 1e-12);
+        assert_eq!(summary.outcome.reps, 3);
+        assert_eq!(summary.outcome.delivery.reps, 2);
+        assert!((summary.outcome.delivery.p99 - populated_mean).abs() < 1e-12);
         // The biased estimator would have divided the same sum by 3.
-        assert!(summary.mean_delivery_p99 > populated_mean * 2.0 / 3.0 + 1e-9);
+        assert!(summary.outcome.delivery.p99 > populated_mean * 2.0 / 3.0 + 1e-9);
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub fn try_fit_cer(observations: &[Observation]) -> Result<CerFit, SudcError> {
         "at least two observations",
     );
     for (i, o) in observations.iter().enumerate() {
-        d.positive(format!("observations[{i}].driver"), o.driver);
-        d.positive(format!("observations[{i}].cost"), o.cost.value());
+        d.positive(format_args!("observations[{i}].driver"), o.driver);
+        d.positive(format_args!("observations[{i}].cost"), o.cost.value());
     }
     d.finish()?;
 

@@ -45,15 +45,14 @@ impl CostEstimate {
     pub fn try_new(items: Vec<SubsystemCost>) -> Result<Self, SudcError> {
         let mut d = Diagnostics::new("CostEstimate");
         for (i, item) in items.iter().enumerate() {
-            d.finite(format!("items[{i}].nre"), item.nre.value());
-            d.finite(format!("items[{i}].re"), item.re.value());
-            if items[..i].iter().any(|a| a.subsystem == item.subsystem) {
-                d.violation(
-                    format!("items[{i}].subsystem"),
-                    item.subsystem,
-                    "each subsystem at most once (duplicate subsystem in estimate)",
-                );
-            }
+            d.finite(format_args!("items[{i}].nre"), item.nre.value());
+            d.finite(format_args!("items[{i}].re"), item.re.value());
+            d.ensure(
+                !items[..i].iter().any(|a| a.subsystem == item.subsystem),
+                format_args!("items[{i}].subsystem"),
+                item.subsystem,
+                "each subsystem at most once (duplicate subsystem in estimate)",
+            );
         }
         d.into_result(Self { items })
     }

@@ -96,7 +96,7 @@ impl SscmInputs {
                 components <= self.dry_mass * 1.001,
                 "structure_mass + thermal_mass + power_mass",
                 components,
-                format!(
+                format_args!(
                     "component masses must not exceed dry mass ({})",
                     self.dry_mass
                 ),

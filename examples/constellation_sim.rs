@@ -37,9 +37,9 @@ fn print_ops(name: &str, study: &SimSummary) {
     );
     println!(
         "  downlink backlog: mean {:.0} insights (peak {}), {:.0} insights/h delivered\n",
-        study.mean_downlink_backlog,
+        study.outcome.mean_downlink_backlog,
         trace.max_downlink_backlog(),
-        study.mean_delivered_per_hour
+        study.outcome.delivered_per_hour
     );
 }
 
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_ops("Collaborative constellation (cloud filtering)", &collab);
     println!(
         "Filtering cuts the p99 processing latency {:.1}x and the mean dispatch queue {:.0}x.\n",
-        baseline.mean_processing_p99 / collab.mean_processing_p99,
+        baseline.processing.p99 / collab.processing.p99,
         baseline.mean_batch_queue / collab.mean_batch_queue
     );
 
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analytic_hot = NodePool::try_new(20, 10)?.try_availability(1.0)?;
     println!(
         "  end-state full capability: {:.1}% simulated (cold spares, 10% dormant aging)",
-        100.0 * mission.end_full_fraction
+        100.0 * mission.outcome.end_full_fraction
     );
     println!(
         "  analytic hot-pool bound:   {:.1}% (all 20 powered from day one)",

@@ -132,12 +132,13 @@ fn spares_to_recover_is_consistent_with_the_cells_it_summarizes() {
         let cell = s
             .cell("independent", needed)
             .expect("reported spare count must exist");
-        assert!(cell.availability >= CLAIM4_AVAILABILITY_TARGET);
+        assert!(cell.outcome.availability >= CLAIM4_AVAILABILITY_TARGET);
         // Minimality: every smaller swept count stays below the target.
         for &smaller in s.spare_counts.iter().filter(|&&c| c < needed) {
             assert!(
                 s.cell("independent", smaller)
                     .expect("swept cell")
+                    .outcome
                     .availability
                     < CLAIM4_AVAILABILITY_TARGET
             );

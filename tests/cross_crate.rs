@@ -12,7 +12,7 @@ use space_udc::reliability::mission::{try_simulate, MissionConfig, SparingPolicy
 use space_udc::reliability::weibull::WeibullLifetime;
 use space_udc::reliability::NodePool;
 use space_udc::router::ReplayReport;
-use space_udc::sim::{try_replicate, SimSummary};
+use space_udc::sim::{try_replicate, Outcome, SimSummary};
 use space_udc::sscm::calibration::{sample_cer, try_fit_cer};
 use space_udc::sscm::subsystems::SubsystemCers;
 use space_udc::units::{Seconds, Watts};
@@ -87,73 +87,56 @@ fn shipped_cers_roundtrip_through_the_fitter() {
 }
 
 /// The chaos, health, sim and replay reports summarize a trace set with
-/// one rule: over the same replications, the fields they share are the
-/// same bits.
+/// one rule: over the same replications, the chaos cell, the health arm
+/// and the sim summary hold the same `Outcome`, and the replay audit's
+/// copied fields are its bits.
 #[test]
 fn trace_set_reports_agree_bit_for_bit_on_shared_fields() {
     let duration = Seconds::new(900.0);
     let campaign = Campaign::solar_storm(duration);
     let (spares, reps, seed) = (2, 2, 11);
-    let cell_cfg = campaign.reference_cell(spares, duration).unwrap();
-
-    let chaos =
-        ChaosSummary::try_run_campaigns(&[campaign], duration, &[spares], reps, seed).unwrap();
-    let cell = chaos.cell(campaign.name, spares).unwrap();
-    let traces = try_replicate(&cell_cfg, reps, seed).unwrap();
-    let replay = ReplayReport::try_from_traces(campaign.name, 1.0, traces.clone()).unwrap();
-    let sim = SimSummary::try_from_traces(traces).unwrap();
-    for (what, chaos_bits, sim_bits, replay_bits) in [
-        (
-            "availability",
-            cell.availability,
-            sim.mean_availability,
-            replay.mean_availability,
-        ),
-        (
-            "delivery p99",
-            cell.delivery_p99_s,
-            sim.mean_delivery_p99,
-            replay.mean_delivery_p99_s,
-        ),
-    ] {
-        assert_eq!(
-            chaos_bits.to_bits(),
-            sim_bits.to_bits(),
-            "{what}: chaos vs sim"
-        );
-        assert_eq!(
-            chaos_bits.to_bits(),
-            replay_bits.to_bits(),
-            "{what}: chaos vs replay"
-        );
-    }
-    assert_eq!(
-        cell.delivered_fraction.to_bits(),
-        replay.delivered_fraction.to_bits(),
-        "delivered fraction: chaos vs replay"
-    );
-
     let contract = HealthConfig::standard();
-    let health =
-        HealthReport::try_run_campaigns(&[campaign], duration, spares, reps, contract, seed)
-            .unwrap();
-    let arm = health.cell(campaign.name, true).unwrap();
+    let cell_cfg = campaign.reference_cell(spares, duration).unwrap();
     let arm_cfg = cell_cfg.with_health(HealthConfig {
         closed_loop: true,
         ..contract
     });
-    let replay = ReplayReport::try_from_traces(
-        campaign.name,
-        1.0,
-        try_replicate(&arm_cfg, reps, seed).unwrap(),
-    )
-    .unwrap();
-    assert_eq!(
-        arm.availability.to_bits(),
-        replay.mean_availability.to_bits()
-    );
-    assert_eq!(
-        arm.slo_attainment.to_bits(),
-        replay.slo_attainment.to_bits()
-    );
+
+    let chaos = ChaosSummary::try_run_campaigns(&[campaign], duration, &[spares], reps, seed)
+        .unwrap()
+        .cell(campaign.name, spares)
+        .unwrap()
+        .outcome;
+    let health =
+        HealthReport::try_run_campaigns(&[campaign], duration, spares, reps, contract, seed)
+            .unwrap()
+            .cell(campaign.name, true)
+            .unwrap()
+            .outcome;
+    for (what, cfg, held) in [
+        ("chaos cell", cell_cfg, chaos),
+        ("health arm", arm_cfg, health),
+    ] {
+        let traces = try_replicate(&cfg, reps, seed).unwrap();
+        let o = Outcome::try_from_traces(&traces).unwrap();
+        assert_eq!(held, o, "{what}");
+
+        let r = ReplayReport::try_from_traces(campaign.name, 1.0, traces.clone()).unwrap();
+        assert_eq!(r.reps, o.reps, "{what}: replay reps");
+        for (field, copied, value) in [
+            ("slo_attainment", r.slo_attainment, o.slo_attainment),
+            ("mean_availability", r.mean_availability, o.availability),
+            (
+                "delivered_fraction",
+                r.delivered_fraction,
+                o.delivered_fraction,
+            ),
+            ("mean_delivery_p99_s", r.mean_delivery_p99_s, o.delivery.p99),
+        ] {
+            assert_eq!(copied.to_bits(), value.to_bits(), "{what}: replay {field}");
+        }
+
+        let sim = SimSummary::try_from_traces(traces).unwrap();
+        assert_eq!(sim.outcome, o, "{what}: sim summary");
+    }
 }

@@ -35,7 +35,7 @@ fn failure_study_sim_summary_has_no_nulls() {
     let summary = SimSummary::try_study(&cfg, 3, DEFAULT_SEED).unwrap();
     let doc = summary.to_json().to_string_pretty();
     assert_no_null(&doc, "cold-spare sim summary");
-    assert!((summary.mean_processing_p99 - 0.0).abs() < f64::EPSILON);
+    assert!((summary.processing.p99 - 0.0).abs() < f64::EPSILON);
 }
 
 #[test]

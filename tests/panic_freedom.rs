@@ -508,7 +508,7 @@ proptest! {
         let mut cfg = router_config();
         // Poison one scalar, one pricing-table entry, or one wait bin.
         let positive = match field {
-            0 => { cfg.deadline_slo_s = h; true }
+            0 => { cfg.terms[app][0].fixed_s = h; false }
             1 => { cfg.defer_horizon_s = h; false }
             2 => { cfg.image_gbit = h; true }
             3 => { cfg.ground_capacity_gbit_per_s = h; true }
@@ -738,7 +738,13 @@ fn gpu_batch_model_rejects_hostile_batches_and_rates() {
     for sel in 0..8u32 {
         let h = hostile(sel, 3.0);
         let result = GpuEnergyModel::batch_accumulation_time(16, h);
-        assert_eq!(result.is_ok(), h.is_finite() && h > 0.0, "{h}");
+        // At `f64::MIN_POSITIVE` images per minute, 16 images take an
+        // infinite time to arrive.
+        assert_eq!(
+            result.is_ok(),
+            h.is_finite() && h > f64::MIN_POSITIVE,
+            "{h}"
+        );
         if let Err(e) = result {
             assert!(structured(&e), "{e}");
         }
@@ -763,7 +769,7 @@ fn replication_try_forms_reject_degenerate_studies() {
 
     // And the valid short study still runs through the fallible path.
     let study = SimSummary::try_study(&cfg, 2, DEFAULT_SEED).expect("short study runs");
-    assert_eq!(study.reps, 2);
+    assert_eq!(study.outcome.reps, 2);
 }
 
 #[test]

@@ -240,7 +240,7 @@ fn reference_decisions(cfg: &RouterConfig, stream: &StreamConfig) -> Vec<Decisio
                 if latency > deadline {
                     continue;
                 }
-                let cost = term.fixed_usd + term.per_gbit_usd * size;
+                let cost = term.per_gbit_usd * size;
                 let better = match best {
                     None => true,
                     Some((bc, bl, bt)) => {
@@ -284,7 +284,7 @@ fn reference_decisions(cfg: &RouterConfig, stream: &StreamConfig) -> Vec<Decisio
 }
 
 /// Latency and cost coefficients for one application, built so tiers
-/// tie: every tier shares one cost pair, and `latency_ties` picks between
+/// tie: every tier shares one per-Gbit cost, and `latency_ties` picks between
 /// one shared latency triple (`true`) and each tier drawing one of two
 /// triples (`false`, so some tiers tie and others do not). `u` holds
 /// uniforms in `[0, 1)`; `image_gbit` scales the per-Gbit terms to about
@@ -293,7 +293,7 @@ fn tied_terms(u: &[f64], latency_ties: bool, image_gbit: f64) -> [TierTerms; Tie
     let latency = |v: &[f64]| (3000.0 * v[0], 1000.0 * v[1] / image_gbit, v[2]);
     let shared = latency(&u[0..3]);
     let other = latency(&u[3..6]);
-    let (fixed_usd, per_gbit_usd) = (10.0 * u[6], 5.0 * u[7] / image_gbit);
+    let per_gbit_usd = 5.0 * u[7] / image_gbit;
     core::array::from_fn(|t| {
         let (fixed_s, per_gbit_s, wait_scale) = if latency_ties || u[8 + t] < 0.5 {
             shared
@@ -304,7 +304,6 @@ fn tied_terms(u: &[f64], latency_ties: bool, image_gbit: f64) -> [TierTerms; Tie
             fixed_s,
             per_gbit_s,
             wait_scale,
-            fixed_usd,
             per_gbit_usd,
         }
     })

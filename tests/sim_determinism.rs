@@ -51,10 +51,10 @@ fn collaborative_filtering_beats_the_baseline_on_p99_latency_and_backlog() {
     )
     .unwrap();
     assert!(
-        collab.mean_processing_p99 < baseline.mean_processing_p99,
+        collab.processing.p99 < baseline.processing.p99,
         "filtered p99 {:.1} s must be strictly below baseline {:.1} s",
-        collab.mean_processing_p99,
-        baseline.mean_processing_p99
+        collab.processing.p99,
+        baseline.processing.p99
     );
     assert!(
         collab.mean_batch_queue < baseline.mean_batch_queue,
@@ -63,13 +63,13 @@ fn collaborative_filtering_beats_the_baseline_on_p99_latency_and_backlog() {
         baseline.mean_batch_queue
     );
     assert!(
-        collab.mean_downlink_backlog < baseline.mean_downlink_backlog,
+        collab.outcome.mean_downlink_backlog < baseline.outcome.mean_downlink_backlog,
         "filtered downlink backlog {:.0} must be strictly below baseline {:.0}",
-        collab.mean_downlink_backlog,
-        baseline.mean_downlink_backlog
+        collab.outcome.mean_downlink_backlog,
+        baseline.outcome.mean_downlink_backlog
     );
     // Filtering trades insight volume for latency: it must still deliver.
-    assert!(collab.mean_delivered_per_hour > 0.25 * baseline.mean_delivered_per_hour);
+    assert!(collab.outcome.delivered_per_hour > 0.25 * baseline.outcome.delivered_per_hour);
 }
 
 #[test]
@@ -88,9 +88,9 @@ fn cold_spares_sustain_at_least_the_analytic_hot_pool_availability() {
         .try_availability(1.0)
         .unwrap();
     assert!(
-        mission.end_full_fraction >= analytic_hot,
+        mission.outcome.end_full_fraction >= analytic_hot,
         "cold-spare end-state capability {:.3} fell below the analytic hot bound {:.3}",
-        mission.end_full_fraction,
+        mission.outcome.end_full_fraction,
         analytic_hot
     );
     // Sanity on the bound itself: a meaningful, non-degenerate target.
